@@ -37,7 +37,9 @@ from .scorer import (
     ScoreTable,
     import_scores,
     export_scores,
+    load_scores,
     rank_topk,
+    save_scores,
     score,
     train_bpr,
 )

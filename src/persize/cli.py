@@ -7,6 +7,12 @@ echoes the configuration in a header comment for provenance. Reruns with
 identical inputs and configuration produce byte-identical files; thread
 count never changes output bytes because per-user results are ordered
 before writing.
+
+``train`` writes the scores twice: ``scores.bin``, the binary store that
+``calibrate``, ``recommend`` and ``evaluate`` load, and ``scores.tsv``, a
+text export for people and other tools. Later stages never read the
+export, so edits to it are not seen downstream; edited scores go back in
+through the ``scores`` key of ``train``.
 """
 
 from __future__ import annotations
@@ -138,8 +144,9 @@ def cmd_train(cfg: dict) -> int:
         cands = (dataset.candidate_items(u, split_ds, exclude_val=False)
                  for u in sorted(split_ds.users.tolist()))
         table = scorer.build_score_table(model, cands)
+    scorer.save_scores(table, workdir / "scores.bin")
     scorer.export_scores(table, workdir / "scores.tsv", header=_echo(cfg, "train"))
-    print(f"train: scored {len(table)} users -> {workdir / 'scores.tsv'}")
+    print(f"train: scored {len(table)} users -> {workdir / 'scores.bin'}")
     return 0
 
 
@@ -164,7 +171,7 @@ def _read_platt(path) -> tuple[dict, cal.PlattParams]:
 def cmd_calibrate(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
-    table = scorer.import_scores(workdir / "scores.tsv")
+    table = scorer.load_scores(workdir / "scores.bin")
     cal_cfg_in = dict(cfg["calibration"])
     subsample = cal_cfg_in.pop("subsample_negatives", None)
     fit_cfg = cal.FitConfig(**cal_cfg_in)
@@ -215,7 +222,7 @@ def _eval_table(cfg, split_ds, table):
 def cmd_recommend(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
-    table = scorer.import_scores(workdir / "scores.tsv")
+    table = scorer.load_scores(workdir / "scores.bin")
     per_user, _ = _read_platt(workdir / "platt.tsv")
     measures = _measures(cfg)
     eval_table = _eval_table(cfg, split_ds, table)
@@ -275,7 +282,7 @@ def cmd_recommend(cfg: dict) -> int:
 def cmd_evaluate(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
-    table = scorer.import_scores(workdir / "scores.tsv")
+    table = scorer.load_scores(workdir / "scores.bin")
     per_user, _ = _read_platt(workdir / "platt.tsv")
     params = {u: p for u, p in per_user.items() if np.isfinite(p.a)}
     methods = cfg.get("baselines") or selection.default_methods(cfg["K"])

@@ -157,6 +157,8 @@ def distribution_batch(probs: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
         raise ValueError("expected a (users, n) probability matrix")
     if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite")
     if M < 0:
         raise ValueError(f"truncation bound must be >= 0, got {M}")
     n_users, n = probs.shape

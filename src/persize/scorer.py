@@ -1,5 +1,6 @@
 """Ranking scores: a minimal pairwise matrix-factorization trainer plus an
-importer/exporter so scores from any external recommender can be used.
+importer/exporter so scores from any external recommender can be used, and
+the binary score store the pipeline stages share.
 
 The built-in model learns user/item embeddings by stochastic gradient
 descent on the pairwise objective -log sigmoid(f(u, i+) - f(u, i-)) with
@@ -14,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CandidateSet, InteractionSet
+from .util import atomic_write, atomic_write_bytes
 
-_HEADER_DTYPE = np.dtype("<i8")
+_INT_DTYPE = np.dtype("<i8")
+_FLOAT_DTYPE = np.dtype("<f8")
 
 
 class DegenerateUserError(ValueError):
@@ -201,8 +204,6 @@ def rank_topk(scores: ScoreTable, user: int, candidates: CandidateSet, K: int) -
 
 def export_scores(table: ScoreTable, path, header: str = "") -> None:
     """Write `user<TAB>item<TAB>score` rows; floats round-trip exactly."""
-    from .util import atomic_write
-
     lines = [header] if header else []
     for user in table.users():
         items, vals = table.get(user)
@@ -247,18 +248,67 @@ def save_model(model: ScoreModel, path) -> None:
     """Flat binary checkpoint: int64 (n_users, n_items, d) header, then the
     two float64 matrices row-major."""
     header = np.array(
-        [len(model.user_vectors), len(model.item_vectors), model.d], dtype=_HEADER_DTYPE
+        [len(model.user_vectors), len(model.item_vectors), model.d], dtype=_INT_DTYPE
     )
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(model.user_vectors, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.item_vectors, dtype="<f8").tobytes())
+    atomic_write_bytes(path, b"".join((
+        header.tobytes(),
+        np.ascontiguousarray(model.user_vectors, dtype=_FLOAT_DTYPE).tobytes(),
+        np.ascontiguousarray(model.item_vectors, dtype=_FLOAT_DTYPE).tobytes(),
+    )))
 
 
 def load_model(path) -> ScoreModel:
     with open(path, "rb") as fh:
-        header = np.frombuffer(fh.read(24), dtype=_HEADER_DTYPE)
+        header = np.frombuffer(fh.read(24), dtype=_INT_DTYPE)
         n_users, n_items, d = (int(x) for x in header)
-        u = np.frombuffer(fh.read(n_users * d * 8), dtype="<f8").reshape(n_users, d)
-        i = np.frombuffer(fh.read(n_items * d * 8), dtype="<f8").reshape(n_items, d)
+        u = np.frombuffer(fh.read(n_users * d * 8), dtype=_FLOAT_DTYPE).reshape(n_users, d)
+        i = np.frombuffer(fh.read(n_items * d * 8), dtype=_FLOAT_DTYPE).reshape(n_items, d)
     return ScoreModel(user_vectors=u.copy(), item_vectors=i.copy())
+
+
+def save_scores(table: ScoreTable, path) -> None:
+    """Binary CSR score store: int64 (n_users, nnz) header, then ``users``
+    (strictly increasing, int64), ``indptr`` (n_users + 1, int64), ``items``
+    (nnz, int64) and ``scores`` (nnz, float64), all little-endian. User
+    ``users[j]`` owns entries ``indptr[j]:indptr[j + 1]``. Bit-exact, and
+    written atomically."""
+    users = table.users()
+    entries = [table.get(u) for u in users]
+    indptr = np.cumsum([0] + [len(items) for items, _ in entries])
+    ints = [[len(users), indptr[-1]], users, indptr] + [items for items, _ in entries]
+    atomic_write_bytes(path, b"".join(
+        [np.asarray(x, dtype=_INT_DTYPE).tobytes() for x in ints]
+        + [np.asarray(vals, dtype=_FLOAT_DTYPE).tobytes() for _, vals in entries]
+    ))
+
+
+def load_scores(path) -> ScoreTable:
+    """Read a store written by ``save_scores``.
+
+    Rejects a file whose length, ``indptr`` or user order does not match its
+    header, naming the path; the table itself rejects duplicate items and
+    non-finite scores.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated score store ({len(raw)} bytes)")
+    n_users, nnz = (int(x) for x in np.frombuffer(raw, dtype=_INT_DTYPE, count=2))
+    if n_users < 0 or nnz < 0 or len(raw) != 8 * (3 + 2 * n_users + 2 * nnz):
+        raise ValueError(
+            f"{path}: {len(raw)} bytes do not match the header "
+            f"(n_users={n_users}, nnz={nnz})"
+        )
+    ints = np.frombuffer(raw, dtype=_INT_DTYPE, count=3 + 2 * n_users + nnz)
+    users = ints[2 : 2 + n_users]
+    indptr = ints[2 + n_users : 3 + 2 * n_users]
+    items = ints[3 + 2 * n_users :]
+    scores = np.frombuffer(raw, dtype=_FLOAT_DTYPE, offset=ints.nbytes)
+    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        raise ValueError(f"{path}: indptr does not match the header (nnz={nnz})")
+    if np.any(np.diff(users) <= 0):
+        raise ValueError(f"{path}: user ids are not strictly increasing")
+    return ScoreTable({
+        u: (items[a:b], scores[a:b])
+        for u, a, b in zip(users.tolist(), indptr[:-1].tolist(), indptr[1:].tolist())
+    })

@@ -9,13 +9,19 @@ from pathlib import Path
 
 
 def atomic_write(path, text: str) -> None:
-    """Write text to a temp file in the target directory, then rename."""
+    """Write text as UTF-8 through ``atomic_write_bytes``."""
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write data to a temp file in the target directory, then rename, so a
+    reader never sees a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -122,6 +122,26 @@ class TestStages:
         assert (workdir / "scores.tsv").read_text().splitlines()[1:] == \
             ext.read_text().splitlines()[1:]
 
+    def test_later_stages_read_the_score_store(self, tmp_path, bundled_path):
+        workdir = tmp_path / "run"
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        _full_pipeline(cfg)
+        before = _digest_dir(workdir)
+        (workdir / "scores.tsv").unlink()
+        for stage in ("calibrate", "recommend", "evaluate"):
+            assert _run(stage, "--config", str(cfg)) == 0, stage
+        del before["scores.tsv"]
+        assert _digest_dir(workdir) == before
+
+    def test_missing_score_store_fails_cleanly(self, tmp_path, bundled_path, capsys):
+        workdir = tmp_path / "run"
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        for stage in ("prepare", "train"):
+            assert _run(stage, "--config", str(cfg)) == 0
+        (workdir / "scores.bin").unlink()
+        assert _run("calibrate", "--config", str(cfg)) == 1
+        assert "scores.bin" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path, bundled_path):

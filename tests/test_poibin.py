@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from persize.poibin import _conv_tree, _dp_window, distribution, leave_one_out
+from persize.poibin import (
+    _conv_tree, _dp_window, distribution, distribution_batch, leave_one_out,
+)
 
 from oracles import enum_count_distribution
 
@@ -82,6 +84,13 @@ class TestDistribution:
             distribution([0.5], -1)
         with pytest.raises(ValueError):
             distribution([0.5, float("nan")], 2)
+
+    def test_batch_rejects_nan_like_single_user(self):
+        probs = [[0.2, float("nan"), 0.1]]
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            distribution(probs[0], 5)
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            distribution_batch(probs, 5)
 
     def test_mass_nonnegative_and_bounded(self):
         rng = np.random.default_rng(5)

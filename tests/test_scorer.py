@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from persize.scorer import (
     export_scores,
     import_scores,
     load_model,
+    load_scores,
     rank_topk,
     save_model,
+    save_scores,
     score,
     score_candidates,
     train_bpr,
@@ -179,3 +183,46 @@ class TestImportExport:
         _, vals = back.get(0)
         assert vals[0] == score(model, 0, 0)
         assert vals[1] == score(model, 0, 1)
+
+
+class TestScoreStore:
+    def _table(self):
+        return ScoreTable({
+            2: (np.array([9, 0, 4, 7, 3]),
+                np.array([-0.0, 5e-324, 1e308, -1e308, 0.1])),
+            5: (np.empty(0, dtype=np.int64), np.empty(0)),  # zero candidates
+            11: (np.array([1]), np.array([-2.5])),
+        })
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        table = self._table()
+        save_scores(table, tmp_path / "scores.bin")
+        back = load_scores(tmp_path / "scores.bin")
+        assert back.users() == table.users() == [2, 5, 11]
+        for u in table.users():
+            items, vals = table.get(u)
+            bi, bv = back.get(u)
+            assert bi.dtype == np.int64 and bv.dtype == np.float64
+            np.testing.assert_array_equal(bi, items)
+            assert bv.tobytes() == vals.tobytes()  # keeps -0.0 and the subnormal
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "scores.bin"
+        save_scores(self._table(), path)
+        data = path.read_bytes()
+        for cut in (8, len(data) - 8):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_scores(path)
+
+    def test_indptr_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "scores.bin"
+        save_scores(self._table(), path)
+        data = bytearray(path.read_bytes())
+        # indptr follows the 2-word header and the 3 user ids; its last
+        # entry must equal nnz = 6
+        last = 8 * (2 + 3 + 3)
+        data[last : last + 8] = np.array([5], dtype="<i8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_scores(path)
