@@ -1,9 +1,11 @@
 """The distribution of how many candidates a user will actually like.
 
 Each candidate interacts independently with its calibrated probability, so
-the total count follows a Poisson-Binomial distribution. The convolution
-recurrence computes it exactly; a truncation bound M caps the cost for
-huge candidate sets, dropping (and recording) the far-tail mass instead of
+the total count follows a Poisson-Binomial distribution. It is computed
+exactly by convolution: a recurrence within 32-item chunks, then an FFT
+merge tree across chunks. `distribution` is one user's row of the batched
+engine `distribution_batch`. A truncation bound M caps the cost for huge
+candidate sets, dropping (and recording) the far-tail mass instead of
 renormalizing.
 """
 
@@ -15,7 +17,8 @@ from persize.poibin import distribution, leave_one_out
 d = distribution([0.1, 0.2, 0.3], M=3)
 print("probs [0.1 0.2 0.3]:", np.round(d.mass, 4), "| P(count=1) =", d.mass[1])
 
-# removing one candidate, used by the exact expected-utility mode
+# removing one candidate, as the exact expected-utility mode does for every
+# rank (it sets that rank's probability to 0, an exact identity)
 loo = leave_one_out([0.1, 0.2, 0.3], r=2, M=2)
 print("without the 0.3 item:", np.round(loo.mass, 4))
 

@@ -56,7 +56,6 @@ from .selection import (
 )
 from .utility import (
     Measure,
-    PrefixStats,
     UtilityCurve,
     expected_curve_approx,
     expected_curve_exact,

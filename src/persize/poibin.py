@@ -5,6 +5,11 @@ independent Bernoulli variables with heterogeneous probabilities, which
 follows a Poisson-Binomial distribution. This module computes its mass
 vector exactly by convolution, optionally truncated at a bound M: mass that
 would land beyond index M is dropped (recorded, never renormalized).
+
+``distribution_batch`` is the only implementation: a chunked recurrence plus
+an FFT merge tree over a (users, n) matrix. ``distribution`` validates and
+calls it on one row, so the single-user and batched paths share their
+arithmetic and their input checks.
 """
 
 from __future__ import annotations
@@ -12,12 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Above this many DP cells (n * window) the pairwise FFT convolution tree
-# takes over; below it the plain windowed recurrence is used, which is exact
-# to one rounding per cell and cheap at test scale.
-_DP_CELL_LIMIT = 2_000_000
-
 
 @dataclass(frozen=True)
 class CountDistribution:
@@ -45,112 +44,40 @@ class CountDistribution:
         return float(self.mass[m])
 
 
-def _dp_window(probs: np.ndarray, cap: int) -> np.ndarray:
-    """Windowed convolution recurrence, exact for indices 0..cap."""
-    d = np.zeros(cap + 1)
-    d[0] = 1.0
-    hi = 0  # highest index that can hold mass so far
-    for p in probs:
-        nxt = (1.0 - p) * d
-        lim = min(hi, cap - 1)
-        nxt[1 : lim + 2] += p * d[: lim + 1]
-        d = nxt
-        hi = min(hi + 1, cap)
-    return d
-
-
 _CHUNK = 32
-
-
-def _conv_tree(probs: np.ndarray, cap: int) -> np.ndarray:
-    """Chunked recurrence plus a pairwise FFT-convolution merge tree.
-
-    Items are grouped into fixed-size chunks whose count distributions are
-    computed by the windowed recurrence vectorized across chunks; chunk
-    polynomials are then merged pairwise with batched FFTs. Exact in real
-    arithmetic; in floats the absolute error stays near machine precision
-    per coefficient, and tiny negative round-off is clamped. Truncating
-    every intermediate to cap+1 coefficients is lossless for the retained
-    indices because convolution never moves mass downward.
-    """
-    n = len(probs)
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    padded = np.zeros(n_chunks * _CHUNK)
-    padded[:n] = probs  # zero-probability items are exact identities
-    chunk_probs = padded.reshape(n_chunks, _CHUNK)
-
-    width = min(_CHUNK, cap) + 1
-    polys = np.zeros((n_chunks, width))
-    polys[:, 0] = 1.0
-    hi = 0
-    for t in range(_CHUNK):
-        col = chunk_probs[:, t : t + 1]
-        nxt = (1.0 - col) * polys
-        lim = min(hi, width - 2)
-        nxt[:, 1 : lim + 2] += col * polys[:, : lim + 1]
-        polys = nxt
-        hi = min(hi + 1, width - 1)
-
-    while polys.shape[0] > 1:
-        if polys.shape[0] % 2:
-            ident = np.zeros((1, polys.shape[1]))
-            ident[0, 0] = 1.0
-            polys = np.concatenate([polys, ident], axis=0)
-        a = polys[0::2]
-        b = polys[1::2]
-        full = 2 * polys.shape[1] - 1
-        nfft = 1 << (full - 1).bit_length()
-        fa = np.fft.rfft(a, nfft, axis=1)
-        fb = np.fft.rfft(b, nfft, axis=1)
-        prod = np.fft.irfft(fa * fb, nfft, axis=1)[:, : min(full, cap + 1)]
-        np.maximum(prod, 0.0, out=prod)
-        polys = prod
-    out = polys[0]
-    if len(out) < cap + 1:
-        out = np.concatenate([out, np.zeros(cap + 1 - len(out))])
-    return out
 
 
 def distribution(probs, M: int) -> CountDistribution:
     """Poisson-Binomial mass of sum(Bernoulli(p_i)) truncated at M.
+
+    A one-row call to ``distribution_batch``, which also validates the input.
 
     Args:
         probs: success probabilities, each in [0, 1].
         M: truncation bound, >= 0. Mass beyond index M is dropped into
            ``truncated_tail`` (no renormalization).
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        probs = probs.ravel()
-    if probs.size and (np.min(probs) < 0.0 or np.max(probs) > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("probabilities must be finite")
-    if M < 0:
-        raise ValueError(f"truncation bound must be >= 0, got {M}")
-
-    n = probs.size
-    cap = min(n, M)
-    if n == 0:
-        return CountDistribution(mass=np.ones(1), M=M, n=0, truncated_tail=0.0)
-
-    if n * (cap + 1) <= _DP_CELL_LIMIT:
-        d = _dp_window(probs, cap)
-    else:
-        d = _conv_tree(probs, cap)
-    tail = 0.0 if M >= n else max(0.0, 1.0 - float(d.sum()))
-    return CountDistribution(mass=d, M=M, n=n, truncated_tail=tail)
+    probs = np.asarray(probs, dtype=np.float64).ravel()
+    mass, tail = distribution_batch(probs[None, :], M)
+    return CountDistribution(mass=mass[0], M=M, n=probs.size, truncated_tail=float(tail[0]))
 
 
 def distribution_batch(probs: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Count distributions for many users at once.
+    """Count distributions for many users at once: the one engine.
 
     ``probs`` is (users, n) with one row per user; rows may be padded with
-    zeros (zero-probability items contribute nothing). Returns
-    (mass, tail) where mass is (users, min(n, M) + 1). One call runs the
-    same chunked recurrence and FFT merge tree as the single-user path but
-    vectorized across users, so per-user Python overhead disappears; this
-    is the intended shape for thread pools mapping over user blocks.
+    zeros (zero-probability items are exact identities). Returns
+    (mass, tail) where mass is (users, min(n, M) + 1) and tail is the
+    dropped mass above M per user (zero when M >= n). A single user is a
+    batch of one (see ``distribution``).
+
+    Items are grouped into fixed-size chunks whose count distributions are
+    computed by the windowed recurrence vectorized across chunks and users;
+    chunk polynomials are then merged pairwise with batched FFTs. Exact in
+    real arithmetic; in floats the absolute error stays near machine
+    precision per coefficient, and tiny negative round-off is clamped.
+    Truncating every intermediate to min(n, M) + 1 coefficients is lossless
+    for the retained indices because convolution never moves mass downward.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
@@ -164,7 +91,7 @@ def distribution_batch(probs: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
     n_users, n = probs.shape
     cap = min(n, M)
 
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
+    n_chunks = max(1, (n + _CHUNK - 1) // _CHUNK)  # one all-zero chunk when n == 0
     padded = np.zeros((n_users, n_chunks * _CHUNK))
     padded[:, :n] = probs
     chunk_probs = padded.reshape(n_users, n_chunks, _CHUNK)
@@ -196,10 +123,6 @@ def distribution_batch(probs: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
         np.maximum(prod, 0.0, out=prod)
         polys = prod
     mass = polys[:, 0]
-    if mass.shape[1] < cap + 1:
-        mass = np.concatenate(
-            [mass, np.zeros((n_users, cap + 1 - mass.shape[1]))], axis=1
-        )
     if M >= n:
         tail = np.zeros(n_users)
     else:

@@ -258,11 +258,21 @@ def save_model(model: ScoreModel, path) -> None:
 
 
 def load_model(path) -> ScoreModel:
+    """Read a checkpoint written by ``save_model``; rejects a file whose
+    length does not match its header, naming the path."""
     with open(path, "rb") as fh:
-        header = np.frombuffer(fh.read(24), dtype=_INT_DTYPE)
-        n_users, n_items, d = (int(x) for x in header)
-        u = np.frombuffer(fh.read(n_users * d * 8), dtype=_FLOAT_DTYPE).reshape(n_users, d)
-        i = np.frombuffer(fh.read(n_items * d * 8), dtype=_FLOAT_DTYPE).reshape(n_items, d)
+        raw = fh.read()
+    if len(raw) < 24:
+        raise ValueError(f"{path}: truncated model checkpoint ({len(raw)} bytes)")
+    n_users, n_items, d = (int(x) for x in np.frombuffer(raw, dtype=_INT_DTYPE, count=3))
+    if min(n_users, n_items, d) < 0 or len(raw) != 8 * (3 + (n_users + n_items) * d):
+        raise ValueError(
+            f"{path}: {len(raw)} bytes do not match the header "
+            f"(n_users={n_users}, n_items={n_items}, d={d})"
+        )
+    vectors = np.frombuffer(raw, dtype=_FLOAT_DTYPE, offset=24)
+    u = vectors[: n_users * d].reshape(n_users, d)
+    i = vectors[n_users * d :].reshape(n_items, d)
     return ScoreModel(user_vectors=u.copy(), item_vectors=i.copy())
 
 

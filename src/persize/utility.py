@@ -5,8 +5,13 @@ Expected values treat each candidate's relevance as an independent Bernoulli
 variable with a calibrated probability and integrate the same formulas over
 the count distribution of the total number of relevant candidates. Two modes
 are provided: a fast estimator that truncates the count sum at M and reuses
-one count distribution for every rank, and an exact mode that recomputes the
-leave-one-out count distribution per rank and sums the full count range.
+one count distribution for every rank, and an exact mode that uses each
+rank's leave-one-out count distribution and sums the full count range.
+
+``expected_curves_batch`` is the only implementation of the fast estimator;
+``expected_curve_approx`` and ``expected_curves`` validate one user's input
+and call it on one row. Every count distribution, in both modes, comes from
+``poibin.distribution_batch``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .poibin import CountDistribution, distribution
+from .poibin import distribution_batch
 
 DEFAULT_M = 2000
 EXACT_MODE_CAP = 2000
@@ -45,30 +50,6 @@ class UtilityCurve:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class PrefixStats:
-    """Prefix aggregates of ranked probabilities reused across sizes k.
-
-    a[k] = sum of the top-k probabilities, w[k] = same discounted by rank
-    exposure, ideal[j] = exposure mass of a perfect prefix of length j.
-    Index 0 holds 0 so entries can be read 1-based.
-    """
-
-    a: np.ndarray
-    w: np.ndarray
-    ideal: np.ndarray
-
-    @classmethod
-    def from_probs(cls, p_topk: np.ndarray, ideal_len: int) -> "PrefixStats":
-        disc = log_discount(np.arange(1, len(p_topk) + 1))
-        a = np.concatenate([[0.0], np.cumsum(p_topk)])
-        w = np.concatenate([[0.0], np.cumsum(p_topk * disc)])
-        ideal = np.concatenate(
-            [[0.0], np.cumsum(log_discount(np.arange(1, ideal_len + 1)))]
-        )
-        return cls(a=a, w=w, ideal=ideal)
 
 
 def log_discount(ranks) -> np.ndarray:
@@ -138,59 +119,17 @@ def expected_curve_approx(
     all_probs,
     M: int = DEFAULT_M,
     K: int | None = None,
-    dist: CountDistribution | None = None,
 ) -> UtilityCurve:
     """Truncated-sum estimate of expected utility for every size k.
 
     The count distribution is built once from ``all_probs`` (the entire
-    candidate set, not just the prefix) with indices 0..M-1, the largest
-    consumed by the count sum m = 1..M. It also stands in for every rank's
-    leave-one-out variant; expected_curve_exact removes both shortcuts.
-    ``dist`` lets callers reuse the count distribution across measures.
-    Cost is O(n*M + K*M) per call.
+    candidate set in ranking order, not just the prefix) with indices
+    0..M-1, the largest consumed by the count sum m = 1..M. It also stands
+    in for every rank's leave-one-out variant; expected_curve_exact removes
+    both shortcuts. ``p_topk`` must be ``all_probs[:len(p_topk)]``. A
+    one-row call to expected_curves_batch; cost is O(n log^2 n + K*M).
     """
-    p_topk = np.asarray(p_topk, dtype=np.float64)
-    all_probs = np.asarray(all_probs, dtype=np.float64)
-    if all_probs.size == 0:
-        raise ValueError("empty candidate set")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    kmax = len(p_topk)
-    if K is not None and kmax != min(K, all_probs.size):
-        raise ValueError(f"prefix length {kmax} != min(K={K}, n={all_probs.size})")
-    if kmax == 0:
-        raise ValueError("empty ranked prefix")
-
-    if measure is Measure.PDCG:
-        return UtilityCurve(measure, _pdcg_curve(p_topk), mode="approx")
-
-    if dist is None:
-        dist = distribution(all_probs, M - 1)
-    d = dist.mass  # d[m-1] for m = 1..e_len
-    e_len = len(d)
-    stats = PrefixStats.from_probs(p_topk, ideal_len=max(kmax, e_len))
-    ks = np.arange(1, kmax + 1)
-    # Split the count sum at m = k: below it the normalizer varies with m,
-    # above it the normalizer is frozen at k.
-    kcut = np.minimum(ks, e_len)
-    d_prefix = np.concatenate([[0.0], np.cumsum(d)])
-    suffix = d_prefix[e_len] - d_prefix[kcut]
-
-    if measure is Measure.NDCG:
-        per_m = d / stats.ideal[1 : e_len + 1]
-        head = np.concatenate([[0.0], np.cumsum(per_m)])
-        values = stats.w[1:] * (head[kcut] + suffix / stats.ideal[ks])
-        return UtilityCurve(measure, values, mode="approx")
-    if measure is Measure.TP:
-        per_m = d / np.arange(1, e_len + 1)
-        head = np.concatenate([[0.0], np.cumsum(per_m)])
-        values = stats.a[1:] * (head[kcut] + suffix / ks)
-        return UtilityCurve(measure, values, mode="approx")
-    if measure is Measure.F1:
-        denom = np.arange(1, e_len + 1)[None, :] + ks[:, None]
-        values = 2.0 * stats.a[1:] * (d[None, :] / denom).sum(axis=1)
-        return UtilityCurve(measure, values, mode="approx")
-    raise ValueError(f"unknown measure {measure!r}")
+    return expected_curves(p_topk, all_probs, [measure], M, K)[measure]
 
 
 def expected_curve_exact(
@@ -201,9 +140,10 @@ def expected_curve_exact(
 ) -> UtilityCurve:
     """Exact expected utility: per-rank leave-one-out counts, full count range.
 
-    Removes both shortcuts of the fast estimator. Cost grows as
-    min(K, n) * n^2, so candidate sets are capped (default 2000); larger
-    inputs should use expected_curve_approx.
+    Removes both shortcuts of the fast estimator. Cost is min(K, n) full
+    count distributions over n candidates plus a min(K, n) x n matrix per
+    measure, so candidate sets are capped (default 2000); larger inputs
+    should use expected_curve_approx.
     """
     all_probs = np.asarray(all_probs, dtype=np.float64)
     n = all_probs.size
@@ -220,12 +160,13 @@ def expected_curve_exact(
     if measure is Measure.PDCG:
         return UtilityCurve(measure, _pdcg_curve(all_probs[:kmax]), mode="exact")
 
+    # Row r of the leave-one-out matrix sets rank r's probability to 0, an
+    # exact identity, so one batched call yields every rank's distribution.
+    loo = np.tile(all_probs, (kmax, 1))
+    loo[np.arange(kmax), np.arange(kmax)] = 0.0
     # contrib[r-1, m-1] = p_r * P(count without rank r = m-1), m = 1..n,
     # times the rank-r exposure when the measure discounts by position.
-    contrib = np.empty((kmax, n))
-    for r in range(kmax):
-        loo = distribution(np.delete(all_probs, r), n - 1).mass
-        contrib[r, :] = all_probs[r] * loo
+    contrib = all_probs[:kmax, None] * distribution_batch(loo, n - 1)[0]
     if measure is Measure.NDCG:
         contrib *= log_discount(np.arange(1, kmax + 1))[:, None]
     totals = np.cumsum(contrib, axis=0)  # totals[k-1, m-1]
@@ -253,13 +194,12 @@ def expected_curves_batch(
     """Fast-estimator curves for a block of users in one set of matrix ops.
 
     ``probs_sorted`` is (users, n), each row in ranking order (descending).
-    Returns measure -> (users, min(K, n)) value arrays. Numerically this is
-    the batched twin of expected_curve_approx; large blocks amortize all
-    per-user overhead and release the interpreter lock inside the heavy
-    array operations, which is what makes thread pools effective.
+    Returns measure -> (users, min(K, n)) value arrays. This is the only
+    fast-estimator implementation (expected_curve_approx is a one-row call);
+    large blocks amortize all per-user overhead and release the interpreter
+    lock inside the heavy array operations, which is what makes thread pools
+    effective.
     """
-    from .poibin import distribution_batch
-
     probs_sorted = np.asarray(probs_sorted, dtype=np.float64)
     if probs_sorted.ndim != 2 or probs_sorted.shape[1] == 0:
         raise ValueError("expected a non-empty (users, n) probability matrix")
@@ -317,16 +257,32 @@ def expected_curves(
     mode: str = "approx",
     exact_cap: int = EXACT_MODE_CAP,
 ) -> dict:
-    """Curves for several measures at once, sharing the count distribution."""
-    out = {}
-    dist = None
-    for measure in measures:
-        if mode == "approx":
-            if dist is None and measure is not Measure.PDCG:
-                dist = distribution(np.asarray(all_probs, dtype=np.float64), M - 1)
-            out[measure] = expected_curve_approx(measure, p_topk, all_probs, M, K, dist)
-        elif mode == "exact":
-            out[measure] = expected_curve_exact(measure, all_probs, K or len(p_topk), exact_cap)
-        else:
-            raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
-    return out
+    """Curves for several measures of one user, sharing the count distribution.
+
+    ``all_probs`` is the user's candidate set in ranking order and
+    ``p_topk`` its first min(K, n) entries. Approx mode is a one-row call to
+    expected_curves_batch; exact mode calls expected_curve_exact per measure.
+    """
+    if mode == "exact":
+        return {
+            m: expected_curve_exact(m, all_probs, K or len(p_topk), exact_cap)
+            for m in measures
+        }
+    if mode != "approx":
+        raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
+    p_topk = np.asarray(p_topk, dtype=np.float64)
+    all_probs = np.asarray(all_probs, dtype=np.float64)
+    if all_probs.size == 0:
+        raise ValueError("empty candidate set")
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    kmax = len(p_topk)
+    if K is not None and kmax != min(K, all_probs.size):
+        raise ValueError(f"prefix length {kmax} != min(K={K}, n={all_probs.size})")
+    if kmax == 0:
+        raise ValueError("empty ranked prefix")
+    if not np.array_equal(p_topk, all_probs[:kmax], equal_nan=True):
+        raise ValueError("p_topk must be the first len(p_topk) entries of all_probs")
+    measures = list(measures)
+    rows = expected_curves_batch(all_probs[None, :], measures, M=M, K=kmax)
+    return {m: UtilityCurve(m, rows[m][0], mode="approx") for m in measures}

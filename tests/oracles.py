@@ -3,7 +3,8 @@
 Everything here is written from the definitions, without importing the
 library's computation paths, so agreement is a real dual-route check:
 brute-force enumeration for count distributions and expected utilities,
-plain gradient descent for the calibration fit.
+the plain convolution recurrence for count distributions too large to
+enumerate, and plain gradient descent for the calibration fit.
 """
 
 import numpy as np
@@ -16,6 +17,22 @@ def enum_count_distribution(probs) -> np.ndarray:
     outcomes = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
     weights = np.prod(np.where(outcomes == 1, probs, 1.0 - probs), axis=1)
     return np.bincount(outcomes.sum(axis=1), weights=weights, minlength=n + 1)
+
+
+def dp_count_distribution(probs, cap: int) -> np.ndarray:
+    """Mass of sum(Bernoulli(p_i)) at indices 0..cap by the windowed
+    convolution recurrence, adding one item at a time (one rounding per
+    cell, O(n * cap))."""
+    d = np.zeros(cap + 1)
+    d[0] = 1.0
+    hi = 0  # highest index that can hold mass so far
+    for p in np.asarray(probs, dtype=np.float64):
+        nxt = (1.0 - p) * d
+        lim = min(hi, cap - 1)
+        nxt[1 : lim + 2] += p * d[: lim + 1]
+        d = nxt
+        hi = min(hi + 1, cap)
+    return d
 
 
 def _discount(ranks) -> np.ndarray:

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from persize.poibin import (
-    _conv_tree, _dp_window, distribution, distribution_batch, leave_one_out,
-)
+from persize.poibin import distribution, distribution_batch, leave_one_out
 
-from oracles import enum_count_distribution
+from oracles import dp_count_distribution, enum_count_distribution
 
 
 class TestDistribution:
@@ -106,15 +104,19 @@ class TestConvTreePath:
     """The FFT product tree must agree with the windowed recurrence."""
 
     def test_agrees_with_dp(self):
+        # n and caps on both sides of the 32-item chunk, up to full width
         rng = np.random.default_rng(6)
-        for n, cap in ((10, 10), (257, 100), (3000, 750), (2048, 2048)):
+        for n in (1, 10, 31, 32, 33, 245, 257, 2048, 3000):
             probs = rng.random(n)
-            np.testing.assert_allclose(
-                _conv_tree(probs, cap), _dp_window(probs, cap), atol=1e-12
-            )
+            for cap in sorted({0, 31, 32, 33, 100, 750, n}):
+                np.testing.assert_allclose(
+                    distribution(probs, cap).mass,
+                    dp_count_distribution(probs, min(n, cap)),
+                    atol=1e-12,
+                )
 
     def test_large_input_uses_tree(self):
-        # Above the cell limit the tree path runs; results stay a distribution.
+        # Thousands of candidates merge over many tree levels; results stay a distribution.
         rng = np.random.default_rng(7)
         probs = rng.uniform(0, 0.2, 5000)
         d = distribution(probs, 2000)

@@ -173,6 +173,15 @@ class TestImportExport:
         np.testing.assert_array_equal(model.user_vectors, back.user_vectors)
         np.testing.assert_array_equal(model.item_vectors, back.item_vectors)
 
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(ScoreModel(np.ones((3, 6)), np.ones((9, 6))), path)
+        data = path.read_bytes()
+        for cut in (8, 100, len(data) - 8):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_model(path)
+
     def test_export_matches_model_scores(self, tmp_path):
         model = train_bpr(_toy_train(), BPRConfig(d=4, epochs=3, learning_rate=0.1, seed=1))
         table = ScoreTable({

@@ -4,7 +4,6 @@ import pytest
 from persize.poibin import distribution
 from persize.utility import (
     Measure,
-    PrefixStats,
     expected_curve_approx,
     expected_curve_exact,
     expected_curves,
@@ -14,7 +13,7 @@ from persize.utility import (
     realized_utility,
 )
 
-from oracles import enum_expected_utility, realized_reference
+from oracles import enum_expected_curve, enum_expected_utility, realized_reference
 
 ALL = (Measure.NDCG, Measure.PDCG, Measure.F1, Measure.TP)
 
@@ -94,6 +93,16 @@ class TestExactCurve:
                 for k in range(1, n + 1):
                     ref = enum_expected_utility(measure.value, probs, k)
                     assert curve.values[k - 1] == pytest.approx(ref, abs=tol)
+
+    def test_certain_and_impossible_candidates(self):
+        # a zero-probability rank leaves its leave-one-out row unchanged;
+        # a sure one shifts every other rank's count by one
+        probs = np.array([1.0, 0.8, 0.5, 0.3, 0.0, 0.0])
+        for measure in ALL:
+            curve = expected_curve_exact(measure, probs, K=len(probs))
+            np.testing.assert_allclose(
+                curve.values, enum_expected_curve(measure.value, probs), atol=1e-12
+            )
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="approx"):
@@ -204,6 +213,17 @@ class TestApproxCurve:
         with pytest.raises(ValueError):
             expected_curve_approx(Measure.F1, [0.5], [0.5, 0.4, 0.3], M=5, K=2)
 
+    def test_prefix_must_be_head_of_candidates(self):
+        for measure in ALL:
+            with pytest.raises(ValueError, match="first len"):
+                expected_curve_approx(measure, [0.1, 0.2], [0.9, 0.8, 0.1], M=5)
+            with pytest.raises(ValueError, match="first len"):
+                expected_curves([0.1, 0.2], [0.9, 0.8, 0.1], [measure], M=5, K=2)
+        with pytest.raises(ValueError, match="first len"):
+            expected_curve_approx(Measure.F1, [0.9, 0.8, 0.1, 0.1], [0.9, 0.8, 0.1], M=5)
+        with pytest.raises(ValueError, match="finite"):
+            expected_curve_approx(Measure.F1, [float("nan")], [float("nan"), 0.1], M=5, K=1)
+
 
 class TestBatchedCurves:
     def test_matches_single_user_path(self):
@@ -227,6 +247,14 @@ class TestBatchedCurves:
             single = distribution(probs[b], 25)
             np.testing.assert_allclose(mass[b], single.mass, atol=1e-12)
             assert tail[b] == pytest.approx(single.truncated_tail, abs=1e-12)
+
+    def test_distribution_batch_zero_width(self):
+        from persize.poibin import distribution_batch
+
+        for M in (0, 3):
+            mass, tail = distribution_batch(np.empty((4, 0)), M)
+            np.testing.assert_array_equal(mass, np.ones((4, 1)))
+            np.testing.assert_array_equal(tail, np.zeros(4))
 
     def test_batch_input_validation(self):
         from persize.utility import expected_curves_batch
@@ -262,9 +290,3 @@ class TestExpectedCurves:
         probs = np.array([0.9, 0.5, 0.1])
         curves = expected_curves(probs, probs, [Measure.TP], K=3, mode="exact")
         assert curves[Measure.TP].mode == "exact"
-
-    def test_prefix_stats_monotone(self):
-        stats = PrefixStats.from_probs(np.array([0.9, 0.5, 0.2]), ideal_len=5)
-        for arr in (stats.a, stats.w, stats.ideal):
-            assert np.all(np.diff(arr) >= 0)
-        assert np.all(stats.a[1:] <= np.arange(1, 4))
