@@ -6,6 +6,7 @@ positive. Any external recommender can replace it by exporting a
 `user<TAB>item<TAB>score` file and importing it back.
 """
 
+import tempfile
 from pathlib import Path
 
 from persize import dataset, scorer
@@ -30,9 +31,10 @@ for rank, (item, s) in enumerate(zip(ranked.items, ranked.scores), start=1):
     print(f"  {rank:2d}. item {item:3d}  score {s:+.4f}  {hit}")
 
 # scores round-trip through the exchange format at full precision
-out = Path("/tmp/persize_demo_scores.tsv")
-scorer.export_scores(table, out)
-back = scorer.import_scores(out)
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "scores.tsv"
+    scorer.export_scores(table, out)
+    back = scorer.import_scores(out)
 items, vals = back.get(u)
 assert (vals == table.get(u)[1]).all()
 print(f"export/import round-trip exact for {len(items)} scores")

@@ -8,10 +8,11 @@ are provided: a fast estimator that truncates the count sum at M and reuses
 one count distribution for every rank, and an exact mode that uses each
 rank's leave-one-out count distribution and sums the full count range.
 
-``expected_curves_batch`` is the only implementation of the fast estimator;
-``expected_curve_approx`` and ``expected_curves`` validate one user's input
-and call it on one row. Every count distribution, in both modes, comes from
-``poibin.distribution_batch``.
+The fast estimator's curve algebra is written once, for a block of users;
+``expected_curves_batch`` feeds it a block's ``poibin.distribution_batch``
+mass, and ``expected_curve_approx`` / ``expected_curves`` validate one
+user's input and feed it the one-row ``poibin.distribution`` mass. Every
+count distribution, in both modes, comes from ``distribution_batch``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from enum import Enum
 
 import numpy as np
 
-from .poibin import distribution_batch
+from .poibin import distribution, distribution_batch
 
 DEFAULT_M = 2000
 EXACT_MODE_CAP = 2000
+_LOO_BLOCK = 64
 
 
 class Measure(Enum):
@@ -126,8 +128,8 @@ def expected_curve_approx(
     candidate set in ranking order, not just the prefix) with indices
     0..M-1, the largest consumed by the count sum m = 1..M. It also stands
     in for every rank's leave-one-out variant; expected_curve_exact removes
-    both shortcuts. ``p_topk`` must be ``all_probs[:len(p_topk)]``. A
-    one-row call to expected_curves_batch; cost is O(n log^2 n + K*M).
+    both shortcuts. ``p_topk`` must be ``all_probs[:len(p_topk)]``. The
+    one-row case of expected_curves_batch; cost is O(n log^2 n + K*M).
     """
     return expected_curves(p_topk, all_probs, [measure], M, K)[measure]
 
@@ -160,13 +162,18 @@ def expected_curve_exact(
     if measure is Measure.PDCG:
         return UtilityCurve(measure, _pdcg_curve(all_probs[:kmax]), mode="exact")
 
-    # Row r of the leave-one-out matrix sets rank r's probability to 0, an
-    # exact identity, so one batched call yields every rank's distribution.
-    loo = np.tile(all_probs, (kmax, 1))
-    loo[np.arange(kmax), np.arange(kmax)] = 0.0
+    # Row r of a leave-one-out block sets rank r's probability to 0, an exact
+    # identity, so one batched call yields a block of ranks' distributions.
+    # Blocks of _LOO_BLOCK ranks bound the working memory at any K.
     # contrib[r-1, m-1] = p_r * P(count without rank r = m-1), m = 1..n,
     # times the rank-r exposure when the measure discounts by position.
-    contrib = all_probs[:kmax, None] * distribution_batch(loo, n - 1)[0]
+    contrib = np.empty((kmax, n))
+    for lo in range(0, kmax, _LOO_BLOCK):
+        rows = np.arange(lo, min(lo + _LOO_BLOCK, kmax))
+        loo = np.tile(all_probs, (rows.size, 1))
+        loo[np.arange(rows.size), rows] = 0.0
+        contrib[rows] = distribution_batch(loo, n - 1)[0]
+    contrib *= all_probs[:kmax, None]
     if measure is Measure.NDCG:
         contrib *= log_discount(np.arange(1, kmax + 1))[:, None]
     totals = np.cumsum(contrib, axis=0)  # totals[k-1, m-1]
@@ -194,31 +201,38 @@ def expected_curves_batch(
     """Fast-estimator curves for a block of users in one set of matrix ops.
 
     ``probs_sorted`` is (users, n), each row in ranking order (descending).
-    Returns measure -> (users, min(K, n)) value arrays. This is the only
-    fast-estimator implementation (expected_curve_approx is a one-row call);
-    large blocks amortize all per-user overhead and release the interpreter
-    lock inside the heavy array operations, which is what makes thread pools
-    effective.
+    Returns measure -> (users, min(K, n)) value arrays. Large blocks
+    amortize all per-user overhead and release the interpreter lock inside
+    the heavy array operations, which is what makes thread pools effective.
     """
     probs_sorted = np.asarray(probs_sorted, dtype=np.float64)
     if probs_sorted.ndim != 2 or probs_sorted.shape[1] == 0:
         raise ValueError("expected a non-empty (users, n) probability matrix")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    n_users, n = probs_sorted.shape
-    kmax = min(K, n)
-    p_topk = probs_sorted[:, :kmax]
+    measures = list(measures)
+    mass = None
+    if any(m is not Measure.PDCG for m in measures):
+        mass = distribution_batch(probs_sorted, M - 1)[0]
+    return _curves_from_mass(probs_sorted[:, : min(K, probs_sorted.shape[1])], mass, measures)
+
+
+def _curves_from_mass(p_topk: np.ndarray, mass, measures: list) -> dict:
+    """The fast estimator's curve algebra, for a (users, kmax) block.
+
+    ``mass`` is the (users, min(n, M - 1) + 1) truncated count mass of each
+    user's whole candidate set; it may be None when only PDCG is asked for.
+    """
+    n_users, kmax = p_topk.shape
     disc = log_discount(np.arange(1, kmax + 1))
 
     out = {}
-    measures = list(measures)
     if Measure.PDCG in measures:
         out[Measure.PDCG] = np.cumsum((2.0 * p_topk - 1.0) * disc, axis=1)
     rest = [m for m in measures if m is not Measure.PDCG]
     if not rest:
         return out
 
-    mass, _ = distribution_batch(probs_sorted, M - 1)
     e_len = mass.shape[1]
     ks = np.arange(1, kmax + 1)
     kcut = np.minimum(ks, e_len)
@@ -260,8 +274,9 @@ def expected_curves(
     """Curves for several measures of one user, sharing the count distribution.
 
     ``all_probs`` is the user's candidate set in ranking order and
-    ``p_topk`` its first min(K, n) entries. Approx mode is a one-row call to
-    expected_curves_batch; exact mode calls expected_curve_exact per measure.
+    ``p_topk`` its first min(K, n) entries. Approx mode runs the batched
+    curve algebra on one row; exact mode calls expected_curve_exact per
+    measure.
     """
     if mode == "exact":
         return {
@@ -284,5 +299,8 @@ def expected_curves(
     if not np.array_equal(p_topk, all_probs[:kmax], equal_nan=True):
         raise ValueError("p_topk must be the first len(p_topk) entries of all_probs")
     measures = list(measures)
-    rows = expected_curves_batch(all_probs[None, :], measures, M=M, K=kmax)
+    mass = None
+    if any(m is not Measure.PDCG for m in measures):
+        mass = distribution(all_probs, M - 1).mass[None, :]
+    rows = _curves_from_mass(all_probs[None, :kmax], mass, measures)
     return {m: UtilityCurve(m, rows[m][0], mode="approx") for m in measures}

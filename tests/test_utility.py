@@ -13,7 +13,12 @@ from persize.utility import (
     realized_utility,
 )
 
-from oracles import enum_expected_curve, enum_expected_utility, realized_reference
+from oracles import (
+    dp_count_distribution,
+    enum_expected_curve,
+    enum_expected_utility,
+    realized_reference,
+)
 
 ALL = (Measure.NDCG, Measure.PDCG, Measure.F1, Measure.TP)
 
@@ -103,6 +108,19 @@ class TestExactCurve:
             np.testing.assert_allclose(
                 curve.values, enum_expected_curve(measure.value, probs), atol=1e-12
             )
+
+    def test_rank_blocks_match_per_rank_oracle(self):
+        # 150 ranks span three leave-one-out blocks; each rank's count
+        # distribution is rebuilt here from its own reduced vector
+        rng = np.random.default_rng(3)
+        n = 150
+        probs = np.sort(rng.random(n))[::-1]
+        loo = np.array([dp_count_distribution(np.delete(probs, r), n - 1) for r in range(n)])
+        totals = np.cumsum(probs[:, None] * loo, axis=0)  # [k-1, m-1]
+        ms, ks = np.arange(1, n + 1), np.arange(1, n + 1)
+        want = (2.0 * totals / (ms[None, :] + ks[:, None])).sum(axis=1)
+        curve = expected_curve_exact(Measure.F1, probs, K=n)
+        np.testing.assert_allclose(curve.values, want, rtol=0, atol=1e-12)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="approx"):
