@@ -27,7 +27,7 @@ from .dataset import (
     load_interactions,
     split,
 )
-from .multidomain import Allocation, DomainCurves, allocate, brute_force_allocate
+from .multidomain import Allocation, DomainCurves, allocate
 from .poibin import CountDistribution, distribution, distribution_batch, leave_one_out
 from .scorer import (
     BPRConfig,

@@ -311,17 +311,26 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def _read_curves(path, measure: utility.Measure) -> dict:
-    """Curve dump rows (user, measure, k, value) -> per-user value arrays."""
+    """Curve dump rows (user, measure, k, value) -> per-user value arrays.
+
+    Rejects a row with k < 1 and a repeated (user, k) row, naming the line.
+    """
     rows: dict[int, dict[int, float]] = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             u, m, k, v = line.split("\t")
             if m != measure.value:
                 continue
-            rows.setdefault(int(u), {})[int(k)] = float(v)
+            by_k = rows.setdefault(int(u), {})
+            k = int(k)
+            if k < 1:
+                raise ConfigError(f"{path}: line {lineno}: size k must be >= 1, got {k}")
+            if k in by_k:
+                raise ConfigError(f"{path}: line {lineno}: repeated row for user {u}, k={k}")
+            by_k[k] = float(v)
     out = {}
     for u, by_k in rows.items():
         kmax = max(by_k)

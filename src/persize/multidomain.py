@@ -2,16 +2,16 @@
 
 Given one user's expected-utility curve per domain and a cap N on the total
 number of slots, pick per-domain sizes maximizing the summed expected
-utility. This is a bounded-knapsack instance solved exactly by dynamic
-programming over (domain, remaining budget); a brute-force twin exists as a
-test oracle. Ties break toward the lexicographically smallest size vector
-in sorted domain order.
+utility. This is a bounded-knapsack instance solved exactly by a max-plus
+dynamic program over (domain, remaining budget): for each domain, right to
+left, one (budget x size) array of candidate sums is built and reduced by
+its first argmax along the size axis, so ties break toward the
+lexicographically smallest size vector in sorted domain order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -43,20 +43,30 @@ def _values(curves: DomainCurves, K: int) -> list[np.ndarray]:
         v = np.asarray(curves.curves[dom], dtype=np.float64)
         if len(v) < K:
             raise ValueError(f"domain {dom!r}: curve shorter than K={K}")
-        vals.append(v[:K])
+        v = v[:K]
+        if not np.isfinite(v).all():
+            raise ValueError(
+                f"user {curves.user}, domain {dom!r}: curve values must be finite"
+            )
+        vals.append(v)
     return vals
 
 
-def _domain_value(vals: list[np.ndarray], x: int, k: int) -> float:
-    return 0.0 if k == 0 else float(vals[x][k - 1])
-
-
 def allocate(curves: DomainCurves, N: int, K: int, allow_zero: bool = True) -> Allocation:
-    """Exact DP over (domain, budget); O(domains * N) states, O(K) moves.
+    """Exact max-plus DP over (domain, budget), one array step per domain.
+
+    ``f[x, b]`` is the best objective of domains x.. under budget b. For
+    domain x the (budget x size) array ``v_x[k] + f[x+1, b-k]`` (``-inf``
+    where ``b - k < 0``) is reduced by its first argmax along k, so each
+    candidate is one float addition in right-fold order and ties go to the
+    smallest k; the chosen k per (x, b) is kept and read back for the sizes.
+    A budget above what the domains can use is clamped to it, which changes
+    neither the feasible set nor any tie.
 
     With ``allow_zero`` off every domain needs at least one slot, so N must
     cover the domain count. Negative curve values (possible for PDCG) are
     handled natively; with zeros allowed, an all-negative domain gets none.
+    Non-finite curve values are rejected.
     """
     doms = curves.domain_ids()
     x_count = len(doms)
@@ -68,73 +78,30 @@ def allocate(curves: DomainCurves, N: int, K: int, allow_zero: bool = True) -> A
         raise ValueError(f"budget {N} cannot give {x_count} domains one slot each")
     vals = _values(curves, K)
     kmin = 0 if allow_zero else 1
+    budget = min(N, x_count * K)
+    ks = np.arange(kmin, min(K, budget) + 1)
+    if len(ks) == 0:
+        raise ValueError("allocation infeasible under the given budget")
 
-    # f[x][b]: best objective of domains x.. with budget b, summed right-to-left
-    neg_inf = -np.inf
-    f = np.full((x_count + 1, N + 1), neg_inf)
-    f[x_count, :] = 0.0
+    # rest[b, j] reads f[x+1, b - ks[j]] from a copy padded with -inf in front
+    pad = int(ks[-1])
+    rest_idx = np.arange(budget + 1)[:, None] - ks[None, :] + pad
+    rows = np.arange(budget + 1)
+    f = np.zeros(budget + 1)
+    choice = np.empty((x_count, budget + 1), dtype=np.intp)
     for x in range(x_count - 1, -1, -1):
-        for b in range(N + 1):
-            best = neg_inf
-            for k in range(kmin, min(K, b) + 1):
-                rest = f[x + 1, b - k]
-                if rest == neg_inf:
-                    continue
-                cand = _domain_value(vals, x, k) + rest
-                if cand > best:
-                    best = cand
-            f[x, b] = best
-    if f[0, N] == neg_inf:
+        gains = np.concatenate(([0.0], vals[x]))[ks]  # v_x[0] = 0: no slots
+        padded = np.concatenate((np.full(pad, -np.inf), f))
+        cand = gains[None, :] + padded[rest_idx]
+        choice[x] = np.argmax(cand, axis=1)
+        f = cand[rows, choice[x]]
+    if f[budget] == -np.inf:
         raise ValueError("allocation infeasible under the given budget")
 
     sizes = {}
-    b = N
-    for x in range(x_count):
-        target = f[x, b]
-        for k in range(kmin, min(K, b) + 1):
-            rest = f[x + 1, b - k]
-            if rest != neg_inf and _domain_value(vals, x, k) + rest == target:
-                sizes[doms[x]] = k
-                b -= k
-                break
-        else:
-            raise RuntimeError("DP reconstruction failed")  # pragma: no cover
-    total = sum(sizes.values())
-    return Allocation(sizes=sizes, total=total, objective=float(f[0, N]))
-
-
-def brute_force_allocate(
-    curves: DomainCurves,
-    N: int,
-    K: int,
-    allow_zero: bool = True,
-    max_combos: int = 10**6,
-) -> Allocation:
-    """Exhaustive oracle with the same objective arithmetic and tie-break."""
-    doms = curves.domain_ids()
-    x_count = len(doms)
-    if x_count == 0:
-        raise ValueError("no domains to allocate")
-    if not allow_zero and N < x_count:
-        raise ValueError(f"budget {N} cannot give {x_count} domains one slot each")
-    kmin = 0 if allow_zero else 1
-    if (K - kmin + 1) ** x_count > max_combos:
-        raise ValueError("combination count exceeds the brute-force bound")
-    vals = _values(curves, K)
-
-    best_obj = -np.inf
-    best_vec = None
-    for vec in product(range(kmin, K + 1), repeat=x_count):
-        if sum(vec) > N:
-            continue
-        # Right-fold so float addition order matches the DP exactly.
-        obj = 0.0
-        for x in range(x_count - 1, -1, -1):
-            obj = _domain_value(vals, x, vec[x]) + obj
-        if obj > best_obj:
-            best_obj = obj
-            best_vec = vec
-    if best_vec is None:
-        raise ValueError("allocation infeasible under the given budget")
-    sizes = dict(zip(doms, best_vec))
-    return Allocation(sizes=sizes, total=sum(best_vec), objective=float(best_obj))
+    b = budget
+    for x, dom in enumerate(doms):
+        k = int(ks[choice[x, b]])
+        sizes[dom] = k
+        b -= k
+    return Allocation(sizes=sizes, total=sum(sizes.values()), objective=float(f[budget]))

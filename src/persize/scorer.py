@@ -207,7 +207,7 @@ def export_scores(table: ScoreTable, path, header: str = "") -> None:
     lines = [header] if header else []
     for user in table.users():
         items, vals = table.get(user)
-        lines.extend(f"{user}\t{i}\t{float(v)!r}" for i, v in zip(items, vals))
+        lines.extend(f"{user}\t{i}\t{v!r}" for i, v in zip(items.tolist(), vals.tolist()))
     atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -4,10 +4,15 @@ Everything here is written from the definitions, without importing the
 library's computation paths, so agreement is a real dual-route check:
 brute-force enumeration for count distributions and expected utilities,
 the plain convolution recurrence for count distributions too large to
-enumerate, and plain gradient descent for the calibration fit.
+enumerate, plain gradient descent for the calibration fit, and exhaustive
+search over size vectors for the budget allocator.
 """
 
+from itertools import product
+
 import numpy as np
+
+from persize.multidomain import Allocation
 
 
 def enum_count_distribution(probs) -> np.ndarray:
@@ -110,6 +115,44 @@ def gd_platt_fit(scores, labels, lr=2.0, iters=20000):
         a -= lr * float(resid @ s) / n
         b -= lr * float(resid.sum()) / n
     return a, b
+
+
+def brute_force_allocate(curves, N: int, K: int, allow_zero: bool = True,
+                         max_combos: int = 10**6) -> Allocation:
+    """Best per-domain sizes by trying every size vector in lexicographic
+    order (sorted domain ids) and keeping the first strict maximum.
+
+    Each objective is summed right to left, ``v_0 + (v_1 + (... + 0.0))``,
+    the same float addition order the allocator's dynamic program uses, so
+    the two agree bit for bit, ties included.
+    """
+    doms = curves.domain_ids()
+    x_count = len(doms)
+    if x_count == 0:
+        raise ValueError("no domains to allocate")
+    if not allow_zero and N < x_count:
+        raise ValueError(f"budget {N} cannot give {x_count} domains one slot each")
+    kmin = 0 if allow_zero else 1
+    if (K - kmin + 1) ** x_count > max_combos:
+        raise ValueError("combination count exceeds the brute-force bound")
+    # gains[x][k]: utility of k slots in domain x, 0.0 for none
+    gains = [[0.0] + [float(v) for v in curves.curves[d][:K]] for d in doms]
+
+    best_obj = -np.inf
+    best_vec = None
+    for vec in product(range(kmin, K + 1), repeat=x_count):
+        if sum(vec) > N:
+            continue
+        obj = 0.0
+        for x in range(x_count - 1, -1, -1):
+            obj = gains[x][vec[x]] + obj
+        if obj > best_obj:
+            best_obj = obj
+            best_vec = vec
+    if best_vec is None:
+        raise ValueError("allocation infeasible under the given budget")
+    return Allocation(sizes=dict(zip(doms, best_vec)), total=sum(best_vec),
+                      objective=float(best_obj))
 
 
 # chi-square critical value at alpha=0.01 for 19 degrees of freedom

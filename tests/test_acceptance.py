@@ -14,7 +14,7 @@ import pytest
 
 from persize import calibrate
 from persize.cli import main as cli_main
-from persize.multidomain import DomainCurves, allocate, brute_force_allocate
+from persize.multidomain import DomainCurves, allocate
 from persize.poibin import distribution
 from persize.selection import METHOD_ORACLE, perk_select
 from persize.synthetic import generate_world
@@ -26,7 +26,7 @@ from persize.utility import (
     realized_curve,
 )
 
-from oracles import enum_count_distribution, enum_expected_curve
+from oracles import brute_force_allocate, enum_count_distribution, enum_expected_curve
 
 ALL_MEASURES = (Measure.NDCG, Measure.PDCG, Measure.F1, Measure.TP)
 

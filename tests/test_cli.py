@@ -204,6 +204,33 @@ class TestAllocate:
         report = json.loads((out / "allocation_report.json").read_text())
         assert report["n_users"] == len(by_user)
 
+    @staticmethod
+    def _allocate_bad_dump(tmp_path, rows, capsys):
+        good = tmp_path / "good.tsv"
+        good.write_text("".join(f"0\tf1\t{k}\t0.{k}\n" for k in (1, 2)))
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("# curves\n" + "".join(f"0\tf1\t{k}\t{v}\n" for k, v in rows))
+        cfg = tmp_path / "alloc.json"
+        cfg.write_text(json.dumps({
+            "workdir": str(tmp_path / "alloc"),
+            "measures": ["f1"],
+            "allocate": {"budget": 3, "domains": [
+                {"id": "good", "curves": str(good)},
+                {"id": "bad", "curves": str(bad)},
+            ]},
+        }))
+        assert _run("allocate", "--config", str(cfg)) == 1
+        assert not (tmp_path / "alloc" / "allocations.tsv").exists()
+        return capsys.readouterr().err
+
+    def test_repeated_curve_row_rejected(self, tmp_path, capsys):
+        err = self._allocate_bad_dump(tmp_path, [(1, 0.1), (2, 0.2), (2, 0.9)], capsys)
+        assert "bad.tsv: line 4: repeated row for user 0, k=2" in err
+
+    def test_zero_size_curve_row_rejected(self, tmp_path, capsys):
+        err = self._allocate_bad_dump(tmp_path, [(0, 0.0), (1, 0.1), (2, 0.2)], capsys)
+        assert "bad.tsv: line 2: size k must be >= 1, got 0" in err
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path, bundled_path):

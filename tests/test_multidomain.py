@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from persize.multidomain import DomainCurves, allocate, brute_force_allocate
-from persize.utility import Measure
+from persize.multidomain import DomainCurves, allocate
+from persize.synthetic import generate_world
+from persize.utility import Measure, expected_curves_batch
+
+from oracles import brute_force_allocate
 
 
 def _curves(values_by_domain, user=0, measure=Measure.F1):
@@ -59,6 +62,26 @@ class TestAllocate:
             assert out.total <= N
             assert all(1 <= k <= K for k in out.sizes.values())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        curves = _curves({"A": [0.5, bad, 0.2], "B": [0.3, 0.4, 0.1]}, user=7)
+        for allow_zero in (True, False):
+            with pytest.raises(ValueError, match="user 7, domain 'A'.*finite"):
+                allocate(curves, N=4, K=3, allow_zero=allow_zero)
+
+    def test_non_finite_values_past_K_ignored(self):
+        curves = _curves({"A": [0.5, 0.7, np.nan], "B": [0.3, 0.4]})
+        assert allocate(curves, N=3, K=2).sizes == {"A": 2, "B": 1}
+
+    def test_budget_beyond_reach_matches_full_budget(self):
+        rng = np.random.default_rng(3)
+        for allow_zero in (True, False):
+            curves = _curves({f"d{j}": np.round(rng.normal(size=5), 1) for j in range(3)})
+            full = allocate(curves, N=15, K=5, allow_zero=allow_zero)
+            for N in (16, 40, 10**9):
+                out = allocate(curves, N=N, K=5, allow_zero=allow_zero)
+                assert out.sizes == full.sizes and out.objective == full.objective
+
     def test_budget_monotonicity(self):
         rng = np.random.default_rng(1)
         curves = _curves({f"d{j}": rng.normal(size=6) for j in range(3)})
@@ -100,6 +123,29 @@ class TestBruteForceAgreement:
             b = brute_force_allocate(curves, N=N, K=K, allow_zero=allow_zero)
             assert a.sizes == b.sizes, (trial, vals, N, K, allow_zero)
             assert a.objective == b.objective
+
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    def test_benchmark_shape_matches_exactly(self, allow_zero):
+        # three domains of F1 curves at K=50, as the allocate workload builds them
+        K = 50
+        per_domain = []
+        for x, logit_range in enumerate(((-8.5, -2.5), (-6.0, -3.0), (-7.5, -1.5))):
+            world = generate_world(4, 500, base_logit_range=logit_range, seed=40 + x)
+            probs = -np.sort(-world.true_probs, axis=1)
+            per_domain.append(
+                expected_curves_batch(probs, [Measure.F1], M=2000, K=K)[Measure.F1])
+        for u in range(4):
+            curves = _curves({f"d{x}": c[u] for x, c in enumerate(per_domain)}, user=u)
+            for N in (0, 1, 49, 50, 100, 151):
+                if not allow_zero and N < 3:
+                    for fn in (allocate, brute_force_allocate):
+                        with pytest.raises(ValueError, match="one slot each"):
+                            fn(curves, N=N, K=K, allow_zero=allow_zero)
+                    continue
+                a = allocate(curves, N=N, K=K, allow_zero=allow_zero)
+                b = brute_force_allocate(curves, N=N, K=K, allow_zero=allow_zero)
+                assert a.sizes == b.sizes, (u, N)
+                assert a.objective == b.objective, (u, N)
 
     def test_combination_bound(self):
         curves = _curves({f"d{j}": np.zeros(100) for j in range(4)})
