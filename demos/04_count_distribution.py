@@ -11,7 +11,7 @@ renormalizing.
 
 import numpy as np
 
-from persize.poibin import distribution, leave_one_out
+from persize.poibin import distribution
 
 # tiny case, checkable by hand: P(count=1) = .1*.8*.7 + .9*.2*.7 + .9*.8*.3
 d = distribution([0.1, 0.2, 0.3], M=3)
@@ -19,8 +19,10 @@ print("probs [0.1 0.2 0.3]:", np.round(d.mass, 4), "| P(count=1) =", d.mass[1])
 
 # removing one candidate, as the exact expected-utility mode does for every
 # rank (it sets that rank's probability to 0, an exact identity)
-loo = leave_one_out([0.1, 0.2, 0.3], r=2, M=2)
-print("without the 0.3 item:", np.round(loo.mass, 4))
+loo = distribution(np.delete([0.1, 0.2, 0.3], 2), M=2)
+zeroed = distribution([0.1, 0.2, 0.0], M=2)
+print("without the 0.3 item:", np.round(loo.mass, 4),
+      "| with it set to 0:", np.round(zeroed.mass, 4))
 
 # a realistic user: 5000 candidates with small probabilities
 rng = np.random.default_rng(0)

@@ -19,7 +19,7 @@ from persize.utility import (
 rng = np.random.default_rng(1)
 probs = np.sort(rng.uniform(0, 0.8, 40))[::-1]  # ranking order
 
-curves = expected_curves(probs[:10], probs, list(Measure), M=100, K=10)
+curves = expected_curves(probs, list(Measure), M=100, K=10)
 print("expected utility by size k (first 10 sizes):")
 print("  k  " + "  ".join(f"{m.value:>7s}" for m in Measure))
 for k in range(1, 11):
@@ -34,7 +34,7 @@ for n in (10, 1000):
     p = np.sort(rng.uniform(0, 0.1, n))[::-1]
     gap = 0.0
     for m in (Measure.NDCG, Measure.F1, Measure.TP):
-        a = expected_curve_approx(m, p[:10], p, M=2000, K=10).values
+        a = expected_curve_approx(m, p, M=2000, K=10).values
         e = expected_curve_exact(m, p, K=10).values
         gap = max(gap, float(np.abs(a - e).max()))
     print(f"n={n:5d}: max |fast - exact| over sizes = {gap:.2e}")

@@ -1,10 +1,12 @@
 """End to end: choose each user's list size and score it against held-out
 test interactions, next to the baselines.
 
-The personalized sizer ranks candidates, calibrates scores, builds the
-expected-utility curve, and cuts the list at its argmax. Baselines pick a
-global constant, a random size, the best size on validation labels, or
-(as an upper bound) the best size on test labels.
+The personalized sizer, `selection.recommend`, ranks candidates, calibrates
+scores, builds the expected-utility curve, and cuts the list at its argmax.
+`selection.evaluate` reaches it through the same call, so the sizes scored
+below are the ones `recommend` emits. Baselines pick a global constant, a
+random size, the best size on validation labels, or (as an upper bound) the
+best size on test labels, all on the same ranking.
 """
 
 from pathlib import Path
@@ -40,9 +42,12 @@ sizes = sorted(k for _, m, meas, k, _ in report.per_user if m == "perk" and meas
 print(f"\npersonalized F1 sizes: min {sizes[0]}, median {sizes[len(sizes) // 2]}, "
       f"max {sizes[-1]} (a fixed size cannot serve all of these at once)")
 
+user = sorted(table.users())[0]
 one = selection.recommend(
-    sorted(table.users())[0], table, params[sorted(table.users())[0]],
-    Measure.F1, K=20, M=200,
-)
-print(f"user {one.user}: emit {one.k_max} items, "
-      f"expected F1 {one.expected_value:.4f}, items {one.items.tolist()}")
+    user, table, params[user], [Measure.F1], K=20, M=200,
+    exclude=split.val.items_of(user),
+)[Measure.F1]
+perk_f1 = {u: k for u, m, meas, k, _ in report.per_user if m == "perk" and meas == "f1"}
+print(f"user {one.user}: emit {one.k_max} items (evaluate scored size "
+      f"{perk_f1.get(user)}), expected F1 {one.expected_value:.4f}, "
+      f"items {one.items.tolist()}")

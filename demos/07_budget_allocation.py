@@ -17,7 +17,7 @@ rng = np.random.default_rng(2)
 domains = {}
 for name, hi in (("books", 0.8), ("music", 0.45), ("games", 0.15)):
     probs = np.sort(rng.uniform(0, hi, 60))[::-1]
-    curve = expected_curves(probs[:8], probs, [Measure.F1], M=100, K=8)[Measure.F1]
+    curve = expected_curves(probs, [Measure.F1], M=100, K=8)[Measure.F1]
     domains[name] = curve.values
 
 curves = DomainCurves(user=0, measure=Measure.F1, curves=domains)

@@ -28,7 +28,7 @@ from .dataset import (
     split,
 )
 from .multidomain import Allocation, DomainCurves, allocate
-from .poibin import CountDistribution, distribution, distribution_batch, leave_one_out
+from .poibin import CountDistribution, distribution, distribution_batch
 from .scorer import (
     BPRConfig,
     DegenerateUserError,
@@ -46,12 +46,12 @@ from .scorer import (
 from .selection import (
     EvaluationReport,
     PersonalizedRec,
-    baseline_fixed,
     baseline_rand,
     baseline_val_k,
     evaluate,
     oracle_k,
     perk_select,
+    rank,
     recommend,
 )
 from .utility import (

@@ -216,6 +216,15 @@ def apply(params: PlattParams, s):
     return out
 
 
+def pooled_ece_reports(calsets, per_user: dict, global_params: PlattParams) -> tuple:
+    """ECE reports of the per-user fits and of the global fit, each over
+    every calibration entry pooled across users."""
+    labels = np.concatenate([cs.labels for cs in calsets])
+    by_user = np.concatenate([apply(per_user[cs.user], cs.scores) for cs in calsets])
+    by_global = np.concatenate([apply(global_params, cs.scores) for cs in calsets])
+    return ece_report(by_user, labels), ece_report(by_global, labels)
+
+
 def ece(predictions, labels, bins: int = 15) -> float:
     """Expected calibration error with equal-width probability bins."""
     return ece_report(predictions, labels, bins)["ece"]

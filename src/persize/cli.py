@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -150,19 +151,41 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _read_platt(path) -> tuple[dict, cal.PlattParams]:
-    per_user = {}
-    global_params = None
+def _data_rows(path, n_cols: int):
+    """(line number, fields) of each non-comment row of a TSV file; a row
+    with another column count is a ConfigError naming the line."""
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            who, a, b, status = line.split("\t")
-            if who == cal.GLOBAL_SCOPE:
-                global_params = cal.PlattParams(float(a), float(b), cal.GLOBAL_SCOPE, status)
-            else:
-                per_user[int(who)] = cal.PlattParams(float(a), float(b), int(who), status)
+            fields = line.split("\t")
+            if len(fields) != n_cols:
+                raise ConfigError(
+                    f"{path}: line {lineno}: expected {n_cols} columns, got {len(fields)}")
+            yield lineno, fields
+
+
+def _read_platt(path) -> tuple[dict, cal.PlattParams]:
+    """Platt rows (scope, a, b, status) -> per-user params and the global fit.
+
+    Rejects a non-numeric user and a non-finite a or b, naming the line.
+    """
+    per_user = {}
+    global_params = None
+    for lineno, (who, a, b, status) in _data_rows(path, 4):
+        try:
+            scope = who if who == cal.GLOBAL_SCOPE else int(who)
+            a, b = float(a), float(b)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigError(f"{path}: line {lineno}: non-finite parameters a={a!r}, b={b!r}")
+        params = cal.PlattParams(a, b, scope, status)
+        if scope == cal.GLOBAL_SCOPE:
+            global_params = params
+        else:
+            per_user[scope] = params
     if global_params is None:
         raise ConfigError(f"{path}: missing {cal.GLOBAL_SCOPE} row")
     return per_user, global_params
@@ -190,14 +213,7 @@ def cmd_calibrate(cfg: dict) -> int:
         lines.append(f"{u}\t{p.a!r}\t{p.b!r}\t{p.fit_status}")
     atomic_write(workdir / "platt.tsv", "\n".join(lines) + "\n")
 
-    pooled_user, pooled_global, pooled_labels = [], [], []
-    for cs in calsets:
-        pooled_user.append(cal.apply(per_user[cs.user], cs.scores))
-        pooled_global.append(cal.apply(global_params, cs.scores))
-        pooled_labels.append(cs.labels)
-    labels = np.concatenate(pooled_labels)
-    report_user = cal.ece_report(np.concatenate(pooled_user), labels)
-    report_global = cal.ece_report(np.concatenate(pooled_global), labels)
+    report_user, report_global = cal.pooled_ece_reports(calsets, per_user, global_params)
     atomic_write(workdir / "ece_user.json", json.dumps(report_user, sort_keys=True, indent=1) + "\n")
     atomic_write(workdir / "ece_global.json", json.dumps(report_global, sort_keys=True, indent=1) + "\n")
     n_fallback = sum(1 for p in per_user.values() if p.fit_status == cal.FIT_FALLBACK)
@@ -206,68 +222,45 @@ def cmd_calibrate(cfg: dict) -> int:
     return 0
 
 
-def _eval_table(cfg, split_ds, table):
-    """Restrict each user's scored entries to the evaluation candidates."""
-    if not cfg["exclude_val"]:
-        return table
-    entries = {}
-    for u in table.users():
-        items, vals = table.get(u)
-        val_items = split_ds.val.items_of(u)
-        keep = ~np.isin(items, val_items)
-        entries[u] = (items[keep], vals[keep])
-    return scorer.ScoreTable(entries)
-
-
 def cmd_recommend(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin")
     per_user, _ = _read_platt(workdir / "platt.tsv")
     measures = _measures(cfg)
-    eval_table = _eval_table(cfg, split_ds, table)
-    users = [u for u in eval_table.users() if u in per_user]
+    users = [u for u in table.users() if u in per_user]
 
     def worker(u):
-        items, vals = eval_table.get(u)
-        if len(items) == 0:
-            return ("skip", u, "no candidates")
-        order = np.lexsort((items, -vals))
-        ranked_items = items[order]
-        probs = cal.apply(per_user[u], vals[order])
+        exclude = split_ds.val.items_of(u) if cfg["exclude_val"] else ()
         try:
-            curves = utility.expected_curves(
-                probs[: min(cfg["K"], len(probs))], probs, measures,
-                M=cfg["M"], K=cfg["K"], mode=cfg["mode"], exact_cap=cfg["exact_cap"],
-            )
+            return ("ok", u, selection.recommend(
+                u, table, per_user[u], measures, K=cfg["K"], M=cfg["M"],
+                mode=cfg["mode"], exact_cap=cfg["exact_cap"], exclude=exclude,
+            ))
+        except scorer.DegenerateUserError:
+            return ("skip", u, "no candidates")
         except ValueError as exc:
             return ("error", u, str(exc))
-        recs = []
-        for m in measures:
-            k = selection.perk_select(curves[m])
-            val = float(curves[m].values[k - 1])
-            recs.append((u, m.value, k, val, ranked_items[:k]))
-        return ("ok", u, recs, curves)
 
     results = parallel_map(worker, users, cfg["threads"])
 
     rec_lines = [_echo(cfg, "recommend")]
     curve_lines = [_echo(cfg, "recommend")]
     n_err = 0
-    for res in results:
-        if res[0] == "skip":
-            rec_lines.append(f"# skipped user={res[1]}: {res[2]}")
-        elif res[0] == "error":
-            rec_lines.append(f"# error user={res[1]}: {res[2]}")
+    for kind, u, res in results:
+        if kind == "skip":
+            rec_lines.append(f"# skipped user={u}: {res}")
+        elif kind == "error":
+            rec_lines.append(f"# error user={u}: {res}")
             n_err += 1
         else:
-            _, u, recs, curves = res
-            for user, mval, k, val, items in recs:
-                joined = ",".join(str(i) for i in items)
-                rec_lines.append(f"{user}\t{mval}\t{k}\t{val!r}\t{joined}")
+            for m in measures:
+                rec = res[m]
+                joined = ",".join(str(i) for i in rec.items)
+                rec_lines.append(f"{u}\t{m.value}\t{rec.k_max}\t{rec.expected_value!r}\t{joined}")
             if cfg["dump_curves"]:
                 for m in measures:
-                    for kk, v in enumerate(curves[m].values, start=1):
+                    for kk, v in enumerate(res[m].curve.values, start=1):
                         curve_lines.append(f"{u}\t{m.value}\t{kk}\t{float(v)!r}")
     atomic_write(workdir / "recs.tsv", "\n".join(rec_lines) + "\n")
     if cfg["dump_curves"]:
@@ -283,8 +276,7 @@ def cmd_evaluate(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin")
-    per_user, _ = _read_platt(workdir / "platt.tsv")
-    params = {u: p for u, p in per_user.items() if np.isfinite(p.a)}
+    params, _ = _read_platt(workdir / "platt.tsv")
     methods = cfg.get("baselines") or selection.default_methods(cfg["K"])
     report = selection.evaluate(
         split_ds, table, params,
@@ -313,24 +305,23 @@ def cmd_evaluate(cfg: dict) -> int:
 def _read_curves(path, measure: utility.Measure) -> dict:
     """Curve dump rows (user, measure, k, value) -> per-user value arrays.
 
-    Rejects a row with k < 1 and a repeated (user, k) row, naming the line.
+    Rejects a non-numeric user, k or value, a row with k < 1 and a
+    repeated (user, k) row, naming the line.
     """
     rows: dict[int, dict[int, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            u, m, k, v = line.split("\t")
-            if m != measure.value:
-                continue
-            by_k = rows.setdefault(int(u), {})
-            k = int(k)
-            if k < 1:
-                raise ConfigError(f"{path}: line {lineno}: size k must be >= 1, got {k}")
-            if k in by_k:
-                raise ConfigError(f"{path}: line {lineno}: repeated row for user {u}, k={k}")
-            by_k[k] = float(v)
+    for lineno, (u, m, k, v) in _data_rows(path, 4):
+        if m != measure.value:
+            continue
+        try:
+            u, k, v = int(u), int(k), float(v)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+        by_k = rows.setdefault(u, {})
+        if k < 1:
+            raise ConfigError(f"{path}: line {lineno}: size k must be >= 1, got {k}")
+        if k in by_k:
+            raise ConfigError(f"{path}: line {lineno}: repeated row for user {u}, k={k}")
+        by_k[k] = v
     out = {}
     for u, by_k in rows.items():
         kmax = max(by_k)

@@ -129,14 +129,3 @@ def distribution_batch(probs: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
         tail = np.maximum(0.0, 1.0 - mass.sum(axis=1))
     return mass, tail
 
-
-def leave_one_out(probs, r: int, M: int) -> CountDistribution:
-    """Distribution of the count with the r-th Bernoulli variable removed.
-
-    Recomputed on the reduced vector: numerically safe for any p, at the
-    cost of a full pass (intended for small-n exact computations).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= r < probs.size:
-        raise IndexError(f"index {r} out of range for {probs.size} probabilities")
-    return distribution(np.delete(probs, r), M)

@@ -1,12 +1,16 @@
 """Choosing each user's recommendation-list size, plus baselines and the
 held-out evaluation harness.
 
-The personalized sizer ranks a user's candidates, calibrates the scores
-into probabilities, builds the expected-utility curve over sizes 1..K, and
-returns the prefix at the argmax. Baselines choose the size by a global
-constant, uniformly at random, by validation utility, or (as an upper
-bound) by test utility. Evaluation scores every method's emitted prefix
-against held-out test positives over the identical user population.
+``rank`` is the one ranking rule: a user's scored candidates by descending
+score, ties to the lower item id, optionally without given items (the
+validation positives). ``recommend`` is the one PerK routine: it ranks,
+calibrates the scores into probabilities, builds the expected-utility
+curves over sizes 1..K, and returns the prefix at each curve's argmax. The
+CLI's ``recommend`` stage and ``evaluate`` both call it. Baselines choose
+the size by a global constant, uniformly at random, by validation utility,
+or (as an upper bound) by test utility, each on an already-ranked list.
+Evaluation scores every method's emitted prefix against held-out test
+positives over the identical user population.
 """
 
 from __future__ import annotations
@@ -42,13 +46,17 @@ def fixed_method_name(k: int) -> str:
 
 @dataclass(frozen=True)
 class PersonalizedRec:
-    """One user's emitted list: the first k_max entries of their top-K."""
+    """One user's emitted list for one measure: the first k_max ranked
+    candidates, with the expected-utility curve it was cut from."""
 
     user: int
     k_max: int
     items: np.ndarray
-    expected_value: float
-    method: str
+    curve: UtilityCurve
+
+    @property
+    def expected_value(self) -> float:
+        return float(self.curve.values[self.k_max - 1])
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,17 @@ class EvaluationReport:
     n_users: int
     config: dict
     per_user: tuple = field(repr=False, default=())  # (user, method, measure, k, value)
+
+
+def rank(user: int, scores: ScoreTable, exclude=()) -> tuple[np.ndarray, np.ndarray]:
+    """The user's scored (items, scores) by descending score, ties to the
+    lower item id, with the items in ``exclude`` dropped."""
+    items, vals = scores.get(user)
+    if len(exclude):
+        keep = ~np.isin(items, exclude)
+        items, vals = items[keep], vals[keep]
+    order = np.lexsort((items, -vals))
+    return items[order], vals[order]
 
 
 def perk_select(curve: UtilityCurve) -> int:
@@ -72,50 +91,32 @@ def recommend(
     user: int,
     scores: ScoreTable,
     params: calibrate.PlattParams,
-    measure: Measure,
+    measures,
     K: int = DEFAULT_K,
     M: int = DEFAULT_M,
     mode: str = "approx",
     exact_cap: int = EXACT_MODE_CAP,
-) -> PersonalizedRec:
-    """Emit the expected-utility-maximizing prefix for one user.
+    exclude=(),
+) -> dict:
+    """The expected-utility-maximizing prefix for one user, per measure.
 
-    The candidate universe is whatever the score table holds for the user;
-    the count distribution uses all of it, not just the top-K prefix.
+    Ranks the user's candidates (without ``exclude``), calibrates them with
+    ``params`` and cuts each measure's curve at its argmax. The count
+    distribution uses every ranked candidate, not just the top-K prefix.
+    Returns measure -> PersonalizedRec; raises DegenerateUserError when no
+    candidate is left to rank.
     """
-    items, vals = scores.get(user)
+    items, vals = rank(user, scores, exclude)
     if len(items) == 0:
         raise DegenerateUserError(f"user {user} has no scored candidates")
-    order = np.lexsort((items, -vals))
-    ranked_items = items[order]
-    all_probs = calibrate.apply(params, vals[order])
-    curve = expected_curves(
-        all_probs[: min(K, len(all_probs))], all_probs, [measure], M=M, K=K,
-        mode=mode, exact_cap=exact_cap,
-    )[measure]
-    k_max = perk_select(curve)
-    return PersonalizedRec(
-        user=int(user),
-        k_max=k_max,
-        items=ranked_items[:k_max],
-        expected_value=float(curve.values[k_max - 1]),
-        method=METHOD_PERK,
+    curves = expected_curves(
+        calibrate.apply(params, vals), measures, K=K, M=M, mode=mode, exact_cap=exact_cap,
     )
-
-
-def baseline_fixed(user: int, scores: ScoreTable, k: int, K: int = DEFAULT_K) -> PersonalizedRec:
-    """Globally fixed size: the top-min(k, |candidates|) prefix."""
-    items, vals = scores.get(user)
-    if len(items) == 0:
-        raise DegenerateUserError(f"user {user} has no scored candidates")
-    order = np.lexsort((items, -vals))[: min(k, K)]
-    return PersonalizedRec(
-        user=int(user),
-        k_max=len(order),
-        items=items[order],
-        expected_value=float("nan"),
-        method=fixed_method_name(k),
-    )
+    recs = {}
+    for measure, curve in curves.items():
+        k_max = perk_select(curve)
+        recs[measure] = PersonalizedRec(int(user), k_max, items[:k_max], curve)
+    return recs
 
 
 def baseline_rand(user: int, K: int, seed: int = 0) -> int:
@@ -124,45 +125,29 @@ def baseline_rand(user: int, K: int, seed: int = 0) -> int:
     return int(rng.integers(1, K + 1))
 
 
-def _argmax_size(measure: Measure, prefix_labels, total_relevant: int) -> int:
-    """Smallest size maximizing realized utility of the labeled prefix."""
-    if len(prefix_labels) == 0 or total_relevant == 0:
+def _argmax_size(measure: Measure, ranked_items, positives) -> int:
+    """Smallest size maximizing realized utility of the ranked items
+    against the given positives; 1 when either is empty."""
+    if len(ranked_items) == 0 or len(positives) == 0:
         return 1
-    curve = realized_curve(measure, prefix_labels, total_relevant)
+    curve = realized_curve(measure, np.isin(ranked_items, positives), len(positives))
     return int(np.argmax(curve)) + 1
 
 
-def baseline_val_k(
-    user: int,
-    scores: ScoreTable,
-    val_items,
-    measure: Measure,
-    K: int = DEFAULT_K,
-) -> int:
-    """Size maximizing validation utility along the user's ranking.
+def baseline_val_k(measure: Measure, ranked_items, val_items) -> int:
+    """Size maximizing validation utility along ``ranked_items``.
 
-    The ranking here is over everything the table scored (validation items
-    included), since the validation positives must be rankable to score.
-    Users without validation positives fall back to size 1.
+    The ranking must include the validation positives, since they must be
+    rankable to score; pass its top-K. Users without validation positives
+    fall back to size 1.
     """
-    items, vals = scores.get(user)
-    order = np.lexsort((items, -vals))[:K]
-    labels = np.isin(items[order], np.asarray(list(val_items), dtype=np.int64))
-    return _argmax_size(measure, labels.astype(np.float64), len(val_items))
+    return _argmax_size(measure, ranked_items, val_items)
 
 
-def oracle_k(
-    user: int,
-    scores: ScoreTable,
-    test_items,
-    measure: Measure,
-    K: int = DEFAULT_K,
-) -> int:
-    """Size maximizing test utility: the per-user upper bound."""
-    items, vals = scores.get(user)
-    order = np.lexsort((items, -vals))[:K]
-    labels = np.isin(items[order], np.asarray(list(test_items), dtype=np.int64))
-    return _argmax_size(measure, labels.astype(np.float64), len(test_items))
+def oracle_k(measure: Measure, ranked_items, test_items) -> int:
+    """Size maximizing test utility along ``ranked_items`` (the evaluated
+    top-K): the per-user upper bound."""
+    return _argmax_size(measure, ranked_items, test_items)
 
 
 def default_methods(K: int = DEFAULT_K) -> list[str]:
@@ -194,55 +179,35 @@ def _evaluate_user(
     test_items = split.test.items_of(user)
     if len(test_items) == 0 or user not in scores:
         return None
-    items, vals = scores.get(user)
-    if len(items) == 0:
-        return None
-
-    order = np.lexsort((items, -vals))
-    full_items = items[order]
-    full_scores = vals[order]
-    val_items = split.val.items_of(user)
-    if exclude_val and len(val_items):
-        keep = ~np.isin(full_items, val_items)
-        eval_items = full_items[keep]
-        eval_scores = full_scores[keep]
-    else:
-        eval_items = full_items
-        eval_scores = full_scores
-    if len(eval_items) == 0:
-        return None
-
-    kmax = min(K, len(eval_items))
-    test_labels = np.isin(eval_items[:K], test_items).astype(np.float64)
-    s_test = len(test_items)
-    realized = {m: realized_curve(m, test_labels, s_test) for m in measures}
-
     params = params_by_user.get(int(user))
     if params is None and METHOD_PERK in methods:
         return None
-    perk_k: dict = {}
+    val_items = split.val.items_of(user)
+    exclude = val_items if exclude_val else ()
+    eval_items, _ = rank(user, scores, exclude)
+    if len(eval_items) == 0:
+        return None
+    top = eval_items[:K]
+    val_top = rank(user, scores)[0][:K]
+    test_labels = np.isin(top, test_items).astype(np.float64)
+    realized = {m: realized_curve(m, test_labels, len(test_items)) for m in measures}
+    perk = {}
     if METHOD_PERK in methods:
-        perk_probs = calibrate.apply(params, eval_scores)
-        curves = expected_curves(
-            perk_probs[:kmax], perk_probs, measures, M=M, K=K,
-            mode=mode, exact_cap=exact_cap,
-        )
-        perk_k = {m: perk_select(curves[m]) for m in measures}
-    val_labels = np.isin(full_items[:K], val_items).astype(np.float64)
+        perk = recommend(user, scores, params, measures, K, M, mode, exact_cap, exclude)
 
     rows = []
     for measure in measures:
         for method in methods:
             if method == METHOD_PERK:
-                k = perk_k[measure]
+                k = perk[measure].k_max
             elif method == METHOD_RAND:
                 k = min(baseline_rand(user, K, seed), len(eval_items))
             elif method == METHOD_VAL_K:
-                k = min(_argmax_size(measure, val_labels, len(val_items)), len(eval_items))
+                k = min(baseline_val_k(measure, val_top, val_items), len(eval_items))
             elif method == METHOD_ORACLE:
-                k = _argmax_size(measure, test_labels, s_test)
+                k = oracle_k(measure, top, test_items)
             elif method.startswith("top-"):
-                k = min(int(method[4:]), kmax)
+                k = min(int(method[4:]), len(top))
             else:
                 raise ValueError(f"unknown method {method!r}")
             rows.append((int(user), method, measure.value, k, float(realized[measure][k - 1])))

@@ -11,8 +11,9 @@ rank's leave-one-out count distribution and sums the full count range.
 The fast estimator's curve algebra is written once, for a block of users;
 ``expected_curves_batch`` feeds it a block's ``poibin.distribution_batch``
 mass, and ``expected_curve_approx`` / ``expected_curves`` validate one
-user's input and feed it the one-row ``poibin.distribution`` mass. Every
-count distribution, in both modes, comes from ``distribution_batch``.
+user's ranked probabilities and feed it the one-row ``poibin.distribution``
+mass. Every count distribution, in both modes, comes from
+``distribution_batch``.
 """
 
 from __future__ import annotations
@@ -117,21 +118,20 @@ def expected_pdcg(p) -> float:
 
 def expected_curve_approx(
     measure: Measure,
-    p_topk,
     all_probs,
+    K: int,
     M: int = DEFAULT_M,
-    K: int | None = None,
 ) -> UtilityCurve:
-    """Truncated-sum estimate of expected utility for every size k.
+    """Truncated-sum estimate of expected utility for every size k = 1..min(K, n).
 
     The count distribution is built once from ``all_probs`` (the entire
-    candidate set in ranking order, not just the prefix) with indices
+    candidate set in ranking order, not just the top-K prefix) with indices
     0..M-1, the largest consumed by the count sum m = 1..M. It also stands
     in for every rank's leave-one-out variant; expected_curve_exact removes
-    both shortcuts. ``p_topk`` must be ``all_probs[:len(p_topk)]``. The
-    one-row case of expected_curves_batch; cost is O(n log^2 n + K*M).
+    both shortcuts. The one-row case of expected_curves_batch; cost is
+    O(n log^2 n + K*M).
     """
-    return expected_curves(p_topk, all_probs, [measure], M, K)[measure]
+    return expected_curves(all_probs, [measure], K, M)[measure]
 
 
 def expected_curve_exact(
@@ -263,44 +263,34 @@ def _curves_from_mass(p_topk: np.ndarray, mass, measures: list) -> dict:
 
 
 def expected_curves(
-    p_topk,
     all_probs,
     measures,
+    K: int,
     M: int = DEFAULT_M,
-    K: int | None = None,
     mode: str = "approx",
     exact_cap: int = EXACT_MODE_CAP,
 ) -> dict:
-    """Curves for several measures of one user, sharing the count distribution.
+    """Curves over sizes 1..min(K, n) for several measures of one user,
+    sharing the count distribution.
 
-    ``all_probs`` is the user's candidate set in ranking order and
-    ``p_topk`` its first min(K, n) entries. Approx mode runs the batched
-    curve algebra on one row; exact mode calls expected_curve_exact per
-    measure.
+    ``all_probs`` is the user's candidate set in ranking order. Approx mode
+    runs the batched curve algebra on one row; exact mode calls
+    expected_curve_exact per measure.
     """
     if mode == "exact":
-        return {
-            m: expected_curve_exact(m, all_probs, K or len(p_topk), exact_cap)
-            for m in measures
-        }
+        return {m: expected_curve_exact(m, all_probs, K, exact_cap) for m in measures}
     if mode != "approx":
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
-    p_topk = np.asarray(p_topk, dtype=np.float64)
     all_probs = np.asarray(all_probs, dtype=np.float64)
     if all_probs.size == 0:
         raise ValueError("empty candidate set")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    kmax = len(p_topk)
-    if K is not None and kmax != min(K, all_probs.size):
-        raise ValueError(f"prefix length {kmax} != min(K={K}, n={all_probs.size})")
-    if kmax == 0:
-        raise ValueError("empty ranked prefix")
-    if not np.array_equal(p_topk, all_probs[:kmax], equal_nan=True):
-        raise ValueError("p_topk must be the first len(p_topk) entries of all_probs")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     measures = list(measures)
     mass = None
     if any(m is not Measure.PDCG for m in measures):
         mass = distribution(all_probs, M - 1).mass[None, :]
-    rows = _curves_from_mass(all_probs[None, :kmax], mass, measures)
+    rows = _curves_from_mass(all_probs[None, :K], mass, measures)
     return {m: UtilityCurve(m, rows[m][0], mode="approx") for m in measures}

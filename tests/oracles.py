@@ -4,8 +4,9 @@ Everything here is written from the definitions, without importing the
 library's computation paths, so agreement is a real dual-route check:
 brute-force enumeration for count distributions and expected utilities,
 the plain convolution recurrence for count distributions too large to
-enumerate, plain gradient descent for the calibration fit, and exhaustive
-search over size vectors for the budget allocator.
+enumerate (and for a count with one variable removed), plain gradient
+descent for the calibration fit, and exhaustive search over size vectors
+for the budget allocator.
 """
 
 from itertools import product
@@ -38,6 +39,15 @@ def dp_count_distribution(probs, cap: int) -> np.ndarray:
         d = nxt
         hi = min(hi + 1, cap)
     return d
+
+
+def leave_one_out(probs, r: int, M: int) -> np.ndarray:
+    """Mass of the count with the r-th Bernoulli variable removed, at
+    indices 0..min(n - 1, M), recomputed on the reduced vector."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if not 0 <= r < probs.size:
+        raise IndexError(f"index {r} out of range for {probs.size} probabilities")
+    return dp_count_distribution(np.delete(probs, r), min(probs.size - 1, M))
 
 
 def _discount(ranks) -> np.ndarray:

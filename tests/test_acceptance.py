@@ -79,7 +79,7 @@ def test_criterion_03_approximation_gap_direction():
         K = 10
         gaps = {}
         for measure in ALL_MEASURES:
-            approx = expected_curve_approx(measure, probs[:K], probs, M=2000, K=K)
+            approx = expected_curve_approx(measure, probs, M=2000, K=K)
             exact = expected_curve_exact(measure, probs, K=K)
             gaps[measure] = float(np.abs(approx.values - exact.values).max())
         return gaps
@@ -108,7 +108,7 @@ def test_criterion_04_pdcg_selection_law():
         if trial % 4 == 0 and n >= 2:
             probs[rng.integers(0, n)] = 0.5  # exact-tie entries
             probs = np.sort(probs)[::-1]
-        curve = expected_curve_approx(Measure.PDCG, probs, probs, M=2, K=n)
+        curve = expected_curve_approx(Measure.PDCG, probs, M=2, K=n)
         assert perk_select(curve) == max(1, int(np.sum(probs > 0.5)))
     _report("criterion 4 (PDCG size law over 100 random vectors)")
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from persize.cli import main
+from persize import dataset, scorer, selection
+from persize.cli import _read_platt, main
+from persize.utility import Measure
 
 BPR_TEST = {"d": 8, "epochs": 4, "learning_rate": 0.05}
 
@@ -143,6 +146,82 @@ class TestStages:
         assert "scores.bin" in capsys.readouterr().err
 
 
+class TestCrossStageParity:
+    def test_recs_and_evaluate_share_the_library_routine(self, tmp_path, bundled_path):
+        workdir = tmp_path / "run"
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        _full_pipeline(cfg)
+        split_ds = dataset.load_split(workdir)
+        table = scorer.load_scores(workdir / "scores.bin")
+        params, _ = _read_platt(workdir / "platt.tsv")
+
+        recs = {}
+        for line in (workdir / "recs.tsv").read_text().splitlines():
+            assert not line.startswith(("# error", "# skipped")), line
+            if line.startswith("#"):
+                continue
+            user, measure, k, value, items = line.split("\t")
+            recs[(int(user), measure)] = (int(k), value, items)
+        assert {u for u, _ in recs} == set(params)
+        for user in params:
+            lib = selection.recommend(
+                user, table, params[user], list(Measure), K=10, M=100,
+                exclude=split_ds.val.items_of(user),
+            )
+            for measure, rec in lib.items():
+                want = (rec.k_max, repr(rec.expected_value),
+                        ",".join(str(i) for i in rec.items))
+                assert recs[(user, measure.value)] == want, (user, measure)
+
+        perk_rows = 0
+        for line in (workdir / "eval_per_user.tsv").read_text().splitlines():
+            if line.startswith("#"):
+                continue
+            user, method, measure, k, _ = line.split("\t")
+            if method == "perk":
+                assert int(k) == recs[(int(user), measure)][0], (user, measure)
+                perk_rows += 1
+        assert perk_rows > 0
+
+
+@pytest.fixture(scope="module")
+def calibrated_workdir(tmp_path_factory, bundled_path):
+    """A bundled-data workdir after prepare, train and calibrate."""
+    base = tmp_path_factory.mktemp("calibrated")
+    cfg = _write_config(base, bundled_path, base / "run")
+    for stage in ("prepare", "train", "calibrate"):
+        assert _run(stage, "--config", str(cfg)) == 0, stage
+    return base / "run"
+
+
+class TestPlattFile:
+    @pytest.mark.parametrize("row, why", [
+        ("{u}\tnan\tnan\tconverged", "non-finite"),
+        ("{u}\t{a}\tnan\tconverged", "non-finite"),
+        ("{u}\t{a}\tinf\tconverged", "non-finite"),
+        ("{u}\t{a}\t{b}", "expected 4 columns, got 3"),
+        ("u{u}\t{a}\t{b}\tconverged", "invalid literal"),
+        ("{u}\t{a}\tslope\tconverged", "could not convert"),
+    ], ids=["nan_row", "nan_b", "inf_b", "three_columns", "non_numeric_user", "non_numeric_b"])
+    def test_malformed_row_rejected(self, tmp_path, bundled_path, calibrated_workdir,
+                                    capsys, row, why):
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        platt = workdir / "platt.tsv"
+        lines = platt.read_text().splitlines()
+        assert lines[2].count("\t") == 3  # header, GLOBAL, then the first user
+        u, a, b, _ = lines[2].split("\t")
+        lines[2] = row.format(u=u, a=a, b=b)
+        platt.write_text("\n".join(lines) + "\n")
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        for stage in ("recommend", "evaluate"):
+            assert _run(stage, "--config", str(cfg)) == 1, stage
+            err = capsys.readouterr().err
+            assert "platt.tsv: line 3: " in err and why in err, err
+        assert not (workdir / "recs.tsv").exists()
+        assert not (workdir / "eval_report.json").exists()
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path, bundled_path):
         workdir = tmp_path / "run"
@@ -209,7 +288,7 @@ class TestAllocate:
         good = tmp_path / "good.tsv"
         good.write_text("".join(f"0\tf1\t{k}\t0.{k}\n" for k in (1, 2)))
         bad = tmp_path / "bad.tsv"
-        bad.write_text("# curves\n" + "".join(f"0\tf1\t{k}\t{v}\n" for k, v in rows))
+        bad.write_text("# curves\n" + "".join(f"{row}\n" for row in rows))
         cfg = tmp_path / "alloc.json"
         cfg.write_text(json.dumps({
             "workdir": str(tmp_path / "alloc"),
@@ -224,12 +303,27 @@ class TestAllocate:
         return capsys.readouterr().err
 
     def test_repeated_curve_row_rejected(self, tmp_path, capsys):
-        err = self._allocate_bad_dump(tmp_path, [(1, 0.1), (2, 0.2), (2, 0.9)], capsys)
+        rows = ["0\tf1\t1\t0.1", "0\tf1\t2\t0.2", "0\tf1\t2\t0.9"]
+        err = self._allocate_bad_dump(tmp_path, rows, capsys)
         assert "bad.tsv: line 4: repeated row for user 0, k=2" in err
 
     def test_zero_size_curve_row_rejected(self, tmp_path, capsys):
-        err = self._allocate_bad_dump(tmp_path, [(0, 0.0), (1, 0.1), (2, 0.2)], capsys)
+        rows = ["0\tf1\t0\t0.0", "0\tf1\t1\t0.1", "0\tf1\t2\t0.2"]
+        err = self._allocate_bad_dump(tmp_path, rows, capsys)
         assert "bad.tsv: line 2: size k must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("row, why", [
+        ("0\tf1\t3", "expected 4 columns, got 3"),
+        ("0\tf1\t3\t0.3\t9", "expected 4 columns, got 5"),
+        ("u0\tf1\t3\t0.3", "invalid literal"),
+        ("0\tf1\tthree\t0.3", "invalid literal"),
+        ("0\tf1\t3\thigh", "could not convert"),
+    ], ids=["three_columns", "five_columns", "non_numeric_user", "non_numeric_k",
+            "non_numeric_value"])
+    def test_malformed_curve_row_rejected(self, tmp_path, capsys, row, why):
+        rows = ["0\tf1\t1\t0.1", "0\tf1\t2\t0.2", row]
+        err = self._allocate_bad_dump(tmp_path, rows, capsys)
+        assert "bad.tsv: line 4: " in err and why in err, err
 
 
 class TestEntryPoint:

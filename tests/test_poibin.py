@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from persize.poibin import distribution, distribution_batch, leave_one_out
+from persize.poibin import distribution, distribution_batch
 
-from oracles import dp_count_distribution, enum_count_distribution
+from oracles import dp_count_distribution, enum_count_distribution, leave_one_out
 
 
 class TestDistribution:
@@ -127,26 +127,37 @@ class TestConvTreePath:
 
 
 class TestLeaveOneOut:
+    """The removed-variable oracle, and the zeroed-probability identity the
+    exact mode builds its leave-one-out rows with."""
+
     def test_removing_one_coin(self):
-        d = leave_one_out([0.5, 0.5], 0, 2)
-        np.testing.assert_allclose(d.mass, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(leave_one_out([0.5, 0.5], 0, 2), [0.5, 0.5], atol=1e-15)
 
     def test_removing_sure_event(self):
-        d = leave_one_out([1.0, 0.3], 0, 2)
-        np.testing.assert_allclose(d.mass, [0.7, 0.3], atol=1e-15)
+        np.testing.assert_allclose(leave_one_out([1.0, 0.3], 0, 2), [0.7, 0.3], atol=1e-15)
 
     def test_hand_enumeration(self):
         # remaining [0.1, 0.2]: P(1) = 0.1*0.8 + 0.9*0.2 = 0.26
-        d = leave_one_out([0.1, 0.2, 0.3], 2, 3)
-        assert d.mass[1] == pytest.approx(0.26, abs=1e-15)
+        assert leave_one_out([0.1, 0.2, 0.3], 2, 3)[1] == pytest.approx(0.26, abs=1e-15)
 
     def test_matches_enumeration_on_reduced(self):
         rng = np.random.default_rng(8)
         probs = rng.random(10)
         for r in range(10):
-            d = leave_one_out(probs, r, 9)
             ref = enum_count_distribution(np.delete(probs, r))
-            np.testing.assert_allclose(d.mass, ref, atol=1e-12)
+            np.testing.assert_allclose(leave_one_out(probs, r, 9), ref, atol=1e-12)
+
+    def test_zeroed_probability_matches_removal(self):
+        rng = np.random.default_rng(9)
+        probs = rng.random(40)
+        for r in (0, 17, 39):
+            for M in (5, 39, 40):
+                zeroed = probs.copy()
+                zeroed[r] = 0.0
+                got = distribution(zeroed, M).mass
+                ref = leave_one_out(probs, r, M)
+                np.testing.assert_allclose(got[: len(ref)], ref, atol=1e-12)
+                np.testing.assert_allclose(got[len(ref):], 0.0, atol=1e-12)
 
     def test_index_errors(self):
         with pytest.raises(IndexError):

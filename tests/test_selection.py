@@ -1,21 +1,28 @@
 import numpy as np
 import pytest
 
+from persize import calibrate
 from persize.calibrate import PlattParams
 from persize.scorer import DegenerateUserError, ScoreTable
 from persize.selection import (
     METHOD_ORACLE,
     METHOD_PERK,
-    baseline_fixed,
     baseline_rand,
     baseline_val_k,
     default_methods,
     evaluate,
     oracle_k,
     perk_select,
+    rank,
     recommend,
 )
-from persize.utility import Measure, UtilityCurve, expected_curve_approx, realized_curve
+from persize.utility import (
+    Measure,
+    UtilityCurve,
+    expected_curve_approx,
+    expected_curves,
+    realized_curve,
+)
 
 from oracles import CHI2_CRIT_DF19_A01
 
@@ -45,9 +52,36 @@ class TestPerkSelect:
             if trial % 3 == 0 and n >= 3:
                 probs[n // 3] = 0.5  # plant an exact tie
                 probs = np.sort(probs)[::-1]
-            curve = expected_curve_approx(Measure.PDCG, probs, probs, M=5, K=n)
+            curve = expected_curve_approx(Measure.PDCG, probs, M=5, K=n)
             want = max(1, int(np.sum(probs > 0.5)))
             assert perk_select(curve) == want
+
+
+class TestRank:
+    def test_descending_score_ties_to_lower_item(self):
+        items = np.array([7, 3, 5, 1, 9])
+        table = ScoreTable({0: (items, np.array([0.5, 2.0, 0.5, 0.5, -1.0]))})
+        ranked, vals = rank(0, table)
+        np.testing.assert_array_equal(ranked, [3, 1, 5, 7, 9])
+        np.testing.assert_array_equal(vals, [2.0, 0.5, 0.5, 0.5, -1.0])
+
+    def test_matches_lexsort_order(self):
+        rng = np.random.default_rng(2)
+        scores = np.round(rng.normal(size=25), 1)  # rounding plants ties
+        table = ScoreTable({0: (np.arange(25), scores)})
+        order = np.lexsort((np.arange(25), -scores))
+        np.testing.assert_array_equal(rank(0, table)[0], np.arange(25)[order])
+
+    def test_exclude_drops_items_and_keeps_order(self):
+        rng = np.random.default_rng(3)
+        scores = rng.normal(size=30)
+        table = ScoreTable({0: (np.arange(30), scores)})
+        full, _ = rank(0, table)
+        dropped = [4, 11, 29, 100]  # 100 is not a candidate
+        kept, kept_vals = rank(0, table, exclude=dropped)
+        np.testing.assert_array_equal(kept, full[~np.isin(full, dropped)])
+        np.testing.assert_array_equal(kept_vals, scores[kept])
+        assert len(rank(0, table, exclude=np.arange(30))[0]) == 0
 
 
 class TestRecommend:
@@ -58,22 +92,22 @@ class TestRecommend:
     def test_single_sure_candidate_exact(self):
         table = self._table([4.0])
         params = PlattParams(a=10.0, b=0.0)  # sigmoid(40) ~ 1
-        rec = recommend(0, table, params, Measure.NDCG, K=1, mode="exact")
+        rec = recommend(0, table, params, [Measure.NDCG], K=1, mode="exact")[Measure.NDCG]
         assert rec.k_max == 1
         assert rec.expected_value == pytest.approx(1.0, abs=1e-10)
 
     def test_all_probs_below_half_pdcg_picks_one(self):
         table = self._table([0.5, 0.4, 0.3, 0.2])
         params = PlattParams(a=1.0, b=-3.0)  # all probabilities < 0.5
-        rec = recommend(0, table, params, Measure.PDCG, K=4)
+        rec = recommend(0, table, params, [Measure.PDCG], K=4)[Measure.PDCG]
         assert rec.k_max == 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         table = self._table(rng.normal(size=30))
         params = PlattParams(a=1.2, b=-1.0)
-        a = recommend(0, table, params, Measure.F1, K=10, M=50)
-        b = recommend(0, table, params, Measure.F1, K=10, M=50)
+        a = recommend(0, table, params, [Measure.F1], K=10, M=50)[Measure.F1]
+        b = recommend(0, table, params, [Measure.F1], K=10, M=50)[Measure.F1]
         assert a.k_max == b.k_max
         np.testing.assert_array_equal(a.items, b.items)
 
@@ -82,29 +116,56 @@ class TestRecommend:
         scores = rng.normal(size=25)
         table = self._table(scores)
         params = PlattParams(a=1.0, b=0.0)
-        rec = recommend(0, table, params, Measure.TP, K=10, M=40)
-        order = np.lexsort((np.arange(25), -scores))
-        np.testing.assert_array_equal(rec.items, np.arange(25)[order][: rec.k_max])
+        for exclude in ((), [0, 3, 8]):
+            recs = recommend(0, table, params, list(Measure), K=10, M=40, exclude=exclude)
+            ranked, _ = rank(0, table, exclude)
+            for rec in recs.values():
+                np.testing.assert_array_equal(rec.items, ranked[: rec.k_max])
+
+    def test_carries_its_curve(self):
+        rng = np.random.default_rng(4)
+        scores = rng.normal(size=40)
+        table = self._table(scores)
+        params = PlattParams(a=1.5, b=-0.5)
+        recs = recommend(0, table, params, list(Measure), K=12, M=30)
+        probs = calibrate.apply(params, rank(0, table)[1])
+        want = expected_curves(probs, list(Measure), K=12, M=30)
+        for measure, rec in recs.items():
+            assert rec.curve.measure is measure
+            np.testing.assert_array_equal(rec.curve.values, want[measure].values)
+            assert rec.k_max == perk_select(want[measure])
+            assert rec.expected_value == float(want[measure].values[rec.k_max - 1])
 
     def test_degenerate_user(self):
         table = ScoreTable({0: (np.empty(0, dtype=np.int64), np.empty(0))})
         with pytest.raises(DegenerateUserError):
-            recommend(0, table, PlattParams(1.0, 0.0), Measure.F1)
+            recommend(0, table, PlattParams(1.0, 0.0), [Measure.F1])
+        full = self._table([0.3, 0.2])
+        with pytest.raises(DegenerateUserError):
+            recommend(0, full, PlattParams(1.0, 0.0), [Measure.F1], exclude=[0, 1])
 
 
 class TestBaselines:
-    def _table(self):
+    def _ranked(self):
         rng = np.random.default_rng(3)
         items = np.arange(40)
-        return ScoreTable({5: (items, rng.normal(size=40))})
+        return rank(5, ScoreTable({5: (items, rng.normal(size=40))}))[0]
 
-    def test_fixed_prefix_semantics(self):
-        table = self._table()
-        for k in (1, 7, 100):
-            rec = baseline_fixed(5, table, k, K=100)
-            assert rec.k_max == min(k, 40)
-            full = baseline_fixed(5, table, 100, K=100)
-            np.testing.assert_array_equal(rec.items, full.items[: rec.k_max])
+    def test_fixed_prefix_semantics(self, tiny_split):
+        # a fixed size is min(k, |top-K|) of the evaluated ranking, and its
+        # value is the realized utility of exactly that prefix
+        rng = np.random.default_rng(3)
+        table = ScoreTable({int(u): (np.arange(8), rng.normal(size=8))
+                            for u in tiny_split.users})
+        report = evaluate(tiny_split, table, {}, measures=[Measure.TP],
+                          methods=["top-1", "top-3", "top-100"], K=100)
+        assert report.per_user
+        for user, method, _, k, value in report.per_user:
+            ranked, _ = rank(user, table, tiny_split.val.items_of(user))
+            assert k == min(int(method[4:]), len(ranked))
+            test_items = tiny_split.test.items_of(user)
+            labels = np.isin(ranked, test_items).astype(float)
+            assert value == realized_curve(Measure.TP, labels, len(test_items))[k - 1]
 
     def test_rand_reproducible_and_bounded(self):
         draws = {baseline_rand(5, 10, seed=4) for _ in range(5)}
@@ -122,33 +183,28 @@ class TestBaselines:
 
     def test_val_k_single_hit_ndcg(self):
         # one validation positive at rank 1: every larger k ties, so pick 1
-        items = np.arange(10)
-        table = ScoreTable({0: (items, -np.arange(10, dtype=float))})
-        k = baseline_val_k(0, table, [0], Measure.NDCG, K=10)
-        assert k == 1
+        assert baseline_val_k(Measure.NDCG, np.arange(10), [0]) == 1
 
     def test_val_k_no_positives_defaults_one(self):
-        table = ScoreTable({0: (np.arange(4), np.arange(4, dtype=float))})
-        assert baseline_val_k(0, table, [], Measure.F1, K=4) == 1
+        assert baseline_val_k(Measure.F1, np.arange(4), []) == 1
+        assert baseline_val_k(Measure.F1, np.arange(4), np.empty(0, dtype=np.int64)) == 1
 
     def test_val_k_all_relevant_prefix_ties_to_one(self):
         # every rank relevant: TP is identically 1, ties resolve to k=1
-        items = np.arange(6)
-        table = ScoreTable({0: (items, -np.arange(6, dtype=float))})
-        assert baseline_val_k(0, table, list(range(6)), Measure.TP, K=6) == 1
+        assert baseline_val_k(Measure.TP, np.arange(6), list(range(6))) == 1
 
     def test_val_k_tp_unique_argmax_at_full_size(self):
         # rank 1 irrelevant, the rest relevant: TP only peaks at k=K
-        items = np.arange(6)
-        table = ScoreTable({0: (items, -np.arange(6, dtype=float))})
-        k = baseline_val_k(0, table, [1, 2, 3, 4, 5], Measure.TP, K=6)
-        assert k == 6
+        assert baseline_val_k(Measure.TP, np.arange(6), [1, 2, 3, 4, 5]) == 6
+
+    def test_val_k_follows_the_given_ranking(self):
+        ranked = self._ranked()
+        # the only positive sits at rank 4 of the ranking: F1 peaks there
+        assert baseline_val_k(Measure.F1, ranked[:20], [int(ranked[3])]) == 4
 
     def test_oracle_k_mirrors_with_test_labels(self):
-        items = np.arange(50)
-        table = ScoreTable({0: (items, -np.arange(50, dtype=float))})
         # test positives at ranks 1..3: F1 peaks at k=3 with value 1
-        k = oracle_k(0, table, [0, 1, 2], Measure.F1, K=50)
+        k = oracle_k(Measure.F1, np.arange(50), [0, 1, 2])
         assert k == 3
         labels = np.zeros(50)
         labels[:3] = 1
@@ -157,7 +213,6 @@ class TestBaselines:
 
 def _pipeline_fixture(bundled_split):
     """Score + calibrate the bundled split once for evaluation tests."""
-    from persize import calibrate
     from persize.dataset import candidate_items
     from persize.scorer import BPRConfig, build_score_table, train_bpr
 
@@ -174,7 +229,6 @@ def _pipeline_fixture(bundled_split):
         for u in table.users()
     ]
     params, _ = calibrate.fit_all_users(calsets)
-    params = {u: p for u, p in params.items() if np.isfinite(p.a)}
     return table, params
 
 

@@ -135,18 +135,18 @@ class TestApproxCurve:
     def test_pdcg_rows_equal_closed_form(self):
         rng = np.random.default_rng(2)
         probs = np.sort(rng.random(20))[::-1]
-        curve = expected_curve_approx(Measure.PDCG, probs[:8], probs, M=10, K=8)
+        curve = expected_curve_approx(Measure.PDCG, probs, M=10, K=8)
         for k in range(1, 9):
             assert curve.values[k - 1] == expected_pdcg(probs[:k])
 
     def test_f1_hand_value(self):
-        curve = expected_curve_approx(Measure.F1, [0.5], [0.5, 0.5], M=2, K=1)
+        curve = expected_curve_approx(Measure.F1, [0.5, 0.5], M=2, K=1)
         assert curve.values[0] == pytest.approx(2 * 0.5 * (0.25 / 2 + 0.5 / 3), abs=1e-12)
 
     def test_single_sure_item_truncation_artifact(self):
         # With M=1 the count sum sees only P(count=0)=0, so the estimate is 0
         # while the exact value is 1: the documented contrast between modes.
-        approx = expected_curve_approx(Measure.NDCG, [1.0], [1.0], M=1, K=1)
+        approx = expected_curve_approx(Measure.NDCG, [1.0], M=1, K=1)
         exact = expected_curve_exact(Measure.NDCG, [1.0], K=1)
         assert approx.values[0] == 0.0
         assert exact.values[0] == 1.0
@@ -159,7 +159,7 @@ class TestApproxCurve:
         disc = log_discount(np.arange(1, 40))
         ideal = np.concatenate([[0.0], np.cumsum(disc)])
         for measure in (Measure.NDCG, Measure.F1, Measure.TP):
-            curve = expected_curve_approx(measure, probs[:K], probs, M=M, K=K)
+            curve = expected_curve_approx(measure, probs, M=M, K=K)
             for k in range(1, K + 1):
                 total = 0.0
                 for m in range(1, len(d) + 1):
@@ -177,10 +177,10 @@ class TestApproxCurve:
         probs = np.sort(rng.random(40))[::-1]
         K = 10
         for measure in (Measure.NDCG, Measure.F1, Measure.TP):
-            full = expected_curve_approx(measure, probs[:K], probs, M=41, K=K).values
+            full = expected_curve_approx(measure, probs, M=41, K=K).values
             prev = np.zeros(K)
             for M in (1, 3, 8, 20, 41):
-                cur = expected_curve_approx(measure, probs[:K], probs, M=M, K=K).values
+                cur = expected_curve_approx(measure, probs, M=M, K=K).values
                 assert np.all(cur >= prev - 1e-15)
                 assert np.all(cur <= full + 1e-12)
                 prev = cur
@@ -193,7 +193,7 @@ class TestApproxCurve:
             K = min(8, n)
             for measure in ALL:
                 for mode_vals in (
-                    expected_curve_approx(measure, probs[:K], probs, M=50, K=K).values,
+                    expected_curve_approx(measure, probs, M=50, K=K).values,
                     expected_curve_exact(measure, probs, K=K).values,
                 ):
                     assert np.all(np.isfinite(mode_vals))
@@ -211,7 +211,7 @@ class TestApproxCurve:
             K = 10
             gaps = {}
             for measure in ALL:
-                ap = expected_curve_approx(measure, probs[:K], probs, M=2000, K=K)
+                ap = expected_curve_approx(measure, probs, M=2000, K=K)
                 ex = expected_curve_exact(measure, probs, K=K)
                 gaps[measure] = float(np.abs(ap.values - ex.values).max())
             return gaps
@@ -224,23 +224,21 @@ class TestApproxCurve:
         assert large[Measure.PDCG] == 0.0
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            expected_curve_approx(Measure.F1, [], [], M=5, K=1)
-        with pytest.raises(ValueError):
-            expected_curve_approx(Measure.F1, [0.5], [0.5], M=0, K=1)
-        with pytest.raises(ValueError):
-            expected_curve_approx(Measure.F1, [0.5], [0.5, 0.4, 0.3], M=5, K=2)
-
-    def test_prefix_must_be_head_of_candidates(self):
-        for measure in ALL:
-            with pytest.raises(ValueError, match="first len"):
-                expected_curve_approx(measure, [0.1, 0.2], [0.9, 0.8, 0.1], M=5)
-            with pytest.raises(ValueError, match="first len"):
-                expected_curves([0.1, 0.2], [0.9, 0.8, 0.1], [measure], M=5, K=2)
-        with pytest.raises(ValueError, match="first len"):
-            expected_curve_approx(Measure.F1, [0.9, 0.8, 0.1, 0.1], [0.9, 0.8, 0.1], M=5)
+        with pytest.raises(ValueError, match="empty"):
+            expected_curve_approx(Measure.F1, [], M=5, K=1)
+        with pytest.raises(ValueError, match="M must"):
+            expected_curve_approx(Measure.F1, [0.5], M=0, K=1)
+        with pytest.raises(ValueError, match="K must"):
+            expected_curve_approx(Measure.F1, [0.5], M=5, K=0)
         with pytest.raises(ValueError, match="finite"):
-            expected_curve_approx(Measure.F1, [float("nan")], [float("nan"), 0.1], M=5, K=1)
+            expected_curve_approx(Measure.F1, [float("nan"), 0.1], M=5, K=1)
+
+    def test_curve_covers_min_K_n_sizes(self):
+        probs = np.array([0.9, 0.8, 0.1])
+        for measure in ALL:
+            assert len(expected_curve_approx(measure, probs, M=5, K=2)) == 2
+            assert len(expected_curve_approx(measure, probs, M=5, K=10)) == 3
+            assert len(expected_curves(probs, [measure], K=10, mode="exact")[measure]) == 3
 
 
 class TestBatchedCurves:
@@ -252,7 +250,7 @@ class TestBatchedCurves:
         batch = expected_curves_batch(probs, ALL, M=30, K=12)
         for measure in ALL:
             for b in range(7):
-                single = expected_curve_approx(measure, probs[b, :12], probs[b], M=30, K=12)
+                single = expected_curve_approx(measure, probs[b], M=30, K=12)
                 np.testing.assert_allclose(batch[measure][b], single.values, atol=1e-10)
 
     def test_distribution_batch_matches_single(self):
@@ -290,7 +288,7 @@ class TestBatchedCurves:
         batch = expected_curves_batch(probs, ALL, M=1, K=3)
         for measure in ALL:
             for b in range(2):
-                single = expected_curve_approx(measure, probs[b], probs[b], M=1, K=3)
+                single = expected_curve_approx(measure, probs[b], M=1, K=3)
                 np.testing.assert_allclose(batch[measure][b], single.values, atol=1e-12)
 
 
@@ -299,12 +297,12 @@ class TestExpectedCurves:
         rng = np.random.default_rng(7)
         probs = np.sort(rng.random(25))[::-1]
         K = 6
-        curves = expected_curves(probs[:K], probs, ALL, M=12, K=K)
+        curves = expected_curves(probs, ALL, M=12, K=K)
         for measure in ALL:
-            single = expected_curve_approx(measure, probs[:K], probs, M=12, K=K)
+            single = expected_curve_approx(measure, probs, M=12, K=K)
             np.testing.assert_array_equal(curves[measure].values, single.values)
 
     def test_exact_mode_dispatch(self):
         probs = np.array([0.9, 0.5, 0.1])
-        curves = expected_curves(probs, probs, [Measure.TP], K=3, mode="exact")
+        curves = expected_curves(probs, [Measure.TP], K=3, mode="exact")
         assert curves[Measure.TP].mode == "exact"
