@@ -9,7 +9,7 @@ positive. Any external recommender can replace it by exporting a
 import tempfile
 from pathlib import Path
 
-from persize import dataset, scorer
+from persize import dataset, scorer, selection
 
 data = Path(__file__).resolve().parent.parent / "data" / "synth200" / "interactions.tsv"
 iset, _ = dataset.load_interactions(data)
@@ -24,9 +24,9 @@ print(f"trained d={config.d} model; epoch loss {model.epoch_losses[0]:.4f} -> "
 u = 0
 cand = dataset.candidate_items(u, split, exclude_val=True)
 table = scorer.build_score_table(model, [cand])
-ranked = scorer.rank_topk(table, u, cand, K=10)
+items, scores = selection.rank(u, table)
 print(f"user {u} top-10 of {len(cand)} candidates:")
-for rank, (item, s) in enumerate(zip(ranked.items, ranked.scores), start=1):
+for rank, (item, s) in enumerate(zip(items[:10], scores[:10]), start=1):
     hit = "test-positive" if item in split.test.items_of(u) else ""
     print(f"  {rank:2d}. item {item:3d}  score {s:+.4f}  {hit}")
 

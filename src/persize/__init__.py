@@ -32,13 +32,11 @@ from .poibin import CountDistribution, distribution, distribution_batch
 from .scorer import (
     BPRConfig,
     DegenerateUserError,
-    RankedList,
     ScoreModel,
     ScoreTable,
     import_scores,
     export_scores,
     load_scores,
-    rank_topk,
     save_scores,
     score,
     train_bpr,

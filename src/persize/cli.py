@@ -137,7 +137,8 @@ def cmd_train(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
     if cfg.get("scores"):
-        table = scorer.import_scores(cfg["scores"])
+        table = scorer.import_scores(
+            cfg["scores"], n_users=len(split_ds.users), n_items=len(split_ds.items))
     else:
         bpr_cfg = scorer.BPRConfig(seed=cfg["seed"], **cfg["bpr"])
         model = scorer.train_bpr(split_ds.train, bpr_cfg)

@@ -11,8 +11,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from .util import _first_flagged, _outside, _read_rows, atomic_write
 
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
 SPLIT_FILES = ("train.tsv", "val.tsv", "test.tsv")
@@ -237,8 +240,7 @@ def candidate_items(user: int, split_ds: SplitDataset, exclude_val: bool = False
 
 def save_split(split_ds: SplitDataset, workdir, id_map=None, header: str = "") -> None:
     """Write train/val/test TSVs plus the id-map JSON into ``workdir``."""
-    from .util import atomic_write
-
+    workdir = Path(workdir)
     for name, part in zip(SPLIT_FILES, (split_ds.train, split_ds.val, split_ds.test)):
         lines = [header] if header else []
         lines.extend(f"{u}\t{i}" for u, i in part.pairs)
@@ -252,26 +254,28 @@ def save_split(split_ds: SplitDataset, workdir, id_map=None, header: str = "") -
 
 
 def load_split(workdir) -> SplitDataset:
-    """Re-read a directory produced by ``save_split``."""
+    """Re-read a directory produced by ``save_split``.
+
+    Split rows follow ``util._read_rows`` (as the score import does): a row
+    without two integer ids, or with an id outside the ``id_map.json``
+    universe, is a ValueError naming the file and line. Repeated rows
+    collapse to one pair.
+    """
+    workdir = Path(workdir)
     with open(workdir / ID_MAP_FILE, encoding="utf-8") as fh:
         mapping = json.load(fh)
-    n_users = len(mapping["users"])
-    n_items = len(mapping["items"])
+    users = np.arange(len(mapping["users"]))
+    items = np.arange(len(mapping["items"]))
     parts = []
     for name in SPLIT_FILES:
-        pairs = []
-        with open(workdir / name, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                u, i = line.split("\t")[:2]
-                pairs.append((int(u), int(i)))
-        parts.append(
-            InteractionSet.from_pairs(
-                np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-                users=np.arange(n_users),
-                items=np.arange(n_items),
-            )
-        )
+        u, i = _read_rows(workdir / name, "ii", "user<TAB>item",
+                          lambda columns: _bad_split_row(columns, len(users), len(items)))
+        parts.append(InteractionSet.from_pairs(np.stack([u, i], axis=1), users=users, items=items))
     return SplitDataset(train=parts[0], val=parts[1], test=parts[2], seed=int(mapping["seed"]))
+
+
+def _bad_split_row(columns, n_users: int, n_items: int):
+    """The earliest split row with an id outside the universe, or None."""
+    users, items = columns
+    return _first_flagged([_outside(users, n_users, "user", ID_MAP_FILE),
+                           _outside(items, n_items, "item", ID_MAP_FILE)])

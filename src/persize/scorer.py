@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CandidateSet, InteractionSet
-from .util import atomic_write, atomic_write_bytes
+from .dataset import InteractionSet
+from .util import _first_flagged, _outside, _read_rows, atomic_write, atomic_write_bytes
 
 _INT_DTYPE = np.dtype("<i8")
 _FLOAT_DTYPE = np.dtype("<f8")
@@ -46,18 +46,6 @@ class ScoreModel:
     @property
     def d(self) -> int:
         return self.user_vectors.shape[1]
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """Top items of one user, scores non-increasing, ties by ascending id."""
-
-    user: int
-    items: np.ndarray
-    scores: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 class ScoreTable:
@@ -184,24 +172,6 @@ def build_score_table(model: ScoreModel, candidate_sets) -> ScoreTable:
     return ScoreTable(entries)
 
 
-def rank_topk(scores: ScoreTable, user: int, candidates: CandidateSet, K: int) -> RankedList:
-    """Top-min(K, |candidates|) items by descending score, ties by item id."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if len(candidates) == 0:
-        raise DegenerateUserError(f"user {user} has no candidate items")
-    items, vals = scores.get(user)
-    pos = {int(i): ix for ix, i in enumerate(items)}
-    try:
-        take = np.array([pos[int(i)] for i in candidates.items], dtype=np.int64)
-    except KeyError as exc:
-        raise KeyError(f"user {user}: candidate item {exc.args[0]} has no score") from None
-    cand_items = items[take]
-    cand_scores = vals[take]
-    order = np.lexsort((cand_items, -cand_scores))[:K]
-    return RankedList(user=int(user), items=cand_items[order], scores=cand_scores[order])
-
-
 def export_scores(table: ScoreTable, path, header: str = "") -> None:
     """Write `user<TAB>item<TAB>score` rows; floats round-trip exactly."""
     lines = [header] if header else []
@@ -211,37 +181,44 @@ def export_scores(table: ScoreTable, path, header: str = "") -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def import_scores(path) -> ScoreTable:
+def import_scores(path, n_users: int | None = None, n_items: int | None = None) -> ScoreTable:
     """Read a score file written by ``export_scores`` (or any recommender).
 
-    Rejects non-finite scores and duplicate (user, item) rows, naming the
-    offending line.
+    Rows follow ``util._read_rows``: stripped lines, ``#`` comment lines and
+    blank lines skipped, fields after the score ignored. Rejects a malformed
+    row, a non-finite score, a repeated (user, item) row and, when
+    ``n_users`` / ``n_items`` give the universe, a user outside
+    ``[0, n_users)`` or an item outside ``[0, n_items)``; each error is a
+    ValueError naming the path and line. Each user's entries keep file order.
     """
-    per_user_items: dict[int, list] = {}
-    per_user_scores: dict[int, list] = {}
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise ValueError(f"{path}: line {lineno}: expected 'user<TAB>item<TAB>score'")
-            try:
-                u, i, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed row {line!r}") from None
-            if not np.isfinite(v):
-                raise ValueError(f"{path}: line {lineno}: non-finite score for ({u}, {i})")
-            if (u, i) in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate entry for ({u}, {i})")
-            seen.add((u, i))
-            per_user_items.setdefault(u, []).append(i)
-            per_user_scores.setdefault(u, []).append(v)
-    return ScoreTable(
-        {u: (per_user_items[u], per_user_scores[u]) for u in per_user_items}
-    )
+    users, items, scores = _read_rows(
+        path, "iif", "user<TAB>item<TAB>score",
+        lambda columns: _bad_score_row(columns, n_users, n_items))
+    order = np.argsort(users, kind="stable")
+    users, items, scores = users[order], items[order], scores[order]
+    keys, starts = np.unique(users, return_index=True)
+    ends = np.append(starts[1:], len(users))
+    return ScoreTable({
+        u: (items[a:b], scores[a:b])
+        for u, a, b in zip(keys.tolist(), starts.tolist(), ends.tolist())
+    })
+
+
+def _bad_score_row(columns, n_users, n_items):
+    """The earliest rejected score row and why, or None."""
+    users, items, scores = columns
+    order = np.lexsort((items, users))  # stable: a repeat follows its first row
+    repeat = (users[order[1:]] == users[order[:-1]]) & (items[order[1:]] == items[order[:-1]])
+    flags = [
+        (np.flatnonzero(~np.isfinite(scores)),
+         lambda r: f"non-finite score for ({users[r]}, {items[r]})"),
+        (order[1:][repeat], lambda r: f"duplicate entry for ({users[r]}, {items[r]})"),
+    ]
+    if n_users is not None:
+        flags.append(_outside(users, n_users, "user", "the split"))
+    if n_items is not None:
+        flags.append(_outside(items, n_items, "item", "the split"))
+    return _first_flagged(flags)
 
 
 def save_model(model: ScoreModel, path) -> None:

@@ -1,11 +1,26 @@
-"""Small shared helpers: atomic file writes and per-user parallel maps."""
+"""Small shared helpers: atomic file writes, the reader of tab-separated
+id/score rows, and per-user parallel maps."""
 
 from __future__ import annotations
 
 import os
+import re
 import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
+
+_KINDS = {"i": "<i8", "f": "<f8"}
+_INT64 = np.iinfo(np.int64)
+# Bytes np.loadtxt parses as Python's int/float do: printable ASCII plus
+# tab, line feed, vertical tab and form feed. (loadtxt also strips \x1c-\x1f
+# and reads some non-ASCII letters as digits, which Python rejects.)
+_PLAIN = bytes([9, 10, 11, 12, *range(32, 127)])
+# A data line (first non-blank byte not '#') holding a '#', where loadtxt's
+# comment rule would cut the row short.
+_HASH_IN_DATA = re.compile(rb"^[ \t\x0b\x0c]*[^\s#][^\n]*#", re.MULTILINE)
 
 
 def atomic_write(path, text: str) -> None:
@@ -40,3 +55,106 @@ def parallel_map(fn, keys, threads: int = 1) -> list:
         return [fn(k) for k in keys]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, keys))
+
+
+def _read_rows(path, kinds: str, layout: str, check) -> list:
+    """The leading fields of each data row of a tab-separated UTF-8 file, one
+    array per field: int64 for an ``i`` in ``kinds``, float64 for an ``f``.
+
+    Each line is stripped; blank lines and lines starting with ``#`` are
+    skipped, and fields past ``len(kinds)`` are ignored. A field must parse
+    with Python's ``int`` or ``float``, and an id must fit in int64.
+    ``check(columns)`` returns ``(row, message)`` for the earliest row it
+    rejects, or None. Every rejection is a ValueError naming the path and
+    the line.
+
+    One ``np.loadtxt`` call parses a plain ASCII file. The file is scanned
+    row by row only when that call fails, when a data line holds a ``#``,
+    when the file has other bytes, or when ``check`` rejects a row; the scan
+    names the first bad line, or returns the same columns for a row that only
+    Python reads (a leading tab, an indented comment, ``1_000``).
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    dtype = np.dtype([(f"f{j}", _KINDS[k]) for j, k in enumerate(kinds)])
+    columns = _load_plain(path, text, dtype)
+    if columns is not None and check(columns) is None:
+        return columns
+    columns, lines, error = _scan_rows(path, text, dtype, layout)
+    flagged = check(columns)
+    if flagged is not None:
+        row, message = flagged
+        raise ValueError(f"{path}: line {lines[row]}: {message}")
+    if error:
+        raise ValueError(error)
+    return columns
+
+
+def _load_plain(path, text: str, dtype):
+    """Columns of a plain ASCII file from one ``np.loadtxt`` call, or None."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if data.translate(None, _PLAIN) or (b"#" in data and _HASH_IN_DATA.search(data)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # numpy < 2 reads "1.0" as the int 1 with only this warning
+            warnings.filterwarnings("error", category=DeprecationWarning)
+            table = np.loadtxt(path, dtype=dtype, delimiter="\t", comments="#",
+                               usecols=range(len(dtype)), ndmin=1, encoding="utf-8")
+    except (ValueError, DeprecationWarning):
+        return None
+    return [table[name] for name in dtype.names]
+
+
+def _scan_rows(path, text: str, dtype, layout: str):
+    """Row-by-row parse with Python's ``int`` / ``float``: (columns, line
+    number of each row, error naming the first malformed line or None).
+    The columns hold the rows before that line."""
+    parse = [float if dtype[j].kind == "f" else _int64 for j in range(len(dtype))]
+    rows, lines, error = [], [], None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < len(parse):
+            error = f"{path}: line {lineno}: expected '{layout}'"
+            break
+        try:
+            rows.append(tuple(f(x) for f, x in zip(parse, fields)))
+        except ValueError:
+            error = f"{path}: line {lineno}: malformed row {line!r}"
+            break
+        lines.append(lineno)
+    table = np.array(rows, dtype=dtype)
+    return [table[name] for name in dtype.names], lines, error
+
+
+def _int64(field: str) -> int:
+    value = int(field)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{value} does not fit in int64")
+    return value
+
+
+def _outside(ids, n: int, kind: str, where: str):
+    """The ``_first_flagged`` pair for ids outside ``[0, n)``."""
+    return (np.flatnonzero((ids < 0) | (ids >= n)),
+            lambda r: f"{kind} id {ids[r]} is outside the {n} {kind}s of {where}")
+
+
+def _first_flagged(flags):
+    """``(row, message)`` for the earliest flagged row, or None.
+
+    ``flags`` holds ``(rows, describe)`` pairs in priority order: the row
+    indices one check rejects, and ``describe(row)`` giving its message. On
+    a row that several checks reject, the first pair wins.
+    """
+    hits = [(int(rows.min()), describe) for rows, describe in flags if len(rows)]
+    if not hits:
+        return None
+    row, describe = min(hits, key=lambda hit: hit[0])
+    return row, describe(row)

@@ -5,15 +5,20 @@ library's computation paths, so agreement is a real dual-route check:
 brute-force enumeration for count distributions and expected utilities,
 the plain convolution recurrence for count distributions too large to
 enumerate (and for a count with one variable removed), plain gradient
-descent for the calibration fit, and exhaustive search over size vectors
-for the budget allocator.
+descent for the calibration fit, exhaustive search over size vectors
+for the budget allocator, and line-by-line scanners for the score and
+split text files (with a writer of adversarial files to feed them).
 """
 
+import json
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
+from persize.dataset import InteractionSet, SplitDataset
 from persize.multidomain import Allocation
+from persize.scorer import ScoreTable
 
 
 def enum_count_distribution(probs) -> np.ndarray:
@@ -163,6 +168,96 @@ def brute_force_allocate(curves, N: int, K: int, allow_zero: bool = True,
         raise ValueError("allocation infeasible under the given budget")
     return Allocation(sizes=dict(zip(doms, best_vec)), total=sum(best_vec),
                       objective=float(best_obj))
+
+
+def scan_scores(path) -> ScoreTable:
+    """Read a `user<TAB>item<TAB>score` file one line at a time: stripped
+    lines, '#' comment and blank lines skipped, fields after the third
+    ignored; a malformed row, a non-finite score or a repeated (user, item)
+    row is rejected naming its line."""
+    per_user_items: dict[int, list] = {}
+    per_user_scores: dict[int, list] = {}
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) < 3:
+                raise ValueError(f"{path}: line {lineno}: expected 'user<TAB>item<TAB>score'")
+            try:
+                u, i, v = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: malformed row {line!r}") from None
+            if not np.isfinite(v):
+                raise ValueError(f"{path}: line {lineno}: non-finite score for ({u}, {i})")
+            if (u, i) in seen:
+                raise ValueError(f"{path}: line {lineno}: duplicate entry for ({u}, {i})")
+            seen.add((u, i))
+            per_user_items.setdefault(u, []).append(i)
+            per_user_scores.setdefault(u, []).append(v)
+    return ScoreTable(
+        {u: (per_user_items[u], per_user_scores[u]) for u in per_user_items}
+    )
+
+
+def scan_split(workdir) -> SplitDataset:
+    """Read a split directory one line at a time, with the line rules of
+    ``scan_scores`` and the first two fields of each row as the pair."""
+    workdir = Path(workdir)
+    with open(workdir / "id_map.json", encoding="utf-8") as fh:
+        mapping = json.load(fh)
+    n_users = len(mapping["users"])
+    n_items = len(mapping["items"])
+    parts = []
+    for name in ("train.tsv", "val.tsv", "test.tsv"):
+        pairs = []
+        with open(workdir / name, encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                u, i = line.split("\t")[:2]
+                pairs.append((int(u), int(i)))
+        parts.append(
+            InteractionSet.from_pairs(
+                np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+                users=np.arange(n_users),
+                items=np.arange(n_items),
+            )
+        )
+    return SplitDataset(train=parts[0], val=parts[1], test=parts[2], seed=int(mapping["seed"]))
+
+
+# Score spellings every reader must take: a '+' sign, signed zero, the
+# smallest subnormal, the extremes and exponent forms.
+SCORE_FORMS = ("+0.5", "-0.0", "5e-324", "1e308", "-1e308", "1E+2", "2.5e-3",
+               "-7e0", "+1e-300", "0.1")
+
+
+def write_adversarial(path, rows, crlf: bool = False, scanned: bool = False) -> None:
+    """Write rows (tuples of field strings) as a tab-separated file with the
+    quirks the text readers accept: '#' comment lines, blank lines, an
+    extra trailing field on every third row, and CRLF line ends with
+    ``crlf``. With ``scanned`` it adds the quirks that only the row scan
+    reads: indented comment lines, whitespace-only lines, a tab-led row and
+    a '#' inside an extra field."""
+    out = ["# header comment", ""]
+    for j, fields in enumerate(rows):
+        line = "\t".join(fields)
+        if j % 3 == 1:
+            line += "\t# trailing note" if scanned and j % 2 else "\textra\t"
+        if j % 4 == 2:
+            out.append("")
+        if scanned and j % 5 == 3:
+            out += ["   # indented comment", "\t# tab-indented comment", " \t "]
+        if scanned and j == 7:
+            line = "\t" + line
+        out.append(line)
+    out.append("# footer")
+    end = "\r\n" if crlf else "\n"
+    Path(path).write_bytes((end.join(out) + end).encode("utf-8"))
 
 
 # chi-square critical value at alpha=0.01 for 19 degrees of freedom

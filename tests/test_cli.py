@@ -125,6 +125,21 @@ class TestStages:
         assert (workdir / "scores.tsv").read_text().splitlines()[1:] == \
             ext.read_text().splitlines()[1:]
 
+    def test_import_rejects_ids_outside_the_split(self, tmp_path, bundled_path, capsys):
+        workdir = tmp_path / "run"
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        assert _run("prepare", "--config", str(cfg)) == 0
+        id_map = json.loads((workdir / "id_map.json").read_text())
+        n_users, n_items = len(id_map["users"]), len(id_map["items"])
+        ext = tmp_path / "external_scores.tsv"
+        for row, message in [(f"{n_users}\t0\t0.5", f"user id {n_users} is outside"),
+                             (f"0\t{n_items}\t0.5", f"item id {n_items} is outside")]:
+            ext.write_text(f"# external\n0\t1\t0.25\n{row}\n")
+            cfg2 = _write_config(tmp_path, bundled_path, workdir, scores=str(ext))
+            assert _run("train", "--config", str(cfg2)) == 1
+            assert f"{ext}: line 3: {message}" in capsys.readouterr().err
+        assert not (workdir / "scores.bin").exists()
+
     def test_later_stages_read_the_score_store(self, tmp_path, bundled_path):
         workdir = tmp_path / "run"
         cfg = _write_config(tmp_path, bundled_path, workdir)

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from oracles import scan_split, write_adversarial
 
 from persize.dataset import (
     InteractionSet,
@@ -208,3 +211,61 @@ class TestCompactAndRoundTrip:
             assert len(bundled_split.train.items_of(u)) >= 1
             assert len(bundled_split.val.items_of(u)) >= 1
             assert len(bundled_split.test.items_of(u)) >= 1
+
+
+_ID_MAP = {"users": {f"u{u}": u for u in range(4)}, "items": {f"i{i}": i for i in range(7)}}
+
+
+def _saved_split(workdir):
+    iset = InteractionSet.from_pairs(
+        [[u, i] for u in range(4) for i in range(u + 3)], users=np.arange(4), items=np.arange(7)
+    )
+    sp = split(iset, seed=5)
+    save_split(sp, workdir, _ID_MAP)
+    return sp
+
+
+def _same_split(a, b):
+    assert a.seed == b.seed
+    for pa, pb in zip((a.train, a.val, a.test), (b.train, b.val, b.test)):
+        assert pa.pairs.dtype == pb.pairs.dtype == np.int64
+        assert pa.pairs.tobytes() == pb.pairs.tobytes()
+        np.testing.assert_array_equal(pa.users, pb.users)
+        np.testing.assert_array_equal(pa.items, pb.items)
+
+
+class TestSplitFiles:
+    def test_str_paths(self, tmp_path):
+        sp = _saved_split(str(tmp_path / "a"))
+        _same_split(load_split(str(tmp_path / "a")), sp)
+        save_split(sp, str(tmp_path / "b"), _ID_MAP)
+        _same_split(load_split(str(tmp_path / "b")), sp)
+
+    @pytest.mark.parametrize("crlf", [False, True])
+    @pytest.mark.parametrize("scanned", [False, True])
+    def test_adversarial_files_match_scan(self, tmp_path, crlf, scanned):
+        _saved_split(tmp_path)
+        rng = np.random.default_rng(1)
+        for name in ("train.tsv", "val.tsv", "test.tsv"):
+            pairs = rng.integers(0, [4, 7], size=(12, 2))  # repeats collapse
+            rows = [(f"+{u}" if j % 2 else str(u), f"0{i}" if j % 3 else str(i))
+                    for j, (u, i) in enumerate(pairs)]
+            write_adversarial(tmp_path / name, rows, crlf=crlf, scanned=scanned)
+        _same_split(load_split(tmp_path), scan_split(tmp_path))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("3", "expected 'user<TAB>item'"),
+        ("3\tx", "malformed row"),
+        ("1.0\t2", "malformed row"),
+        ("1\t2 # note", "malformed row"),
+        ("4\t0", "user id 4 is outside the 4 users of id_map.json"),
+        ("-1\t0", "user id -1 is outside"),
+        ("0\t7", "item id 7 is outside the 7 items of id_map.json"),
+        ("99999999999999999999\t0", "malformed row"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, bad, message):
+        _saved_split(tmp_path)
+        path = tmp_path / "val.tsv"
+        path.write_text("# header\n0\t1\n\n" + bad + "\n1\t1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: {message}")):
+            load_split(tmp_path)

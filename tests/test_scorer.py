@@ -2,8 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from oracles import SCORE_FORMS, scan_scores, write_adversarial
 
-from persize.dataset import CandidateSet, InteractionSet
+from persize import util
+from persize.calibrate import PlattParams
+from persize.dataset import InteractionSet
 from persize.scorer import (
     BPRConfig,
     DegenerateUserError,
@@ -13,13 +16,14 @@ from persize.scorer import (
     import_scores,
     load_model,
     load_scores,
-    rank_topk,
     save_model,
     save_scores,
     score,
     score_candidates,
     train_bpr,
 )
+from persize.selection import rank, recommend
+from persize.utility import Measure
 
 
 def _toy_train():
@@ -92,42 +96,43 @@ class TestScore:
 
 
 class TestRankTopk:
+    """A top-K list is the first K items of ``selection.rank``'s order."""
+
     def _table(self):
         return ScoreTable({0: (np.array([0, 1, 2]), np.array([0.1, 0.9, 0.5]))})
 
     def test_orders_by_score(self):
-        ranked = rank_topk(self._table(), 0, CandidateSet(0, np.array([0, 1, 2])), 2)
-        np.testing.assert_array_equal(ranked.items, [1, 2])
+        items, _ = rank(0, self._table())
+        np.testing.assert_array_equal(items[:2], [1, 2])
 
     def test_tie_break_by_item_id(self):
         table = ScoreTable({0: (np.array([5, 2, 9]), np.array([1.0, 1.0, 1.0]))})
-        ranked = rank_topk(table, 0, CandidateSet(0, np.array([2, 5, 9])), 2)
-        np.testing.assert_array_equal(ranked.items, [2, 5])
+        np.testing.assert_array_equal(rank(0, table)[0][:2], [2, 5])
 
     def test_k_larger_than_candidates(self):
-        ranked = rank_topk(self._table(), 0, CandidateSet(0, np.array([0, 1, 2])), 10)
-        np.testing.assert_array_equal(ranked.items, [1, 2, 0])
+        np.testing.assert_array_equal(rank(0, self._table())[0][:10], [1, 2, 0])
 
     def test_prefix_closed_family(self):
+        # dropping every item ranked below k leaves exactly the top k, in order
         rng = np.random.default_rng(1)
-        items = np.arange(30)
-        table = ScoreTable({0: (items, rng.normal(size=30))})
-        cand = CandidateSet(0, items)
-        full = rank_topk(table, 0, cand, 30)
+        table = ScoreTable({0: (np.arange(30), rng.normal(size=30))})
+        full, _ = rank(0, table)
         for k in (1, 3, 12, 30):
-            part = rank_topk(table, 0, cand, k)
-            np.testing.assert_array_equal(part.items, full.items[:k])
+            part, _ = rank(0, table, exclude=full[k:])
+            np.testing.assert_array_equal(part, full[:k])
 
     def test_empty_candidates_degenerate(self):
+        table = self._table()
+        assert len(rank(0, table, exclude=[0, 1, 2])[0]) == 0
         with pytest.raises(DegenerateUserError):
-            rank_topk(self._table(), 0, CandidateSet(0, np.empty(0, dtype=np.int64)), 5)
+            recommend(0, table, PlattParams(1.0, 0.0), [Measure.F1], K=5, exclude=[0, 1, 2])
 
     def test_scores_nonincreasing(self):
         rng = np.random.default_rng(2)
         items = np.arange(50)
         table = ScoreTable({0: (items, rng.integers(0, 5, 50).astype(float))})
-        ranked = rank_topk(table, 0, CandidateSet(0, items), 50)
-        assert np.all(np.diff(ranked.scores) <= 0)
+        _, vals = rank(0, table)
+        assert np.all(np.diff(vals) <= 0)
 
 
 class TestImportExport:
@@ -235,3 +240,122 @@ class TestScoreStore:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_scores(path)
+
+
+def _same_table(a: ScoreTable, b: ScoreTable) -> None:
+    """Same users, and per user the same item and score arrays, bit for bit."""
+    assert a.users() == b.users()
+    for u in a.users():
+        (ai, av), (bi, bv) = a.get(u), b.get(u)
+        assert ai.dtype == bi.dtype == np.int64 and av.dtype == bv.dtype == np.float64
+        assert ai.tobytes() == bi.tobytes() and av.tobytes() == bv.tobytes()
+
+
+def _score_rows(n_users=4, n_items=7, seed=0):
+    """Rows in a shuffled order, so users interleave, with signed ids on odd
+    items and every spelling of SCORE_FORMS."""
+    rows = [(f"+{u}" if i % 2 else str(u), str(i), SCORE_FORMS[(u * n_items + i) % len(SCORE_FORMS)])
+            for u in range(n_users) for i in range(n_items)]
+    return [rows[j] for j in np.random.default_rng(seed).permutation(len(rows))]
+
+
+class TestTextImport:
+    @pytest.mark.parametrize("crlf", [False, True])
+    @pytest.mark.parametrize("scanned", [False, True])
+    def test_adversarial_file_matches_scan(self, tmp_path, crlf, scanned):
+        path = tmp_path / "s.tsv"
+        write_adversarial(path, _score_rows(), crlf=crlf, scanned=scanned)
+        table = import_scores(path)
+        _same_table(table, scan_scores(path))
+        assert len(table) == 4 and len(table.get(0)[0]) == 7
+
+    def test_plain_file_takes_the_array_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.tsv"
+        write_adversarial(path, _score_rows(), crlf=True)
+        expected = scan_scores(path)
+
+        def no_scan(*args):
+            raise AssertionError("plain file went to the row scan")
+
+        monkeypatch.setattr(util, "_scan_rows", no_scan)
+        _same_table(import_scores(path), expected)
+        write_adversarial(path, _score_rows(), scanned=True)
+        with pytest.raises(AssertionError, match="row scan"):
+            import_scores(path)
+
+    @pytest.mark.parametrize("bad, offset, message", [
+        ("0\t1\t0.5 # note", 0, "malformed row"),
+        ("0\t1\tnan", 0, r"non-finite score for \(0, 1\)"),
+        ("0\t1\t-inf", 0, "non-finite score"),
+        ("0\t1\tInfinity", 0, "non-finite score"),
+        ("0\t1\t0.5\n\n# c\n3\t2\t0.5\n+3\t+2\t0.25", 4, r"duplicate entry for \(3, 2\)"),
+        ("0\t1", 0, "expected 'user<TAB>item<TAB>score'"),
+        ("1.0\t1\t0.5", 0, "malformed row"),
+        ("0\t1e0\t0.5", 0, "malformed row"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, bad, offset, message):
+        good = "".join(f"9\t{i}\t{i / 7!r}\n" for i in range(300))
+        path = tmp_path / "s.tsv"
+        path.write_text("# header\n" + good + bad + "\n9\t300\t0.5\n")
+        with pytest.raises(ValueError, match=message) as got:
+            import_scores(path)
+        assert str(got.value).startswith(f"{path}: line {302 + offset}: ")
+        with pytest.raises(ValueError) as want:
+            scan_scores(path)
+        assert str(got.value) == str(want.value)
+
+    def test_earliest_bad_line_wins(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("0\t1\t0.5\n0\t2\tnan\n0\t1\t0.5\nnot a row\n")
+        with pytest.raises(ValueError, match=r"line 2: non-finite") as got:
+            import_scores(path)
+        with pytest.raises(ValueError) as want:
+            scan_scores(path)
+        assert str(got.value) == str(want.value)
+
+    def test_id_beyond_int64_names_its_line(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("0\t1\t0.5\n99999999999999999999\t1\t0.5\n")
+        with pytest.raises(ValueError, match="line 2: malformed row"):
+            import_scores(path)
+
+    def test_ids_outside_the_universe_name_their_line(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        for row, line, message in [("2\t0\t0.5", 3, "user id 2 is outside the 2 users of the split"),
+                                   ("-1\t0\t0.5", 3, "user id -1 is outside"),
+                                   ("1\t3\t0.5", 3, "item id 3 is outside the 3 items of the split"),
+                                   ("1\t-4\t0.5", 3, "item id -4 is outside")]:
+            path.write_text(f"0\t0\t0.1\n# c\n{row}\n1\t2\t0.3\n")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: {message}")):
+                import_scores(path, n_users=2, n_items=3)
+            import_scores(path)  # no universe given: accepted
+
+    def test_random_files_match_scan(self, tmp_path):
+        # every outcome of the line scanner, table or error message, repeats
+        rng = np.random.default_rng(7)
+        ids = ["0", "1", "2", "3", "4", "+5", " 6", "7 ", "08", "\x0c9"]
+        scores = ["0.5", "-0.0", "5e-324", "1e308", "+1E-3", ".5", "5.", "-2", " 0.25 "]
+        junk = ["1.0", "1e3", "1_0", "#", "1#", "x", "", "\u0663", "1\x1c", "\u01fe", "nan", "-inf"]
+        blank = ["", "  ", "# c", " # c", "\t"]
+        path = tmp_path / "s.tsv"
+        for _ in range(300):
+            rows = []
+            for _ in range(rng.integers(1, 8)):
+                if rng.random() < 0.15:
+                    rows.append(blank[rng.integers(len(blank))])
+                    continue
+                row = [ids[rng.integers(10)], ids[rng.integers(10)], scores[rng.integers(9)]]
+                row += ["extra"] * rng.integers(0, 2)
+                if rng.random() < 0.2:
+                    row[rng.integers(len(row))] = junk[rng.integers(len(junk))]
+                rows.append("\t".join(row))
+            end = ["\n", "\r\n", "\r"][rng.integers(3)]
+            path.write_bytes(end.join(rows).encode("utf-8"))
+            try:
+                want = scan_scores(path)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    import_scores(path)
+                assert str(got.value) == str(exc)
+            else:
+                _same_table(import_scores(path), want)
