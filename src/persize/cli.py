@@ -37,6 +37,7 @@ _TOP_KEYS = {
 _BPR_KEYS = {"d", "epochs", "learning_rate", "weight_decay", "negatives_per_positive"}
 _CAL_KEYS = {"max_iters", "tolerance", "divergence_bound", "subsample_negatives"}
 _ALLOC_KEYS = {"budget", "domains", "allow_zero", "measure"}
+_INT_KEYS = ("K", "M", "seed", "threads", "kcore", "exact_cap")
 
 _DEFAULTS = {
     "seed": 0,
@@ -85,17 +86,22 @@ def _load_config(args) -> dict:
     _check_keys(cfg.get("calibration", {}), _CAL_KEYS, "calibration")
     if "allocate" in cfg:
         _check_keys(cfg["allocate"], _ALLOC_KEYS, "allocate")
+        for i, domain in enumerate(cfg["allocate"].get("domains", [])):
+            for key in ("id", "curves"):
+                if not isinstance(domain, dict) or key not in domain:
+                    raise ConfigError(f"allocate.domains[{i}] needs '{key}'")
     if "workdir" not in cfg:
         raise ConfigError("a working directory is required (--workdir or config)")
+    for key in _INT_KEYS:
+        if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
+            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
     if cfg["K"] < 1 or cfg["M"] < 1:
         raise ConfigError("K and M must be >= 1")
-    if int(cfg["seed"]) != cfg["seed"]:
-        raise ConfigError("seed must be an integer")
     if cfg["mode"] not in ("approx", "exact"):
         raise ConfigError(f"mode must be approx or exact, got {cfg['mode']!r}")
     bad = [m for m in cfg["measures"] if m not in {x.value for x in utility.Measure}]
     if bad:
-        raise ConfigError(f"unknown measures: {', '.join(bad)}")
+        raise ConfigError(f"unknown measures: {', '.join(map(str, bad))}")
     return cfg
 
 

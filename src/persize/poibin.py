@@ -35,14 +35,6 @@ class CountDistribution:
     def __post_init__(self):
         self.mass.setflags(write=False)
 
-    def prob(self, m: int) -> float:
-        """P(count = m), defined for any m >= 0 within the truncation bound."""
-        if m > self.M:
-            raise IndexError(f"m={m} beyond truncation bound M={self.M}")
-        if m >= len(self.mass):
-            return 0.0
-        return float(self.mass[m])
-
 
 _CHUNK = 32
 

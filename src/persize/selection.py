@@ -206,12 +206,19 @@ def _evaluate_user(
                 k = min(baseline_val_k(measure, val_top, val_items), len(eval_items))
             elif method == METHOD_ORACLE:
                 k = oracle_k(measure, top, test_items)
-            elif method.startswith("top-"):
-                k = min(int(method[4:]), len(top))
             else:
-                raise ValueError(f"unknown method {method!r}")
+                k = min(int(method[4:]), len(top))
             rows.append((int(user), method, measure.value, k, float(realized[measure][k - 1])))
     return rows
+
+
+def _check_methods(methods) -> None:
+    """Reject an unknown method, or a fixed size ``top-<k>`` with k < 1."""
+    for method in methods:
+        size = method[4:] if str(method).startswith("top-") else ""
+        known = method in (METHOD_PERK, METHOD_RAND, METHOD_VAL_K, METHOD_ORACLE)
+        if not (known or size.isdecimal() and int(size) >= 1):
+            raise ValueError(f"method {method!r} is neither known nor top-<k> with k >= 1")
 
 
 def evaluate(
@@ -238,6 +245,7 @@ def evaluate(
 
     measures = [Measure(m) if not isinstance(m, Measure) else m for m in measures]
     methods = list(methods) if methods is not None else default_methods(K)
+    _check_methods(methods)
 
     def worker(user):
         return _evaluate_user(

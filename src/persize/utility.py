@@ -1,19 +1,25 @@
 """Realized and expected list utilities (NDCG, PDCG, F1, TP) over sizes 1..K.
 
-Realized values score a ranked prefix against known 0/1 relevance labels.
-Expected values treat each candidate's relevance as an independent Bernoulli
-variable with a calibrated probability and integrate the same formulas over
-the count distribution of the total number of relevant candidates. Two modes
-are provided: a fast estimator that truncates the count sum at M and reuses
-one count distribution for every rank, and an exact mode that uses each
-rank's leave-one-out count distribution and sums the full count range.
+NDCG, F1 and TP are a cumulative gain over a normalizer. An item's gain is
+its relevance, discounted by 1 / log2(1 + rank) for NDCG; the normalizer of
+a size-k list with m relevant items in all is (m + k) / 2 for F1,
+min(m, k) for TP and IDCG(min(m, k)) for NDCG. PDCG is linear in the
+relevances. These formulas are written once (``_gains``, ``_denominators``,
+``_pdcg_curve``), and every kind of curve evaluates them:
 
-The fast estimator's curve algebra is written once, for a block of users;
-``expected_curves_batch`` feeds it a block's ``poibin.distribution_batch``
-mass, and ``expected_curve_approx`` / ``expected_curves`` validate one
-user's ranked probabilities and feed it the one-row ``poibin.distribution``
-mass. Every count distribution, in both modes, comes from
-``distribution_batch``.
+- realized: known 0/1 labels, at the realized count;
+- expected, fast ("approx"): each relevance an independent Bernoulli
+  variable with a calibrated probability; the count sum is truncated at M,
+  and one count distribution of the whole candidate set stands in for
+  every rank's leave-one-out one, so the sum is one matrix product per
+  measure, for a block of users (``expected_curves_batch``) or for one
+  (``expected_curves``, through ``poibin.distribution``);
+- expected, exact: each top rank's leave-one-out count distribution over
+  the full count range, built in blocks of ranks once per user and shared
+  by every measure.
+
+Every count distribution, in both modes, comes from
+``poibin.distribution_batch``.
 """
 
 from __future__ import annotations
@@ -69,6 +75,36 @@ def _as_labels(prefix_labels) -> np.ndarray:
     return labels.astype(np.float64)
 
 
+def _gains(measure: Measure, p: np.ndarray) -> np.ndarray:
+    """Gain of each rank along the last axis: relevance, discounted for NDCG."""
+    if measure is Measure.NDCG:
+        return p * log_discount(np.arange(1, p.shape[-1] + 1))
+    return p
+
+
+def _denominators(measure: Measure, ks, ms) -> np.ndarray:
+    """Normalizer of a size-k list with m relevant in all (broadcastable
+    integer ``ks``, ``ms`` >= 1); utility is cumulative gain over it. The
+    result is a new float array, which callers may overwrite."""
+    if measure is Measure.F1:
+        total = np.add(ms, ks, dtype=np.float64)
+        total /= 2.0
+        return total
+    if measure is Measure.NDCG:
+        # IDCG grows with the size, so IDCG(min(k, m)) = min(IDCG(k), IDCG(m)).
+        top = max(np.max(ks), np.max(ms))
+        ideal = np.concatenate([[0.0], np.cumsum(log_discount(np.arange(1, top + 1)))])
+        ks, ms = ideal[ks], ideal[ms]
+    elif measure is not Measure.TP:
+        raise ValueError(f"unknown measure {measure!r}")
+    return np.minimum(ks, ms, dtype=np.float64)
+
+
+def _pdcg_curve(p: np.ndarray) -> np.ndarray:
+    """PDCG at every size along the last axis: exact by linearity."""
+    return np.cumsum((2.0 * p - 1.0) * log_discount(np.arange(1, p.shape[-1] + 1)), axis=-1)
+
+
 def realized_curve(measure: Measure, prefix_labels, total_relevant: int) -> np.ndarray:
     """Realized utility at every size k = 1..len(prefix_labels).
 
@@ -78,34 +114,20 @@ def realized_curve(measure: Measure, prefix_labels, total_relevant: int) -> np.n
     """
     labels = _as_labels(prefix_labels)
     s = int(total_relevant)
-    hits = np.cumsum(labels)
-    if s < hits[-1]:
-        raise ValueError(f"total_relevant={s} is less than {int(hits[-1])} observed hits")
-    ks = np.arange(1, len(labels) + 1)
-    disc = log_discount(ks)
-
+    hits = labels.sum()
+    if s < hits:
+        raise ValueError(f"total_relevant={s} is less than {int(hits)} observed hits")
     if measure is Measure.PDCG:
-        return np.cumsum((2.0 * labels - 1.0) * disc)
+        return _pdcg_curve(labels)
     if s == 0:
         return np.zeros(len(labels))
-    if measure is Measure.NDCG:
-        ideal = np.concatenate([[0.0], np.cumsum(disc)])
-        return np.cumsum(labels * disc) / ideal[np.minimum(ks, s)]
-    if measure is Measure.F1:
-        return 2.0 * hits / (s + ks)
-    if measure is Measure.TP:
-        return hits / np.minimum(ks, s)
-    raise ValueError(f"unknown measure {measure!r}")
+    ks = np.arange(1, len(labels) + 1)
+    return np.cumsum(_gains(measure, labels)) / _denominators(measure, ks, s)
 
 
 def realized_utility(measure: Measure, prefix_labels, total_relevant: int) -> float:
     """Realized utility of the full given prefix (single size)."""
     return float(realized_curve(measure, prefix_labels, total_relevant)[-1])
-
-
-def _pdcg_curve(p_topk: np.ndarray) -> np.ndarray:
-    ranks = np.arange(1, len(p_topk) + 1)
-    return np.cumsum((2.0 * p_topk - 1.0) * log_discount(ranks))
 
 
 def expected_pdcg(p) -> float:
@@ -128,7 +150,7 @@ def expected_curve_approx(
     candidate set in ranking order, not just the top-K prefix) with indices
     0..M-1, the largest consumed by the count sum m = 1..M. It also stands
     in for every rank's leave-one-out variant; expected_curve_exact removes
-    both shortcuts. The one-row case of expected_curves_batch; cost is
+    both shortcuts. The one-measure case of expected_curves; cost is
     O(n log^2 n + K*M).
     """
     return expected_curves(all_probs, [measure], K, M)[measure]
@@ -143,53 +165,43 @@ def expected_curve_exact(
     """Exact expected utility: per-rank leave-one-out counts, full count range.
 
     Removes both shortcuts of the fast estimator. Cost is min(K, n) full
-    count distributions over n candidates plus a min(K, n) x n matrix per
-    measure, so candidate sets are capped (default 2000); larger inputs
-    should use expected_curve_approx.
+    count distributions over n candidates, so candidate sets are capped
+    (default 2000); larger inputs should use expected_curve_approx. The
+    one-measure case of expected_curves in exact mode.
     """
-    all_probs = np.asarray(all_probs, dtype=np.float64)
+    return expected_curves(all_probs, [measure], K, mode="exact", exact_cap=cap)[measure]
+
+
+def _exact_curves(all_probs: np.ndarray, kmax: int, measures: list) -> dict:
+    """Exact curves of one user over sizes 1..kmax, every measure at once.
+
+    With loo[r, j] = P(j candidates other than rank r are relevant), rank r
+    adds gains[r] * loo[r, j] to every size k >= r with m = j + 1 relevant
+    in all. Setting rank r's probability to 0 is an exact identity, so one
+    batched count call gives a block of _LOO_BLOCK ranks; each block is
+    shared by every measure and dropped, and the cumulated gains carry over
+    to the next block, so memory stays a few blocks at any K.
+    """
     n = all_probs.size
-    if n == 0:
-        raise ValueError("empty candidate set")
-    if n > cap:
-        raise ValueError(
-            f"{n} candidates exceed the exact-mode cap {cap}; use approx mode"
-        )
-    kmax = min(K, n)
-    if kmax < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-
-    if measure is Measure.PDCG:
-        return UtilityCurve(measure, _pdcg_curve(all_probs[:kmax]), mode="exact")
-
-    # Row r of a leave-one-out block sets rank r's probability to 0, an exact
-    # identity, so one batched call yields a block of ranks' distributions.
-    # Blocks of _LOO_BLOCK ranks bound the working memory at any K.
-    # contrib[r-1, m-1] = p_r * P(count without rank r = m-1), m = 1..n,
-    # times the rank-r exposure when the measure discounts by position.
-    contrib = np.empty((kmax, n))
+    ms = np.arange(1, n + 1)
+    gains = {m: _gains(m, all_probs[:kmax]) for m in measures if m is not Measure.PDCG}
+    carry = {m: np.zeros(n) for m in gains}
+    out = {m: np.empty(kmax) for m in gains}
     for lo in range(0, kmax, _LOO_BLOCK):
         rows = np.arange(lo, min(lo + _LOO_BLOCK, kmax))
         loo = np.tile(all_probs, (rows.size, 1))
         loo[np.arange(rows.size), rows] = 0.0
-        contrib[rows] = distribution_batch(loo, n - 1)[0]
-    contrib *= all_probs[:kmax, None]
-    if measure is Measure.NDCG:
-        contrib *= log_discount(np.arange(1, kmax + 1))[:, None]
-    totals = np.cumsum(contrib, axis=0)  # totals[k-1, m-1]
-
-    ms = np.arange(1, n + 1)
-    ks = np.arange(1, kmax + 1)
-    if measure is Measure.F1:
-        values = (2.0 * totals / (ms[None, :] + ks[:, None])).sum(axis=1)
-    elif measure is Measure.TP:
-        values = (totals / np.minimum(ms[None, :], ks[:, None])).sum(axis=1)
-    elif measure is Measure.NDCG:
-        ideal = np.concatenate([[0.0], np.cumsum(log_discount(ms))])
-        values = (totals / ideal[np.minimum(ms[None, :], ks[:, None])]).sum(axis=1)
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
-    return UtilityCurve(measure, values, mode="exact")
+        loo = distribution_batch(loo, n - 1)[0]
+        for measure, gain in gains.items():
+            totals = loo * gain[rows, None]
+            totals[0] += carry[measure]
+            np.cumsum(totals, axis=0, out=totals)
+            carry[measure] = totals[-1].copy()
+            totals /= _denominators(measure, rows[:, None] + 1, ms)
+            out[measure][rows] = totals.sum(axis=1)
+    if Measure.PDCG in measures:
+        out[Measure.PDCG] = _pdcg_curve(all_probs[:kmax])
+    return out
 
 
 def expected_curves_batch(
@@ -218,47 +230,21 @@ def expected_curves_batch(
 
 
 def _curves_from_mass(p_topk: np.ndarray, mass, measures: list) -> dict:
-    """The fast estimator's curve algebra, for a (users, kmax) block.
+    """The fast estimator's curves for a (users, kmax) block.
 
     ``mass`` is the (users, min(n, M - 1) + 1) truncated count mass of each
-    user's whole candidate set; it may be None when only PDCG is asked for.
+    user's whole candidate set (None when only PDCG is asked for). It stands
+    in for every rank's leave-one-out mass, so index j stands for m = j + 1.
     """
-    n_users, kmax = p_topk.shape
-    disc = log_discount(np.arange(1, kmax + 1))
-
     out = {}
-    if Measure.PDCG in measures:
-        out[Measure.PDCG] = np.cumsum((2.0 * p_topk - 1.0) * disc, axis=1)
-    rest = [m for m in measures if m is not Measure.PDCG]
-    if not rest:
-        return out
-
-    e_len = mass.shape[1]
-    ks = np.arange(1, kmax + 1)
-    kcut = np.minimum(ks, e_len)
-    ideal = np.concatenate([[0.0], np.cumsum(log_discount(np.arange(1, max(e_len, kmax) + 1)))])
-    d_prefix = np.concatenate([np.zeros((n_users, 1)), np.cumsum(mass, axis=1)], axis=1)
-    suffix = d_prefix[:, [e_len]] - d_prefix[:, kcut]
-
-    a_stats = np.cumsum(p_topk, axis=1)
-    for measure in rest:
-        if measure is Measure.NDCG:
-            w_stats = np.cumsum(p_topk * disc, axis=1)
-            per_m = mass / ideal[1 : e_len + 1]
-            head = np.concatenate([np.zeros((n_users, 1)), np.cumsum(per_m, axis=1)], axis=1)
-            out[measure] = w_stats * (head[:, kcut] + suffix / ideal[ks])
-        elif measure is Measure.TP:
-            per_m = mass / np.arange(1, e_len + 1)
-            head = np.concatenate([np.zeros((n_users, 1)), np.cumsum(per_m, axis=1)], axis=1)
-            out[measure] = a_stats * (head[:, kcut] + suffix / ks)
-        elif measure is Measure.F1:
-            ms = np.arange(1, e_len + 1)
-            values = np.empty((n_users, kmax))
-            for k in ks:
-                values[:, k - 1] = 2.0 * a_stats[:, k - 1] * (mass @ (1.0 / (ms + k)))
-            out[measure] = values
+    for measure in measures:
+        if measure is Measure.PDCG:
+            out[measure] = _pdcg_curve(p_topk)
         else:
-            raise ValueError(f"unknown measure {measure!r}")
+            ks, ms = np.arange(1, p_topk.shape[1] + 1), np.arange(1, mass.shape[1] + 1)
+            inverse = _denominators(measure, ks[None, :], ms[:, None])
+            weights = mass @ np.divide(1.0, inverse, out=inverse)
+            out[measure] = np.cumsum(_gains(measure, p_topk), axis=1) * weights
     return out
 
 
@@ -270,27 +256,32 @@ def expected_curves(
     mode: str = "approx",
     exact_cap: int = EXACT_MODE_CAP,
 ) -> dict:
-    """Curves over sizes 1..min(K, n) for several measures of one user,
-    sharing the count distribution.
+    """Curves over sizes 1..min(K, n) for several measures of one user.
 
-    ``all_probs`` is the user's candidate set in ranking order. Approx mode
-    runs the batched curve algebra on one row; exact mode calls
-    expected_curve_exact per measure.
+    ``all_probs`` is the user's candidate set in ranking order. Every
+    measure shares one count distribution in approx mode (the one-row case
+    of the batched fast estimator) and one set of leave-one-out
+    distributions in exact mode.
     """
-    if mode == "exact":
-        return {m: expected_curve_exact(m, all_probs, K, exact_cap) for m in measures}
-    if mode != "approx":
+    if mode not in ("approx", "exact"):
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
     all_probs = np.asarray(all_probs, dtype=np.float64)
-    if all_probs.size == 0:
+    n = all_probs.size
+    if n == 0:
         raise ValueError("empty candidate set")
-    if M < 1:
+    if mode == "exact" and n > exact_cap:
+        raise ValueError(f"{n} candidates exceed the exact-mode cap {exact_cap}; use approx mode")
+    if mode == "approx" and M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     measures = list(measures)
+    kmax = min(K, n)
+    if mode == "exact":
+        values = _exact_curves(all_probs, kmax, measures)
+        return {m: UtilityCurve(m, values[m], mode="exact") for m in measures}
     mass = None
     if any(m is not Measure.PDCG for m in measures):
         mass = distribution(all_probs, M - 1).mass[None, :]
-    rows = _curves_from_mass(all_probs[None, :K], mass, measures)
+    rows = _curves_from_mass(all_probs[None, :kmax], mass, measures)
     return {m: UtilityCurve(m, rows[m][0], mode="approx") for m in measures}

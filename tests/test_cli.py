@@ -237,6 +237,46 @@ class TestPlattFile:
         assert not (workdir / "eval_report.json").exists()
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize("key, value", [
+        ("K", "5"), ("M", 2.5), ("seed", True), ("threads", "2"), ("kcore", None),
+        ("exact_cap", 1.0),
+    ])
+    def test_non_integer_value_rejected(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"workdir": str(tmp_path / "w"), key: value}))
+        assert _run("prepare", "--config", str(path)) == 1
+        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+
+    def test_non_string_measure_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"workdir": str(tmp_path / "w"), "measures": ["f1", 5]}))
+        assert _run("prepare", "--config", str(path)) == 1
+        assert "unknown measures: 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain, key", [
+        ({"curves": "c.tsv"}, "id"), ({"id": "b"}, "curves"), ("c.tsv", "id"),
+    ])
+    def test_domain_without_key_rejected(self, tmp_path, capsys, domain, key):
+        path = tmp_path / "alloc.json"
+        path.write_text(json.dumps({
+            "workdir": str(tmp_path / "alloc"),
+            "allocate": {"budget": 3, "domains": [{"id": "a", "curves": "a.tsv"}, domain]},
+        }))
+        assert _run("allocate", "--config", str(path)) == 1
+        assert f"allocate.domains[1] needs '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["top-0", "top--2"])
+    def test_fixed_size_below_one_rejected(self, tmp_path, bundled_path, calibrated_workdir,
+                                           capsys, method):
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        cfg = _write_config(tmp_path, bundled_path, workdir, baselines=["perk", method])
+        assert _run("evaluate", "--config", str(cfg)) == 1
+        assert f"method {method!r} is neither known" in capsys.readouterr().err
+        assert not (workdir / "eval_per_user.tsv").exists()
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path, bundled_path):
         workdir = tmp_path / "run"

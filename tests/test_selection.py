@@ -167,6 +167,18 @@ class TestBaselines:
             labels = np.isin(ranked, test_items).astype(float)
             assert value == realized_curve(Measure.TP, labels, len(test_items))[k - 1]
 
+    @pytest.mark.parametrize("method", ["top-0", "top--2", "top-x", "top-", "best", 5])
+    def test_bad_method_rejected_before_any_user(self, tiny_split, monkeypatch, method):
+        from persize import selection
+
+        def no_user(*args):
+            raise AssertionError("a user was evaluated")
+
+        monkeypatch.setattr(selection, "_evaluate_user", no_user)
+        table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
+        with pytest.raises(ValueError, match=repr(method)):
+            evaluate(tiny_split, table, {}, methods=["top-1", method], K=10)
+
     def test_rand_reproducible_and_bounded(self):
         draws = {baseline_rand(5, 10, seed=4) for _ in range(5)}
         assert len(draws) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from persize.poibin import distribution
+from persize.poibin import distribution, distribution_batch
 from persize.utility import (
     Measure,
     expected_curve_approx,
@@ -121,6 +121,37 @@ class TestExactCurve:
         want = (2.0 * totals / (ms[None, :] + ks[:, None])).sum(axis=1)
         curve = expected_curve_exact(Measure.F1, probs, K=n)
         np.testing.assert_allclose(curve.values, want, rtol=0, atol=1e-12)
+
+    def test_sure_labels_give_the_realized_curve(self):
+        # with 0/1 probabilities the count is known, so every expected
+        # curve must be the realized one: this ties the realized formulas
+        # to the expected ones
+        rng = np.random.default_rng(21)
+        for n, K in ((1, 1), (7, 3), (40, 40), (150, 90)):
+            for rate in (0.0, 0.2, 0.7, 1.0):
+                labels = (rng.random(n) < rate).astype(float)
+                for measure in ALL:
+                    want = realized_curve(measure, labels[:K], int(labels.sum()))
+                    got = expected_curve_exact(measure, labels, K=K).values
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_measures_share_the_leave_one_out_blocks(self, monkeypatch):
+        # 150 ranks make three blocks; four measures must not rebuild them
+        from persize import utility
+
+        calls = []
+
+        def counting(probs, M):
+            calls.append(probs.shape)
+            return distribution_batch(probs, M)
+
+        monkeypatch.setattr(utility, "distribution_batch", counting)
+        probs = np.sort(np.random.default_rng(4).random(150))[::-1]
+        curves = expected_curves(probs, ALL, K=150, mode="exact")
+        assert [rows for rows, _ in calls] == [64, 64, 22]
+        for measure in ALL:
+            single = expected_curve_exact(measure, probs, K=150)
+            np.testing.assert_array_equal(curves[measure].values, single.values)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="approx"):
