@@ -40,7 +40,9 @@ class InteractionSet:
     @classmethod
     def from_pairs(cls, pairs, users=None, items=None) -> "InteractionSet":
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        pairs = np.unique(pairs, axis=0) if len(pairs) else pairs
+        if len(pairs):
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+            pairs = pairs[np.append(True, np.any(pairs[1:] != pairs[:-1], axis=1))]
         if users is None:
             users = np.unique(pairs[:, 0]) if len(pairs) else _EMPTY_ITEMS
         if items is None:

@@ -4,13 +4,17 @@ the binary score store the pipeline stages share.
 
 The built-in model learns user/item embeddings by stochastic gradient
 descent on the pairwise objective -log sigmoid(f(u, i+) - f(u, i-)) with
-uniformly sampled negatives. Training is sequential and seeded, so a given
-configuration always produces the same model.
+uniformly sampled negatives. Training is seeded, so a given configuration
+always produces the same model. Steps run in a shuffled order; each run of
+consecutive steps that touch distinct users and items is applied as one
+array update, which gives the sequential result bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -85,12 +89,15 @@ def train_bpr(train: InteractionSet, config: BPRConfig = BPRConfig()) -> ScoreMo
 
     One SGD step per (positive, sampled negative) pair, in a seeded shuffle
     each epoch. Negatives are drawn uniformly from the items the user never
-    interacted with in ``train``. Raises if the loss goes non-finite.
+    interacted with in ``train``; a user who owns every item has none and
+    is skipped. Each run of consecutive steps that touch distinct users and
+    items is applied as one array update, which gives the sequential
+    result bit for bit. Raises ValueError for an invalid config and
+    RuntimeError if the loss goes non-finite.
     """
+    _check_config(config)
     if train.n_interactions == 0:
         raise ValueError("cannot train on an empty interaction set")
-    if config.d < 1:
-        raise ValueError(f"embedding dimension must be >= 1, got {config.d}")
     n_users = len(train.users)
     n_items = len(train.items)
     if train.pairs[:, 0].max() >= n_users or train.pairs[:, 1].max() >= n_items:
@@ -99,38 +106,44 @@ def train_bpr(train: InteractionSet, config: BPRConfig = BPRConfig()) -> ScoreMo
     rng = np.random.default_rng(config.seed)
     u_vecs = rng.uniform(-0.01, 0.01, size=(n_users, config.d))
     i_vecs = rng.uniform(-0.01, 0.01, size=(n_items, config.d))
-    pos_user = train.pairs[:, 0]
-    pos_item = train.pairs[:, 1]
-    pos_sets = {int(u): set(train.items_of(u).tolist()) for u in np.unique(pos_user)}
+    pos_user = train.pairs[:, 0].tolist()
+    pos_item = train.pairs[:, 1].tolist()
+    owned = {u: set(train.items_of(u).tolist()) for u in set(pos_user)}
 
     lr = config.learning_rate
     wd = config.weight_decay
     losses = []
     for _ in range(config.epochs):
         order = rng.permutation(len(pos_user))
-        epoch_loss = 0.0
-        steps = 0
-        for idx in order:
-            u = int(pos_user[idx])
-            i = int(pos_item[idx])
-            owned = pos_sets[u]
-            if len(owned) >= n_items:
+        users, pos, neg = [], [], []  # drawn before any update, in step order
+        for idx in order.tolist():
+            u = pos_user[idx]
+            seen = owned[u]
+            if len(seen) >= n_items:
                 continue  # no negatives exist for this user
             for _ in range(config.negatives_per_positive):
                 j = int(rng.integers(n_items))
-                while j in owned:
+                while j in seen:
                     j = int(rng.integers(n_items))
-                uv = u_vecs[u]
-                diff = i_vecs[i] - i_vecs[j]
-                x = float(uv @ diff)
-                # d/dx of -log sigmoid(x) is -sigmoid(-x)
-                g = 1.0 / (1.0 + np.exp(min(x, 500.0)))
-                u_vecs[u] = uv + lr * (g * diff - wd * uv)
-                i_vecs[i] += lr * (g * uv - wd * i_vecs[i])
-                i_vecs[j] += lr * (-g * uv - wd * i_vecs[j])
-                epoch_loss += np.logaddexp(0.0, -x)
-                steps += 1
-        mean_loss = epoch_loss / max(steps, 1)
+                users.append(u)
+                pos.append(pos_item[idx])
+                neg.append(j)
+        users, pos, neg = (np.array(a, dtype=np.int64) for a in (users, pos, neg))
+        x = np.empty(len(users))
+        for a, b in _conflict_free_runs(users, pos, neg, n_items):
+            us, ps, ns = users[a:b], pos[a:b], neg[a:b]
+            uv, vi, vj = u_vecs[us], i_vecs[ps], i_vecs[ns]
+            diff = vi - vj
+            x[a:b] = _dot(uv, diff)
+            # d/dx of -log sigmoid(x) is -sigmoid(-x)
+            g = (1.0 / (1.0 + np.exp(np.minimum(x[a:b], 500.0))))[:, None]
+            uv = uv + lr * (g * diff - wd * uv)
+            u_vecs[us] = uv  # the item updates read the updated user rows
+            i_vecs[ps] = vi + lr * (g * uv - wd * vi)
+            i_vecs[ns] = vj + lr * (-g * uv - wd * vj)
+        # a running sum in step order keeps the loss bits of a step-by-step loop
+        epoch_loss = np.cumsum(np.logaddexp(0.0, -x))[-1] if len(x) else 0.0
+        mean_loss = epoch_loss / max(len(x), 1)
         if not np.isfinite(mean_loss):
             raise RuntimeError(
                 f"ranking loss became non-finite at epoch {len(losses) + 1} "
@@ -140,28 +153,62 @@ def train_bpr(train: InteractionSet, config: BPRConfig = BPRConfig()) -> ScoreMo
     return ScoreModel(user_vectors=u_vecs, item_vectors=i_vecs, epoch_losses=tuple(losses))
 
 
+def _check_config(config: BPRConfig) -> None:
+    """Reject a config the trainer cannot run, naming the field."""
+    for name, low in (("d", 1), ("epochs", 0), ("negatives_per_positive", 1)):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+            raise ValueError(f"BPRConfig.{name} must be an integer >= {low}, got {value!r}")
+    for name in ("learning_rate", "weight_decay"):
+        value = getattr(config, name)
+        if (isinstance(value, bool) or not isinstance(value, Real)
+                or not math.isfinite(value) or value < 0):
+            raise ValueError(f"BPRConfig.{name} must be a finite number >= 0, got {value!r}")
+
+
+def _conflict_free_runs(users, pos, neg, n_items):
+    """(start, stop) of each run of consecutive steps that touch no user or
+    item row twice: a step that touches a row some earlier step of the
+    current run touched starts the next run."""
+    touched = np.column_stack((users + n_items, pos, neg)).ravel()  # step-major
+    order = np.argsort(touched, kind="stable")
+    repeat = touched[order[1:]] == touched[order[:-1]]
+    last = np.full(len(touched), -1)
+    last[order[1:][repeat]] = order[:-1][repeat] // 3
+    starts = [0] if len(users) else []
+    for step, prev in enumerate(last.reshape(-1, 3).max(axis=1).tolist()):
+        if prev >= starts[-1]:  # the latest earlier step sharing a row is in this run
+            starts.append(step)
+    return zip(starts, starts[1:] + [len(users)])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, d) arrays in one call. Each row runs
+    numpy's vector-vector dot, so ``_dot(a, b)[r]`` equals ``a[r] @ b[r]``
+    bit for bit; ``(a * b).sum(axis=1)`` rounds differently."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def score(model: ScoreModel, user: int, item: int) -> float:
     """Inner product of one user/item embedding pair."""
     if not 0 <= user < len(model.user_vectors):
         raise IndexError(f"user id {user} out of range")
     if not 0 <= item < len(model.item_vectors):
         raise IndexError(f"item id {item} out of range")
-    return float(model.user_vectors[user] @ model.item_vectors[item])
+    return float(_dot(model.user_vectors[user][None], model.item_vectors[item][None])[0])
 
 
 def score_candidates(model: ScoreModel, user: int, items) -> np.ndarray:
     """Scores for a batch of items of one user.
 
-    Computed item by item with the same dot product as ``score`` so that
-    exported tables match single lookups bit for bit (BLAS matrix-vector
-    kernels round differently).
+    One call of the row-wise dot kernel that ``score`` and ``train_bpr``
+    also use, so exported tables match single lookups bit for bit (a BLAS
+    matrix-vector product would round differently).
     """
     if not 0 <= user < len(model.user_vectors):
         raise IndexError(f"user id {user} out of range")
-    items = np.asarray(items, dtype=np.int64)
-    uv = model.user_vectors[user]
-    iv = model.item_vectors
-    return np.array([uv @ iv[i] for i in items], dtype=np.float64)
+    item_vecs = model.item_vectors[np.asarray(items, dtype=np.int64)]
+    return _dot(np.broadcast_to(model.user_vectors[user], item_vecs.shape), item_vecs)
 
 
 def build_score_table(model: ScoreModel, candidate_sets) -> ScoreTable:

@@ -6,8 +6,9 @@ brute-force enumeration for count distributions and expected utilities,
 the plain convolution recurrence for count distributions too large to
 enumerate (and for a count with one variable removed), plain gradient
 descent for the calibration fit, exhaustive search over size vectors
-for the budget allocator, and line-by-line scanners for the score and
-split text files (with a writer of adversarial files to feed them).
+for the budget allocator, line-by-line scanners for the score and split
+text files (with a writer of adversarial files to feed them), and the
+step-by-step SGD loop for the pairwise ranking trainer.
 """
 
 import json
@@ -18,7 +19,7 @@ import numpy as np
 
 from persize.dataset import InteractionSet, SplitDataset
 from persize.multidomain import Allocation
-from persize.scorer import ScoreTable
+from persize.scorer import ScoreModel, ScoreTable
 
 
 def enum_count_distribution(probs) -> np.ndarray:
@@ -168,6 +169,55 @@ def brute_force_allocate(curves, N: int, K: int, allow_zero: bool = True,
         raise ValueError("allocation infeasible under the given budget")
     return Allocation(sizes=dict(zip(doms, best_vec)), total=sum(best_vec),
                       objective=float(best_obj))
+
+
+def sequential_bpr(train: InteractionSet, config) -> ScoreModel:
+    """The pairwise ranking trainer as one SGD step at a time: each step
+    reads the user row through a view, so the item updates see the user
+    row that step has just written."""
+    n_users = len(train.users)
+    n_items = len(train.items)
+    rng = np.random.default_rng(config.seed)
+    u_vecs = rng.uniform(-0.01, 0.01, size=(n_users, config.d))
+    i_vecs = rng.uniform(-0.01, 0.01, size=(n_items, config.d))
+    pos_user = train.pairs[:, 0]
+    pos_item = train.pairs[:, 1]
+    pos_sets = {int(u): set(train.items_of(u).tolist()) for u in np.unique(pos_user)}
+
+    lr = config.learning_rate
+    wd = config.weight_decay
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(pos_user))
+        epoch_loss = 0.0
+        steps = 0
+        for idx in order:
+            u = int(pos_user[idx])
+            i = int(pos_item[idx])
+            owned = pos_sets[u]
+            if len(owned) >= n_items:
+                continue  # no negatives exist for this user
+            for _ in range(config.negatives_per_positive):
+                j = int(rng.integers(n_items))
+                while j in owned:
+                    j = int(rng.integers(n_items))
+                uv = u_vecs[u]
+                diff = i_vecs[i] - i_vecs[j]
+                x = float(uv @ diff)
+                g = 1.0 / (1.0 + np.exp(min(x, 500.0)))
+                u_vecs[u] = uv + lr * (g * diff - wd * uv)
+                i_vecs[i] += lr * (g * uv - wd * i_vecs[i])
+                i_vecs[j] += lr * (-g * uv - wd * i_vecs[j])
+                epoch_loss += np.logaddexp(0.0, -x)
+                steps += 1
+        mean_loss = epoch_loss / max(steps, 1)
+        if not np.isfinite(mean_loss):
+            raise RuntimeError(
+                f"ranking loss became non-finite at epoch {len(losses) + 1} "
+                f"(lr={lr}, wd={wd}); lower the learning rate"
+            )
+        losses.append(float(mean_loss))
+    return ScoreModel(user_vectors=u_vecs, item_vectors=i_vecs, epoch_losses=tuple(losses))
 
 
 def scan_scores(path) -> ScoreTable:

@@ -248,6 +248,17 @@ class TestConfigValues:
         assert _run("prepare", "--config", str(path)) == 1
         assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("negatives_per_positive", 0), ("epochs", -1), ("d", 2.5), ("learning_rate", "0.05"),
+    ])
+    def test_invalid_bpr_value_rejected(self, tmp_path, bundled_path, capsys, key, value):
+        workdir = tmp_path / "run"
+        cfg = _write_config(tmp_path, bundled_path, workdir, bpr={**BPR_TEST, key: value})
+        assert _run("prepare", "--config", str(cfg)) == 0
+        assert _run("train", "--config", str(cfg)) == 1
+        assert f"BPRConfig.{key} must be" in capsys.readouterr().err
+        assert not (workdir / "model.bin").exists()
+
     def test_non_string_measure_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"workdir": str(tmp_path / "w"), "measures": ["f1", 5]}))

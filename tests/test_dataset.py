@@ -52,6 +52,16 @@ class TestLoad:
         assert iset.n_interactions == 2
 
 
+class TestFromPairs:
+    @pytest.mark.parametrize("n", [0, 1, 2, 50, 3000])
+    def test_sorted_unique_rows(self, n):
+        pairs = np.random.default_rng(n).integers(-5, 30, size=(n, 2))
+        got = InteractionSet.from_pairs(pairs).pairs
+        want = np.unique(pairs, axis=0) if n else pairs
+        assert got.dtype == np.int64 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
 class TestKcore:
     def test_k1_is_identity(self):
         iset = InteractionSet.from_pairs([[0, 0], [0, 1], [1, 0]])

@@ -2,16 +2,19 @@ import re
 
 import numpy as np
 import pytest
-from oracles import SCORE_FORMS, scan_scores, write_adversarial
+from oracles import SCORE_FORMS, scan_scores, sequential_bpr, write_adversarial
 
+from persize import scorer as scorer_module
 from persize import util
 from persize.calibrate import PlattParams
-from persize.dataset import InteractionSet
+from persize.dataset import InteractionSet, candidate_items
 from persize.scorer import (
     BPRConfig,
     DegenerateUserError,
     ScoreModel,
     ScoreTable,
+    _conflict_free_runs,
+    build_score_table,
     export_scores,
     import_scores,
     load_model,
@@ -71,6 +74,109 @@ class TestTrainBpr:
             train_bpr(_toy_train(), BPRConfig(d=0))
 
 
+def _bits(model):
+    return (model.user_vectors.view(np.int64), model.item_vectors.view(np.int64),
+            np.array(model.epoch_losses).view(np.int64))
+
+
+def _assert_same_model(a, b):
+    for x, y in zip(_bits(a), _bits(b)):
+        np.testing.assert_array_equal(x, y)
+
+
+def _random_train(n_users=30, n_items=20, seed=0):
+    """A random set plus user ``n_users`` who owns every item (never trained)."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, [n_users, n_items], size=(8 * n_users, 2)).tolist()
+    pairs += [[n_users, i] for i in range(n_items)]
+    return InteractionSet.from_pairs(pairs, users=range(n_users + 1), items=range(n_items))
+
+
+def _record_runs(monkeypatch) -> list:
+    """Make ``train_bpr`` log each epoch's run bounds into the returned list."""
+    cuts = []
+    monkeypatch.setattr(scorer_module, "_conflict_free_runs",
+                        lambda *a: cuts.append(list(_conflict_free_runs(*a))) or cuts[-1])
+    return cuts
+
+
+class TestBatchedTrainer:
+    """``train_bpr`` applies runs of non-colliding steps at once and must give
+    the step-by-step loop's model bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 16])
+    @pytest.mark.parametrize("negatives", [1, 3])
+    def test_matches_sequential_loop(self, d, negatives):
+        cfg = BPRConfig(d=d, epochs=3, learning_rate=0.5, weight_decay=1e-3,
+                        negatives_per_positive=negatives, seed=d + negatives)
+        train = _random_train()
+        model = train_bpr(train, cfg)
+        _assert_same_model(model, sequential_bpr(train, cfg))
+        owner = len(train.users) - 1  # owns every item, so no step touches it
+        np.testing.assert_array_equal(
+            model.user_vectors[owner],
+            np.random.default_rng(cfg.seed).uniform(-0.01, 0.01, (len(train.users), d))[owner])
+
+    def test_one_user_runs_one_step_at_a_time(self, monkeypatch):
+        train = InteractionSet.from_pairs([[0, 1], [0, 3], [0, 4]], users=[0], items=range(6))
+        cfg = BPRConfig(d=8, epochs=4, learning_rate=0.3, negatives_per_positive=2, seed=5)
+        cuts = _record_runs(monkeypatch)
+        _assert_same_model(train_bpr(train, cfg), sequential_bpr(train, cfg))
+        assert cuts == [[(k, k + 1) for k in range(6)]] * 4
+
+    def test_disjoint_steps_match(self, monkeypatch):
+        # one positive per user, distinct items, many spare items to draw from
+        train = InteractionSet.from_pairs([[u, u] for u in range(4)], users=range(4),
+                                          items=range(4000))
+        cfg = BPRConfig(d=4, epochs=5, learning_rate=0.2, seed=2)
+        cuts = _record_runs(monkeypatch)
+        _assert_same_model(train_bpr(train, cfg), sequential_bpr(train, cfg))
+        assert cuts == [[(0, 4)]] * 5  # each epoch is one run
+
+    def test_run_cuts(self):
+        def runs(users, pos, neg, n_items=10):
+            return list(_conflict_free_runs(*(np.array(a) for a in (users, pos, neg)), n_items))
+
+        assert runs([0, 1, 2], [0, 1, 2], [3, 4, 5]) == [(0, 3)]  # no collisions
+        assert runs([0, 0, 0], [0, 1, 2], [3, 4, 5]) == [(0, 1), (1, 2), (2, 3)]  # one user
+        # step 2 reuses step 0's negative as its positive; step 3 reuses step 2's user
+        assert runs([0, 1, 2, 2], [0, 1, 3, 6], [3, 4, 5, 7]) == [(0, 2), (2, 3), (3, 4)]
+        assert runs([0, 3], [3, 0], [1, 2], n_items=4) == [(0, 2)]  # user 3 is not item 3
+        assert runs([], [], []) == []
+
+    def test_divergence_raises_at_the_same_epoch(self):
+        train = InteractionSet.from_pairs(
+            np.random.default_rng(0).integers(0, 12, size=(40, 2)),
+            users=range(12), items=range(12))
+        cfg = BPRConfig(d=4, epochs=6, learning_rate=1e3, weight_decay=0.0, seed=1)
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError) as oracle:
+                sequential_bpr(train, cfg)
+            with pytest.raises(RuntimeError) as batched:
+                train_bpr(train, cfg)
+        assert "at epoch 4 " in str(oracle.value)
+        assert str(batched.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("d", 0), ("d", 2.5), ("d", True),
+        ("epochs", -1), ("epochs", 2.0),
+        ("negatives_per_positive", 0), ("negatives_per_positive", 1.0),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", -0.1), ("learning_rate", "0.05"), ("learning_rate", True),
+        ("weight_decay", float("nan")), ("weight_decay", -1e-5), ("weight_decay", None),
+    ])
+    def test_invalid_config_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"BPRConfig.{field} "):
+            train_bpr(_toy_train(), BPRConfig(**{field: value}))
+
+    def test_numpy_scalars_accepted(self):
+        cfg = BPRConfig(d=np.int64(4), epochs=np.int32(2), learning_rate=np.float32(0.5),
+                        weight_decay=np.float64(0.0), seed=1)
+        plain = BPRConfig(d=4, epochs=2, learning_rate=float(np.float32(0.5)),
+                          weight_decay=0.0, seed=1)
+        _assert_same_model(train_bpr(_toy_train(), cfg), train_bpr(_toy_train(), plain))
+
+
 class TestScore:
     def test_zero_user_vector(self):
         model = ScoreModel(np.zeros((1, 3)), np.ones((4, 3)))
@@ -86,6 +192,19 @@ class TestScore:
             score(model, 1, 0)
         with pytest.raises(IndexError):
             score(model, 0, 5)
+
+    def test_trained_table_matches_single_lookups(self, tiny_split):
+        model = train_bpr(tiny_split.train,
+                          BPRConfig(d=16, epochs=5, learning_rate=0.2, seed=4))
+        cands = [candidate_items(u, tiny_split) for u in tiny_split.users.tolist()]
+        table = build_score_table(model, cands)
+        for cand in cands:
+            items, vals = table.get(cand.user)
+            single = [score(model, cand.user, i) for i in items.tolist()]
+            # bit for bit, and equal to the plain vector-vector dot
+            plain = [model.user_vectors[cand.user] @ model.item_vectors[i] for i in items]
+            np.testing.assert_array_equal(vals.view(np.int64), np.array(single).view(np.int64))
+            np.testing.assert_array_equal(vals.view(np.int64), np.array(plain).view(np.int64))
 
     def test_matches_batch_scoring(self):
         rng = np.random.default_rng(0)
