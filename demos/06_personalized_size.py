@@ -1,12 +1,14 @@
 """End to end: choose each user's list size and score it against held-out
 test interactions, next to the baselines.
 
-The personalized sizer, `selection.recommend`, ranks candidates, calibrates
-scores, builds the expected-utility curve, and cuts the list at its argmax.
-`selection.evaluate` reaches it through the same call, so the sizes scored
-below are the ones `recommend` emits. Baselines pick a global constant, a
-random size, the best size on validation labels, or (as an upper bound) the
-best size on test labels, all on the same ranking.
+The personalized sizer, `selection.recommend_block`, ranks each user's
+candidates, calibrates the scores, builds the expected-utility curves of a
+whole block of users with one batched call, and cuts each list at its
+argmax; `selection.recommend` is its block of one. `selection.evaluate` runs
+the same blocks, so the sizes scored below are the ones `recommend` emits.
+Baselines pick a global constant, a random size, the best size on
+validation labels, or (as an upper bound) the best size on test labels, all
+on the same ranking.
 """
 
 from pathlib import Path
@@ -42,12 +44,22 @@ sizes = sorted(k for _, m, meas, k, _ in report.per_user if m == "perk" and meas
 print(f"\npersonalized F1 sizes: min {sizes[0]}, median {sizes[len(sizes) // 2]}, "
       f"max {sizes[-1]} (a fixed size cannot serve all of these at once)")
 
-user = sorted(table.users())[0]
-one = selection.recommend(
-    user, table, params[user], [Measure.F1], K=20, M=200,
-    exclude=split.val.items_of(user),
-)[Measure.F1]
+users = selection.served_users(table, params)  # scored, with Platt parameters
+exclude = {u: split.val.items_of(u) for u in users}
+blocks = selection.user_blocks(users, table)  # by candidate count, <= 64 users each
+recs = {}
+for block in blocks:
+    recs.update(selection.recommend_block(block, table, params, [Measure.F1], K=20, M=200,
+                                          exclude=exclude))
 perk_f1 = {u: k for u, m, meas, k, _ in report.per_user if m == "perk" and meas == "f1"}
-print(f"user {one.user}: emit {one.k_max} items (evaluate scored size "
+assert all(recs[u][Measure.F1].k_max == k for u, k in perk_f1.items())
+print(f"\n{len(users)} users in {len(blocks)} blocks; evaluate scored the block sizes "
+      f"of its {len(perk_f1)} users")
+
+user = users[0]
+one = selection.recommend(
+    user, table, params[user], [Measure.F1], K=20, M=200, exclude=exclude[user],
+)[Measure.F1]
+print(f"user {one.user} alone: emit {one.k_max} items (evaluate scored size "
       f"{perk_f1.get(user)}), expected F1 {one.expected_value:.4f}, "
       f"items {one.items.tolist()}")

@@ -51,6 +51,9 @@ from .selection import (
     perk_select,
     rank,
     recommend,
+    recommend_block,
+    served_users,
+    user_blocks,
 )
 from .utility import (
     Measure,

@@ -235,29 +235,28 @@ def cmd_recommend(cfg: dict) -> int:
     table = scorer.load_scores(workdir / "scores.bin")
     per_user, _ = _read_platt(workdir / "platt.tsv")
     measures = _measures(cfg)
-    users = [u for u in table.users() if u in per_user]
+    users = selection.served_users(table, per_user)
+    exclude = {u: split_ds.val.items_of(u) for u in users} if cfg["exclude_val"] else None
 
-    def worker(u):
-        exclude = split_ds.val.items_of(u) if cfg["exclude_val"] else ()
-        try:
-            return ("ok", u, selection.recommend(
-                u, table, per_user[u], measures, K=cfg["K"], M=cfg["M"],
-                mode=cfg["mode"], exact_cap=cfg["exact_cap"], exclude=exclude,
-            ))
-        except scorer.DegenerateUserError:
-            return ("skip", u, "no candidates")
-        except ValueError as exc:
-            return ("error", u, str(exc))
+    def worker(block):
+        return selection.recommend_block(
+            block, table, per_user, measures, K=cfg["K"], M=cfg["M"],
+            mode=cfg["mode"], exact_cap=cfg["exact_cap"], exclude=exclude,
+        )
 
-    results = parallel_map(worker, users, cfg["threads"])
+    results = {}
+    for block in parallel_map(worker, selection.user_blocks(users, table), cfg["threads"]):
+        results.update(block)
 
     rec_lines = [_echo(cfg, "recommend")]
     curve_lines = [_echo(cfg, "recommend")]
-    n_err = 0
-    for kind, u, res in results:
-        if kind == "skip":
-            rec_lines.append(f"# skipped user={u}: {res}")
-        elif kind == "error":
+    n_skip = n_err = 0
+    for u in users:
+        res = results[u]
+        if isinstance(res, scorer.DegenerateUserError):
+            rec_lines.append(f"# skipped user={u}: no candidates")
+            n_skip += 1
+        elif isinstance(res, ValueError):
             rec_lines.append(f"# error user={u}: {res}")
             n_err += 1
         else:
@@ -272,7 +271,8 @@ def cmd_recommend(cfg: dict) -> int:
     atomic_write(workdir / "recs.tsv", "\n".join(rec_lines) + "\n")
     if cfg["dump_curves"]:
         atomic_write(workdir / "curves.tsv", "\n".join(curve_lines) + "\n")
-    print(f"recommend: wrote sizes for {len(users) - n_err} users -> {workdir / 'recs.tsv'}")
+    print(f"recommend: wrote sizes for {len(users) - n_skip - n_err} users, skipped {n_skip}, "
+          f"{n_err} errors -> {workdir / 'recs.tsv'}")
     if n_err:
         print(f"recommend: {n_err} users failed (see '# error' rows)", file=sys.stderr)
         return 2
@@ -306,6 +306,8 @@ def cmd_evaluate(cfg: dict) -> int:
     atomic_write(workdir / "eval_report.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")
     print(f"evaluate: {report.n_users} users x {len(methods)} methods -> "
           f"{workdir / 'eval_report.json'}")
+    skipped = ", ".join(f"{n} {reason}" for reason, n in report.skipped.items())
+    print(f"evaluate: skipped {sum(report.skipped.values())} users ({skipped})")
     return 0
 
 

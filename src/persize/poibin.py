@@ -7,9 +7,10 @@ vector exactly by convolution, optionally truncated at a bound M: mass that
 would land beyond index M is dropped (recorded, never renormalized).
 
 ``distribution_batch`` is the only implementation: a chunked recurrence plus
-an FFT merge tree over a (users, n) matrix. ``distribution`` validates and
-calls it on one row, so the single-user and batched paths share their
-arithmetic and their input checks.
+an FFT merge tree over a (users, n) matrix. ``distribution`` is the front
+door: it takes one user's vector or a (users, n) block, and calls the engine
+once either way, so the single-user and batched paths share their arithmetic
+and their input checks.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ class CountDistribution:
 
     ``mass[m]`` is P(count = m) for m = 0..min(n, M); indices above
     min(n, M) carry no mass by construction. ``truncated_tail`` is the
-    probability that the count exceeds M (zero whenever M >= n).
+    probability that the count exceeds M (zero whenever M >= n). For a
+    block of users, ``mass`` is (users, min(n, M) + 1), ``truncated_tail``
+    is (users,) and ``n`` is the row width.
     """
 
     mass: np.ndarray
     M: int
     n: int
-    truncated_tail: float
+    truncated_tail: float | np.ndarray
 
     def __post_init__(self):
         self.mass.setflags(write=False)
@@ -42,15 +45,22 @@ _CHUNK = 32
 def distribution(probs, M: int) -> CountDistribution:
     """Poisson-Binomial mass of sum(Bernoulli(p_i)) truncated at M.
 
-    A one-row call to ``distribution_batch``, which also validates the input.
+    One call to ``distribution_batch``, which also validates the input.
 
     Args:
-        probs: success probabilities, each in [0, 1].
+        probs: success probabilities, each in [0, 1]: one user's vector, or
+           a (users, n) block with one row per user (zero-padded rows are
+           exact, see ``distribution_batch``).
         M: truncation bound, >= 0. Mass beyond index M is dropped into
            ``truncated_tail`` (no renormalization).
     """
-    probs = np.asarray(probs, dtype=np.float64).ravel()
-    mass, tail = distribution_batch(probs[None, :], M)
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim > 2:
+        raise ValueError(f"expected a vector or a (users, n) block, got {probs.ndim} dimensions")
+    block = probs.ndim == 2
+    mass, tail = distribution_batch(probs if block else probs.reshape(1, -1), M)
+    if block:
+        return CountDistribution(mass=mass, M=M, n=probs.shape[1], truncated_tail=tail)
     return CountDistribution(mass=mass[0], M=M, n=probs.size, truncated_tail=float(tail[0]))
 
 

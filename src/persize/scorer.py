@@ -62,11 +62,28 @@ class ScoreTable:
             scores = np.asarray(scores, dtype=np.float64)
             if len(items) != len(scores):
                 raise ValueError(f"user {user}: items and scores differ in length")
-            if len(np.unique(items)) != len(items):
-                raise ValueError(f"user {user}: duplicate item ids")
-            if not np.all(np.isfinite(scores)):
-                raise ValueError(f"user {user}: non-finite score")
             self._entries[int(user)] = (items, scores)
+        self._check_entries()
+
+    def _check_entries(self) -> None:
+        """Reject duplicate items and non-finite scores with one sort over
+        every entry, naming the first offending user in user order (a
+        duplicate before a non-finite score of the same user)."""
+        users = self.users()
+        lengths = [len(self._entries[u][0]) for u in users]
+        if not sum(lengths):
+            return
+        owner = np.repeat(np.arange(len(users)), lengths)
+        non_finite = owner[~np.isfinite(np.concatenate([self._entries[u][1] for u in users]))]
+        items = np.concatenate([self._entries[u][0] for u in users])
+        order = np.lexsort((items, owner))
+        items, owner = items[order], owner[order]
+        repeats = owner[1:][(items[1:] == items[:-1]) & (owner[1:] == owner[:-1])]
+        bad = [(int(rows.min()), why) for rows, why in
+               ((repeats, "duplicate item ids"), (non_finite, "non-finite score")) if len(rows)]
+        if bad:
+            row, why = min(bad)
+            raise ValueError(f"user {users[row]}: {why}")
 
     def users(self):
         return sorted(self._entries)

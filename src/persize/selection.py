@@ -3,14 +3,20 @@ held-out evaluation harness.
 
 ``rank`` is the one ranking rule: a user's scored candidates by descending
 score, ties to the lower item id, optionally without given items (the
-validation positives). ``recommend`` is the one PerK routine: it ranks,
-calibrates the scores into probabilities, builds the expected-utility
-curves over sizes 1..K, and returns the prefix at each curve's argmax. The
-CLI's ``recommend`` stage and ``evaluate`` both call it. Baselines choose
-the size by a global constant, uniformly at random, by validation utility,
-or (as an upper bound) by test utility, each on an already-ranked list.
-Evaluation scores every method's emitted prefix against held-out test
-positives over the identical user population.
+validation positives). ``recommend_block`` is the one PerK routine: it
+ranks and calibrates each user of a block, pads the block's probability
+rows with zeros, builds every expected-utility curve over sizes 1..K with
+one batched call, and returns each user's prefix at each curve's argmax
+within that user's own min(K, n). ``user_blocks`` groups users into blocks
+by their candidate counts only, so the padding, and with it every output
+byte, is the same for any thread count. ``recommend`` is the block of one.
+The CLI's ``recommend`` stage and ``evaluate`` both run the block routine
+on the blocks of ``served_users``, so they pick the same sizes.
+Baselines choose the size by a global constant, uniformly at random, by
+validation utility, or (as an upper bound) by test utility, each on an
+already-ranked list. Evaluation scores every method's emitted prefix
+against held-out test positives over the identical user population, with
+the realized curves of a whole block in array operations.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ from .utility import (
     EXACT_MODE_CAP,
     Measure,
     UtilityCurve,
+    check_curve_args,
     expected_curves,
+    expected_curves_batch,
     realized_curve,
 )
 
@@ -38,6 +46,16 @@ METHOD_PERK = "perk"
 METHOD_RAND = "rand"
 METHOD_VAL_K = "val_k"
 METHOD_ORACLE = "oracle"
+
+SKIP_NO_TEST = "no_test_positives"
+SKIP_NO_CANDIDATES = "no_candidates"
+SKIP_NO_PARAMS = "no_platt_params"
+SKIP_REASONS = (SKIP_NO_TEST, SKIP_NO_CANDIDATES, SKIP_NO_PARAMS)
+
+# A block of users shares one padded curve call: at most this many users,
+# and at most this many probabilities once padded to the block's widest row.
+_BLOCK_USERS = 64
+_BLOCK_PROBS = 20_000
 
 
 def fixed_method_name(k: int) -> str:
@@ -67,6 +85,7 @@ class EvaluationReport:
     n_users: int
     config: dict
     per_user: tuple = field(repr=False, default=())  # (user, method, measure, k, value)
+    skipped: dict = field(default_factory=dict)  # reason -> users not evaluated
 
 
 def rank(user: int, scores: ScoreTable, exclude=()) -> tuple[np.ndarray, np.ndarray]:
@@ -87,6 +106,118 @@ def perk_select(curve: UtilityCurve) -> int:
     return int(np.argmax(curve.values)) + 1
 
 
+def served_users(scores: ScoreTable, params_by_user: dict) -> list[int]:
+    """Every scored user with calibration parameters, in user order: the
+    users the recommend stage serves. ``evaluate`` blocks the same users, so
+    both stages pad each user's probability row alike."""
+    return [u for u in scores.users() if params_by_user.get(u) is not None]
+
+
+def user_blocks(users, scores: ScoreTable) -> list[list[int]]:
+    """The users grouped for one batched curve call per group.
+
+    Users are sorted by (scored candidate count, user id) and cut into runs
+    of at most _BLOCK_USERS users whose zero-padded block (its users times
+    its largest count) holds at most _BLOCK_PROBS probabilities; a larger
+    user is a block alone. Membership depends on the data only.
+    """
+    blocks: list[list[int]] = []
+    for n, user in sorted((len(scores.get(u)[0]), int(u)) for u in users):
+        block = blocks[-1] if blocks else None
+        if block is None or len(block) == _BLOCK_USERS or (len(block) + 1) * n > _BLOCK_PROBS:
+            blocks.append([user])
+        else:
+            block.append(user)
+    return blocks
+
+
+def _block_curves(probs: list, measures: list, K: int, M: int, mode: str,
+                  exact_cap: int) -> list:
+    """Each user's curve values (measure -> values over sizes 1..min(K, n))
+    from one padded ``expected_curves_batch`` call, or in exact mode one
+    user at a time, where a user over the cap gets its ValueError instead."""
+    if mode == "exact":
+        out = []
+        for p in probs:
+            try:
+                curves = expected_curves(p, measures, K, mode="exact", exact_cap=exact_cap)
+            except ValueError as exc:
+                out.append(exc)
+                continue
+            out.append({m: curve.values for m, curve in curves.items()})
+        return out
+    block = np.zeros((len(probs), max(len(p) for p in probs)))
+    for row, p in zip(block, probs):
+        row[: len(p)] = p
+    curves = expected_curves_batch(block, measures, M=M, K=K)
+    return [{m: curves[m][i, : min(K, len(p))] for m in measures} for i, p in enumerate(probs)]
+
+
+def _perk_curves(users, scores: ScoreTable, params_by_user: dict, measures: list, K: int,
+                 M: int, mode: str, exact_cap: int, exclude: dict | None) -> dict:
+    """user -> (ranked items, measure -> curve values over 1..min(K, n)) for
+    a block of users, or the error of a user that cannot be served."""
+    out, ranked = {}, {}
+    for user in users:
+        items, vals = rank(user, scores, exclude.get(user, ()) if exclude else ())
+        if len(items) == 0:
+            out[user] = DegenerateUserError(f"user {user} has no scored candidates")
+            continue
+        try:
+            ranked[user] = items, calibrate.apply(params_by_user[user], vals)
+        except ValueError as exc:  # non-finite calibration parameters
+            out[user] = exc
+    probs = [p for _, p in ranked.values()]
+    values = _block_curves(probs, measures, K, M, mode, exact_cap) if probs else []
+    for (user, (items, _)), curves in zip(ranked.items(), values):
+        out[user] = curves if isinstance(curves, ValueError) else (items, curves)
+    return {user: out[user] for user in users}
+
+
+def recommend_block(
+    users,
+    scores: ScoreTable,
+    params_by_user: dict,
+    measures,
+    K: int = DEFAULT_K,
+    M: int = DEFAULT_M,
+    mode: str = "approx",
+    exact_cap: int = EXACT_MODE_CAP,
+    exclude: dict | None = None,
+) -> dict:
+    """The expected-utility-maximizing prefix per measure for a block of users.
+
+    Ranks each user's candidates (without ``exclude[user]``, if given) and
+    calibrates them with ``params_by_user[user]``; one padded
+    ``expected_curves_batch`` call then gives every curve of the block
+    (exact mode: one user at a time). The count distribution uses every
+    ranked candidate, not just the top-K prefix. Each curve covers the
+    user's own sizes 1..min(K, n) and is cut at its argmax.
+
+    Returns user -> (measure -> PersonalizedRec), in the order of
+    ``users``. A user that cannot be served maps to the error saying why:
+    DegenerateUserError when no candidate is left to rank, another
+    ValueError for non-finite calibration parameters or, in exact mode,
+    more candidates than ``exact_cap``.
+    """
+    check_curve_args(mode, K, M)
+    measures = list(measures)
+    out = {}
+    for user, served in _perk_curves([int(u) for u in users], scores, params_by_user, measures,
+                                     K, M, mode, exact_cap, exclude).items():
+        if isinstance(served, ValueError):
+            out[user] = served
+            continue
+        items, curves = served
+        recs = {}
+        for measure in measures:
+            curve = UtilityCurve(measure, curves[measure], mode=mode)
+            k_max = perk_select(curve)
+            recs[measure] = PersonalizedRec(user, k_max, items[:k_max], curve)
+        out[user] = recs
+    return out
+
+
 def recommend(
     user: int,
     scores: ScoreTable,
@@ -98,25 +229,17 @@ def recommend(
     exact_cap: int = EXACT_MODE_CAP,
     exclude=(),
 ) -> dict:
-    """The expected-utility-maximizing prefix for one user, per measure.
-
-    Ranks the user's candidates (without ``exclude``), calibrates them with
-    ``params`` and cuts each measure's curve at its argmax. The count
-    distribution uses every ranked candidate, not just the top-K prefix.
-    Returns measure -> PersonalizedRec; raises DegenerateUserError when no
-    candidate is left to rank.
+    """The expected-utility-maximizing prefix for one user, per measure: the
+    one-user block of ``recommend_block``. Returns measure ->
+    PersonalizedRec; raises DegenerateUserError when no candidate is left
+    to rank, and the ValueError of a user that cannot be served.
     """
-    items, vals = rank(user, scores, exclude)
-    if len(items) == 0:
-        raise DegenerateUserError(f"user {user} has no scored candidates")
-    curves = expected_curves(
-        calibrate.apply(params, vals), measures, K=K, M=M, mode=mode, exact_cap=exact_cap,
-    )
-    recs = {}
-    for measure, curve in curves.items():
-        k_max = perk_select(curve)
-        recs[measure] = PersonalizedRec(int(user), k_max, items[:k_max], curve)
-    return recs
+    user = int(user)
+    result = recommend_block([user], scores, {user: params}, measures, K, M, mode,
+                             exact_cap, {user: exclude})[user]
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
 def baseline_rand(user: int, K: int, seed: int = 0) -> int:
@@ -127,11 +250,12 @@ def baseline_rand(user: int, K: int, seed: int = 0) -> int:
 
 def _argmax_size(measure: Measure, ranked_items, positives) -> int:
     """Smallest size maximizing realized utility of the ranked items
-    against the given positives; 1 when either is empty."""
+    against the given positives; 1 when either is empty. The one-row case
+    of the block argmax ``evaluate`` runs."""
     if len(ranked_items) == 0 or len(positives) == 0:
         return 1
-    curve = realized_curve(measure, np.isin(ranked_items, positives), len(positives))
-    return int(np.argmax(curve)) + 1
+    labels, lengths = _label_block([ranked_items], [positives])
+    return int(_row_argmax(realized_curve(measure, labels, [len(positives)]), lengths)[0])
 
 
 def baseline_val_k(measure: Measure, ranked_items, val_items) -> int:
@@ -157,8 +281,26 @@ def default_methods(K: int = DEFAULT_K) -> list[str]:
     return methods
 
 
-def _evaluate_user(
-    user: int,
+def _row_argmax(curves: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """1-based argmax of each row over its first ``lengths[row]`` columns;
+    ties resolve to the smallest size."""
+    inside = np.arange(curves.shape[1]) < lengths[:, None]
+    return np.argmax(np.where(inside, curves, -np.inf), axis=1) + 1
+
+
+def _label_block(ranked: list, positives: list) -> tuple[np.ndarray, np.ndarray]:
+    """(users, longest) 0/1 labels of each ranked prefix against its user's
+    positives, zero-padded, and each prefix's length."""
+    lengths = np.array([len(r) for r in ranked])
+    labels = np.zeros((len(ranked), lengths.max()))
+    for row, r, pos in zip(labels, ranked, positives):
+        row[: len(r)] = np.isin(r, pos)
+    return labels, lengths
+
+
+def _evaluate_block(
+    users,
+    evaluable: set,
     split: SplitDataset,
     scores: ScoreTable,
     params_by_user: dict,
@@ -170,46 +312,76 @@ def _evaluate_user(
     seed: int,
     exclude_val: bool,
     exact_cap: int,
-):
-    """Realized utility of each (method, measure) for one user.
+) -> dict:
+    """Realized utility of each (method, measure) for the ``evaluable``
+    users of a block.
 
-    Returns None for users that cannot be evaluated (no test positives, no
-    candidates, or no calibration parameters).
+    With PerK, the whole block is ranked and calibrated as the recommend
+    stage does it (``_perk_curves``), so each user's row is padded alike;
+    the ranking excludes the validation positives and is the evaluated one.
+    Each evaluated user is ranked once more without the exclusion (for
+    val_k, only when something was excluded). Returns user -> rows, or
+    None for a user left without candidates.
     """
-    test_items = split.test.items_of(user)
-    if len(test_items) == 0 or user not in scores:
-        return None
-    params = params_by_user.get(int(user))
-    if params is None and METHOD_PERK in methods:
-        return None
-    val_items = split.val.items_of(user)
-    exclude = val_items if exclude_val else ()
-    eval_items, _ = rank(user, scores, exclude)
-    if len(eval_items) == 0:
-        return None
-    top = eval_items[:K]
-    val_top = rank(user, scores)[0][:K]
-    test_labels = np.isin(top, test_items).astype(np.float64)
-    realized = {m: realized_curve(m, test_labels, len(test_items)) for m in measures}
-    perk = {}
+    exclude = {u: split.val.items_of(u) for u in users} if exclude_val else None
     if METHOD_PERK in methods:
-        perk = recommend(user, scores, params, measures, K, M, mode, exact_cap, exclude)
+        served = _perk_curves(users, scores, params_by_user, measures, K, M, mode, exact_cap,
+                              exclude)
+    else:
+        served = {u: (rank(u, scores, exclude[u] if exclude else ())[0], {})
+                  for u in users if u in evaluable}
+    out, kept, ranked, perk_k, val_tops = {}, [], [], [], []
+    for user in users:
+        if user not in evaluable:
+            continue
+        result = served[user]
+        if isinstance(result, DegenerateUserError) or len(result[0]) == 0:
+            out[user] = None
+            continue
+        if isinstance(result, ValueError):
+            raise result
+        items, curves = result
+        kept.append(user)
+        ranked.append(items)
+        perk_k.append({m: perk_select(UtilityCurve(m, values, mode))
+                       for m, values in curves.items()})
+        if METHOD_VAL_K in methods:
+            val_tops.append(rank(user, scores)[0][:K] if exclude and len(exclude[user])
+                            else items[:K])
+    if not kept:
+        return out
 
-    rows = []
-    for measure in measures:
-        for method in methods:
-            if method == METHOD_PERK:
-                k = perk[measure].k_max
-            elif method == METHOD_RAND:
-                k = min(baseline_rand(user, K, seed), len(eval_items))
-            elif method == METHOD_VAL_K:
-                k = min(baseline_val_k(measure, val_top, val_items), len(eval_items))
-            elif method == METHOD_ORACLE:
-                k = oracle_k(measure, top, test_items)
-            else:
-                k = min(int(method[4:]), len(top))
-            rows.append((int(user), method, measure.value, k, float(realized[measure][k - 1])))
-    return rows
+    tests = [split.test.items_of(user) for user in kept]
+    labels, tops = _label_block([r[:K] for r in ranked], tests)
+    realized = {m: realized_curve(m, labels, [len(t) for t in tests]) for m in measures}
+    oracle = {m: _row_argmax(realized[m], tops) for m in measures}
+    val_k = {}
+    if val_tops:
+        val_sets = [split.val.items_of(user) for user in kept]
+        val_labels, val_lengths = _label_block(val_tops, val_sets)
+        n_val = [len(v) for v in val_sets]
+        val_k = {m: _row_argmax(realized_curve(m, val_labels, n_val), val_lengths)
+                 for m in measures}
+
+    for i, user in enumerate(kept):
+        n_eval = len(ranked[i])
+        rand_k = min(baseline_rand(user, K, seed), n_eval) if METHOD_RAND in methods else 0
+        rows = []
+        for measure in measures:
+            for method in methods:
+                if method == METHOD_PERK:
+                    k = perk_k[i][measure]
+                elif method == METHOD_RAND:
+                    k = rand_k
+                elif method == METHOD_VAL_K:
+                    k = min(int(val_k[measure][i]), n_eval)
+                elif method == METHOD_ORACLE:
+                    k = int(oracle[measure][i])
+                else:
+                    k = min(int(method[4:]), int(tops[i]))
+                rows.append((user, method, measure.value, k, float(realized[measure][i, k - 1])))
+        out[user] = rows
+    return out
 
 
 def _check_methods(methods) -> None:
@@ -246,19 +418,39 @@ def evaluate(
     measures = [Measure(m) if not isinstance(m, Measure) else m for m in measures]
     methods = list(methods) if methods is not None else default_methods(K)
     _check_methods(methods)
+    check_curve_args(mode, K, M)
 
-    def worker(user):
-        return _evaluate_user(
-            user, split, scores, params_by_user, measures, methods,
+    skipped = dict.fromkeys(SKIP_REASONS, 0)
+    evaluable = []
+    for user in sorted(int(u) for u in split.users):
+        if len(split.test.items_of(user)) == 0:
+            skipped[SKIP_NO_TEST] += 1
+        elif user not in scores:
+            skipped[SKIP_NO_CANDIDATES] += 1
+        elif METHOD_PERK in methods and params_by_user.get(user) is None:
+            skipped[SKIP_NO_PARAMS] += 1
+        else:
+            evaluable.append(user)
+
+    # PerK pads the recommend stage's blocks; without it no padding is shared
+    pool = served_users(scores, params_by_user) if METHOD_PERK in methods else evaluable
+    kept = set(evaluable)
+
+    def worker(block):
+        return _evaluate_block(
+            block, kept, split, scores, params_by_user, measures, methods,
             K, M, mode, seed, exclude_val, exact_cap,
         )
 
-    users = sorted(int(u) for u in split.users)
-    results = parallel_map(worker, users, threads)
+    by_user = {}
+    for result in parallel_map(worker, user_blocks(pool, scores), threads):
+        by_user.update(result)
     rows = []
-    for res in results:
-        if res is not None:
-            rows.extend(res)
+    for user in evaluable:
+        if by_user[user] is None:
+            skipped[SKIP_NO_CANDIDATES] += 1
+        else:
+            rows.extend(by_user[user])
     if not rows:
         raise ValueError("no evaluable users (every user lacks test positives)")
 
@@ -274,5 +466,6 @@ def evaluate(
     }
     config = {"K": K, "M": M, "mode": mode, "seed": seed, "exclude_val": exclude_val}
     return EvaluationReport(
-        averages=averages, n_users=n_users, config=config, per_user=tuple(rows)
+        averages=averages, n_users=n_users, config=config, per_user=tuple(rows),
+        skipped=skipped,
     )

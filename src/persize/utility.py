@@ -7,13 +7,15 @@ min(m, k) for TP and IDCG(min(m, k)) for NDCG. PDCG is linear in the
 relevances. These formulas are written once (``_gains``, ``_denominators``,
 ``_pdcg_curve``), and every kind of curve evaluates them:
 
-- realized: known 0/1 labels, at the realized count;
+- realized: known 0/1 labels, at the realized count, for one user or a
+  (users, L) block of label rows;
 - expected, fast ("approx"): each relevance an independent Bernoulli
   variable with a calibrated probability; the count sum is truncated at M,
   and one count distribution of the whole candidate set stands in for
   every rank's leave-one-out one, so the sum is one matrix product per
-  measure, for a block of users (``expected_curves_batch``) or for one
-  (``expected_curves``, through ``poibin.distribution``);
+  measure for a whole block of users (``expected_curves_batch``, whose
+  masses come from one ``poibin.distribution`` call on the block); one
+  user (``expected_curves``) is a block of one;
 - expected, exact: each top rank's leave-one-out count distribution over
   the full count range, built in blocks of ranks once per user and shared
   by every measure.
@@ -68,8 +70,8 @@ def log_discount(ranks) -> np.ndarray:
 
 def _as_labels(prefix_labels) -> np.ndarray:
     labels = np.asarray(prefix_labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ValueError("prefix labels must be a non-empty 1-d sequence")
+    if labels.ndim not in (1, 2) or labels.size == 0:
+        raise ValueError("prefix labels must be a non-empty 1-d sequence or 2-d block")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be 0 or 1")
     return labels.astype(np.float64)
@@ -105,24 +107,32 @@ def _pdcg_curve(p: np.ndarray) -> np.ndarray:
     return np.cumsum((2.0 * p - 1.0) * log_discount(np.arange(1, p.shape[-1] + 1)), axis=-1)
 
 
-def realized_curve(measure: Measure, prefix_labels, total_relevant: int) -> np.ndarray:
-    """Realized utility at every size k = 1..len(prefix_labels).
+def realized_curve(measure: Measure, prefix_labels, total_relevant) -> np.ndarray:
+    """Realized utility at every size k = 1..L of a length-L label prefix.
 
     ``total_relevant`` is the number of relevant items in the whole
     candidate set, not just the prefix; it feeds the normalizers.
-    NDCG, F1, and TP are 0 by convention when it is zero.
+    NDCG, F1, and TP are 0 by convention when it is zero. A (users, L)
+    block of label rows takes one total per row and gives one curve per
+    row; each row equals its one-row call bit for bit.
     """
     labels = _as_labels(prefix_labels)
-    s = int(total_relevant)
-    hits = labels.sum()
-    if s < hits:
-        raise ValueError(f"total_relevant={s} is less than {int(hits)} observed hits")
+    s = np.asarray(total_relevant).astype(np.int64)
+    if s.shape != labels.shape[:-1]:
+        raise ValueError(f"expected one total per label row, got shape {s.shape}")
+    hits = labels.sum(axis=-1)
+    if np.any(s < hits):
+        row = np.argmax(s < hits)
+        raise ValueError(f"total_relevant={s.flat[row]} is less than "
+                         f"{int(hits.flat[row])} observed hits")
     if measure is Measure.PDCG:
         return _pdcg_curve(labels)
-    if s == 0:
-        return np.zeros(len(labels))
-    ks = np.arange(1, len(labels) + 1)
-    return np.cumsum(_gains(measure, labels)) / _denominators(measure, ks, s)
+    s = s[..., None]
+    ks = np.arange(1, labels.shape[-1] + 1)
+    curve = np.cumsum(_gains(measure, labels), axis=-1)
+    curve /= _denominators(measure, ks, np.maximum(s, 1))
+    curve[np.broadcast_to(s == 0, curve.shape)] = 0.0
+    return curve
 
 
 def realized_utility(measure: Measure, prefix_labels, total_relevant: int) -> float:
@@ -204,6 +214,16 @@ def _exact_curves(all_probs: np.ndarray, kmax: int, measures: list) -> dict:
     return out
 
 
+def check_curve_args(mode: str, K: int, M: int) -> None:
+    """Reject an unknown mode, K < 1 and, in approx mode, M < 1."""
+    if mode not in ("approx", "exact"):
+        raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    if mode == "approx" and M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+
+
 def expected_curves_batch(
     probs_sorted: np.ndarray,
     measures,
@@ -213,19 +233,22 @@ def expected_curves_batch(
     """Fast-estimator curves for a block of users in one set of matrix ops.
 
     ``probs_sorted`` is (users, n), each row in ranking order (descending).
-    Returns measure -> (users, min(K, n)) value arrays. Large blocks
-    amortize all per-user overhead and release the interpreter lock inside
-    the heavy array operations, which is what makes thread pools effective.
+    A row may be padded with zero probabilities up to the block width: a
+    zero adds nothing to the count, so the user's values over its own sizes
+    1..min(K, n_user) are unchanged up to rounding. Returns measure ->
+    (users, min(K, n)) value arrays. The count masses of the whole block
+    are one ``distribution`` call, and every inverse-normalizer matrix is
+    built once per block; large blocks also release the interpreter lock
+    inside the heavy array operations, which lets thread pools overlap.
     """
     probs_sorted = np.asarray(probs_sorted, dtype=np.float64)
     if probs_sorted.ndim != 2 or probs_sorted.shape[1] == 0:
         raise ValueError("expected a non-empty (users, n) probability matrix")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    check_curve_args("approx", K, M)
     measures = list(measures)
     mass = None
     if any(m is not Measure.PDCG for m in measures):
-        mass = distribution_batch(probs_sorted, M - 1)[0]
+        mass = distribution(probs_sorted, M - 1).mass
     return _curves_from_mass(probs_sorted[:, : min(K, probs_sorted.shape[1])], mass, measures)
 
 
@@ -258,30 +281,21 @@ def expected_curves(
 ) -> dict:
     """Curves over sizes 1..min(K, n) for several measures of one user.
 
-    ``all_probs`` is the user's candidate set in ranking order. Every
-    measure shares one count distribution in approx mode (the one-row case
-    of the batched fast estimator) and one set of leave-one-out
-    distributions in exact mode.
+    ``all_probs`` is the user's candidate set in ranking order. In approx
+    mode this is a one-row ``expected_curves_batch`` call, so every measure
+    shares one count distribution; exact mode shares one set of
+    leave-one-out distributions.
     """
-    if mode not in ("approx", "exact"):
-        raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
+    check_curve_args(mode, K, M)
     all_probs = np.asarray(all_probs, dtype=np.float64)
     n = all_probs.size
     if n == 0:
         raise ValueError("empty candidate set")
     if mode == "exact" and n > exact_cap:
         raise ValueError(f"{n} candidates exceed the exact-mode cap {exact_cap}; use approx mode")
-    if mode == "approx" and M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
     measures = list(measures)
-    kmax = min(K, n)
-    if mode == "exact":
-        values = _exact_curves(all_probs, kmax, measures)
-        return {m: UtilityCurve(m, values[m], mode="exact") for m in measures}
-    mass = None
-    if any(m is not Measure.PDCG for m in measures):
-        mass = distribution(all_probs, M - 1).mass[None, :]
-    rows = _curves_from_mass(all_probs[None, :kmax], mass, measures)
-    return {m: UtilityCurve(m, rows[m][0], mode="approx") for m in measures}
+    if mode == "approx":
+        rows = expected_curves_batch(all_probs.reshape(1, -1), measures, M=M, K=K)
+        return {m: UtilityCurve(m, rows[m][0], mode="approx") for m in measures}
+    values = _exact_curves(all_probs, min(K, n), measures)
+    return {m: UtilityCurve(m, values[m], mode="exact") for m in measures}

@@ -107,10 +107,13 @@ class TestStages:
         cfg = _write_config(tmp_path, bundled_path, workdir, exact_cap=1)
         for stage in ("prepare", "train", "calibrate"):
             assert _run(stage, "--config", str(cfg)) == 0
+        capsys.readouterr()
         code = _run("recommend", "--config", str(cfg), "--mode", "exact", "--K", "3")
         assert code == 2
         recs = (workdir / "recs.tsv").read_text()
         assert "# error user=" in recs
+        n_err = recs.count("# error user=")
+        assert f"wrote sizes for 0 users, skipped 0, {n_err} errors" in capsys.readouterr().out
 
     def test_import_scores_pass_through(self, tmp_path, bundled_path):
         workdir = tmp_path / "run"
@@ -178,15 +181,20 @@ class TestCrossStageParity:
             user, measure, k, value, items = line.split("\t")
             recs[(int(user), measure)] = (int(k), value, items)
         assert {u for u, _ in recs} == set(params)
-        for user in params:
-            lib = selection.recommend(
-                user, table, params[user], list(Measure), K=10, M=100,
-                exclude=split_ds.val.items_of(user),
-            )
-            for measure, rec in lib.items():
-                want = (rec.k_max, repr(rec.expected_value),
-                        ",".join(str(i) for i in rec.items))
-                assert recs[(user, measure.value)] == want, (user, measure)
+        # the stage pads each block of users, so its values equal the library
+        # block routine's over the same blocks (a one-user call moves low bits)
+        users = [u for u in table.users() if u in params]
+        exclude = {u: split_ds.val.items_of(u) for u in users}
+        blocks = selection.user_blocks(users, table)
+        assert sorted(u for block in blocks for u in block) == users
+        for block in blocks:
+            lib = selection.recommend_block(
+                block, table, params, list(Measure), K=10, M=100, exclude=exclude)
+            for user, by_measure in lib.items():
+                for measure, rec in by_measure.items():
+                    want = (rec.k_max, repr(rec.expected_value),
+                            ",".join(str(i) for i in rec.items))
+                    assert recs[(user, measure.value)] == want, (user, measure)
 
         perk_rows = 0
         for line in (workdir / "eval_per_user.tsv").read_text().splitlines():
@@ -207,6 +215,99 @@ def calibrated_workdir(tmp_path_factory, bundled_path):
     for stage in ("prepare", "train", "calibrate"):
         assert _run(stage, "--config", str(cfg)) == 0, stage
     return base / "run"
+
+
+class TestRecommendBlocks:
+    def test_block_membership_is_thread_invariant(self, tmp_path, calibrated_workdir,
+                                                  bundled_path, monkeypatch):
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        calls = []
+
+        def recording(probs, *args, **kwargs):
+            calls.append((probs.shape, hashlib.sha256(probs.tobytes()).hexdigest()))
+            return batch(probs, *args, **kwargs)
+
+        batch = selection.expected_curves_batch
+        monkeypatch.setattr(selection, "expected_curves_batch", recording)
+        seen, outputs = {}, {}
+        for threads in ("1", "2", "8"):
+            calls.clear()
+            assert _run("recommend", "--config", str(cfg), "--threads", threads) == 0
+            seen[threads] = sorted(calls)
+            outputs[threads] = (workdir / "recs.tsv").read_bytes()
+        assert len(seen["1"]) > 1  # several blocks, so the pool has work to share
+        assert seen["1"] == seen["2"] == seen["8"]
+        assert outputs["1"] == outputs["2"] == outputs["8"]
+
+    def test_evaluate_pads_the_recommend_blocks(self, tmp_path, calibrated_workdir,
+                                                bundled_path, monkeypatch, capsys):
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        split_ds = dataset.load_split(workdir)
+        table = scorer.load_scores(workdir / "scores.bin")
+        params, _ = _read_platt(workdir / "platt.tsv")
+        # a scored user of the first block loses its test positives: evaluate
+        # must still pad it into its block, or every later block cut shifts
+        first = selection.user_blocks(selection.served_users(table, params), table)[0]
+        user = next(u for u in first if len(split_ds.test.items_of(u)))
+        test_path = workdir / dataset.SPLIT_FILES[2]
+        rows = [line for line in test_path.read_text().splitlines()
+                if line.startswith("#") or int(line.split("\t")[0]) != user]
+        test_path.write_text("\n".join(rows) + "\n")
+        assert len(dataset.load_split(workdir).test.items_of(user)) == 0
+
+        def recording(probs, *args, **kwargs):
+            calls.append((probs.shape, hashlib.sha256(probs.tobytes()).hexdigest()))
+            return batch(probs, *args, **kwargs)
+
+        batch = selection.expected_curves_batch
+        monkeypatch.setattr(selection, "expected_curves_batch", recording)
+        seen = {}
+        for stage in ("recommend", "evaluate"):
+            calls = []
+            assert _run(stage, "--config", str(cfg), "--threads", "2") == 0
+            seen[stage] = sorted(calls)
+        assert len(seen["recommend"]) > 1
+        assert seen["recommend"] == seen["evaluate"]
+        assert "evaluate: skipped 1 users (1 no_test_positives, " in capsys.readouterr().out
+
+        recs = {}
+        for line in (workdir / "recs.tsv").read_text().splitlines():
+            if not line.startswith("#"):
+                u, measure, k, _, _ = line.split("\t")
+                recs[(int(u), measure)] = int(k)
+        perk = {}
+        for line in (workdir / "eval_per_user.tsv").read_text().splitlines():
+            if not line.startswith("#") and line.split("\t")[1] == "perk":
+                u, _, measure, k, _ = line.split("\t")
+                perk[(int(u), measure)] = int(k)
+        assert (user, "f1") in recs and (user, "f1") not in perk
+        assert perk and all(recs[key] == k for key, k in perk.items())
+
+    def test_skipped_users_are_counted_apart(self, tmp_path, calibrated_workdir,
+                                             bundled_path, capsys):
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        split_ds = dataset.load_split(workdir)
+        table = scorer.load_scores(workdir / "scores.bin")
+        entries = {u: table.get(u) for u in table.users()}
+        user = next(u for u in table.users() if len(split_ds.val.items_of(u)))
+        val = split_ds.val.items_of(user)
+        entries[user] = (val, np.zeros(len(val)))  # every candidate is excluded
+        scorer.save_scores(scorer.ScoreTable(entries), workdir / "scores.bin")
+        capsys.readouterr()
+        assert _run("recommend", "--config", str(cfg)) == 0
+        out = capsys.readouterr().out
+        assert f"wrote sizes for {len(entries) - 1} users, skipped 1, 0 errors" in out
+        assert f"# skipped user={user}: no candidates" in (workdir / "recs.tsv").read_text()
+        assert _run("evaluate", "--config", str(cfg)) == 0
+        out = capsys.readouterr().out
+        assert "evaluate: skipped 1 users (0 no_test_positives, 1 no_candidates, " \
+            "0 no_platt_params)" in out
 
 
 class TestPlattFile:

@@ -164,3 +164,43 @@ class TestLeaveOneOut:
             leave_one_out([0.5], 1, 1)
         with pytest.raises(IndexError):
             leave_one_out([0.5], -1, 1)
+
+class TestBlockDistribution:
+    """``distribution`` on a (users, n) block is the engine's call on it."""
+
+    def test_block_equals_engine_row_by_row(self):
+        rng = np.random.default_rng(21)
+        probs = rng.random((5, 70))
+        probs[1, 40:] = 0.0  # a zero-padded row
+        for M in (0, 10, 70, 100):
+            block = distribution(probs, M)
+            mass, tail = distribution_batch(probs, M)
+            np.testing.assert_array_equal(block.mass, mass)
+            np.testing.assert_array_equal(block.truncated_tail, tail)
+            assert block.mass.shape == (5, min(70, M) + 1)
+            assert block.truncated_tail.shape == (5,)
+            assert block.n == 70 and block.M == M
+            for row in range(5):
+                one = distribution_batch(probs[row : row + 1], M)
+                np.testing.assert_array_equal(block.mass[row], one[0][0])
+
+    def test_vector_is_not_a_block(self):
+        d = distribution(np.array([0.2, 0.7, 0.4]), 5)
+        assert d.mass.ndim == 1 and isinstance(d.truncated_tail, float)
+
+    @pytest.mark.parametrize("probs, M, message", [
+        ([[0.5, 1.2], [0.1, 0.2]], 2, "must lie in"),
+        ([[0.5, -0.1]], 2, "must lie in"),
+        ([[0.5, float("nan")], [0.1, 0.2]], 2, "must be finite"),
+        ([[0.5, 0.1]], -1, "truncation bound"),
+    ], ids=["above_one", "negative", "nan", "negative_M"])
+    def test_block_errors_match_engine(self, probs, M, message):
+        with pytest.raises(ValueError, match=message) as front:
+            distribution(probs, M)
+        with pytest.raises(ValueError, match=message) as engine:
+            distribution_batch(probs, M)
+        assert str(front.value) == str(engine.value)
+
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="vector or a"):
+            distribution(np.zeros((2, 2, 2)), 3)

@@ -478,3 +478,42 @@ class TestTextImport:
                 assert str(got.value) == str(exc)
             else:
                 _same_table(import_scores(path), want)
+
+
+class TestScoreTableChecks:
+    """One sort over every entry names the first bad user in user order."""
+
+    def test_first_bad_user_in_user_order_is_named(self):
+        entries = {
+            7: (np.array([1, 2, 2]), np.array([0.1, 0.2, 0.3])),  # duplicate
+            3: (np.array([4, 5]), np.array([0.1, np.nan])),  # non-finite
+            5: (np.array([1, 2]), np.array([0.1, 0.2])),
+        }
+        with pytest.raises(ValueError, match=r"^user 3: non-finite score$"):
+            ScoreTable(entries)
+        entries[3] = (np.array([4, 5]), np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match=r"^user 7: duplicate item ids$"):
+            ScoreTable(entries)
+
+    def test_duplicate_named_before_non_finite_of_the_same_user(self):
+        entries = {4: (np.array([9, 9, 1]), np.array([np.inf, 0.2, 0.3])),
+                   8: (np.array([1]), np.array([np.nan]))}
+        with pytest.raises(ValueError, match=r"^user 4: duplicate item ids$"):
+            ScoreTable(entries)
+
+    def test_same_item_for_two_users_is_no_duplicate(self):
+        table = ScoreTable({0: (np.array([3, 1]), np.array([0.1, 0.2])),
+                            1: (np.array([1, 3]), np.array([0.3, 0.4])),
+                            2: (np.empty(0, dtype=np.int64), np.empty(0))})
+        assert len(table) == 3
+
+    def test_extreme_item_ids(self):
+        big = np.iinfo(np.int64).max
+        with pytest.raises(ValueError, match=r"^user 2: duplicate item ids$"):
+            ScoreTable({1: (np.array([-big, big]), np.array([0.1, 0.2])),
+                        2: (np.array([big, 0, big]), np.array([0.1, 0.2, 0.3]))})
+        assert len(ScoreTable({1: (np.array([-big, big]), np.array([0.1, 0.2]))})) == 1
+
+    def test_all_empty_entries(self):
+        assert len(ScoreTable({0: (np.empty(0, dtype=np.int64), np.empty(0))})) == 1
+        assert len(ScoreTable({})) == 0

@@ -15,6 +15,8 @@ from persize.selection import (
     perk_select,
     rank,
     recommend,
+    recommend_block,
+    user_blocks,
 )
 from persize.utility import (
     Measure,
@@ -145,6 +147,86 @@ class TestRecommend:
             recommend(0, full, PlattParams(1.0, 0.0), [Measure.F1], exclude=[0, 1])
 
 
+class TestRecommendBlock:
+    """One padded curve call per block; a user is its own block of one."""
+
+    # n = 1, below K, equal to K, around the 32-item chunk edge, far above K
+    WIDTHS = {10: 1, 11: 5, 12: 12, 13: 31, 14: 32, 15: 33, 16: 65, 17: 400}
+
+    def _table(self):
+        rng = np.random.default_rng(41)
+        return ScoreTable({u: (rng.permutation(500)[:n], rng.normal(size=n))
+                           for u, n in self.WIDTHS.items()})
+
+    def _params(self):
+        return {u: PlattParams(1.0 + 0.1 * (u % 3), -1.0 + 0.2 * (u % 4))
+                for u in self.WIDTHS}
+
+    @pytest.mark.parametrize("M", [20, 2000])
+    def test_mixed_widths_match_blocks_of_one(self, M):
+        table, params = self._table(), self._params()
+        users = sorted(self.WIDTHS)
+        assert user_blocks(users, table) == [users]  # one padded block
+        exclude = {13: rank(13, table)[0][:2]}
+        block = recommend_block(users, table, params, list(Measure), K=12, M=M,
+                                exclude=exclude)
+        assert list(block) == users
+        for user in users:
+            alone = recommend(user, table, params[user], list(Measure), K=12, M=M,
+                              exclude=exclude.get(user, ()))
+            n = len(rank(user, table, exclude.get(user, ()))[0])
+            for measure in Measure:
+                got, want = block[user][measure], alone[measure]
+                assert len(got.curve) == min(12, n)
+                np.testing.assert_allclose(got.curve.values, want.curve.values,
+                                           rtol=1e-13, atol=0)
+                assert got.k_max == want.k_max, (user, measure)
+                np.testing.assert_array_equal(got.items, want.items)
+
+    def test_one_user_block_is_recommend(self):
+        table, params = self._table(), self._params()
+        block = recommend_block([17], table, params, list(Measure), K=12, M=50)[17]
+        alone = recommend(17, table, params[17], list(Measure), K=12, M=50)
+        for measure in Measure:
+            assert block[measure].curve.values.tobytes() == \
+                alone[measure].curve.values.tobytes()
+            assert block[measure].k_max == alone[measure].k_max
+
+    def test_unservable_users_map_to_their_errors(self):
+        table, params = self._table(), self._params()
+        params[12] = PlattParams(float("nan"), 0.0)
+        exclude = {11: rank(11, table)[0]}  # every candidate excluded
+        block = recommend_block([10, 11, 12, 17], table, params, [Measure.F1], K=5,
+                                mode="exact", exact_cap=100, exclude=exclude)
+        assert isinstance(block[11], DegenerateUserError)
+        assert "non-finite" in str(block[12])
+        assert "exact-mode cap 100" in str(block[17])
+        assert block[10][Measure.F1].k_max == 1
+        with pytest.raises(ValueError, match="exact-mode cap"):
+            recommend(17, table, params[17], [Measure.F1], K=5, mode="exact", exact_cap=100)
+
+    def test_bad_arguments_raise_before_any_user(self):
+        table, params = self._table(), self._params()
+        for kwargs, message in (({"mode": "fast"}, "mode must"), ({"K": 0}, "K must"),
+                                ({"M": 0}, "M must")):
+            with pytest.raises(ValueError, match=message):
+                recommend_block([10], table, params, [Measure.F1], **kwargs)
+
+    def test_blocks_cut_at_user_and_probability_caps(self):
+        from persize import selection
+
+        def table(widths):
+            return ScoreTable({u: (np.arange(n), np.zeros(n)) for u, n in widths.items()})
+
+        many = {u: 10 for u in range(130)}
+        assert [len(b) for b in user_blocks(many, table(many))] == [64, 64, 2]
+        per_block = selection._BLOCK_PROBS // 5000
+        wide = {u: 5000 for u in range(2 * per_block + 1)}
+        assert [len(b) for b in user_blocks(wide, table(wide))] == [per_block, per_block, 1]
+        widths = {7: 5, 3: selection._BLOCK_PROBS + 1, 5: 5, 1: 6}
+        assert user_blocks(widths, table(widths)) == [[5, 7, 1], [3]]
+
+
 class TestBaselines:
     def _ranked(self):
         rng = np.random.default_rng(3)
@@ -174,7 +256,7 @@ class TestBaselines:
         def no_user(*args):
             raise AssertionError("a user was evaluated")
 
-        monkeypatch.setattr(selection, "_evaluate_user", no_user)
+        monkeypatch.setattr(selection, "_evaluate_block", no_user)
         table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
         with pytest.raises(ValueError, match=repr(method)):
             evaluate(tiny_split, table, {}, methods=["top-1", method], K=10)
@@ -329,6 +411,30 @@ class TestEvaluate:
         params = {int(u): PlattParams(1.0, 0.0) for u in tiny_split.users}
         with pytest.raises(ValueError, match="no evaluable"):
             evaluate(gutted, table, params, K=3, M=10)
+
+    def test_skipped_users_counted_by_reason(self, tiny_split):
+        from persize.dataset import SplitDataset, InteractionSet
+
+        test_pairs = tiny_split.test.pairs[tiny_split.test.pairs[:, 0] != 0]
+        split = SplitDataset(
+            train=tiny_split.train, val=tiny_split.val,
+            test=InteractionSet.from_pairs(test_pairs, tiny_split.users, tiny_split.items),
+            seed=0)
+        rng = np.random.default_rng(5)
+        entries = {u: (np.arange(8), rng.normal(size=8)) for u in (0, 2, 4, 5)}
+        val_3 = split.val.items_of(3)
+        entries[3] = (val_3, np.zeros(len(val_3)))  # only validation positives
+        table = ScoreTable(entries)
+        params = {u: PlattParams(1.0, 0.0) for u in (0, 1, 3, 5)}
+        report = evaluate(split, table, params, K=5, M=10)
+        assert report.skipped == {"no_test_positives": 1, "no_candidates": 2,
+                                  "no_platt_params": 2}
+        assert {row[0] for row in report.per_user} == {5}
+        # without PerK the calibration parameters are not needed
+        report = evaluate(split, table, params, methods=["top-1", "oracle"], K=5, M=10)
+        assert report.skipped == {"no_test_positives": 1, "no_candidates": 2,
+                                  "no_platt_params": 0}
+        assert {row[0] for row in report.per_user} == {2, 4, 5}
 
     def test_default_methods_list(self):
         methods = default_methods(50)

@@ -337,3 +337,45 @@ class TestExpectedCurves:
         probs = np.array([0.9, 0.5, 0.1])
         curves = expected_curves(probs, [Measure.TP], K=3, mode="exact")
         assert curves[Measure.TP].mode == "exact"
+
+
+class TestCurveBlocks:
+    def test_one_row_block_equals_expected_curves(self):
+        from persize.utility import expected_curves_batch
+
+        rng = np.random.default_rng(31)
+        for n, K, M in ((1, 5, 3), (20, 12, 30), (90, 12, 40), (300, 50, 2000)):
+            probs = np.sort(rng.random(n))[::-1]
+            batch = expected_curves_batch(probs[None, :], ALL, M=M, K=K)
+            single = expected_curves(probs, ALL, K=K, M=M)
+            for measure in ALL:
+                assert batch[measure].shape == (1, min(K, n))
+                assert batch[measure][0].tobytes() == single[measure].values.tobytes()
+
+    def test_batch_rejects_K_below_one(self):
+        from persize.utility import expected_curves_batch
+
+        with pytest.raises(ValueError, match="K must"):
+            expected_curves_batch(np.full((2, 3), 0.5), ALL, M=5, K=0)
+
+    def test_realized_block_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(32)
+        lengths = [1, 7, 30, 30, 12]
+        labels = np.zeros((len(lengths), 30))
+        totals = []
+        for row, n in zip(labels, lengths):
+            row[:n] = rng.random(n) < 0.4
+            totals.append(int(row.sum()) + int(rng.integers(0, 3)))
+        totals[1] = int(labels[1].sum())  # may be zero: the zero convention
+        for measure in ALL:
+            block = realized_curve(measure, labels, totals)
+            for row, n in enumerate(lengths):
+                one = realized_curve(measure, labels[row, :n], totals[row])
+                assert block[row, :n].tobytes() == one.tobytes(), (measure, row)
+
+    def test_realized_block_checks_totals(self):
+        labels = np.array([[1, 0], [1, 1]])
+        with pytest.raises(ValueError, match="less than 2 observed hits"):
+            realized_curve(Measure.F1, labels, [1, 1])
+        with pytest.raises(ValueError, match="one total per label row"):
+            realized_curve(Measure.F1, labels, 2)
