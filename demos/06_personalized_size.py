@@ -4,8 +4,10 @@ test interactions, next to the baselines.
 The personalized sizer, `selection.recommend_block`, ranks each user's
 candidates, calibrates the scores, builds the expected-utility curves of a
 whole block of users with one batched call, and cuts each list at its
-argmax; `selection.recommend` is its block of one. `selection.evaluate` runs
-the same blocks, so the sizes scored below are the ones `recommend` emits.
+argmax; `selection.recommend` is its block of one. `selection.recommend_users`
+runs it on every served user, block by block, and both the `recommend`
+stage and `selection.evaluate` call it, so the sizes scored below are the
+ones `recommend` emits.
 Baselines pick a global constant, a random size, the best size on
 validation labels, or (as an upper bound) the best size on test labels, all
 on the same ranking.
@@ -47,13 +49,10 @@ print(f"\npersonalized F1 sizes: min {sizes[0]}, median {sizes[len(sizes) // 2]}
 users = selection.served_users(table, params)  # scored, with Platt parameters
 exclude = {u: split.val.items_of(u) for u in users}
 blocks = selection.user_blocks(users, table)  # by candidate count, <= 64 users each
-recs = {}
-for block in blocks:
-    recs.update(selection.recommend_block(block, table, params, [Measure.F1], K=20, M=200,
-                                          exclude=exclude))
+recs = selection.recommend_users(table, params, [Measure.F1], K=20, M=200, exclude=exclude)
 perk_f1 = {u: k for u, m, meas, k, _ in report.per_user if m == "perk" and meas == "f1"}
 assert all(recs[u][Measure.F1].k_max == k for u, k in perk_f1.items())
-print(f"\n{len(users)} users in {len(blocks)} blocks; evaluate scored the block sizes "
+print(f"\n{len(users)} users in {len(blocks)} blocks; evaluate scored the sizes "
       f"of its {len(perk_f1)} users")
 
 user = users[0]

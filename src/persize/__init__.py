@@ -52,6 +52,7 @@ from .selection import (
     rank,
     recommend,
     recommend_block,
+    recommend_users,
     served_users,
     user_blocks,
 )

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import calibrate as cal
 from . import dataset, multidomain, scorer, selection, utility
-from .util import atomic_write, parallel_map
+from .util import atomic_write
 
 _TOP_KEYS = {
     "data", "workdir", "seed", "K", "M", "measures", "mode", "kcore", "ratios",
@@ -85,6 +85,8 @@ def _load_config(args) -> dict:
     _check_keys(cfg.get("bpr", {}), _BPR_KEYS, "bpr")
     _check_keys(cfg.get("calibration", {}), _CAL_KEYS, "calibration")
     if "allocate" in cfg:
+        if not isinstance(cfg["allocate"], dict):
+            raise ConfigError(f"allocate must be an object, got {cfg['allocate']!r}")
         _check_keys(cfg["allocate"], _ALLOC_KEYS, "allocate")
         for i, domain in enumerate(cfg["allocate"].get("domains", [])):
             for key in ("id", "curves"):
@@ -95,6 +97,14 @@ def _load_config(args) -> dict:
     for key in _INT_KEYS:
         if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+    alloc = cfg.get("allocate", {})
+    for key, value in (("exclude_val", cfg["exclude_val"]), ("dump_curves", cfg["dump_curves"]),
+                       ("allocate.allow_zero", alloc.get("allow_zero", True))):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, got {value!r}")
+    budget = alloc.get("budget", 0)
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+        raise ConfigError(f"allocate.budget must be an integer >= 0, got {budget!r}")
     if cfg["K"] < 1 or cfg["M"] < 1:
         raise ConfigError("K and M must be >= 1")
     if cfg["mode"] not in ("approx", "exact"):
@@ -102,6 +112,11 @@ def _load_config(args) -> dict:
     bad = [m for m in cfg["measures"] if m not in {x.value for x in utility.Measure}]
     if bad:
         raise ConfigError(f"unknown measures: {', '.join(map(str, bad))}")
+    repeated = sorted({m for m in cfg["measures"] if cfg["measures"].count(m) > 1})
+    if repeated:
+        raise ConfigError(f"repeated measures: {', '.join(repeated)}")
+    if not cfg["measures"]:
+        raise ConfigError("measures must name at least one measure")
     return cfg
 
 
@@ -235,24 +250,17 @@ def cmd_recommend(cfg: dict) -> int:
     table = scorer.load_scores(workdir / "scores.bin")
     per_user, _ = _read_platt(workdir / "platt.tsv")
     measures = _measures(cfg)
-    users = selection.served_users(table, per_user)
-    exclude = {u: split_ds.val.items_of(u) for u in users} if cfg["exclude_val"] else None
-
-    def worker(block):
-        return selection.recommend_block(
-            block, table, per_user, measures, K=cfg["K"], M=cfg["M"],
-            mode=cfg["mode"], exact_cap=cfg["exact_cap"], exclude=exclude,
-        )
-
-    results = {}
-    for block in parallel_map(worker, selection.user_blocks(users, table), cfg["threads"]):
-        results.update(block)
+    exclude = ({u: split_ds.val.items_of(u) for u in table.users()}
+               if cfg["exclude_val"] else None)
+    results = selection.recommend_users(
+        table, per_user, measures, K=cfg["K"], M=cfg["M"], mode=cfg["mode"],
+        exact_cap=cfg["exact_cap"], exclude=exclude, threads=cfg["threads"],
+    )
 
     rec_lines = [_echo(cfg, "recommend")]
     curve_lines = [_echo(cfg, "recommend")]
     n_skip = n_err = 0
-    for u in users:
-        res = results[u]
+    for u, res in results.items():
         if isinstance(res, scorer.DegenerateUserError):
             rec_lines.append(f"# skipped user={u}: no candidates")
             n_skip += 1
@@ -271,7 +279,7 @@ def cmd_recommend(cfg: dict) -> int:
     atomic_write(workdir / "recs.tsv", "\n".join(rec_lines) + "\n")
     if cfg["dump_curves"]:
         atomic_write(workdir / "curves.tsv", "\n".join(curve_lines) + "\n")
-    print(f"recommend: wrote sizes for {len(users) - n_skip - n_err} users, skipped {n_skip}, "
+    print(f"recommend: wrote sizes for {len(results) - n_skip - n_err} users, skipped {n_skip}, "
           f"{n_err} errors -> {workdir / 'recs.tsv'}")
     if n_err:
         print(f"recommend: {n_err} users failed (see '# error' rows)", file=sys.stderr)
@@ -349,8 +357,8 @@ def cmd_allocate(cfg: dict) -> int:
         if key not in acfg:
             raise ConfigError(f"allocate config needs '{key}'")
     measure = utility.Measure(acfg.get("measure", cfg["measures"][0]))
-    allow_zero = bool(acfg.get("allow_zero", True))
-    budget = int(acfg["budget"])
+    allow_zero = acfg.get("allow_zero", True)
+    budget = acfg["budget"]
     domains = {d["id"]: _read_curves(d["curves"], measure) for d in acfg["domains"]}
 
     shared = sorted(set.intersection(*(set(v) for v in domains.values())))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ class InteractionSet:
     users: np.ndarray
     items: np.ndarray
     pairs: np.ndarray  # shape (n, 2), lexicographically sorted, unique
-    _by_user: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_pairs(cls, pairs, users=None, items=None) -> "InteractionSet":
@@ -59,22 +58,16 @@ class InteractionSet:
             arr.setflags(write=False)
         return iset
 
-    def __post_init__(self):
-        by_user: dict[int, np.ndarray] = {}
-        if len(self.pairs):
-            cut = np.flatnonzero(np.diff(self.pairs[:, 0])) + 1
-            for chunk in np.split(np.arange(len(self.pairs)), cut):
-                u = int(self.pairs[chunk[0], 0])
-                by_user[u] = self.pairs[chunk, 1]
-        self._by_user.update(by_user)
-
     @property
     def n_interactions(self) -> int:
         return len(self.pairs)
 
     def items_of(self, user: int) -> np.ndarray:
-        """Items this user interacted with (ascending), empty if none."""
-        return self._by_user.get(int(user), _EMPTY_ITEMS)
+        """Items this user interacted with (ascending), empty if none: the
+        user's run of the sorted pairs."""
+        users = self.pairs[:, 0]
+        user = int(user)
+        return self.pairs[np.searchsorted(users, user):np.searchsorted(users, user, "right"), 1]
 
 
 @dataclass(frozen=True)

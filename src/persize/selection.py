@@ -9,14 +9,16 @@ rows with zeros, builds every expected-utility curve over sizes 1..K with
 one batched call, and returns each user's prefix at each curve's argmax
 within that user's own min(K, n). ``user_blocks`` groups users into blocks
 by their candidate counts only, so the padding, and with it every output
-byte, is the same for any thread count. ``recommend`` is the block of one.
-The CLI's ``recommend`` stage and ``evaluate`` both run the block routine
-on the blocks of ``served_users``, so they pick the same sizes.
+byte, is the same for any thread count. ``recommend`` is the block of one;
+``recommend_users`` runs the blocks of every ``served_users`` user on a
+thread pool. The CLI's ``recommend`` stage and ``evaluate`` both call
+``recommend_users``, so they pick the same sizes.
 Baselines choose the size by a global constant, uniformly at random, by
 validation utility, or (as an upper bound) by test utility, each on an
 already-ranked list. Evaluation scores every method's emitted prefix
 against held-out test positives over the identical user population, with
-the realized curves of a whole block in array operations.
+the realized curves of all evaluated users in one block of array
+operations.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from . import calibrate
 from .dataset import SplitDataset
 from .scorer import DegenerateUserError, ScoreTable
+from .util import parallel_map
 from .utility import (
     DEFAULT_M,
     EXACT_MODE_CAP,
@@ -65,12 +68,17 @@ def fixed_method_name(k: int) -> str:
 @dataclass(frozen=True)
 class PersonalizedRec:
     """One user's emitted list for one measure: the first k_max ranked
-    candidates, with the expected-utility curve it was cut from."""
+    candidates, with the user's ranking cut to min(K, n) and the
+    expected-utility curve the list was cut from."""
 
     user: int
     k_max: int
-    items: np.ndarray
+    ranking: np.ndarray
     curve: UtilityCurve
+
+    @property
+    def items(self) -> np.ndarray:
+        return self.ranking[: self.k_max]
 
     @property
     def expected_value(self) -> float:
@@ -108,8 +116,7 @@ def perk_select(curve: UtilityCurve) -> int:
 
 def served_users(scores: ScoreTable, params_by_user: dict) -> list[int]:
     """Every scored user with calibration parameters, in user order: the
-    users the recommend stage serves. ``evaluate`` blocks the same users, so
-    both stages pad each user's probability row alike."""
+    users ``recommend_users`` serves."""
     return [u for u in scores.users() if params_by_user.get(u) is not None]
 
 
@@ -153,27 +160,6 @@ def _block_curves(probs: list, measures: list, K: int, M: int, mode: str,
     return [{m: curves[m][i, : min(K, len(p))] for m in measures} for i, p in enumerate(probs)]
 
 
-def _perk_curves(users, scores: ScoreTable, params_by_user: dict, measures: list, K: int,
-                 M: int, mode: str, exact_cap: int, exclude: dict | None) -> dict:
-    """user -> (ranked items, measure -> curve values over 1..min(K, n)) for
-    a block of users, or the error of a user that cannot be served."""
-    out, ranked = {}, {}
-    for user in users:
-        items, vals = rank(user, scores, exclude.get(user, ()) if exclude else ())
-        if len(items) == 0:
-            out[user] = DegenerateUserError(f"user {user} has no scored candidates")
-            continue
-        try:
-            ranked[user] = items, calibrate.apply(params_by_user[user], vals)
-        except ValueError as exc:  # non-finite calibration parameters
-            out[user] = exc
-    probs = [p for _, p in ranked.values()]
-    values = _block_curves(probs, measures, K, M, mode, exact_cap) if probs else []
-    for (user, (items, _)), curves in zip(ranked.items(), values):
-        out[user] = curves if isinstance(curves, ValueError) else (items, curves)
-    return {user: out[user] for user in users}
-
-
 def recommend_block(
     users,
     scores: ScoreTable,
@@ -202,20 +188,61 @@ def recommend_block(
     """
     check_curve_args(mode, K, M)
     measures = list(measures)
-    out = {}
-    for user, served in _perk_curves([int(u) for u in users], scores, params_by_user, measures,
-                                     K, M, mode, exact_cap, exclude).items():
-        if isinstance(served, ValueError):
-            out[user] = served
+    users = [int(u) for u in users]
+    out, ranked = {}, {}
+    for user in users:
+        items, vals = rank(user, scores, exclude.get(user, ()) if exclude else ())
+        if len(items) == 0:
+            out[user] = DegenerateUserError(f"user {user} has no scored candidates")
             continue
-        items, curves = served
-        recs = {}
+        try:
+            ranked[user] = items[:K].copy(), calibrate.apply(params_by_user[user], vals)
+        except ValueError as exc:  # non-finite calibration parameters
+            out[user] = exc
+    probs = [p for _, p in ranked.values()]
+    values = _block_curves(probs, measures, K, M, mode, exact_cap) if probs else []
+    for (user, (ranking, _)), curves in zip(ranked.items(), values):
+        if isinstance(curves, ValueError):
+            out[user] = curves
+            continue
+        out[user] = {}
         for measure in measures:
             curve = UtilityCurve(measure, curves[measure], mode=mode)
-            k_max = perk_select(curve)
-            recs[measure] = PersonalizedRec(user, k_max, items[:k_max], curve)
-        out[user] = recs
-    return out
+            out[user][measure] = PersonalizedRec(user, perk_select(curve), ranking, curve)
+    return {user: out[user] for user in users}
+
+
+def recommend_users(
+    scores: ScoreTable,
+    params_by_user: dict,
+    measures,
+    K: int = DEFAULT_K,
+    M: int = DEFAULT_M,
+    mode: str = "approx",
+    exact_cap: int = EXACT_MODE_CAP,
+    exclude: dict | None = None,
+    threads: int = 1,
+) -> dict:
+    """``recommend_block`` over the ``user_blocks`` of every served user,
+    run on ``threads`` threads.
+
+    Returns user -> (measure -> PersonalizedRec), or the user's error, for
+    each user of ``served_users(scores, params_by_user)`` in user order.
+    The blocks depend on the data only, so the result does not depend on
+    ``threads``.
+    """
+    check_curve_args(mode, K, M)
+    measures = list(measures)  # every block reads them
+    users = served_users(scores, params_by_user)
+
+    def serve(block):
+        return recommend_block(block, scores, params_by_user, measures, K, M, mode, exact_cap,
+                               exclude)
+
+    out = {}
+    for result in parallel_map(serve, user_blocks(users, scores), threads):
+        out.update(result)
+    return {user: out[user] for user in users}
 
 
 def recommend(
@@ -298,94 +325,15 @@ def _label_block(ranked: list, positives: list) -> tuple[np.ndarray, np.ndarray]
     return labels, lengths
 
 
-def _evaluate_block(
-    users,
-    evaluable: set,
-    split: SplitDataset,
-    scores: ScoreTable,
-    params_by_user: dict,
-    measures,
-    methods,
-    K: int,
-    M: int,
-    mode: str,
-    seed: int,
-    exclude_val: bool,
-    exact_cap: int,
-) -> dict:
-    """Realized utility of each (method, measure) for the ``evaluable``
-    users of a block.
-
-    With PerK, the whole block is ranked and calibrated as the recommend
-    stage does it (``_perk_curves``), so each user's row is padded alike;
-    the ranking excludes the validation positives and is the evaluated one.
-    Each evaluated user is ranked once more without the exclusion (for
-    val_k, only when something was excluded). Returns user -> rows, or
-    None for a user left without candidates.
-    """
-    exclude = {u: split.val.items_of(u) for u in users} if exclude_val else None
-    if METHOD_PERK in methods:
-        served = _perk_curves(users, scores, params_by_user, measures, K, M, mode, exact_cap,
-                              exclude)
-    else:
-        served = {u: (rank(u, scores, exclude[u] if exclude else ())[0], {})
-                  for u in users if u in evaluable}
-    out, kept, ranked, perk_k, val_tops = {}, [], [], [], []
-    for user in users:
-        if user not in evaluable:
-            continue
-        result = served[user]
-        if isinstance(result, DegenerateUserError) or len(result[0]) == 0:
-            out[user] = None
-            continue
-        if isinstance(result, ValueError):
-            raise result
-        items, curves = result
-        kept.append(user)
-        ranked.append(items)
-        perk_k.append({m: perk_select(UtilityCurve(m, values, mode))
-                       for m, values in curves.items()})
-        if METHOD_VAL_K in methods:
-            val_tops.append(rank(user, scores)[0][:K] if exclude and len(exclude[user])
-                            else items[:K])
-    if not kept:
-        return out
-
-    tests = [split.test.items_of(user) for user in kept]
-    labels, tops = _label_block([r[:K] for r in ranked], tests)
-    realized = {m: realized_curve(m, labels, [len(t) for t in tests]) for m in measures}
-    oracle = {m: _row_argmax(realized[m], tops) for m in measures}
-    val_k = {}
-    if val_tops:
-        val_sets = [split.val.items_of(user) for user in kept]
-        val_labels, val_lengths = _label_block(val_tops, val_sets)
-        n_val = [len(v) for v in val_sets]
-        val_k = {m: _row_argmax(realized_curve(m, val_labels, n_val), val_lengths)
-                 for m in measures}
-
-    for i, user in enumerate(kept):
-        n_eval = len(ranked[i])
-        rand_k = min(baseline_rand(user, K, seed), n_eval) if METHOD_RAND in methods else 0
-        rows = []
-        for measure in measures:
-            for method in methods:
-                if method == METHOD_PERK:
-                    k = perk_k[i][measure]
-                elif method == METHOD_RAND:
-                    k = rand_k
-                elif method == METHOD_VAL_K:
-                    k = min(int(val_k[measure][i]), n_eval)
-                elif method == METHOD_ORACLE:
-                    k = int(oracle[measure][i])
-                else:
-                    k = min(int(method[4:]), int(tops[i]))
-                rows.append((user, method, measure.value, k, float(realized[measure][i, k - 1])))
-        out[user] = rows
-    return out
-
-
-def _check_methods(methods) -> None:
-    """Reject an unknown method, or a fixed size ``top-<k>`` with k < 1."""
+def _check_choices(measures: list, methods: list) -> None:
+    """Reject an empty or repeated measure or method list, an unknown
+    method, or a fixed size ``top-<k>`` with k < 1."""
+    for kind, given in (("measure", measures), ("method", methods)):
+        if not given:
+            raise ValueError(f"no {kind} to evaluate")
+        repeated = sorted({str(x) for x in given if given.count(x) > 1})
+        if repeated:
+            raise ValueError(f"repeated {kind}: {', '.join(repeated)}")
     for method in methods:
         size = method[4:] if str(method).startswith("top-") else ""
         known = method in (METHOD_PERK, METHOD_RAND, METHOD_VAL_K, METHOD_ORACLE)
@@ -411,13 +359,13 @@ def evaluate(
 
     All methods emit prefixes of the same per-user ranking (validation
     positives excluded by default), so their averages are comparable and
-    the test-label argmax dominates pointwise.
+    the test-label argmax dominates pointwise. PerK's sizes and rankings
+    come from ``recommend_users``, the routine of the recommend stage; the
+    evaluated users' realized curves are then one block of array operations.
     """
-    from .util import parallel_map
-
-    measures = [Measure(m) if not isinstance(m, Measure) else m for m in measures]
+    measures = [Measure(m) for m in measures]
     methods = list(methods) if methods is not None else default_methods(K)
-    _check_methods(methods)
+    _check_choices([m.value for m in measures], methods)
     check_curve_args(mode, K, M)
 
     skipped = dict.fromkeys(SKIP_REASONS, 0)
@@ -432,40 +380,73 @@ def evaluate(
         else:
             evaluable.append(user)
 
-    # PerK pads the recommend stage's blocks; without it no padding is shared
-    pool = served_users(scores, params_by_user) if METHOD_PERK in methods else evaluable
-    kept = set(evaluable)
-
-    def worker(block):
-        return _evaluate_block(
-            block, kept, split, scores, params_by_user, measures, methods,
-            K, M, mode, seed, exclude_val, exact_cap,
-        )
-
-    by_user = {}
-    for result in parallel_map(worker, user_blocks(pool, scores), threads):
-        by_user.update(result)
-    rows = []
+    exclude = {u: split.val.items_of(u) for u in scores.users()} if exclude_val else {}
+    if METHOD_PERK in methods:
+        served = recommend_users(scores, params_by_user, measures, K, M, mode, exact_cap,
+                                 exclude, threads)
+    kept, rankings, perk = [], [], []
     for user in evaluable:
-        if by_user[user] is None:
-            skipped[SKIP_NO_CANDIDATES] += 1
+        if METHOD_PERK in methods:
+            recs = served[user]
+            if isinstance(recs, DegenerateUserError):
+                skipped[SKIP_NO_CANDIDATES] += 1
+                continue
+            if isinstance(recs, ValueError):
+                raise recs
+            ranking = recs[measures[0]].ranking
+            perk.append(recs)
         else:
-            rows.extend(by_user[user])
-    if not rows:
+            ranking = rank(user, scores, exclude.get(user, ()))[0][:K]
+            if len(ranking) == 0:
+                skipped[SKIP_NO_CANDIDATES] += 1
+                continue
+        kept.append(user)
+        rankings.append(ranking)
+    if not kept:
         raise ValueError("no evaluable users (every user lacks test positives)")
 
-    n_users = len({r[0] for r in rows})
-    sums: dict[tuple, float] = {}
-    for _, method, measure, _, value in rows:
-        sums[(method, measure)] = sums.get((method, measure), 0.0) + value
-    averages = {
-        method: {
-            measure.value: sums[(method, measure.value)] / n_users for measure in measures
-        }
-        for method in methods
-    }
+    tests = [split.test.items_of(user) for user in kept]
+    labels, tops = _label_block(rankings, tests)
+    realized = {m: realized_curve(m, labels, [len(t) for t in tests]) for m in measures}
+    if METHOD_RAND in methods:
+        rand_k = np.minimum([baseline_rand(user, K, seed) for user in kept], tops)
+    if METHOD_VAL_K in methods:
+        val_tops = [rank(user, scores)[0][:K] if len(exclude.get(user, ())) else ranking
+                    for user, ranking in zip(kept, rankings)]
+        val_sets = [split.val.items_of(user) for user in kept]
+        val_labels, val_lengths = _label_block(val_tops, val_sets)
+        n_val = [len(v) for v in val_sets]
+        val_k = {m: np.minimum(_row_argmax(realized_curve(m, val_labels, n_val), val_lengths),
+                               tops) for m in measures}
+
+    columns, averages = {}, {method: {} for method in methods}
+    for measure in measures:
+        for method in methods:
+            if method == METHOD_PERK:
+                k = np.array([recs[measure].k_max for recs in perk])
+            elif method == METHOD_RAND:
+                k = rand_k
+            elif method == METHOD_VAL_K:
+                k = val_k[measure]
+            elif method == METHOD_ORACLE:
+                k = _row_argmax(realized[measure], tops)
+            else:
+                k = np.minimum(int(method[4:]), tops)
+            values = realized[measure][np.arange(len(kept)), k - 1].tolist()
+            columns[method, measure] = k.tolist(), values
+            total = 0.0
+            for value in values:  # in user order, one addition at a time
+                total += value
+            averages[method][measure.value] = total / len(kept)
+    rows = []
+    for i, user in enumerate(kept):
+        for measure in measures:
+            for method in methods:
+                k, values = columns[method, measure]
+                rows.append((user, method, measure.value, k[i], values[i]))
+
     config = {"K": K, "M": M, "mode": mode, "seed": seed, "exclude_val": exclude_val}
     return EvaluationReport(
-        averages=averages, n_users=n_users, config=config, per_user=tuple(rows),
+        averages=averages, n_users=len(kept), config=config, per_user=tuple(rows),
         skipped=skipped,
     )

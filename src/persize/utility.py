@@ -54,7 +54,6 @@ class UtilityCurve:
     measure: Measure
     values: np.ndarray
     mode: str  # "approx" | "exact"
-    user: int | None = None
 
     def __post_init__(self):
         self.values.setflags(write=False)

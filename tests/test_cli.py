@@ -182,19 +182,16 @@ class TestCrossStageParity:
             recs[(int(user), measure)] = (int(k), value, items)
         assert {u for u, _ in recs} == set(params)
         # the stage pads each block of users, so its values equal the library
-        # block routine's over the same blocks (a one-user call moves low bits)
-        users = [u for u in table.users() if u in params]
-        exclude = {u: split_ds.val.items_of(u) for u in users}
-        blocks = selection.user_blocks(users, table)
-        assert sorted(u for block in blocks for u in block) == users
-        for block in blocks:
-            lib = selection.recommend_block(
-                block, table, params, list(Measure), K=10, M=100, exclude=exclude)
-            for user, by_measure in lib.items():
-                for measure, rec in by_measure.items():
-                    want = (rec.k_max, repr(rec.expected_value),
-                            ",".join(str(i) for i in rec.items))
-                    assert recs[(user, measure.value)] == want, (user, measure)
+        # routine's over the same blocks (a one-user call moves low bits)
+        exclude = {u: split_ds.val.items_of(u) for u in table.users()}
+        lib = selection.recommend_users(table, params, list(Measure), K=10, M=100,
+                                        exclude=exclude)
+        assert list(lib) == sorted(params)
+        for user, by_measure in lib.items():
+            for measure, rec in by_measure.items():
+                want = (rec.k_max, repr(rec.expected_value),
+                        ",".join(str(i) for i in rec.items))
+                assert recs[(user, measure.value)] == want, (user, measure)
 
         perk_rows = 0
         for line in (workdir / "eval_per_user.tsv").read_text().splitlines():
@@ -359,6 +356,59 @@ class TestConfigValues:
         assert _run("train", "--config", str(cfg)) == 1
         assert f"BPRConfig.{key} must be" in capsys.readouterr().err
         assert not (workdir / "model.bin").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("exclude_val", "no"), ("exclude_val", 0), ("dump_curves", 0), ("dump_curves", "true"),
+        ("exclude_val", None),
+    ])
+    def test_non_boolean_value_rejected(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"workdir": str(tmp_path / "w"), key: value}))
+        assert _run("prepare", "--config", str(path)) == 1
+        assert f"{key} must be true or false, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("allow_zero", "false", "allocate.allow_zero must be true or false, got 'false'"),
+        ("allow_zero", 1, "allocate.allow_zero must be true or false, got 1"),
+        ("budget", 2.7, "allocate.budget must be an integer >= 0, got 2.7"),
+        ("budget", True, "allocate.budget must be an integer >= 0, got True"),
+        ("budget", -1, "allocate.budget must be an integer >= 0, got -1"),
+        ("budget", "3", "allocate.budget must be an integer >= 0, got '3'"),
+    ])
+    def test_bad_allocate_value_rejected(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "alloc.json"
+        path.write_text(json.dumps({
+            "workdir": str(tmp_path / "alloc"),
+            "allocate": {"budget": 3, "domains": [{"id": "a", "curves": "a.tsv"}],
+                         key: value},
+        }))
+        assert _run("allocate", "--config", str(path)) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "alloc").exists()
+
+    def test_repeated_measure_rejected(self, tmp_path, capsys):
+        # a repeated measure would write every user's rows twice and double
+        # evaluate's averages
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"workdir": str(tmp_path / "w"),
+                                    "measures": ["f1", "tp", "f1"]}))
+        assert _run("recommend", "--config", str(path)) == 1
+        assert "repeated measures: f1" in capsys.readouterr().err
+        args = ("evaluate", "--workdir", str(tmp_path / "w"), "--measure", "ndcg",
+                "--measure", "ndcg")
+        assert _run(*args) == 1
+        assert "repeated measures: ndcg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"measures": []}, "measures must name at least one measure"),
+        ({"allocate": ["budget"]}, "allocate must be an object, got ['budget']"),
+    ])
+    def test_empty_measures_or_non_object_allocate_rejected(self, tmp_path, capsys, extra,
+                                                             message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"workdir": str(tmp_path / "w"), **extra}))
+        assert _run("recommend", "--config", str(path)) == 1
+        assert message in capsys.readouterr().err
 
     def test_non_string_measure_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -61,6 +61,17 @@ class TestFromPairs:
         assert got.dtype == np.int64 and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [0, 1, 50, 3000])
+    def test_items_of_each_user_ascending(self, n):
+        pairs = np.random.default_rng(n).integers(-5, 30, size=(n, 2))
+        iset = InteractionSet.from_pairs(pairs)
+        for user in range(-7, 33):  # users below, inside and above the pairs' range
+            got = iset.items_of(user)
+            want = np.unique(pairs[pairs[:, 0] == user, 1])
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        assert len(iset.items_of(np.int64(99))) == 0
+
 
 class TestKcore:
     def test_k1_is_identity(self):

@@ -16,6 +16,7 @@ from persize.selection import (
     rank,
     recommend,
     recommend_block,
+    recommend_users,
     user_blocks,
 )
 from persize.utility import (
@@ -138,6 +139,19 @@ class TestRecommend:
             assert rec.k_max == perk_select(want[measure])
             assert rec.expected_value == float(want[measure].values[rec.k_max - 1])
 
+    def test_carries_its_ranking_cut_to_k(self):
+        rng = np.random.default_rng(6)
+        table = self._table(rng.normal(size=30))
+        params = PlattParams(a=1.0, b=0.5)
+        for K, exclude in ((10, ()), (40, [2, 7])):
+            recs = recommend(0, table, params, list(Measure), K=K, M=40, exclude=exclude)
+            ranked, _ = rank(0, table, exclude)
+            for rec in recs.values():
+                np.testing.assert_array_equal(rec.ranking, ranked[:K])
+                assert rec.ranking.flags.owndata  # the full ranking is not kept alive
+                assert rec.ranking is recs[Measure.F1].ranking  # one copy per user
+                np.testing.assert_array_equal(rec.items, rec.ranking[: rec.k_max])
+
     def test_degenerate_user(self):
         table = ScoreTable({0: (np.empty(0, dtype=np.int64), np.empty(0))})
         with pytest.raises(DegenerateUserError):
@@ -227,6 +241,69 @@ class TestRecommendBlock:
         assert user_blocks(widths, table(widths)) == [[5, 7, 1], [3]]
 
 
+class TestRecommendUsers:
+    """The routine both the recommend stage and ``evaluate`` call."""
+
+    def _world(self):
+        # 150 users from 1 to 700 candidates: several blocks at both caps
+        rng = np.random.default_rng(17)
+        widths = {u: int(rng.integers(1, 700)) for u in range(150)}
+        table = ScoreTable({u: (rng.permutation(1000)[:n], rng.normal(size=n))
+                            for u, n in widths.items()})
+        params = {u: PlattParams(1.0 + 0.05 * (u % 5), -1.5 + 0.3 * (u % 4))
+                  for u in widths if u % 11}
+        params[22] = None  # a user without parameters is not served
+        params[34] = PlattParams(float("nan"), 0.0)
+        exclude = {u: rank(u, table)[0][: u % 4] for u in widths}
+        exclude[45] = rank(45, table)[0]  # nothing left to rank
+        return table, params, exclude
+
+    def test_serves_the_blocks_of_served_users(self):
+        table, params, exclude = self._world()
+        got = recommend_users(table, params, iter([Measure.F1, Measure.NDCG]), K=20, M=100,
+                              exclude=exclude)
+        served = [u for u in table.users() if params.get(u) is not None]
+        assert list(got) == served
+        assert len(user_blocks(served, table)) > 2
+        assert isinstance(got[45], DegenerateUserError)
+        assert "non-finite" in str(got[34])
+        for block in user_blocks(served, table):
+            want = recommend_block(block, table, params, [Measure.F1, Measure.NDCG], K=20,
+                                   M=100, exclude=exclude)
+            for user in block:
+                if isinstance(want[user], ValueError):
+                    assert type(got[user]) is type(want[user])
+                    continue
+                for measure, rec in want[user].items():
+                    assert got[user][measure].k_max == rec.k_max
+                    assert got[user][measure].curve.values.tobytes() == \
+                        rec.curve.values.tobytes()
+
+    def test_thread_count_never_changes_the_result(self):
+        table, params, exclude = self._world()
+
+        def flat(result):
+            out = []
+            for user, recs in result.items():
+                if isinstance(recs, ValueError):
+                    out.append((user, type(recs).__name__, str(recs)))
+                    continue
+                for measure, rec in recs.items():
+                    out.append((user, measure, rec.k_max, rec.ranking.tobytes(),
+                                rec.curve.values.tobytes()))
+            return out
+
+        runs = [flat(recommend_users(table, params, list(Measure), K=15, M=80,
+                                     exclude=exclude, threads=threads))
+                for threads in (1, 2, 8)]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_bad_arguments_raise_without_users(self):
+        for kwargs, message in (({"mode": "fast"}, "mode must"), ({"K": 0}, "K must")):
+            with pytest.raises(ValueError, match=message):
+                recommend_users(ScoreTable({}), {}, [Measure.F1], **kwargs)
+
+
 class TestBaselines:
     def _ranked(self):
         rng = np.random.default_rng(3)
@@ -253,13 +330,40 @@ class TestBaselines:
     def test_bad_method_rejected_before_any_user(self, tiny_split, monkeypatch, method):
         from persize import selection
 
-        def no_user(*args):
-            raise AssertionError("a user was evaluated")
+        def no_user(*args, **kwargs):
+            raise AssertionError("a user was ranked")
 
-        monkeypatch.setattr(selection, "_evaluate_block", no_user)
+        monkeypatch.setattr(selection, "recommend_users", no_user)
+        monkeypatch.setattr(selection, "rank", no_user)
         table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
-        with pytest.raises(ValueError, match=repr(method)):
-            evaluate(tiny_split, table, {}, methods=["top-1", method], K=10)
+        params = {int(u): PlattParams(1.0, 0.0) for u in tiny_split.users}
+        for methods in (["top-1", method], [METHOD_PERK, "top-1", method]):
+            with pytest.raises(ValueError, match=repr(method)):
+                evaluate(tiny_split, table, params, methods=methods, K=10)
+
+    @pytest.mark.parametrize("measures, methods, message", [
+        ([Measure.F1, "f1"], None, "repeated measure: f1"),
+        ([Measure.TP, Measure.F1, Measure.TP], ["perk"], "repeated measure: tp"),
+        ([Measure.F1], ["perk", "top-1", "perk"], "repeated method: perk"),
+        ([Measure.F1], ["top-3", "oracle", "top-3"], "repeated method: top-3"),
+        ([], None, "no measure"),
+        ([Measure.F1], [], "no method"),
+    ])
+    def test_repeated_or_missing_choice_rejected(self, tiny_split, monkeypatch, measures,
+                                                  methods, message):
+        # a repeated measure or method would write each user's rows twice and
+        # double the averages, which divide by the users counted once
+        from persize import selection
+
+        def no_user(*args, **kwargs):
+            raise AssertionError("a user was ranked")
+
+        monkeypatch.setattr(selection, "recommend_users", no_user)
+        monkeypatch.setattr(selection, "rank", no_user)
+        table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
+        params = {int(u): PlattParams(1.0, 0.0) for u in tiny_split.users}
+        with pytest.raises(ValueError, match=message):
+            evaluate(tiny_split, table, params, measures=measures, methods=methods, K=5)
 
     def test_rand_reproducible_and_bounded(self):
         draws = {baseline_rand(5, 10, seed=4) for _ in range(5)}
@@ -396,6 +500,36 @@ class TestEvaluate:
         b = evaluate(split, table, params, K=10, M=100, seed=1, threads=4)
         assert a.per_user == b.per_user
         assert a.averages == b.averages
+
+    def test_perk_size_is_the_recommend_users_size(self, bundled_eval, monkeypatch):
+        from persize import selection
+        from persize.dataset import InteractionSet, SplitDataset
+
+        split, table, params, _ = bundled_eval
+        # a served user without test positives is still served, not evaluated
+        gone = next(u for u in table.users() if params.get(u) is not None
+                    and len(split.test.items_of(u)))
+        test_pairs = split.test.pairs[split.test.pairs[:, 0] != gone]
+        split = SplitDataset(
+            train=split.train, val=split.val,
+            test=InteractionSet.from_pairs(test_pairs, split.users, split.items), seed=0)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return served(*args, **kwargs)
+
+        served = selection.recommend_users
+        monkeypatch.setattr(selection, "recommend_users", recording)
+        report = evaluate(split, table, params, K=10, M=100, seed=2, threads=2)
+        assert len(calls) == 1
+        exclude = {u: split.val.items_of(u) for u in table.users()}
+        recs = served(table, params, list(Measure), K=10, M=100, exclude=exclude)
+        assert gone in recs and gone not in {row[0] for row in report.per_user}
+        perk_rows = [row for row in report.per_user if row[1] == METHOD_PERK]
+        assert len(perk_rows) == report.n_users * len(Measure)
+        for user, _, measure, k, _ in perk_rows:
+            assert k == recs[user][Measure(measure)].k_max, (user, measure)
 
     def test_no_evaluable_users_raises(self, tiny_split):
         from persize.dataset import SplitDataset, InteractionSet
