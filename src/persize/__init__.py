@@ -45,9 +45,7 @@ from .selection import (
     EvaluationReport,
     PersonalizedRec,
     baseline_rand,
-    baseline_val_k,
     evaluate,
-    oracle_k,
     perk_select,
     rank,
     recommend,
@@ -59,13 +57,9 @@ from .selection import (
 from .utility import (
     Measure,
     UtilityCurve,
-    expected_curve_approx,
-    expected_curve_exact,
     expected_curves,
     expected_curves_batch,
-    expected_pdcg,
     realized_curve,
-    realized_utility,
 )
 
 __version__ = "0.1.0"

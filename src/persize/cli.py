@@ -82,11 +82,18 @@ def _load_config(args) -> dict:
             cfg[flag] = value
     if getattr(args, "measure", None):
         cfg["measures"] = args.measure
-    _check_keys(cfg.get("bpr", {}), _BPR_KEYS, "bpr")
-    _check_keys(cfg.get("calibration", {}), _CAL_KEYS, "calibration")
+    for key, kind, what in (("bpr", dict, "an object"), ("calibration", dict, "an object"),
+                            ("allocate", dict, "an object"), ("measures", list, "a list"),
+                            ("baselines", list, "a list")):
+        if key in cfg and not isinstance(cfg[key], kind):
+            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
+    ratios = cfg["ratios"]
+    if not (isinstance(ratios, list) and len(ratios) == 3 and all(
+            isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios)):
+        raise ConfigError(f"ratios must be a list of three numbers, got {ratios!r}")
+    _check_keys(cfg["bpr"], _BPR_KEYS, "bpr")
+    _check_keys(cfg["calibration"], _CAL_KEYS, "calibration")
     if "allocate" in cfg:
-        if not isinstance(cfg["allocate"], dict):
-            raise ConfigError(f"allocate must be an object, got {cfg['allocate']!r}")
         _check_keys(cfg["allocate"], _ALLOC_KEYS, "allocate")
         for i, domain in enumerate(cfg["allocate"].get("domains", [])):
             for key in ("id", "curves"):
@@ -191,10 +198,10 @@ def _data_rows(path, n_cols: int):
 def _read_platt(path) -> tuple[dict, cal.PlattParams]:
     """Platt rows (scope, a, b, status) -> per-user params and the global fit.
 
-    Rejects a non-numeric user and a non-finite a or b, naming the line.
+    Rejects a non-numeric user, a non-finite a or b and a repeated user or
+    global row, naming the line.
     """
-    per_user = {}
-    global_params = None
+    rows = {}
     for lineno, (who, a, b, status) in _data_rows(path, 4):
         try:
             scope = who if who == cal.GLOBAL_SCOPE else int(who)
@@ -203,14 +210,14 @@ def _read_platt(path) -> tuple[dict, cal.PlattParams]:
             raise ConfigError(f"{path}: line {lineno}: {exc}") from None
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ConfigError(f"{path}: line {lineno}: non-finite parameters a={a!r}, b={b!r}")
-        params = cal.PlattParams(a, b, scope, status)
-        if scope == cal.GLOBAL_SCOPE:
-            global_params = params
-        else:
-            per_user[scope] = params
+        if scope in rows:
+            what = scope if scope == cal.GLOBAL_SCOPE else f"user {scope}"
+            raise ConfigError(f"{path}: line {lineno}: repeated row for {what}")
+        rows[scope] = cal.PlattParams(a, b, scope, status)
+    global_params = rows.pop(cal.GLOBAL_SCOPE, None)
     if global_params is None:
         raise ConfigError(f"{path}: missing {cal.GLOBAL_SCOPE} row")
-    return per_user, global_params
+    return rows, global_params
 
 
 def cmd_calibrate(cfg: dict) -> int:
@@ -260,8 +267,12 @@ def cmd_recommend(cfg: dict) -> int:
     rec_lines = [_echo(cfg, "recommend")]
     curve_lines = [_echo(cfg, "recommend")]
     n_skip = n_err = 0
-    for u, res in results.items():
-        if isinstance(res, scorer.DegenerateUserError):
+    for u in table.users():
+        res = results.get(u)
+        if res is None:
+            rec_lines.append(f"# skipped user={u}: no Platt parameters")
+            n_skip += 1
+        elif isinstance(res, scorer.DegenerateUserError):
             rec_lines.append(f"# skipped user={u}: no candidates")
             n_skip += 1
         elif isinstance(res, ValueError):
@@ -279,7 +290,7 @@ def cmd_recommend(cfg: dict) -> int:
     atomic_write(workdir / "recs.tsv", "\n".join(rec_lines) + "\n")
     if cfg["dump_curves"]:
         atomic_write(workdir / "curves.tsv", "\n".join(curve_lines) + "\n")
-    print(f"recommend: wrote sizes for {len(results) - n_skip - n_err} users, skipped {n_skip}, "
+    print(f"recommend: wrote sizes for {len(table) - n_skip - n_err} users, skipped {n_skip}, "
           f"{n_err} errors -> {workdir / 'recs.tsv'}")
     if n_err:
         print(f"recommend: {n_err} users failed (see '# error' rows)", file=sys.stderr)

@@ -18,7 +18,8 @@ validation utility, or (as an upper bound) by test utility, each on an
 already-ranked list. Evaluation scores every method's emitted prefix
 against held-out test positives over the identical user population, with
 the realized curves of all evaluated users in one block of array
-operations.
+operations; the validation and oracle sizes are the block argmax of such
+curves (``_label_block``, ``realized_curve``, ``_row_argmax``).
 """
 
 from __future__ import annotations
@@ -273,32 +274,6 @@ def baseline_rand(user: int, K: int, seed: int = 0) -> int:
     """Uniform size in [1, K], seeded per user (thread-count independent)."""
     rng = np.random.default_rng([seed, int(user), 0x72616E64])
     return int(rng.integers(1, K + 1))
-
-
-def _argmax_size(measure: Measure, ranked_items, positives) -> int:
-    """Smallest size maximizing realized utility of the ranked items
-    against the given positives; 1 when either is empty. The one-row case
-    of the block argmax ``evaluate`` runs."""
-    if len(ranked_items) == 0 or len(positives) == 0:
-        return 1
-    labels, lengths = _label_block([ranked_items], [positives])
-    return int(_row_argmax(realized_curve(measure, labels, [len(positives)]), lengths)[0])
-
-
-def baseline_val_k(measure: Measure, ranked_items, val_items) -> int:
-    """Size maximizing validation utility along ``ranked_items``.
-
-    The ranking must include the validation positives, since they must be
-    rankable to score; pass its top-K. Users without validation positives
-    fall back to size 1.
-    """
-    return _argmax_size(measure, ranked_items, val_items)
-
-
-def oracle_k(measure: Measure, ranked_items, test_items) -> int:
-    """Size maximizing test utility along ``ranked_items`` (the evaluated
-    top-K): the per-user upper bound."""
-    return _argmax_size(measure, ranked_items, test_items)
 
 
 def default_methods(K: int = DEFAULT_K) -> list[str]:

@@ -7,8 +7,8 @@ min(m, k) for TP and IDCG(min(m, k)) for NDCG. PDCG is linear in the
 relevances. These formulas are written once (``_gains``, ``_denominators``,
 ``_pdcg_curve``), and every kind of curve evaluates them:
 
-- realized: known 0/1 labels, at the realized count, for one user or a
-  (users, L) block of label rows;
+- realized (``realized_curve``): known 0/1 labels, at the realized count,
+  for one user or a (users, L) block of label rows;
 - expected, fast ("approx"): each relevance an independent Bernoulli
   variable with a calibrated probability; the count sum is truncated at M,
   and one count distribution of the whole candidate set stands in for
@@ -16,12 +16,13 @@ relevances. These formulas are written once (``_gains``, ``_denominators``,
   measure for a whole block of users (``expected_curves_batch``, whose
   masses come from one ``poibin.distribution`` call on the block); one
   user (``expected_curves``) is a block of one;
-- expected, exact: each top rank's leave-one-out count distribution over
-  the full count range, built in blocks of ranks once per user and shared
-  by every measure.
+- expected, exact (``expected_curves`` with ``mode="exact"``): each top
+  rank's leave-one-out count distribution over the full count range, built
+  in blocks of ranks once per user and shared by every measure.
 
 Every count distribution, in both modes, comes from
-``poibin.distribution_batch``.
+``poibin.distribution_batch``. The utility of one size k is entry k - 1 of
+its curve.
 """
 
 from __future__ import annotations
@@ -134,53 +135,6 @@ def realized_curve(measure: Measure, prefix_labels, total_relevant) -> np.ndarra
     return curve
 
 
-def realized_utility(measure: Measure, prefix_labels, total_relevant: int) -> float:
-    """Realized utility of the full given prefix (single size)."""
-    return float(realized_curve(measure, prefix_labels, total_relevant)[-1])
-
-
-def expected_pdcg(p) -> float:
-    """Expected PDCG of a prefix: exact by linearity, no approximation."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.size == 0:
-        raise ValueError("empty prefix")
-    return float(_pdcg_curve(p)[-1])
-
-
-def expected_curve_approx(
-    measure: Measure,
-    all_probs,
-    K: int,
-    M: int = DEFAULT_M,
-) -> UtilityCurve:
-    """Truncated-sum estimate of expected utility for every size k = 1..min(K, n).
-
-    The count distribution is built once from ``all_probs`` (the entire
-    candidate set in ranking order, not just the top-K prefix) with indices
-    0..M-1, the largest consumed by the count sum m = 1..M. It also stands
-    in for every rank's leave-one-out variant; expected_curve_exact removes
-    both shortcuts. The one-measure case of expected_curves; cost is
-    O(n log^2 n + K*M).
-    """
-    return expected_curves(all_probs, [measure], K, M)[measure]
-
-
-def expected_curve_exact(
-    measure: Measure,
-    all_probs,
-    K: int,
-    cap: int = EXACT_MODE_CAP,
-) -> UtilityCurve:
-    """Exact expected utility: per-rank leave-one-out counts, full count range.
-
-    Removes both shortcuts of the fast estimator. Cost is min(K, n) full
-    count distributions over n candidates, so candidate sets are capped
-    (default 2000); larger inputs should use expected_curve_approx. The
-    one-measure case of expected_curves in exact mode.
-    """
-    return expected_curves(all_probs, [measure], K, mode="exact", exact_cap=cap)[measure]
-
-
 def _exact_curves(all_probs: np.ndarray, kmax: int, measures: list) -> dict:
     """Exact curves of one user over sizes 1..kmax, every measure at once.
 
@@ -280,13 +234,16 @@ def expected_curves(
 ) -> dict:
     """Curves over sizes 1..min(K, n) for several measures of one user.
 
-    ``all_probs`` is the user's candidate set in ranking order. In approx
-    mode this is a one-row ``expected_curves_batch`` call, so every measure
-    shares one count distribution; exact mode shares one set of
-    leave-one-out distributions.
+    ``all_probs`` is the user's whole candidate set in ranking order, a 1-d
+    vector. In approx mode this is a one-row ``expected_curves_batch``
+    call, so every measure shares one count distribution; exact mode
+    shares one set of leave-one-out distributions and rejects more than
+    ``exact_cap`` candidates.
     """
     check_curve_args(mode, K, M)
     all_probs = np.asarray(all_probs, dtype=np.float64)
+    if all_probs.ndim != 1:
+        raise ValueError(f"expected a 1-d probability vector, got shape {all_probs.shape}")
     n = all_probs.size
     if n == 0:
         raise ValueError("empty candidate set")

@@ -20,8 +20,7 @@ from persize.selection import METHOD_ORACLE, perk_select
 from persize.synthetic import generate_world
 from persize.utility import (
     Measure,
-    expected_curve_approx,
-    expected_curve_exact,
+    expected_curves,
     expected_curves_batch,
     realized_curve,
 )
@@ -62,8 +61,9 @@ def test_criterion_02_expected_utility_oracle_chain():
     for _ in range(100):
         n = int(rng.integers(1, 13))
         probs = np.sort(rng.random(n))[::-1]
+        curves = expected_curves(probs, ALL_MEASURES, K=n, mode="exact")
         for measure in ALL_MEASURES:
-            got = expected_curve_exact(measure, probs, K=n).values
+            got = curves[measure].values
             want = enum_expected_curve(measure.value, probs)
             tol = 1e-12 if measure is Measure.PDCG else 1e-9
             np.testing.assert_allclose(got, want, atol=tol)
@@ -77,11 +77,11 @@ def test_criterion_03_approximation_gap_direction():
         rng = np.random.default_rng(seed)
         probs = np.sort(rng.uniform(0.0, 0.1, n))[::-1]
         K = 10
+        approx = expected_curves(probs, ALL_MEASURES, M=2000, K=K)
+        exact = expected_curves(probs, ALL_MEASURES, K=K, mode="exact")
         gaps = {}
         for measure in ALL_MEASURES:
-            approx = expected_curve_approx(measure, probs, M=2000, K=K)
-            exact = expected_curve_exact(measure, probs, K=K)
-            gaps[measure] = float(np.abs(approx.values - exact.values).max())
+            gaps[measure] = float(np.abs(approx[measure].values - exact[measure].values).max())
         return gaps
 
     lines = []
@@ -108,7 +108,7 @@ def test_criterion_04_pdcg_selection_law():
         if trial % 4 == 0 and n >= 2:
             probs[rng.integers(0, n)] = 0.5  # exact-tie entries
             probs = np.sort(probs)[::-1]
-        curve = expected_curve_approx(Measure.PDCG, probs, M=2, K=n)
+        curve = expected_curves(probs, [Measure.PDCG], M=2, K=n)[Measure.PDCG]
         assert perk_select(curve) == max(1, int(np.sum(probs > 0.5)))
     _report("criterion 4 (PDCG size law over 100 random vectors)")
 

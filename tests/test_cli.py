@@ -306,6 +306,31 @@ class TestRecommendBlocks:
         assert "evaluate: skipped 1 users (0 no_test_positives, 1 no_candidates, " \
             "0 no_platt_params)" in out
 
+    def test_users_without_platt_row_are_skipped(self, tmp_path, calibrated_workdir,
+                                                 bundled_path, capsys):
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        split_ds = dataset.load_split(workdir)
+        table = scorer.load_scores(workdir / "scores.bin")
+        user = next(u for u in table.users()[1:-1] if len(split_ds.test.items_of(u)))
+        platt = workdir / "platt.tsv"
+        rows = [line for line in platt.read_text().splitlines()
+                if line.split("\t")[0] != str(user)]
+        platt.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert _run("recommend", "--config", str(cfg)) == 0
+        out = capsys.readouterr().out
+        assert f"wrote sizes for {len(table) - 1} users, skipped 1, 0 errors" in out
+        recs = (workdir / "recs.tsv").read_text().splitlines()[1:]
+        skip = recs.index(f"# skipped user={user}: no Platt parameters")
+        # the skip row keeps its place in user order
+        assert int(recs[skip - 1].split("\t")[0]) < user < int(recs[skip + 1].split("\t")[0])
+        assert _run("evaluate", "--config", str(cfg)) == 0
+        out = capsys.readouterr().out
+        assert "evaluate: skipped 1 users (0 no_test_positives, 0 no_candidates, " \
+            "1 no_platt_params)" in out
+
 
 class TestPlattFile:
     @pytest.mark.parametrize("row, why", [
@@ -315,7 +340,10 @@ class TestPlattFile:
         ("{u}\t{a}\t{b}", "expected 4 columns, got 3"),
         ("u{u}\t{a}\t{b}\tconverged", "invalid literal"),
         ("{u}\t{a}\tslope\tconverged", "could not convert"),
-    ], ids=["nan_row", "nan_b", "inf_b", "three_columns", "non_numeric_user", "non_numeric_b"])
+        ("GLOBAL\t{a}\t{b}\tconverged", "repeated row for GLOBAL"),
+        ("{u}\t{a}\t{b}\tconverged\n{u}\t1.0\t-3.0\tconverged", "repeated row for user {u}"),
+    ], ids=["nan_row", "nan_b", "inf_b", "three_columns", "non_numeric_user", "non_numeric_b",
+            "repeated_global", "repeated_user"])
     def test_malformed_row_rejected(self, tmp_path, bundled_path, calibrated_workdir,
                                     capsys, row, why):
         workdir = tmp_path / "run"
@@ -327,10 +355,11 @@ class TestPlattFile:
         lines[2] = row.format(u=u, a=a, b=b)
         platt.write_text("\n".join(lines) + "\n")
         cfg = _write_config(tmp_path, bundled_path, workdir)
+        bad_line = 3 + row.count("\n")  # the last of the row's lines is the bad one
         for stage in ("recommend", "evaluate"):
             assert _run(stage, "--config", str(cfg)) == 1, stage
             err = capsys.readouterr().err
-            assert "platt.tsv: line 3: " in err and why in err, err
+            assert f"platt.tsv: line {bad_line}: " in err and why.format(u=u) in err, err
         assert not (workdir / "recs.tsv").exists()
         assert not (workdir / "eval_report.json").exists()
 
@@ -402,6 +431,15 @@ class TestConfigValues:
     @pytest.mark.parametrize("extra, message", [
         ({"measures": []}, "measures must name at least one measure"),
         ({"allocate": ["budget"]}, "allocate must be an object, got ['budget']"),
+        ({"ratios": 5}, "ratios must be a list of three numbers, got 5"),
+        ({"ratios": ["a", "b", "c"]},
+         "ratios must be a list of three numbers, got ['a', 'b', 'c']"),
+        ({"ratios": [1, 0, False]}, "ratios must be a list of three numbers, got [1, 0, False]"),
+        ({"ratios": [0.5, 0.5]}, "ratios must be a list of three numbers, got [0.5, 0.5]"),
+        ({"bpr": 3}, "bpr must be an object, got 3"),
+        ({"calibration": [1]}, "calibration must be an object, got [1]"),
+        ({"measures": "f1"}, "measures must be a list, got 'f1'"),
+        ({"baselines": "perk"}, "baselines must be a list, got 'perk'"),
     ])
     def test_empty_measures_or_non_object_allocate_rejected(self, tmp_path, capsys, extra,
                                                              message):

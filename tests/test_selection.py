@@ -7,11 +7,11 @@ from persize.scorer import DegenerateUserError, ScoreTable
 from persize.selection import (
     METHOD_ORACLE,
     METHOD_PERK,
+    _label_block,
+    _row_argmax,
     baseline_rand,
-    baseline_val_k,
     default_methods,
     evaluate,
-    oracle_k,
     perk_select,
     rank,
     recommend,
@@ -22,7 +22,6 @@ from persize.selection import (
 from persize.utility import (
     Measure,
     UtilityCurve,
-    expected_curve_approx,
     expected_curves,
     realized_curve,
 )
@@ -55,7 +54,7 @@ class TestPerkSelect:
             if trial % 3 == 0 and n >= 3:
                 probs[n // 3] = 0.5  # plant an exact tie
                 probs = np.sort(probs)[::-1]
-            curve = expected_curve_approx(Measure.PDCG, probs, M=5, K=n)
+            curve = expected_curves(probs, [Measure.PDCG], M=5, K=n)[Measure.PDCG]
             want = max(1, int(np.sum(probs > 0.5)))
             assert perk_select(curve) == want
 
@@ -304,6 +303,13 @@ class TestRecommendUsers:
                 recommend_users(ScoreTable({}), {}, [Measure.F1], **kwargs)
 
 
+def _block_argmax(measure, ranked_items, positives) -> int:
+    """The val_k / oracle size of one user: the one-row block argmax that
+    ``evaluate`` runs over all its users."""
+    labels, lengths = _label_block([ranked_items], [positives])
+    return int(_row_argmax(realized_curve(measure, labels, [len(positives)]), lengths)[0])
+
+
 class TestBaselines:
     def _ranked(self):
         rng = np.random.default_rng(3)
@@ -381,28 +387,28 @@ class TestBaselines:
 
     def test_val_k_single_hit_ndcg(self):
         # one validation positive at rank 1: every larger k ties, so pick 1
-        assert baseline_val_k(Measure.NDCG, np.arange(10), [0]) == 1
+        assert _block_argmax(Measure.NDCG, np.arange(10), [0]) == 1
 
     def test_val_k_no_positives_defaults_one(self):
-        assert baseline_val_k(Measure.F1, np.arange(4), []) == 1
-        assert baseline_val_k(Measure.F1, np.arange(4), np.empty(0, dtype=np.int64)) == 1
+        assert _block_argmax(Measure.F1, np.arange(4), []) == 1
+        assert _block_argmax(Measure.F1, np.arange(4), np.empty(0, dtype=np.int64)) == 1
 
     def test_val_k_all_relevant_prefix_ties_to_one(self):
         # every rank relevant: TP is identically 1, ties resolve to k=1
-        assert baseline_val_k(Measure.TP, np.arange(6), list(range(6))) == 1
+        assert _block_argmax(Measure.TP, np.arange(6), list(range(6))) == 1
 
     def test_val_k_tp_unique_argmax_at_full_size(self):
         # rank 1 irrelevant, the rest relevant: TP only peaks at k=K
-        assert baseline_val_k(Measure.TP, np.arange(6), [1, 2, 3, 4, 5]) == 6
+        assert _block_argmax(Measure.TP, np.arange(6), [1, 2, 3, 4, 5]) == 6
 
     def test_val_k_follows_the_given_ranking(self):
         ranked = self._ranked()
         # the only positive sits at rank 4 of the ranking: F1 peaks there
-        assert baseline_val_k(Measure.F1, ranked[:20], [int(ranked[3])]) == 4
+        assert _block_argmax(Measure.F1, ranked[:20], [int(ranked[3])]) == 4
 
     def test_oracle_k_mirrors_with_test_labels(self):
         # test positives at ranks 1..3: F1 peaks at k=3 with value 1
-        k = oracle_k(Measure.F1, np.arange(50), [0, 1, 2])
+        k = _block_argmax(Measure.F1, np.arange(50), [0, 1, 2])
         assert k == 3
         labels = np.zeros(50)
         labels[:3] = 1

@@ -4,13 +4,9 @@ import pytest
 from persize.poibin import distribution, distribution_batch
 from persize.utility import (
     Measure,
-    expected_curve_approx,
-    expected_curve_exact,
     expected_curves,
-    expected_pdcg,
     log_discount,
     realized_curve,
-    realized_utility,
 )
 
 from oracles import (
@@ -25,34 +21,34 @@ ALL = (Measure.NDCG, Measure.PDCG, Measure.F1, Measure.TP)
 
 class TestRealized:
     def test_perfect_single_hit_ndcg(self):
-        assert realized_utility(Measure.NDCG, [1], 1) == 1.0
+        assert realized_curve(Measure.NDCG, [1], 1)[-1] == 1.0
 
     def test_pdcg_hand_value(self):
         # 1/log2(2) - 1/log2(3)
         expected = 1.0 - 1.0 / np.log2(3.0)
-        assert realized_utility(Measure.PDCG, [1, 0], 5) == pytest.approx(expected, abs=1e-12)
+        assert realized_curve(Measure.PDCG, [1, 0], 5)[-1] == pytest.approx(expected, abs=1e-12)
 
     def test_f1_direct(self):
-        assert realized_utility(Measure.F1, [1, 1], 3) == pytest.approx(0.8)
+        assert realized_curve(Measure.F1, [1, 1], 3)[-1] == pytest.approx(0.8)
 
     def test_tp_direct(self):
-        assert realized_utility(Measure.TP, [1, 0, 1], 2) == 1.0
+        assert realized_curve(Measure.TP, [1, 0, 1], 2)[-1] == 1.0
 
     def test_zero_relevant_convention(self):
         for measure in (Measure.NDCG, Measure.F1, Measure.TP):
-            assert realized_utility(measure, [0, 0], 0) == 0.0
+            assert realized_curve(measure, [0, 0], 0)[-1] == 0.0
         # PDCG has no such guard: all-irrelevant prefixes go negative
-        assert realized_utility(Measure.PDCG, [0, 0], 0) < 0.0
+        assert realized_curve(Measure.PDCG, [0, 0], 0)[-1] < 0.0
 
     def test_inconsistent_total_raises(self):
         with pytest.raises(ValueError):
-            realized_utility(Measure.F1, [1, 1], 1)
+            realized_curve(Measure.F1, [1, 1], 1)
 
     def test_nonbinary_labels_rejected(self):
         with pytest.raises(ValueError):
-            realized_utility(Measure.NDCG, [0.5, 1.0], 2)
+            realized_curve(Measure.NDCG, [0.5, 1.0], 2)
         with pytest.raises(ValueError):
-            realized_utility(Measure.NDCG, [], 0)
+            realized_curve(Measure.NDCG, [], 0)
 
     def test_matches_reference_all_sizes(self):
         rng = np.random.default_rng(0)
@@ -69,44 +65,45 @@ class TestRealized:
 
 
 class TestExpectedPdcg:
+    # the expected PDCG of a whole prefix is the last value of its curve
     def test_sure_hit(self):
-        assert expected_pdcg([1.0]) == 1.0
+        assert expected_curves([1.0], [Measure.PDCG], K=1)[Measure.PDCG].values[-1] == 1.0
 
     def test_zero_centered(self):
-        assert expected_pdcg([0.5, 0.5]) == 0.0
+        assert expected_curves([0.5, 0.5], [Measure.PDCG], K=2)[Measure.PDCG].values[-1] == 0.0
 
     def test_hand_value_and_enumeration(self):
-        val = expected_pdcg([0.9, 0.4])
+        val = expected_curves([0.9, 0.4], [Measure.PDCG], K=2)[Measure.PDCG].values[-1]
         assert val == pytest.approx(0.8 - 0.2 / np.log2(3.0), abs=1e-12)
         assert val == pytest.approx(enum_expected_utility("pdcg", [0.9, 0.4], 2), abs=1e-12)
 
 
 class TestExactCurve:
     def test_single_sure_candidate(self):
+        curves = expected_curves([1.0], ALL, K=1, mode="exact")
         for measure, want in ((Measure.NDCG, 1.0), (Measure.F1, 1.0), (Measure.TP, 1.0)):
-            curve = expected_curve_exact(measure, [1.0], K=1)
-            assert curve.values[0] == pytest.approx(want, abs=1e-12)
+            assert curves[measure].values[0] == pytest.approx(want, abs=1e-12)
 
     def test_enumeration_equivalence(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             n = int(rng.integers(1, 13))
             probs = np.sort(rng.random(n))[::-1]
+            curves = expected_curves(probs, ALL, K=n, mode="exact")
             for measure in ALL:
-                curve = expected_curve_exact(measure, probs, K=n)
                 tol = 1e-12 if measure is Measure.PDCG else 1e-9
                 for k in range(1, n + 1):
                     ref = enum_expected_utility(measure.value, probs, k)
-                    assert curve.values[k - 1] == pytest.approx(ref, abs=tol)
+                    assert curves[measure].values[k - 1] == pytest.approx(ref, abs=tol)
 
     def test_certain_and_impossible_candidates(self):
         # a zero-probability rank leaves its leave-one-out row unchanged;
         # a sure one shifts every other rank's count by one
         probs = np.array([1.0, 0.8, 0.5, 0.3, 0.0, 0.0])
+        curves = expected_curves(probs, ALL, K=len(probs), mode="exact")
         for measure in ALL:
-            curve = expected_curve_exact(measure, probs, K=len(probs))
             np.testing.assert_allclose(
-                curve.values, enum_expected_curve(measure.value, probs), atol=1e-12
+                curves[measure].values, enum_expected_curve(measure.value, probs), atol=1e-12
             )
 
     def test_rank_blocks_match_per_rank_oracle(self):
@@ -119,7 +116,7 @@ class TestExactCurve:
         totals = np.cumsum(probs[:, None] * loo, axis=0)  # [k-1, m-1]
         ms, ks = np.arange(1, n + 1), np.arange(1, n + 1)
         want = (2.0 * totals / (ms[None, :] + ks[:, None])).sum(axis=1)
-        curve = expected_curve_exact(Measure.F1, probs, K=n)
+        curve = expected_curves(probs, [Measure.F1], K=n, mode="exact")[Measure.F1]
         np.testing.assert_allclose(curve.values, want, rtol=0, atol=1e-12)
 
     def test_sure_labels_give_the_realized_curve(self):
@@ -130,9 +127,10 @@ class TestExactCurve:
         for n, K in ((1, 1), (7, 3), (40, 40), (150, 90)):
             for rate in (0.0, 0.2, 0.7, 1.0):
                 labels = (rng.random(n) < rate).astype(float)
+                curves = expected_curves(labels, ALL, K=K, mode="exact")
                 for measure in ALL:
                     want = realized_curve(measure, labels[:K], int(labels.sum()))
-                    got = expected_curve_exact(measure, labels, K=K).values
+                    got = curves[measure].values
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_measures_share_the_leave_one_out_blocks(self, monkeypatch):
@@ -150,35 +148,36 @@ class TestExactCurve:
         curves = expected_curves(probs, ALL, K=150, mode="exact")
         assert [rows for rows, _ in calls] == [64, 64, 22]
         for measure in ALL:
-            single = expected_curve_exact(measure, probs, K=150)
+            single = expected_curves(probs, [measure], K=150, mode="exact")[measure]
             np.testing.assert_array_equal(curves[measure].values, single.values)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="approx"):
-            expected_curve_exact(Measure.F1, np.full(11, 0.1), K=5, cap=10)
+            expected_curves(np.full(11, 0.1), [Measure.F1], K=5, mode="exact", exact_cap=10)
 
     def test_empty_candidates(self):
         with pytest.raises(ValueError):
-            expected_curve_exact(Measure.F1, [], K=1)
+            expected_curves([], [Measure.F1], K=1, mode="exact")
 
 
 class TestApproxCurve:
     def test_pdcg_rows_equal_closed_form(self):
         rng = np.random.default_rng(2)
         probs = np.sort(rng.random(20))[::-1]
-        curve = expected_curve_approx(Measure.PDCG, probs, M=10, K=8)
+        curve = expected_curves(probs, [Measure.PDCG], M=10, K=8)[Measure.PDCG]
         for k in range(1, 9):
-            assert curve.values[k - 1] == expected_pdcg(probs[:k])
+            prefix = expected_curves(probs[:k], [Measure.PDCG], K=k)[Measure.PDCG]
+            assert curve.values[k - 1] == prefix.values[-1]
 
     def test_f1_hand_value(self):
-        curve = expected_curve_approx(Measure.F1, [0.5, 0.5], M=2, K=1)
+        curve = expected_curves([0.5, 0.5], [Measure.F1], M=2, K=1)[Measure.F1]
         assert curve.values[0] == pytest.approx(2 * 0.5 * (0.25 / 2 + 0.5 / 3), abs=1e-12)
 
     def test_single_sure_item_truncation_artifact(self):
         # With M=1 the count sum sees only P(count=0)=0, so the estimate is 0
         # while the exact value is 1: the documented contrast between modes.
-        approx = expected_curve_approx(Measure.NDCG, [1.0], M=1, K=1)
-        exact = expected_curve_exact(Measure.NDCG, [1.0], K=1)
+        approx = expected_curves([1.0], [Measure.NDCG], M=1, K=1)[Measure.NDCG]
+        exact = expected_curves([1.0], [Measure.NDCG], K=1, mode="exact")[Measure.NDCG]
         assert approx.values[0] == 0.0
         assert exact.values[0] == 1.0
 
@@ -189,8 +188,8 @@ class TestApproxCurve:
         d = distribution(probs, M - 1).mass
         disc = log_discount(np.arange(1, 40))
         ideal = np.concatenate([[0.0], np.cumsum(disc)])
-        for measure in (Measure.NDCG, Measure.F1, Measure.TP):
-            curve = expected_curve_approx(measure, probs, M=M, K=K)
+        curves = expected_curves(probs, (Measure.NDCG, Measure.F1, Measure.TP), M=M, K=K)
+        for measure, curve in curves.items():
             for k in range(1, K + 1):
                 total = 0.0
                 for m in range(1, len(d) + 1):
@@ -207,14 +206,16 @@ class TestApproxCurve:
         rng = np.random.default_rng(4)
         probs = np.sort(rng.random(40))[::-1]
         K = 10
-        for measure in (Measure.NDCG, Measure.F1, Measure.TP):
-            full = expected_curve_approx(measure, probs, M=41, K=K).values
-            prev = np.zeros(K)
-            for M in (1, 3, 8, 20, 41):
-                cur = expected_curve_approx(measure, probs, M=M, K=K).values
-                assert np.all(cur >= prev - 1e-15)
-                assert np.all(cur <= full + 1e-12)
-                prev = cur
+        measures = (Measure.NDCG, Measure.F1, Measure.TP)
+        full = expected_curves(probs, measures, M=41, K=K)
+        prev = dict.fromkeys(measures, np.zeros(K))
+        for M in (1, 3, 8, 20, 41):
+            curves = expected_curves(probs, measures, M=M, K=K)
+            for measure in measures:
+                cur = curves[measure].values
+                assert np.all(cur >= prev[measure] - 1e-15)
+                assert np.all(cur <= full[measure].values + 1e-12)
+                prev[measure] = cur
 
     def test_range_bounds(self):
         rng = np.random.default_rng(5)
@@ -222,11 +223,10 @@ class TestApproxCurve:
             n = int(rng.integers(1, 30))
             probs = np.sort(rng.random(n))[::-1]
             K = min(8, n)
+            approx = expected_curves(probs, ALL, M=50, K=K)
+            exact = expected_curves(probs, ALL, K=K, mode="exact")
             for measure in ALL:
-                for mode_vals in (
-                    expected_curve_approx(measure, probs, M=50, K=K).values,
-                    expected_curve_exact(measure, probs, K=K).values,
-                ):
+                for mode_vals in (approx[measure].values, exact[measure].values):
                     assert np.all(np.isfinite(mode_vals))
                     if measure is Measure.PDCG:
                         bound = np.cumsum(log_discount(np.arange(1, K + 1)))
@@ -240,11 +240,11 @@ class TestApproxCurve:
             rng = np.random.default_rng(seed)
             probs = np.sort(rng.uniform(0, 0.1, n))[::-1]
             K = 10
+            approx = expected_curves(probs, ALL, M=2000, K=K)
+            exact = expected_curves(probs, ALL, K=K, mode="exact")
             gaps = {}
             for measure in ALL:
-                ap = expected_curve_approx(measure, probs, M=2000, K=K)
-                ex = expected_curve_exact(measure, probs, K=K)
-                gaps[measure] = float(np.abs(ap.values - ex.values).max())
+                gaps[measure] = float(np.abs(approx[measure].values - exact[measure].values).max())
             return gaps
 
         small = max_gap(10, 6)
@@ -256,19 +256,23 @@ class TestApproxCurve:
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="empty"):
-            expected_curve_approx(Measure.F1, [], M=5, K=1)
+            expected_curves([], [Measure.F1], M=5, K=1)
         with pytest.raises(ValueError, match="M must"):
-            expected_curve_approx(Measure.F1, [0.5], M=0, K=1)
+            expected_curves([0.5], [Measure.F1], M=0, K=1)
         with pytest.raises(ValueError, match="K must"):
-            expected_curve_approx(Measure.F1, [0.5], M=5, K=0)
+            expected_curves([0.5], [Measure.F1], M=5, K=0)
         with pytest.raises(ValueError, match="finite"):
-            expected_curve_approx(Measure.F1, [float("nan"), 0.1], M=5, K=1)
+            expected_curves([float("nan"), 0.1], [Measure.F1], M=5, K=1)
+        # a block of users is expected_curves_batch's input, in either mode
+        for mode in ("approx", "exact"):
+            with pytest.raises(ValueError, match=r"1-d probability vector, got shape \(2, 3\)"):
+                expected_curves(np.full((2, 3), 0.5), [Measure.F1], K=10, mode=mode)
 
     def test_curve_covers_min_K_n_sizes(self):
         probs = np.array([0.9, 0.8, 0.1])
         for measure in ALL:
-            assert len(expected_curve_approx(measure, probs, M=5, K=2)) == 2
-            assert len(expected_curve_approx(measure, probs, M=5, K=10)) == 3
+            assert len(expected_curves(probs, [measure], M=5, K=2)[measure]) == 2
+            assert len(expected_curves(probs, [measure], M=5, K=10)[measure]) == 3
             assert len(expected_curves(probs, [measure], K=10, mode="exact")[measure]) == 3
 
 
@@ -279,10 +283,10 @@ class TestBatchedCurves:
         rng = np.random.default_rng(6)
         probs = np.sort(rng.random((7, 60)), axis=1)[:, ::-1]
         batch = expected_curves_batch(probs, ALL, M=30, K=12)
-        for measure in ALL:
-            for b in range(7):
-                single = expected_curve_approx(measure, probs[b], M=30, K=12)
-                np.testing.assert_allclose(batch[measure][b], single.values, atol=1e-10)
+        for b in range(7):
+            single = expected_curves(probs[b], ALL, M=30, K=12)
+            for measure in ALL:
+                np.testing.assert_allclose(batch[measure][b], single[measure].values, atol=1e-10)
 
     def test_distribution_batch_matches_single(self):
         from persize.poibin import distribution_batch
@@ -317,10 +321,10 @@ class TestBatchedCurves:
 
         probs = np.array([[0.9, 0.4, 0.1], [0.6, 0.5, 0.2]])
         batch = expected_curves_batch(probs, ALL, M=1, K=3)
-        for measure in ALL:
-            for b in range(2):
-                single = expected_curve_approx(measure, probs[b], M=1, K=3)
-                np.testing.assert_allclose(batch[measure][b], single.values, atol=1e-12)
+        for b in range(2):
+            single = expected_curves(probs[b], ALL, M=1, K=3)
+            for measure in ALL:
+                np.testing.assert_allclose(batch[measure][b], single[measure].values, atol=1e-12)
 
 
 class TestExpectedCurves:
@@ -330,7 +334,7 @@ class TestExpectedCurves:
         K = 6
         curves = expected_curves(probs, ALL, M=12, K=K)
         for measure in ALL:
-            single = expected_curve_approx(measure, probs, M=12, K=K)
+            single = expected_curves(probs, [measure], M=12, K=K)[measure]
             np.testing.assert_array_equal(curves[measure].values, single.values)
 
     def test_exact_mode_dispatch(self):
