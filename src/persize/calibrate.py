@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import _check_number
+
 GLOBAL_SCOPE = "GLOBAL"
 
 FIT_CONVERGED = "converged"
@@ -53,6 +55,11 @@ class FitConfig:
     tolerance: float = 1e-8
     divergence_bound: float = 50.0
 
+    def __post_init__(self):
+        _check_number("FitConfig.max_iters", self.max_iters, 1, integer=True)
+        for name in ("tolerance", "divergence_bound"):
+            _check_number(f"FitConfig.{name}", getattr(self, name), 0, strict=True)
+
 
 def build_calibration_set(
     user: int,
@@ -70,6 +77,7 @@ def build_calibration_set(
     val_items = split.val.items_of(user)
     labels = np.isin(items, val_items).astype(np.float64)
     if subsample_negatives is not None:
+        _check_number("subsample_negatives", subsample_negatives, 0, integer=True)
         rng = np.random.default_rng([seed, user])
         neg_idx = np.flatnonzero(labels == 0)
         keep = min(subsample_negatives, len(neg_idx))

@@ -13,13 +13,15 @@ before writing.
 text export for people and other tools. Later stages never read the
 export, so edits to it are not seen downstream; edited scores go back in
 through the ``scores`` key of ``train``.
+
+Every numeric text file a stage reads (splits, scores, ``platt.tsv``, curve
+dumps) goes through ``util._read_rows``: one line rule, one error wording.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -27,7 +29,8 @@ import numpy as np
 
 from . import calibrate as cal
 from . import dataset, multidomain, scorer, selection, utility
-from .util import atomic_write
+from .util import (_check_number, _first_flagged, _parse_int64, _read_rows, _repeats,
+                   atomic_write)
 
 _TOP_KEYS = {
     "data", "workdir", "seed", "K", "M", "measures", "mode", "kcore", "ratios",
@@ -93,25 +96,27 @@ def _load_config(args) -> dict:
         raise ConfigError(f"ratios must be a list of three numbers, got {ratios!r}")
     _check_keys(cfg["bpr"], _BPR_KEYS, "bpr")
     _check_keys(cfg["calibration"], _CAL_KEYS, "calibration")
-    if "allocate" in cfg:
-        _check_keys(cfg["allocate"], _ALLOC_KEYS, "allocate")
-        for i, domain in enumerate(cfg["allocate"].get("domains", [])):
-            for key in ("id", "curves"):
-                if not isinstance(domain, dict) or key not in domain:
-                    raise ConfigError(f"allocate.domains[{i}] needs '{key}'")
+    alloc = cfg.get("allocate", {})
+    _check_keys(alloc, _ALLOC_KEYS, "allocate")
+    domains = alloc.get("domains")
+    if "domains" in alloc and not (isinstance(domains, list) and domains):
+        raise ConfigError(f"allocate.domains must be a non-empty list, got {domains!r}")
+    for i, domain in enumerate(domains or []):
+        for key in ("id", "curves"):
+            if not isinstance(domain, dict) or key not in domain:
+                raise ConfigError(f"allocate.domains[{i}] needs '{key}'")
+        if domain["id"] in [d["id"] for d in domains[:i]]:
+            raise ConfigError(f"allocate.domains[{i}] repeats id {domain['id']!r}")
     if "workdir" not in cfg:
         raise ConfigError("a working directory is required (--workdir or config)")
     for key in _INT_KEYS:
         if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
-    alloc = cfg.get("allocate", {})
     for key, value in (("exclude_val", cfg["exclude_val"]), ("dump_curves", cfg["dump_curves"]),
                        ("allocate.allow_zero", alloc.get("allow_zero", True))):
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, got {value!r}")
-    budget = alloc.get("budget", 0)
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise ConfigError(f"allocate.budget must be an integer >= 0, got {budget!r}")
+    _check_number("allocate.budget", alloc.get("budget", 0), 0, integer=True)
     if cfg["K"] < 1 or cfg["M"] < 1:
         raise ConfigError("K and M must be >= 1")
     if cfg["mode"] not in ("approx", "exact"):
@@ -122,8 +127,9 @@ def _load_config(args) -> dict:
     repeated = sorted({m for m in cfg["measures"] if cfg["measures"].count(m) > 1})
     if repeated:
         raise ConfigError(f"repeated measures: {', '.join(repeated)}")
-    if not cfg["measures"]:
-        raise ConfigError("measures must name at least one measure")
+    for key, what in (("measures", "measure"), ("baselines", "method")):
+        if key in cfg and not cfg[key]:
+            raise ConfigError(f"{key} must name at least one {what}")
     return cfg
 
 
@@ -180,44 +186,39 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _data_rows(path, n_cols: int):
-    """(line number, fields) of each non-comment row of a TSV file; a row
-    with another column count is a ConfigError naming the line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_cols:
-                raise ConfigError(
-                    f"{path}: line {lineno}: expected {n_cols} columns, got {len(fields)}")
-            yield lineno, fields
-
-
 def _read_platt(path) -> tuple[dict, cal.PlattParams]:
     """Platt rows (scope, a, b, status) -> per-user params and the global fit.
 
-    Rejects a non-numeric user, a non-finite a or b and a repeated user or
-    global row, naming the line.
+    Rows follow ``util._read_rows`` and must have exactly four columns.
+    Rejects a scope that is neither ``GLOBAL`` nor an int64 user id, a
+    non-finite a or b and a repeated user or global row, naming the line.
     """
-    rows = {}
-    for lineno, (who, a, b, status) in _data_rows(path, 4):
-        try:
-            scope = who if who == cal.GLOBAL_SCOPE else int(who)
-            a, b = float(a), float(b)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: line {lineno}: {exc}") from None
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ConfigError(f"{path}: line {lineno}: non-finite parameters a={a!r}, b={b!r}")
-        if scope in rows:
-            what = scope if scope == cal.GLOBAL_SCOPE else f"user {scope}"
-            raise ConfigError(f"{path}: line {lineno}: repeated row for {what}")
-        rows[scope] = cal.PlattParams(a, b, scope, status)
-    global_params = rows.pop(cal.GLOBAL_SCOPE, None)
-    if global_params is None:
+    scopes, a, b, status = _read_rows(path, "sffs", "user<TAB>a<TAB>b<TAB>fit_status",
+                                      _bad_platt_row, exact=True)
+    is_user = scopes != cal.GLOBAL_SCOPE
+    if is_user.all():
         raise ConfigError(f"{path}: missing {cal.GLOBAL_SCOPE} row")
-    return rows, global_params
+    rows = zip(scopes[is_user].astype(np.int64).tolist(), a[is_user].tolist(),
+               b[is_user].tolist(), status[is_user].tolist())
+    g = np.flatnonzero(~is_user)[0]
+    return ({u: cal.PlattParams(ua, ub, u, st) for u, ua, ub, st in rows},
+            cal.PlattParams(float(a[g]), float(b[g]), cal.GLOBAL_SCOPE, str(status[g])))
+
+
+def _bad_platt_row(columns):
+    """The earliest rejected Platt row and why, or None."""
+    scopes, a, b, _ = columns
+    is_global = scopes == cal.GLOBAL_SCOPE
+    users, not_int = _parse_int64(np.where(is_global, "0", scopes))
+    return _first_flagged([
+        (np.flatnonzero(not_int), lambda r: (f"scope {str(scopes[r])!r} is neither "
+                                             f"{cal.GLOBAL_SCOPE} nor an int64 user id")),
+        (np.flatnonzero(~(np.isfinite(a) & np.isfinite(b))),
+         lambda r: f"non-finite parameters a={float(a[r])!r}, b={float(b[r])!r}"),
+        # rejected scopes repeat each other, but the first of them is flagged above
+        (_repeats(users, is_global, not_int), lambda r: "repeated row for " + (
+            cal.GLOBAL_SCOPE if is_global[r] else f"user {users[r]}")),
+    ])
 
 
 def cmd_calibrate(cfg: dict) -> int:
@@ -303,7 +304,7 @@ def cmd_evaluate(cfg: dict) -> int:
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin")
     params, _ = _read_platt(workdir / "platt.tsv")
-    methods = cfg.get("baselines") or selection.default_methods(cfg["K"])
+    methods = cfg["baselines"] if "baselines" in cfg else selection.default_methods(cfg["K"])
     report = selection.evaluate(
         split_ds, table, params,
         measures=_measures(cfg), methods=methods,
@@ -331,32 +332,35 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def _read_curves(path, measure: utility.Measure) -> dict:
-    """Curve dump rows (user, measure, k, value) -> per-user value arrays.
+    """Curve dump rows (user, measure, k, value) -> per-user value arrays of
+    one measure.
 
-    Rejects a non-numeric user, k or value, a row with k < 1 and a
-    repeated (user, k) row, naming the line.
+    Rows follow ``util._read_rows`` and must have exactly four columns. Rows
+    of every measure are checked: a non-numeric user, k or value, a row
+    with k < 1 and a repeated (user, measure, k) row are rejected, naming
+    the line. A gap in a user's sizes of ``measure`` is rejected too.
     """
-    rows: dict[int, dict[int, float]] = {}
-    for lineno, (u, m, k, v) in _data_rows(path, 4):
-        if m != measure.value:
-            continue
-        try:
-            u, k, v = int(u), int(k), float(v)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: line {lineno}: {exc}") from None
-        by_k = rows.setdefault(u, {})
-        if k < 1:
-            raise ConfigError(f"{path}: line {lineno}: size k must be >= 1, got {k}")
-        if k in by_k:
-            raise ConfigError(f"{path}: line {lineno}: repeated row for user {u}, k={k}")
-        by_k[k] = v
-    out = {}
-    for u, by_k in rows.items():
-        kmax = max(by_k)
-        if sorted(by_k) != list(range(1, kmax + 1)):
-            raise ConfigError(f"{path}: user {u} has gaps in its curve")
-        out[u] = np.array([by_k[k] for k in range(1, kmax + 1)])
-    return out
+    users, measures, ks, values = _read_rows(path, "isif", "user<TAB>measure<TAB>k<TAB>value",
+                                             _bad_curve_row, exact=True)
+    mine = np.flatnonzero(measures == measure.value)
+    order = mine[np.lexsort((ks[mine], users[mine]))]
+    users, ks, values = users[order], ks[order], values[order]
+    keys, starts, counts = np.unique(users, return_index=True, return_counts=True)
+    # a user's sizes are distinct and >= 1, so they have no gap iff the last is their count
+    gapped = ks[starts + counts - 1] != counts
+    if gapped.any():
+        first_row = np.minimum.reduceat(order, starts)[gapped]  # name the first in the file
+        raise ConfigError(f"{path}: user {keys[gapped][np.argmin(first_row)]} has gaps in its curve")
+    return {u: values[a:a + n] for u, a, n in zip(keys.tolist(), starts.tolist(), counts.tolist())}
+
+
+def _bad_curve_row(columns):
+    """The earliest rejected curve row and why, or None."""
+    users, measures, ks, _ = columns
+    return _first_flagged([
+        (np.flatnonzero(ks < 1), lambda r: f"size k must be >= 1, got {ks[r]}"),
+        (_repeats(ks, users, measures), lambda r: f"repeated row for user {users[r]}, k={ks[r]}"),
+    ])
 
 
 def cmd_allocate(cfg: dict) -> int:

@@ -12,14 +12,13 @@ array update, which gives the sequential result bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from .dataset import InteractionSet
-from .util import _first_flagged, _outside, _read_rows, atomic_write, atomic_write_bytes
+from .util import (_check_number, _first_flagged, _outside, _read_rows, _repeats,
+                   atomic_write, atomic_write_bytes)
 
 _INT_DTYPE = np.dtype("<i8")
 _FLOAT_DTYPE = np.dtype("<f8")
@@ -75,10 +74,7 @@ class ScoreTable:
             return
         owner = np.repeat(np.arange(len(users)), lengths)
         non_finite = owner[~np.isfinite(np.concatenate([self._entries[u][1] for u in users]))]
-        items = np.concatenate([self._entries[u][0] for u in users])
-        order = np.lexsort((items, owner))
-        items, owner = items[order], owner[order]
-        repeats = owner[1:][(items[1:] == items[:-1]) & (owner[1:] == owner[:-1])]
+        repeats = owner[_repeats(np.concatenate([self._entries[u][0] for u in users]), owner)]
         bad = [(int(rows.min()), why) for rows, why in
                ((repeats, "duplicate item ids"), (non_finite, "non-finite score")) if len(rows)]
         if bad:
@@ -173,14 +169,9 @@ def train_bpr(train: InteractionSet, config: BPRConfig = BPRConfig()) -> ScoreMo
 def _check_config(config: BPRConfig) -> None:
     """Reject a config the trainer cannot run, naming the field."""
     for name, low in (("d", 1), ("epochs", 0), ("negatives_per_positive", 1)):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-            raise ValueError(f"BPRConfig.{name} must be an integer >= {low}, got {value!r}")
+        _check_number(f"BPRConfig.{name}", getattr(config, name), low, integer=True)
     for name in ("learning_rate", "weight_decay"):
-        value = getattr(config, name)
-        if (isinstance(value, bool) or not isinstance(value, Real)
-                or not math.isfinite(value) or value < 0):
-            raise ValueError(f"BPRConfig.{name} must be a finite number >= 0, got {value!r}")
+        _check_number(f"BPRConfig.{name}", getattr(config, name), 0)
 
 
 def _conflict_free_runs(users, pos, neg, n_items):
@@ -271,12 +262,10 @@ def import_scores(path, n_users: int | None = None, n_items: int | None = None) 
 def _bad_score_row(columns, n_users, n_items):
     """The earliest rejected score row and why, or None."""
     users, items, scores = columns
-    order = np.lexsort((items, users))  # stable: a repeat follows its first row
-    repeat = (users[order[1:]] == users[order[:-1]]) & (items[order[1:]] == items[order[:-1]])
     flags = [
         (np.flatnonzero(~np.isfinite(scores)),
          lambda r: f"non-finite score for ({users[r]}, {items[r]})"),
-        (order[1:][repeat], lambda r: f"duplicate entry for ({users[r]}, {items[r]})"),
+        (_repeats(items, users), lambda r: f"duplicate entry for ({users[r]}, {items[r]})"),
     ]
     if n_users is not None:
         flags.append(_outside(users, n_users, "user", "the split"))

@@ -1,18 +1,20 @@
-"""Small shared helpers: atomic file writes, the reader of tab-separated
-id/score rows, and per-user parallel maps."""
+"""Small shared helpers: atomic file writes, the one reader of numeric text
+files, checks of numeric config values, and per-user parallel maps."""
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-_KINDS = {"i": "<i8", "f": "<f8"}
+_KINDS = {"i": "<i8", "f": "<f8", "s": "O"}
 _INT64 = np.iinfo(np.int64)
 # Bytes np.loadtxt parses as Python's int/float do: printable ASCII plus
 # tab, line feed, vertical tab and form feed. (loadtxt also strips \x1c-\x1f
@@ -21,6 +23,8 @@ _PLAIN = bytes([9, 10, 11, 12, *range(32, 127)])
 # A data line (first non-blank byte not '#') holding a '#', where loadtxt's
 # comment rule would cut the row short.
 _HASH_IN_DATA = re.compile(rb"^[ \t\x0b\x0c]*[^\s#][^\n]*#", re.MULTILINE)
+# A blank at a line end, which the scan strips and a loadtxt string field keeps.
+_PADS = tuple(p for c in b" \t\x0b\x0c" for p in (b"\n" + bytes([c]), bytes([c]) + b"\n"))
 
 
 def atomic_write(path, text: str) -> None:
@@ -57,30 +61,33 @@ def parallel_map(fn, keys, threads: int = 1) -> list:
         return list(pool.map(fn, keys))
 
 
-def _read_rows(path, kinds: str, layout: str, check) -> list:
+def _read_rows(path, kinds: str, layout: str, check, exact: bool = False) -> list:
     """The leading fields of each data row of a tab-separated UTF-8 file, one
-    array per field: int64 for an ``i`` in ``kinds``, float64 for an ``f``.
+    array per field: int64 for an ``i`` in ``kinds``, float64 for an ``f``,
+    Python strings (an object array, so no field is ever cut) for an ``s``.
 
     Each line is stripped; blank lines and lines starting with ``#`` are
-    skipped, and fields past ``len(kinds)`` are ignored. A field must parse
-    with Python's ``int`` or ``float``, and an id must fit in int64.
-    ``check(columns)`` returns ``(row, message)`` for the earliest row it
-    rejects, or None. Every rejection is a ValueError naming the path and
-    the line.
+    skipped. Fields past ``len(kinds)`` are ignored, or with ``exact``
+    rejected. A number must parse with Python's ``int`` or ``float``, and an
+    id must fit in int64. ``check(columns)`` returns ``(row, message)`` for
+    the earliest row it rejects, or None; it may run twice. Every rejection
+    is a ValueError naming the path and the line: ``expected '<layout>'``,
+    ``malformed row '<line>'`` or the check's message.
 
     One ``np.loadtxt`` call parses a plain ASCII file. The file is scanned
     row by row only when that call fails, when a data line holds a ``#``,
-    when the file has other bytes, or when ``check`` rejects a row; the scan
-    names the first bad line, or returns the same columns for a row that only
-    Python reads (a leading tab, an indented comment, ``1_000``).
+    when the file has other bytes, when a string field could keep a line's
+    end blanks, or when ``check`` rejects a row; the scan names the first
+    bad line, or returns the same columns for a row that only Python reads
+    (a leading tab, an indented comment, ``1_000``).
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     dtype = np.dtype([(f"f{j}", _KINDS[k]) for j, k in enumerate(kinds)])
-    columns = _load_plain(path, text, dtype)
+    columns = _load_plain(path, text, dtype, exact)
     if columns is not None and check(columns) is None:
         return columns
-    columns, lines, error = _scan_rows(path, text, dtype, layout)
+    columns, lines, error = _scan_rows(path, text, dtype, layout, exact)
     flagged = check(columns)
     if flagged is not None:
         row, message = flagged
@@ -90,12 +97,13 @@ def _read_rows(path, kinds: str, layout: str, check) -> list:
     return columns
 
 
-def _load_plain(path, text: str, dtype):
+def _load_plain(path, text: str, dtype, exact: bool):
     """Columns of a plain ASCII file from one ``np.loadtxt`` call, or None."""
     if not text.isascii():
         return None
     data = text.encode("ascii")
-    if data.translate(None, _PLAIN) or (b"#" in data and _HASH_IN_DATA.search(data)):
+    if (data.translate(None, _PLAIN) or (b"#" in data and _HASH_IN_DATA.search(data))
+            or (dtype.hasobject and any(pad in b"\n" + data + b"\n" for pad in _PADS))):
         return None
     try:
         with warnings.catch_warnings():
@@ -103,24 +111,25 @@ def _load_plain(path, text: str, dtype):
             # numpy < 2 reads "1.0" as the int 1 with only this warning
             warnings.filterwarnings("error", category=DeprecationWarning)
             table = np.loadtxt(path, dtype=dtype, delimiter="\t", comments="#",
-                               usecols=range(len(dtype)), ndmin=1, encoding="utf-8")
+                               usecols=None if exact else range(len(dtype)),
+                               ndmin=1, encoding="utf-8")
     except (ValueError, DeprecationWarning):
         return None
     return [table[name] for name in dtype.names]
 
 
-def _scan_rows(path, text: str, dtype, layout: str):
+def _scan_rows(path, text: str, dtype, layout: str, exact: bool):
     """Row-by-row parse with Python's ``int`` / ``float``: (columns, line
     number of each row, error naming the first malformed line or None).
     The columns hold the rows before that line."""
-    parse = [float if dtype[j].kind == "f" else _int64 for j in range(len(dtype))]
+    parse = [{"f": float, "i": _int64, "O": str}[dtype[j].kind] for j in range(len(dtype))]
     rows, lines, error = [], [], None
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) < len(parse):
+        if len(fields) < len(parse) or (exact and len(fields) > len(parse)):
             error = f"{path}: line {lineno}: expected '{layout}'"
             break
         try:
@@ -138,6 +147,40 @@ def _int64(field: str) -> int:
     if not _INT64.min <= value <= _INT64.max:
         raise ValueError(f"{value} does not fit in int64")
     return value
+
+
+def _parse_int64(fields):
+    """int64 values of an array of strings (0 where bad) and the mask of the
+    fields that Python's ``int`` rejects or int64 cannot hold. One cast
+    reads a good array; only a failed cast tries the fields one by one."""
+    bad = np.zeros(len(fields), dtype=bool)
+    try:
+        return fields.astype(np.int64), bad
+    except (ValueError, OverflowError):
+        for r, field in enumerate(fields.tolist()):
+            try:
+                _int64(field)
+            except ValueError:
+                bad[r] = True
+    return np.where(bad, "0", fields).astype(np.int64), bad
+
+
+def _check_number(name: str, value, low, integer: bool = False, strict: bool = False) -> None:
+    """Reject a config value that is not an integer (with ``integer``) or a
+    finite number, or is below ``low`` (or at it, with ``strict``), with a
+    ValueError naming the field. A bool is not a number."""
+    if (isinstance(value, bool) or not isinstance(value, Integral if integer else Real)
+            or not (isinstance(value, Integral) or math.isfinite(value))
+            or not (value > low if strict else value >= low)):
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {what} {'>' if strict else '>='} {low}, got {value!r}")
+
+
+def _repeats(*keys):
+    """The rows whose keys all equal those of an earlier row."""
+    order = np.lexsort(keys)  # stable: a repeat follows its first row
+    later, prev = order[1:], order[:-1]
+    return later[np.logical_and.reduce([key[later] == key[prev] for key in keys])]
 
 
 def _outside(ids, n: int, kind: str, where: str):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from persize import dataset, scorer, selection
-from persize.cli import _read_platt, main
+from persize import dataset, scorer, selection, util
+from persize.calibrate import PlattParams
+from persize.cli import _read_curves, _read_platt, main
 from persize.utility import Measure
 
 BPR_TEST = {"d": 8, "epochs": 4, "learning_rate": 0.05}
@@ -337,9 +340,9 @@ class TestPlattFile:
         ("{u}\tnan\tnan\tconverged", "non-finite"),
         ("{u}\t{a}\tnan\tconverged", "non-finite"),
         ("{u}\t{a}\tinf\tconverged", "non-finite"),
-        ("{u}\t{a}\t{b}", "expected 4 columns, got 3"),
-        ("u{u}\t{a}\t{b}\tconverged", "invalid literal"),
-        ("{u}\t{a}\tslope\tconverged", "could not convert"),
+        ("{u}\t{a}\t{b}", "expected 'user<TAB>a<TAB>b<TAB>fit_status'"),
+        ("u{u}\t{a}\t{b}\tconverged", "scope 'u{u}' is neither GLOBAL nor an int64 user id"),
+        ("{u}\t{a}\tslope\tconverged", "malformed row"),
         ("GLOBAL\t{a}\t{b}\tconverged", "repeated row for GLOBAL"),
         ("{u}\t{a}\t{b}\tconverged\n{u}\t1.0\t-3.0\tconverged", "repeated row for user {u}"),
     ], ids=["nan_row", "nan_b", "inf_b", "three_columns", "non_numeric_user", "non_numeric_b",
@@ -387,6 +390,24 @@ class TestConfigValues:
         assert not (workdir / "model.bin").exists()
 
     @pytest.mark.parametrize("key, value", [
+        ("max_iters", "5"), ("max_iters", 0), ("max_iters", True), ("max_iters", 2.0),
+        ("tolerance", "x"), ("tolerance", 0), ("tolerance", float("nan")),
+        ("divergence_bound", -1), ("divergence_bound", float("inf")),
+        ("subsample_negatives", 2.5), ("subsample_negatives", -1),
+        ("subsample_negatives", True), ("subsample_negatives", "3"),
+    ])
+    def test_invalid_calibration_value_rejected(self, tmp_path, bundled_path,
+                                                calibrated_workdir, capsys, key, value):
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        (workdir / "platt.tsv").unlink()
+        cfg = _write_config(tmp_path, bundled_path, workdir, calibration={key: value})
+        assert _run("calibrate", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and f"got {value!r}" in err, err
+        assert not (workdir / "platt.tsv").exists()
+
+    @pytest.mark.parametrize("key, value", [
         ("exclude_val", "no"), ("exclude_val", 0), ("dump_curves", 0), ("dump_curves", "true"),
         ("exclude_val", None),
     ])
@@ -403,6 +424,10 @@ class TestConfigValues:
         ("budget", True, "allocate.budget must be an integer >= 0, got True"),
         ("budget", -1, "allocate.budget must be an integer >= 0, got -1"),
         ("budget", "3", "allocate.budget must be an integer >= 0, got '3'"),
+        ("domains", [], "allocate.domains must be a non-empty list, got []"),
+        ("domains", {"id": "a"}, "allocate.domains must be a non-empty list, got {'id': 'a'}"),
+        ("domains", [{"id": "a", "curves": "a.tsv"}, {"id": "b", "curves": "b.tsv"},
+                     {"id": "a", "curves": "c.tsv"}], "allocate.domains[2] repeats id 'a'"),
     ])
     def test_bad_allocate_value_rejected(self, tmp_path, capsys, key, value, message):
         path = tmp_path / "alloc.json"
@@ -440,6 +465,7 @@ class TestConfigValues:
         ({"calibration": [1]}, "calibration must be an object, got [1]"),
         ({"measures": "f1"}, "measures must be a list, got 'f1'"),
         ({"baselines": "perk"}, "baselines must be a list, got 'perk'"),
+        ({"baselines": []}, "baselines must name at least one method"),
     ])
     def test_empty_measures_or_non_object_allocate_rejected(self, tmp_path, capsys, extra,
                                                              message):
@@ -568,11 +594,11 @@ class TestAllocate:
         assert "bad.tsv: line 2: size k must be >= 1, got 0" in err
 
     @pytest.mark.parametrize("row, why", [
-        ("0\tf1\t3", "expected 4 columns, got 3"),
-        ("0\tf1\t3\t0.3\t9", "expected 4 columns, got 5"),
-        ("u0\tf1\t3\t0.3", "invalid literal"),
-        ("0\tf1\tthree\t0.3", "invalid literal"),
-        ("0\tf1\t3\thigh", "could not convert"),
+        ("0\tf1\t3", "expected 'user<TAB>measure<TAB>k<TAB>value'"),
+        ("0\tf1\t3\t0.3\t9", "expected 'user<TAB>measure<TAB>k<TAB>value'"),
+        ("u0\tf1\t3\t0.3", "malformed row"),
+        ("0\tf1\tthree\t0.3", "malformed row"),
+        ("0\tf1\t3\thigh", "malformed row"),
     ], ids=["three_columns", "five_columns", "non_numeric_user", "non_numeric_k",
             "non_numeric_value"])
     def test_malformed_curve_row_rejected(self, tmp_path, capsys, row, why):
@@ -581,13 +607,106 @@ class TestAllocate:
         assert "bad.tsv: line 4: " in err and why in err, err
 
 
+PLATT_TEXT = ("# persize calibrate\nGLOBAL\t0.5\t-1.25\tconverged\n"
+              "3\t1.5\t-2.0\tconverged\n7\t0.0\t-0.75\tdegenerate\n"
+              "0\t0.5\t-1.25\tfallback_global_with_a_long_status_name\n")
+CURVE_TEXT = ("# curves\n" + "".join(f"{u}\tf1\t{k}\t{u + k / 8!r}\n" for u in (2, 0)
+                                     for k in (1, 2, 3))
+              + "".join(f"0\tndcg\t{k}\t{k / 4!r}\n" for k in (1, 2)))
+
+
+def _quirky(text: str) -> str:
+    """The same rows with the blanks and comments only the row scan reads:
+    an indented comment, a blank-only line, a padded row and a tab-led row."""
+    lines = text.splitlines()
+    lines[2] = "  " + lines[2] + " \x0b"
+    lines[3] = "\t" + lines[3]
+    return "\n".join(lines[:2] + ["   # indented comment", " \t "] + lines[2:]) + "\n"
+
+
+class TestRowReader:
+    """Platt files and curve dumps go through ``util._read_rows``."""
+
+    @staticmethod
+    def _same_curves(got, want):
+        assert sorted(got) == sorted(want)
+        for u in want:
+            np.testing.assert_array_equal(got[u], want[u])
+
+    def test_plain_and_scanned_files_read_alike(self, tmp_path, monkeypatch):
+        platt, curves = tmp_path / "platt.tsv", tmp_path / "curves.tsv"
+        platt.write_text(PLATT_TEXT)
+        curves.write_text(CURVE_TEXT)
+
+        def no_scan(*args):
+            raise AssertionError("plain file went to the row scan")
+
+        monkeypatch.setattr(util, "_scan_rows", no_scan)
+        per_user, global_params = _read_platt(platt)
+        by_user = _read_curves(curves, Measure.F1)
+        assert global_params == PlattParams(0.5, -1.25, "GLOBAL", "converged")
+        assert per_user == {
+            3: PlattParams(1.5, -2.0, 3, "converged"), 7: PlattParams(0.0, -0.75, 7, "degenerate"),
+            0: PlattParams(0.5, -1.25, 0, "fallback_global_with_a_long_status_name")}
+        self._same_curves(by_user, {0: np.array([1, 2, 3]) / 8, 2: 2 + np.array([1, 2, 3]) / 8})
+        self._same_curves(_read_curves(curves, Measure.NDCG), {0: np.array([0.25, 0.5])})
+        platt.write_text(_quirky(PLATT_TEXT))
+        curves.write_text(_quirky(CURVE_TEXT))
+        for read in (lambda: _read_platt(platt), lambda: _read_curves(curves, Measure.F1)):
+            with pytest.raises(AssertionError, match="row scan"):
+                read()
+        monkeypatch.undo()
+        assert _read_platt(platt) == (per_user, global_params)
+        self._same_curves(_read_curves(curves, Measure.F1), by_user)
+        for pad in (" ", "\x0b", "\x0c"):  # the only quirk: a string field's end blank
+            for old, new in (("\nGLOBAL", f"\n{pad}GLOBAL"), ("ate\n", f"ate{pad}\n")):
+                platt.write_text(PLATT_TEXT.replace(old, new))
+                assert _read_platt(platt) == (per_user, global_params)
+
+    @pytest.mark.parametrize("name", ["f1x", "f1" + "x" * 40, "F1", " f1"])
+    def test_string_field_is_never_cut(self, tmp_path, name):
+        curves = tmp_path / "curves.tsv"
+        curves.write_text(CURVE_TEXT + "".join(f"5\t{name}\t{k}\t0.5\n" for k in (1, 2)))
+        assert sorted(_read_curves(curves, Measure.F1)) == [0, 2]
+
+    @pytest.mark.parametrize("scope, message", [
+        ("GLOBALX", "scope 'GLOBALX' is neither GLOBAL nor an int64 user id"),
+        ("GLOBA", "scope 'GLOBA' is neither GLOBAL"),
+        ("99999999999999999999", "scope '99999999999999999999' is neither GLOBAL"),
+        ("+3", "repeated row for user 3"),
+        ("GLOBAL", "repeated row for GLOBAL"),
+    ])
+    @pytest.mark.parametrize("scanned", [False, True])
+    def test_bad_scope_names_its_line(self, tmp_path, scope, message, scanned):
+        platt = tmp_path / "platt.tsv"
+        text = PLATT_TEXT + f"{scope}\t1.0\t2.0\tconverged\n"
+        platt.write_text(_quirky(text) if scanned else text)
+        with pytest.raises(ValueError, match=re.escape(f"line {6 + 2 * scanned}: {message}")):
+            _read_platt(platt)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0\tndcg\tthree\t0.3", "malformed row '0\\tndcg\\tthree\\t0.3'"),
+        ("0\ttp\t1\t0.3\t9", "expected 'user<TAB>measure<TAB>k<TAB>value'"),
+        ("0\tndcg\t0\t0.3", "size k must be >= 1, got 0"),
+        ("0\tndcg\t2\t0.3", "repeated row for user 0, k=2"),
+    ])
+    @pytest.mark.parametrize("scanned", [False, True])
+    def test_rows_of_every_measure_are_checked(self, tmp_path, rows, message, scanned):
+        curves = tmp_path / "curves.tsv"
+        text = CURVE_TEXT + rows + "\n"
+        curves.write_text(_quirky(text) if scanned else text)
+        with pytest.raises(ValueError, match=re.escape(f"line {10 + 2 * scanned}: {message}")):
+            _read_curves(curves, Measure.F1)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path, bundled_path):
         workdir = tmp_path / "run"
         cfg = _write_config(tmp_path, bundled_path, workdir)
+        src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
             [sys.executable, "-m", "persize", "prepare", "--config", str(cfg)],
-            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert (workdir / "id_map.json").exists()
