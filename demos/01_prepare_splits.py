@@ -30,9 +30,10 @@ sizes = np.array([
 print(f"per-user part sizes (train/val/test): mean {sizes.mean(axis=0).round(1)}, "
       f"min {sizes.min(axis=0)}")
 
-# a user's candidates are everything outside their train items
+# a user's candidates are everything outside their train items; at
+# recommendation time the ranking also drops the validation positives
 u = int(dense.users[0])
 cand = dataset.candidate_items(u, split)
-cand_eval = dataset.candidate_items(u, split, exclude_val=True)
-print(f"user {u}: {len(cand)} candidates, {len(cand_eval)} after removing "
+n_eval = int((~np.isin(cand, split.val.items_of(u))).sum())
+print(f"user {u}: {len(cand)} candidates, {n_eval} after removing "
       f"validation positives (used at recommendation time)")

@@ -22,10 +22,10 @@ print(f"trained d={config.d} model; epoch loss {model.epoch_losses[0]:.4f} -> "
       f"{model.epoch_losses[-1]:.4f}")
 
 u = 0
-cand = dataset.candidate_items(u, split, exclude_val=True)
-table = scorer.build_score_table(model, [cand])
-items, scores = selection.rank(u, table)
-print(f"user {u} top-10 of {len(cand)} candidates:")
+table = scorer.build_score_table(model, {u: dataset.candidate_items(u, split)})
+# validation positives were calibration labels: the ranking drops them
+items, scores = selection.rank(u, table, exclude=split.val.items_of(u))
+print(f"user {u} top-10 of {len(items)} candidates:")
 for rank, (item, s) in enumerate(zip(items[:10], scores[:10]), start=1):
     hit = "test-positive" if item in split.test.items_of(u) else ""
     print(f"  {rank:2d}. item {item:3d}  score {s:+.4f}  {hit}")

@@ -25,10 +25,11 @@ for user, params in per_user.items():
     print(f"user {user}: a={params.a:+.3f} b={params.b:+.3f} ({params.fit_status})")
 print(f"global: a={global_params.a:+.3f} b={global_params.b:+.3f}")
 
-user_eces = [calibrate.ece(calibrate.apply(per_user[u], s), y) for u, s, y in holdout]
+user_eces = [calibrate.ece_report(calibrate.apply(per_user[u], s), y)["ece"]
+             for u, s, y in holdout]
 pooled_s = np.concatenate([s for _, s, _ in holdout])
 pooled_y = np.concatenate([y for _, _, y in holdout])
-global_ece = calibrate.ece(calibrate.apply(global_params, pooled_s), pooled_y)
+global_ece = calibrate.ece_report(calibrate.apply(global_params, pooled_s), pooled_y)["ece"]
 print(f"mean user-wise ECE: {np.mean(user_eces):.4f}")
 print(f"global ECE:         {global_ece:.4f}  (higher: one map cannot fit both)")
 

@@ -3,8 +3,9 @@ test interactions, next to the baselines.
 
 The personalized sizer, `selection.recommend_block`, ranks each user's
 candidates, calibrates the scores, builds the expected-utility curves of a
-whole block of users with one batched call, and cuts each list at its
-argmax; `selection.recommend` is its block of one. `selection.recommend_users`
+whole block of users with one batched call, and cuts every list at its
+argmax with one block argmax per measure (the same `_row_argmax` that picks
+the validation and oracle sizes); `selection.recommend` is its block of one. `selection.recommend_users`
 runs it on every served user, block by block, and both the `recommend`
 stage and `selection.evaluate` call it, so the sizes scored below are the
 ones `recommend` emits.
@@ -28,7 +29,7 @@ split = dataset.split(dense, seed=0)
 model = scorer.train_bpr(
     split.train, scorer.BPRConfig(d=16, epochs=10, learning_rate=0.05, seed=0)
 )
-cands = (dataset.candidate_items(u, split) for u in sorted(split.users.tolist()))
+cands = {u: dataset.candidate_items(u, split) for u in sorted(split.users.tolist())}
 table = scorer.build_score_table(model, cands)
 
 calsets = [calibrate.build_calibration_set(u, split, table) for u in table.users()]

@@ -11,14 +11,12 @@ from .calibrate import (
     FitConfig,
     PlattParams,
     build_calibration_set,
-    ece,
     ece_report,
     fit_all_users,
     fit_global,
     fit_user,
 )
 from .dataset import (
-    CandidateSet,
     InteractionSet,
     SplitDataset,
     candidate_items,
@@ -38,7 +36,6 @@ from .scorer import (
     export_scores,
     load_scores,
     save_scores,
-    score,
     train_bpr,
 )
 from .selection import (
@@ -46,7 +43,6 @@ from .selection import (
     PersonalizedRec,
     baseline_rand,
     evaluate,
-    perk_select,
     rank,
     recommend,
     recommend_block,

@@ -97,7 +97,7 @@ def _bce(a: float, b: float, s: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(np.logaddexp(0.0, z) - y * z))
 
 
-def _newton_platt(s: np.ndarray, y: np.ndarray, config: FitConfig, init=None):
+def _newton_platt(s: np.ndarray, y: np.ndarray, config: FitConfig):
     """Damped Newton on the two-parameter BCE. Returns (a, b, status).
 
     The iteration runs on internally standardized scores, which leaves the
@@ -119,12 +119,8 @@ def _newton_platt(s: np.ndarray, y: np.ndarray, config: FitConfig, init=None):
     sigma = float(s.std())
     t = (s - mu) / sigma
 
-    if init is None:
-        a = 0.0
-        b = float(np.log(pos_rate / (1.0 - pos_rate)))
-    else:  # raw-space init -> standardized space
-        a = float(init[0]) * sigma
-        b = float(init[1]) + float(init[0]) * mu
+    a = 0.0
+    b = float(np.log(pos_rate / (1.0 - pos_rate)))
     loss = _bce(a, b, t, y)
     bound = config.divergence_bound
     for _ in range(config.max_iters):
@@ -233,13 +229,9 @@ def pooled_ece_reports(calsets, per_user: dict, global_params: PlattParams) -> t
     return ece_report(by_user, labels), ece_report(by_global, labels)
 
 
-def ece(predictions, labels, bins: int = 15) -> float:
-    """Expected calibration error with equal-width probability bins."""
-    return ece_report(predictions, labels, bins)["ece"]
-
-
 def ece_report(predictions, labels, bins: int = 15) -> dict:
-    """ECE plus per-bin detail suitable for a JSON report."""
+    """Expected calibration error with equal-width probability bins (key
+    ``ece``), plus per-bin detail suitable for a JSON report."""
     p = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if p.size == 0:

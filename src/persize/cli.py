@@ -101,12 +101,19 @@ def _load_config(args) -> dict:
     domains = alloc.get("domains")
     if "domains" in alloc and not (isinstance(domains, list) and domains):
         raise ConfigError(f"allocate.domains must be a non-empty list, got {domains!r}")
+    paths = [(key, cfg[key]) for key in ("data", "workdir", "scores") if key in cfg]
     for i, domain in enumerate(domains or []):
         for key in ("id", "curves"):
             if not isinstance(domain, dict) or key not in domain:
                 raise ConfigError(f"allocate.domains[{i}] needs '{key}'")
+        if not isinstance(domain["id"], str):
+            raise ConfigError(f"allocate.domains[{i}].id must be a string, got {domain['id']!r}")
         if domain["id"] in [d["id"] for d in domains[:i]]:
             raise ConfigError(f"allocate.domains[{i}] repeats id {domain['id']!r}")
+        paths.append((f"allocate.domains[{i}].curves", domain["curves"]))
+    for key, path in paths:
+        if not (isinstance(path, str) and path):
+            raise ConfigError(f"{key} must be a non-empty string, got {path!r}")
     if "workdir" not in cfg:
         raise ConfigError("a working directory is required (--workdir or config)")
     for key in _INT_KEYS:
@@ -121,9 +128,13 @@ def _load_config(args) -> dict:
         raise ConfigError("K and M must be >= 1")
     if cfg["mode"] not in ("approx", "exact"):
         raise ConfigError(f"mode must be approx or exact, got {cfg['mode']!r}")
-    bad = [m for m in cfg["measures"] if m not in {x.value for x in utility.Measure}]
+    known = [x.value for x in utility.Measure]  # a list: a measure may be unhashable
+    bad = [m for m in cfg["measures"] if m not in known]
     if bad:
         raise ConfigError(f"unknown measures: {', '.join(map(str, bad))}")
+    if alloc.get("measure", known[0]) not in known:
+        raise ConfigError(f"allocate.measure must be one of {', '.join(known)}, "
+                          f"got {alloc['measure']!r}")
     repeated = sorted({m for m in cfg["measures"] if cfg["measures"].count(m) > 1})
     if repeated:
         raise ConfigError(f"repeated measures: {', '.join(repeated)}")
@@ -177,9 +188,8 @@ def cmd_train(cfg: dict) -> int:
         bpr_cfg = scorer.BPRConfig(seed=cfg["seed"], **cfg["bpr"])
         model = scorer.train_bpr(split_ds.train, bpr_cfg)
         scorer.save_model(model, workdir / "model.bin")
-        cands = (dataset.candidate_items(u, split_ds, exclude_val=False)
-                 for u in sorted(split_ds.users.tolist()))
-        table = scorer.build_score_table(model, cands)
+        table = scorer.build_score_table(model, {
+            u: dataset.candidate_items(u, split_ds) for u in sorted(split_ds.users.tolist())})
     scorer.save_scores(table, workdir / "scores.bin")
     scorer.export_scores(table, workdir / "scores.tsv", header=_echo(cfg, "train"))
     print(f"train: scored {len(table)} users -> {workdir / 'scores.bin'}")
@@ -228,12 +238,9 @@ def cmd_calibrate(cfg: dict) -> int:
     cal_cfg_in = dict(cfg["calibration"])
     subsample = cal_cfg_in.pop("subsample_negatives", None)
     fit_cfg = cal.FitConfig(**cal_cfg_in)
-    calsets = []
-    for u in table.users():
-        items, _ = table.get(u)
-        if len(items) == 0:
-            continue
-        calsets.append(cal.build_calibration_set(u, split_ds, table, subsample, cfg["seed"]))
+    scored = [u for u in table.users() if len(table.get(u)[0])]
+    calsets = [cal.build_calibration_set(u, split_ds, table, subsample, cfg["seed"])
+               for u in scored]
     per_user, global_params = cal.fit_all_users(calsets, fit_cfg)
 
     lines = [_echo(cfg, "calibrate")]
@@ -247,7 +254,8 @@ def cmd_calibrate(cfg: dict) -> int:
     atomic_write(workdir / "ece_user.json", json.dumps(report_user, sort_keys=True, indent=1) + "\n")
     atomic_write(workdir / "ece_global.json", json.dumps(report_global, sort_keys=True, indent=1) + "\n")
     n_fallback = sum(1 for p in per_user.values() if p.fit_status == cal.FIT_FALLBACK)
-    print(f"calibrate: {len(per_user)} users ({n_fallback} fell back to global), "
+    print(f"calibrate: {len(per_user)} users ({n_fallback} fell back to global, "
+          f"{len(table) - len(scored)} skipped with no candidates), "
           f"ECE user-wise={report_user['ece']:.6f} global={report_global['ece']:.6f}")
     return 0
 
@@ -270,11 +278,11 @@ def cmd_recommend(cfg: dict) -> int:
     n_skip = n_err = 0
     for u in table.users():
         res = results.get(u)
-        if res is None:
-            rec_lines.append(f"# skipped user={u}: no Platt parameters")
-            n_skip += 1
-        elif isinstance(res, scorer.DegenerateUserError):
+        if not len(table.get(u)[0]) or isinstance(res, scorer.DegenerateUserError):
             rec_lines.append(f"# skipped user={u}: no candidates")
+            n_skip += 1
+        elif res is None:
+            rec_lines.append(f"# skipped user={u}: no Platt parameters")
             n_skip += 1
         elif isinstance(res, ValueError):
             rec_lines.append(f"# error user={u}: {res}")

@@ -1,4 +1,4 @@
-"""Implicit-feedback ingestion, k-core filtering, and per-user splits.
+"""Implicit-feedback ingestion, k-core filtering, per-user splits, candidates.
 
 Interactions are (user, item) pairs with an implicit positive label. Raw
 ids are remapped to dense 0-based integers at load time; the mapping is
@@ -86,17 +86,6 @@ class SplitDataset:
     @property
     def items(self) -> np.ndarray:
         return self.train.items
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Items a user may still be recommended (never their train items)."""
-
-    user: int
-    items: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 def load_interactions(path):
@@ -216,21 +205,15 @@ def split(iset: InteractionSet, ratios=SPLIT_RATIOS, seed: int = 0) -> SplitData
     return SplitDataset(train=sets[0], val=sets[1], test=sets[2], seed=seed)
 
 
-def candidate_items(user: int, split_ds: SplitDataset, exclude_val: bool = False) -> CandidateSet:
-    """All items outside the user's train set, ascending by id.
-
-    With ``exclude_val`` the user's validation positives are removed too
-    (the default at final-recommendation time, where they were calibration
-    labels). An empty result is returned as-is; rankers treat it as
-    degenerate.
+def candidate_items(user: int, split_ds: SplitDataset) -> np.ndarray:
+    """All items outside the user's train set, ascending by id: the items a
+    user may still be recommended. An empty result is returned as-is;
+    rankers treat it as degenerate. The validation positives stay in; the
+    recommend stage drops them when it ranks (``selection.rank``).
     """
     if int(user) not in split_ds.users:
         raise KeyError(f"unknown user {user}")
-    banned = split_ds.train.items_of(user)
-    if exclude_val:
-        banned = np.union1d(banned, split_ds.val.items_of(user))
-    items = np.setdiff1d(split_ds.items, banned, assume_unique=True)
-    return CandidateSet(user=int(user), items=items)
+    return np.setdiff1d(split_ds.items, split_ds.train.items_of(user), assume_unique=True)
 
 
 def save_split(split_ds: SplitDataset, workdir, id_map=None, header: str = "") -> None:

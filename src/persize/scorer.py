@@ -1,6 +1,7 @@
-"""Ranking scores: a minimal pairwise matrix-factorization trainer plus an
-importer/exporter so scores from any external recommender can be used, and
-the binary score store the pipeline stages share.
+"""Ranking scores: a minimal pairwise matrix-factorization trainer, the
+table of its scores over each user's candidate items (``build_score_table``
+takes user -> item array), an importer/exporter so scores from any external
+recommender can be used, and the binary score store the pipeline stages share.
 
 The built-in model learns user/item embeddings by stochastic gradient
 descent on the pairwise objective -log sigmoid(f(u, i+) - f(u, i-)) with
@@ -40,7 +41,7 @@ class BPRConfig:
 
 @dataclass(frozen=True)
 class ScoreModel:
-    """Dot-product scorer: score(u, i) = user_vectors[u] @ item_vectors[i]."""
+    """Dot-product scorer: user u scores item i as user_vectors[u] @ item_vectors[i]."""
 
     user_vectors: np.ndarray
     item_vectors: np.ndarray
@@ -197,20 +198,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def score(model: ScoreModel, user: int, item: int) -> float:
-    """Inner product of one user/item embedding pair."""
-    if not 0 <= user < len(model.user_vectors):
-        raise IndexError(f"user id {user} out of range")
-    if not 0 <= item < len(model.item_vectors):
-        raise IndexError(f"item id {item} out of range")
-    return float(_dot(model.user_vectors[user][None], model.item_vectors[item][None])[0])
-
-
 def score_candidates(model: ScoreModel, user: int, items) -> np.ndarray:
     """Scores for a batch of items of one user.
 
-    One call of the row-wise dot kernel that ``score`` and ``train_bpr``
-    also use, so exported tables match single lookups bit for bit (a BLAS
+    One call of the row-wise dot kernel that ``train_bpr`` also uses, so
+    each score equals ``user_vector @ item_vector`` bit for bit (a BLAS
     matrix-vector product would round differently).
     """
     if not 0 <= user < len(model.user_vectors):
@@ -219,12 +211,10 @@ def score_candidates(model: ScoreModel, user: int, items) -> np.ndarray:
     return _dot(np.broadcast_to(model.user_vectors[user], item_vecs.shape), item_vecs)
 
 
-def build_score_table(model: ScoreModel, candidate_sets) -> ScoreTable:
-    """Score each user's candidate items into one table."""
-    entries = {}
-    for cand in candidate_sets:
-        entries[cand.user] = (cand.items, score_candidates(model, cand.user, cand.items))
-    return ScoreTable(entries)
+def build_score_table(model: ScoreModel, candidates: dict) -> ScoreTable:
+    """Score each user's candidate items (user -> item array) into one table."""
+    return ScoreTable({user: (items, score_candidates(model, user, items))
+                       for user, items in candidates.items()})
 
 
 def export_scores(table: ScoreTable, path, header: str = "") -> None:

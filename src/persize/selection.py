@@ -3,11 +3,13 @@ held-out evaluation harness.
 
 ``rank`` is the one ranking rule: a user's scored candidates by descending
 score, ties to the lower item id, optionally without given items (the
-validation positives). ``recommend_block`` is the one PerK routine: it
-ranks and calibrates each user of a block, pads the block's probability
-rows with zeros, builds every expected-utility curve over sizes 1..K with
-one batched call, and returns each user's prefix at each curve's argmax
-within that user's own min(K, n). ``user_blocks`` groups users into blocks
+validation positives). ``_row_argmax`` is the one size-selection rule: the
+first argmax of each row of a (users, width) curve block within that row's
+own length. ``recommend_block`` is the one PerK routine: it ranks and
+calibrates each user of a block, builds the block's expected-utility
+curves over sizes 1..K (one padded batched call; in exact mode each user's
+curve padded into the block) and cuts every user's ranking at its
+``_row_argmax`` within min(K, n). ``user_blocks`` groups users into blocks
 by their candidate counts only, so the padding, and with it every output
 byte, is the same for any thread count. ``recommend`` is the block of one;
 ``recommend_users`` runs the blocks of every ``served_users`` user on a
@@ -18,8 +20,8 @@ validation utility, or (as an upper bound) by test utility, each on an
 already-ranked list. Evaluation scores every method's emitted prefix
 against held-out test positives over the identical user population, with
 the realized curves of all evaluated users in one block of array
-operations; the validation and oracle sizes are the block argmax of such
-curves (``_label_block``, ``realized_curve``, ``_row_argmax``).
+operations; the validation and oracle sizes are the ``_row_argmax`` of
+such curves (``_label_block``, ``realized_curve``).
 """
 
 from __future__ import annotations
@@ -108,11 +110,11 @@ def rank(user: int, scores: ScoreTable, exclude=()) -> tuple[np.ndarray, np.ndar
     return items[order], vals[order]
 
 
-def perk_select(curve: UtilityCurve) -> int:
-    """1-based argmax of the curve; ties resolve to the smallest size."""
-    if len(curve) == 0:
-        raise ValueError("empty utility curve")
-    return int(np.argmax(curve.values)) + 1
+def _row_argmax(curves: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """1-based argmax of each row over its first ``lengths[row]`` columns;
+    ties resolve to the smallest size."""
+    inside = np.arange(curves.shape[1]) < lengths[:, None]
+    return np.argmax(np.where(inside, curves, -np.inf), axis=1) + 1
 
 
 def served_users(scores: ScoreTable, params_by_user: dict) -> list[int]:
@@ -139,26 +141,28 @@ def user_blocks(users, scores: ScoreTable) -> list[list[int]]:
     return blocks
 
 
-def _block_curves(probs: list, measures: list, K: int, M: int, mode: str,
-                  exact_cap: int) -> list:
-    """Each user's curve values (measure -> values over sizes 1..min(K, n))
-    from one padded ``expected_curves_batch`` call, or in exact mode one
-    user at a time, where a user over the cap gets its ValueError instead."""
-    if mode == "exact":
-        out = []
-        for p in probs:
-            try:
-                curves = expected_curves(p, measures, K, mode="exact", exact_cap=exact_cap)
-            except ValueError as exc:
-                out.append(exc)
-                continue
-            out.append({m: curve.values for m, curve in curves.items()})
-        return out
-    block = np.zeros((len(probs), max(len(p) for p in probs)))
-    for row, p in zip(block, probs):
-        row[: len(p)] = p
-    curves = expected_curves_batch(block, measures, M=M, K=K)
-    return [{m: curves[m][i, : min(K, len(p))] for m in measures} for i, p in enumerate(probs)]
+def _block_curves(probs: list, lengths: np.ndarray, measures: list, K: int, M: int,
+                  mode: str, exact_cap: int) -> tuple[dict, list]:
+    """The block's curves, measure -> (users, width) values, and each user's
+    ValueError or None. Approx mode is one padded ``expected_curves_batch``
+    call; exact mode pads each user's ``expected_curves`` values into the
+    block, and a user over the cap keeps a zero row and its error."""
+    if mode == "approx":
+        block = np.zeros((len(probs), max(len(p) for p in probs)))
+        for row, p in zip(block, probs):
+            row[: len(p)] = p
+        return expected_curves_batch(block, measures, M=M, K=K), [None] * len(probs)
+    curves, errors = {m: np.zeros((len(probs), lengths.max())) for m in measures}, []
+    for row, p in enumerate(probs):
+        try:
+            values = expected_curves(p, measures, K, mode="exact", exact_cap=exact_cap)
+        except ValueError as exc:
+            errors.append(exc)
+            continue
+        errors.append(None)
+        for m in measures:
+            curves[m][row, : lengths[row]] = values[m].values
+    return curves, errors
 
 
 def recommend_block(
@@ -177,9 +181,10 @@ def recommend_block(
     Ranks each user's candidates (without ``exclude[user]``, if given) and
     calibrates them with ``params_by_user[user]``; one padded
     ``expected_curves_batch`` call then gives every curve of the block
-    (exact mode: one user at a time). The count distribution uses every
-    ranked candidate, not just the top-K prefix. Each curve covers the
-    user's own sizes 1..min(K, n) and is cut at its argmax.
+    (exact mode: one user at a time, padded into the block). The count
+    distribution uses every ranked candidate, not just the top-K prefix.
+    Each curve covers the user's own sizes 1..min(K, n), and one
+    ``_row_argmax`` call per measure cuts every user's ranking.
 
     Returns user -> (measure -> PersonalizedRec), in the order of
     ``users``. A user that cannot be served maps to the error saying why:
@@ -200,16 +205,16 @@ def recommend_block(
             ranked[user] = items[:K].copy(), calibrate.apply(params_by_user[user], vals)
         except ValueError as exc:  # non-finite calibration parameters
             out[user] = exc
-    probs = [p for _, p in ranked.values()]
-    values = _block_curves(probs, measures, K, M, mode, exact_cap) if probs else []
-    for (user, (ranking, _)), curves in zip(ranked.items(), values):
-        if isinstance(curves, ValueError):
-            out[user] = curves
-            continue
-        out[user] = {}
-        for measure in measures:
-            curve = UtilityCurve(measure, curves[measure], mode=mode)
-            out[user][measure] = PersonalizedRec(user, perk_select(curve), ranking, curve)
+    if ranked:
+        probs = [p for _, p in ranked.values()]
+        lengths = np.array([min(K, len(p)) for p in probs])
+        curves, errors = _block_curves(probs, lengths, measures, K, M, mode, exact_cap)
+        sizes = {m: _row_argmax(curves[m], lengths).tolist() for m in measures}
+    for row, (user, (ranking, _)) in enumerate(ranked.items()):
+        out[user] = errors[row] or {
+            m: PersonalizedRec(user, sizes[m][row], ranking,
+                               UtilityCurve(m, curves[m][row, : lengths[row]], mode=mode))
+            for m in measures}
     return {user: out[user] for user in users}
 
 
@@ -283,13 +288,6 @@ def default_methods(K: int = DEFAULT_K) -> list[str]:
     return methods
 
 
-def _row_argmax(curves: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """1-based argmax of each row over its first ``lengths[row]`` columns;
-    ties resolve to the smallest size."""
-    inside = np.arange(curves.shape[1]) < lengths[:, None]
-    return np.argmax(np.where(inside, curves, -np.inf), axis=1) + 1
-
-
 def _label_block(ranked: list, positives: list) -> tuple[np.ndarray, np.ndarray]:
     """(users, longest) 0/1 labels of each ranked prefix against its user's
     positives, zero-padded, and each prefix's length."""
@@ -348,7 +346,7 @@ def evaluate(
     for user in sorted(int(u) for u in split.users):
         if len(split.test.items_of(user)) == 0:
             skipped[SKIP_NO_TEST] += 1
-        elif user not in scores:
+        elif user not in scores or not len(scores.get(user)[0]):
             skipped[SKIP_NO_CANDIDATES] += 1
         elif METHOD_PERK in methods and params_by_user.get(user) is None:
             skipped[SKIP_NO_PARAMS] += 1

@@ -198,29 +198,18 @@ def expected_curves_batch(
     if probs_sorted.ndim != 2 or probs_sorted.shape[1] == 0:
         raise ValueError("expected a non-empty (users, n) probability matrix")
     check_curve_args("approx", K, M)
-    measures = list(measures)
-    mass = None
-    if any(m is not Measure.PDCG for m in measures):
-        mass = distribution(probs_sorted, M - 1).mass
-    return _curves_from_mass(probs_sorted[:, : min(K, probs_sorted.shape[1])], mass, measures)
-
-
-def _curves_from_mass(p_topk: np.ndarray, mass, measures: list) -> dict:
-    """The fast estimator's curves for a (users, kmax) block.
-
-    ``mass`` is the (users, min(n, M - 1) + 1) truncated count mass of each
-    user's whole candidate set (None when only PDCG is asked for). It stands
-    in for every rank's leave-one-out mass, so index j stands for m = j + 1.
-    """
-    out = {}
+    p_topk = probs_sorted[:, : min(K, probs_sorted.shape[1])]
+    out, mass = {}, None
     for measure in measures:
         if measure is Measure.PDCG:
             out[measure] = _pdcg_curve(p_topk)
-        else:
-            ks, ms = np.arange(1, p_topk.shape[1] + 1), np.arange(1, mass.shape[1] + 1)
-            inverse = _denominators(measure, ks[None, :], ms[:, None])
-            weights = mass @ np.divide(1.0, inverse, out=inverse)
-            out[measure] = np.cumsum(_gains(measure, p_topk), axis=1) * weights
+            continue
+        if mass is None:  # the whole set's mass stands in for each rank's leave-one-out one
+            mass = distribution(probs_sorted, M - 1).mass
+        ks, ms = np.arange(1, p_topk.shape[1] + 1), np.arange(1, mass.shape[1] + 1)
+        inverse = _denominators(measure, ks[None, :], ms[:, None])
+        weights = mass @ np.divide(1.0, inverse, out=inverse)
+        out[measure] = np.cumsum(_gains(measure, p_topk), axis=1) * weights
     return out
 
 

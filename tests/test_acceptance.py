@@ -16,7 +16,7 @@ from persize import calibrate
 from persize.cli import main as cli_main
 from persize.multidomain import DomainCurves, allocate
 from persize.poibin import distribution
-from persize.selection import METHOD_ORACLE, perk_select
+from persize.selection import METHOD_ORACLE, _row_argmax
 from persize.synthetic import generate_world
 from persize.utility import (
     Measure,
@@ -109,7 +109,8 @@ def test_criterion_04_pdcg_selection_law():
             probs[rng.integers(0, n)] = 0.5  # exact-tie entries
             probs = np.sort(probs)[::-1]
         curve = expected_curves(probs, [Measure.PDCG], M=2, K=n)[Measure.PDCG]
-        assert perk_select(curve) == max(1, int(np.sum(probs > 0.5)))
+        k = _row_argmax(curve.values[None, :], np.array([len(curve)]))[0]
+        assert k == max(1, int(np.sum(probs > 0.5)))
     _report("criterion 4 (PDCG size law over 100 random vectors)")
 
 
@@ -135,11 +136,12 @@ def test_criterion_05_calibration_recovery_and_ece_direction():
         holdout.append((user, su[2000:], yu[2000:]))
     per_user, global_params = calibrate.fit_all_users(fit_sets)
     user_ece = float(np.mean([
-        calibrate.ece(calibrate.apply(per_user[u], su), yu) for u, su, yu in holdout
+        calibrate.ece_report(calibrate.apply(per_user[u], su), yu)["ece"]
+        for u, su, yu in holdout
     ]))
     pooled_s = np.concatenate([su for _, su, _ in holdout])
     pooled_y = np.concatenate([yu for _, _, yu in holdout])
-    global_ece = calibrate.ece(calibrate.apply(global_params, pooled_s), pooled_y)
+    global_ece = calibrate.ece_report(calibrate.apply(global_params, pooled_s), pooled_y)["ece"]
     assert user_ece < global_ece
     _report(
         "criterion 5 (calibration)",

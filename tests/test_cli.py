@@ -335,6 +335,33 @@ class TestRecommendBlocks:
             "1 no_platt_params)" in out
 
 
+    def test_user_without_candidates_is_labelled_and_counted(self, tmp_path, bundled_path,
+                                                              capsys):
+        # user 0's train part holds every item, so it is scored with no candidates
+        workdir = tmp_path / "run"
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        assert _run("prepare", "--config", str(cfg)) == 0
+        n_items = len(dataset.load_split(workdir).items)
+        train = workdir / dataset.SPLIT_FILES[0]
+        train.write_text(train.read_text() + "".join(f"0\t{i}\n" for i in range(n_items)))
+        split_ds = dataset.load_split(workdir)
+        assert len(dataset.candidate_items(0, split_ds)) == 0
+        assert len(split_ds.test.items_of(0)) and len(split_ds.val.items_of(0))
+        n_users = len(split_ds.users)
+        capsys.readouterr()
+        for stage in ("train", "calibrate", "recommend", "evaluate"):
+            assert _run(stage, "--config", str(cfg)) == 0, stage
+        out = capsys.readouterr().out
+        assert f"train: scored {n_users} users" in out
+        assert f"calibrate: {n_users - 1} users (" in out
+        assert "1 skipped with no candidates), ECE" in out
+        assert f"wrote sizes for {n_users - 1} users, skipped 1, 0 errors" in out
+        recs = (workdir / "recs.tsv").read_text().splitlines()
+        assert recs[1] == "# skipped user=0: no candidates"
+        assert "evaluate: skipped 1 users (0 no_test_positives, 1 no_candidates, " \
+            "0 no_platt_params)" in out
+
+
 class TestPlattFile:
     @pytest.mark.parametrize("row, why", [
         ("{u}\tnan\tnan\tconverged", "non-finite"),
@@ -491,6 +518,34 @@ class TestConfigValues:
         }))
         assert _run("allocate", "--config", str(path)) == 1
         assert f"allocate.domains[1] needs '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, extra, message", [
+        ("prepare", {"data": 0}, "data must be a non-empty string, got 0"),
+        ("prepare", {"data": ""}, "data must be a non-empty string, got ''"),
+        ("prepare", {"workdir": 5}, "workdir must be a non-empty string, got 5"),
+        ("train", {"scores": ["s.tsv"]}, "scores must be a non-empty string, got ['s.tsv']"),
+        ("allocate", {"allocate": {"budget": 3, "domains": [{"id": "a", "curves": 7}]}},
+         "allocate.domains[0].curves must be a non-empty string, got 7"),
+        ("allocate", {"allocate": {"budget": 3, "domains": [
+            {"id": "a", "curves": "a.tsv"}, {"id": ["a"], "curves": "b.tsv"}]}},
+         "allocate.domains[1].id must be a string, got ['a']"),
+        ("allocate", {"allocate": {"budget": 3, "domains": [{"id": 1, "curves": "a.tsv"}]}},
+         "allocate.domains[0].id must be a string, got 1"),
+        ("allocate", {"allocate": {"budget": 3, "measure": "map",
+                                   "domains": [{"id": "a", "curves": "a.tsv"}]}},
+         "allocate.measure must be one of ndcg, pdcg, f1, tp, got 'map'"),
+        ("evaluate", {"allocate": {"measure": ["f1"]}},
+         "allocate.measure must be one of ndcg, pdcg, f1, tp, got ['f1']"),
+        ("recommend", {"measures": [["f1"]]}, "unknown measures: ['f1']"),
+    ], ids=["data_int", "data_empty", "workdir_int", "scores_list", "curves_int", "id_list",
+            "id_int", "measure_unknown", "measure_list", "measures_nested"])
+    def test_bad_path_id_or_measure_rejected(self, tmp_path, capsys, stage, extra, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"workdir": str(tmp_path / "w"), **extra}))
+        assert _run(stage, "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1, err
+        assert not (tmp_path / "w").exists()
 
     @pytest.mark.parametrize("method", ["top-0", "top--2"])
     def test_fixed_size_below_one_rejected(self, tmp_path, bundled_path, calibrated_workdir,

@@ -175,16 +175,12 @@ class TestCandidates:
 
     def test_excludes_train(self):
         cand = candidate_items(0, self._split())
-        np.testing.assert_array_equal(cand.items, [2, 3, 4])
-
-    def test_exclude_val_flag(self):
-        cand = candidate_items(0, self._split(), exclude_val=True)
-        np.testing.assert_array_equal(cand.items, [3, 4])
+        np.testing.assert_array_equal(cand, [2, 3, 4])
 
     def test_union_with_train_covers_everything(self):
         sp = self._split()
         cand = candidate_items(0, sp)
-        both = np.concatenate([sp.train.items_of(0), cand.items])
+        both = np.concatenate([sp.train.items_of(0), cand])
         np.testing.assert_array_equal(np.sort(both), np.arange(5))
 
     def test_unknown_user(self):

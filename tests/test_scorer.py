@@ -21,12 +21,16 @@ from persize.scorer import (
     load_scores,
     save_model,
     save_scores,
-    score,
     score_candidates,
     train_bpr,
 )
 from persize.selection import rank, recommend
 from persize.utility import Measure
+
+
+def _score(model, user, item) -> float:
+    """One pair's score: the one-item batch of ``score_candidates``."""
+    return float(score_candidates(model, user, [item])[0])
 
 
 def _toy_train():
@@ -38,8 +42,8 @@ class TestTrainBpr:
     def test_learns_toy_preference(self):
         config = BPRConfig(d=4, epochs=200, learning_rate=0.1, weight_decay=0.0, seed=0)
         model = train_bpr(_toy_train(), config)
-        assert score(model, 0, 0) > score(model, 0, 1)
-        assert score(model, 1, 1) > score(model, 1, 0)
+        assert _score(model, 0, 0) > _score(model, 0, 1)
+        assert _score(model, 1, 1) > _score(model, 1, 0)
 
     def test_loss_decreases_on_toy(self):
         config = BPRConfig(d=4, epochs=200, learning_rate=0.1, weight_decay=0.0, seed=0)
@@ -180,29 +184,30 @@ class TestBatchedTrainer:
 class TestScore:
     def test_zero_user_vector(self):
         model = ScoreModel(np.zeros((1, 3)), np.ones((4, 3)))
-        assert score(model, 0, 2) == 0.0
+        assert _score(model, 0, 2) == 0.0
 
     def test_dot_product(self):
         model = ScoreModel(np.array([[1.0, 0.0]]), np.array([[2.0, 3.0]]))
-        assert score(model, 0, 0) == 2.0
+        assert _score(model, 0, 0) == 2.0
 
     def test_out_of_range(self):
         model = ScoreModel(np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.raises(IndexError):
-            score(model, 1, 0)
+            _score(model, 1, 0)
         with pytest.raises(IndexError):
-            score(model, 0, 5)
+            _score(model, 0, 5)
 
     def test_trained_table_matches_single_lookups(self, tiny_split):
         model = train_bpr(tiny_split.train,
                           BPRConfig(d=16, epochs=5, learning_rate=0.2, seed=4))
-        cands = [candidate_items(u, tiny_split) for u in tiny_split.users.tolist()]
+        cands = {u: candidate_items(u, tiny_split) for u in tiny_split.users.tolist()}
         table = build_score_table(model, cands)
-        for cand in cands:
-            items, vals = table.get(cand.user)
-            single = [score(model, cand.user, i) for i in items.tolist()]
+        for user, cand in cands.items():
+            items, vals = table.get(user)
+            np.testing.assert_array_equal(items, cand)
+            single = [_score(model, user, i) for i in items.tolist()]
             # bit for bit, and equal to the plain vector-vector dot
-            plain = [model.user_vectors[cand.user] @ model.item_vectors[i] for i in items]
+            plain = [model.user_vectors[user] @ model.item_vectors[i] for i in items]
             np.testing.assert_array_equal(vals.view(np.int64), np.array(single).view(np.int64))
             np.testing.assert_array_equal(vals.view(np.int64), np.array(plain).view(np.int64))
 
@@ -211,7 +216,7 @@ class TestScore:
         model = ScoreModel(rng.normal(size=(3, 5)), rng.normal(size=(8, 5)))
         batch = score_candidates(model, 1, np.arange(8))
         for i in range(8):
-            assert batch[i] == score(model, 1, i)
+            assert batch[i] == _score(model, 1, i)
 
 
 class TestRankTopk:
@@ -314,8 +319,8 @@ class TestImportExport:
         export_scores(table, tmp_path / "s.tsv")
         back = import_scores(tmp_path / "s.tsv")
         _, vals = back.get(0)
-        assert vals[0] == score(model, 0, 0)
-        assert vals[1] == score(model, 0, 1)
+        assert vals[0] == _score(model, 0, 0)
+        assert vals[1] == _score(model, 0, 1)
 
 
 class TestScoreStore:

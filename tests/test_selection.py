@@ -12,7 +12,6 @@ from persize.selection import (
     baseline_rand,
     default_methods,
     evaluate,
-    perk_select,
     rank,
     recommend,
     recommend_block,
@@ -21,7 +20,6 @@ from persize.selection import (
 )
 from persize.utility import (
     Measure,
-    UtilityCurve,
     expected_curves,
     realized_curve,
 )
@@ -29,20 +27,19 @@ from persize.utility import (
 from oracles import CHI2_CRIT_DF19_A01
 
 
-def _curve(values):
-    return UtilityCurve(Measure.NDCG, np.asarray(values, dtype=float), mode="approx")
+def _select(values) -> int:
+    """The PerK size of one curve: the one-row ``_row_argmax`` that
+    ``recommend_block`` runs over a block of curves."""
+    values = np.asarray(values, dtype=float)
+    return int(_row_argmax(values[None, :], np.array([len(values)]))[0])
 
 
 class TestPerkSelect:
     def test_argmax(self):
-        assert perk_select(_curve([0.1, 0.3, 0.2])) == 2
+        assert _select([0.1, 0.3, 0.2]) == 2
 
     def test_tie_breaks_small(self):
-        assert perk_select(_curve([0.5, 0.5])) == 1
-
-    def test_empty_curve(self):
-        with pytest.raises(ValueError):
-            perk_select(_curve([]))
+        assert _select([0.5, 0.5]) == 1
 
     def test_pdcg_selection_law(self):
         # with non-increasing probabilities, the PDCG argmax is the number
@@ -56,7 +53,7 @@ class TestPerkSelect:
                 probs = np.sort(probs)[::-1]
             curve = expected_curves(probs, [Measure.PDCG], M=5, K=n)[Measure.PDCG]
             want = max(1, int(np.sum(probs > 0.5)))
-            assert perk_select(curve) == want
+            assert _select(curve.values) == want
 
 
 class TestRank:
@@ -135,7 +132,7 @@ class TestRecommend:
         for measure, rec in recs.items():
             assert rec.curve.measure is measure
             np.testing.assert_array_equal(rec.curve.values, want[measure].values)
-            assert rec.k_max == perk_select(want[measure])
+            assert rec.k_max == _select(want[measure].values)
             assert rec.expected_value == float(want[measure].values[rec.k_max - 1])
 
     def test_carries_its_ranking_cut_to_k(self):
@@ -217,6 +214,28 @@ class TestRecommendBlock:
         assert block[10][Measure.F1].k_max == 1
         with pytest.raises(ValueError, match="exact-mode cap"):
             recommend(17, table, params[17], [Measure.F1], K=5, mode="exact", exact_cap=100)
+
+    def test_exact_block_pads_each_user_and_keeps_its_error(self):
+        table, params = self._table(), self._params()
+        params[13] = PlattParams(float("nan"), 0.0)
+        users = [10, 11, 17, 12, 13, 14, 15, 16]  # 17 (400 candidates) is over the cap
+        block = recommend_block(users, table, params, list(Measure), K=12, mode="exact",
+                                exact_cap=100)
+        assert list(block) == users
+        assert "exact-mode cap 100" in str(block[17])
+        assert "non-finite" in str(block[13])
+        for user in (10, 11, 12, 14, 15, 16):  # curve lengths 1, 5 and 12
+            alone = recommend(user, table, params[user], list(Measure), K=12, mode="exact",
+                              exact_cap=100)
+            probs = calibrate.apply(params[user], rank(user, table)[1])
+            direct = expected_curves(probs, list(Measure), K=12, mode="exact")
+            for measure in Measure:
+                got, want = block[user][measure], alone[measure]
+                assert got.curve.mode == "exact"
+                assert got.curve.values.tobytes() == want.curve.values.tobytes()
+                assert got.curve.values.tobytes() == direct[measure].values.tobytes()
+                assert got.k_max == want.k_max, (user, measure)
+                np.testing.assert_array_equal(got.items, want.items)
 
     def test_bad_arguments_raise_before_any_user(self):
         table, params = self._table(), self._params()
@@ -423,11 +442,8 @@ def _pipeline_fixture(bundled_split):
     model = train_bpr(
         bundled_split.train, BPRConfig(d=16, epochs=8, learning_rate=0.05, seed=0)
     )
-    cands = (
-        candidate_items(u, bundled_split, exclude_val=False)
-        for u in sorted(bundled_split.users.tolist())
-    )
-    table = build_score_table(model, cands)
+    table = build_score_table(model, {
+        u: candidate_items(u, bundled_split) for u in sorted(bundled_split.users.tolist())})
     calsets = [
         calibrate.build_calibration_set(u, bundled_split, table)
         for u in table.users()
