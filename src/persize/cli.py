@@ -40,7 +40,7 @@ _TOP_KEYS = {
 _BPR_KEYS = {"d", "epochs", "learning_rate", "weight_decay", "negatives_per_positive"}
 _CAL_KEYS = {"max_iters", "tolerance", "divergence_bound", "subsample_negatives"}
 _ALLOC_KEYS = {"budget", "domains", "allow_zero", "measure"}
-_INT_KEYS = ("K", "M", "seed", "threads", "kcore", "exact_cap")
+_INT_KEYS = {"K": 1, "M": 1, "seed": 0, "threads": 1, "kcore": 1, "exact_cap": 1}  # lower bounds
 
 _DEFAULTS = {
     "seed": 0,
@@ -116,16 +116,16 @@ def _load_config(args) -> dict:
             raise ConfigError(f"{key} must be a non-empty string, got {path!r}")
     if "workdir" not in cfg:
         raise ConfigError("a working directory is required (--workdir or config)")
-    for key in _INT_KEYS:
+    for key, low in _INT_KEYS.items():
         if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]!r}")
     for key, value in (("exclude_val", cfg["exclude_val"]), ("dump_curves", cfg["dump_curves"]),
                        ("allocate.allow_zero", alloc.get("allow_zero", True))):
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, got {value!r}")
     _check_number("allocate.budget", alloc.get("budget", 0), 0, integer=True)
-    if cfg["K"] < 1 or cfg["M"] < 1:
-        raise ConfigError("K and M must be >= 1")
     if cfg["mode"] not in ("approx", "exact"):
         raise ConfigError(f"mode must be approx or exact, got {cfg['mode']!r}")
     known = [x.value for x in utility.Measure]  # a list: a measure may be unhashable
@@ -266,8 +266,7 @@ def cmd_recommend(cfg: dict) -> int:
     table = scorer.load_scores(workdir / "scores.bin")
     per_user, _ = _read_platt(workdir / "platt.tsv")
     measures = _measures(cfg)
-    exclude = ({u: split_ds.val.items_of(u) for u in table.users()}
-               if cfg["exclude_val"] else None)
+    exclude = {u: split_ds.val.items_of(u) for u in table.users()} if cfg["exclude_val"] else {}
     results = selection.recommend_users(
         table, per_user, measures, K=cfg["K"], M=cfg["M"], mode=cfg["mode"],
         exact_cap=cfg["exact_cap"], exclude=exclude, threads=cfg["threads"],
@@ -277,8 +276,9 @@ def cmd_recommend(cfg: dict) -> int:
     curve_lines = [_echo(cfg, "recommend")]
     n_skip = n_err = 0
     for u in table.users():
-        res = results.get(u)
-        if not len(table.get(u)[0]) or isinstance(res, scorer.DegenerateUserError):
+        res = results.get(u)  # None: not served; rank it to tell why
+        if isinstance(res, scorer.DegenerateUserError) or (
+                res is None and not len(selection.rank(u, table, exclude.get(u, ()))[0])):
             rec_lines.append(f"# skipped user={u}: no candidates")
             n_skip += 1
         elif res is None:

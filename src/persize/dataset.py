@@ -179,10 +179,12 @@ def split(iset: InteractionSet, ratios=SPLIT_RATIOS, seed: int = 0) -> SplitData
     earlier part), so small users may leave val or test empty. The shuffle
     is seeded per user, making the split independent of iteration order.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:  # a NaN ratio fails too
         raise ValueError(f"ratios must sum to 1, got {ratios}")
     if len(ratios) != 3:
         raise ValueError("exactly three ratios (train, val, test) are required")
+    if min(ratios) < 0:
+        raise ValueError(f"ratios must be non-negative, got {ratios}")
     parts: list[list] = [[], [], []]
     for u in iset.users:
         items = iset.items_of(u)

@@ -203,11 +203,16 @@ def score_candidates(model: ScoreModel, user: int, items) -> np.ndarray:
 
     One call of the row-wise dot kernel that ``train_bpr`` also uses, so
     each score equals ``user_vector @ item_vector`` bit for bit (a BLAS
-    matrix-vector product would round differently).
+    matrix-vector product would round differently). A user or item id
+    outside the model raises IndexError naming it.
     """
     if not 0 <= user < len(model.user_vectors):
         raise IndexError(f"user id {user} out of range")
-    item_vecs = model.item_vectors[np.asarray(items, dtype=np.int64)]
+    items = np.asarray(items, dtype=np.int64)
+    outside = items[(items < 0) | (items >= len(model.item_vectors))]
+    if len(outside):
+        raise IndexError(f"item id {outside[0]} out of range")
+    item_vecs = model.item_vectors[items]
     return _dot(np.broadcast_to(model.user_vectors[user], item_vecs.shape), item_vecs)
 
 

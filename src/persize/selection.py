@@ -17,11 +17,11 @@ thread pool. The CLI's ``recommend`` stage and ``evaluate`` both call
 ``recommend_users``, so they pick the same sizes.
 Baselines choose the size by a global constant, uniformly at random, by
 validation utility, or (as an upper bound) by test utility, each on an
-already-ranked list. Evaluation scores every method's emitted prefix
-against held-out test positives over the identical user population, with
-the realized curves of all evaluated users in one block of array
-operations; the validation and oracle sizes are the ``_row_argmax`` of
-such curves (``_label_block``, ``realized_curve``).
+already-ranked list. ``evaluate`` ranks each user once and scores every
+method's prefix against held-out test positives over the identical user
+population, in one block of array operations; PerK supplies only its
+sizes, and the validation and oracle sizes are the ``_row_argmax`` of
+realized curves (``_label_block``, ``realized_curve``).
 """
 
 from __future__ import annotations
@@ -330,51 +330,40 @@ def evaluate(
 ) -> EvaluationReport:
     """Score every method on every user holding at least one test positive.
 
-    All methods emit prefixes of the same per-user ranking (validation
-    positives excluded by default), so their averages are comparable and
-    the test-label argmax dominates pointwise. PerK's sizes and rankings
-    come from ``recommend_users``, the routine of the recommend stage; the
-    evaluated users' realized curves are then one block of array operations.
+    One ``rank`` call orders each such user's candidates; every method
+    emits a prefix of that order without the validation positives (by
+    default) cut at K, so the averages compare and the test-label argmax
+    dominates pointwise. ``val_k`` reads the order's first K items. Skip
+    reasons, in order: no test positives, nothing left to rank, and (with
+    PerK) no Platt parameters. PerK supplies only its sizes, from the
+    recommend stage's ``recommend_users``; a served user's ValueError is raised.
     """
     measures = [Measure(m) for m in measures]
     methods = list(methods) if methods is not None else default_methods(K)
     _check_choices([m.value for m in measures], methods)
     check_curve_args(mode, K, M)
 
-    skipped = dict.fromkeys(SKIP_REASONS, 0)
-    evaluable = []
-    for user in sorted(int(u) for u in split.users):
-        if len(split.test.items_of(user)) == 0:
-            skipped[SKIP_NO_TEST] += 1
-        elif user not in scores or not len(scores.get(user)[0]):
-            skipped[SKIP_NO_CANDIDATES] += 1
-        elif METHOD_PERK in methods and params_by_user.get(user) is None:
-            skipped[SKIP_NO_PARAMS] += 1
-        else:
-            evaluable.append(user)
-
+    perk = METHOD_PERK in methods
     exclude = {u: split.val.items_of(u) for u in scores.users()} if exclude_val else {}
-    if METHOD_PERK in methods:
+    if perk:
         served = recommend_users(scores, params_by_user, measures, K, M, mode, exact_cap,
                                  exclude, threads)
-    kept, rankings, perk = [], [], []
-    for user in evaluable:
-        if METHOD_PERK in methods:
-            recs = served[user]
-            if isinstance(recs, DegenerateUserError):
-                skipped[SKIP_NO_CANDIDATES] += 1
-                continue
-            if isinstance(recs, ValueError):
-                raise recs
-            ranking = recs[measures[0]].ranking
-            perk.append(recs)
-        else:
-            ranking = rank(user, scores, exclude.get(user, ()))[0][:K]
-            if len(ranking) == 0:
-                skipped[SKIP_NO_CANDIDATES] += 1
-                continue
+    skipped = dict.fromkeys(SKIP_REASONS, 0)
+    kept, rankings, val_tops = [], [], []
+    for user in sorted(int(u) for u in split.users):
+        has_test = len(split.test.items_of(user)) > 0
+        order = rank(user, scores)[0] if has_test and user in scores else np.empty(0, np.int64)
+        ranking = order[~np.isin(order, exclude.get(user, ()))][:K]
+        reason = (SKIP_NO_TEST if not has_test else SKIP_NO_CANDIDATES if not len(ranking)
+                  else SKIP_NO_PARAMS if perk and params_by_user.get(user) is None else None)
+        if reason:
+            skipped[reason] += 1
+            continue
+        if perk and isinstance(served[user], ValueError):
+            raise served[user]
         kept.append(user)
         rankings.append(ranking)
+        val_tops.append(order[:K])
     if not kept:
         raise ValueError("no evaluable users (every user lacks test positives)")
 
@@ -384,8 +373,6 @@ def evaluate(
     if METHOD_RAND in methods:
         rand_k = np.minimum([baseline_rand(user, K, seed) for user in kept], tops)
     if METHOD_VAL_K in methods:
-        val_tops = [rank(user, scores)[0][:K] if len(exclude.get(user, ())) else ranking
-                    for user, ranking in zip(kept, rankings)]
         val_sets = [split.val.items_of(user) for user in kept]
         val_labels, val_lengths = _label_block(val_tops, val_sets)
         n_val = [len(v) for v in val_sets]
@@ -396,7 +383,7 @@ def evaluate(
     for measure in measures:
         for method in methods:
             if method == METHOD_PERK:
-                k = np.array([recs[measure].k_max for recs in perk])
+                k = np.array([served[user][measure].k_max for user in kept])
             elif method == METHOD_RAND:
                 k = rand_k
             elif method == METHOD_VAL_K:

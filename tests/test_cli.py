@@ -309,6 +309,33 @@ class TestRecommendBlocks:
         assert "evaluate: skipped 1 users (0 no_test_positives, 1 no_candidates, " \
             "0 no_platt_params)" in out
 
+    def test_no_candidates_is_told_before_a_missing_platt_row(self, tmp_path,
+                                                               calibrated_workdir,
+                                                               bundled_path, capsys):
+        # every candidate is a validation positive and the Platt row is gone:
+        # recommend and evaluate both name the missing candidates
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        split_ds = dataset.load_split(workdir)
+        table = scorer.load_scores(workdir / "scores.bin")
+        entries = {u: table.get(u) for u in table.users()}
+        user = next(u for u in table.users()
+                    if len(split_ds.val.items_of(u)) and len(split_ds.test.items_of(u)))
+        val = split_ds.val.items_of(user)
+        entries[user] = (val, np.zeros(len(val)))
+        scorer.save_scores(scorer.ScoreTable(entries), workdir / "scores.bin")
+        platt = workdir / "platt.tsv"
+        rows = [line for line in platt.read_text().splitlines()
+                if line.split("\t")[0] != str(user)]
+        platt.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert _run("recommend", "--config", str(cfg)) == 0
+        assert f"# skipped user={user}: no candidates" in (workdir / "recs.tsv").read_text()
+        assert _run("evaluate", "--config", str(cfg)) == 0
+        assert "evaluate: skipped 1 users (0 no_test_positives, 1 no_candidates, " \
+            "0 no_platt_params)" in capsys.readouterr().out
+
     def test_users_without_platt_row_are_skipped(self, tmp_path, calibrated_workdir,
                                                  bundled_path, capsys):
         workdir = tmp_path / "run"
@@ -404,6 +431,26 @@ class TestConfigValues:
         path.write_text(json.dumps({"workdir": str(tmp_path / "w"), key: value}))
         assert _run("prepare", "--config", str(path)) == 1
         assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, low", [
+        ("K", 0, 1), ("M", 0, 1), ("threads", -4, 1), ("seed", -1, 0), ("kcore", 0, 1),
+        ("exact_cap", 0, 1),
+    ])
+    def test_integer_below_bound_rejected(self, tmp_path, capsys, key, value, low):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"workdir": str(tmp_path / "w"), key: value}))
+        assert _run("prepare", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be >= {low}, got {value}" in err and err.count("\n") == 1, err
+        assert not (tmp_path / "w").exists()
+
+    def test_negative_ratio_rejected(self, tmp_path, bundled_path, capsys):
+        workdir = tmp_path / "run"
+        cfg = _write_config(tmp_path, bundled_path, workdir, ratios=[1.2, -0.1, -0.1])
+        assert _run("prepare", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "ratios must be non-negative, got (1.2, -0.1, -0.1)" in err, err
+        assert err.count("\n") == 1 and not (workdir / dataset.SPLIT_FILES[0]).exists()
 
     @pytest.mark.parametrize("key, value", [
         ("negatives_per_positive", 0), ("epochs", -1), ("d", 2.5), ("learning_rate", "0.05"),

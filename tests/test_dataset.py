@@ -161,6 +161,14 @@ class TestSplit:
             split(self._user_with(4), ratios=(0.5, 0.2, 0.2))
         with pytest.raises(ValueError):
             split(self._user_with(4), ratios=(0.5, 0.5))
+        with pytest.raises(ValueError, match="ratios must sum to 1"):
+            split(self._user_with(4), ratios=(0.5, float("nan"), 0.5))
+
+    def test_negative_ratio_rejected(self):
+        # the sum is 1, yet a negative part would leave val and test empty
+        with pytest.raises(ValueError, match=re.escape(
+                "ratios must be non-negative, got (1.2, -0.1, -0.1)")):
+            split(self._user_with(4), ratios=(1.2, -0.1, -0.1))
 
 
 class TestCandidates:

@@ -211,6 +211,13 @@ class TestScore:
             np.testing.assert_array_equal(vals.view(np.int64), np.array(single).view(np.int64))
             np.testing.assert_array_equal(vals.view(np.int64), np.array(plain).view(np.int64))
 
+    @pytest.mark.parametrize("items, bad", [([0, -1], -1), ([2, 3, 4], 3)])
+    def test_item_outside_model_named(self, items, bad):
+        # a negative id would otherwise wrap to the last item's score
+        model = ScoreModel(np.ones((1, 2)), np.array([[1.0, 0.0], [2.0, 0.0], [5.0, 0.0]]))
+        with pytest.raises(IndexError, match=re.escape(f"item id {bad} out of range")):
+            score_candidates(model, 0, items)
+
     def test_matches_batch_scoring(self):
         rng = np.random.default_rng(0)
         model = ScoreModel(rng.normal(size=(3, 5)), rng.normal(size=(8, 5)))

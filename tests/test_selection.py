@@ -553,6 +553,19 @@ class TestEvaluate:
         for user, _, measure, k, _ in perk_rows:
             assert k == recs[user][Measure(measure)].k_max, (user, measure)
 
+    def test_perk_rows_score_the_lists_perk_emits(self, bundled_eval):
+        split, table, params, report = bundled_eval
+        exclude = {u: split.val.items_of(u) for u in table.users()}
+        recs = recommend_users(table, params, list(Measure), K=20, M=200, exclude=exclude)
+        perk_rows = [row for row in report.per_user if row[1] == METHOD_PERK]
+        assert len(perk_rows) == report.n_users * len(Measure)
+        for user, _, measure, k, value in perk_rows:
+            items = recs[user][Measure(measure)].items
+            test = split.test.items_of(user)
+            labels = np.isin(items, test).astype(float)
+            assert k == len(items)
+            assert value == realized_curve(Measure(measure), labels, len(test))[-1], user
+
     def test_no_evaluable_users_raises(self, tiny_split):
         from persize.dataset import SplitDataset, InteractionSet
 
