@@ -185,25 +185,16 @@ def split(iset: InteractionSet, ratios=SPLIT_RATIOS, seed: int = 0) -> SplitData
         raise ValueError("exactly three ratios (train, val, test) are required")
     if min(ratios) < 0:
         raise ValueError(f"ratios must be non-negative, got {ratios}")
-    parts: list[list] = [[], [], []]
-    for u in iset.users:
-        items = iset.items_of(u)
-        if not len(items):
-            continue
-        rng = np.random.default_rng([seed, int(u)])
-        shuffled = items[rng.permutation(len(items))]
-        sizes = _largest_remainder(len(items), ratios)
-        offs = np.cumsum([0] + sizes)
-        for part, lo, hi in zip(parts, offs[:-1], offs[1:]):
-            part.extend((int(u), int(i)) for i in shuffled[lo:hi])
-    sets = [
-        InteractionSet.from_pairs(
-            np.asarray(p, dtype=np.int64).reshape(-1, 2),
-            users=iset.users,
-            items=iset.items,
-        )
-        for p in parts
-    ]
+    pairs = iset.pairs
+    users, starts, counts = np.unique(pairs[:, 0], return_index=True, return_counts=True)
+    # each user's pairs are one run of the sorted pairs: shuffle its row indices
+    rows = [a + np.random.default_rng([seed, u]).permutation(n)
+            for u, a, n in zip(users.tolist(), starts.tolist(), counts.tolist())]
+    sizes = np.array([_largest_remainder(n, ratios) for n in counts.tolist()], dtype=np.int64)
+    part = np.repeat(np.tile(np.arange(3), len(sizes)), sizes.reshape(-1))
+    shuffled = pairs[np.concatenate([_EMPTY_ITEMS] + rows)]
+    sets = [InteractionSet.from_pairs(shuffled[part == p], users=iset.users, items=iset.items)
+            for p in range(3)]
     return SplitDataset(train=sets[0], val=sets[1], test=sets[2], seed=seed)
 
 
@@ -223,7 +214,7 @@ def save_split(split_ds: SplitDataset, workdir, id_map=None, header: str = "") -
     workdir = Path(workdir)
     for name, part in zip(SPLIT_FILES, (split_ds.train, split_ds.val, split_ds.test)):
         lines = [header] if header else []
-        lines.extend(f"{u}\t{i}" for u, i in part.pairs)
+        lines.extend(f"{u}\t{i}" for u, i in part.pairs.tolist())
         atomic_write(workdir / name, "\n".join(lines) + "\n")
     mapping = {
         "users": (id_map or {}).get("users", {}),

@@ -8,7 +8,9 @@ descent on the pairwise objective -log sigmoid(f(u, i+) - f(u, i-)) with
 uniformly sampled negatives. Training is seeded, so a given configuration
 always produces the same model. Steps run in a shuffled order; each run of
 consecutive steps that touch distinct users and items is applied as one
-array update, which gives the sequential result bit for bit.
+array update, which gives the sequential result bit for bit. Negatives come
+from batched draws that replay the scalar loop's draw sequence (numpy gives
+a batch the values of as many scalar calls), so every later shuffle matches.
 """
 
 from __future__ import annotations
@@ -104,45 +106,47 @@ def train_bpr(train: InteractionSet, config: BPRConfig = BPRConfig()) -> ScoreMo
     One SGD step per (positive, sampled negative) pair, in a seeded shuffle
     each epoch. Negatives are drawn uniformly from the items the user never
     interacted with in ``train``; a user who owns every item has none and
-    is skipped. Each run of consecutive steps that touch distinct users and
-    items is applied as one array update, which gives the sequential
-    result bit for bit. Raises ValueError for an invalid config and
-    RuntimeError if the loss goes non-finite.
+    is skipped. An epoch's negatives come from batched draws that replay
+    the draw sequence of a loop of scalar ``rng.integers`` calls. Each run of
+    consecutive steps that touch distinct users and items is applied as one
+    array update, which gives the sequential result bit for bit. Raises
+    ValueError for an invalid config or ids that are not dense and 0-based,
+    and RuntimeError if the loss goes non-finite.
     """
     _check_config(config)
     if train.n_interactions == 0:
         raise ValueError("cannot train on an empty interaction set")
     n_users = len(train.users)
     n_items = len(train.items)
-    if train.pairs[:, 0].max() >= n_users or train.pairs[:, 1].max() >= n_items:
+    pos_user = train.pairs[:, 0]
+    pos_item = train.pairs[:, 1]
+    if train.pairs.min() < 0 or pos_user.max() >= n_users or pos_item.max() >= n_items:
         raise ValueError("train_bpr expects dense 0-based ids (see dataset.compact)")
 
     rng = np.random.default_rng(config.seed)
     u_vecs = rng.uniform(-0.01, 0.01, size=(n_users, config.d))
     i_vecs = rng.uniform(-0.01, 0.01, size=(n_items, config.d))
-    pos_user = train.pairs[:, 0].tolist()
-    pos_item = train.pairs[:, 1].tolist()
-    owned = {u: set(train.items_of(u).tolist()) for u in set(pos_user)}
+    n_owned = np.bincount(pos_user, minlength=n_users)
+    # pairs are sorted by user, so each user's items are one run of them
+    owned = [set(items.tolist()) for items in np.split(pos_item, np.cumsum(n_owned)[:-1])]
+    has_negatives = (n_owned < n_items)[pos_user]
 
     lr = config.learning_rate
     wd = config.weight_decay
     losses = []
     for _ in range(config.epochs):
         order = rng.permutation(len(pos_user))
-        users, pos, neg = [], [], []  # drawn before any update, in step order
-        for idx in order.tolist():
-            u = pos_user[idx]
-            seen = owned[u]
-            if len(seen) >= n_items:
-                continue  # no negatives exist for this user
-            for _ in range(config.negatives_per_positive):
-                j = int(rng.integers(n_items))
-                while j in seen:
-                    j = int(rng.integers(n_items))
-                users.append(u)
-                pos.append(pos_item[idx])
-                neg.append(j)
-        users, pos, neg = (np.array(a, dtype=np.int64) for a in (users, pos, neg))
+        steps = np.repeat(order[has_negatives[order]], config.negatives_per_positive)
+        users, pos = pos_user[steps], pos_item[steps]
+        # each step's negative is its first draw outside the user's items, all
+        # drawn before any update; a batch of as many draws as steps remain
+        # never draws a value the scalar loop would not, so rng keeps its state
+        negs, walk = [], users.tolist()
+        while len(negs) < len(walk):
+            for j in rng.integers(n_items, size=len(walk) - len(negs)).tolist():
+                if j not in owned[walk[len(negs)]]:
+                    negs.append(j)
+        neg = np.array(negs, dtype=np.int64)
         x = np.empty(len(users))
         for a, b in _conflict_free_runs(users, pos, neg, n_items):
             us, ps, ns = users[a:b], pos[a:b], neg[a:b]

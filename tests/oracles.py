@@ -7,8 +7,9 @@ the plain convolution recurrence for count distributions too large to
 enumerate (and for a count with one variable removed), plain gradient
 descent for the calibration fit, exhaustive search over size vectors
 for the budget allocator, line-by-line scanners for the score and split
-text files (with a writer of adversarial files to feed them), and the
-step-by-step SGD loop for the pairwise ranking trainer.
+text files (with a writer of adversarial files to feed them), the
+step-by-step SGD loop for the pairwise ranking trainer, and the per-user
+loop for the train/val/test split.
 """
 
 import json
@@ -218,6 +219,29 @@ def sequential_bpr(train: InteractionSet, config) -> ScoreModel:
             )
         losses.append(float(mean_loss))
     return ScoreModel(user_vectors=u_vecs, item_vectors=i_vecs, epoch_losses=tuple(losses))
+
+
+def sequential_split(iset: InteractionSet, ratios, seed: int) -> SplitDataset:
+    """The per-user split as one loop over the universe's users: each
+    user's items shuffled by ``default_rng([seed, user])``, then cut into
+    largest-remainder sizes of the ratios (ties toward the earlier part)."""
+    parts = [[], [], []]
+    for u in iset.users.tolist():
+        items = iset.pairs[iset.pairs[:, 0] == u, 1]
+        if not len(items):
+            continue
+        shuffled = items[np.random.default_rng([seed, u]).permutation(len(items))]
+        exact = [r * len(items) for r in ratios]
+        sizes = [int(np.floor(e + 1e-9)) for e in exact]
+        by_remainder = sorted(range(3), key=lambda j: (-(exact[j] - sizes[j]), j))
+        for j in by_remainder[:len(items) - sum(sizes)]:
+            sizes[j] += 1
+        offs = np.cumsum([0] + sizes)
+        for part, lo, hi in zip(parts, offs[:-1], offs[1:]):
+            part.extend((u, int(i)) for i in shuffled[lo:hi])
+    sets = [InteractionSet.from_pairs(np.asarray(p, dtype=np.int64).reshape(-1, 2),
+                                      users=iset.users, items=iset.items) for p in parts]
+    return SplitDataset(train=sets[0], val=sets[1], test=sets[2], seed=seed)
 
 
 def scan_scores(path) -> ScoreTable:

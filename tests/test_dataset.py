@@ -2,9 +2,10 @@ import re
 
 import numpy as np
 import pytest
-from oracles import scan_split, write_adversarial
+from oracles import scan_split, sequential_split, write_adversarial
 
 from persize.dataset import (
+    SPLIT_RATIOS,
     InteractionSet,
     candidate_items,
     compact,
@@ -155,6 +156,32 @@ class TestSplit:
             not np.array_equal(pa.pairs, pc.pairs)
             for pa, pc in zip((a.train, a.val, a.test), (c.train, c.val, c.test))
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 9, 2024])
+    @pytest.mark.parametrize("ratios", [(0.6, 0.2, 0.2), (1, 0, 0)])
+    def test_matches_per_user_loop(self, seed, ratios):
+        # users with 1 and 2 pairs and larger ones; the universe lists its
+        # users unsorted and holds users 9 and 2 with no pairs
+        rng = np.random.default_rng(seed)
+        pairs = [[3, 4], [8, 0], [8, 5]]
+        for u in (0, 5, 6, 11):
+            items = rng.choice(30, size=int(rng.integers(3, 25)), replace=False)
+            pairs.extend([u, int(i)] for i in items)
+        iset = InteractionSet.from_pairs(pairs, users=[11, 3, 9, 0, 8, 5, 2, 6],
+                                         items=np.arange(30))
+        got, want = split(iset, ratios, seed), sequential_split(iset, ratios, seed)
+        assert got.seed == want.seed == seed
+        for a, b in zip((got.train, got.val, got.test), (want.train, want.val, want.test)):
+            np.testing.assert_array_equal(a.pairs, b.pairs)
+            np.testing.assert_array_equal(a.users, b.users)
+            np.testing.assert_array_equal(a.items, b.items)
+
+    def test_empty_set_matches_per_user_loop(self):
+        iset = InteractionSet.from_pairs(np.empty((0, 2), dtype=np.int64), users=[4, 1],
+                                         items=[0, 1])
+        for part in (split(iset, seed=3).train, sequential_split(iset, SPLIT_RATIOS, 3).train):
+            assert part.pairs.shape == (0, 2)
+            np.testing.assert_array_equal(part.users, [4, 1])
 
     def test_bad_ratios(self):
         with pytest.raises(ValueError):

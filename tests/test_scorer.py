@@ -77,6 +77,14 @@ class TestTrainBpr:
         with pytest.raises(ValueError):
             train_bpr(_toy_train(), BPRConfig(d=0))
 
+    @pytest.mark.parametrize("pairs", [
+        [[-1, 0], [0, 1], [-1, 2], [0, 2]],  # user -1 would train the last user row
+        [[0, -1], [1, 0], [0, 1], [1, 1]],  # item -1 would make row 2 a negative
+    ])
+    def test_rejects_negative_ids(self, pairs):
+        with pytest.raises(ValueError, match="dense 0-based ids"):
+            train_bpr(InteractionSet.from_pairs(pairs), BPRConfig(d=2, epochs=1))
+
 
 def _bits(model):
     return (model.user_vectors.view(np.int64), model.item_vectors.view(np.int64),
@@ -94,6 +102,29 @@ def _random_train(n_users=30, n_items=20, seed=0):
     pairs = rng.integers(0, [n_users, n_items], size=(8 * n_users, 2)).tolist()
     pairs += [[n_users, i] for i in range(n_items)]
     return InteractionSet.from_pairs(pairs, users=range(n_users + 1), items=range(n_items))
+
+
+class _DrawLog:
+    """A generator that logs the ``size`` of each ``integers`` call."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def integers(self, *args, size=None, **kwargs):
+        self._log.append(1 if size is None else size)
+        return self._rng.integers(*args, size=size, **kwargs)
+
+
+def _record_draws(monkeypatch) -> list:
+    """Make every new ``default_rng`` log its ``integers`` calls into the
+    returned list of per-generator lists."""
+    logs, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: logs.append([]) or _DrawLog(make(*a), logs[-1]))
+    return logs
 
 
 def _record_runs(monkeypatch) -> list:
@@ -120,6 +151,22 @@ class TestBatchedTrainer:
         np.testing.assert_array_equal(
             model.user_vectors[owner],
             np.random.default_rng(cfg.seed).uniform(-0.01, 0.01, (len(train.users), d))[owner])
+
+    @pytest.mark.parametrize("negatives", [1, 3])
+    def test_batch_refills_replay_scalar_draws(self, monkeypatch, negatives):
+        # user 0 owns all but item 5: its long rejection runs use up a batch in
+        # the middle of a step, and the next epoch's shuffle reads the state the
+        # last refill leaves
+        n_items = 40
+        pairs = [[0, i] for i in range(n_items) if i != 5] + [[1, 2], [1, 7], [2, 9]]
+        train = InteractionSet.from_pairs(pairs, users=range(3), items=range(n_items))
+        cfg = BPRConfig(d=4, epochs=3, learning_rate=0.3, weight_decay=1e-3,
+                        negatives_per_positive=negatives, seed=11)
+        logs = _record_draws(monkeypatch)
+        _assert_same_model(train_bpr(train, cfg), sequential_bpr(train, cfg))
+        batched, scalar = logs
+        assert len(batched) > 10 * cfg.epochs  # many refills per epoch
+        assert sum(batched) == sum(scalar)  # no value drawn the loop would not draw
 
     def test_one_user_runs_one_step_at_a_time(self, monkeypatch):
         train = InteractionSet.from_pairs([[0, 1], [0, 3], [0, 4]], users=[0], items=range(6))
