@@ -2,34 +2,38 @@
 
 Given calibrated probabilities in ranking order, the expected NDCG / PDCG /
 F1 / TP of the top-k list has a closed computational form for every
-k = 1..K at once, and ``expected_curves`` builds every measure's curve in one
-call. The fast estimator truncates the count sum at M and reuses one count
-distribution for all ranks; the exact mode (``mode="exact"``) removes both
-shortcuts and is verified against brute-force enumeration in the tests.
+k = 1..K at once. ``expected_curves_batch`` builds every measure's curve
+for a block of users in one call, one row per user; a single user is a
+block of one row. The fast estimator truncates the count sum at M and
+reuses one count distribution for all ranks; the exact mode removes both
+shortcuts (``_exact_curves``, which ``recommend_block`` runs one user at a
+time when ``mode="exact"``) and is verified against brute-force enumeration
+in the tests.
 """
 
 import numpy as np
 
-from persize.utility import Measure, expected_curves
+from persize.utility import Measure, _exact_curves, expected_curves_batch
 
 rng = np.random.default_rng(1)
 probs = np.sort(rng.uniform(0, 0.8, 40))[::-1]  # ranking order
 
-curves = expected_curves(probs, list(Measure), M=100, K=10)
+rows = expected_curves_batch(probs[None, :], list(Measure), M=100, K=10)
+curves = {m: rows[m][0] for m in Measure}  # the block's one row
 print("expected utility by size k (first 10 sizes):")
 print("  k  " + "  ".join(f"{m.value:>7s}" for m in Measure))
 for k in range(1, 11):
-    row = "  ".join(f"{curves[m].values[k - 1]:7.4f}" for m in Measure)
+    row = "  ".join(f"{curves[m][k - 1]:7.4f}" for m in Measure)
     print(f" {k:2d}  {row}")
 for m in Measure:
-    best = int(np.argmax(curves[m].values)) + 1
+    best = int(np.argmax(curves[m])) + 1
     print(f"best size for {m.value}: {best}")
 
 # the estimator error vanishes as candidate sets grow
 for n in (10, 1000):
     p = np.sort(rng.uniform(0, 0.1, n))[::-1]
-    measures = (Measure.NDCG, Measure.F1, Measure.TP)
-    fast = expected_curves(p, measures, M=2000, K=10)
-    exact = expected_curves(p, measures, K=10, mode="exact")
-    gap = max(float(np.abs(fast[m].values - exact[m].values).max()) for m in measures)
+    measures = [Measure.NDCG, Measure.F1, Measure.TP]
+    fast = expected_curves_batch(p[None, :], measures, M=2000, K=10)
+    exact = _exact_curves(p, 10, measures)
+    gap = max(float(np.abs(fast[m][0] - exact[m]).max()) for m in measures)
     print(f"n={n:5d}: max |fast - exact| over sizes = {gap:.2e}")

@@ -5,10 +5,10 @@ The personalized sizer, `selection.recommend_block`, ranks each user's
 candidates, calibrates the scores, builds the expected-utility curves of a
 whole block of users with one batched call, and cuts every list at its
 argmax with one block argmax per measure (the same `_row_argmax` that picks
-the validation and oracle sizes); `selection.recommend` is its block of one. `selection.recommend_users`
-runs it on every served user, block by block, and both the `recommend`
-stage and `selection.evaluate` call it, so the sizes scored below are the
-ones `recommend` emits.
+the validation and oracle sizes); a single user is a block of one.
+`selection.recommend_users` runs it on every served user, block by block,
+and both the `recommend` stage and `selection.evaluate` call it, so the
+sizes scored below are the ones `recommend` emits.
 Baselines pick a global constant, a random size, the best size on
 validation labels, or (as an upper bound) the best size on test labels, all
 on the same ranking.
@@ -57,9 +57,9 @@ print(f"\n{len(users)} users in {len(blocks)} blocks; evaluate scored the sizes 
       f"of its {len(perk_f1)} users")
 
 user = users[0]
-one = selection.recommend(
-    user, table, params[user], [Measure.F1], K=20, M=200, exclude=exclude[user],
-)[Measure.F1]
+one = selection.recommend_block(
+    [user], table, params, [Measure.F1], K=20, M=200, exclude=exclude,
+)[user][Measure.F1]
 print(f"user {one.user} alone: emit {one.k_max} items (evaluate scored size "
       f"{perk_f1.get(user)}), expected F1 {one.expected_value:.4f}, "
       f"items {one.items.tolist()}")

@@ -44,18 +44,11 @@ from .selection import (
     baseline_rand,
     evaluate,
     rank,
-    recommend,
     recommend_block,
     recommend_users,
     served_users,
     user_blocks,
 )
-from .utility import (
-    Measure,
-    UtilityCurve,
-    expected_curves,
-    expected_curves_batch,
-    realized_curve,
-)
+from .utility import Measure, expected_curves_batch, realized_curve
 
 __version__ = "0.1.0"

@@ -294,7 +294,7 @@ def cmd_recommend(cfg: dict) -> int:
                 rec_lines.append(f"{u}\t{m.value}\t{rec.k_max}\t{rec.expected_value!r}\t{joined}")
             if cfg["dump_curves"]:
                 for m in measures:
-                    for kk, v in enumerate(res[m].curve.values, start=1):
+                    for kk, v in enumerate(res[m].values, start=1):
                         curve_lines.append(f"{u}\t{m.value}\t{kk}\t{float(v)!r}")
     atomic_write(workdir / "recs.tsv", "\n".join(rec_lines) + "\n")
     if cfg["dump_curves"]:

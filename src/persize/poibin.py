@@ -42,6 +42,15 @@ class CountDistribution:
 _CHUNK = 32
 
 
+def _check_probs(probs: np.ndarray) -> None:
+    """Reject a probability outside [0, 1] or not finite: the one input
+    check of the count engine and of every curve built from probabilities."""
+    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite")
+
+
 def distribution(probs, M: int) -> CountDistribution:
     """Poisson-Binomial mass of sum(Bernoulli(p_i)) truncated at M.
 
@@ -84,10 +93,7 @@ def distribution_batch(probs: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ValueError("expected a (users, n) probability matrix")
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("probabilities must be finite")
+    _check_probs(probs)
     if M < 0:
         raise ValueError(f"truncation bound must be >= 0, got {M}")
     n_users, n = probs.shape

@@ -11,7 +11,7 @@ curves over sizes 1..K (one padded batched call; in exact mode each user's
 curve padded into the block) and cuts every user's ranking at its
 ``_row_argmax`` within min(K, n). ``user_blocks`` groups users into blocks
 by their candidate counts only, so the padding, and with it every output
-byte, is the same for any thread count. ``recommend`` is the block of one;
+byte, is the same for any thread count; one user is a block of one.
 ``recommend_users`` runs the blocks of every ``served_users`` user on a
 thread pool. The CLI's ``recommend`` stage and ``evaluate`` both call
 ``recommend_users``, so they pick the same sizes.
@@ -38,9 +38,8 @@ from .utility import (
     DEFAULT_M,
     EXACT_MODE_CAP,
     Measure,
-    UtilityCurve,
+    _exact_curves,
     check_curve_args,
-    expected_curves,
     expected_curves_batch,
     realized_curve,
 )
@@ -72,12 +71,16 @@ def fixed_method_name(k: int) -> str:
 class PersonalizedRec:
     """One user's emitted list for one measure: the first k_max ranked
     candidates, with the user's ranking cut to min(K, n) and the
-    expected-utility curve the list was cut from."""
+    expected-utility curve the list was cut from, over sizes 1..min(K, n)
+    (read-only)."""
 
     user: int
     k_max: int
     ranking: np.ndarray
-    curve: UtilityCurve
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values.setflags(write=False)
 
     @property
     def items(self) -> np.ndarray:
@@ -85,7 +88,7 @@ class PersonalizedRec:
 
     @property
     def expected_value(self) -> float:
-        return float(self.curve.values[self.k_max - 1])
+        return float(self.values[self.k_max - 1])
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ def _block_curves(probs: list, lengths: np.ndarray, measures: list, K: int, M: i
                   mode: str, exact_cap: int) -> tuple[dict, list]:
     """The block's curves, measure -> (users, width) values, and each user's
     ValueError or None. Approx mode is one padded ``expected_curves_batch``
-    call; exact mode pads each user's ``expected_curves`` values into the
+    call; exact mode pads each user's ``_exact_curves`` values into the
     block, and a user over the cap keeps a zero row and its error."""
     if mode == "approx":
         block = np.zeros((len(probs), max(len(p) for p in probs)))
@@ -154,14 +157,14 @@ def _block_curves(probs: list, lengths: np.ndarray, measures: list, K: int, M: i
         return expected_curves_batch(block, measures, M=M, K=K), [None] * len(probs)
     curves, errors = {m: np.zeros((len(probs), lengths.max())) for m in measures}, []
     for row, p in enumerate(probs):
-        try:
-            values = expected_curves(p, measures, K, mode="exact", exact_cap=exact_cap)
-        except ValueError as exc:
-            errors.append(exc)
+        if len(p) > exact_cap:
+            errors.append(ValueError(f"{len(p)} candidates exceed the exact-mode cap "
+                                     f"{exact_cap}; use approx mode"))
             continue
         errors.append(None)
+        values = _exact_curves(p, lengths[row], measures)
         for m in measures:
-            curves[m][row, : lengths[row]] = values[m].values
+            curves[m][row, : lengths[row]] = values[m]
     return curves, errors
 
 
@@ -212,8 +215,7 @@ def recommend_block(
         sizes = {m: _row_argmax(curves[m], lengths).tolist() for m in measures}
     for row, (user, (ranking, _)) in enumerate(ranked.items()):
         out[user] = errors[row] or {
-            m: PersonalizedRec(user, sizes[m][row], ranking,
-                               UtilityCurve(m, curves[m][row, : lengths[row]], mode=mode))
+            m: PersonalizedRec(user, sizes[m][row], ranking, curves[m][row, : lengths[row]])
             for m in measures}
     return {user: out[user] for user in users}
 
@@ -251,30 +253,6 @@ def recommend_users(
     return {user: out[user] for user in users}
 
 
-def recommend(
-    user: int,
-    scores: ScoreTable,
-    params: calibrate.PlattParams,
-    measures,
-    K: int = DEFAULT_K,
-    M: int = DEFAULT_M,
-    mode: str = "approx",
-    exact_cap: int = EXACT_MODE_CAP,
-    exclude=(),
-) -> dict:
-    """The expected-utility-maximizing prefix for one user, per measure: the
-    one-user block of ``recommend_block``. Returns measure ->
-    PersonalizedRec; raises DegenerateUserError when no candidate is left
-    to rank, and the ValueError of a user that cannot be served.
-    """
-    user = int(user)
-    result = recommend_block([user], scores, {user: params}, measures, K, M, mode,
-                             exact_cap, {user: exclude})[user]
-    if isinstance(result, ValueError):
-        raise result
-    return result
-
-
 def baseline_rand(user: int, K: int, seed: int = 0) -> int:
     """Uniform size in [1, K], seeded per user (thread-count independent)."""
     rng = np.random.default_rng([seed, int(user), 0x72616E64])
@@ -300,7 +278,7 @@ def _label_block(ranked: list, positives: list) -> tuple[np.ndarray, np.ndarray]
 
 def _check_choices(measures: list, methods: list) -> None:
     """Reject an empty or repeated measure or method list, an unknown
-    method, or a fixed size ``top-<k>`` with k < 1."""
+    method, or a fixed size other than ``fixed_method_name(k)`` for k >= 1."""
     for kind, given in (("measure", measures), ("method", methods)):
         if not given:
             raise ValueError(f"no {kind} to evaluate")
@@ -310,8 +288,10 @@ def _check_choices(measures: list, methods: list) -> None:
     for method in methods:
         size = method[4:] if str(method).startswith("top-") else ""
         known = method in (METHOD_PERK, METHOD_RAND, METHOD_VAL_K, METHOD_ORACLE)
-        if not (known or size.isdecimal() and int(size) >= 1):
-            raise ValueError(f"method {method!r} is neither known nor top-<k> with k >= 1")
+        fixed = size.isdecimal() and int(size) >= 1 and method == fixed_method_name(int(size))
+        if not (known or fixed):
+            raise ValueError(f"method {method!r} is neither known nor top-<k> with k >= 1 "
+                             "(ASCII digits, no leading zero)")
 
 
 def evaluate(

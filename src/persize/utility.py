@@ -15,24 +15,25 @@ relevances. These formulas are written once (``_gains``, ``_denominators``,
   every rank's leave-one-out one, so the sum is one matrix product per
   measure for a whole block of users (``expected_curves_batch``, whose
   masses come from one ``poibin.distribution`` call on the block); one
-  user (``expected_curves``) is a block of one;
-- expected, exact (``expected_curves`` with ``mode="exact"``): each top
-  rank's leave-one-out count distribution over the full count range, built
-  in blocks of ranks once per user and shared by every measure.
+  user is a block of one row;
+- expected, exact (``_exact_curves``, which ``selection`` runs in exact
+  mode): each top rank's leave-one-out count distribution over the full
+  count range, built in blocks of ranks once per user and shared by every
+  measure.
 
 Every count distribution, in both modes, comes from
-``poibin.distribution_batch``. The utility of one size k is entry k - 1 of
-its curve.
+``poibin.distribution_batch``, and both expected kinds check their
+probabilities with its input check. The utility of one size k is entry
+k - 1 of its curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .poibin import distribution, distribution_batch
+from .poibin import _check_probs, distribution, distribution_batch
 
 DEFAULT_M = 2000
 EXACT_MODE_CAP = 2000
@@ -46,21 +47,6 @@ class Measure(Enum):
     PDCG = "pdcg"
     F1 = "f1"
     TP = "tp"
-
-
-@dataclass(frozen=True)
-class UtilityCurve:
-    """Expected utility for each candidate size k = 1..len(values)."""
-
-    measure: Measure
-    values: np.ndarray
-    mode: str  # "approx" | "exact"
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def log_discount(ranks) -> np.ndarray:
@@ -143,14 +129,16 @@ def _exact_curves(all_probs: np.ndarray, kmax: int, measures: list) -> dict:
     in all. Setting rank r's probability to 0 is an exact identity, so one
     batched count call gives a block of _LOO_BLOCK ranks; each block is
     shared by every measure and dropped, and the cumulated gains carry over
-    to the next block, so memory stays a few blocks at any K.
+    to the next block, so memory stays a few blocks at any K. PDCG needs no
+    count, so PDCG alone builds no block.
     """
+    _check_probs(all_probs)
     n = all_probs.size
     ms = np.arange(1, n + 1)
     gains = {m: _gains(m, all_probs[:kmax]) for m in measures if m is not Measure.PDCG}
     carry = {m: np.zeros(n) for m in gains}
     out = {m: np.empty(kmax) for m in gains}
-    for lo in range(0, kmax, _LOO_BLOCK):
+    for lo in range(0, kmax if gains else 0, _LOO_BLOCK):
         rows = np.arange(lo, min(lo + _LOO_BLOCK, kmax))
         loo = np.tile(all_probs, (rows.size, 1))
         loo[np.arange(rows.size), rows] = 0.0
@@ -198,6 +186,7 @@ def expected_curves_batch(
     if probs_sorted.ndim != 2 or probs_sorted.shape[1] == 0:
         raise ValueError("expected a non-empty (users, n) probability matrix")
     check_curve_args("approx", K, M)
+    _check_probs(probs_sorted)
     p_topk = probs_sorted[:, : min(K, probs_sorted.shape[1])]
     out, mass = {}, None
     for measure in measures:
@@ -212,35 +201,3 @@ def expected_curves_batch(
         out[measure] = np.cumsum(_gains(measure, p_topk), axis=1) * weights
     return out
 
-
-def expected_curves(
-    all_probs,
-    measures,
-    K: int,
-    M: int = DEFAULT_M,
-    mode: str = "approx",
-    exact_cap: int = EXACT_MODE_CAP,
-) -> dict:
-    """Curves over sizes 1..min(K, n) for several measures of one user.
-
-    ``all_probs`` is the user's whole candidate set in ranking order, a 1-d
-    vector. In approx mode this is a one-row ``expected_curves_batch``
-    call, so every measure shares one count distribution; exact mode
-    shares one set of leave-one-out distributions and rejects more than
-    ``exact_cap`` candidates.
-    """
-    check_curve_args(mode, K, M)
-    all_probs = np.asarray(all_probs, dtype=np.float64)
-    if all_probs.ndim != 1:
-        raise ValueError(f"expected a 1-d probability vector, got shape {all_probs.shape}")
-    n = all_probs.size
-    if n == 0:
-        raise ValueError("empty candidate set")
-    if mode == "exact" and n > exact_cap:
-        raise ValueError(f"{n} candidates exceed the exact-mode cap {exact_cap}; use approx mode")
-    measures = list(measures)
-    if mode == "approx":
-        rows = expected_curves_batch(all_probs.reshape(1, -1), measures, M=M, K=K)
-        return {m: UtilityCurve(m, rows[m][0], mode="approx") for m in measures}
-    values = _exact_curves(all_probs, min(K, n), measures)
-    return {m: UtilityCurve(m, values[m], mode="exact") for m in measures}

@@ -20,7 +20,7 @@ from persize.selection import METHOD_ORACLE, _row_argmax
 from persize.synthetic import generate_world
 from persize.utility import (
     Measure,
-    expected_curves,
+    _exact_curves,
     expected_curves_batch,
     realized_curve,
 )
@@ -61,9 +61,9 @@ def test_criterion_02_expected_utility_oracle_chain():
     for _ in range(100):
         n = int(rng.integers(1, 13))
         probs = np.sort(rng.random(n))[::-1]
-        curves = expected_curves(probs, ALL_MEASURES, K=n, mode="exact")
+        curves = _exact_curves(probs, n, list(ALL_MEASURES))
         for measure in ALL_MEASURES:
-            got = curves[measure].values
+            got = curves[measure]
             want = enum_expected_curve(measure.value, probs)
             tol = 1e-12 if measure is Measure.PDCG else 1e-9
             np.testing.assert_allclose(got, want, atol=tol)
@@ -77,11 +77,11 @@ def test_criterion_03_approximation_gap_direction():
         rng = np.random.default_rng(seed)
         probs = np.sort(rng.uniform(0.0, 0.1, n))[::-1]
         K = 10
-        approx = expected_curves(probs, ALL_MEASURES, M=2000, K=K)
-        exact = expected_curves(probs, ALL_MEASURES, K=K, mode="exact")
+        approx = expected_curves_batch(probs[None, :], ALL_MEASURES, M=2000, K=K)
+        exact = _exact_curves(probs, K, list(ALL_MEASURES))
         gaps = {}
         for measure in ALL_MEASURES:
-            gaps[measure] = float(np.abs(approx[measure].values - exact[measure].values).max())
+            gaps[measure] = float(np.abs(approx[measure][0] - exact[measure]).max())
         return gaps
 
     lines = []
@@ -108,8 +108,8 @@ def test_criterion_04_pdcg_selection_law():
         if trial % 4 == 0 and n >= 2:
             probs[rng.integers(0, n)] = 0.5  # exact-tie entries
             probs = np.sort(probs)[::-1]
-        curve = expected_curves(probs, [Measure.PDCG], M=2, K=n)[Measure.PDCG]
-        k = _row_argmax(curve.values[None, :], np.array([len(curve)]))[0]
+        curves = expected_curves_batch(probs[None, :], [Measure.PDCG], M=2, K=n)[Measure.PDCG]
+        k = _row_argmax(curves, np.array([n]))[0]
         assert k == max(1, int(np.sum(probs > 0.5)))
     _report("criterion 4 (PDCG size law over 100 random vectors)")
 

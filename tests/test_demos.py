@@ -1,12 +1,15 @@
-"""Every demo script runs to completion against the package in src/.
+"""Every demo script, and README's quickstart, runs to completion against
+the package in src/.
 
 The demos locate the bundled data next to themselves, so each runs from a
 copy of ``demos/`` and ``data/`` in a temporary directory: a demo that
 writes under ``data/`` (00 regenerates the bundled log) never touches the
-tracked files.
+tracked files. The quickstart reads ``data/`` relative to its working
+directory, so it runs from the same copy.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,19 +22,29 @@ DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
 BUNDLED = Path("data") / "synth200" / "interactions.tsv"
 
 
+def _run_in_copy(args, tmp_path):
+    shutil.copytree(REPO_ROOT / "demos", tmp_path / "demos")
+    shutil.copytree(REPO_ROOT / "data", tmp_path / "data")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_demos_present():
     assert DEMOS, "no demo scripts found"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(script, tmp_path):
-    shutil.copytree(REPO_ROOT / "demos", tmp_path / "demos")
-    shutil.copytree(REPO_ROOT / "data", tmp_path / "data")
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(tmp_path / "demos" / script.name)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_in_copy([str(tmp_path / "demos" / script.name)], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
     # demo 00 regenerates the bundled log; it must reproduce it byte for byte
     assert (tmp_path / BUNDLED).read_bytes() == (REPO_ROOT / BUNDLED).read_bytes()
+
+
+def test_readme_quickstart_exits_zero(tmp_path):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, "README should hold exactly one python block"
+    proc = _run_in_copy(["-c", blocks[0]], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]

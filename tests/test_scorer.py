@@ -24,7 +24,7 @@ from persize.scorer import (
     score_candidates,
     train_bpr,
 )
-from persize.selection import rank, recommend
+from persize.selection import rank, recommend_block
 from persize.utility import Measure
 
 
@@ -302,8 +302,9 @@ class TestRankTopk:
     def test_empty_candidates_degenerate(self):
         table = self._table()
         assert len(rank(0, table, exclude=[0, 1, 2])[0]) == 0
-        with pytest.raises(DegenerateUserError):
-            recommend(0, table, PlattParams(1.0, 0.0), [Measure.F1], K=5, exclude=[0, 1, 2])
+        user = recommend_block([0], table, {0: PlattParams(1.0, 0.0)}, [Measure.F1], K=5,
+                               exclude={0: [0, 1, 2]})[0]
+        assert isinstance(user, DegenerateUserError)
 
     def test_scores_nonincreasing(self):
         rng = np.random.default_rng(2)

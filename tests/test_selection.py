@@ -13,18 +13,24 @@ from persize.selection import (
     default_methods,
     evaluate,
     rank,
-    recommend,
     recommend_block,
     recommend_users,
     user_blocks,
 )
 from persize.utility import (
     Measure,
-    expected_curves,
+    _exact_curves,
+    expected_curves_batch,
     realized_curve,
 )
 
 from oracles import CHI2_CRIT_DF19_A01
+
+
+def _alone(user, table, params, measures, exclude=(), **kwargs):
+    """One user's ``recommend_block`` result, as a block of one."""
+    return recommend_block([user], table, {user: params}, measures,
+                           exclude={user: exclude}, **kwargs)[user]
 
 
 def _select(values) -> int:
@@ -51,9 +57,9 @@ class TestPerkSelect:
             if trial % 3 == 0 and n >= 3:
                 probs[n // 3] = 0.5  # plant an exact tie
                 probs = np.sort(probs)[::-1]
-            curve = expected_curves(probs, [Measure.PDCG], M=5, K=n)[Measure.PDCG]
+            curves = expected_curves_batch(probs[None, :], [Measure.PDCG], M=5, K=n)
             want = max(1, int(np.sum(probs > 0.5)))
-            assert _select(curve.values) == want
+            assert _select(curves[Measure.PDCG][0]) == want
 
 
 class TestRank:
@@ -91,22 +97,22 @@ class TestRecommend:
     def test_single_sure_candidate_exact(self):
         table = self._table([4.0])
         params = PlattParams(a=10.0, b=0.0)  # sigmoid(40) ~ 1
-        rec = recommend(0, table, params, [Measure.NDCG], K=1, mode="exact")[Measure.NDCG]
+        rec = _alone(0, table, params, [Measure.NDCG], K=1, mode="exact")[Measure.NDCG]
         assert rec.k_max == 1
         assert rec.expected_value == pytest.approx(1.0, abs=1e-10)
 
     def test_all_probs_below_half_pdcg_picks_one(self):
         table = self._table([0.5, 0.4, 0.3, 0.2])
         params = PlattParams(a=1.0, b=-3.0)  # all probabilities < 0.5
-        rec = recommend(0, table, params, [Measure.PDCG], K=4)[Measure.PDCG]
+        rec = _alone(0, table, params, [Measure.PDCG], K=4)[Measure.PDCG]
         assert rec.k_max == 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         table = self._table(rng.normal(size=30))
         params = PlattParams(a=1.2, b=-1.0)
-        a = recommend(0, table, params, [Measure.F1], K=10, M=50)[Measure.F1]
-        b = recommend(0, table, params, [Measure.F1], K=10, M=50)[Measure.F1]
+        a = _alone(0, table, params, [Measure.F1], K=10, M=50)[Measure.F1]
+        b = _alone(0, table, params, [Measure.F1], K=10, M=50)[Measure.F1]
         assert a.k_max == b.k_max
         np.testing.assert_array_equal(a.items, b.items)
 
@@ -116,7 +122,7 @@ class TestRecommend:
         table = self._table(scores)
         params = PlattParams(a=1.0, b=0.0)
         for exclude in ((), [0, 3, 8]):
-            recs = recommend(0, table, params, list(Measure), K=10, M=40, exclude=exclude)
+            recs = _alone(0, table, params, list(Measure), K=10, M=40, exclude=exclude)
             ranked, _ = rank(0, table, exclude)
             for rec in recs.values():
                 np.testing.assert_array_equal(rec.items, ranked[: rec.k_max])
@@ -126,21 +132,22 @@ class TestRecommend:
         scores = rng.normal(size=40)
         table = self._table(scores)
         params = PlattParams(a=1.5, b=-0.5)
-        recs = recommend(0, table, params, list(Measure), K=12, M=30)
+        recs = _alone(0, table, params, list(Measure), K=12, M=30)
         probs = calibrate.apply(params, rank(0, table)[1])
-        want = expected_curves(probs, list(Measure), K=12, M=30)
+        want = {m: row[0] for m, row in
+                expected_curves_batch(probs[None, :], list(Measure), M=30, K=12).items()}
         for measure, rec in recs.items():
-            assert rec.curve.measure is measure
-            np.testing.assert_array_equal(rec.curve.values, want[measure].values)
-            assert rec.k_max == _select(want[measure].values)
-            assert rec.expected_value == float(want[measure].values[rec.k_max - 1])
+            np.testing.assert_array_equal(rec.values, want[measure])
+            assert rec.k_max == _select(want[measure])
+            assert rec.expected_value == float(want[measure][rec.k_max - 1])
+            assert not rec.values.flags.writeable
 
     def test_carries_its_ranking_cut_to_k(self):
         rng = np.random.default_rng(6)
         table = self._table(rng.normal(size=30))
         params = PlattParams(a=1.0, b=0.5)
         for K, exclude in ((10, ()), (40, [2, 7])):
-            recs = recommend(0, table, params, list(Measure), K=K, M=40, exclude=exclude)
+            recs = _alone(0, table, params, list(Measure), K=K, M=40, exclude=exclude)
             ranked, _ = rank(0, table, exclude)
             for rec in recs.values():
                 np.testing.assert_array_equal(rec.ranking, ranked[:K])
@@ -150,11 +157,11 @@ class TestRecommend:
 
     def test_degenerate_user(self):
         table = ScoreTable({0: (np.empty(0, dtype=np.int64), np.empty(0))})
-        with pytest.raises(DegenerateUserError):
-            recommend(0, table, PlattParams(1.0, 0.0), [Measure.F1])
+        assert isinstance(_alone(0, table, PlattParams(1.0, 0.0), [Measure.F1]),
+                          DegenerateUserError)
         full = self._table([0.3, 0.2])
-        with pytest.raises(DegenerateUserError):
-            recommend(0, full, PlattParams(1.0, 0.0), [Measure.F1], exclude=[0, 1])
+        assert isinstance(_alone(0, full, PlattParams(1.0, 0.0), [Measure.F1], exclude=[0, 1]),
+                          DegenerateUserError)
 
 
 class TestRecommendBlock:
@@ -182,25 +189,15 @@ class TestRecommendBlock:
                                 exclude=exclude)
         assert list(block) == users
         for user in users:
-            alone = recommend(user, table, params[user], list(Measure), K=12, M=M,
-                              exclude=exclude.get(user, ()))
+            alone = _alone(user, table, params[user], list(Measure), K=12, M=M,
+                           exclude=exclude.get(user, ()))
             n = len(rank(user, table, exclude.get(user, ()))[0])
             for measure in Measure:
                 got, want = block[user][measure], alone[measure]
-                assert len(got.curve) == min(12, n)
-                np.testing.assert_allclose(got.curve.values, want.curve.values,
-                                           rtol=1e-13, atol=0)
+                assert len(got.values) == min(12, n)
+                np.testing.assert_allclose(got.values, want.values, rtol=1e-13, atol=0)
                 assert got.k_max == want.k_max, (user, measure)
                 np.testing.assert_array_equal(got.items, want.items)
-
-    def test_one_user_block_is_recommend(self):
-        table, params = self._table(), self._params()
-        block = recommend_block([17], table, params, list(Measure), K=12, M=50)[17]
-        alone = recommend(17, table, params[17], list(Measure), K=12, M=50)
-        for measure in Measure:
-            assert block[measure].curve.values.tobytes() == \
-                alone[measure].curve.values.tobytes()
-            assert block[measure].k_max == alone[measure].k_max
 
     def test_unservable_users_map_to_their_errors(self):
         table, params = self._table(), self._params()
@@ -212,8 +209,16 @@ class TestRecommendBlock:
         assert "non-finite" in str(block[12])
         assert "exact-mode cap 100" in str(block[17])
         assert block[10][Measure.F1].k_max == 1
-        with pytest.raises(ValueError, match="exact-mode cap"):
-            recommend(17, table, params[17], [Measure.F1], K=5, mode="exact", exact_cap=100)
+        alone = _alone(17, table, params[17], [Measure.F1], K=5, mode="exact", exact_cap=100)
+        assert "exact-mode cap" in str(alone)
+
+    def test_exact_cap_enforced(self):
+        # the cap check runs before any curve, and its text is the error row's
+        table = ScoreTable({0: (np.arange(11), np.zeros(11))})
+        error = _alone(0, table, PlattParams(1.0, 0.0), [Measure.F1], K=5, mode="exact",
+                       exact_cap=10)
+        assert type(error) is ValueError
+        assert str(error) == "11 candidates exceed the exact-mode cap 10; use approx mode"
 
     def test_exact_block_pads_each_user_and_keeps_its_error(self):
         table, params = self._table(), self._params()
@@ -225,15 +230,14 @@ class TestRecommendBlock:
         assert "exact-mode cap 100" in str(block[17])
         assert "non-finite" in str(block[13])
         for user in (10, 11, 12, 14, 15, 16):  # curve lengths 1, 5 and 12
-            alone = recommend(user, table, params[user], list(Measure), K=12, mode="exact",
-                              exact_cap=100)
+            alone = _alone(user, table, params[user], list(Measure), K=12, mode="exact",
+                           exact_cap=100)
             probs = calibrate.apply(params[user], rank(user, table)[1])
-            direct = expected_curves(probs, list(Measure), K=12, mode="exact")
+            direct = _exact_curves(probs, min(12, len(probs)), list(Measure))
             for measure in Measure:
                 got, want = block[user][measure], alone[measure]
-                assert got.curve.mode == "exact"
-                assert got.curve.values.tobytes() == want.curve.values.tobytes()
-                assert got.curve.values.tobytes() == direct[measure].values.tobytes()
+                assert got.values.tobytes() == want.values.tobytes()
+                assert got.values.tobytes() == direct[measure].tobytes()
                 assert got.k_max == want.k_max, (user, measure)
                 np.testing.assert_array_equal(got.items, want.items)
 
@@ -294,8 +298,8 @@ class TestRecommendUsers:
                     continue
                 for measure, rec in want[user].items():
                     assert got[user][measure].k_max == rec.k_max
-                    assert got[user][measure].curve.values.tobytes() == \
-                        rec.curve.values.tobytes()
+                    assert got[user][measure].values.tobytes() == \
+                        rec.values.tobytes()
 
     def test_thread_count_never_changes_the_result(self):
         table, params, exclude = self._world()
@@ -308,7 +312,7 @@ class TestRecommendUsers:
                     continue
                 for measure, rec in recs.items():
                     out.append((user, measure, rec.k_max, rec.ranking.tobytes(),
-                                rec.curve.values.tobytes()))
+                                rec.values.tobytes()))
             return out
 
         runs = [flat(recommend_users(table, params, list(Measure), K=15, M=80,
@@ -351,7 +355,8 @@ class TestBaselines:
             labels = np.isin(ranked, test_items).astype(float)
             assert value == realized_curve(Measure.TP, labels, len(test_items))[k - 1]
 
-    @pytest.mark.parametrize("method", ["top-0", "top--2", "top-x", "top-", "best", 5])
+    @pytest.mark.parametrize("method", ["top-0", "top--2", "top-x", "top-", "best", 5,
+                                        "top-05", "top-\u0665"])
     def test_bad_method_rejected_before_any_user(self, tiny_split, monkeypatch, method):
         from persize import selection
 

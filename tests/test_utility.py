@@ -3,8 +3,10 @@ import pytest
 
 from persize.poibin import distribution, distribution_batch
 from persize.utility import (
+    DEFAULT_M,
     Measure,
-    expected_curves,
+    _exact_curves,
+    expected_curves_batch,
     log_discount,
     realized_curve,
 )
@@ -17,6 +19,19 @@ from oracles import (
 )
 
 ALL = (Measure.NDCG, Measure.PDCG, Measure.F1, Measure.TP)
+
+
+def approx_row(probs, measures, K, M=DEFAULT_M) -> dict:
+    """One user's fast curves: its one-row block of ``expected_curves_batch``."""
+    rows = expected_curves_batch(np.asarray(probs, dtype=float)[None, :], measures, M=M, K=K)
+    return {m: rows[m][0] for m in measures}
+
+
+def exact_row(probs, measures, K) -> dict:
+    """One user's exact curves over sizes 1..min(K, n), the call that
+    ``selection`` makes in exact mode."""
+    probs = np.asarray(probs, dtype=float)
+    return _exact_curves(probs, min(K, probs.size), list(measures))
 
 
 class TestRealized:
@@ -67,43 +82,43 @@ class TestRealized:
 class TestExpectedPdcg:
     # the expected PDCG of a whole prefix is the last value of its curve
     def test_sure_hit(self):
-        assert expected_curves([1.0], [Measure.PDCG], K=1)[Measure.PDCG].values[-1] == 1.0
+        assert approx_row([1.0], [Measure.PDCG], K=1)[Measure.PDCG][-1] == 1.0
 
     def test_zero_centered(self):
-        assert expected_curves([0.5, 0.5], [Measure.PDCG], K=2)[Measure.PDCG].values[-1] == 0.0
+        assert approx_row([0.5, 0.5], [Measure.PDCG], K=2)[Measure.PDCG][-1] == 0.0
 
     def test_hand_value_and_enumeration(self):
-        val = expected_curves([0.9, 0.4], [Measure.PDCG], K=2)[Measure.PDCG].values[-1]
+        val = approx_row([0.9, 0.4], [Measure.PDCG], K=2)[Measure.PDCG][-1]
         assert val == pytest.approx(0.8 - 0.2 / np.log2(3.0), abs=1e-12)
         assert val == pytest.approx(enum_expected_utility("pdcg", [0.9, 0.4], 2), abs=1e-12)
 
 
 class TestExactCurve:
     def test_single_sure_candidate(self):
-        curves = expected_curves([1.0], ALL, K=1, mode="exact")
+        curves = exact_row([1.0], ALL, K=1)
         for measure, want in ((Measure.NDCG, 1.0), (Measure.F1, 1.0), (Measure.TP, 1.0)):
-            assert curves[measure].values[0] == pytest.approx(want, abs=1e-12)
+            assert curves[measure][0] == pytest.approx(want, abs=1e-12)
 
     def test_enumeration_equivalence(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             n = int(rng.integers(1, 13))
             probs = np.sort(rng.random(n))[::-1]
-            curves = expected_curves(probs, ALL, K=n, mode="exact")
+            curves = exact_row(probs, ALL, K=n)
             for measure in ALL:
                 tol = 1e-12 if measure is Measure.PDCG else 1e-9
                 for k in range(1, n + 1):
                     ref = enum_expected_utility(measure.value, probs, k)
-                    assert curves[measure].values[k - 1] == pytest.approx(ref, abs=tol)
+                    assert curves[measure][k - 1] == pytest.approx(ref, abs=tol)
 
     def test_certain_and_impossible_candidates(self):
         # a zero-probability rank leaves its leave-one-out row unchanged;
         # a sure one shifts every other rank's count by one
         probs = np.array([1.0, 0.8, 0.5, 0.3, 0.0, 0.0])
-        curves = expected_curves(probs, ALL, K=len(probs), mode="exact")
+        curves = exact_row(probs, ALL, K=len(probs))
         for measure in ALL:
             np.testing.assert_allclose(
-                curves[measure].values, enum_expected_curve(measure.value, probs), atol=1e-12
+                curves[measure], enum_expected_curve(measure.value, probs), atol=1e-12
             )
 
     def test_rank_blocks_match_per_rank_oracle(self):
@@ -116,8 +131,8 @@ class TestExactCurve:
         totals = np.cumsum(probs[:, None] * loo, axis=0)  # [k-1, m-1]
         ms, ks = np.arange(1, n + 1), np.arange(1, n + 1)
         want = (2.0 * totals / (ms[None, :] + ks[:, None])).sum(axis=1)
-        curve = expected_curves(probs, [Measure.F1], K=n, mode="exact")[Measure.F1]
-        np.testing.assert_allclose(curve.values, want, rtol=0, atol=1e-12)
+        curve = exact_row(probs, [Measure.F1], K=n)[Measure.F1]
+        np.testing.assert_allclose(curve, want, rtol=0, atol=1e-12)
 
     def test_sure_labels_give_the_realized_curve(self):
         # with 0/1 probabilities the count is known, so every expected
@@ -127,10 +142,10 @@ class TestExactCurve:
         for n, K in ((1, 1), (7, 3), (40, 40), (150, 90)):
             for rate in (0.0, 0.2, 0.7, 1.0):
                 labels = (rng.random(n) < rate).astype(float)
-                curves = expected_curves(labels, ALL, K=K, mode="exact")
+                curves = exact_row(labels, ALL, K=K)
                 for measure in ALL:
                     want = realized_curve(measure, labels[:K], int(labels.sum()))
-                    got = curves[measure].values
+                    got = curves[measure]
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_measures_share_the_leave_one_out_blocks(self, monkeypatch):
@@ -145,41 +160,39 @@ class TestExactCurve:
 
         monkeypatch.setattr(utility, "distribution_batch", counting)
         probs = np.sort(np.random.default_rng(4).random(150))[::-1]
-        curves = expected_curves(probs, ALL, K=150, mode="exact")
+        curves = exact_row(probs, ALL, K=150)
         assert [rows for rows, _ in calls] == [64, 64, 22]
         for measure in ALL:
-            single = expected_curves(probs, [measure], K=150, mode="exact")[measure]
-            np.testing.assert_array_equal(curves[measure].values, single.values)
-
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="approx"):
-            expected_curves(np.full(11, 0.1), [Measure.F1], K=5, mode="exact", exact_cap=10)
-
-    def test_empty_candidates(self):
-        with pytest.raises(ValueError):
-            expected_curves([], [Measure.F1], K=1, mode="exact")
+            single = exact_row(probs, [measure], K=150)[measure]
+            np.testing.assert_array_equal(curves[measure], single)
+        # PDCG alone needs no count, so it builds no block at all
+        calls.clear()
+        pdcg = exact_row(probs, [Measure.PDCG], K=150)[Measure.PDCG]
+        assert calls == []
+        closed_form = np.cumsum((2.0 * probs - 1.0) * log_discount(np.arange(1, 151)))
+        assert pdcg.tobytes() == closed_form.tobytes()
 
 
 class TestApproxCurve:
     def test_pdcg_rows_equal_closed_form(self):
         rng = np.random.default_rng(2)
         probs = np.sort(rng.random(20))[::-1]
-        curve = expected_curves(probs, [Measure.PDCG], M=10, K=8)[Measure.PDCG]
+        curve = approx_row(probs, [Measure.PDCG], M=10, K=8)[Measure.PDCG]
         for k in range(1, 9):
-            prefix = expected_curves(probs[:k], [Measure.PDCG], K=k)[Measure.PDCG]
-            assert curve.values[k - 1] == prefix.values[-1]
+            prefix = approx_row(probs[:k], [Measure.PDCG], K=k)[Measure.PDCG]
+            assert curve[k - 1] == prefix[-1]
 
     def test_f1_hand_value(self):
-        curve = expected_curves([0.5, 0.5], [Measure.F1], M=2, K=1)[Measure.F1]
-        assert curve.values[0] == pytest.approx(2 * 0.5 * (0.25 / 2 + 0.5 / 3), abs=1e-12)
+        curve = approx_row([0.5, 0.5], [Measure.F1], M=2, K=1)[Measure.F1]
+        assert curve[0] == pytest.approx(2 * 0.5 * (0.25 / 2 + 0.5 / 3), abs=1e-12)
 
     def test_single_sure_item_truncation_artifact(self):
         # With M=1 the count sum sees only P(count=0)=0, so the estimate is 0
         # while the exact value is 1: the documented contrast between modes.
-        approx = expected_curves([1.0], [Measure.NDCG], M=1, K=1)[Measure.NDCG]
-        exact = expected_curves([1.0], [Measure.NDCG], K=1, mode="exact")[Measure.NDCG]
-        assert approx.values[0] == 0.0
-        assert exact.values[0] == 1.0
+        approx = approx_row([1.0], [Measure.NDCG], M=1, K=1)[Measure.NDCG]
+        exact = exact_row([1.0], [Measure.NDCG], K=1)[Measure.NDCG]
+        assert approx[0] == 0.0
+        assert exact[0] == 1.0
 
     def test_matches_naive_recomputation(self):
         rng = np.random.default_rng(3)
@@ -188,7 +201,7 @@ class TestApproxCurve:
         d = distribution(probs, M - 1).mass
         disc = log_discount(np.arange(1, 40))
         ideal = np.concatenate([[0.0], np.cumsum(disc)])
-        curves = expected_curves(probs, (Measure.NDCG, Measure.F1, Measure.TP), M=M, K=K)
+        curves = approx_row(probs, (Measure.NDCG, Measure.F1, Measure.TP), M=M, K=K)
         for measure, curve in curves.items():
             for k in range(1, K + 1):
                 total = 0.0
@@ -200,21 +213,21 @@ class TestApproxCurve:
                         total += 2.0 * float(probs[:k].sum()) * d[m - 1] / (m + k)
                     else:
                         total += float(probs[:k].sum()) * d[m - 1] / min(m, k)
-                assert curve.values[k - 1] == pytest.approx(total, abs=1e-12)
+                assert curve[k - 1] == pytest.approx(total, abs=1e-12)
 
     def test_truncation_monotone_toward_untruncated(self):
         rng = np.random.default_rng(4)
         probs = np.sort(rng.random(40))[::-1]
         K = 10
         measures = (Measure.NDCG, Measure.F1, Measure.TP)
-        full = expected_curves(probs, measures, M=41, K=K)
+        full = approx_row(probs, measures, M=41, K=K)
         prev = dict.fromkeys(measures, np.zeros(K))
         for M in (1, 3, 8, 20, 41):
-            curves = expected_curves(probs, measures, M=M, K=K)
+            curves = approx_row(probs, measures, M=M, K=K)
             for measure in measures:
-                cur = curves[measure].values
+                cur = curves[measure]
                 assert np.all(cur >= prev[measure] - 1e-15)
-                assert np.all(cur <= full[measure].values + 1e-12)
+                assert np.all(cur <= full[measure] + 1e-12)
                 prev[measure] = cur
 
     def test_range_bounds(self):
@@ -223,10 +236,10 @@ class TestApproxCurve:
             n = int(rng.integers(1, 30))
             probs = np.sort(rng.random(n))[::-1]
             K = min(8, n)
-            approx = expected_curves(probs, ALL, M=50, K=K)
-            exact = expected_curves(probs, ALL, K=K, mode="exact")
+            approx = approx_row(probs, ALL, M=50, K=K)
+            exact = exact_row(probs, ALL, K=K)
             for measure in ALL:
-                for mode_vals in (approx[measure].values, exact[measure].values):
+                for mode_vals in (approx[measure], exact[measure]):
                     assert np.all(np.isfinite(mode_vals))
                     if measure is Measure.PDCG:
                         bound = np.cumsum(log_discount(np.arange(1, K + 1)))
@@ -240,11 +253,11 @@ class TestApproxCurve:
             rng = np.random.default_rng(seed)
             probs = np.sort(rng.uniform(0, 0.1, n))[::-1]
             K = 10
-            approx = expected_curves(probs, ALL, M=2000, K=K)
-            exact = expected_curves(probs, ALL, K=K, mode="exact")
+            approx = approx_row(probs, ALL, M=2000, K=K)
+            exact = exact_row(probs, ALL, K=K)
             gaps = {}
             for measure in ALL:
-                gaps[measure] = float(np.abs(approx[measure].values - exact[measure].values).max())
+                gaps[measure] = float(np.abs(approx[measure] - exact[measure]).max())
             return gaps
 
         small = max_gap(10, 6)
@@ -256,24 +269,32 @@ class TestApproxCurve:
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="empty"):
-            expected_curves([], [Measure.F1], M=5, K=1)
+            approx_row([], [Measure.F1], M=5, K=1)
         with pytest.raises(ValueError, match="M must"):
-            expected_curves([0.5], [Measure.F1], M=0, K=1)
+            approx_row([0.5], [Measure.F1], M=0, K=1)
         with pytest.raises(ValueError, match="K must"):
-            expected_curves([0.5], [Measure.F1], M=5, K=0)
+            approx_row([0.5], [Measure.F1], M=5, K=0)
         with pytest.raises(ValueError, match="finite"):
-            expected_curves([float("nan"), 0.1], [Measure.F1], M=5, K=1)
-        # a block of users is expected_curves_batch's input, in either mode
-        for mode in ("approx", "exact"):
-            with pytest.raises(ValueError, match=r"1-d probability vector, got shape \(2, 3\)"):
-                expected_curves(np.full((2, 3), 0.5), [Measure.F1], K=10, mode=mode)
+            approx_row([float("nan"), 0.1], [Measure.F1], M=5, K=1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5, -0.2])
+    def test_pdcg_alone_checks_probabilities_in_both_modes(self, bad):
+        # PDCG needs no count distribution, yet it checks its input as the
+        # count engine does, with the engine's messages
+        probs = np.array([0.5, bad, 0.1])
+        with pytest.raises(ValueError) as engine:
+            distribution_batch(probs[None, :], 3)
+        for curves in (approx_row, exact_row):
+            with pytest.raises(ValueError) as got:
+                curves(probs, [Measure.PDCG], K=3)
+            assert str(got.value) == str(engine.value), curves.__name__
 
     def test_curve_covers_min_K_n_sizes(self):
         probs = np.array([0.9, 0.8, 0.1])
         for measure in ALL:
-            assert len(expected_curves(probs, [measure], M=5, K=2)[measure]) == 2
-            assert len(expected_curves(probs, [measure], M=5, K=10)[measure]) == 3
-            assert len(expected_curves(probs, [measure], K=10, mode="exact")[measure]) == 3
+            assert len(approx_row(probs, [measure], M=5, K=2)[measure]) == 2
+            assert len(approx_row(probs, [measure], M=5, K=10)[measure]) == 3
+            assert len(exact_row(probs, [measure], K=10)[measure]) == 3
 
 
 class TestBatchedCurves:
@@ -284,9 +305,9 @@ class TestBatchedCurves:
         probs = np.sort(rng.random((7, 60)), axis=1)[:, ::-1]
         batch = expected_curves_batch(probs, ALL, M=30, K=12)
         for b in range(7):
-            single = expected_curves(probs[b], ALL, M=30, K=12)
+            single = approx_row(probs[b], ALL, M=30, K=12)
             for measure in ALL:
-                np.testing.assert_allclose(batch[measure][b], single[measure].values, atol=1e-10)
+                np.testing.assert_allclose(batch[measure][b], single[measure], atol=1e-10)
 
     def test_distribution_batch_matches_single(self):
         from persize.poibin import distribution_batch
@@ -322,9 +343,9 @@ class TestBatchedCurves:
         probs = np.array([[0.9, 0.4, 0.1], [0.6, 0.5, 0.2]])
         batch = expected_curves_batch(probs, ALL, M=1, K=3)
         for b in range(2):
-            single = expected_curves(probs[b], ALL, M=1, K=3)
+            single = approx_row(probs[b], ALL, M=1, K=3)
             for measure in ALL:
-                np.testing.assert_allclose(batch[measure][b], single[measure].values, atol=1e-12)
+                np.testing.assert_allclose(batch[measure][b], single[measure], atol=1e-12)
 
 
 class TestExpectedCurves:
@@ -332,30 +353,13 @@ class TestExpectedCurves:
         rng = np.random.default_rng(7)
         probs = np.sort(rng.random(25))[::-1]
         K = 6
-        curves = expected_curves(probs, ALL, M=12, K=K)
+        curves = approx_row(probs, ALL, M=12, K=K)
         for measure in ALL:
-            single = expected_curves(probs, [measure], M=12, K=K)[measure]
-            np.testing.assert_array_equal(curves[measure].values, single.values)
-
-    def test_exact_mode_dispatch(self):
-        probs = np.array([0.9, 0.5, 0.1])
-        curves = expected_curves(probs, [Measure.TP], K=3, mode="exact")
-        assert curves[Measure.TP].mode == "exact"
+            single = approx_row(probs, [measure], M=12, K=K)[measure]
+            np.testing.assert_array_equal(curves[measure], single)
 
 
 class TestCurveBlocks:
-    def test_one_row_block_equals_expected_curves(self):
-        from persize.utility import expected_curves_batch
-
-        rng = np.random.default_rng(31)
-        for n, K, M in ((1, 5, 3), (20, 12, 30), (90, 12, 40), (300, 50, 2000)):
-            probs = np.sort(rng.random(n))[::-1]
-            batch = expected_curves_batch(probs[None, :], ALL, M=M, K=K)
-            single = expected_curves(probs, ALL, K=K, M=M)
-            for measure in ALL:
-                assert batch[measure].shape == (1, min(K, n))
-                assert batch[measure][0].tobytes() == single[measure].values.tobytes()
-
     def test_batch_rejects_K_below_one(self):
         from persize.utility import expected_curves_batch
 
