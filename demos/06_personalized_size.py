@@ -6,9 +6,12 @@ candidates, calibrates the scores, builds the expected-utility curves of a
 whole block of users with one batched call, and cuts every list at its
 argmax with one block argmax per measure (the same `_row_argmax` that picks
 the validation and oracle sizes); a single user is a block of one.
-`selection.recommend_users` runs it on every served user, block by block,
-and both the `recommend` stage and `selection.evaluate` call it, so the
-sizes scored below are the ones `recommend` emits.
+`selection.recommend_users` runs it on every served user, block by block;
+the `recommend` stage calls it once and writes the sizes to `recs.tsv`.
+`selection.evaluate` runs no PerK of its own: it scores the sizes it is
+given (the CLI reads them from `recs.tsv`), so the sizes scored below are
+the ones `recommend` emits, and it reports their mean expected utility
+next to the realized one.
 Baselines pick a global constant, a random size, the best size on
 validation labels, or (as an upper bound) the best size on test labels, all
 on the same ranking.
@@ -35,7 +38,13 @@ table = scorer.build_score_table(model, cands)
 calsets = [calibrate.build_calibration_set(u, split, table) for u in table.users()]
 params, _ = calibrate.fit_all_users(calsets)
 
-report = selection.evaluate(split, table, params, K=20, M=200, seed=0)
+users = selection.served_users(table, params)  # scored, with Platt parameters
+exclude = {u: split.val.items_of(u) for u in users}
+recs = selection.recommend_users(table, params, list(Measure), K=20, M=200, exclude=exclude)
+perk = {u: {m: (r.k_max, r.expected_value) for m, r in by_m.items()}
+        for u, by_m in recs.items() if not isinstance(by_m, ValueError)}
+
+report = selection.evaluate(split, table, perk, K=20, seed=0)
 print(f"average realized utility over {report.n_users} users (K=20):")
 header = "  ".join(f"{m.value:>7s}" for m in Measure)
 print(f"{'method':>8s}  {header}")
@@ -46,11 +55,10 @@ for method in selection.default_methods(20):
 sizes = sorted(k for _, m, meas, k, _ in report.per_user if m == "perk" and meas == "f1")
 print(f"\npersonalized F1 sizes: min {sizes[0]}, median {sizes[len(sizes) // 2]}, "
       f"max {sizes[-1]} (a fixed size cannot serve all of these at once)")
+promised = "  ".join(f"{m.value} {report.perk_expected[m.value]:.4f}" for m in Measure)
+print(f"perk promised (mean expected utility at its sizes): {promised}")
 
-users = selection.served_users(table, params)  # scored, with Platt parameters
-exclude = {u: split.val.items_of(u) for u in users}
 blocks = selection.user_blocks(users, table)  # by candidate count, <= 64 users each
-recs = selection.recommend_users(table, params, [Measure.F1], K=20, M=200, exclude=exclude)
 perk_f1 = {u: k for u, m, meas, k, _ in report.per_user if m == "perk" and meas == "f1"}
 assert all(recs[u][Measure.F1].k_max == k for u, k in perk_f1.items())
 print(f"\n{len(users)} users in {len(blocks)} blocks; evaluate scored the sizes "

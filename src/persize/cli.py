@@ -14,13 +14,19 @@ text export for people and other tools. Later stages never read the
 export, so edits to it are not seen downstream; edited scores go back in
 through the ``scores`` key of ``train``.
 
-Every numeric text file a stage reads (splits, scores, ``platt.tsv``, curve
-dumps) goes through ``util._read_rows``: one line rule, one error wording.
+``evaluate`` runs no PerK of its own: it reads PerK's sizes from
+``recs.tsv``, whose header ends in ``inputs=<hex>``, the digest of what
+``recommend`` read, and rejects the file if that digest is not its own.
+
+Every numeric text file a stage reads (splits, scores, ``platt.tsv``,
+``recs.tsv``, curve dumps) goes through ``util._read_rows``: one line rule,
+one error wording.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -60,6 +66,8 @@ _DEFAULTS = {
 
 # Keys that must not influence output bytes (runtime knobs only).
 _NO_ECHO = {"threads"}
+# Config keys that shape the recommend stage's sizes.
+_RECOMMEND_KEYS = ("K", "M", "mode", "exact_cap", "exclude_val", "measures")
 
 
 class ConfigError(ValueError):
@@ -260,8 +268,20 @@ def cmd_calibrate(cfg: dict) -> int:
     return 0
 
 
+def _inputs_digest(cfg: dict, workdir: Path) -> str:
+    """SHA-256 over what ``recommend`` reads: the bytes of ``scores.bin``,
+    ``platt.tsv`` and the validation split, then the JSON of the config keys
+    that shape its sizes."""
+    digest = hashlib.sha256()
+    for name in ("scores.bin", "platt.tsv", dataset.SPLIT_FILES[1]):
+        digest.update(hashlib.sha256((workdir / name).read_bytes()).digest())
+    digest.update(json.dumps({k: cfg[k] for k in _RECOMMEND_KEYS}, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def cmd_recommend(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
+    inputs = _inputs_digest(cfg, workdir)
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin")
     per_user, _ = _read_platt(workdir / "platt.tsv")
@@ -272,7 +292,7 @@ def cmd_recommend(cfg: dict) -> int:
         exact_cap=cfg["exact_cap"], exclude=exclude, threads=cfg["threads"],
     )
 
-    rec_lines = [_echo(cfg, "recommend")]
+    rec_lines = [f"{_echo(cfg, 'recommend')} inputs={inputs}"]
     curve_lines = [_echo(cfg, "recommend")]
     n_skip = n_err = 0
     for u in table.users():
@@ -307,18 +327,61 @@ def cmd_recommend(cfg: dict) -> int:
     return 0
 
 
+def _read_recs(cfg: dict, workdir: Path) -> dict:
+    """PerK's sizes from ``recs.tsv``: user -> {Measure: (k, expected_value)}.
+
+    Rejects a missing file and one whose ``inputs=`` digest is not
+    ``_inputs_digest`` of this workdir and config. Rows follow
+    ``util._read_rows`` and must have exactly five columns; a measure that
+    is not configured, a k outside 1..K and a repeated (user, measure) are
+    rejected, naming the line, and so is a user without a row for every
+    configured measure, naming the user.
+    """
+    path = workdir / "recs.tsv"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+    except FileNotFoundError:
+        raise ConfigError(f"{path} is missing; run recommend first") from None
+    if not header.endswith(f" inputs={_inputs_digest(cfg, workdir)}"):
+        raise ConfigError(f"{path} was built from other inputs or config; rerun recommend")
+    known, K = cfg["measures"], cfg["K"]
+
+    def bad_row(columns):
+        users, names, ks, _, _ = columns
+        return _first_flagged([
+            (np.flatnonzero(~np.isin(names, known)),
+             lambda r: f"measure {str(names[r])!r} is not one of {', '.join(known)}"),
+            (np.flatnonzero((ks < 1) | (ks > K)),
+             lambda r: f"size k must be in 1..{K}, got {ks[r]}"),
+            (_repeats(users, names),
+             lambda r: f"repeated row for user {users[r]}, measure {names[r]}"),
+        ])
+
+    users, names, ks, values, _ = _read_rows(
+        path, "isifs", "user<TAB>measure<TAB>k<TAB>expected_value<TAB>items", bad_row, exact=True)
+    # with no unknown or repeated measure, a short user has fewer rows than measures
+    keys, counts = np.unique(users, return_counts=True)
+    short = keys[counts < len(known)]
+    if len(short):
+        missing = [m for m in known if m not in names[users == short[0]].tolist()]
+        raise ConfigError(f"{path}: user {short[0]} has no row for measure {', '.join(missing)}")
+    perk: dict = {}
+    for u, m, k, v in zip(users.tolist(), names.tolist(), ks.tolist(), values.tolist()):
+        perk.setdefault(u, {})[utility.Measure(m)] = (k, v)
+    return perk
+
+
 def cmd_evaluate(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin")
-    params, _ = _read_platt(workdir / "platt.tsv")
     methods = cfg["baselines"] if "baselines" in cfg else selection.default_methods(cfg["K"])
+    selection._check_choices(cfg["measures"], methods)  # before any recs.tsv error
+    perk = _read_recs(cfg, workdir) if selection.METHOD_PERK in methods else None
     report = selection.evaluate(
-        split_ds, table, params,
-        measures=_measures(cfg), methods=methods,
-        K=cfg["K"], M=cfg["M"], mode=cfg["mode"], seed=cfg["seed"],
-        exclude_val=cfg["exclude_val"], exact_cap=cfg["exact_cap"],
-        threads=cfg["threads"],
+        split_ds, table, perk, measures=_measures(cfg), methods=methods,
+        K=cfg["K"], seed=cfg["seed"], exclude_val=cfg["exclude_val"],
     )
     lines = [_echo(cfg, "evaluate")]
     lines.extend(
@@ -329,7 +392,8 @@ def cmd_evaluate(cfg: dict) -> int:
     payload = {
         "averages": report.averages,
         "n_users": report.n_users,
-        "config": report.config,
+        "config": {k: cfg[k] for k in ("K", "M", "mode", "seed", "exclude_val")},
+        "perk_expected": report.perk_expected,
     }
     atomic_write(workdir / "eval_report.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")
     print(f"evaluate: {report.n_users} users x {len(methods)} methods -> "

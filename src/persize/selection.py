@@ -13,15 +13,15 @@ curve padded into the block) and cuts every user's ranking at its
 by their candidate counts only, so the padding, and with it every output
 byte, is the same for any thread count; one user is a block of one.
 ``recommend_users`` runs the blocks of every ``served_users`` user on a
-thread pool. The CLI's ``recommend`` stage and ``evaluate`` both call
-``recommend_users``, so they pick the same sizes.
+thread pool; the CLI's ``recommend`` stage calls it once.
 Baselines choose the size by a global constant, uniformly at random, by
 validation utility, or (as an upper bound) by test utility, each on an
 already-ranked list. ``evaluate`` ranks each user once and scores every
 method's prefix against held-out test positives over the identical user
-population, in one block of array operations; PerK supplies only its
-sizes, and the validation and oracle sizes are the ``_row_argmax`` of
-realized curves (``_label_block``, ``realized_curve``).
+population, in one block of array operations. It runs no PerK of its own:
+it takes PerK's sizes and expected values as given (the CLI reads them
+from ``recs.tsv``), and the validation and oracle sizes are the
+``_row_argmax`` of realized curves (``_label_block``, ``realized_curve``).
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ METHOD_ORACLE = "oracle"
 
 SKIP_NO_TEST = "no_test_positives"
 SKIP_NO_CANDIDATES = "no_candidates"
-SKIP_NO_PARAMS = "no_platt_params"
-SKIP_REASONS = (SKIP_NO_TEST, SKIP_NO_CANDIDATES, SKIP_NO_PARAMS)
+SKIP_NO_SIZE = "no_perk_size"
+SKIP_REASONS = (SKIP_NO_TEST, SKIP_NO_CANDIDATES, SKIP_NO_SIZE)
 
 # A block of users shares one padded curve call: at most this many users,
 # and at most this many probabilities once padded to the block's widest row.
@@ -97,9 +97,9 @@ class EvaluationReport:
 
     averages: dict  # method -> {measure name -> mean realized utility}
     n_users: int
-    config: dict
     per_user: tuple = field(repr=False, default=())  # (user, method, measure, k, value)
     skipped: dict = field(default_factory=dict)  # reason -> users not evaluated
+    perk_expected: dict = field(default_factory=dict)  # measure name -> mean expected utility
 
 
 def rank(user: int, scores: ScoreTable, exclude=()) -> tuple[np.ndarray, np.ndarray]:
@@ -297,37 +297,34 @@ def _check_choices(measures: list, methods: list) -> None:
 def evaluate(
     split: SplitDataset,
     scores: ScoreTable,
-    params_by_user: dict,
+    perk: dict | None = None,
     measures=tuple(Measure),
     methods=None,
     K: int = DEFAULT_K,
-    M: int = DEFAULT_M,
-    mode: str = "approx",
     seed: int = 0,
     exclude_val: bool = True,
-    exact_cap: int = EXACT_MODE_CAP,
-    threads: int = 1,
 ) -> EvaluationReport:
     """Score every method on every user holding at least one test positive.
 
     One ``rank`` call orders each such user's candidates; every method
     emits a prefix of that order without the validation positives (by
     default) cut at K, so the averages compare and the test-label argmax
-    dominates pointwise. ``val_k`` reads the order's first K items. Skip
-    reasons, in order: no test positives, nothing left to rank, and (with
-    PerK) no Platt parameters. PerK supplies only its sizes, from the
-    recommend stage's ``recommend_users``; a served user's ValueError is raised.
+    dominates pointwise. ``val_k`` reads the order's first K items.
+
+    ``perk`` maps each user PerK served to ``{Measure: (k, expected_value)}``
+    (the recommend stage's sizes); it is required when ``perk`` is a method.
+    Skip reasons, in order: no test positives, nothing left to rank, and
+    (with PerK) no PerK size. A PerK size past the user's evaluated ranking
+    is a ValueError naming the user.
     """
     measures = [Measure(m) for m in measures]
     methods = list(methods) if methods is not None else default_methods(K)
     _check_choices([m.value for m in measures], methods)
-    check_curve_args(mode, K, M)
+    use_perk = METHOD_PERK in methods
+    if use_perk and perk is None:
+        raise ValueError("evaluating perk needs its sizes")
 
-    perk = METHOD_PERK in methods
     exclude = {u: split.val.items_of(u) for u in scores.users()} if exclude_val else {}
-    if perk:
-        served = recommend_users(scores, params_by_user, measures, K, M, mode, exact_cap,
-                                 exclude, threads)
     skipped = dict.fromkeys(SKIP_REASONS, 0)
     kept, rankings, val_tops = [], [], []
     for user in sorted(int(u) for u in split.users):
@@ -335,12 +332,13 @@ def evaluate(
         order = rank(user, scores)[0] if has_test and user in scores else np.empty(0, np.int64)
         ranking = order[~np.isin(order, exclude.get(user, ()))][:K]
         reason = (SKIP_NO_TEST if not has_test else SKIP_NO_CANDIDATES if not len(ranking)
-                  else SKIP_NO_PARAMS if perk and params_by_user.get(user) is None else None)
+                  else SKIP_NO_SIZE if use_perk and user not in perk else None)
         if reason:
             skipped[reason] += 1
             continue
-        if perk and isinstance(served[user], ValueError):
-            raise served[user]
+        if use_perk and max(k for k, _ in perk[user].values()) > len(ranking):
+            raise ValueError(f"user {user}: a PerK size exceeds its {len(ranking)} "
+                             "evaluated items")
         kept.append(user)
         rankings.append(ranking)
         val_tops.append(order[:K])
@@ -359,11 +357,19 @@ def evaluate(
         val_k = {m: np.minimum(_row_argmax(realized_curve(m, val_labels, n_val), val_lengths),
                                tops) for m in measures}
 
+    def mean(values) -> float:
+        total = 0.0
+        for value in values:  # in user order, one addition at a time
+            total += value
+        return total / len(kept)
+
     columns, averages = {}, {method: {} for method in methods}
+    perk_expected = {}
     for measure in measures:
         for method in methods:
             if method == METHOD_PERK:
-                k = np.array([served[user][measure].k_max for user in kept])
+                k = np.array([perk[user][measure][0] for user in kept])
+                perk_expected[measure.value] = mean(perk[user][measure][1] for user in kept)
             elif method == METHOD_RAND:
                 k = rand_k
             elif method == METHOD_VAL_K:
@@ -374,10 +380,7 @@ def evaluate(
                 k = np.minimum(int(method[4:]), tops)
             values = realized[measure][np.arange(len(kept)), k - 1].tolist()
             columns[method, measure] = k.tolist(), values
-            total = 0.0
-            for value in values:  # in user order, one addition at a time
-                total += value
-            averages[method][measure.value] = total / len(kept)
+            averages[method][measure.value] = mean(values)
     rows = []
     for i, user in enumerate(kept):
         for measure in measures:
@@ -385,8 +388,7 @@ def evaluate(
                 k, values = columns[method, measure]
                 rows.append((user, method, measure.value, k[i], values[i]))
 
-    config = {"K": K, "M": M, "mode": mode, "seed": seed, "exclude_val": exclude_val}
     return EvaluationReport(
-        averages=averages, n_users=len(kept), config=config, per_user=tuple(rows),
-        skipped=skipped,
+        averages=averages, n_users=len(kept), per_user=tuple(rows), skipped=skipped,
+        perk_expected=perk_expected,
     )

@@ -168,9 +168,10 @@ class TestStages:
 
 
 class TestCrossStageParity:
-    def test_recs_and_evaluate_share_the_library_routine(self, tmp_path, bundled_path):
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_recs_and_evaluate_share_the_library_routine(self, tmp_path, bundled_path, mode):
         workdir = tmp_path / "run"
-        cfg = _write_config(tmp_path, bundled_path, workdir)
+        cfg = _write_config(tmp_path, bundled_path, workdir, mode=mode)
         _full_pipeline(cfg)
         split_ds = dataset.load_split(workdir)
         table = scorer.load_scores(workdir / "scores.bin")
@@ -187,7 +188,7 @@ class TestCrossStageParity:
         # the stage pads each block of users, so its values equal the library
         # routine's over the same blocks (a one-user call moves low bits)
         exclude = {u: split_ds.val.items_of(u) for u in table.users()}
-        lib = selection.recommend_users(table, params, list(Measure), K=10, M=100,
+        lib = selection.recommend_users(table, params, list(Measure), K=10, M=100, mode=mode,
                                         exclude=exclude)
         assert list(lib) == sorted(params)
         for user, by_measure in lib.items():
@@ -241,7 +242,7 @@ class TestRecommendBlocks:
         assert seen["1"] == seen["2"] == seen["8"]
         assert outputs["1"] == outputs["2"] == outputs["8"]
 
-    def test_evaluate_pads_the_recommend_blocks(self, tmp_path, calibrated_workdir,
+    def test_evaluate_reads_the_recommend_sizes(self, tmp_path, calibrated_workdir,
                                                 bundled_path, monkeypatch, capsys):
         workdir = tmp_path / "run"
         shutil.copytree(calibrated_workdir, workdir)
@@ -249,29 +250,32 @@ class TestRecommendBlocks:
         split_ds = dataset.load_split(workdir)
         table = scorer.load_scores(workdir / "scores.bin")
         params, _ = _read_platt(workdir / "platt.tsv")
-        # a scored user of the first block loses its test positives: evaluate
-        # must still pad it into its block, or every later block cut shifts
-        first = selection.user_blocks(selection.served_users(table, params), table)[0]
-        user = next(u for u in first if len(split_ds.test.items_of(u)))
+        # a served user loses its test positives: it keeps its recs.tsv rows,
+        # and evaluate leaves it out
+        user = next(u for u in selection.served_users(table, params)
+                    if len(split_ds.test.items_of(u)))
         test_path = workdir / dataset.SPLIT_FILES[2]
         rows = [line for line in test_path.read_text().splitlines()
                 if line.startswith("#") or int(line.split("\t")[0]) != user]
         test_path.write_text("\n".join(rows) + "\n")
         assert len(dataset.load_split(workdir).test.items_of(user)) == 0
 
-        def recording(probs, *args, **kwargs):
-            calls.append((probs.shape, hashlib.sha256(probs.tobytes()).hexdigest()))
-            return batch(probs, *args, **kwargs)
+        def recording(name, fn):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return record
 
-        batch = selection.expected_curves_batch
-        monkeypatch.setattr(selection, "expected_curves_batch", recording)
+        for name in ("recommend_users", "expected_curves_batch"):
+            monkeypatch.setattr(selection, name, recording(name, getattr(selection, name)))
         seen = {}
         for stage in ("recommend", "evaluate"):
             calls = []
             assert _run(stage, "--config", str(cfg), "--threads", "2") == 0
-            seen[stage] = sorted(calls)
-        assert len(seen["recommend"]) > 1
-        assert seen["recommend"] == seen["evaluate"]
+            seen[stage] = calls
+        assert seen["recommend"].count("recommend_users") == 1
+        assert seen["recommend"].count("expected_curves_batch") > 1
+        assert seen["evaluate"] == []
         assert "evaluate: skipped 1 users (1 no_test_positives, " in capsys.readouterr().out
 
         recs = {}
@@ -307,7 +311,7 @@ class TestRecommendBlocks:
         assert _run("evaluate", "--config", str(cfg)) == 0
         out = capsys.readouterr().out
         assert "evaluate: skipped 1 users (0 no_test_positives, 1 no_candidates, " \
-            "0 no_platt_params)" in out
+            "0 no_perk_size)" in out
 
     def test_no_candidates_is_told_before_a_missing_platt_row(self, tmp_path,
                                                                calibrated_workdir,
@@ -334,7 +338,7 @@ class TestRecommendBlocks:
         assert f"# skipped user={user}: no candidates" in (workdir / "recs.tsv").read_text()
         assert _run("evaluate", "--config", str(cfg)) == 0
         assert "evaluate: skipped 1 users (0 no_test_positives, 1 no_candidates, " \
-            "0 no_platt_params)" in capsys.readouterr().out
+            "0 no_perk_size)" in capsys.readouterr().out
 
     def test_users_without_platt_row_are_skipped(self, tmp_path, calibrated_workdir,
                                                  bundled_path, capsys):
@@ -359,7 +363,7 @@ class TestRecommendBlocks:
         assert _run("evaluate", "--config", str(cfg)) == 0
         out = capsys.readouterr().out
         assert "evaluate: skipped 1 users (0 no_test_positives, 0 no_candidates, " \
-            "1 no_platt_params)" in out
+            "1 no_perk_size)" in out
 
 
     def test_user_without_candidates_is_labelled_and_counted(self, tmp_path, bundled_path,
@@ -386,7 +390,7 @@ class TestRecommendBlocks:
         recs = (workdir / "recs.tsv").read_text().splitlines()
         assert recs[1] == "# skipped user=0: no candidates"
         assert "evaluate: skipped 1 users (0 no_test_positives, 1 no_candidates, " \
-            "0 no_platt_params)" in out
+            "0 no_perk_size)" in out
 
 
 class TestPlattFile:
@@ -413,12 +417,178 @@ class TestPlattFile:
         platt.write_text("\n".join(lines) + "\n")
         cfg = _write_config(tmp_path, bundled_path, workdir)
         bad_line = 3 + row.count("\n")  # the last of the row's lines is the bad one
-        for stage in ("recommend", "evaluate"):
-            assert _run(stage, "--config", str(cfg)) == 1, stage
-            err = capsys.readouterr().err
-            assert f"platt.tsv: line {bad_line}: " in err and why.format(u=u) in err, err
+        assert _run("recommend", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"platt.tsv: line {bad_line}: " in err and why.format(u=u) in err, err
         assert not (workdir / "recs.tsv").exists()
+        # evaluate reads PerK's sizes, not platt.tsv, so it names the missing recs.tsv
+        assert _run("evaluate", "--config", str(cfg)) == 1
+        assert f"{workdir / 'recs.tsv'} is missing; run recommend first" in \
+            capsys.readouterr().err
         assert not (workdir / "eval_report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def recommended_workdir(tmp_path_factory, bundled_path, calibrated_workdir):
+    """``calibrated_workdir`` after recommend, with the config it ran."""
+    base = tmp_path_factory.mktemp("recommended")
+    shutil.copytree(calibrated_workdir, base / "run")
+    assert _run("recommend", "--config", str(_write_config(base, bundled_path, base / "run"))) == 0
+    return base / "run"
+
+
+def _no_eval_files(workdir: Path) -> bool:
+    return not list(workdir.glob("eval_*"))
+
+
+class TestRecsFile:
+    """evaluate takes PerK's sizes from recs.tsv, and only from the recs.tsv
+    that recommend wrote for the same inputs and config."""
+
+    def _copy(self, tmp_path, bundled_path, recommended_workdir, **extra):
+        workdir = tmp_path / "run"
+        shutil.copytree(recommended_workdir, workdir)
+        return workdir, _write_config(tmp_path, bundled_path, workdir, **extra)
+
+    def test_missing_recs_rejected(self, tmp_path, bundled_path, recommended_workdir, capsys):
+        workdir, cfg = self._copy(tmp_path, bundled_path, recommended_workdir)
+        (workdir / "recs.tsv").unlink()
+        assert _run("evaluate", "--config", str(cfg)) == 1
+        assert f"{workdir / 'recs.tsv'} is missing; run recommend first" in \
+            capsys.readouterr().err
+        assert _no_eval_files(workdir)
+
+    def test_recs_header_carries_the_inputs_digest(self, recommended_workdir):
+        header = (recommended_workdir / "recs.tsv").read_text().splitlines()[0]
+        assert re.fullmatch(r"# persize recommend config=\{.*\} inputs=[0-9a-f]{64}", header)
+
+    @pytest.mark.parametrize("key, value", [
+        ("K", 9), ("M", 99), ("mode", "exact"), ("exact_cap", 1999), ("exclude_val", False),
+        ("measures", ["ndcg", "pdcg", "f1"]),
+    ])
+    def test_config_changed_after_recommend_rejected(self, tmp_path, bundled_path,
+                                                     recommended_workdir, capsys, key, value):
+        workdir, cfg = self._copy(tmp_path, bundled_path, recommended_workdir, **{key: value})
+        assert _run("evaluate", "--config", str(cfg)) == 1
+        assert f"{workdir / 'recs.tsv'} was built from other inputs or config; " \
+            "rerun recommend" in capsys.readouterr().err
+        assert _no_eval_files(workdir)
+
+    @pytest.mark.parametrize("name", ["scores.bin", "platt.tsv", "val.tsv"])
+    def test_input_changed_after_recommend_rejected(self, tmp_path, bundled_path,
+                                                    recommended_workdir, capsys, name):
+        workdir, cfg = self._copy(tmp_path, bundled_path, recommended_workdir)
+        if name == "scores.bin":
+            table = scorer.load_scores(workdir / name)
+            entries = {u: table.get(u) for u in table.users()}
+            items, vals = entries[table.users()[0]]
+            entries[table.users()[0]] = (items, vals + 1e-9)
+            scorer.save_scores(scorer.ScoreTable(entries), workdir / name)
+        else:  # same rows, other bytes
+            (workdir / name).write_text((workdir / name).read_text() + "# edited\n")
+        assert _run("evaluate", "--config", str(cfg)) == 1
+        assert f"{workdir / 'recs.tsv'} was built from other inputs or config; " \
+            "rerun recommend" in capsys.readouterr().err
+        assert _no_eval_files(workdir)
+
+    @pytest.mark.parametrize("edit, why", [
+        (lambda rows: rows.__setitem__(1, re.sub(r"\t\w+\t", "\tmap\t", rows[1], count=1)),
+         "line 2: measure 'map' is not one of ndcg, pdcg, f1, tp"),
+        (lambda rows: rows.__setitem__(1, _set_field(rows[1], 2, "0")),
+         "line 2: size k must be in 1..10, got 0"),
+        (lambda rows: rows.__setitem__(1, _set_field(rows[1], 2, "11")),
+         "line 2: size k must be in 1..10, got 11"),
+        (lambda rows: rows.__setitem__(2, rows[1]),
+         "line 3: repeated row for user {u}, measure ndcg"),
+        (lambda rows: rows.pop(1), "user {u} has no row for measure ndcg"),
+        (lambda rows: rows.__setitem__(1, rows[1].rsplit("\t", 1)[0]),
+         "line 2: expected 'user<TAB>measure<TAB>k<TAB>expected_value<TAB>items'"),
+    ], ids=["unknown_measure", "k_zero", "k_above_K", "repeated_row", "missing_measure",
+            "four_columns"])
+    def test_malformed_row_rejected(self, tmp_path, bundled_path, recommended_workdir, capsys,
+                                    edit, why):
+        workdir, cfg = self._copy(tmp_path, bundled_path, recommended_workdir)
+        path = workdir / "recs.tsv"
+        rows = path.read_text().splitlines()
+        u = rows[1].split("\t")[0]
+        assert rows[1].split("\t")[1] == "ndcg" and rows[2].split("\t")[1] == "pdcg"
+        edit(rows)
+        path.write_text("\n".join(rows) + "\n")
+        assert _run("evaluate", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: {why.format(u=u)}" in err, err
+        assert _no_eval_files(workdir)
+
+    def test_evaluate_without_perk_reads_no_recs(self, tmp_path, bundled_path,
+                                                 recommended_workdir):
+        workdir, cfg = self._copy(tmp_path, bundled_path, recommended_workdir,
+                                  baselines=["top-1", "oracle"])
+        for name in ("recs.tsv", "platt.tsv"):
+            (workdir / name).unlink()
+        assert _run("evaluate", "--config", str(cfg)) == 0
+        report = json.loads((workdir / "eval_report.json").read_text())
+        assert set(report["averages"]) == {"top-1", "oracle"}
+        assert report["perk_expected"] == {}
+
+    def test_perk_expected_is_the_mean_of_recs_column_4(self, tmp_path, bundled_path,
+                                                         recommended_workdir):
+        workdir, cfg = self._copy(tmp_path, bundled_path, recommended_workdir)
+        # one served user without test positives is not evaluated, so its
+        # promise stays out of the mean
+        split_ds = dataset.load_split(workdir)
+        gone = next(u for u in split_ds.users.tolist() if len(split_ds.test.items_of(u)))
+        test_path = workdir / dataset.SPLIT_FILES[2]
+        rows = [line for line in test_path.read_text().splitlines()
+                if line.startswith("#") or int(line.split("\t")[0]) != gone]
+        test_path.write_text("\n".join(rows) + "\n")
+        assert _run("evaluate", "--config", str(cfg)) == 0
+        evaluated = sorted({int(line.split("\t")[0]) for line in
+                            (workdir / "eval_per_user.tsv").read_text().splitlines()[1:]})
+        assert gone not in evaluated
+        promised = {}
+        for line in (workdir / "recs.tsv").read_text().splitlines()[1:]:
+            user, measure, _, value, _ = line.split("\t")
+            promised[(int(user), measure)] = float(value)
+        assert (gone, "f1") in promised
+        report = json.loads((workdir / "eval_report.json").read_text())
+        want = {}
+        for measure in ("ndcg", "pdcg", "f1", "tp"):
+            total = 0.0
+            for user in evaluated:  # user order, one addition at a time
+                total += promised[(user, measure)]
+            want[measure] = total / len(evaluated)
+        assert report["perk_expected"] == want
+        assert "perk_expected" not in report["averages"]
+
+    def test_exact_mode_user_over_the_cap_is_skipped(self, tmp_path, bundled_path,
+                                                     calibrated_workdir, capsys):
+        # recommend writes a '# error' row for the largest user; evaluate
+        # counts it as having no PerK size and scores everyone else
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        split_ds = dataset.load_split(workdir)
+        table = scorer.load_scores(workdir / "scores.bin")
+        counts = {u: len(selection.rank(u, table, split_ds.val.items_of(u))[0])
+                  for u in table.users()}
+        cap = max(counts.values()) - 1
+        over = [u for u, n in counts.items() if n > cap]
+        cfg = _write_config(tmp_path, bundled_path, workdir, mode="exact", exact_cap=cap)
+        capsys.readouterr()
+        assert _run("recommend", "--config", str(cfg)) == 2
+        recs = (workdir / "recs.tsv").read_text()
+        assert all(f"# error user={u}: {cap + 1} candidates exceed" in recs for u in over)
+        assert _run("evaluate", "--config", str(cfg)) == 0
+        n_skip = sum(1 for u in over if len(split_ds.test.items_of(u)))
+        assert n_skip >= 1
+        assert f"0 no_candidates, {n_skip} no_perk_size)" in capsys.readouterr().out
+        report = json.loads((workdir / "eval_report.json").read_text())
+        assert report["n_users"] == len(table) - n_skip
+
+
+def _set_field(row: str, column: int, value: str) -> str:
+    fields = row.split("\t")
+    fields[column] = value
+    return "\t".join(fields)
 
 
 class TestConfigValues:

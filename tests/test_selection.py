@@ -33,6 +33,13 @@ def _alone(user, table, params, measures, exclude=(), **kwargs):
                            exclude={user: exclude}, **kwargs)[user]
 
 
+def _perk_sizes(recs) -> dict:
+    """``evaluate``'s ``perk`` argument from a ``recommend_users`` result:
+    user -> {Measure: (k, expected_value)} for every served user."""
+    return {user: {m: (rec.k_max, rec.expected_value) for m, rec in by_measure.items()}
+            for user, by_measure in recs.items() if not isinstance(by_measure, ValueError)}
+
+
 def _select(values) -> int:
     """The PerK size of one curve: the one-row ``_row_argmax`` that
     ``recommend_block`` runs over a block of curves."""
@@ -264,7 +271,7 @@ class TestRecommendBlock:
 
 
 class TestRecommendUsers:
-    """The routine both the recommend stage and ``evaluate`` call."""
+    """The routine the recommend stage calls."""
 
     def _world(self):
         # 150 users from 1 to 700 candidates: several blocks at both caps
@@ -345,7 +352,7 @@ class TestBaselines:
         rng = np.random.default_rng(3)
         table = ScoreTable({int(u): (np.arange(8), rng.normal(size=8))
                             for u in tiny_split.users})
-        report = evaluate(tiny_split, table, {}, measures=[Measure.TP],
+        report = evaluate(tiny_split, table, measures=[Measure.TP],
                           methods=["top-1", "top-3", "top-100"], K=100)
         assert report.per_user
         for user, method, _, k, value in report.per_user:
@@ -363,13 +370,12 @@ class TestBaselines:
         def no_user(*args, **kwargs):
             raise AssertionError("a user was ranked")
 
-        monkeypatch.setattr(selection, "recommend_users", no_user)
         monkeypatch.setattr(selection, "rank", no_user)
         table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
-        params = {int(u): PlattParams(1.0, 0.0) for u in tiny_split.users}
+        perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
         for methods in (["top-1", method], [METHOD_PERK, "top-1", method]):
             with pytest.raises(ValueError, match=repr(method)):
-                evaluate(tiny_split, table, params, methods=methods, K=10)
+                evaluate(tiny_split, table, perk, methods=methods, K=10)
 
     @pytest.mark.parametrize("measures, methods, message", [
         ([Measure.F1, "f1"], None, "repeated measure: f1"),
@@ -388,12 +394,11 @@ class TestBaselines:
         def no_user(*args, **kwargs):
             raise AssertionError("a user was ranked")
 
-        monkeypatch.setattr(selection, "recommend_users", no_user)
         monkeypatch.setattr(selection, "rank", no_user)
         table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
-        params = {int(u): PlattParams(1.0, 0.0) for u in tiny_split.users}
+        perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
         with pytest.raises(ValueError, match=message):
-            evaluate(tiny_split, table, params, measures=measures, methods=methods, K=5)
+            evaluate(tiny_split, table, perk, measures=measures, methods=methods, K=5)
 
     def test_rand_reproducible_and_bounded(self):
         draws = {baseline_rand(5, 10, seed=4) for _ in range(5)}
@@ -457,11 +462,19 @@ def _pipeline_fixture(bundled_split):
     return table, params
 
 
+def _served(split, table, params, K, M, mode="approx"):
+    """The recommend stage's result on ``split``: ``recommend_users`` with
+    the validation positives excluded."""
+    exclude = {u: split.val.items_of(u) for u in table.users()}
+    return recommend_users(table, params, list(Measure), K=K, M=M, mode=mode, exclude=exclude)
+
+
 @pytest.fixture(scope="module")
 def bundled_eval(request):
     bundled_split = request.getfixturevalue("bundled_split")
     table, params = _pipeline_fixture(bundled_split)
-    report = evaluate(bundled_split, table, params, K=20, M=200, seed=0)
+    perk = _perk_sizes(_served(bundled_split, table, params, K=20, M=200))
+    report = evaluate(bundled_split, table, perk, K=20, seed=0)
     return bundled_split, table, params, report
 
 
@@ -521,12 +534,14 @@ class TestEvaluate:
             n_eval = int((~np.isin(items, val_items)).sum())
             assert 1 <= k <= min(20, n_eval)
 
-    def test_deterministic_and_thread_invariant(self, bundled_eval):
+    def test_deterministic(self, bundled_eval):
         split, table, params, _ = bundled_eval
-        a = evaluate(split, table, params, K=10, M=100, seed=1, threads=1)
-        b = evaluate(split, table, params, K=10, M=100, seed=1, threads=4)
+        perk = _perk_sizes(_served(split, table, params, K=10, M=100))
+        a = evaluate(split, table, perk, K=10, seed=1)
+        b = evaluate(split, table, perk, K=10, seed=1)
         assert a.per_user == b.per_user
         assert a.averages == b.averages
+        assert a.perk_expected == b.perk_expected
 
     def test_perk_size_is_the_recommend_users_size(self, bundled_eval, monkeypatch):
         from persize import selection
@@ -540,18 +555,14 @@ class TestEvaluate:
         split = SplitDataset(
             train=split.train, val=split.val,
             test=InteractionSet.from_pairs(test_pairs, split.users, split.items), seed=0)
-        calls = []
+        recs = _served(split, table, params, K=10, M=100)
 
-        def recording(*args, **kwargs):
-            calls.append(args)
-            return served(*args, **kwargs)
+        def no_perk(*args, **kwargs):
+            raise AssertionError("evaluate ran PerK itself")
 
-        served = selection.recommend_users
-        monkeypatch.setattr(selection, "recommend_users", recording)
-        report = evaluate(split, table, params, K=10, M=100, seed=2, threads=2)
-        assert len(calls) == 1
-        exclude = {u: split.val.items_of(u) for u in table.users()}
-        recs = served(table, params, list(Measure), K=10, M=100, exclude=exclude)
+        for name in ("recommend_users", "recommend_block", "expected_curves_batch"):
+            monkeypatch.setattr(selection, name, no_perk)
+        report = evaluate(split, table, _perk_sizes(recs), K=10, seed=2)
         assert gone in recs and gone not in {row[0] for row in report.per_user}
         perk_rows = [row for row in report.per_user if row[1] == METHOD_PERK]
         assert len(perk_rows) == report.n_users * len(Measure)
@@ -560,8 +571,7 @@ class TestEvaluate:
 
     def test_perk_rows_score_the_lists_perk_emits(self, bundled_eval):
         split, table, params, report = bundled_eval
-        exclude = {u: split.val.items_of(u) for u in table.users()}
-        recs = recommend_users(table, params, list(Measure), K=20, M=200, exclude=exclude)
+        recs = _served(split, table, params, K=20, M=200)
         perk_rows = [row for row in report.per_user if row[1] == METHOD_PERK]
         assert len(perk_rows) == report.n_users * len(Measure)
         for user, _, measure, k, value in perk_rows:
@@ -582,9 +592,9 @@ class TestEvaluate:
         )
         table = ScoreTable({int(u): (np.arange(3), np.arange(3, dtype=float))
                             for u in tiny_split.users})
-        params = {int(u): PlattParams(1.0, 0.0) for u in tiny_split.users}
+        perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
         with pytest.raises(ValueError, match="no evaluable"):
-            evaluate(gutted, table, params, K=3, M=10)
+            evaluate(gutted, table, perk, K=3)
 
     def test_skipped_users_counted_by_reason(self, tiny_split):
         from persize.dataset import SplitDataset, InteractionSet
@@ -599,16 +609,42 @@ class TestEvaluate:
         val_3 = split.val.items_of(3)
         entries[3] = (val_3, np.zeros(len(val_3)))  # only validation positives
         table = ScoreTable(entries)
-        params = {u: PlattParams(1.0, 0.0) for u in (0, 1, 3, 5)}
-        report = evaluate(split, table, params, K=5, M=10)
+        perk = {u: {m: (1, 0.5) for m in Measure} for u in (0, 1, 3, 5)}
+        report = evaluate(split, table, perk, K=5)
         assert report.skipped == {"no_test_positives": 1, "no_candidates": 2,
-                                  "no_platt_params": 2}
+                                  "no_perk_size": 2}
         assert {row[0] for row in report.per_user} == {5}
-        # without PerK the calibration parameters are not needed
-        report = evaluate(split, table, params, methods=["top-1", "oracle"], K=5, M=10)
+        # without PerK no sizes are needed
+        report = evaluate(split, table, methods=["top-1", "oracle"], K=5)
         assert report.skipped == {"no_test_positives": 1, "no_candidates": 2,
-                                  "no_platt_params": 0}
+                                  "no_perk_size": 0}
         assert {row[0] for row in report.per_user} == {2, 4, 5}
+        assert report.perk_expected == {}
+
+    def test_perk_needs_its_sizes(self, tiny_split):
+        table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
+        with pytest.raises(ValueError, match="evaluating perk needs its sizes"):
+            evaluate(tiny_split, table, K=5)
+
+    def test_perk_size_past_the_ranking_names_the_user(self, tiny_split):
+        table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
+        perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
+        user = int(tiny_split.users[2])
+        n = len(rank(user, table, tiny_split.val.items_of(user))[0])
+        perk[user][Measure.TP] = (n + 1, 0.5)
+        with pytest.raises(ValueError, match=f"user {user}: a PerK size exceeds its {n} "):
+            evaluate(tiny_split, table, perk, K=8)
+
+    def test_perk_expected_is_the_mean_promise_over_evaluated_users(self, bundled_eval):
+        split, table, params, report = bundled_eval
+        perk = _perk_sizes(_served(split, table, params, K=20, M=200))
+        users = sorted({row[0] for row in report.per_user})
+        assert len(users) == report.n_users
+        for measure in Measure:
+            total = 0.0
+            for user in users:
+                total += perk[user][measure][1]
+            assert report.perk_expected[measure.value] == total / len(users)
 
     def test_default_methods_list(self):
         methods = default_methods(50)
