@@ -41,12 +41,12 @@ from .util import (_check_number, _first_flagged, _parse_int64, _read_rows, _rep
 _TOP_KEYS = {
     "data", "workdir", "seed", "K", "M", "measures", "mode", "kcore", "ratios",
     "threads", "exclude_val", "scores", "bpr", "calibration", "baselines",
-    "dump_curves", "allocate", "exact_cap",
+    "dump_curves", "allocate",
 }
 _BPR_KEYS = {"d", "epochs", "learning_rate", "weight_decay", "negatives_per_positive"}
 _CAL_KEYS = {"max_iters", "tolerance", "divergence_bound", "subsample_negatives"}
 _ALLOC_KEYS = {"budget", "domains", "allow_zero", "measure"}
-_INT_KEYS = {"K": 1, "M": 1, "seed": 0, "threads": 1, "kcore": 1, "exact_cap": 1}  # lower bounds
+_INT_KEYS = {"K": 1, "M": 1, "seed": 0, "threads": 1, "kcore": 1}  # lower bounds
 
 _DEFAULTS = {
     "seed": 0,
@@ -61,13 +61,12 @@ _DEFAULTS = {
     "bpr": {},
     "calibration": {},
     "dump_curves": False,
-    "exact_cap": utility.EXACT_MODE_CAP,
 }
 
 # Keys that must not influence output bytes (runtime knobs only).
 _NO_ECHO = {"threads"}
 # Config keys that shape the recommend stage's sizes.
-_RECOMMEND_KEYS = ("K", "M", "mode", "exact_cap", "exclude_val", "measures")
+_RECOMMEND_KEYS = ("K", "M", "mode", "exclude_val", "measures")
 
 
 class ConfigError(ValueError):
@@ -194,7 +193,11 @@ def cmd_train(cfg: dict) -> int:
             cfg["scores"], n_users=len(split_ds.users), n_items=len(split_ds.items))
     else:
         bpr_cfg = scorer.BPRConfig(seed=cfg["seed"], **cfg["bpr"])
-        model = scorer.train_bpr(split_ds.train, bpr_cfg)
+        try:  # a diverging loss is reported once, by train_bpr's own check
+            with np.errstate(over="ignore", invalid="ignore"):
+                model = scorer.train_bpr(split_ds.train, bpr_cfg)
+        except RuntimeError as exc:
+            raise ConfigError(str(exc)) from None
         scorer.save_model(model, workdir / "model.bin")
         table = scorer.build_score_table(model, {
             u: dataset.candidate_items(u, split_ds) for u in sorted(split_ds.users.tolist())})
@@ -287,10 +290,8 @@ def cmd_recommend(cfg: dict) -> int:
     per_user, _ = _read_platt(workdir / "platt.tsv")
     measures = _measures(cfg)
     exclude = {u: split_ds.val.items_of(u) for u in table.users()} if cfg["exclude_val"] else {}
-    results = selection.recommend_users(
-        table, per_user, measures, K=cfg["K"], M=cfg["M"], mode=cfg["mode"],
-        exact_cap=cfg["exact_cap"], exclude=exclude, threads=cfg["threads"],
-    )
+    results = selection.recommend_users(table, per_user, measures, K=cfg["K"], M=cfg["M"],
+                                        mode=cfg["mode"], exclude=exclude, threads=cfg["threads"])
 
     rec_lines = [f"{_echo(cfg, 'recommend')} inputs={inputs}"]
     curve_lines = [_echo(cfg, "recommend")]
@@ -503,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="utility measure (repeatable): ndcg|pdcg|f1|tp")
         p.add_argument("--mode", choices=["approx", "exact"], help="curve estimator")
         p.add_argument("--K", type=int, help="maximum recommendation size")
-        p.add_argument("--M", type=int, help="count-sum truncation bound")
+        p.add_argument("--M", type=int, help="approx: count-sum truncation; exact: candidate cap")
     return parser
 
 
@@ -512,7 +513,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"persize {args.command}: {exc}", file=sys.stderr)
         return 1
 

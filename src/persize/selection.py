@@ -36,7 +36,6 @@ from .scorer import DegenerateUserError, ScoreTable
 from .util import parallel_map
 from .utility import (
     DEFAULT_M,
-    EXACT_MODE_CAP,
     Measure,
     _exact_curves,
     check_curve_args,
@@ -145,11 +144,11 @@ def user_blocks(users, scores: ScoreTable) -> list[list[int]]:
 
 
 def _block_curves(probs: list, lengths: np.ndarray, measures: list, K: int, M: int,
-                  mode: str, exact_cap: int) -> tuple[dict, list]:
+                  mode: str) -> tuple[dict, list]:
     """The block's curves, measure -> (users, width) values, and each user's
     ValueError or None. Approx mode is one padded ``expected_curves_batch``
     call; exact mode pads each user's ``_exact_curves`` values into the
-    block, and a user over the cap keeps a zero row and its error."""
+    block, and a user over M candidates keeps a zero row and its error."""
     if mode == "approx":
         block = np.zeros((len(probs), max(len(p) for p in probs)))
         for row, p in zip(block, probs):
@@ -157,9 +156,9 @@ def _block_curves(probs: list, lengths: np.ndarray, measures: list, K: int, M: i
         return expected_curves_batch(block, measures, M=M, K=K), [None] * len(probs)
     curves, errors = {m: np.zeros((len(probs), lengths.max())) for m in measures}, []
     for row, p in enumerate(probs):
-        if len(p) > exact_cap:
+        if len(p) > M:
             errors.append(ValueError(f"{len(p)} candidates exceed the exact-mode cap "
-                                     f"{exact_cap}; use approx mode"))
+                                     f"{M}; use approx mode"))
             continue
         errors.append(None)
         values = _exact_curves(p, lengths[row], measures)
@@ -176,7 +175,6 @@ def recommend_block(
     K: int = DEFAULT_K,
     M: int = DEFAULT_M,
     mode: str = "approx",
-    exact_cap: int = EXACT_MODE_CAP,
     exclude: dict | None = None,
 ) -> dict:
     """The expected-utility-maximizing prefix per measure for a block of users.
@@ -186,6 +184,8 @@ def recommend_block(
     ``expected_curves_batch`` call then gives every curve of the block
     (exact mode: one user at a time, padded into the block). The count
     distribution uses every ranked candidate, not just the top-K prefix.
+    ``M`` bounds the count in both modes: approx mode truncates the count
+    sum above M, and exact mode refuses a user with more than M candidates.
     Each curve covers the user's own sizes 1..min(K, n), and one
     ``_row_argmax`` call per measure cuts every user's ranking.
 
@@ -193,7 +193,7 @@ def recommend_block(
     ``users``. A user that cannot be served maps to the error saying why:
     DegenerateUserError when no candidate is left to rank, another
     ValueError for non-finite calibration parameters or, in exact mode,
-    more candidates than ``exact_cap``.
+    more candidates than ``M``.
     """
     check_curve_args(mode, K, M)
     measures = list(measures)
@@ -211,7 +211,7 @@ def recommend_block(
     if ranked:
         probs = [p for _, p in ranked.values()]
         lengths = np.array([min(K, len(p)) for p in probs])
-        curves, errors = _block_curves(probs, lengths, measures, K, M, mode, exact_cap)
+        curves, errors = _block_curves(probs, lengths, measures, K, M, mode)
         sizes = {m: _row_argmax(curves[m], lengths).tolist() for m in measures}
     for row, (user, (ranking, _)) in enumerate(ranked.items()):
         out[user] = errors[row] or {
@@ -227,7 +227,6 @@ def recommend_users(
     K: int = DEFAULT_K,
     M: int = DEFAULT_M,
     mode: str = "approx",
-    exact_cap: int = EXACT_MODE_CAP,
     exclude: dict | None = None,
     threads: int = 1,
 ) -> dict:
@@ -244,8 +243,7 @@ def recommend_users(
     users = served_users(scores, params_by_user)
 
     def serve(block):
-        return recommend_block(block, scores, params_by_user, measures, K, M, mode, exact_cap,
-                               exclude)
+        return recommend_block(block, scores, params_by_user, measures, K, M, mode, exclude)
 
     out = {}
     for result in parallel_map(serve, user_blocks(users, scores), threads):

@@ -21,7 +21,7 @@ _INT64 = np.iinfo(np.int64)
 # and reads some non-ASCII letters as digits, which Python rejects.)
 _PLAIN = bytes([9, 10, 11, 12, *range(32, 127)])
 # A data line (first non-blank byte not '#') holding a '#', where loadtxt's
-# comment rule would cut the row short.
+# comment rule would cut the row short; sought only if a '#' starts no line.
 _HASH_IN_DATA = re.compile(rb"^[ \t\x0b\x0c]*[^\s#][^\n]*#", re.MULTILINE)
 # A blank at a line end, which the scan strips and a loadtxt string field keeps.
 _PADS = tuple(p for c in b" \t\x0b\x0c" for p in (b"\n" + bytes([c]), bytes([c]) + b"\n"))
@@ -101,9 +101,10 @@ def _load_plain(path, text: str, dtype, exact: bool):
     """Columns of a plain ASCII file from one ``np.loadtxt`` call, or None."""
     if not text.isascii():
         return None
-    data = text.encode("ascii")
-    if (data.translate(None, _PLAIN) or (b"#" in data and _HASH_IN_DATA.search(data))
-            or (dtype.hasobject and any(pad in b"\n" + data + b"\n" for pad in _PADS))):
+    data = b"\n" + text.encode("ascii") + b"\n"
+    if (data.translate(None, _PLAIN) or (dtype.hasobject and any(p in data for p in _PADS))
+            or (b"#" in data and data.count(b"#") != data.count(b"\n#")
+                and _HASH_IN_DATA.search(data))):
         return None
     try:
         with warnings.catch_warnings():

@@ -36,7 +36,6 @@ import numpy as np
 from .poibin import _check_probs, distribution, distribution_batch
 
 DEFAULT_M = 2000
-EXACT_MODE_CAP = 2000
 _LOO_BLOCK = 64
 
 
@@ -156,12 +155,12 @@ def _exact_curves(all_probs: np.ndarray, kmax: int, measures: list) -> dict:
 
 
 def check_curve_args(mode: str, K: int, M: int) -> None:
-    """Reject an unknown mode, K < 1 and, in approx mode, M < 1."""
+    """Reject an unknown mode, K < 1 and M < 1."""
     if mode not in ("approx", "exact"):
         raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    if mode == "approx" and M < 1:
+    if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
 
 

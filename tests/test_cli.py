@@ -92,6 +92,35 @@ class TestStages:
         assert _run("prepare", "--config", str(path)) == 1
         assert "unknown config keys: mystery" in capsys.readouterr().err
 
+    def test_exact_cap_is_an_unknown_key(self, tmp_path, bundled_path, capsys):
+        # M is the one count bound of both modes
+        cfg = _write_config(tmp_path, bundled_path, tmp_path / "w", mode="exact", exact_cap=98)
+        assert _run("prepare", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == "persize prepare: unknown config keys: exact_cap\n"
+        assert not (tmp_path / "w").exists()
+
+    def test_data_directory_fails_in_one_line(self, tmp_path, bundled_path, capsys):
+        cfg = _write_config(tmp_path, bundled_path.parent, tmp_path / "w")
+        assert _run("prepare", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("persize prepare: ") and err.count("\n") == 1, err
+        assert "Is a directory" in err and str(bundled_path.parent) in err, err
+
+    def test_diverged_training_fails_in_one_line(self, tmp_path, bundled_path):
+        workdir = tmp_path / "run"
+        cfg = _write_config(tmp_path, bundled_path, workdir,
+                            bpr={"d": 8, "epochs": 30, "learning_rate": 1e6})
+        assert _run("prepare", "--config", str(cfg)) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(  # a child process, so numpy warnings would reach its stderr
+            [sys.executable, "-m", "persize", "train", "--config", str(cfg)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ("persize train: ranking loss became non-finite at epoch 1 "
+                               "(lr=1000000.0, wd=1e-05); lower the learning rate\n"), proc.stderr
+        assert not (workdir / "scores.bin").exists() and not (workdir / "model.bin").exists()
+
     def test_flag_overrides_win(self, tmp_path, bundled_path):
         workdir = tmp_path / "w1"
         cfg = _write_config(tmp_path, bundled_path, tmp_path / "ignored")
@@ -107,7 +136,7 @@ class TestStages:
 
     def test_exact_mode_cap_reports_partial_failure(self, tmp_path, bundled_path, capsys):
         workdir = tmp_path / "run"
-        cfg = _write_config(tmp_path, bundled_path, workdir, exact_cap=1)
+        cfg = _write_config(tmp_path, bundled_path, workdir, M=1)
         for stage in ("prepare", "train", "calibrate"):
             assert _run(stage, "--config", str(cfg)) == 0
         capsys.readouterr()
@@ -463,7 +492,7 @@ class TestRecsFile:
         assert re.fullmatch(r"# persize recommend config=\{.*\} inputs=[0-9a-f]{64}", header)
 
     @pytest.mark.parametrize("key, value", [
-        ("K", 9), ("M", 99), ("mode", "exact"), ("exact_cap", 1999), ("exclude_val", False),
+        ("K", 9), ("M", 99), ("mode", "exact"), ("exclude_val", False),
         ("measures", ["ndcg", "pdcg", "f1"]),
     ])
     def test_config_changed_after_recommend_rejected(self, tmp_path, bundled_path,
@@ -572,7 +601,7 @@ class TestRecsFile:
                   for u in table.users()}
         cap = max(counts.values()) - 1
         over = [u for u, n in counts.items() if n > cap]
-        cfg = _write_config(tmp_path, bundled_path, workdir, mode="exact", exact_cap=cap)
+        cfg = _write_config(tmp_path, bundled_path, workdir, mode="exact", M=cap)
         capsys.readouterr()
         assert _run("recommend", "--config", str(cfg)) == 2
         recs = (workdir / "recs.tsv").read_text()
@@ -585,6 +614,49 @@ class TestRecsFile:
         assert report["n_users"] == len(table) - n_skip
 
 
+class TestCountBound:
+    """M bounds the count in both modes: approx mode truncates the count sum
+    above M, and exact mode refuses a user with more than M candidates."""
+
+    def _recommend(self, tmp_path, bundled_path, calibrated_workdir, mode):
+        """recommend with M one below the largest candidate count: (exit code,
+        candidate counts, M, users with a list, comment rows)."""
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        split_ds = dataset.load_split(workdir)
+        table = scorer.load_scores(workdir / "scores.bin")
+        counts = {u: len(selection.rank(u, table, split_ds.val.items_of(u))[0])
+                  for u in table.users()}
+        M = max(counts.values()) - 1
+        cfg = _write_config(tmp_path, bundled_path, workdir, mode=mode, M=M)
+        code = _run("recommend", "--config", str(cfg))
+        rows = (workdir / "recs.tsv").read_text().splitlines()[1:]
+        listed = {int(row.split("\t")[0]) for row in rows if not row.startswith("#")}
+        return code, counts, M, listed, [row for row in rows if row.startswith("#")]
+
+    def test_exact_mode_serves_a_user_with_M_candidates(self, tmp_path, bundled_path,
+                                                        calibrated_workdir):
+        _, counts, M, listed, _ = self._recommend(tmp_path, bundled_path, calibrated_workdir,
+                                                  "exact")
+        assert M in counts.values()
+        assert listed == {u for u, n in counts.items() if n <= M}
+
+    def test_exact_mode_refuses_a_user_with_M_plus_1(self, tmp_path, bundled_path,
+                                                     calibrated_workdir):
+        code, counts, M, _, comments = self._recommend(tmp_path, bundled_path,
+                                                       calibrated_workdir, "exact")
+        assert code == 2
+        over = sorted(u for u, n in counts.items() if n == M + 1)
+        assert over and comments == [
+            f"# error user={u}: {M + 1} candidates exceed the exact-mode cap {M}; "
+            "use approx mode" for u in over]
+
+    def test_approx_mode_serves_every_user(self, tmp_path, bundled_path, calibrated_workdir):
+        code, counts, _, listed, comments = self._recommend(tmp_path, bundled_path,
+                                                            calibrated_workdir, "approx")
+        assert code == 0 and comments == [] and listed == set(counts)
+
+
 def _set_field(row: str, column: int, value: str) -> str:
     fields = row.split("\t")
     fields[column] = value
@@ -594,7 +666,6 @@ def _set_field(row: str, column: int, value: str) -> str:
 class TestConfigValues:
     @pytest.mark.parametrize("key, value", [
         ("K", "5"), ("M", 2.5), ("seed", True), ("threads", "2"), ("kcore", None),
-        ("exact_cap", 1.0),
     ])
     def test_non_integer_value_rejected(self, tmp_path, capsys, key, value):
         path = tmp_path / "bad.json"
@@ -604,7 +675,6 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("key, value, low", [
         ("K", 0, 1), ("M", 0, 1), ("threads", -4, 1), ("seed", -1, 0), ("kcore", 0, 1),
-        ("exact_cap", 0, 1),
     ])
     def test_integer_below_bound_rejected(self, tmp_path, capsys, key, value, low):
         path = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import scan_split, sequential_split, write_adversarial
 
+from persize import util
 from persize.dataset import (
     SPLIT_RATIOS,
     InteractionSet,
@@ -268,12 +269,12 @@ class TestCompactAndRoundTrip:
 _ID_MAP = {"users": {f"u{u}": u for u in range(4)}, "items": {f"i{i}": i for i in range(7)}}
 
 
-def _saved_split(workdir):
+def _saved_split(workdir, header=""):
     iset = InteractionSet.from_pairs(
         [[u, i] for u in range(4) for i in range(u + 3)], users=np.arange(4), items=np.arange(7)
     )
     sp = split(iset, seed=5)
-    save_split(sp, workdir, _ID_MAP)
+    save_split(sp, workdir, _ID_MAP, header=header)
     return sp
 
 
@@ -304,6 +305,24 @@ class TestSplitFiles:
                     for j, (u, i) in enumerate(pairs)]
             write_adversarial(tmp_path / name, rows, crlf=crlf, scanned=scanned)
         _same_split(load_split(tmp_path), scan_split(tmp_path))
+
+    def test_headered_file_skips_the_hash_search(self, tmp_path, monkeypatch):
+        # every '#' starts a line, so no data line can hold one
+        sp = _saved_split(tmp_path, header="# persize prepare config={}")
+        searched = []
+
+        class Stub:
+            def search(self, data):
+                searched.append(data)
+                return None
+
+        monkeypatch.setattr(util, "_HASH_IN_DATA", Stub())
+        _same_split(load_split(tmp_path), sp)
+        assert searched == []
+        path = tmp_path / "val.tsv"
+        path.write_text("  # indented\n" + path.read_text())  # a '#' inside a line
+        load_split(tmp_path)
+        assert len(searched) == 1
 
     @pytest.mark.parametrize("bad, message", [
         ("3", "expected 'user<TAB>item'"),

@@ -211,19 +211,19 @@ class TestRecommendBlock:
         params[12] = PlattParams(float("nan"), 0.0)
         exclude = {11: rank(11, table)[0]}  # every candidate excluded
         block = recommend_block([10, 11, 12, 17], table, params, [Measure.F1], K=5,
-                                mode="exact", exact_cap=100, exclude=exclude)
+                                mode="exact", M=100, exclude=exclude)
         assert isinstance(block[11], DegenerateUserError)
         assert "non-finite" in str(block[12])
         assert "exact-mode cap 100" in str(block[17])
         assert block[10][Measure.F1].k_max == 1
-        alone = _alone(17, table, params[17], [Measure.F1], K=5, mode="exact", exact_cap=100)
+        alone = _alone(17, table, params[17], [Measure.F1], K=5, mode="exact", M=100)
         assert "exact-mode cap" in str(alone)
 
     def test_exact_cap_enforced(self):
-        # the cap check runs before any curve, and its text is the error row's
+        # exact mode refuses more than M candidates before any curve, and its
+        # text is the error row's
         table = ScoreTable({0: (np.arange(11), np.zeros(11))})
-        error = _alone(0, table, PlattParams(1.0, 0.0), [Measure.F1], K=5, mode="exact",
-                       exact_cap=10)
+        error = _alone(0, table, PlattParams(1.0, 0.0), [Measure.F1], K=5, mode="exact", M=10)
         assert type(error) is ValueError
         assert str(error) == "11 candidates exceed the exact-mode cap 10; use approx mode"
 
@@ -232,13 +232,13 @@ class TestRecommendBlock:
         params[13] = PlattParams(float("nan"), 0.0)
         users = [10, 11, 17, 12, 13, 14, 15, 16]  # 17 (400 candidates) is over the cap
         block = recommend_block(users, table, params, list(Measure), K=12, mode="exact",
-                                exact_cap=100)
+                                M=100)
         assert list(block) == users
         assert "exact-mode cap 100" in str(block[17])
         assert "non-finite" in str(block[13])
         for user in (10, 11, 12, 14, 15, 16):  # curve lengths 1, 5 and 12
             alone = _alone(user, table, params[user], list(Measure), K=12, mode="exact",
-                           exact_cap=100)
+                           M=100)
             probs = calibrate.apply(params[user], rank(user, table)[1])
             direct = _exact_curves(probs, min(12, len(probs)), list(Measure))
             for measure in Measure:
@@ -251,7 +251,7 @@ class TestRecommendBlock:
     def test_bad_arguments_raise_before_any_user(self):
         table, params = self._table(), self._params()
         for kwargs, message in (({"mode": "fast"}, "mode must"), ({"K": 0}, "K must"),
-                                ({"M": 0}, "M must")):
+                                ({"M": 0}, "M must"), ({"mode": "exact", "M": 0}, "M must")):
             with pytest.raises(ValueError, match=message):
                 recommend_block([10], table, params, [Measure.F1], **kwargs)
 
