@@ -8,7 +8,6 @@ baselines, an evaluation harness, and a cross-domain budget allocator.
 
 from .calibrate import (
     CalibrationSet,
-    FitConfig,
     PlattParams,
     build_calibration_set,
     ece_report,

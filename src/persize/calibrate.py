@@ -5,7 +5,12 @@ Each user's raw ranking scores are mapped through sigmoid(a*s + b), with
 calibration labels: validation positives are 1, every other candidate is 0.
 The two-parameter problem is convex and solved by damped Newton iteration.
 A single global fit over all users' pooled entries serves both as an
-ablation and as the fallback when a user's own fit is degenerate.
+ablation and as the fallback when a user's own fit does not converge.
+
+Calibration has no settings. Each fit sees all of a user's candidates,
+the ones ``recommend`` applies it to, so at a converged or degenerate fit
+the calibrated probabilities sum to the user's validation positives. The
+solver's iteration limit, tolerance and divergence bound are constants.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .util import _check_number
 
 GLOBAL_SCOPE = "GLOBAL"
 
@@ -24,6 +27,12 @@ FIT_DEGENERATE = "degenerate"
 
 # Sigmoid argument clamp keeping outputs strictly inside (0, 1) in float64.
 _Z_CLIP = 36.0
+
+# Newton solver: iteration limit, raw-space gradient tolerance, and the bound
+# on the standardized |a| or |b| past which a fit counts as diverged.
+_MAX_ITERS = 100
+_TOLERANCE = 1e-8
+_DIVERGENCE_BOUND = 50.0
 
 
 @dataclass(frozen=True)
@@ -49,41 +58,10 @@ class CalibrationSet:
             raise ValueError("scores and labels must have equal length")
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    max_iters: int = 100
-    tolerance: float = 1e-8
-    divergence_bound: float = 50.0
-
-    def __post_init__(self):
-        _check_number("FitConfig.max_iters", self.max_iters, 1, integer=True)
-        for name in ("tolerance", "divergence_bound"):
-            _check_number(f"FitConfig.{name}", getattr(self, name), 0, strict=True)
-
-
-def build_calibration_set(
-    user: int,
-    split,
-    scores,
-    subsample_negatives: int | None = None,
-    seed: int = 0,
-) -> CalibrationSet:
-    """Label the user's scored candidates: 1 for val positives, else 0.
-
-    With ``subsample_negatives`` set, all positives are kept and that many
-    negatives are drawn uniformly without replacement (seeded per user).
-    """
+def build_calibration_set(user: int, split, scores) -> CalibrationSet:
+    """Label the user's scored candidates: 1 for val positives, else 0."""
     items, s = scores.get(user)
-    val_items = split.val.items_of(user)
-    labels = np.isin(items, val_items).astype(np.float64)
-    if subsample_negatives is not None:
-        _check_number("subsample_negatives", subsample_negatives, 0, integer=True)
-        rng = np.random.default_rng([seed, user])
-        neg_idx = np.flatnonzero(labels == 0)
-        keep = min(subsample_negatives, len(neg_idx))
-        chosen = rng.choice(neg_idx, size=keep, replace=False)
-        idx = np.sort(np.concatenate([np.flatnonzero(labels == 1), chosen]))
-        items, s, labels = items[idx], s[idx], labels[idx]
+    labels = np.isin(items, split.val.items_of(user)).astype(np.float64)
     return CalibrationSet(user=user, scores=np.asarray(s, dtype=np.float64), labels=labels)
 
 
@@ -97,7 +75,7 @@ def _bce(a: float, b: float, s: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(np.logaddexp(0.0, z) - y * z))
 
 
-def _newton_platt(s: np.ndarray, y: np.ndarray, config: FitConfig):
+def _newton_platt(s: np.ndarray, y: np.ndarray):
     """Damped Newton on the two-parameter BCE. Returns (a, b, status).
 
     The iteration runs on internally standardized scores, which leaves the
@@ -122,8 +100,7 @@ def _newton_platt(s: np.ndarray, y: np.ndarray, config: FitConfig):
     a = 0.0
     b = float(np.log(pos_rate / (1.0 - pos_rate)))
     loss = _bce(a, b, t, y)
-    bound = config.divergence_bound
-    for _ in range(config.max_iters):
+    for _ in range(_MAX_ITERS):
         z = a * t + b
         p = _sigmoid(z)
         resid = p - y
@@ -131,7 +108,7 @@ def _newton_platt(s: np.ndarray, y: np.ndarray, config: FitConfig):
         gb = float(resid.sum())
         # raw-space gradient: d/da_raw = resid @ s, d/db_raw = resid.sum()
         ga_raw = float(resid @ s)
-        if max(abs(ga_raw), abs(gb)) < config.tolerance:
+        if max(abs(ga_raw), abs(gb)) < _TOLERANCE:
             return a / sigma, b - a * mu / sigma, FIT_CONVERGED
         w = p * (1.0 - p)
         haa = float(w @ (t * t))
@@ -157,16 +134,12 @@ def _newton_platt(s: np.ndarray, y: np.ndarray, config: FitConfig):
                     break
                 step *= 0.5
             a, b, loss = na, nb, nloss
-        if abs(a) > bound or abs(b) > bound:
+        if abs(a) > _DIVERGENCE_BOUND or abs(b) > _DIVERGENCE_BOUND:
             return a / sigma, b - a * mu / sigma, "diverged"
     return a / sigma, b - a * mu / sigma, "not_converged"
 
 
-def fit_user(
-    calset: CalibrationSet,
-    config: FitConfig = FitConfig(),
-    fallback: PlattParams | None = None,
-) -> PlattParams:
+def fit_user(calset: CalibrationSet, fallback: PlattParams | None = None) -> PlattParams:
     """Fit one user's calibration map.
 
     Separable or single-class calibration sets cannot support a stable fit;
@@ -175,7 +148,7 @@ def fit_user(
     """
     if len(calset.scores) == 0:
         raise ValueError("empty calibration set")
-    a, b, status = _newton_platt(calset.scores, calset.labels, config)
+    a, b, status = _newton_platt(calset.scores, calset.labels)
     if status in (FIT_CONVERGED, FIT_DEGENERATE):
         return PlattParams(a=a, b=b, scope=calset.user, fit_status=status)
     if fallback is not None:
@@ -183,7 +156,7 @@ def fit_user(
     return PlattParams(a=float("nan"), b=float("nan"), scope=calset.user, fit_status=FIT_FALLBACK)
 
 
-def fit_global(calsets, config: FitConfig = FitConfig()) -> PlattParams:
+def fit_global(calsets) -> PlattParams:
     """Fit one calibration map over every user's pooled entries."""
     calsets = list(calsets)
     if not calsets:
@@ -192,20 +165,20 @@ def fit_global(calsets, config: FitConfig = FitConfig()) -> PlattParams:
     y = np.concatenate([c.labels for c in calsets])
     if len(s) == 0:
         raise ValueError("pooled calibration set is empty")
-    a, b, status = _newton_platt(s, y, config)
+    a, b, status = _newton_platt(s, y)
     if status not in (FIT_CONVERGED, FIT_DEGENERATE):
         raise ValueError(f"global calibration fit failed: {status}")
     return PlattParams(a=a, b=b, scope=GLOBAL_SCOPE, fit_status=status)
 
 
-def fit_all_users(calsets, config: FitConfig = FitConfig()):
+def fit_all_users(calsets):
     """Fit every user with the global fit as fallback.
 
     Returns (per-user dict, global params).
     """
     calsets = list(calsets)
-    global_params = fit_global(calsets, config)
-    per_user = {c.user: fit_user(c, config, fallback=global_params) for c in calsets}
+    global_params = fit_global(calsets)
+    per_user = {c.user: fit_user(c, fallback=global_params) for c in calsets}
     return per_user, global_params
 
 

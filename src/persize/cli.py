@@ -3,7 +3,8 @@ evaluate, plus cross-domain allocate.
 
 Every stage reads its inputs from the working directory, validates its
 configuration (unknown keys are rejected), writes outputs atomically, and
-echoes the configuration in a header comment for provenance. Reruns with
+echoes the configuration in a header comment for provenance. ``calibrate``
+has no configuration of its own: its Platt fits have no settings. Reruns with
 identical inputs and configuration produce byte-identical files; thread
 count never changes output bytes because per-user results are ordered
 before writing.
@@ -40,11 +41,9 @@ from .util import (_check_number, _first_flagged, _parse_int64, _read_rows, _rep
 
 _TOP_KEYS = {
     "data", "workdir", "seed", "K", "M", "measures", "mode", "kcore", "ratios",
-    "threads", "exclude_val", "scores", "bpr", "calibration", "baselines",
-    "dump_curves", "allocate",
+    "threads", "exclude_val", "scores", "bpr", "baselines", "dump_curves", "allocate",
 }
 _BPR_KEYS = {"d", "epochs", "learning_rate", "weight_decay", "negatives_per_positive"}
-_CAL_KEYS = {"max_iters", "tolerance", "divergence_bound", "subsample_negatives"}
 _ALLOC_KEYS = {"budget", "domains", "allow_zero", "measure"}
 _INT_KEYS = {"K": 1, "M": 1, "seed": 0, "threads": 1, "kcore": 1}  # lower bounds
 
@@ -59,7 +58,6 @@ _DEFAULTS = {
     "threads": 1,
     "exclude_val": True,
     "bpr": {},
-    "calibration": {},
     "dump_curves": False,
 }
 
@@ -92,9 +90,8 @@ def _load_config(args) -> dict:
             cfg[flag] = value
     if getattr(args, "measure", None):
         cfg["measures"] = args.measure
-    for key, kind, what in (("bpr", dict, "an object"), ("calibration", dict, "an object"),
-                            ("allocate", dict, "an object"), ("measures", list, "a list"),
-                            ("baselines", list, "a list")):
+    for key, kind, what in (("bpr", dict, "an object"), ("allocate", dict, "an object"),
+                            ("measures", list, "a list"), ("baselines", list, "a list")):
         if key in cfg and not isinstance(cfg[key], kind):
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
     ratios = cfg["ratios"]
@@ -102,7 +99,6 @@ def _load_config(args) -> dict:
             isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios)):
         raise ConfigError(f"ratios must be a list of three numbers, got {ratios!r}")
     _check_keys(cfg["bpr"], _BPR_KEYS, "bpr")
-    _check_keys(cfg["calibration"], _CAL_KEYS, "calibration")
     alloc = cfg.get("allocate", {})
     _check_keys(alloc, _ALLOC_KEYS, "allocate")
     domains = alloc.get("domains")
@@ -246,13 +242,9 @@ def cmd_calibrate(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin")
-    cal_cfg_in = dict(cfg["calibration"])
-    subsample = cal_cfg_in.pop("subsample_negatives", None)
-    fit_cfg = cal.FitConfig(**cal_cfg_in)
     scored = [u for u in table.users() if len(table.get(u)[0])]
-    calsets = [cal.build_calibration_set(u, split_ds, table, subsample, cfg["seed"])
-               for u in scored]
-    per_user, global_params = cal.fit_all_users(calsets, fit_cfg)
+    calsets = [cal.build_calibration_set(u, split_ds, table) for u in scored]
+    per_user, global_params = cal.fit_all_users(calsets)
 
     lines = [_echo(cfg, "calibrate")]
     lines.append(f"{cal.GLOBAL_SCOPE}\t{global_params.a!r}\t{global_params.b!r}\t{global_params.fit_status}")
@@ -264,10 +256,12 @@ def cmd_calibrate(cfg: dict) -> int:
     report_user, report_global = cal.pooled_ece_reports(calsets, per_user, global_params)
     atomic_write(workdir / "ece_user.json", json.dumps(report_user, sort_keys=True, indent=1) + "\n")
     atomic_write(workdir / "ece_global.json", json.dumps(report_global, sort_keys=True, indent=1) + "\n")
-    n_fallback = sum(1 for p in per_user.values() if p.fit_status == cal.FIT_FALLBACK)
-    print(f"calibrate: {len(per_user)} users ({n_fallback} fell back to global, "
-          f"{len(table) - len(scored)} skipped with no candidates), "
-          f"ECE user-wise={report_user['ece']:.6f} global={report_global['ece']:.6f}")
+    statuses = [p.fit_status for p in per_user.values()]
+    counts = ", ".join(f"{statuses.count(s)} {s}"
+                       for s in (cal.FIT_CONVERGED, cal.FIT_DEGENERATE, cal.FIT_FALLBACK))
+    print(f"calibrate: {len(per_user)} users ({counts}, "
+          f"{len(table) - len(scored)} skipped with no candidates), ECE (in-sample) "
+          f"user-wise={report_user['ece']:.6f} global={report_global['ece']:.6f}")
     return 0
 
 

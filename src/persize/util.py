@@ -166,15 +166,14 @@ def _parse_int64(fields):
     return np.where(bad, "0", fields).astype(np.int64), bad
 
 
-def _check_number(name: str, value, low, integer: bool = False, strict: bool = False) -> None:
+def _check_number(name: str, value, low, integer: bool = False) -> None:
     """Reject a config value that is not an integer (with ``integer``) or a
-    finite number, or is below ``low`` (or at it, with ``strict``), with a
-    ValueError naming the field. A bool is not a number."""
+    finite number, or is below ``low``, with a ValueError naming the field.
+    A bool is not a number."""
     if (isinstance(value, bool) or not isinstance(value, Integral if integer else Real)
-            or not (isinstance(value, Integral) or math.isfinite(value))
-            or not (value > low if strict else value >= low)):
+            or not (isinstance(value, Integral) or math.isfinite(value)) or value < low):
         what = "an integer" if integer else "a finite number"
-        raise ValueError(f"{name} must be {what} {'>' if strict else '>='} {low}, got {value!r}")
+        raise ValueError(f"{name} must be {what} >= {low}, got {value!r}")
 
 
 def _repeats(*keys):

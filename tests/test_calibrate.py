@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from persize.calibrate import (
+    _TOLERANCE,
     FIT_CONVERGED,
     FIT_DEGENERATE,
     FIT_FALLBACK,
     CalibrationSet,
-    FitConfig,
     PlattParams,
     apply,
     build_calibration_set,
@@ -81,14 +81,13 @@ class TestFitUser:
 
     def test_gradient_norm_below_tolerance(self):
         rng = np.random.default_rng(1)
-        config = FitConfig()
         for seed in range(5):
             s, y = _logistic_sample(2000, 0.8, 0.3, np.random.default_rng(seed))
-            params = fit_user(CalibrationSet(0, s, y), config)
+            params = fit_user(CalibrationSet(0, s, y))
             assert params.fit_status == FIT_CONVERGED
             p = _sigmoid(params.a * s + params.b)
             grad = np.array([(p - y) @ s, (p - y).sum()])
-            assert np.abs(grad).max() < config.tolerance
+            assert np.abs(grad).max() < _TOLERANCE
 
     def test_beats_intercept_only_model(self):
         rng = np.random.default_rng(2)
@@ -216,11 +215,6 @@ class TestBuildCalibrationSet:
         calset = build_calibration_set(0, self._split(), self._table())
         np.testing.assert_array_equal(calset.labels, [0, 1, 0, 0])
         np.testing.assert_array_equal(calset.scores, [0.4, 0.9, 0.1, 0.2])
-
-    def test_subsampling_keeps_positives(self):
-        calset = build_calibration_set(1, self._split(), self._table(), subsample_negatives=2)
-        assert calset.labels.sum() == 1
-        assert len(calset.labels) == 3
 
     def test_user_without_val_positives_flags_all_zero(self):
         split = self._split()

@@ -5,7 +5,8 @@ The demos locate the bundled data next to themselves, so each runs from a
 copy of ``demos/`` and ``data/`` in a temporary directory: a demo that
 writes under ``data/`` (00 regenerates the bundled log) never touches the
 tracked files. The quickstart reads ``data/`` relative to its working
-directory, so it runs from the same copy.
+directory, so it runs from the same copy. README's list of recognized
+config keys is checked against the keys the CLI accepts.
 """
 
 import os
@@ -16,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from persize import cli
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
@@ -48,3 +51,11 @@ def test_readme_quickstart_exits_zero(tmp_path):
     assert len(blocks) == 1, "README should hold exactly one python block"
     proc = _run_in_copy(["-c", blocks[0]], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_lists_the_recognized_config_keys():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    lists = re.findall(r"^Recognized keys: `([^`]*)`", readme, re.MULTILINE)
+    assert len(lists) == 1, "README should hold exactly one recognized-keys list"
+    keys = lists[0].split()  # the list wraps onto a second line
+    assert sorted(keys) == sorted(cli._TOP_KEYS) and len(keys) == len(set(keys))
