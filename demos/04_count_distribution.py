@@ -17,8 +17,8 @@ from persize.poibin import distribution
 d = distribution([0.1, 0.2, 0.3], M=3)
 print("probs [0.1 0.2 0.3]:", np.round(d.mass, 4), "| P(count=1) =", d.mass[1])
 
-# removing one candidate, as the exact expected-utility mode does for every
-# rank (it sets that rank's probability to 0, an exact identity)
+# a zero-probability candidate adds nothing to the count, so setting one to 0
+# removes it exactly (curve blocks pad their shorter users with zeros)
 loo = distribution(np.delete([0.1, 0.2, 0.3], 2), M=2)
 zeroed = distribution([0.1, 0.2, 0.0], M=2)
 print("without the 0.3 item:", np.round(loo.mass, 4),

@@ -15,9 +15,11 @@ text export for people and other tools. Later stages never read the
 export, so edits to it are not seen downstream; edited scores go back in
 through the ``scores`` key of ``train``.
 
-``evaluate`` runs no PerK of its own: it reads PerK's sizes from
-``recs.tsv``, whose header ends in ``inputs=<hex>``, the digest of what
-``recommend`` read, and rejects the file if that digest is not its own.
+``recommend`` gives every scored user one ``recs.tsv`` row per measure,
+or one ``# skipped`` row saying why it has no list. ``evaluate`` runs no
+PerK of its own: it reads PerK's sizes from ``recs.tsv``, whose header ends
+in ``inputs=<hex>``, the digest of what ``recommend`` read, and rejects the
+file if that digest is not its own.
 
 Every numeric text file a stage reads (splits, scores, ``platt.tsv``,
 ``recs.tsv``, curve dumps) goes through ``util._read_rows``: one line rule,
@@ -40,7 +42,7 @@ from .util import (_check_number, _first_flagged, _parse_int64, _read_rows, _rep
                    atomic_write)
 
 _TOP_KEYS = {
-    "data", "workdir", "seed", "K", "M", "measures", "mode", "kcore", "ratios",
+    "data", "workdir", "seed", "K", "M", "measures", "kcore", "ratios",
     "threads", "exclude_val", "scores", "bpr", "baselines", "dump_curves", "allocate",
 }
 _BPR_KEYS = {"d", "epochs", "learning_rate", "weight_decay", "negatives_per_positive"}
@@ -52,7 +54,6 @@ _DEFAULTS = {
     "K": selection.DEFAULT_K,
     "M": utility.DEFAULT_M,
     "measures": [m.value for m in utility.Measure],
-    "mode": "approx",
     "kcore": 20,
     "ratios": list(dataset.SPLIT_RATIOS),
     "threads": 1,
@@ -64,7 +65,7 @@ _DEFAULTS = {
 # Keys that must not influence output bytes (runtime knobs only).
 _NO_ECHO = {"threads"}
 # Config keys that shape the recommend stage's sizes.
-_RECOMMEND_KEYS = ("K", "M", "mode", "exclude_val", "measures")
+_RECOMMEND_KEYS = ("K", "M", "exclude_val", "measures")
 
 
 class ConfigError(ValueError):
@@ -82,9 +83,11 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object, got {json.dumps(loaded)}")
         _check_keys(loaded, _TOP_KEYS, "config")
         cfg.update(loaded)
-    for flag in ("workdir", "threads", "seed", "mode", "K", "M"):
+    for flag in ("workdir", "threads", "seed", "K", "M"):
         value = getattr(args, flag, None)
         if value is not None:
             cfg[flag] = value
@@ -129,8 +132,6 @@ def _load_config(args) -> dict:
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, got {value!r}")
     _check_number("allocate.budget", alloc.get("budget", 0), 0, integer=True)
-    if cfg["mode"] not in ("approx", "exact"):
-        raise ConfigError(f"mode must be approx or exact, got {cfg['mode']!r}")
     known = [x.value for x in utility.Measure]  # a list: a measure may be unhashable
     bad = [m for m in cfg["measures"] if m not in known]
     if bad:
@@ -194,7 +195,6 @@ def cmd_train(cfg: dict) -> int:
                 model = scorer.train_bpr(split_ds.train, bpr_cfg)
         except RuntimeError as exc:
             raise ConfigError(str(exc)) from None
-        scorer.save_model(model, workdir / "model.bin")
         table = scorer.build_score_table(model, {
             u: dataset.candidate_items(u, split_ds) for u in sorted(split_ds.users.tolist())})
     scorer.save_scores(table, workdir / "scores.bin")
@@ -285,11 +285,11 @@ def cmd_recommend(cfg: dict) -> int:
     measures = _measures(cfg)
     exclude = {u: split_ds.val.items_of(u) for u in table.users()} if cfg["exclude_val"] else {}
     results = selection.recommend_users(table, per_user, measures, K=cfg["K"], M=cfg["M"],
-                                        mode=cfg["mode"], exclude=exclude, threads=cfg["threads"])
+                                        exclude=exclude, threads=cfg["threads"])
 
     rec_lines = [f"{_echo(cfg, 'recommend')} inputs={inputs}"]
     curve_lines = [_echo(cfg, "recommend")]
-    n_skip = n_err = 0
+    n_skip = 0
     for u in table.users():
         res = results.get(u)  # None: not served; rank it to tell why
         if isinstance(res, scorer.DegenerateUserError) or (
@@ -299,9 +299,6 @@ def cmd_recommend(cfg: dict) -> int:
         elif res is None:
             rec_lines.append(f"# skipped user={u}: no Platt parameters")
             n_skip += 1
-        elif isinstance(res, ValueError):
-            rec_lines.append(f"# error user={u}: {res}")
-            n_err += 1
         else:
             for m in measures:
                 rec = res[m]
@@ -314,11 +311,8 @@ def cmd_recommend(cfg: dict) -> int:
     atomic_write(workdir / "recs.tsv", "\n".join(rec_lines) + "\n")
     if cfg["dump_curves"]:
         atomic_write(workdir / "curves.tsv", "\n".join(curve_lines) + "\n")
-    print(f"recommend: wrote sizes for {len(table) - n_skip - n_err} users, skipped {n_skip}, "
-          f"{n_err} errors -> {workdir / 'recs.tsv'}")
-    if n_err:
-        print(f"recommend: {n_err} users failed (see '# error' rows)", file=sys.stderr)
-        return 2
+    print(f"recommend: wrote sizes for {len(table) - n_skip} users, skipped {n_skip} "
+          f"-> {workdir / 'recs.tsv'}")
     return 0
 
 
@@ -387,7 +381,7 @@ def cmd_evaluate(cfg: dict) -> int:
     payload = {
         "averages": report.averages,
         "n_users": report.n_users,
-        "config": {k: cfg[k] for k in ("K", "M", "mode", "seed", "exclude_val")},
+        "config": {k: cfg[k] for k in ("K", "M", "seed", "exclude_val")},
         "perk_expected": report.perk_expected,
     }
     atomic_write(workdir / "eval_report.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")
@@ -496,9 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="base random seed")
         p.add_argument("--measure", action="append",
                        help="utility measure (repeatable): ndcg|pdcg|f1|tp")
-        p.add_argument("--mode", choices=["approx", "exact"], help="curve estimator")
         p.add_argument("--K", type=int, help="maximum recommendation size")
-        p.add_argument("--M", type=int, help="approx: count-sum truncation; exact: candidate cap")
+        p.add_argument("--M", type=int, help="truncation bound of each user's relevant count")
     return parser
 
 

@@ -230,11 +230,17 @@ def load_split(workdir) -> SplitDataset:
     Split rows follow ``util._read_rows`` (as the score import does): a row
     without two integer ids, or with an id outside the ``id_map.json``
     universe, is a ValueError naming the file and line. Repeated rows
-    collapse to one pair.
+    collapse to one pair. So is an ``id_map.json`` that is not an object
+    with ``users`` and ``items`` objects and an integer ``seed``.
     """
     workdir = Path(workdir)
     with open(workdir / ID_MAP_FILE, encoding="utf-8") as fh:
         mapping = json.load(fh)
+    if not (isinstance(mapping, dict) and all(isinstance(mapping.get(k), dict)
+                                              for k in ("users", "items"))
+            and type(mapping.get("seed")) is int):
+        raise ValueError(f"{workdir / ID_MAP_FILE}: expected an object with 'users' and "
+                         "'items' objects and an integer 'seed'")
     users = np.arange(len(mapping["users"]))
     items = np.arange(len(mapping["items"]))
     parts = []
@@ -242,7 +248,7 @@ def load_split(workdir) -> SplitDataset:
         u, i = _read_rows(workdir / name, "ii", "user<TAB>item",
                           lambda columns: _bad_split_row(columns, len(users), len(items)))
         parts.append(InteractionSet.from_pairs(np.stack([u, i], axis=1), users=users, items=items))
-    return SplitDataset(train=parts[0], val=parts[1], test=parts[2], seed=int(mapping["seed"]))
+    return SplitDataset(train=parts[0], val=parts[1], test=parts[2], seed=mapping["seed"])
 
 
 def _bad_split_row(columns, n_users: int, n_items: int):

@@ -273,38 +273,6 @@ def _bad_score_row(columns, n_users, n_items):
     return _first_flagged(flags)
 
 
-def save_model(model: ScoreModel, path) -> None:
-    """Flat binary checkpoint: int64 (n_users, n_items, d) header, then the
-    two float64 matrices row-major."""
-    header = np.array(
-        [len(model.user_vectors), len(model.item_vectors), model.d], dtype=_INT_DTYPE
-    )
-    atomic_write_bytes(path, b"".join((
-        header.tobytes(),
-        np.ascontiguousarray(model.user_vectors, dtype=_FLOAT_DTYPE).tobytes(),
-        np.ascontiguousarray(model.item_vectors, dtype=_FLOAT_DTYPE).tobytes(),
-    )))
-
-
-def load_model(path) -> ScoreModel:
-    """Read a checkpoint written by ``save_model``; rejects a file whose
-    length does not match its header, naming the path."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 24:
-        raise ValueError(f"{path}: truncated model checkpoint ({len(raw)} bytes)")
-    n_users, n_items, d = (int(x) for x in np.frombuffer(raw, dtype=_INT_DTYPE, count=3))
-    if min(n_users, n_items, d) < 0 or len(raw) != 8 * (3 + (n_users + n_items) * d):
-        raise ValueError(
-            f"{path}: {len(raw)} bytes do not match the header "
-            f"(n_users={n_users}, n_items={n_items}, d={d})"
-        )
-    vectors = np.frombuffer(raw, dtype=_FLOAT_DTYPE, offset=24)
-    u = vectors[: n_users * d].reshape(n_users, d)
-    i = vectors[n_users * d :].reshape(n_items, d)
-    return ScoreModel(user_vectors=u.copy(), item_vectors=i.copy())
-
-
 def save_scores(table: ScoreTable, path) -> None:
     """Binary CSR score store: int64 (n_users, nnz) header, then ``users``
     (strictly increasing, int64), ``indptr`` (n_users + 1, int64), ``items``

@@ -7,11 +7,11 @@ validation positives). ``_row_argmax`` is the one size-selection rule: the
 first argmax of each row of a (users, width) curve block within that row's
 own length. ``recommend_block`` is the one PerK routine: it ranks and
 calibrates each user of a block, builds the block's expected-utility
-curves over sizes 1..K (one padded batched call; in exact mode each user's
-curve padded into the block) and cuts every user's ranking at its
-``_row_argmax`` within min(K, n). ``user_blocks`` groups users into blocks
-by their candidate counts only, so the padding, and with it every output
-byte, is the same for any thread count; one user is a block of one.
+curves over sizes 1..K (one zero-padded ``expected_curves_batch`` call) and
+cuts every user's ranking at its ``_row_argmax`` within min(K, n).
+``user_blocks`` groups users into blocks by their candidate counts only, so
+the padding, and with it every output byte, is the same for any thread
+count; one user is a block of one.
 ``recommend_users`` runs the blocks of every ``served_users`` user on a
 thread pool; the CLI's ``recommend`` stage calls it once.
 Baselines choose the size by a global constant, uniformly at random, by
@@ -37,7 +37,6 @@ from .util import parallel_map
 from .utility import (
     DEFAULT_M,
     Measure,
-    _exact_curves,
     check_curve_args,
     expected_curves_batch,
     realized_curve,
@@ -143,30 +142,6 @@ def user_blocks(users, scores: ScoreTable) -> list[list[int]]:
     return blocks
 
 
-def _block_curves(probs: list, lengths: np.ndarray, measures: list, K: int, M: int,
-                  mode: str) -> tuple[dict, list]:
-    """The block's curves, measure -> (users, width) values, and each user's
-    ValueError or None. Approx mode is one padded ``expected_curves_batch``
-    call; exact mode pads each user's ``_exact_curves`` values into the
-    block, and a user over M candidates keeps a zero row and its error."""
-    if mode == "approx":
-        block = np.zeros((len(probs), max(len(p) for p in probs)))
-        for row, p in zip(block, probs):
-            row[: len(p)] = p
-        return expected_curves_batch(block, measures, M=M, K=K), [None] * len(probs)
-    curves, errors = {m: np.zeros((len(probs), lengths.max())) for m in measures}, []
-    for row, p in enumerate(probs):
-        if len(p) > M:
-            errors.append(ValueError(f"{len(p)} candidates exceed the exact-mode cap "
-                                     f"{M}; use approx mode"))
-            continue
-        errors.append(None)
-        values = _exact_curves(p, lengths[row], measures)
-        for m in measures:
-            curves[m][row, : lengths[row]] = values[m]
-    return curves, errors
-
-
 def recommend_block(
     users,
     scores: ScoreTable,
@@ -174,28 +149,24 @@ def recommend_block(
     measures,
     K: int = DEFAULT_K,
     M: int = DEFAULT_M,
-    mode: str = "approx",
     exclude: dict | None = None,
 ) -> dict:
     """The expected-utility-maximizing prefix per measure for a block of users.
 
     Ranks each user's candidates (without ``exclude[user]``, if given) and
-    calibrates them with ``params_by_user[user]``; one padded
-    ``expected_curves_batch`` call then gives every curve of the block
-    (exact mode: one user at a time, padded into the block). The count
-    distribution uses every ranked candidate, not just the top-K prefix.
-    ``M`` bounds the count in both modes: approx mode truncates the count
-    sum above M, and exact mode refuses a user with more than M candidates.
-    Each curve covers the user's own sizes 1..min(K, n), and one
-    ``_row_argmax`` call per measure cuts every user's ranking.
+    calibrates them with ``params_by_user[user]``; the block's probability
+    rows, zero-padded to its widest row, then give every curve of the block
+    in one ``expected_curves_batch`` call. The count distribution uses every
+    ranked candidate, not just the top-K prefix, and its sum is truncated
+    above ``M``. Each curve covers the user's own sizes 1..min(K, n), and
+    one ``_row_argmax`` call per measure cuts every user's ranking.
 
     Returns user -> (measure -> PersonalizedRec), in the order of
     ``users``. A user that cannot be served maps to the error saying why:
     DegenerateUserError when no candidate is left to rank, another
-    ValueError for non-finite calibration parameters or, in exact mode,
-    more candidates than ``M``.
+    ValueError for non-finite calibration parameters.
     """
-    check_curve_args(mode, K, M)
+    check_curve_args(K, M)
     measures = list(measures)
     users = [int(u) for u in users]
     out, ranked = {}, {}
@@ -211,12 +182,14 @@ def recommend_block(
     if ranked:
         probs = [p for _, p in ranked.values()]
         lengths = np.array([min(K, len(p)) for p in probs])
-        curves, errors = _block_curves(probs, lengths, measures, K, M, mode)
+        block = np.zeros((len(probs), max(len(p) for p in probs)))
+        for row, p in zip(block, probs):
+            row[: len(p)] = p
+        curves = expected_curves_batch(block, measures, M=M, K=K)
         sizes = {m: _row_argmax(curves[m], lengths).tolist() for m in measures}
     for row, (user, (ranking, _)) in enumerate(ranked.items()):
-        out[user] = errors[row] or {
-            m: PersonalizedRec(user, sizes[m][row], ranking, curves[m][row, : lengths[row]])
-            for m in measures}
+        out[user] = {m: PersonalizedRec(user, sizes[m][row], ranking,
+                                        curves[m][row, : lengths[row]]) for m in measures}
     return {user: out[user] for user in users}
 
 
@@ -226,7 +199,6 @@ def recommend_users(
     measures,
     K: int = DEFAULT_K,
     M: int = DEFAULT_M,
-    mode: str = "approx",
     exclude: dict | None = None,
     threads: int = 1,
 ) -> dict:
@@ -238,12 +210,12 @@ def recommend_users(
     The blocks depend on the data only, so the result does not depend on
     ``threads``.
     """
-    check_curve_args(mode, K, M)
+    check_curve_args(K, M)
     measures = list(measures)  # every block reads them
     users = served_users(scores, params_by_user)
 
     def serve(block):
-        return recommend_block(block, scores, params_by_user, measures, K, M, mode, exclude)
+        return recommend_block(block, scores, params_by_user, measures, K, M, exclude)
 
     out = {}
     for result in parallel_map(serve, user_blocks(users, scores), threads):

@@ -5,26 +5,20 @@ its relevance, discounted by 1 / log2(1 + rank) for NDCG; the normalizer of
 a size-k list with m relevant items in all is (m + k) / 2 for F1,
 min(m, k) for TP and IDCG(min(m, k)) for NDCG. PDCG is linear in the
 relevances. These formulas are written once (``_gains``, ``_denominators``,
-``_pdcg_curve``), and every kind of curve evaluates them:
+``_pdcg_curve``), and both kinds of curve evaluate them:
 
 - realized (``realized_curve``): known 0/1 labels, at the realized count,
   for one user or a (users, L) block of label rows;
-- expected, fast ("approx"): each relevance an independent Bernoulli
-  variable with a calibrated probability; the count sum is truncated at M,
-  and one count distribution of the whole candidate set stands in for
-  every rank's leave-one-out one, so the sum is one matrix product per
-  measure for a whole block of users (``expected_curves_batch``, whose
-  masses come from one ``poibin.distribution`` call on the block); one
-  user is a block of one row;
-- expected, exact (``_exact_curves``, which ``selection`` runs in exact
-  mode): each top rank's leave-one-out count distribution over the full
-  count range, built in blocks of ranks once per user and shared by every
-  measure.
+- expected (``expected_curves_batch``): each relevance an independent
+  Bernoulli variable with a calibrated probability; the count sum is
+  truncated at M, and one count distribution of the whole candidate set
+  stands in for every rank's leave-one-out one, so the sum is one matrix
+  product per measure for a whole block of users, whose masses come from
+  one ``poibin.distribution`` call on the block; one user is a block of
+  one row. Its probabilities are checked with the count engine's input
+  check, PDCG's too.
 
-Every count distribution, in both modes, comes from
-``poibin.distribution_batch``, and both expected kinds check their
-probabilities with its input check. The utility of one size k is entry
-k - 1 of its curve.
+The utility of one size k is entry k - 1 of its curve.
 """
 
 from __future__ import annotations
@@ -33,10 +27,9 @@ from enum import Enum
 
 import numpy as np
 
-from .poibin import _check_probs, distribution, distribution_batch
+from .poibin import _check_probs, distribution
 
 DEFAULT_M = 2000
-_LOO_BLOCK = 64
 
 
 class Measure(Enum):
@@ -120,44 +113,8 @@ def realized_curve(measure: Measure, prefix_labels, total_relevant) -> np.ndarra
     return curve
 
 
-def _exact_curves(all_probs: np.ndarray, kmax: int, measures: list) -> dict:
-    """Exact curves of one user over sizes 1..kmax, every measure at once.
-
-    With loo[r, j] = P(j candidates other than rank r are relevant), rank r
-    adds gains[r] * loo[r, j] to every size k >= r with m = j + 1 relevant
-    in all. Setting rank r's probability to 0 is an exact identity, so one
-    batched count call gives a block of _LOO_BLOCK ranks; each block is
-    shared by every measure and dropped, and the cumulated gains carry over
-    to the next block, so memory stays a few blocks at any K. PDCG needs no
-    count, so PDCG alone builds no block.
-    """
-    _check_probs(all_probs)
-    n = all_probs.size
-    ms = np.arange(1, n + 1)
-    gains = {m: _gains(m, all_probs[:kmax]) for m in measures if m is not Measure.PDCG}
-    carry = {m: np.zeros(n) for m in gains}
-    out = {m: np.empty(kmax) for m in gains}
-    for lo in range(0, kmax if gains else 0, _LOO_BLOCK):
-        rows = np.arange(lo, min(lo + _LOO_BLOCK, kmax))
-        loo = np.tile(all_probs, (rows.size, 1))
-        loo[np.arange(rows.size), rows] = 0.0
-        loo = distribution_batch(loo, n - 1)[0]
-        for measure, gain in gains.items():
-            totals = loo * gain[rows, None]
-            totals[0] += carry[measure]
-            np.cumsum(totals, axis=0, out=totals)
-            carry[measure] = totals[-1].copy()
-            totals /= _denominators(measure, rows[:, None] + 1, ms)
-            out[measure][rows] = totals.sum(axis=1)
-    if Measure.PDCG in measures:
-        out[Measure.PDCG] = _pdcg_curve(all_probs[:kmax])
-    return out
-
-
-def check_curve_args(mode: str, K: int, M: int) -> None:
-    """Reject an unknown mode, K < 1 and M < 1."""
-    if mode not in ("approx", "exact"):
-        raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
+def check_curve_args(K: int, M: int) -> None:
+    """Reject K < 1 and M < 1."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if M < 1:
@@ -184,7 +141,7 @@ def expected_curves_batch(
     probs_sorted = np.asarray(probs_sorted, dtype=np.float64)
     if probs_sorted.ndim != 2 or probs_sorted.shape[1] == 0:
         raise ValueError("expected a non-empty (users, n) probability matrix")
-    check_curve_args("approx", K, M)
+    check_curve_args(K, M)
     _check_probs(probs_sorted)
     p_topk = probs_sorted[:, : min(K, probs_sorted.shape[1])]
     out, mass = {}, None

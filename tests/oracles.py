@@ -4,7 +4,8 @@ Everything here is written from the definitions, without importing the
 library's computation paths, so agreement is a real dual-route check:
 brute-force enumeration for count distributions and expected utilities,
 the plain convolution recurrence for count distributions too large to
-enumerate (and for a count with one variable removed), plain gradient
+enumerate (and for a count with one variable removed), expected-utility
+curves from each rank's own leave-one-out count, plain gradient
 descent for the calibration fit, exhaustive search over size vectors
 for the budget allocator, line-by-line scanners for the score and split
 text files (with a writer of adversarial files to feed them), the
@@ -78,6 +79,43 @@ def realized_reference(measure: str, labels, total_relevant: int, k: int) -> flo
     if measure == "tp":
         return float(hits / min(k, total_relevant))
     raise ValueError(measure)
+
+
+def _one_hit_utility(measure: str, rank: int, ms: np.ndarray, k: int) -> np.ndarray:
+    """Utility of a size-k list whose one hit sits at ``rank`` <= k, with
+    each of ``ms`` relevant items in all: ``realized_reference``'s formulas
+    at every m at once (m >= 1)."""
+    if measure == "ndcg":
+        ideal = np.cumsum(_discount(np.arange(1, k + 1)))  # IDCG at sizes 1..k
+        return _discount(rank) / ideal[np.minimum(ms, k) - 1]
+    if measure == "f1":
+        return 2.0 / (ms + k)
+    if measure == "tp":
+        return 1.0 / np.minimum(ms, k)
+    raise ValueError(measure)
+
+
+def loo_expected_curve(measure: str, probs, kmax: int) -> np.ndarray:
+    """Expected utility at sizes 1..min(kmax, n), each rank's term from its
+    own leave-one-out count over the full count range.
+
+    NDCG, F1 and TP at size k sum, over the top k ranks, the rank's label
+    y_r times a factor of the total relevant count S only. With the labels
+    independent, E[y_r f(S)] = p_r E[f(1 + S_r)], where S_r is the count
+    without rank r (``leave_one_out``). PDCG is linear in the labels, so
+    its expectation is its running sum at the probabilities.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    kmax = min(kmax, probs.size)
+    if measure == "pdcg":
+        return np.cumsum((2.0 * probs[:kmax] - 1.0) * _discount(np.arange(1, kmax + 1)))
+    ms = np.arange(1, probs.size + 1)  # relevant in all, rank r included
+    curve = np.zeros(kmax)
+    for r in range(kmax):
+        loo = leave_one_out(probs, r, probs.size)  # P(S_r = m - 1)
+        for k in range(r + 1, kmax + 1):
+            curve[k - 1] += probs[r] * (loo @ _one_hit_utility(measure, r + 1, ms, k))
+    return curve
 
 
 def enum_expected_utility(measure: str, probs, k: int) -> float:

@@ -18,14 +18,14 @@ from persize.multidomain import DomainCurves, allocate
 from persize.poibin import distribution
 from persize.selection import METHOD_ORACLE, _row_argmax
 from persize.synthetic import generate_world
-from persize.utility import (
-    Measure,
-    _exact_curves,
-    expected_curves_batch,
-    realized_curve,
-)
+from persize.utility import Measure, expected_curves_batch, realized_curve
 
-from oracles import brute_force_allocate, enum_count_distribution, enum_expected_curve
+from oracles import (
+    brute_force_allocate,
+    enum_count_distribution,
+    enum_expected_curve,
+    loo_expected_curve,
+)
 
 ALL_MEASURES = (Measure.NDCG, Measure.PDCG, Measure.F1, Measure.TP)
 
@@ -61,15 +61,15 @@ def test_criterion_02_expected_utility_oracle_chain():
     for _ in range(100):
         n = int(rng.integers(1, 13))
         probs = np.sort(rng.random(n))[::-1]
-        curves = _exact_curves(probs, n, list(ALL_MEASURES))
         for measure in ALL_MEASURES:
-            got = curves[measure]
+            got = loo_expected_curve(measure.value, probs, n)
             want = enum_expected_curve(measure.value, probs)
             tol = 1e-12 if measure is Measure.PDCG else 1e-9
             np.testing.assert_allclose(got, want, atol=tol)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
-    _report("criterion 2 (exact-mode enumeration chain)", f"runtime {elapsed:.2f}s < 30s")
+    _report("criterion 2 (leave-one-out reference vs enumeration)",
+            f"runtime {elapsed:.2f}s < 30s")
 
 
 def test_criterion_03_approximation_gap_direction():
@@ -78,10 +78,10 @@ def test_criterion_03_approximation_gap_direction():
         probs = np.sort(rng.uniform(0.0, 0.1, n))[::-1]
         K = 10
         approx = expected_curves_batch(probs[None, :], ALL_MEASURES, M=2000, K=K)
-        exact = _exact_curves(probs, K, list(ALL_MEASURES))
         gaps = {}
         for measure in ALL_MEASURES:
-            gaps[measure] = float(np.abs(approx[measure][0] - exact[measure]).max())
+            exact = loo_expected_curve(measure.value, probs, K)
+            gaps[measure] = float(np.abs(approx[measure][0] - exact).max())
         return gaps
 
     lines = []

@@ -97,11 +97,27 @@ class TestStages:
         assert "unknown config keys: mystery" in capsys.readouterr().err
 
     def test_exact_cap_is_an_unknown_key(self, tmp_path, bundled_path, capsys):
-        # M is the one count bound of both modes
-        cfg = _write_config(tmp_path, bundled_path, tmp_path / "w", mode="exact", exact_cap=98)
+        # M is the one count bound
+        cfg = _write_config(tmp_path, bundled_path, tmp_path / "w", exact_cap=98)
         assert _run("prepare", "--config", str(cfg)) == 1
         assert capsys.readouterr().err == "persize prepare: unknown config keys: exact_cap\n"
         assert not (tmp_path / "w").exists()
+
+    def test_mode_is_an_unknown_key_and_flag(self, tmp_path, bundled_path, recommended_workdir,
+                                             capsys):
+        # expected_curves_batch is the one curve estimator
+        workdir = tmp_path / "run"
+        shutil.copytree(recommended_workdir, workdir)
+        (workdir / "recs.tsv").unlink()
+        cfg = _write_config(tmp_path, bundled_path, workdir, mode="approx")
+        assert _run("recommend", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == "persize recommend: unknown config keys: mode\n"
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        with pytest.raises(SystemExit) as usage:
+            _run("recommend", "--config", str(cfg), "--mode", "exact")
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --mode exact" in capsys.readouterr().err
+        assert not (workdir / "recs.tsv").exists()
 
     def test_calibration_is_an_unknown_key(self, tmp_path, bundled_path, calibrated_workdir,
                                            capsys):
@@ -159,33 +175,27 @@ class TestStages:
         assert proc.returncode == 1
         assert proc.stderr == ("persize train: ranking loss became non-finite at epoch 1 "
                                "(lr=1000000.0, wd=1e-05); lower the learning rate\n"), proc.stderr
-        assert not (workdir / "scores.bin").exists() and not (workdir / "model.bin").exists()
+        assert not (workdir / "scores.bin").exists()
+
+    def test_id_map_without_seed_fails_in_one_line(self, tmp_path, bundled_path,
+                                                   calibrated_workdir, capsys):
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        id_map = json.loads((workdir / dataset.ID_MAP_FILE).read_text())
+        del id_map["seed"]
+        (workdir / dataset.ID_MAP_FILE).write_text(json.dumps(id_map))
+        cfg = _write_config(tmp_path, bundled_path, workdir)
+        assert _run("recommend", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == (
+            f"persize recommend: {workdir / dataset.ID_MAP_FILE}: expected an object with "
+            "'users' and 'items' objects and an integer 'seed'\n")
+        assert not (workdir / "recs.tsv").exists()
 
     def test_flag_overrides_win(self, tmp_path, bundled_path):
         workdir = tmp_path / "w1"
         cfg = _write_config(tmp_path, bundled_path, tmp_path / "ignored")
         assert _run("prepare", "--config", str(cfg), "--workdir", str(workdir)) == 0
         assert (workdir / "train.tsv").exists()
-
-    def test_exact_mode_within_cap_succeeds(self, tmp_path, bundled_path):
-        workdir = tmp_path / "run"
-        cfg = _write_config(tmp_path, bundled_path, workdir)
-        for stage in ("prepare", "train", "calibrate"):
-            assert _run(stage, "--config", str(cfg)) == 0
-        assert _run("recommend", "--config", str(cfg), "--mode", "exact", "--K", "3") == 0
-
-    def test_exact_mode_cap_reports_partial_failure(self, tmp_path, bundled_path, capsys):
-        workdir = tmp_path / "run"
-        cfg = _write_config(tmp_path, bundled_path, workdir, M=1)
-        for stage in ("prepare", "train", "calibrate"):
-            assert _run(stage, "--config", str(cfg)) == 0
-        capsys.readouterr()
-        code = _run("recommend", "--config", str(cfg), "--mode", "exact", "--K", "3")
-        assert code == 2
-        recs = (workdir / "recs.tsv").read_text()
-        assert "# error user=" in recs
-        n_err = recs.count("# error user=")
-        assert f"wrote sizes for 0 users, skipped 0, {n_err} errors" in capsys.readouterr().out
 
     def test_import_scores_pass_through(self, tmp_path, bundled_path):
         workdir = tmp_path / "run"
@@ -237,10 +247,9 @@ class TestStages:
 
 
 class TestCrossStageParity:
-    @pytest.mark.parametrize("mode", ["approx", "exact"])
-    def test_recs_and_evaluate_share_the_library_routine(self, tmp_path, bundled_path, mode):
+    def test_recs_and_evaluate_share_the_library_routine(self, tmp_path, bundled_path):
         workdir = tmp_path / "run"
-        cfg = _write_config(tmp_path, bundled_path, workdir, mode=mode)
+        cfg = _write_config(tmp_path, bundled_path, workdir)
         _full_pipeline(cfg)
         split_ds = dataset.load_split(workdir)
         table = scorer.load_scores(workdir / "scores.bin")
@@ -248,7 +257,7 @@ class TestCrossStageParity:
 
         recs = {}
         for line in (workdir / "recs.tsv").read_text().splitlines():
-            assert not line.startswith(("# error", "# skipped")), line
+            assert not line.startswith("# skipped"), line
             if line.startswith("#"):
                 continue
             user, measure, k, value, items = line.split("\t")
@@ -257,7 +266,7 @@ class TestCrossStageParity:
         # the stage pads each block of users, so its values equal the library
         # routine's over the same blocks (a one-user call moves low bits)
         exclude = {u: split_ds.val.items_of(u) for u in table.users()}
-        lib = selection.recommend_users(table, params, list(Measure), K=10, M=100, mode=mode,
+        lib = selection.recommend_users(table, params, list(Measure), K=10, M=100,
                                         exclude=exclude)
         assert list(lib) == sorted(params)
         for user, by_measure in lib.items():
@@ -375,7 +384,7 @@ class TestRecommendBlocks:
         capsys.readouterr()
         assert _run("recommend", "--config", str(cfg)) == 0
         out = capsys.readouterr().out
-        assert f"wrote sizes for {len(entries) - 1} users, skipped 1, 0 errors" in out
+        assert f"wrote sizes for {len(entries) - 1} users, skipped 1 -> " in out
         assert f"# skipped user={user}: no candidates" in (workdir / "recs.tsv").read_text()
         assert _run("evaluate", "--config", str(cfg)) == 0
         out = capsys.readouterr().out
@@ -424,7 +433,7 @@ class TestRecommendBlocks:
         capsys.readouterr()
         assert _run("recommend", "--config", str(cfg)) == 0
         out = capsys.readouterr().out
-        assert f"wrote sizes for {len(table) - 1} users, skipped 1, 0 errors" in out
+        assert f"wrote sizes for {len(table) - 1} users, skipped 1 -> " in out
         recs = (workdir / "recs.tsv").read_text().splitlines()[1:]
         skip = recs.index(f"# skipped user={user}: no Platt parameters")
         # the skip row keeps its place in user order
@@ -455,7 +464,7 @@ class TestRecommendBlocks:
         assert f"train: scored {n_users} users" in out
         assert f"calibrate: {n_users - 1} users (" in out
         assert "1 skipped with no candidates), ECE" in out
-        assert f"wrote sizes for {n_users - 1} users, skipped 1, 0 errors" in out
+        assert f"wrote sizes for {n_users - 1} users, skipped 1 -> " in out
         recs = (workdir / "recs.tsv").read_text().splitlines()
         assert recs[1] == "# skipped user=0: no candidates"
         assert "evaluate: skipped 1 users (0 no_test_positives, 1 no_candidates, " \
@@ -532,7 +541,7 @@ class TestRecsFile:
         assert re.fullmatch(r"# persize recommend config=\{.*\} inputs=[0-9a-f]{64}", header)
 
     @pytest.mark.parametrize("key, value", [
-        ("K", 9), ("M", 99), ("mode", "exact"), ("exclude_val", False),
+        ("K", 9), ("M", 99), ("exclude_val", False),
         ("measures", ["ndcg", "pdcg", "f1"]),
     ])
     def test_config_changed_after_recommend_rejected(self, tmp_path, bundled_path,
@@ -629,36 +638,10 @@ class TestRecsFile:
         assert report["perk_expected"] == want
         assert "perk_expected" not in report["averages"]
 
-    def test_exact_mode_user_over_the_cap_is_skipped(self, tmp_path, bundled_path,
-                                                     calibrated_workdir, capsys):
-        # recommend writes a '# error' row for the largest user; evaluate
-        # counts it as having no PerK size and scores everyone else
-        workdir = tmp_path / "run"
-        shutil.copytree(calibrated_workdir, workdir)
-        split_ds = dataset.load_split(workdir)
-        table = scorer.load_scores(workdir / "scores.bin")
-        counts = {u: len(selection.rank(u, table, split_ds.val.items_of(u))[0])
-                  for u in table.users()}
-        cap = max(counts.values()) - 1
-        over = [u for u, n in counts.items() if n > cap]
-        cfg = _write_config(tmp_path, bundled_path, workdir, mode="exact", M=cap)
-        capsys.readouterr()
-        assert _run("recommend", "--config", str(cfg)) == 2
-        recs = (workdir / "recs.tsv").read_text()
-        assert all(f"# error user={u}: {cap + 1} candidates exceed" in recs for u in over)
-        assert _run("evaluate", "--config", str(cfg)) == 0
-        n_skip = sum(1 for u in over if len(split_ds.test.items_of(u)))
-        assert n_skip >= 1
-        assert f"0 no_candidates, {n_skip} no_perk_size)" in capsys.readouterr().out
-        report = json.loads((workdir / "eval_report.json").read_text())
-        assert report["n_users"] == len(table) - n_skip
-
-
 class TestCountBound:
-    """M bounds the count in both modes: approx mode truncates the count sum
-    above M, and exact mode refuses a user with more than M candidates."""
+    """M truncates the count sum; it refuses no user."""
 
-    def _recommend(self, tmp_path, bundled_path, calibrated_workdir, mode):
+    def _recommend(self, tmp_path, bundled_path, calibrated_workdir):
         """recommend with M one below the largest candidate count: (exit code,
         candidate counts, M, users with a list, comment rows)."""
         workdir = tmp_path / "run"
@@ -668,32 +651,15 @@ class TestCountBound:
         counts = {u: len(selection.rank(u, table, split_ds.val.items_of(u))[0])
                   for u in table.users()}
         M = max(counts.values()) - 1
-        cfg = _write_config(tmp_path, bundled_path, workdir, mode=mode, M=M)
+        cfg = _write_config(tmp_path, bundled_path, workdir, M=M)
         code = _run("recommend", "--config", str(cfg))
         rows = (workdir / "recs.tsv").read_text().splitlines()[1:]
         listed = {int(row.split("\t")[0]) for row in rows if not row.startswith("#")}
         return code, counts, M, listed, [row for row in rows if row.startswith("#")]
 
-    def test_exact_mode_serves_a_user_with_M_candidates(self, tmp_path, bundled_path,
-                                                        calibrated_workdir):
-        _, counts, M, listed, _ = self._recommend(tmp_path, bundled_path, calibrated_workdir,
-                                                  "exact")
-        assert M in counts.values()
-        assert listed == {u for u, n in counts.items() if n <= M}
-
-    def test_exact_mode_refuses_a_user_with_M_plus_1(self, tmp_path, bundled_path,
-                                                     calibrated_workdir):
-        code, counts, M, _, comments = self._recommend(tmp_path, bundled_path,
-                                                       calibrated_workdir, "exact")
-        assert code == 2
-        over = sorted(u for u, n in counts.items() if n == M + 1)
-        assert over and comments == [
-            f"# error user={u}: {M + 1} candidates exceed the exact-mode cap {M}; "
-            "use approx mode" for u in over]
-
     def test_approx_mode_serves_every_user(self, tmp_path, bundled_path, calibrated_workdir):
         code, counts, _, listed, comments = self._recommend(tmp_path, bundled_path,
-                                                            calibrated_workdir, "approx")
+                                                            calibrated_workdir)
         assert code == 0 and comments == [] and listed == set(counts)
 
 
@@ -741,7 +707,7 @@ class TestConfigValues:
         assert _run("prepare", "--config", str(cfg)) == 0
         assert _run("train", "--config", str(cfg)) == 1
         assert f"BPRConfig.{key} must be" in capsys.readouterr().err
-        assert not (workdir / "model.bin").exists()
+        assert not (workdir / "scores.bin").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("exclude_val", "no"), ("exclude_val", 0), ("dump_curves", 0), ("dump_curves", "true"),
@@ -845,11 +811,19 @@ class TestConfigValues:
         ("evaluate", {"allocate": {"measure": ["f1"]}},
          "allocate.measure must be one of ndcg, pdcg, f1, tp, got ['f1']"),
         ("recommend", {"measures": [["f1"]]}, "unknown measures: ['f1']"),
+        ("recommend", 5, "bad.json: expected a JSON object, got 5"),
+        ("recommend", None, "bad.json: expected a JSON object, got null"),
+        ("recommend", [1], "bad.json: expected a JSON object, got [1]"),
+        ("recommend", [], "bad.json: expected a JSON object, got []"),
+        ("recommend", "ab", 'bad.json: expected a JSON object, got "ab"'),
     ], ids=["data_int", "data_empty", "workdir_int", "scores_list", "curves_int", "id_list",
-            "id_int", "measure_unknown", "measure_list", "measures_nested"])
+            "id_int", "measure_unknown", "measure_list", "measures_nested", "config_int",
+            "config_null", "config_list", "config_empty_list", "config_string"])
     def test_bad_path_id_or_measure_rejected(self, tmp_path, capsys, stage, extra, message):
+        # a config that is not an object is written as it is
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"workdir": str(tmp_path / "w"), **extra}))
+        path.write_text(json.dumps({"workdir": str(tmp_path / "w"), **extra}
+                                   if isinstance(extra, dict) else extra))
         assert _run(stage, "--config", str(path)) == 1
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1, err

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -323,6 +324,19 @@ class TestSplitFiles:
         path.write_text("  # indented\n" + path.read_text())  # a '#' inside a line
         load_split(tmp_path)
         assert len(searched) == 1
+
+    @pytest.mark.parametrize("mapping", [
+        [], {**_ID_MAP, "users": 5, "seed": 5}, _ID_MAP, {**_ID_MAP, "items": [], "seed": 5},
+        {**_ID_MAP, "seed": "5"}, {**_ID_MAP, "seed": True},
+    ], ids=["list", "users_int", "no_seed", "items_list", "seed_string", "seed_bool"])
+    def test_malformed_id_map_names_the_file(self, tmp_path, mapping):
+        _saved_split(tmp_path)
+        path = tmp_path / "id_map.json"
+        path.write_text(json.dumps(mapping))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: expected an object with 'users' and 'items' objects and an "
+                "integer 'seed'")):
+            load_split(tmp_path)
 
     @pytest.mark.parametrize("bad, message", [
         ("3", "expected 'user<TAB>item'"),

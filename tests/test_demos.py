@@ -5,10 +5,12 @@ The demos locate the bundled data next to themselves, so each runs from a
 copy of ``demos/`` and ``data/`` in a temporary directory: a demo that
 writes under ``data/`` (00 regenerates the bundled log) never touches the
 tracked files. The quickstart reads ``data/`` relative to its working
-directory, so it runs from the same copy. README's list of recognized
-config keys is checked against the keys the CLI accepts.
+directory, so it runs from the same copy. README's lists of recognized
+config keys and of override flags are checked against the keys and the
+flags the CLI accepts.
 """
 
+import argparse
 import os
 import re
 import shutil
@@ -59,3 +61,15 @@ def test_readme_lists_the_recognized_config_keys():
     assert len(lists) == 1, "README should hold exactly one recognized-keys list"
     keys = lists[0].split()  # the list wraps onto a second line
     assert sorted(keys) == sorted(cli._TOP_KEYS) and len(keys) == len(set(keys))
+
+
+def test_readme_lists_the_parser_flags():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    lists = re.findall(r"^Flags `([^`]*)` override", readme, re.MULTILINE)
+    assert len(lists) == 1, "README should hold exactly one list of override flags"
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for name, parser in commands.choices.items():
+        flags = [opt for action in parser._actions for opt in action.option_strings
+                 if opt not in ("-h", "--help", "--config")]
+        assert lists[0].split() == flags, name

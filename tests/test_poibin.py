@@ -127,8 +127,9 @@ class TestConvTreePath:
 
 
 class TestLeaveOneOut:
-    """The removed-variable oracle, and the zeroed-probability identity the
-    exact mode builds its leave-one-out rows with."""
+    """The removed-variable oracle, and the zeroed-probability identity: a
+    zero probability adds nothing to the count, as each zero-padded curve
+    block relies on."""
 
     def test_removing_one_coin(self):
         np.testing.assert_allclose(leave_one_out([0.5, 0.5], 0, 2), [0.5, 0.5], atol=1e-15)

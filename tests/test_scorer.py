@@ -17,9 +17,7 @@ from persize.scorer import (
     build_score_table,
     export_scores,
     import_scores,
-    load_model,
     load_scores,
-    save_model,
     save_scores,
     score_candidates,
     train_bpr,
@@ -348,23 +346,6 @@ class TestImportExport:
         path.write_text("0\t1\t0.5\n0\t1\t0.6\n")
         with pytest.raises(ValueError, match="duplicate"):
             import_scores(path)
-
-    def test_model_checkpoint_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        model = ScoreModel(rng.normal(size=(3, 6)), rng.normal(size=(9, 6)))
-        save_model(model, tmp_path / "model.bin")
-        back = load_model(tmp_path / "model.bin")
-        np.testing.assert_array_equal(model.user_vectors, back.user_vectors)
-        np.testing.assert_array_equal(model.item_vectors, back.item_vectors)
-
-    def test_truncated_checkpoint_rejected(self, tmp_path):
-        path = tmp_path / "model.bin"
-        save_model(ScoreModel(np.ones((3, 6)), np.ones((9, 6))), path)
-        data = path.read_bytes()
-        for cut in (8, 100, len(data) - 8):
-            path.write_bytes(data[:cut])
-            with pytest.raises(ValueError, match=re.escape(str(path))):
-                load_model(path)
 
     def test_export_matches_model_scores(self, tmp_path):
         model = train_bpr(_toy_train(), BPRConfig(d=4, epochs=3, learning_rate=0.1, seed=1))

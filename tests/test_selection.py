@@ -17,12 +17,7 @@ from persize.selection import (
     recommend_users,
     user_blocks,
 )
-from persize.utility import (
-    Measure,
-    _exact_curves,
-    expected_curves_batch,
-    realized_curve,
-)
+from persize.utility import Measure, expected_curves_batch, realized_curve
 
 from oracles import CHI2_CRIT_DF19_A01
 
@@ -102,9 +97,11 @@ class TestRecommend:
         return ScoreTable({0: (items, np.asarray(scores, dtype=float))})
 
     def test_single_sure_candidate_exact(self):
+        # at the default M the count keeps all its mass, so a sure
+        # candidate's expected NDCG is 1 up to rounding
         table = self._table([4.0])
         params = PlattParams(a=10.0, b=0.0)  # sigmoid(40) ~ 1
-        rec = _alone(0, table, params, [Measure.NDCG], K=1, mode="exact")[Measure.NDCG]
+        rec = _alone(0, table, params, [Measure.NDCG], K=1)[Measure.NDCG]
         assert rec.k_max == 1
         assert rec.expected_value == pytest.approx(1.0, abs=1e-10)
 
@@ -211,47 +208,15 @@ class TestRecommendBlock:
         params[12] = PlattParams(float("nan"), 0.0)
         exclude = {11: rank(11, table)[0]}  # every candidate excluded
         block = recommend_block([10, 11, 12, 17], table, params, [Measure.F1], K=5,
-                                mode="exact", M=100, exclude=exclude)
+                                exclude=exclude)
         assert isinstance(block[11], DegenerateUserError)
         assert "non-finite" in str(block[12])
-        assert "exact-mode cap 100" in str(block[17])
         assert block[10][Measure.F1].k_max == 1
-        alone = _alone(17, table, params[17], [Measure.F1], K=5, mode="exact", M=100)
-        assert "exact-mode cap" in str(alone)
-
-    def test_exact_cap_enforced(self):
-        # exact mode refuses more than M candidates before any curve, and its
-        # text is the error row's
-        table = ScoreTable({0: (np.arange(11), np.zeros(11))})
-        error = _alone(0, table, PlattParams(1.0, 0.0), [Measure.F1], K=5, mode="exact", M=10)
-        assert type(error) is ValueError
-        assert str(error) == "11 candidates exceed the exact-mode cap 10; use approx mode"
-
-    def test_exact_block_pads_each_user_and_keeps_its_error(self):
-        table, params = self._table(), self._params()
-        params[13] = PlattParams(float("nan"), 0.0)
-        users = [10, 11, 17, 12, 13, 14, 15, 16]  # 17 (400 candidates) is over the cap
-        block = recommend_block(users, table, params, list(Measure), K=12, mode="exact",
-                                M=100)
-        assert list(block) == users
-        assert "exact-mode cap 100" in str(block[17])
-        assert "non-finite" in str(block[13])
-        for user in (10, 11, 12, 14, 15, 16):  # curve lengths 1, 5 and 12
-            alone = _alone(user, table, params[user], list(Measure), K=12, mode="exact",
-                           M=100)
-            probs = calibrate.apply(params[user], rank(user, table)[1])
-            direct = _exact_curves(probs, min(12, len(probs)), list(Measure))
-            for measure in Measure:
-                got, want = block[user][measure], alone[measure]
-                assert got.values.tobytes() == want.values.tobytes()
-                assert got.values.tobytes() == direct[measure].tobytes()
-                assert got.k_max == want.k_max, (user, measure)
-                np.testing.assert_array_equal(got.items, want.items)
+        assert len(block[17][Measure.F1].values) == 5
 
     def test_bad_arguments_raise_before_any_user(self):
         table, params = self._table(), self._params()
-        for kwargs, message in (({"mode": "fast"}, "mode must"), ({"K": 0}, "K must"),
-                                ({"M": 0}, "M must"), ({"mode": "exact", "M": 0}, "M must")):
+        for kwargs, message in (({"K": 0}, "K must"), ({"M": 0}, "M must")):
             with pytest.raises(ValueError, match=message):
                 recommend_block([10], table, params, [Measure.F1], **kwargs)
 
@@ -328,7 +293,7 @@ class TestRecommendUsers:
         assert runs[0] == runs[1] == runs[2]
 
     def test_bad_arguments_raise_without_users(self):
-        for kwargs, message in (({"mode": "fast"}, "mode must"), ({"K": 0}, "K must")):
+        for kwargs, message in (({"K": 0}, "K must"), ({"M": 0}, "M must")):
             with pytest.raises(ValueError, match=message):
                 recommend_users(ScoreTable({}), {}, [Measure.F1], **kwargs)
 
@@ -462,11 +427,11 @@ def _pipeline_fixture(bundled_split):
     return table, params
 
 
-def _served(split, table, params, K, M, mode="approx"):
+def _served(split, table, params, K, M):
     """The recommend stage's result on ``split``: ``recommend_users`` with
     the validation positives excluded."""
     exclude = {u: split.val.items_of(u) for u in table.users()}
-    return recommend_users(table, params, list(Measure), K=K, M=M, mode=mode, exclude=exclude)
+    return recommend_users(table, params, list(Measure), K=K, M=M, exclude=exclude)
 
 
 @pytest.fixture(scope="module")

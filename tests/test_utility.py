@@ -5,7 +5,6 @@ from persize.poibin import distribution, distribution_batch
 from persize.utility import (
     DEFAULT_M,
     Measure,
-    _exact_curves,
     expected_curves_batch,
     log_discount,
     realized_curve,
@@ -15,6 +14,7 @@ from oracles import (
     dp_count_distribution,
     enum_expected_curve,
     enum_expected_utility,
+    loo_expected_curve,
     realized_reference,
 )
 
@@ -28,10 +28,9 @@ def approx_row(probs, measures, K, M=DEFAULT_M) -> dict:
 
 
 def exact_row(probs, measures, K) -> dict:
-    """One user's exact curves over sizes 1..min(K, n), the call that
-    ``selection`` makes in exact mode."""
-    probs = np.asarray(probs, dtype=float)
-    return _exact_curves(probs, min(K, probs.size), list(measures))
+    """One user's exact curves over sizes 1..min(K, n): the leave-one-out
+    reference ``loo_expected_curve``, which shares no code with the library."""
+    return {m: loo_expected_curve(m.value, probs, K) for m in measures}
 
 
 class TestRealized:
@@ -94,6 +93,9 @@ class TestExpectedPdcg:
 
 
 class TestExactCurve:
+    """The leave-one-out reference, pinned to enumeration and, at 0/1
+    probabilities, to the library's realized curves."""
+
     def test_single_sure_candidate(self):
         curves = exact_row([1.0], ALL, K=1)
         for measure, want in ((Measure.NDCG, 1.0), (Measure.F1, 1.0), (Measure.TP, 1.0)):
@@ -122,8 +124,8 @@ class TestExactCurve:
             )
 
     def test_rank_blocks_match_per_rank_oracle(self):
-        # 150 ranks span three leave-one-out blocks; each rank's count
-        # distribution is rebuilt here from its own reduced vector
+        # beyond enumeration: each of 150 ranks' count distributions is
+        # rebuilt here from its own reduced vector, in one F1 matrix formula
         rng = np.random.default_rng(3)
         n = 150
         probs = np.sort(rng.random(n))[::-1]
@@ -148,30 +150,6 @@ class TestExactCurve:
                     got = curves[measure]
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_measures_share_the_leave_one_out_blocks(self, monkeypatch):
-        # 150 ranks make three blocks; four measures must not rebuild them
-        from persize import utility
-
-        calls = []
-
-        def counting(probs, M):
-            calls.append(probs.shape)
-            return distribution_batch(probs, M)
-
-        monkeypatch.setattr(utility, "distribution_batch", counting)
-        probs = np.sort(np.random.default_rng(4).random(150))[::-1]
-        curves = exact_row(probs, ALL, K=150)
-        assert [rows for rows, _ in calls] == [64, 64, 22]
-        for measure in ALL:
-            single = exact_row(probs, [measure], K=150)[measure]
-            np.testing.assert_array_equal(curves[measure], single)
-        # PDCG alone needs no count, so it builds no block at all
-        calls.clear()
-        pdcg = exact_row(probs, [Measure.PDCG], K=150)[Measure.PDCG]
-        assert calls == []
-        closed_form = np.cumsum((2.0 * probs - 1.0) * log_discount(np.arange(1, 151)))
-        assert pdcg.tobytes() == closed_form.tobytes()
-
 
 class TestApproxCurve:
     def test_pdcg_rows_equal_closed_form(self):
@@ -188,7 +166,7 @@ class TestApproxCurve:
 
     def test_single_sure_item_truncation_artifact(self):
         # With M=1 the count sum sees only P(count=0)=0, so the estimate is 0
-        # while the exact value is 1: the documented contrast between modes.
+        # while the exact value is 1: truncation at M drops the whole mass.
         approx = approx_row([1.0], [Measure.NDCG], M=1, K=1)[Measure.NDCG]
         exact = exact_row([1.0], [Measure.NDCG], K=1)[Measure.NDCG]
         assert approx[0] == 0.0
@@ -237,16 +215,15 @@ class TestApproxCurve:
             probs = np.sort(rng.random(n))[::-1]
             K = min(8, n)
             approx = approx_row(probs, ALL, M=50, K=K)
-            exact = exact_row(probs, ALL, K=K)
             for measure in ALL:
-                for mode_vals in (approx[measure], exact[measure]):
-                    assert np.all(np.isfinite(mode_vals))
-                    if measure is Measure.PDCG:
-                        bound = np.cumsum(log_discount(np.arange(1, K + 1)))
-                        assert np.all(np.abs(mode_vals) <= bound + 1e-12)
-                    else:
-                        assert np.all(mode_vals >= -1e-12)
-                        assert np.all(mode_vals <= 1.0 + 1e-12)
+                values = approx[measure]
+                assert np.all(np.isfinite(values))
+                if measure is Measure.PDCG:
+                    bound = np.cumsum(log_discount(np.arange(1, K + 1)))
+                    assert np.all(np.abs(values) <= bound + 1e-12)
+                else:
+                    assert np.all(values >= -1e-12)
+                    assert np.all(values <= 1.0 + 1e-12)
 
     def test_gap_shrinks_with_population(self):
         def max_gap(n, seed):
@@ -284,17 +261,15 @@ class TestApproxCurve:
         probs = np.array([0.5, bad, 0.1])
         with pytest.raises(ValueError) as engine:
             distribution_batch(probs[None, :], 3)
-        for curves in (approx_row, exact_row):
-            with pytest.raises(ValueError) as got:
-                curves(probs, [Measure.PDCG], K=3)
-            assert str(got.value) == str(engine.value), curves.__name__
+        with pytest.raises(ValueError) as got:
+            approx_row(probs, [Measure.PDCG], K=3)
+        assert str(got.value) == str(engine.value)
 
     def test_curve_covers_min_K_n_sizes(self):
         probs = np.array([0.9, 0.8, 0.1])
         for measure in ALL:
             assert len(approx_row(probs, [measure], M=5, K=2)[measure]) == 2
             assert len(approx_row(probs, [measure], M=5, K=10)[measure]) == 3
-            assert len(exact_row(probs, [measure], K=10)[measure]) == 3
 
 
 class TestBatchedCurves:
