@@ -6,9 +6,11 @@ recommender can be used, and the binary score store the pipeline stages share.
 The built-in model learns user/item embeddings by stochastic gradient
 descent on the pairwise objective -log sigmoid(f(u, i+) - f(u, i-)) with
 uniformly sampled negatives. Training is seeded, so a given configuration
-always produces the same model. Steps run in a shuffled order; each run of
-consecutive steps that touch distinct users and items is applied as one
-array update, which gives the sequential result bit for bit. Negatives come
+always produces the same model. Steps run in a shuffled order, applied one
+dependency level at a time: a step's level is one above the highest level of
+the earlier steps that share its user or one of its items, so each level
+touches every row at most once and is one array update, and each step reads
+the rows the step-by-step loop gives it, bit for bit. Negatives come
 from batched draws that replay the scalar loop's draw sequence (numpy gives
 a batch the values of as many scalar calls), so every later shuffle matches.
 """
@@ -107,9 +109,9 @@ def train_bpr(train: InteractionSet, config: BPRConfig = BPRConfig()) -> ScoreMo
     each epoch. Negatives are drawn uniformly from the items the user never
     interacted with in ``train``; a user who owns every item has none and
     is skipped. An epoch's negatives come from batched draws that replay
-    the draw sequence of a loop of scalar ``rng.integers`` calls. Each run of
-    consecutive steps that touch distinct users and items is applied as one
-    array update, which gives the sequential result bit for bit. Raises
+    the draw sequence of a loop of scalar ``rng.integers`` calls. The steps
+    of each ``_dependency_levels`` level are applied as one array update, in
+    level order, which gives the sequential result bit for bit. Raises
     ValueError for an invalid config or ids that are not dense and 0-based,
     and RuntimeError if the loss goes non-finite.
     """
@@ -148,13 +150,13 @@ def train_bpr(train: InteractionSet, config: BPRConfig = BPRConfig()) -> ScoreMo
                     negs.append(j)
         neg = np.array(negs, dtype=np.int64)
         x = np.empty(len(users))
-        for a, b in _conflict_free_runs(users, pos, neg, n_items):
-            us, ps, ns = users[a:b], pos[a:b], neg[a:b]
+        for level in _dependency_levels(users, pos, neg, n_items):
+            us, ps, ns = users[level], pos[level], neg[level]
             uv, vi, vj = u_vecs[us], i_vecs[ps], i_vecs[ns]
             diff = vi - vj
-            x[a:b] = _dot(uv, diff)
+            x[level] = xs = _dot(uv, diff)
             # d/dx of -log sigmoid(x) is -sigmoid(-x)
-            g = (1.0 / (1.0 + np.exp(np.minimum(x[a:b], 500.0))))[:, None]
+            g = (1.0 / (1.0 + np.exp(np.minimum(xs, 500.0))))[:, None]
             uv = uv + lr * (g * diff - wd * uv)
             u_vecs[us] = uv  # the item updates read the updated user rows
             i_vecs[ps] = vi + lr * (g * uv - wd * vi)
@@ -179,20 +181,25 @@ def _check_config(config: BPRConfig) -> None:
         _check_number(f"BPRConfig.{name}", getattr(config, name), 0)
 
 
-def _conflict_free_runs(users, pos, neg, n_items):
-    """(start, stop) of each run of consecutive steps that touch no user or
-    item row twice: a step that touches a row some earlier step of the
-    current run touched starts the next run."""
-    touched = np.column_stack((users + n_items, pos, neg)).ravel()  # step-major
-    order = np.argsort(touched, kind="stable")
-    repeat = touched[order[1:]] == touched[order[:-1]]
-    last = np.full(len(touched), -1)
-    last[order[1:][repeat]] = order[:-1][repeat] // 3
-    starts = [0] if len(users) else []
-    for step, prev in enumerate(last.reshape(-1, 3).max(axis=1).tolist()):
-        if prev >= starts[-1]:  # the latest earlier step sharing a row is in this run
-            starts.append(step)
-    return zip(starts, starts[1:] + [len(users)])
+def _dependency_levels(users, pos, neg, n_items) -> list[np.ndarray]:
+    """The step indices of each dependency level, in level order, each in
+    increasing order. A step's level is one above the highest level of the
+    earlier steps that touch its user row or one of its item rows (0 if none
+    does), so no row repeats within a level and steps that share a row are
+    ordered by level as they are by index."""
+    after = [0] * (n_items + int(users.max(initial=-1)) + 1)  # lowest free level per row
+    levels = []
+    for u, p, n in zip((users + n_items).tolist(), pos.tolist(), neg.tolist()):
+        level = after[u]  # two comparisons cost less than a max() call
+        if after[p] > level:
+            level = after[p]
+        if after[n] > level:
+            level = after[n]
+        after[u] = after[p] = after[n] = level + 1
+        levels.append(level)
+    levels = np.array(levels, dtype=np.int64)
+    order = np.argsort(levels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(levels))[:-1]) if len(levels) else []
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

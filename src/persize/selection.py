@@ -236,13 +236,25 @@ def default_methods(K: int = DEFAULT_K) -> list[str]:
     return methods
 
 
+def _in_rows(rows: list, sets: list) -> np.ndarray:
+    """Whether each item of the concatenated ``rows`` is in its own row's
+    set (``sets[r]`` for ``rows[r]``): one membership test over (row, item)
+    keys, with item ids first mapped to dense codes so no key overflows."""
+    parts = [np.asarray(x, dtype=np.int64) for x in (*rows, *sets)]
+    owner = np.repeat(np.tile(np.arange(len(rows)), 2), [len(x) for x in parts])
+    universe, codes = np.unique(np.concatenate([np.empty(0, np.int64), *parts]),
+                                return_inverse=True)
+    keys = owner * len(universe) + codes
+    n = sum(len(x) for x in parts[: len(rows)])
+    return np.isin(keys[:n], keys[n:])
+
+
 def _label_block(ranked: list, positives: list) -> tuple[np.ndarray, np.ndarray]:
     """(users, longest) 0/1 labels of each ranked prefix against its user's
     positives, zero-padded, and each prefix's length."""
     lengths = np.array([len(r) for r in ranked])
     labels = np.zeros((len(ranked), lengths.max()))
-    for row, r, pos in zip(labels, ranked, positives):
-        row[: len(r)] = np.isin(r, pos)
+    labels[np.arange(labels.shape[1]) < lengths[:, None]] = _in_rows(ranked, positives)
     return labels, lengths
 
 
@@ -279,7 +291,9 @@ def evaluate(
     One ``rank`` call orders each such user's candidates; every method
     emits a prefix of that order without the validation positives (by
     default) cut at K, so the averages compare and the test-label argmax
-    dominates pointwise. ``val_k`` reads the order's first K items.
+    dominates pointwise. ``val_k`` reads the order's first K items. The
+    validation exclusion, the test labels and the ``val_k`` labels are one
+    ``_in_rows`` membership test each over all the users.
 
     ``perk`` maps each user PerK served to ``{Measure: (k, expected_value)}``
     (the recommend stage's sizes); it is required when ``perk`` is a method.
@@ -294,13 +308,18 @@ def evaluate(
     if use_perk and perk is None:
         raise ValueError("evaluating perk needs its sizes")
 
-    exclude = {u: split.val.items_of(u) for u in scores.users()} if exclude_val else {}
+    users = sorted(int(u) for u in split.users)
+    excluded = [split.val.items_of(user) if exclude_val else () for user in users]
+    has_tests = [len(split.test.items_of(user)) > 0 for user in users]
+    # at most len(excluded) items of a head drop, so it keeps the first K
+    # ranked items outside them
+    heads = [rank(user, scores)[0][: K + len(ex)] if has_test and user in scores
+             else np.empty(0, np.int64) for user, ex, has_test in zip(users, excluded, has_tests)]
+    dropped = np.split(_in_rows(heads, excluded), np.cumsum([len(h) for h in heads])[:-1])
     skipped = dict.fromkeys(SKIP_REASONS, 0)
     kept, rankings, val_tops = [], [], []
-    for user in sorted(int(u) for u in split.users):
-        has_test = len(split.test.items_of(user)) > 0
-        order = rank(user, scores)[0] if has_test and user in scores else np.empty(0, np.int64)
-        ranking = order[~np.isin(order, exclude.get(user, ()))][:K]
+    for user, has_test, head, drop in zip(users, has_tests, heads, dropped):
+        ranking = head[~drop][:K]
         reason = (SKIP_NO_TEST if not has_test else SKIP_NO_CANDIDATES if not len(ranking)
                   else SKIP_NO_SIZE if use_perk and user not in perk else None)
         if reason:
@@ -311,7 +330,7 @@ def evaluate(
                              "evaluated items")
         kept.append(user)
         rankings.append(ranking)
-        val_tops.append(order[:K])
+        val_tops.append(head[:K])
     if not kept:
         raise ValueError("no evaluable users (every user lacks test positives)")
 

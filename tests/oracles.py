@@ -158,8 +158,10 @@ def enum_expected_curve(measure: str, probs) -> np.ndarray:
     return weights @ vals
 
 
-def gd_platt_fit(scores, labels, lr=2.0, iters=20000):
-    """Plain gradient descent on the mean logistic loss (independent fit)."""
+def gd_platt_fit(scores, labels, lr=2.0, iters=20000, grad_tol=1e-9):
+    """Plain gradient descent on the mean logistic loss (independent fit),
+    stopped once the gradient's norm falls below ``grad_tol`` or after
+    ``iters`` steps."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     a, b = 0.0, 0.0
@@ -167,8 +169,11 @@ def gd_platt_fit(scores, labels, lr=2.0, iters=20000):
     for _ in range(iters):
         p = 1.0 / (1.0 + np.exp(-(a * s + b)))
         resid = p - y
-        a -= lr * float(resid @ s) / n
-        b -= lr * float(resid.sum()) / n
+        grad_a, grad_b = float(resid @ s) / n, float(resid.sum()) / n
+        if np.hypot(grad_a, grad_b) < grad_tol:
+            break
+        a -= lr * grad_a
+        b -= lr * grad_b
     return a, b
 
 

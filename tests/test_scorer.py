@@ -13,7 +13,7 @@ from persize.scorer import (
     DegenerateUserError,
     ScoreModel,
     ScoreTable,
-    _conflict_free_runs,
+    _dependency_levels,
     build_score_table,
     export_scores,
     import_scores,
@@ -125,17 +125,28 @@ def _record_draws(monkeypatch) -> list:
     return logs
 
 
-def _record_runs(monkeypatch) -> list:
-    """Make ``train_bpr`` log each epoch's run bounds into the returned list."""
-    cuts = []
-    monkeypatch.setattr(scorer_module, "_conflict_free_runs",
-                        lambda *a: cuts.append(list(_conflict_free_runs(*a))) or cuts[-1])
-    return cuts
+def _record_levels(monkeypatch) -> list:
+    """Make ``train_bpr`` log each epoch's levels, as lists of step indices,
+    into the returned list."""
+    epochs = []
+
+    def record(*args):
+        levels = _dependency_levels(*args)
+        epochs.append([level.tolist() for level in levels])
+        return levels
+
+    monkeypatch.setattr(scorer_module, "_dependency_levels", record)
+    return epochs
+
+
+def _levels(users, pos, neg, n_items=10):
+    return [level.tolist() for level in
+            _dependency_levels(*(np.array(a, dtype=np.int64) for a in (users, pos, neg)), n_items)]
 
 
 class TestBatchedTrainer:
-    """``train_bpr`` applies runs of non-colliding steps at once and must give
-    the step-by-step loop's model bit for bit."""
+    """``train_bpr`` applies each dependency level of steps at once and must
+    give the step-by-step loop's model bit for bit."""
 
     @pytest.mark.parametrize("d", [1, 16])
     @pytest.mark.parametrize("negatives", [1, 3])
@@ -166,32 +177,52 @@ class TestBatchedTrainer:
         assert len(batched) > 10 * cfg.epochs  # many refills per epoch
         assert sum(batched) == sum(scalar)  # no value drawn the loop would not draw
 
-    def test_one_user_runs_one_step_at_a_time(self, monkeypatch):
+    def test_one_user_gives_one_step_per_level(self, monkeypatch):
         train = InteractionSet.from_pairs([[0, 1], [0, 3], [0, 4]], users=[0], items=range(6))
         cfg = BPRConfig(d=8, epochs=4, learning_rate=0.3, negatives_per_positive=2, seed=5)
-        cuts = _record_runs(monkeypatch)
+        epochs = _record_levels(monkeypatch)
         _assert_same_model(train_bpr(train, cfg), sequential_bpr(train, cfg))
-        assert cuts == [[(k, k + 1) for k in range(6)]] * 4
+        assert epochs == [[[k] for k in range(6)]] * 4
 
     def test_disjoint_steps_match(self, monkeypatch):
         # one positive per user, distinct items, many spare items to draw from
         train = InteractionSet.from_pairs([[u, u] for u in range(4)], users=range(4),
                                           items=range(4000))
         cfg = BPRConfig(d=4, epochs=5, learning_rate=0.2, seed=2)
-        cuts = _record_runs(monkeypatch)
+        epochs = _record_levels(monkeypatch)
         _assert_same_model(train_bpr(train, cfg), sequential_bpr(train, cfg))
-        assert cuts == [[(0, 4)]] * 5  # each epoch is one run
+        assert epochs == [[[0, 1, 2, 3]]] * 5  # each epoch is one level
 
-    def test_run_cuts(self):
-        def runs(users, pos, neg, n_items=10):
-            return list(_conflict_free_runs(*(np.array(a) for a in (users, pos, neg)), n_items))
-
-        assert runs([0, 1, 2], [0, 1, 2], [3, 4, 5]) == [(0, 3)]  # no collisions
-        assert runs([0, 0, 0], [0, 1, 2], [3, 4, 5]) == [(0, 1), (1, 2), (2, 3)]  # one user
+    def test_levels(self):
+        assert _levels([0, 1, 2], [0, 1, 2], [3, 4, 5]) == [[0, 1, 2]]  # no collisions
+        assert _levels([0, 0, 0], [0, 1, 2], [3, 4, 5]) == [[0], [1], [2]]  # one user
         # step 2 reuses step 0's negative as its positive; step 3 reuses step 2's user
-        assert runs([0, 1, 2, 2], [0, 1, 3, 6], [3, 4, 5, 7]) == [(0, 2), (2, 3), (3, 4)]
-        assert runs([0, 3], [3, 0], [1, 2], n_items=4) == [(0, 2)]  # user 3 is not item 3
-        assert runs([], [], []) == []
+        assert _levels([0, 1, 2, 2], [0, 1, 3, 6], [3, 4, 5, 7]) == [[0, 1], [2], [3]]
+        # step 2 shares no row with steps 0 and 1, so it joins step 0's level
+        assert _levels([0, 0, 1], [0, 1, 2], [3, 4, 5]) == [[0, 2], [1]]
+        assert _levels([0, 3], [3, 0], [1, 2], n_items=4) == [[0, 1]]  # user 3 is not item 3
+        assert _levels([], [], []) == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_levels_keep_every_shared_row_in_step_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n_steps, n_users, n_items = 300, 15, 12
+        users = rng.integers(n_users, size=n_steps)
+        pos = rng.integers(n_items, size=n_steps)
+        neg = (pos + rng.integers(1, n_items, size=n_steps)) % n_items  # never pos
+        levels = _dependency_levels(users, pos, neg, n_items)
+        assert sorted(np.concatenate(levels).tolist()) == list(range(n_steps))
+        level_of = np.empty(n_steps, dtype=np.int64)
+        for depth, steps in enumerate(levels):
+            assert np.all(np.diff(steps) > 0)
+            rows = np.concatenate([users[steps] + n_items, pos[steps], neg[steps]])
+            assert len(np.unique(rows)) == len(rows)  # no row repeats within a level
+            level_of[steps] = depth
+        rows = np.column_stack((users + n_items, pos, neg))
+        shared = (rows[:, None, :, None] == rows[None, :, None, :]).any(axis=(2, 3))
+        earlier, later = np.nonzero(np.triu(shared, k=1))
+        assert len(earlier) > n_steps  # many steps share rows
+        assert np.all(level_of[earlier] < level_of[later])
 
     def test_divergence_raises_at_the_same_epoch(self):
         train = InteractionSet.from_pairs(

@@ -3,10 +3,15 @@ import pytest
 
 from persize import calibrate
 from persize.calibrate import PlattParams
+from persize.dataset import InteractionSet, SplitDataset
 from persize.scorer import DegenerateUserError, ScoreTable
 from persize.selection import (
     METHOD_ORACLE,
     METHOD_PERK,
+    SKIP_NO_CANDIDATES,
+    SKIP_NO_TEST,
+    SKIP_REASONS,
+    EvaluationReport,
     _label_block,
     _row_argmax,
     baseline_rand,
@@ -510,7 +515,6 @@ class TestEvaluate:
 
     def test_perk_size_is_the_recommend_users_size(self, bundled_eval, monkeypatch):
         from persize import selection
-        from persize.dataset import InteractionSet, SplitDataset
 
         split, table, params, _ = bundled_eval
         # a served user without test positives is still served, not evaluated
@@ -547,8 +551,6 @@ class TestEvaluate:
             assert value == realized_curve(Measure(measure), labels, len(test))[-1], user
 
     def test_no_evaluable_users_raises(self, tiny_split):
-        from persize.dataset import SplitDataset, InteractionSet
-
         empty = InteractionSet.from_pairs(
             np.empty((0, 2), dtype=np.int64), tiny_split.users, tiny_split.items
         )
@@ -562,8 +564,6 @@ class TestEvaluate:
             evaluate(gutted, table, perk, K=3)
 
     def test_skipped_users_counted_by_reason(self, tiny_split):
-        from persize.dataset import SplitDataset, InteractionSet
-
         test_pairs = tiny_split.test.pairs[tiny_split.test.pairs[:, 0] != 0]
         split = SplitDataset(
             train=tiny_split.train, val=tiny_split.val,
@@ -617,3 +617,99 @@ class TestEvaluate:
         assert "top-50" in methods and "top-1" in methods
         assert default_methods(10)[-3:] == ["rand", "val_k", "oracle"]
         assert "top-50" not in default_methods(10)
+
+
+def _sparse_id_split(seed: int):
+    """A split and score table over sparse int64 item ids around 10**12,
+    where validation positives sit inside and beyond each user's top K.
+    Every user scores five more ids: B, B + 2**32, B + 2**40, 2**62 - 1 and
+    the largest int64, and every third user holds B as a validation
+    positive, so (row, item) keys packed by a shift or a multiple of the
+    largest id collide. One user has no test positive and one holds only
+    validation positives."""
+    rng = np.random.default_rng(seed)
+    base = 10**12 - 7
+    shared = np.array([base, base + 2**32, base + 2**40, 2**62 - 1, 2**63 - 1], dtype=np.int64)
+    items = np.concatenate([10**12 + np.sort(rng.choice(10**9, 55, replace=False)) * 997, shared])
+    users = list(range(5, 5 + 7 * 14, 7))
+    entries, val, test = {}, [], []
+    for row, user in enumerate(users):
+        cand = np.concatenate([rng.choice(items[:-5], size=int(rng.integers(12, 45)),
+                                          replace=False), shared])
+        vals = rng.normal(size=len(cand)).round(1)  # ties to the lower item id
+        entries[user] = (cand, vals)
+        picks = rng.permutation(cand[cand != base])
+        n_val = int(rng.integers(0, 7))
+        val += [[user, i] for i in picks[:n_val].tolist()]
+        val += [[user, int(rng.choice(items))]]  # maybe not a candidate
+        val += [[user, base]] if row % 3 == 0 else []
+        test += [[user, i] for i in picks[n_val : n_val + int(rng.integers(1, 6))].tolist()]
+    test = [pair for pair in test if pair[0] != users[1]]  # no test positive
+    only_val = users[2]
+    only = np.unique([i for u, i in val if u == only_val])
+    entries[only_val] = (only, np.zeros(len(only)))
+    test += [[only_val, int(items[0])], [only_val, int(items[1])]]
+    val = [pair for pair in val if pair[0] != only_val or pair[1] in entries[only_val][0]]
+
+    def part(pairs):
+        return InteractionSet.from_pairs(pairs, users=users, items=items)
+
+    split = SplitDataset(train=part([]), val=part(val), test=part(test), seed=seed)
+    return split, ScoreTable(entries)
+
+
+def _reference_report(split, table, methods, K, seed) -> EvaluationReport:
+    """``evaluate`` as a loop over users with one ``np.isin`` per membership
+    test and the exclusion applied to the whole ranking."""
+    skipped = dict.fromkeys(SKIP_REASONS, 0)
+    per_measure = {m: [] for m in Measure}
+    for user in sorted(int(u) for u in split.users):
+        test, val = split.test.items_of(user), split.val.items_of(user)
+        if not len(test):
+            skipped[SKIP_NO_TEST] += 1
+            continue
+        order = rank(user, table)[0] if user in table else np.empty(0, np.int64)
+        ranking = order[~np.isin(order, val)][:K]
+        if not len(ranking):
+            skipped[SKIP_NO_CANDIDATES] += 1
+            continue
+        labels = np.isin(ranking, test).astype(float)
+        val_labels = np.isin(order[:K], val).astype(float)
+        for measure in Measure:
+            realized = realized_curve(measure, labels, len(test))
+            val_curve = realized_curve(measure, val_labels, len(val))
+            sizes = {METHOD_ORACLE: _select(realized), "rand": baseline_rand(user, K, seed),
+                     "val_k": _select(val_curve)}
+            for method in methods:
+                k = min(sizes[method] if method in sizes else int(method[4:]), len(ranking))
+                per_measure[measure].append((user, method, measure.value, k, realized[k - 1]))
+    users = sorted({row[0] for rows in per_measure.values() for row in rows})
+    averages = {method: {} for method in methods}
+    for measure, rows in per_measure.items():
+        for method in methods:
+            total = 0.0
+            for row in rows:
+                if row[1] == method:
+                    total += row[4]
+            averages[method][measure.value] = total / len(users)
+    rows = [row for user in users for measure in Measure
+            for row in per_measure[measure] if row[0] == user]
+    return EvaluationReport(averages=averages, n_users=len(users), per_user=tuple(rows),
+                            skipped=skipped, perk_expected={})
+
+
+class TestEvaluateMembership:
+    """``evaluate`` tests membership once per block over (row, item) keys."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_user_isin_on_sparse_large_ids(self, seed):
+        split, table = _sparse_id_split(seed)
+        K = 10
+        methods = default_methods(K)[1:]  # every method but PerK
+        report = evaluate(split, table, methods=methods, K=K, seed=seed)
+        assert report == _reference_report(split, table, methods, K, seed)
+        assert report.skipped[SKIP_NO_TEST] == 1 and report.skipped[SKIP_NO_CANDIDATES] == 1
+        # validation positives sit inside and beyond the evaluated top K
+        places = [np.flatnonzero(np.isin(rank(u, table)[0], split.val.items_of(u)))
+                  for u in table.users()]
+        assert any((p < K).any() for p in places) and any((p >= K).any() for p in places)
