@@ -242,7 +242,7 @@ def cmd_calibrate(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin")
-    scored = [u for u in table.users() if len(table.get(u)[0])]
+    scored = table.ids[np.diff(table.indptr) > 0].tolist()
     calsets = [cal.build_calibration_set(u, split_ds, table) for u in scored]
     per_user, global_params = cal.fit_all_users(calsets)
 

@@ -1,18 +1,14 @@
-"""Ranking scores: a minimal pairwise matrix-factorization trainer, the
-table of its scores over each user's candidate items (``build_score_table``
-takes user -> item array), an importer/exporter so scores from any external
-recommender can be used, and the binary score store the pipeline stages share.
+"""Ranking scores: a minimal pairwise matrix-factorization trainer
+(``train_bpr``: seeded SGD on -log sigmoid(f(u, i+) - f(u, i-)) with
+uniformly sampled negatives), the table of each user's candidate scores, an
+importer/exporter so scores from any external recommender can be used, and
+the binary score store the pipeline stages share.
 
-The built-in model learns user/item embeddings by stochastic gradient
-descent on the pairwise objective -log sigmoid(f(u, i+) - f(u, i-)) with
-uniformly sampled negatives. Training is seeded, so a given configuration
-always produces the same model. Steps run in a shuffled order, applied one
-dependency level at a time: a step's level is one above the highest level of
-the earlier steps that share its user or one of its items, so each level
-touches every row at most once and is one array update, and each step reads
-the rows the step-by-step loop gives it, bit for bit. Negatives come
-from batched draws that replay the scalar loop's draw sequence (numpy gives
-a batch the values of as many scalar calls), so every later shuffle matches.
+``ScoreTable`` is the store's layout held in memory: four read-only CSR
+arrays. ``load_scores`` wraps the store's bytes in them without a per-user
+copy, ``import_scores`` sorts a score file's rows into them, and
+``ScoreTable.from_entries`` (which ``build_score_table`` calls)
+concatenates a dict of per-user entries once.
 """
 
 from __future__ import annotations
@@ -57,49 +53,67 @@ class ScoreModel:
 
 
 class ScoreTable:
-    """Per-user (item, score) entries covering each user's candidate set."""
+    """Each user's candidate (item, score) entries as the score store's four
+    read-only CSR arrays: ``ids`` (strictly increasing), ``indptr``, ``items``
+    and ``scores``; user ``ids[j]`` owns entries ``indptr[j]:indptr[j + 1]``.
+    The constructor checks the layout, then one sort over every entry names
+    the first bad user: a duplicate item, else a non-finite score."""
 
-    def __init__(self, entries: dict):
-        self._entries = {}
-        for user, (items, scores) in entries.items():
-            items = np.asarray(items, dtype=np.int64)
-            scores = np.asarray(scores, dtype=np.float64)
-            if len(items) != len(scores):
-                raise ValueError(f"user {user}: items and scores differ in length")
-            self._entries[int(user)] = (items, scores)
-        self._check_entries()
+    def __init__(self, ids, indptr, items, scores):
+        self.ids, self.indptr, self.items, self.scores = arrays = [
+            np.asarray(x, dtype=dtype).view() for x, dtype in
+            ((ids, np.int64), (indptr, np.int64), (items, np.int64), (scores, np.float64))]
+        for arr in arrays:
+            arr.setflags(write=False)
+        if (self.ids.ndim != 1 or self.items.ndim != 1 or self.scores.shape != self.items.shape
+                or self.indptr.shape != (len(self.ids) + 1,) or self.indptr[0] != 0
+                or self.indptr[-1] != len(self.items) or np.any(np.diff(self.indptr) < 0)
+                or np.any(np.diff(self.ids) <= 0)):
+            raise ValueError("ids, indptr, items and scores do not form a CSR table")
+        owner = np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
+        flagged = _first_flagged([
+            (owner[_repeats(self.items, owner)], lambda r: "duplicate item ids"),
+            (owner[~np.isfinite(self.scores)], lambda r: "non-finite score")])
+        if flagged:
+            raise ValueError(f"user {self.ids[flagged[0]]}: {flagged[1]}")
 
-    def _check_entries(self) -> None:
-        """Reject duplicate items and non-finite scores with one sort over
-        every entry, naming the first offending user in user order (a
-        duplicate before a non-finite score of the same user)."""
-        users = self.users()
-        lengths = [len(self._entries[u][0]) for u in users]
-        if not sum(lengths):
-            return
-        owner = np.repeat(np.arange(len(users)), lengths)
-        non_finite = owner[~np.isfinite(np.concatenate([self._entries[u][1] for u in users]))]
-        repeats = owner[_repeats(np.concatenate([self._entries[u][0] for u in users]), owner)]
-        bad = [(int(rows.min()), why) for rows, why in
-               ((repeats, "duplicate item ids"), (non_finite, "non-finite score")) if len(rows)]
-        if bad:
-            row, why = min(bad)
-            raise ValueError(f"user {users[row]}: {why}")
+    @classmethod
+    def from_entries(cls, entries: dict) -> ScoreTable:
+        """The table of user -> (items, scores), concatenated in user order.
+        A user's items and scores must be 1-D and of equal length, and its
+        items integers that int64 holds exactly (an empty list of any dtype
+        is fine); a ValueError names the first user that breaks this."""
+        rows = sorted(((int(u), np.asarray(i), np.asarray(s, dtype=np.float64))
+                       for u, (i, s) in entries.items()), key=lambda row: row[0])
+        for user, items, scores in rows:
+            why = ("items and scores are not 1-D" if items.ndim != 1 or scores.ndim != 1
+                   else "items and scores differ in length" if len(items) != len(scores)
+                   else "item ids are not int64 integers" if len(items) and (
+                       items.dtype.kind not in "iu" or np.any(items.astype(np.int64) != items))
+                   else None)
+            if why:
+                raise ValueError(f"user {user}: {why}")
+        return cls([row[0] for row in rows], np.cumsum([0] + [len(row[1]) for row in rows]),
+                   np.concatenate([np.empty(0)] + [row[1] for row in rows], dtype=np.int64,
+                                  casting="unsafe"),
+                   np.concatenate([np.empty(0)] + [row[2] for row in rows]))
 
-    def users(self):
-        return sorted(self._entries)
+    def users(self) -> list[int]:
+        return self.ids.tolist()
 
     def get(self, user: int):
-        try:
-            return self._entries[int(user)]
-        except KeyError:
-            raise KeyError(f"no scores for user {user}") from None
+        """The user's (items, scores): read-only slices of the arrays."""
+        if user not in self:
+            raise KeyError(f"no scores for user {user}")
+        a, b = self.indptr[self.ids.searchsorted(int(user)):][:2].tolist()
+        return self.items[a:b], self.scores[a:b]
 
     def __contains__(self, user) -> bool:
-        return int(user) in self._entries
+        row = int(self.ids.searchsorted(int(user)))
+        return row < len(self.ids) and self.ids[row] == int(user)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.ids)
 
 
 def train_bpr(train: InteractionSet, config: BPRConfig = BPRConfig()) -> ScoreModel:
@@ -229,17 +243,18 @@ def score_candidates(model: ScoreModel, user: int, items) -> np.ndarray:
 
 def build_score_table(model: ScoreModel, candidates: dict) -> ScoreTable:
     """Score each user's candidate items (user -> item array) into one table."""
-    return ScoreTable({user: (items, score_candidates(model, user, items))
-                       for user, items in candidates.items()})
+    return ScoreTable.from_entries({user: (items, score_candidates(model, user, items))
+                                    for user, items in candidates.items()})
 
 
 def export_scores(table: ScoreTable, path, header: str = "") -> None:
     """Write `user<TAB>item<TAB>score` rows; floats round-trip exactly."""
-    lines = [header] if header else []
-    for user in table.users():
-        items, vals = table.get(user)
-        lines.extend(f"{user}\t{i}\t{v!r}" for i, v in zip(items.tolist(), vals.tolist()))
-    atomic_write(path, "\n".join(lines) + "\n")
+    text = [header] if header else []
+    users = np.repeat(table.ids, np.diff(table.indptr))
+    for a in range(0, len(users), 4096):  # one chunk's rows at a time bound the temporaries
+        rows = zip(*(x[a:a + 4096].tolist() for x in (users, table.items, table.scores)))
+        text.append("\n".join(f"{u}\t{i}\t{v!r}" for u, i, v in rows))
+    atomic_write(path, "\n".join(text) + "\n")
 
 
 def import_scores(path, n_users: int | None = None, n_items: int | None = None) -> ScoreTable:
@@ -257,12 +272,8 @@ def import_scores(path, n_users: int | None = None, n_items: int | None = None) 
         lambda columns: _bad_score_row(columns, n_users, n_items))
     order = np.argsort(users, kind="stable")
     users, items, scores = users[order], items[order], scores[order]
-    keys, starts = np.unique(users, return_index=True)
-    ends = np.append(starts[1:], len(users))
-    return ScoreTable({
-        u: (items[a:b], scores[a:b])
-        for u, a, b in zip(keys.tolist(), starts.tolist(), ends.tolist())
-    })
+    ids, starts = np.unique(users, return_index=True)
+    return ScoreTable(ids, np.append(starts, len(users)), items, scores)
 
 
 def _bad_score_row(columns, n_users, n_items):
@@ -281,19 +292,13 @@ def _bad_score_row(columns, n_users, n_items):
 
 
 def save_scores(table: ScoreTable, path) -> None:
-    """Binary CSR score store: int64 (n_users, nnz) header, then ``users``
-    (strictly increasing, int64), ``indptr`` (n_users + 1, int64), ``items``
-    (nnz, int64) and ``scores`` (nnz, float64), all little-endian. User
-    ``users[j]`` owns entries ``indptr[j]:indptr[j + 1]``. Bit-exact, and
-    written atomically."""
-    users = table.users()
-    entries = [table.get(u) for u in users]
-    indptr = np.cumsum([0] + [len(items) for items, _ in entries])
-    ints = [[len(users), indptr[-1]], users, indptr] + [items for items, _ in entries]
+    """Binary CSR score store: an int64 (n_users, nnz) header, then the
+    table's ``ids``, ``indptr`` and ``items`` as int64 and its ``scores`` as
+    float64, all little-endian. Bit-exact, and written atomically."""
+    ints = [[len(table.ids), len(table.items)], table.ids, table.indptr, table.items]
     atomic_write_bytes(path, b"".join(
         [np.asarray(x, dtype=_INT_DTYPE).tobytes() for x in ints]
-        + [np.asarray(vals, dtype=_FLOAT_DTYPE).tobytes() for _, vals in entries]
-    ))
+        + [np.asarray(table.scores, dtype=_FLOAT_DTYPE).tobytes()]))
 
 
 def load_scores(path) -> ScoreTable:
@@ -309,20 +314,13 @@ def load_scores(path) -> ScoreTable:
         raise ValueError(f"{path}: truncated score store ({len(raw)} bytes)")
     n_users, nnz = (int(x) for x in np.frombuffer(raw, dtype=_INT_DTYPE, count=2))
     if n_users < 0 or nnz < 0 or len(raw) != 8 * (3 + 2 * n_users + 2 * nnz):
-        raise ValueError(
-            f"{path}: {len(raw)} bytes do not match the header "
-            f"(n_users={n_users}, nnz={nnz})"
-        )
+        raise ValueError(f"{path}: {len(raw)} bytes do not match the header "
+                         f"(n_users={n_users}, nnz={nnz})")
     ints = np.frombuffer(raw, dtype=_INT_DTYPE, count=3 + 2 * n_users + nnz)
-    users = ints[2 : 2 + n_users]
-    indptr = ints[2 + n_users : 3 + 2 * n_users]
-    items = ints[3 + 2 * n_users :]
+    users, indptr, items = np.split(ints[2:], [n_users, 2 * n_users + 1])
     scores = np.frombuffer(raw, dtype=_FLOAT_DTYPE, offset=ints.nbytes)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise ValueError(f"{path}: indptr does not match the header (nnz={nnz})")
     if np.any(np.diff(users) <= 0):
         raise ValueError(f"{path}: user ids are not strictly increasing")
-    return ScoreTable({
-        u: (items[a:b], scores[a:b])
-        for u, a, b in zip(users.tolist(), indptr[:-1].tolist(), indptr[1:].tolist())
-    })
+    return ScoreTable(users, indptr, items, scores)

@@ -133,7 +133,8 @@ def user_blocks(users, scores: ScoreTable) -> list[list[int]]:
     user is a block alone. Membership depends on the data only.
     """
     blocks: list[list[int]] = []
-    for n, user in sorted((len(scores.get(u)[0]), int(u)) for u in users):
+    count = dict(zip(scores.users(), np.diff(scores.indptr).tolist()))
+    for n, user in sorted((count[int(u)], int(u)) for u in users):
         block = blocks[-1] if blocks else None
         if block is None or len(block) == _BLOCK_USERS or (len(block) + 1) * n > _BLOCK_PROBS:
             blocks.append([user])
@@ -309,18 +310,18 @@ def evaluate(
         raise ValueError("evaluating perk needs its sizes")
 
     users = sorted(int(u) for u in split.users)
-    excluded = [split.val.items_of(user) if exclude_val else () for user in users]
-    has_tests = [len(split.test.items_of(user)) > 0 for user in users]
+    vals, tests = ([part.items_of(user) for user in users] for part in (split.val, split.test))
+    excluded = vals if exclude_val else [()] * len(users)
     # at most len(excluded) items of a head drop, so it keeps the first K
     # ranked items outside them
-    heads = [rank(user, scores)[0][: K + len(ex)] if has_test and user in scores
-             else np.empty(0, np.int64) for user, ex, has_test in zip(users, excluded, has_tests)]
+    heads = [rank(user, scores)[0][: K + len(ex)] if len(test) and user in scores
+             else np.empty(0, np.int64) for user, ex, test in zip(users, excluded, tests)]
     dropped = np.split(_in_rows(heads, excluded), np.cumsum([len(h) for h in heads])[:-1])
     skipped = dict.fromkeys(SKIP_REASONS, 0)
-    kept, rankings, val_tops = [], [], []
-    for user, has_test, head, drop in zip(users, has_tests, heads, dropped):
+    rows, rankings = [], []  # each kept user's index in users, and its ranking
+    for row, (user, test, head, drop) in enumerate(zip(users, tests, heads, dropped)):
         ranking = head[~drop][:K]
-        reason = (SKIP_NO_TEST if not has_test else SKIP_NO_CANDIDATES if not len(ranking)
+        reason = (SKIP_NO_TEST if not len(test) else SKIP_NO_CANDIDATES if not len(ranking)
                   else SKIP_NO_SIZE if use_perk and user not in perk else None)
         if reason:
             skipped[reason] += 1
@@ -328,20 +329,20 @@ def evaluate(
         if use_perk and max(k for k, _ in perk[user].values()) > len(ranking):
             raise ValueError(f"user {user}: a PerK size exceeds its {len(ranking)} "
                              "evaluated items")
-        kept.append(user)
+        rows.append(row)
         rankings.append(ranking)
-        val_tops.append(head[:K])
-    if not kept:
+    if not rows:
         raise ValueError("no evaluable users (every user lacks test positives)")
 
-    tests = [split.test.items_of(user) for user in kept]
+    kept = [users[row] for row in rows]
+    tests = [tests[row] for row in rows]
     labels, tops = _label_block(rankings, tests)
     realized = {m: realized_curve(m, labels, [len(t) for t in tests]) for m in measures}
     if METHOD_RAND in methods:
         rand_k = np.minimum([baseline_rand(user, K, seed) for user in kept], tops)
     if METHOD_VAL_K in methods:
-        val_sets = [split.val.items_of(user) for user in kept]
-        val_labels, val_lengths = _label_block(val_tops, val_sets)
+        val_sets = [vals[row] for row in rows]
+        val_labels, val_lengths = _label_block([heads[row][:K] for row in rows], val_sets)
         n_val = [len(v) for v in val_sets]
         val_k = {m: np.minimum(_row_argmax(realized_curve(m, val_labels, n_val), val_lengths),
                                tops) for m in measures}

@@ -314,7 +314,7 @@ def scan_scores(path) -> ScoreTable:
             seen.add((u, i))
             per_user_items.setdefault(u, []).append(i)
             per_user_scores.setdefault(u, []).append(v)
-    return ScoreTable(
+    return ScoreTable.from_entries(
         {u: (per_user_items[u], per_user_scores[u]) for u in per_user_items}
     )
 

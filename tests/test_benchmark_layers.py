@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` computes work counts for the layers in its
 ``COUNTERS`` table, keyed ``<module>.<function>``, and wraps only public
 functions defined in a persize module. A layer whose function was deleted
-or renamed would silently read 0, so each key must name such a function.
-This test only reads ``perfbench/``.
+or renamed would silently read 0, so each key must name such a function,
+and the counters must still read the program's objects. These tests only
+read ``perfbench/``.
 """
 
 import importlib
@@ -12,19 +13,21 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from persize.scorer import ScoreTable
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _counters() -> dict:
+def _tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", REPO_ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.COUNTERS
+    return tracing
 
 
 def test_every_counted_layer_is_a_traced_function():
-    counters = _counters()
+    counters = _tracing().COUNTERS
     # the benchmark's smoke test requires this layer to be called
     assert "poibin.distribution" in counters
     for name in counters:
@@ -33,3 +36,10 @@ def test_every_counted_layer_is_a_traced_function():
         fn = getattr(module, attr, None)
         assert inspect.isfunction(fn) and not attr.startswith("_"), name
         assert fn.__module__ == module.__name__, name
+
+
+def test_table_rows_counts_every_entry():
+    # the scorer.{import_scores,build_score_table,export_scores}.rows counts
+    # read a table through users() and get()
+    table = ScoreTable.from_entries({0: ([3, 1], [0.1, 0.2]), 2: ([], []), 5: ([4], [0.3])})
+    assert _tracing()._table_rows(table) == len(table.items) == 3

@@ -206,7 +206,7 @@ class TestBuildCalibrationSet:
         return SplitDataset(train=train, val=val, test=test, seed=0)
 
     def _table(self):
-        return ScoreTable({
+        return ScoreTable.from_entries({
             0: (np.array([1, 2, 3, 4]), np.array([0.4, 0.9, 0.1, 0.2])),
             1: (np.array([0, 2, 3, 4]), np.array([0.5, 0.6, 0.7, 0.8])),
         })
@@ -218,7 +218,7 @@ class TestBuildCalibrationSet:
 
     def test_user_without_val_positives_flags_all_zero(self):
         split = self._split()
-        table = ScoreTable({5: (np.array([0, 1]), np.array([0.1, 0.2]))})
+        table = ScoreTable.from_entries({5: (np.array([0, 1]), np.array([0.1, 0.2]))})
         # user 5 absent from split's val: all labels zero
         calset = build_calibration_set(5, split, table)
         assert calset.labels.sum() == 0

@@ -380,7 +380,7 @@ class TestRecommendBlocks:
         user = next(u for u in table.users() if len(split_ds.val.items_of(u)))
         val = split_ds.val.items_of(user)
         entries[user] = (val, np.zeros(len(val)))  # every candidate is excluded
-        scorer.save_scores(scorer.ScoreTable(entries), workdir / "scores.bin")
+        scorer.save_scores(scorer.ScoreTable.from_entries(entries), workdir / "scores.bin")
         capsys.readouterr()
         assert _run("recommend", "--config", str(cfg)) == 0
         out = capsys.readouterr().out
@@ -406,7 +406,7 @@ class TestRecommendBlocks:
                     if len(split_ds.val.items_of(u)) and len(split_ds.test.items_of(u)))
         val = split_ds.val.items_of(user)
         entries[user] = (val, np.zeros(len(val)))
-        scorer.save_scores(scorer.ScoreTable(entries), workdir / "scores.bin")
+        scorer.save_scores(scorer.ScoreTable.from_entries(entries), workdir / "scores.bin")
         platt = workdir / "platt.tsv"
         rows = [line for line in platt.read_text().splitlines()
                 if line.split("\t")[0] != str(user)]
@@ -561,7 +561,7 @@ class TestRecsFile:
             entries = {u: table.get(u) for u in table.users()}
             items, vals = entries[table.users()[0]]
             entries[table.users()[0]] = (items, vals + 1e-9)
-            scorer.save_scores(scorer.ScoreTable(entries), workdir / name)
+            scorer.save_scores(scorer.ScoreTable.from_entries(entries), workdir / name)
         else:  # same rows, other bytes
             (workdir / name).write_text((workdir / name).read_text() + "# edited\n")
         assert _run("evaluate", "--config", str(cfg)) == 1

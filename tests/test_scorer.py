@@ -306,14 +306,14 @@ class TestRankTopk:
     """A top-K list is the first K items of ``selection.rank``'s order."""
 
     def _table(self):
-        return ScoreTable({0: (np.array([0, 1, 2]), np.array([0.1, 0.9, 0.5]))})
+        return ScoreTable.from_entries({0: (np.array([0, 1, 2]), np.array([0.1, 0.9, 0.5]))})
 
     def test_orders_by_score(self):
         items, _ = rank(0, self._table())
         np.testing.assert_array_equal(items[:2], [1, 2])
 
     def test_tie_break_by_item_id(self):
-        table = ScoreTable({0: (np.array([5, 2, 9]), np.array([1.0, 1.0, 1.0]))})
+        table = ScoreTable.from_entries({0: (np.array([5, 2, 9]), np.array([1.0, 1.0, 1.0]))})
         np.testing.assert_array_equal(rank(0, table)[0][:2], [2, 5])
 
     def test_k_larger_than_candidates(self):
@@ -322,7 +322,7 @@ class TestRankTopk:
     def test_prefix_closed_family(self):
         # dropping every item ranked below k leaves exactly the top k, in order
         rng = np.random.default_rng(1)
-        table = ScoreTable({0: (np.arange(30), rng.normal(size=30))})
+        table = ScoreTable.from_entries({0: (np.arange(30), rng.normal(size=30))})
         full, _ = rank(0, table)
         for k in (1, 3, 12, 30):
             part, _ = rank(0, table, exclude=full[k:])
@@ -338,7 +338,7 @@ class TestRankTopk:
     def test_scores_nonincreasing(self):
         rng = np.random.default_rng(2)
         items = np.arange(50)
-        table = ScoreTable({0: (items, rng.integers(0, 5, 50).astype(float))})
+        table = ScoreTable.from_entries({0: (items, rng.integers(0, 5, 50).astype(float))})
         _, vals = rank(0, table)
         assert np.all(np.diff(vals) <= 0)
 
@@ -346,7 +346,7 @@ class TestRankTopk:
 class TestImportExport:
     def test_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(3)
-        table = ScoreTable({
+        table = ScoreTable.from_entries({
             0: (np.arange(20), rng.normal(size=20) * 1e3),
             7: (np.arange(5), rng.normal(size=5) * 1e-7),
         })
@@ -380,7 +380,7 @@ class TestImportExport:
 
     def test_export_matches_model_scores(self, tmp_path):
         model = train_bpr(_toy_train(), BPRConfig(d=4, epochs=3, learning_rate=0.1, seed=1))
-        table = ScoreTable({
+        table = ScoreTable.from_entries({
             0: (np.arange(2), score_candidates(model, 0, np.arange(2))),
         })
         export_scores(table, tmp_path / "s.tsv")
@@ -392,7 +392,7 @@ class TestImportExport:
 
 class TestScoreStore:
     def _table(self):
-        return ScoreTable({
+        return ScoreTable.from_entries({
             2: (np.array([9, 0, 4, 7, 3]),
                 np.array([-0.0, 5e-324, 1e308, -1e308, 0.1])),
             5: (np.empty(0, dtype=np.int64), np.empty(0)),  # zero candidates
@@ -562,30 +562,100 @@ class TestScoreTableChecks:
             5: (np.array([1, 2]), np.array([0.1, 0.2])),
         }
         with pytest.raises(ValueError, match=r"^user 3: non-finite score$"):
-            ScoreTable(entries)
+            ScoreTable.from_entries(entries)
         entries[3] = (np.array([4, 5]), np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match=r"^user 7: duplicate item ids$"):
-            ScoreTable(entries)
+            ScoreTable.from_entries(entries)
 
     def test_duplicate_named_before_non_finite_of_the_same_user(self):
         entries = {4: (np.array([9, 9, 1]), np.array([np.inf, 0.2, 0.3])),
                    8: (np.array([1]), np.array([np.nan]))}
         with pytest.raises(ValueError, match=r"^user 4: duplicate item ids$"):
-            ScoreTable(entries)
+            ScoreTable.from_entries(entries)
 
     def test_same_item_for_two_users_is_no_duplicate(self):
-        table = ScoreTable({0: (np.array([3, 1]), np.array([0.1, 0.2])),
-                            1: (np.array([1, 3]), np.array([0.3, 0.4])),
-                            2: (np.empty(0, dtype=np.int64), np.empty(0))})
+        table = ScoreTable.from_entries({0: (np.array([3, 1]), np.array([0.1, 0.2])),
+                                         1: (np.array([1, 3]), np.array([0.3, 0.4])),
+                                         2: (np.empty(0, dtype=np.int64), np.empty(0))})
         assert len(table) == 3
 
     def test_extreme_item_ids(self):
         big = np.iinfo(np.int64).max
         with pytest.raises(ValueError, match=r"^user 2: duplicate item ids$"):
-            ScoreTable({1: (np.array([-big, big]), np.array([0.1, 0.2])),
-                        2: (np.array([big, 0, big]), np.array([0.1, 0.2, 0.3]))})
-        assert len(ScoreTable({1: (np.array([-big, big]), np.array([0.1, 0.2]))})) == 1
+            ScoreTable.from_entries({1: (np.array([-big, big]), np.array([0.1, 0.2])),
+                                     2: (np.array([big, 0, big]), np.array([0.1, 0.2, 0.3]))})
+        table = ScoreTable.from_entries({1: (np.array([-big, big]), np.array([0.1, 0.2]))})
+        assert len(table) == 1
 
     def test_all_empty_entries(self):
-        assert len(ScoreTable({0: (np.empty(0, dtype=np.int64), np.empty(0))})) == 1
-        assert len(ScoreTable({})) == 0
+        assert len(ScoreTable.from_entries({0: (np.empty(0, dtype=np.int64), np.empty(0))})) == 1
+        assert len(ScoreTable.from_entries({})) == 0
+
+    @pytest.mark.parametrize("entries, message", [
+        ({0: ([1.7, 2.2], [0.1, 0.2])}, "item ids are not int64 integers"),  # would truncate
+        ({0: ([1.0, 2.0], [0.1, 0.2])}, "item ids are not int64 integers"),
+        ({0: ([True, False], [0.1, 0.2])}, "item ids are not int64 integers"),
+        ({0: (np.array([2**63 + 1], dtype=np.uint64), [0.1])}, "item ids are not int64 integers"),
+        ({0: ([[1, 2]], [[0.1, 0.2]])}, "items and scores are not 1-D"),
+        ({0: ([1, 2], [[0.1, 0.2]])}, "items and scores are not 1-D"),
+        ({0: (np.int64(1), 0.1)}, "items and scores are not 1-D"),
+        ({0: ([1, 2], [0.1])}, "items and scores differ in length"),
+    ])
+    def test_entries_it_would_change_are_rejected(self, entries, message):
+        entries = {9: ([1], [0.5]), **entries}
+        with pytest.raises(ValueError, match=rf"^user 0: {message}$"):
+            ScoreTable.from_entries(entries)
+
+    def test_first_bad_entry_in_user_order_is_named(self):
+        with pytest.raises(ValueError, match=r"^user 2: items and scores differ in length$"):
+            ScoreTable.from_entries({7: ([1.5], [0.1]), 2: ([1], []), 4: ([1, 1], [0.1, 0.2])})
+
+    def test_integer_items_of_any_width_and_empty_lists(self):
+        table = ScoreTable.from_entries({
+            1: (np.array([3, 1], dtype=np.int32), [0.1, 0.2]),
+            2: (np.array([2**62], dtype=np.uint64), [0.3]),
+            3: ([], []),
+        })
+        assert table.users() == [1, 2, 3] and table.indptr.tolist() == [0, 2, 3, 3]
+        assert table.items.dtype == np.int64 and table.items.tolist() == [3, 1, 2**62]
+        assert table.scores.tolist() == [0.1, 0.2, 0.3]
+
+    def test_the_table_is_read_only(self, tmp_path):
+        table = ScoreTable.from_entries({0: ([1, 2], [0.1, 0.2]), 3: ([4], [0.5])})
+        save_scores(table, tmp_path / "scores.bin")
+        export_scores(table, tmp_path / "scores.tsv")
+        for t in (table, load_scores(tmp_path / "scores.bin"), import_scores(tmp_path / "scores.tsv")):
+            items, vals = t.get(0)
+            with pytest.raises(ValueError):
+                vals[0] = np.nan
+            with pytest.raises(ValueError):
+                items[0] = 2
+            assert not any(a.flags.writeable for a in (t.ids, t.indptr, t.items, t.scores))
+        assert table.get(0)[1][0] == 0.1
+
+    def test_the_callers_arrays_stay_writable(self):
+        items = np.array([5, 6])
+        table = ScoreTable([0, 1], [0, 1, 2], items, np.array([0.1, 0.2]))
+        assert items.flags.writeable and table.get(1)[0].tolist() == [6]
+
+    @pytest.mark.parametrize("ids, indptr, items, scores", [
+        ([1, 0], [0, 1, 2], [5, 6], [0.1, 0.2]),  # ids not increasing
+        ([0, 0], [0, 1, 2], [5, 6], [0.1, 0.2]),
+        ([0, 1], [1, 1, 2], [5, 6], [0.1, 0.2]),  # indptr[0] != 0
+        ([0, 1], [0, 1, 1], [5, 6], [0.1, 0.2]),  # indptr[-1] != nnz
+        ([0, 1], [0, 2, 1], [5], [0.1]),  # decreasing indptr
+        ([0, 1], [0, 1], [5, 6], [0.1, 0.2]),  # indptr too short
+        ([0, 1], [0, 1, 2], [5, 6], [0.1]),  # scores and items differ
+        ([[0, 1]], [0, 1, 2], [5, 6], [0.1, 0.2]),
+    ])
+    def test_arrays_that_are_no_csr_table_are_rejected(self, ids, indptr, items, scores):
+        with pytest.raises(ValueError, match="do not form a CSR table"):
+            ScoreTable(ids, indptr, items, scores)
+
+    def test_lookup_of_a_user_without_scores(self):
+        table = ScoreTable.from_entries({2: ([1], [0.1]), 5: ([], [])})
+        assert 5 in table and np.int64(2) in table
+        assert all(u not in table for u in (0, 3, 6, 2**70, -2**70))
+        with pytest.raises(KeyError, match="no scores for user 3"):
+            table.get(3)
+        assert len(table.get(5)[0]) == 0

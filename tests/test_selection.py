@@ -72,7 +72,7 @@ class TestPerkSelect:
 class TestRank:
     def test_descending_score_ties_to_lower_item(self):
         items = np.array([7, 3, 5, 1, 9])
-        table = ScoreTable({0: (items, np.array([0.5, 2.0, 0.5, 0.5, -1.0]))})
+        table = ScoreTable.from_entries({0: (items, np.array([0.5, 2.0, 0.5, 0.5, -1.0]))})
         ranked, vals = rank(0, table)
         np.testing.assert_array_equal(ranked, [3, 1, 5, 7, 9])
         np.testing.assert_array_equal(vals, [2.0, 0.5, 0.5, 0.5, -1.0])
@@ -80,14 +80,14 @@ class TestRank:
     def test_matches_lexsort_order(self):
         rng = np.random.default_rng(2)
         scores = np.round(rng.normal(size=25), 1)  # rounding plants ties
-        table = ScoreTable({0: (np.arange(25), scores)})
+        table = ScoreTable.from_entries({0: (np.arange(25), scores)})
         order = np.lexsort((np.arange(25), -scores))
         np.testing.assert_array_equal(rank(0, table)[0], np.arange(25)[order])
 
     def test_exclude_drops_items_and_keeps_order(self):
         rng = np.random.default_rng(3)
         scores = rng.normal(size=30)
-        table = ScoreTable({0: (np.arange(30), scores)})
+        table = ScoreTable.from_entries({0: (np.arange(30), scores)})
         full, _ = rank(0, table)
         dropped = [4, 11, 29, 100]  # 100 is not a candidate
         kept, kept_vals = rank(0, table, exclude=dropped)
@@ -99,7 +99,7 @@ class TestRank:
 class TestRecommend:
     def _table(self, scores):
         items = np.arange(len(scores))
-        return ScoreTable({0: (items, np.asarray(scores, dtype=float))})
+        return ScoreTable.from_entries({0: (items, np.asarray(scores, dtype=float))})
 
     def test_single_sure_candidate_exact(self):
         # at the default M the count keeps all its mass, so a sure
@@ -165,7 +165,7 @@ class TestRecommend:
                 np.testing.assert_array_equal(rec.items, rec.ranking[: rec.k_max])
 
     def test_degenerate_user(self):
-        table = ScoreTable({0: (np.empty(0, dtype=np.int64), np.empty(0))})
+        table = ScoreTable.from_entries({0: (np.empty(0, dtype=np.int64), np.empty(0))})
         assert isinstance(_alone(0, table, PlattParams(1.0, 0.0), [Measure.F1]),
                           DegenerateUserError)
         full = self._table([0.3, 0.2])
@@ -181,8 +181,8 @@ class TestRecommendBlock:
 
     def _table(self):
         rng = np.random.default_rng(41)
-        return ScoreTable({u: (rng.permutation(500)[:n], rng.normal(size=n))
-                           for u, n in self.WIDTHS.items()})
+        return ScoreTable.from_entries({u: (rng.permutation(500)[:n], rng.normal(size=n))
+                                        for u, n in self.WIDTHS.items()})
 
     def _params(self):
         return {u: PlattParams(1.0 + 0.1 * (u % 3), -1.0 + 0.2 * (u % 4))
@@ -229,7 +229,8 @@ class TestRecommendBlock:
         from persize import selection
 
         def table(widths):
-            return ScoreTable({u: (np.arange(n), np.zeros(n)) for u, n in widths.items()})
+            return ScoreTable.from_entries({u: (np.arange(n), np.zeros(n))
+                                            for u, n in widths.items()})
 
         many = {u: 10 for u in range(130)}
         assert [len(b) for b in user_blocks(many, table(many))] == [64, 64, 2]
@@ -247,8 +248,8 @@ class TestRecommendUsers:
         # 150 users from 1 to 700 candidates: several blocks at both caps
         rng = np.random.default_rng(17)
         widths = {u: int(rng.integers(1, 700)) for u in range(150)}
-        table = ScoreTable({u: (rng.permutation(1000)[:n], rng.normal(size=n))
-                            for u, n in widths.items()})
+        table = ScoreTable.from_entries({u: (rng.permutation(1000)[:n], rng.normal(size=n))
+                                         for u, n in widths.items()})
         params = {u: PlattParams(1.0 + 0.05 * (u % 5), -1.5 + 0.3 * (u % 4))
                   for u in widths if u % 11}
         params[22] = None  # a user without parameters is not served
@@ -300,7 +301,7 @@ class TestRecommendUsers:
     def test_bad_arguments_raise_without_users(self):
         for kwargs, message in (({"K": 0}, "K must"), ({"M": 0}, "M must")):
             with pytest.raises(ValueError, match=message):
-                recommend_users(ScoreTable({}), {}, [Measure.F1], **kwargs)
+                recommend_users(ScoreTable.from_entries({}), {}, [Measure.F1], **kwargs)
 
 
 def _block_argmax(measure, ranked_items, positives) -> int:
@@ -314,14 +315,14 @@ class TestBaselines:
     def _ranked(self):
         rng = np.random.default_rng(3)
         items = np.arange(40)
-        return rank(5, ScoreTable({5: (items, rng.normal(size=40))}))[0]
+        return rank(5, ScoreTable.from_entries({5: (items, rng.normal(size=40))}))[0]
 
     def test_fixed_prefix_semantics(self, tiny_split):
         # a fixed size is min(k, |top-K|) of the evaluated ranking, and its
         # value is the realized utility of exactly that prefix
         rng = np.random.default_rng(3)
-        table = ScoreTable({int(u): (np.arange(8), rng.normal(size=8))
-                            for u in tiny_split.users})
+        table = ScoreTable.from_entries({int(u): (np.arange(8), rng.normal(size=8))
+                                         for u in tiny_split.users})
         report = evaluate(tiny_split, table, measures=[Measure.TP],
                           methods=["top-1", "top-3", "top-100"], K=100)
         assert report.per_user
@@ -341,7 +342,8 @@ class TestBaselines:
             raise AssertionError("a user was ranked")
 
         monkeypatch.setattr(selection, "rank", no_user)
-        table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
+        table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
+                                         for u in tiny_split.users})
         perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
         for methods in (["top-1", method], [METHOD_PERK, "top-1", method]):
             with pytest.raises(ValueError, match=repr(method)):
@@ -365,7 +367,8 @@ class TestBaselines:
             raise AssertionError("a user was ranked")
 
         monkeypatch.setattr(selection, "rank", no_user)
-        table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
+        table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
+                                         for u in tiny_split.users})
         perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
         with pytest.raises(ValueError, match=message):
             evaluate(tiny_split, table, perk, measures=measures, methods=methods, K=5)
@@ -557,8 +560,8 @@ class TestEvaluate:
         gutted = SplitDataset(
             train=tiny_split.train, val=tiny_split.val, test=empty, seed=0
         )
-        table = ScoreTable({int(u): (np.arange(3), np.arange(3, dtype=float))
-                            for u in tiny_split.users})
+        table = ScoreTable.from_entries({int(u): (np.arange(3), np.arange(3, dtype=float))
+                                         for u in tiny_split.users})
         perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
         with pytest.raises(ValueError, match="no evaluable"):
             evaluate(gutted, table, perk, K=3)
@@ -573,7 +576,7 @@ class TestEvaluate:
         entries = {u: (np.arange(8), rng.normal(size=8)) for u in (0, 2, 4, 5)}
         val_3 = split.val.items_of(3)
         entries[3] = (val_3, np.zeros(len(val_3)))  # only validation positives
-        table = ScoreTable(entries)
+        table = ScoreTable.from_entries(entries)
         perk = {u: {m: (1, 0.5) for m in Measure} for u in (0, 1, 3, 5)}
         report = evaluate(split, table, perk, K=5)
         assert report.skipped == {"no_test_positives": 1, "no_candidates": 2,
@@ -587,18 +590,30 @@ class TestEvaluate:
         assert report.perk_expected == {}
 
     def test_perk_needs_its_sizes(self, tiny_split):
-        table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
+        table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
+                                         for u in tiny_split.users})
         with pytest.raises(ValueError, match="evaluating perk needs its sizes"):
             evaluate(tiny_split, table, K=5)
 
     def test_perk_size_past_the_ranking_names_the_user(self, tiny_split):
-        table = ScoreTable({int(u): (np.arange(8), np.zeros(8)) for u in tiny_split.users})
+        table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
+                                         for u in tiny_split.users})
         perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
         user = int(tiny_split.users[2])
         n = len(rank(user, table, tiny_split.val.items_of(user))[0])
         perk[user][Measure.TP] = (n + 1, 0.5)
         with pytest.raises(ValueError, match=f"user {user}: a PerK size exceeds its {n} "):
             evaluate(tiny_split, table, perk, K=8)
+
+    def test_looks_up_each_users_test_and_validation_items_once(self, tiny_split, monkeypatch):
+        calls = []
+        items_of = InteractionSet.items_of
+        monkeypatch.setattr(InteractionSet, "items_of",
+                            lambda iset, user: calls.append(user) or items_of(iset, user))
+        table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
+                                         for u in tiny_split.users})
+        evaluate(tiny_split, table, methods=["top-1", "val_k", "oracle"], K=5)
+        assert sorted(calls) == sorted(2 * tiny_split.users.tolist())
 
     def test_perk_expected_is_the_mean_promise_over_evaluated_users(self, bundled_eval):
         split, table, params, report = bundled_eval
@@ -655,7 +670,7 @@ def _sparse_id_split(seed: int):
         return InteractionSet.from_pairs(pairs, users=users, items=items)
 
     split = SplitDataset(train=part([]), val=part(val), test=part(test), seed=seed)
-    return split, ScoreTable(entries)
+    return split, ScoreTable.from_entries(entries)
 
 
 def _reference_report(split, table, methods, K, seed) -> EvaluationReport:
