@@ -7,6 +7,12 @@ The two-parameter problem is convex and solved by damped Newton iteration.
 A single global fit over all users' pooled entries serves both as an
 ablation and as the fallback when a user's own fit does not converge.
 
+One engine fits every map: ``_newton_segments`` runs the Newton iteration
+of every segment of a CSR batch (``CalibrationBatch``, one segment per
+user) in lockstep, with the per-segment sums taken by ``np.add.reduceat``.
+``fit_global`` is its one-segment call and ``fit_user`` a batch of one;
+each segment's result depends on its own entries only, bit for bit.
+
 Calibration has no settings. Each fit sees all of a user's candidates,
 the ones ``recommend`` applies it to, so at a converged or degenerate fit
 the calibrated probabilities sum to the user's validation positives. The
@@ -34,6 +40,10 @@ _MAX_ITERS = 100
 _TOLERANCE = 1e-8
 _DIVERGENCE_BOUND = 50.0
 
+# The engine's statuses, indexed by the codes it returns.
+_STATUSES = (FIT_CONVERGED, FIT_DEGENERATE, "all_same", "singular", "diverged",
+             "not_converged")
+
 
 @dataclass(frozen=True)
 class PlattParams:
@@ -58,89 +68,228 @@ class CalibrationSet:
             raise ValueError("scores and labels must have equal length")
 
 
+@dataclass(frozen=True)
+class CalibrationBatch:
+    """Every user's calibration set as CSR arrays: user ``users[j]`` owns
+    entries ``indptr[j]:indptr[j + 1]`` of ``scores`` and ``labels``."""
+
+    users: np.ndarray
+    indptr: np.ndarray
+    scores: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        if not (len(self.indptr) == len(self.users) + 1 and self.indptr[0] == 0
+                and self.indptr[-1] == len(self.scores) == len(self.labels)):
+            raise ValueError("users, indptr, scores and labels do not form a CSR batch")
+
+    @classmethod
+    def from_sets(cls, calsets) -> CalibrationBatch:
+        """The batch of a sequence of calibration sets, in their order."""
+        calsets = list(calsets)
+        return cls(np.array([c.user for c in calsets], dtype=object),
+                   np.cumsum([0] + [len(c.scores) for c in calsets]),
+                   np.concatenate([np.empty(0)] + [c.scores for c in calsets]),
+                   np.concatenate([np.empty(0)] + [c.labels for c in calsets]))
+
+
+def _as_batch(calsets) -> CalibrationBatch:
+    return calsets if isinstance(calsets, CalibrationBatch) else CalibrationBatch.from_sets(calsets)
+
+
+def _val_labels(val, owners, items) -> np.ndarray:
+    """1.0 where (owner, item) is a pair of the interaction set ``val``,
+    else 0.0, by one membership test over packed keys. A key packs a pair's
+    offsets inside the box of ``val``'s pairs; seen unsigned, an offset
+    below the box lies past it too. A box of more pairs than int64 can
+    number is refused."""
+    if not len(val.pairs):
+        return np.zeros(len(items))
+    lo = val.pairs.min(axis=0).tolist()
+    span = (val.pairs.max(axis=0) - lo).tolist()
+    if (span[0] + 1) * (span[1] + 1) > np.iinfo(np.int64).max:
+        raise ValueError("validation ids span too many (user, item) pairs to pack into int64")
+    du, di = owners - lo[0], items - lo[1]
+    inside = (du.view(np.uint64) <= span[0]) & (di.view(np.uint64) <= span[1])
+    du *= span[1] + 1  # keys off the box may wrap; they are masked out
+    du += di
+    val_keys = (val.pairs[:, 0] - lo[0]) * (span[1] + 1) + (val.pairs[:, 1] - lo[1])
+    return (np.isin(du, val_keys) & inside).astype(np.float64)
+
+
 def build_calibration_set(user: int, split, scores) -> CalibrationSet:
     """Label the user's scored candidates: 1 for val positives, else 0."""
     items, s = scores.get(user)
-    labels = np.isin(items, split.val.items_of(user)).astype(np.float64)
+    labels = _val_labels(split.val, np.full(len(items), int(user)), items)
     return CalibrationSet(user=user, scores=np.asarray(s, dtype=np.float64), labels=labels)
 
 
-def _sigmoid(z):
-    return np.exp(-np.logaddexp(0.0, -z))
+def build_calibration_batch(split, scores) -> CalibrationBatch:
+    """Every user with scored candidates, labelled as ``build_calibration_set``
+    labels one: a batch over the score table's own arrays, with one
+    membership test for all entries."""
+    counts = np.diff(scores.indptr)
+    owners = np.repeat(scores.ids, counts)
+    return CalibrationBatch(scores.ids[counts > 0], np.append(0, np.cumsum(counts[counts > 0])),
+                            scores.scores, _val_labels(split.val, owners, scores.items))
 
 
-def _bce(a: float, b: float, s: np.ndarray, y: np.ndarray) -> float:
-    z = a * s + b
-    # sum(log(1 + e^z) - y*z), stable for large |z|
-    return float(np.sum(np.logaddexp(0.0, z) - y * z))
+def _newton_segments(s, y, indptr):
+    """Damped Newton on each segment's two-parameter BCE, every segment at
+    once. Returns (a, b, status codes into ``_STATUSES``) per segment.
 
-
-def _newton_platt(s: np.ndarray, y: np.ndarray):
-    """Damped Newton on the two-parameter BCE. Returns (a, b, status).
-
-    The iteration runs on internally standardized scores, which leaves the
-    optimum unchanged but keeps the Hessian well conditioned and makes the
-    divergence bound scale-free: it then measures how many score standard
-    deviations the fitted sigmoid needs to transition, which is what
-    actually signals (quasi-)separable data. Convergence is still declared
-    on the raw-space gradient, and raw-space (a, b) are returned.
+    Per segment: one label class is ``all_same`` (a = b = 0); constant
+    scores are ``degenerate``, with the slope pinned at 0 and the
+    closed-form intercept-only optimum. Otherwise the iteration runs on the
+    segment's standardized scores, which leaves the optimum unchanged but
+    keeps the Hessian well conditioned and makes the divergence bound
+    scale-free: it then measures how many score standard deviations the
+    fitted sigmoid needs to transition, which is what signals
+    (quasi-)separable data. Convergence is declared on the raw-space
+    gradient, and raw-space (a, b) are returned. A step is damped by up to
+    50 halvings until the loss does not rise, except in the quadratic
+    regime, where the improvement is below rounding at the loss's
+    magnitude. The iteration ends ``singular``, ``diverged`` or
+    ``not_converged`` when the Hessian is not positive definite, |a| or
+    |b| passes the bound, or ``_MAX_ITERS`` steps pass. Finished segments
+    leave the working arrays after each step.
     """
-    pos_rate = float(np.mean(y))
-    if pos_rate <= 0.0 or pos_rate >= 1.0:
-        return 0.0, 0.0, "all_same"
-    if np.ptp(s) == 0.0:
-        # Slope is unidentifiable when every score coincides; pin it and use
-        # the closed-form intercept-only optimum.
-        return 0.0, float(np.log(pos_rate / (1.0 - pos_rate))), FIT_DEGENERATE
+    s = np.asarray(s, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    counts = np.diff(np.asarray(indptr, dtype=np.int64))
+    if np.any(counts <= 0):
+        raise ValueError("empty calibration set")
+    a_out, b_out = np.zeros(len(counts)), np.zeros(len(counts))
+    status = np.zeros(len(counts), dtype=np.int8)
+    pos_rate = _sums(y, counts) / counts
+    starts = np.cumsum(counts) - counts
+    flat = np.maximum.reduceat(s, starts) == np.minimum.reduceat(s, starts)
+    same = (pos_rate <= 0.0) | (pos_rate >= 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logit = np.log(pos_rate / (1.0 - pos_rate))
+    degenerate = ~same & flat
+    status[same] = _STATUSES.index("all_same")
+    status[degenerate] = _STATUSES.index(FIT_DEGENERATE)
+    b_out[degenerate] = logit[degenerate]
+    live = ~same & ~flat
+    if not live.any():
+        return a_out, b_out, status
+    if not live.all():
+        rows = np.repeat(live, counts)
+        s, y = s[rows], y[rows]
+    seg, counts = np.flatnonzero(live), counts[live]
+    mu = _sums(s, counts) / counts
+    t = s - np.repeat(mu, counts)
+    sigma = np.sqrt(_sums(t * t, counts) / counts)
+    t /= np.repeat(sigma, counts)
+    # every segment shares four full-length buffers, kept apart: one freed
+    # block of four times the entries would raise malloc's mmap threshold,
+    # and later stages would keep more memory resident (so did cache-sized
+    # blocks of segments, which were no faster)
+    work = [np.empty(len(s)) for _ in range(4)]
+    z, e, sp, q = work
 
-    mu = float(s.mean())
-    sigma = float(s.std())
-    t = (s - mu) / sigma
+    def finish(done, code):
+        a_out[seg[done]] = a[done] / sigma[done]
+        b_out[seg[done]] = b[done] - a[done] * mu[done] / sigma[done]
+        status[seg[done]] = code
 
-    a = 0.0
-    b = float(np.log(pos_rate / (1.0 - pos_rate)))
-    loss = _bce(a, b, t, y)
+    a, b = np.zeros(len(seg)), logit[seg]
+    loss = _loss(a, b, t, y, counts, z, e, sp, q)
+    diverged = np.zeros(len(seg), dtype=bool)
     for _ in range(_MAX_ITERS):
-        z = a * t + b
-        p = _sigmoid(z)
-        resid = p - y
-        ga = float(resid @ t)
-        gb = float(resid.sum())
-        # raw-space gradient: d/da_raw = resid @ s, d/db_raw = resid.sum()
-        ga_raw = float(resid @ s)
-        if max(abs(ga_raw), abs(gb)) < _TOLERANCE:
-            return a / sigma, b - a * mu / sigma, FIT_CONVERGED
-        w = p * (1.0 - p)
-        haa = float(w @ (t * t))
-        hab = float(w @ t)
-        hbb = float(w.sum())
+        # p = sigmoid(z) = (1 if z >= 0 else e) / (1 + e), from the last loss
+        np.add(e, 1.0, out=sp)
+        np.divide(e, sp, out=q)
+        np.divide(1.0, sp, out=q, where=z >= 0.0)
+        np.subtract(1.0, q, out=sp)
+        sp *= q  # w = p (1 - p)
+        hbb = _sums(sp, counts)
+        hab = _sums(np.multiply(sp, t, out=z), counts)
+        haa = _sums(np.multiply(np.multiply(t, t, out=e), sp, out=e), counts)
+        q -= y  # residual p - y
+        gb = _sums(q, counts)
+        ga = _sums(np.multiply(q, t, out=z), counts)
+        ga_raw = _sums(np.multiply(q, s, out=e), counts)
         det = haa * hbb - hab * hab
-        if det <= 0 or not np.isfinite(det):
-            return a / sigma, b - a * mu / sigma, "singular"
-        da = (hbb * ga - hab * gb) / det
-        db = (haa * gb - hab * ga) / det
-        decrement = ga * da + gb * db  # g' H^-1 g >= 0 on a convex objective
-        if decrement <= 1e-9 * (abs(loss) + 1.0):
-            # Quadratic-convergence regime: the true improvement is below
-            # rounding at the loss's magnitude, so skip the line search.
-            a, b = a - da, b - db
-            loss = _bce(a, b, t, y)
-        else:
-            step = 1.0
-            for _ in range(50):
-                na, nb = a - step * da, b - step * db
-                nloss = _bce(na, nb, t, y)
-                if nloss <= loss:
-                    break
-                step *= 0.5
-            a, b, loss = na, nb, nloss
-        if abs(a) > _DIVERGENCE_BOUND or abs(b) > _DIVERGENCE_BOUND:
-            return a / sigma, b - a * mu / sigma, "diverged"
-    return a / sigma, b - a * mu / sigma, "not_converged"
+        converged = ~diverged & (np.maximum(np.abs(ga_raw), np.abs(gb)) < _TOLERANCE)
+        singular = ~diverged & ~converged & ~((det > 0) & np.isfinite(det))
+        finish(converged, _STATUSES.index(FIT_CONVERGED))
+        finish(singular, _STATUSES.index("singular"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            da = (hbb * ga - hab * gb) / det
+            db = (haa * gb - hab * ga) / det
+        keep = ~(diverged | converged | singular)
+        if not keep.any():
+            return a_out, b_out, status
+        if not keep.all():
+            rows = np.repeat(keep, counts)
+            s, y, t = s[rows], y[rows], t[rows]
+            z, e, sp, q = (x[:len(s)] for x in work)
+            seg, counts, mu, sigma, a, b, loss, ga, gb, da, db = (
+                x[keep] for x in (seg, counts, mu, sigma, a, b, loss, ga, gb, da, db))
+        # the quadratic regime skips the line search: its true improvement is
+        # below rounding at the loss's magnitude
+        accept = ga * da + gb * db <= 1e-9 * (np.abs(loss) + 1.0)
+        step = np.ones(len(seg))
+        na, nb = a - da, b - db
+        nloss = _loss(na, nb, t, y, counts, z, e, sp, q)
+        accept |= nloss <= loss
+        for _ in range(49):
+            if accept.all():
+                break
+            todo = ~accept
+            step[todo] *= 0.5
+            na[todo] = a[todo] - step[todo] * da[todo]
+            nb[todo] = b[todo] - step[todo] * db[todo]
+            rows = np.repeat(todo, counts)  # only the pending segments' entries
+            sub = [np.empty(int(rows.sum())) for _ in range(4)]
+            nloss[todo] = _loss(na[todo], nb[todo], t[rows], y[rows], counts[todo], *sub)
+            z[rows], e[rows] = sub[0], sub[1]
+            accept[todo] = nloss[todo] <= loss[todo]
+        a, b, loss = na, nb, nloss
+        # a diverged segment leaves with the next step's finished ones
+        diverged = (np.abs(a) > _DIVERGENCE_BOUND) | (np.abs(b) > _DIVERGENCE_BOUND)
+        finish(diverged, _STATUSES.index("diverged"))
+    finish(~diverged, _STATUSES.index("not_converged"))
+    return a_out, b_out, status
+
+
+def _loss(a, b, t, y, counts, z, e, sp, tmp):
+    """Each segment's BCE sum(softplus(z) - y*z) at z = a*t + b, from one
+    exponential per entry; leaves z and e = exp(-|z|) in their buffers."""
+    np.multiply(np.repeat(a, counts), t, out=z)
+    z += np.repeat(b, counts)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=sp)  # softplus(z) = max(z, 0) + log1p(exp(-|z|))
+    sp += np.maximum(z, 0.0, out=tmp)
+    sp -= np.multiply(y, z, out=tmp)
+    return _sums(sp, counts)
+
+
+def _sums(x, counts):
+    """Each segment's sum of ``x``; every count is positive."""
+    return np.add.reduceat(x, np.cumsum(counts) - counts)
+
+
+def _fits(users, a, b, status, fallback: PlattParams | None) -> dict:
+    """Each user's PlattParams from the engine's output. A fit that neither
+    converged nor is degenerate carries ``fallback`` (NaN if None) with
+    status ``fallback_global``."""
+    fits = {}
+    for user, ua, ub, code in zip(users.tolist(), a.tolist(), b.tolist(), status.tolist()):
+        fit_status = _STATUSES[code]
+        if fit_status not in (FIT_CONVERGED, FIT_DEGENERATE):
+            fit_status = FIT_FALLBACK
+            ua, ub = (fallback.a, fallback.b) if fallback is not None else (np.nan, np.nan)
+        fits[user] = PlattParams(a=ua, b=ub, scope=user, fit_status=fit_status)
+    return fits
 
 
 def fit_user(calset: CalibrationSet, fallback: PlattParams | None = None) -> PlattParams:
-    """Fit one user's calibration map.
+    """Fit one user's calibration map: the engine on a batch of one.
 
     Separable or single-class calibration sets cannot support a stable fit;
     those come back with status ``fallback_global`` carrying the supplied
@@ -148,46 +297,53 @@ def fit_user(calset: CalibrationSet, fallback: PlattParams | None = None) -> Pla
     """
     if len(calset.scores) == 0:
         raise ValueError("empty calibration set")
-    a, b, status = _newton_platt(calset.scores, calset.labels)
-    if status in (FIT_CONVERGED, FIT_DEGENERATE):
-        return PlattParams(a=a, b=b, scope=calset.user, fit_status=status)
-    if fallback is not None:
-        return PlattParams(a=fallback.a, b=fallback.b, scope=calset.user, fit_status=FIT_FALLBACK)
-    return PlattParams(a=float("nan"), b=float("nan"), scope=calset.user, fit_status=FIT_FALLBACK)
+    fit = _newton_segments(calset.scores, calset.labels, [0, len(calset.scores)])
+    return _fits(np.array([calset.user], dtype=object), *fit, fallback)[calset.user]
 
 
 def fit_global(calsets) -> PlattParams:
-    """Fit one calibration map over every user's pooled entries."""
-    calsets = list(calsets)
-    if not calsets:
+    """Fit one calibration map over every user's pooled entries: the engine
+    on one segment. ``calsets`` is a CalibrationBatch or a sequence of
+    CalibrationSets."""
+    batch = _as_batch(calsets)
+    if not len(batch.users):
         raise ValueError("no calibration sets to pool")
-    s = np.concatenate([c.scores for c in calsets])
-    y = np.concatenate([c.labels for c in calsets])
-    if len(s) == 0:
+    if len(batch.scores) == 0:
         raise ValueError("pooled calibration set is empty")
-    a, b, status = _newton_platt(s, y)
-    if status not in (FIT_CONVERGED, FIT_DEGENERATE):
-        raise ValueError(f"global calibration fit failed: {status}")
-    return PlattParams(a=a, b=b, scope=GLOBAL_SCOPE, fit_status=status)
+    a, b, status = _newton_segments(batch.scores, batch.labels, [0, len(batch.scores)])
+    fit_status = _STATUSES[status[0]]
+    if fit_status not in (FIT_CONVERGED, FIT_DEGENERATE):
+        raise ValueError(f"global calibration fit failed: {fit_status}")
+    return PlattParams(a=float(a[0]), b=float(b[0]), scope=GLOBAL_SCOPE, fit_status=fit_status)
 
 
 def fit_all_users(calsets):
-    """Fit every user with the global fit as fallback.
+    """Fit every user with the global fit as fallback: two engine calls, one
+    over the pooled entries and one over every user's segment.
+    ``calsets`` is a CalibrationBatch or a sequence of CalibrationSets.
 
     Returns (per-user dict, global params).
     """
-    calsets = list(calsets)
-    global_params = fit_global(calsets)
-    per_user = {c.user: fit_user(c, fallback=global_params) for c in calsets}
-    return per_user, global_params
+    batch = _as_batch(calsets)
+    global_params = fit_global(batch)
+    fit = _newton_segments(batch.scores, batch.labels, batch.indptr)
+    return _fits(batch.users, *fit, global_params), global_params
+
+
+def _check_finite(params: PlattParams) -> None:
+    if not (np.isfinite(params.a) and np.isfinite(params.b)):
+        raise ValueError(f"non-finite calibration parameters for scope {params.scope!r}")
+
+
+def _calibrated(a, b, s):
+    """sigmoid(a*s + b) with the argument clamped to +-_Z_CLIP."""
+    return 1.0 / (1.0 + np.exp(-np.clip(a * s + b, -_Z_CLIP, _Z_CLIP)))
 
 
 def apply(params: PlattParams, s):
     """Calibrated probability sigmoid(a*s + b), strictly inside (0, 1)."""
-    if not (np.isfinite(params.a) and np.isfinite(params.b)):
-        raise ValueError(f"non-finite calibration parameters for scope {params.scope!r}")
-    z = np.clip(params.a * np.asarray(s, dtype=np.float64) + params.b, -_Z_CLIP, _Z_CLIP)
-    out = 1.0 / (1.0 + np.exp(-z))
+    _check_finite(params)
+    out = _calibrated(params.a, params.b, np.asarray(s, dtype=np.float64))
     if np.ndim(s) == 0:
         return float(out)
     return out
@@ -195,11 +351,19 @@ def apply(params: PlattParams, s):
 
 def pooled_ece_reports(calsets, per_user: dict, global_params: PlattParams) -> tuple:
     """ECE reports of the per-user fits and of the global fit, each over
-    every calibration entry pooled across users."""
-    labels = np.concatenate([cs.labels for cs in calsets])
-    by_user = np.concatenate([apply(per_user[cs.user], cs.scores) for cs in calsets])
-    by_global = np.concatenate([apply(global_params, cs.scores) for cs in calsets])
-    return ece_report(by_user, labels), ece_report(by_global, labels)
+    every calibration entry pooled across users. Each is one pass over the
+    entries with ``apply``'s arithmetic, a user's (a, b) repeated over its
+    entries. ``calsets`` is a CalibrationBatch or a sequence of
+    CalibrationSets."""
+    batch = _as_batch(calsets)
+    fits = [per_user[u] for u in batch.users.tolist()]
+    for params in fits + [global_params]:
+        _check_finite(params)
+    counts = np.diff(batch.indptr)
+    by_user = _calibrated(np.repeat([p.a for p in fits], counts),
+                          np.repeat([p.b for p in fits], counts), batch.scores)
+    by_global = _calibrated(global_params.a, global_params.b, batch.scores)
+    return ece_report(by_user, batch.labels), ece_report(by_global, batch.labels)
 
 
 def ece_report(predictions, labels, bins: int = 15) -> dict:

@@ -242,9 +242,8 @@ def cmd_calibrate(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin")
-    scored = table.ids[np.diff(table.indptr) > 0].tolist()
-    calsets = [cal.build_calibration_set(u, split_ds, table) for u in scored]
-    per_user, global_params = cal.fit_all_users(calsets)
+    batch = cal.build_calibration_batch(split_ds, table)
+    per_user, global_params = cal.fit_all_users(batch)
 
     lines = [_echo(cfg, "calibrate")]
     lines.append(f"{cal.GLOBAL_SCOPE}\t{global_params.a!r}\t{global_params.b!r}\t{global_params.fit_status}")
@@ -253,14 +252,14 @@ def cmd_calibrate(cfg: dict) -> int:
         lines.append(f"{u}\t{p.a!r}\t{p.b!r}\t{p.fit_status}")
     atomic_write(workdir / "platt.tsv", "\n".join(lines) + "\n")
 
-    report_user, report_global = cal.pooled_ece_reports(calsets, per_user, global_params)
+    report_user, report_global = cal.pooled_ece_reports(batch, per_user, global_params)
     atomic_write(workdir / "ece_user.json", json.dumps(report_user, sort_keys=True, indent=1) + "\n")
     atomic_write(workdir / "ece_global.json", json.dumps(report_global, sort_keys=True, indent=1) + "\n")
     statuses = [p.fit_status for p in per_user.values()]
     counts = ", ".join(f"{statuses.count(s)} {s}"
                        for s in (cal.FIT_CONVERGED, cal.FIT_DEGENERATE, cal.FIT_FALLBACK))
     print(f"calibrate: {len(per_user)} users ({counts}, "
-          f"{len(table) - len(scored)} skipped with no candidates), ECE (in-sample) "
+          f"{len(table) - len(batch.users)} skipped with no candidates), ECE (in-sample) "
           f"user-wise={report_user['ece']:.6f} global={report_global['ece']:.6f}")
     return 0
 

@@ -13,6 +13,7 @@ concatenates a dict of per-user entries once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,16 @@ class ScoreTable:
     the first bad user: a duplicate item, else a non-finite score."""
 
     def __init__(self, ids, indptr, items, scores):
+        self._wrap(ids, indptr, items, scores)
+        owner = np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
+        flagged = _first_flagged([
+            (owner[_repeats(self.items, owner)], lambda r: "duplicate item ids"),
+            (owner[~np.isfinite(self.scores)], lambda r: "non-finite score")])
+        if flagged:
+            raise ValueError(f"user {self.ids[flagged[0]]}: {flagged[1]}")
+
+    def _wrap(self, ids, indptr, items, scores) -> None:
+        """Hold the arrays read-only after checking that they form a CSR table."""
         self.ids, self.indptr, self.items, self.scores = arrays = [
             np.asarray(x, dtype=dtype).view() for x, dtype in
             ((ids, np.int64), (indptr, np.int64), (items, np.int64), (scores, np.float64))]
@@ -70,12 +81,15 @@ class ScoreTable:
                 or self.indptr[-1] != len(self.items) or np.any(np.diff(self.indptr) < 0)
                 or np.any(np.diff(self.ids) <= 0)):
             raise ValueError("ids, indptr, items and scores do not form a CSR table")
-        owner = np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
-        flagged = _first_flagged([
-            (owner[_repeats(self.items, owner)], lambda r: "duplicate item ids"),
-            (owner[~np.isfinite(self.scores)], lambda r: "non-finite score")])
-        if flagged:
-            raise ValueError(f"user {self.ids[flagged[0]]}: {flagged[1]}")
+
+    @classmethod
+    def _of_checked_entries(cls, ids, indptr, items, scores) -> ScoreTable:
+        """The table of entries whose items and scores were already checked
+        (``import_scores`` names the file line of a bad row): the layout
+        check only."""
+        table = cls.__new__(cls)
+        table._wrap(ids, indptr, items, scores)
+        return table
 
     @classmethod
     def from_entries(cls, entries: dict) -> ScoreTable:
@@ -83,7 +97,7 @@ class ScoreTable:
         A user's items and scores must be 1-D and of equal length, and its
         items integers that int64 holds exactly (an empty list of any dtype
         is fine); a ValueError names the first user that breaks this."""
-        rows = sorted(((int(u), np.asarray(i), np.asarray(s, dtype=np.float64))
+        rows = sorted(((operator.index(u), np.asarray(i), np.asarray(s, dtype=np.float64))
                        for u, (i, s) in entries.items()), key=lambda row: row[0])
         for user, items, scores in rows:
             why = ("items and scores are not 1-D" if items.ndim != 1 or scores.ndim != 1
@@ -273,7 +287,7 @@ def import_scores(path, n_users: int | None = None, n_items: int | None = None) 
     order = np.argsort(users, kind="stable")
     users, items, scores = users[order], items[order], scores[order]
     ids, starts = np.unique(users, return_index=True)
-    return ScoreTable(ids, np.append(starts, len(users)), items, scores)
+    return ScoreTable._of_checked_entries(ids, np.append(starts, len(users)), items, scores)
 
 
 def _bad_score_row(columns, n_users, n_items):

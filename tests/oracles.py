@@ -6,7 +6,8 @@ brute-force enumeration for count distributions and expected utilities,
 the plain convolution recurrence for count distributions too large to
 enumerate (and for a count with one variable removed), expected-utility
 curves from each rank's own leave-one-out count, plain gradient
-descent for the calibration fit, exhaustive search over size vectors
+descent for the calibration fit and the one-user Newton loop that the
+lockstep calibration engine replaced, exhaustive search over size vectors
 for the budget allocator, line-by-line scanners for the score and split
 text files (with a writer of adversarial files to feed them), the
 step-by-step SGD loop for the pairwise ranking trainer, and the per-user
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from persize.calibrate import _DIVERGENCE_BOUND, _MAX_ITERS, _TOLERANCE
 from persize.dataset import InteractionSet, SplitDataset
 from persize.multidomain import Allocation
 from persize.scorer import ScoreModel, ScoreTable
@@ -175,6 +177,73 @@ def gd_platt_fit(scores, labels, lr=2.0, iters=20000, grad_tol=1e-9):
         a -= lr * grad_a
         b -= lr * grad_b
     return a, b
+
+
+def scalar_newton_platt(s, y):
+    """One calibration set's damped Newton fit, one user at a time: the
+    scalar loop the lockstep engine replaced. Returns (a, b, status,
+    halvings), where ``halvings`` counts the line-search step halvings.
+
+    The iteration runs on standardized scores; convergence is declared on
+    the raw-space gradient, and raw-space (a, b) are returned. Statuses:
+    ``all_same`` (one label class), ``degenerate`` (constant scores: a = 0
+    and the intercept-only optimum), ``converged``, ``singular`` (Hessian
+    not positive definite), ``diverged`` (standardized |a| or |b| past the
+    bound) and ``not_converged`` (iteration limit).
+    """
+
+    def bce(a, b, t, y):
+        z = a * t + b
+        return float(np.sum(np.logaddexp(0.0, z) - y * z))
+
+    s = np.asarray(s, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    pos_rate = float(np.mean(y))
+    if pos_rate <= 0.0 or pos_rate >= 1.0:
+        return 0.0, 0.0, "all_same", 0
+    if np.ptp(s) == 0.0:
+        return 0.0, float(np.log(pos_rate / (1.0 - pos_rate))), "degenerate", 0
+
+    mu = float(s.mean())
+    sigma = float(s.std())
+    t = (s - mu) / sigma
+    a = 0.0
+    b = float(np.log(pos_rate / (1.0 - pos_rate)))
+    loss = bce(a, b, t, y)
+    halvings = 0
+    for _ in range(_MAX_ITERS):
+        p = np.exp(-np.logaddexp(0.0, -(a * t + b)))
+        resid = p - y
+        ga = float(resid @ t)
+        gb = float(resid.sum())
+        if max(abs(float(resid @ s)), abs(gb)) < _TOLERANCE:
+            return a / sigma, b - a * mu / sigma, "converged", halvings
+        w = p * (1.0 - p)
+        haa = float(w @ (t * t))
+        hab = float(w @ t)
+        hbb = float(w.sum())
+        det = haa * hbb - hab * hab
+        if det <= 0 or not np.isfinite(det):
+            return a / sigma, b - a * mu / sigma, "singular", halvings
+        da = (hbb * ga - hab * gb) / det
+        db = (haa * gb - hab * ga) / det
+        if ga * da + gb * db <= 1e-9 * (abs(loss) + 1.0):
+            # quadratic regime: take the full step without a line search
+            a, b = a - da, b - db
+            loss = bce(a, b, t, y)
+        else:
+            step = 1.0
+            for _ in range(50):
+                na, nb = a - step * da, b - step * db
+                nloss = bce(na, nb, t, y)
+                if nloss <= loss:
+                    break
+                step *= 0.5
+                halvings += 1
+            a, b, loss = na, nb, nloss
+        if abs(a) > _DIVERGENCE_BOUND or abs(b) > _DIVERGENCE_BOUND:
+            return a / sigma, b - a * mu / sigma, "diverged", halvings
+    return a / sigma, b - a * mu / sigma, "not_converged", halvings
 
 
 def brute_force_allocate(curves, N: int, K: int, allow_zero: bool = True,

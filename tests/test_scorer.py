@@ -652,6 +652,34 @@ class TestScoreTableChecks:
         with pytest.raises(ValueError, match="do not form a CSR table"):
             ScoreTable(ids, indptr, items, scores)
 
+    @pytest.mark.parametrize("key, accepted", [
+        (1.5, False), (np.float64(2.0), False), (3, True), (np.int64(3), True)])
+    def test_user_keys_must_be_integers(self, key, accepted):
+        # a float key was truncated: {1.5: ..., 2.9: ...} gave users [1, 2]
+        entries = {key: ([1], [0.1]), 7: ([3], [0.2])}
+        if not accepted:
+            with pytest.raises(TypeError):
+                ScoreTable.from_entries(entries)
+            return
+        table = ScoreTable.from_entries(entries)
+        assert table.users() == [3, 7] and table.get(3)[0].tolist() == [1]
+
+    def test_import_sorts_for_duplicates_once(self, tmp_path, monkeypatch):
+        # the file's rows are checked with line numbers; the table built from
+        # them checks its layout only
+        path = tmp_path / "s.tsv"
+        path.write_text("1\t2\t0.5\n0\t1\t0.25\n1\t0\t-1.0\n")
+        calls = []
+
+        def counted(*keys):
+            calls.append(len(keys[0]))
+            return util._repeats(*keys)
+
+        monkeypatch.setattr(scorer_module, "_repeats", counted)
+        table = import_scores(path)
+        assert calls == [3]
+        assert table.users() == [0, 1] and table.items.tolist() == [1, 2, 0]
+
     def test_lookup_of_a_user_without_scores(self):
         table = ScoreTable.from_entries({2: ([1], [0.1]), 5: ([], [])})
         assert 5 in table and np.int64(2) in table
