@@ -4,7 +4,9 @@ Raw scores are unbounded and scaled differently for every user, so one
 global sigmoid cannot be right for everyone. Here two synthetic users
 share the same label mechanism but one's scores are shifted: the per-user
 fits recover both, the pooled global fit splits the difference, and the
-expected calibration error shows it.
+expected calibration error shows it. Calibration takes every user's
+entries as one CSR batch: user ``users[j]`` owns entries
+``indptr[j]:indptr[j + 1]`` of the concatenated scores and labels.
 """
 
 import numpy as np
@@ -12,15 +14,18 @@ import numpy as np
 from persize import calibrate
 
 rng = np.random.default_rng(0)
-fit_sets, holdout = [], []
+fit_s, fit_y, holdout = [], [], []
 for user, shift in ((0, 0.0), (1, 6.0)):
     s = rng.uniform(-4, 4, 6000)
     y = (rng.random(6000) < 1 / (1 + np.exp(-(1.5 * s - 1.0)))).astype(float)
     s = s + shift
-    fit_sets.append(calibrate.CalibrationSet(user, s[:3000], y[:3000]))
+    fit_s.append(s[:3000])
+    fit_y.append(y[:3000])
     holdout.append((user, s[3000:], y[3000:]))
 
-per_user, global_params = calibrate.fit_all_users(fit_sets)
+batch = calibrate.CalibrationBatch(np.array([0, 1]), np.array([0, 3000, 6000]),
+                                   np.concatenate(fit_s), np.concatenate(fit_y))
+per_user, global_params = calibrate.fit_all_users(batch)
 for user, params in per_user.items():
     print(f"user {user}: a={params.a:+.3f} b={params.b:+.3f} ({params.fit_status})")
 print(f"global: a={global_params.a:+.3f} b={global_params.b:+.3f}")

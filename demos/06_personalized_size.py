@@ -35,8 +35,8 @@ model = scorer.train_bpr(
 cands = {u: dataset.candidate_items(u, split) for u in sorted(split.users.tolist())}
 table = scorer.build_score_table(model, cands)
 
-calsets = [calibrate.build_calibration_set(u, split, table) for u in table.users()]
-params, _ = calibrate.fit_all_users(calsets)
+batch = calibrate.build_calibration_batch(split, table)  # every scored user, as CSR arrays
+params, _ = calibrate.fit_all_users(batch)
 
 users = selection.served_users(table, params)  # scored, with Platt parameters
 exclude = {u: split.val.items_of(u) for u in users}

@@ -8,14 +8,11 @@ baselines, an evaluation harness, and a cross-domain budget allocator.
 
 from .calibrate import (
     CalibrationBatch,
-    CalibrationSet,
     PlattParams,
     build_calibration_batch,
-    build_calibration_set,
     ece_report,
     fit_all_users,
     fit_global,
-    fit_user,
 )
 from .dataset import (
     InteractionSet,

@@ -7,11 +7,12 @@ The two-parameter problem is convex and solved by damped Newton iteration.
 A single global fit over all users' pooled entries serves both as an
 ablation and as the fallback when a user's own fit does not converge.
 
-One engine fits every map: ``_newton_segments`` runs the Newton iteration
-of every segment of a CSR batch (``CalibrationBatch``, one segment per
-user) in lockstep, with the per-segment sums taken by ``np.add.reduceat``.
-``fit_global`` is its one-segment call and ``fit_user`` a batch of one;
-each segment's result depends on its own entries only, bit for bit.
+Calibration takes one input, a ``CalibrationBatch``: every user's entries
+as CSR arrays, one segment per user (one user is a batch of one). One
+engine fits every map: ``_newton_segments`` runs the Newton iteration of
+every segment in lockstep, with the per-segment sums taken by
+``np.add.reduceat``. ``fit_global`` is its one-segment call over the pooled
+entries; each segment's result depends on its own entries only, bit for bit.
 
 Calibration has no settings. Each fit sees all of a user's candidates,
 the ones ``recommend`` applies it to, so at a converged or degenerate fit
@@ -56,22 +57,11 @@ class PlattParams:
 
 
 @dataclass(frozen=True)
-class CalibrationSet:
-    """Per-user (score, label) pairs: val positives 1, other candidates 0."""
-
-    user: int
-    scores: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        if len(self.scores) != len(self.labels):
-            raise ValueError("scores and labels must have equal length")
-
-
-@dataclass(frozen=True)
 class CalibrationBatch:
-    """Every user's calibration set as CSR arrays: user ``users[j]`` owns
-    entries ``indptr[j]:indptr[j + 1]`` of ``scores`` and ``labels``."""
+    """Every user's (score, label) entries as CSR arrays: user ``users[j]``
+    owns entries ``indptr[j]:indptr[j + 1]`` of ``scores`` and ``labels``.
+    Validation positives are labelled 1 and other candidates 0; soft labels
+    in [0, 1] are allowed. A ValueError says what breaks this layout."""
 
     users: np.ndarray
     indptr: np.ndarray
@@ -79,22 +69,21 @@ class CalibrationBatch:
     labels: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.indptr) == len(self.users) + 1 and self.indptr[0] == 0
-                and self.indptr[-1] == len(self.scores) == len(self.labels)):
-            raise ValueError("users, indptr, scores and labels do not form a CSR batch")
-
-    @classmethod
-    def from_sets(cls, calsets) -> CalibrationBatch:
-        """The batch of a sequence of calibration sets, in their order."""
-        calsets = list(calsets)
-        return cls(np.array([c.user for c in calsets], dtype=object),
-                   np.cumsum([0] + [len(c.scores) for c in calsets]),
-                   np.concatenate([np.empty(0)] + [c.scores for c in calsets]),
-                   np.concatenate([np.empty(0)] + [c.labels for c in calsets]))
-
-
-def _as_batch(calsets) -> CalibrationBatch:
-    return calsets if isinstance(calsets, CalibrationBatch) else CalibrationBatch.from_sets(calsets)
+        object.__setattr__(self, "users", np.asarray(self.users))
+        users, indptr, s, y = self.users, self.indptr, self.scores, self.labels
+        why = ("users are not a 1-D integer array"
+               if users.ndim != 1 or users.dtype.kind not in "iu"
+               else "users, indptr, scores and labels do not form a CSR batch" if not (
+                   len(indptr) == len(users) + 1 and indptr[0] == 0
+                   and indptr[-1] == len(s) == len(y))
+               else "indptr decreases" if np.any(np.diff(indptr) < 0)
+               else "users repeat" if len(np.unique(users)) < len(users)
+               # min and max carry a NaN, so no entry-wide mask is allocated
+               else "a score is not finite" if len(s) and not np.isfinite([np.min(s), np.max(s)]).all()
+               else "a label is outside [0, 1]" if len(y) and not 0 <= np.min(y) <= np.max(y) <= 1
+               else None)
+        if why:
+            raise ValueError(why)
 
 
 def _val_labels(val, owners, items) -> np.ndarray:
@@ -117,17 +106,10 @@ def _val_labels(val, owners, items) -> np.ndarray:
     return (np.isin(du, val_keys) & inside).astype(np.float64)
 
 
-def build_calibration_set(user: int, split, scores) -> CalibrationSet:
-    """Label the user's scored candidates: 1 for val positives, else 0."""
-    items, s = scores.get(user)
-    labels = _val_labels(split.val, np.full(len(items), int(user)), items)
-    return CalibrationSet(user=user, scores=np.asarray(s, dtype=np.float64), labels=labels)
-
-
 def build_calibration_batch(split, scores) -> CalibrationBatch:
-    """Every user with scored candidates, labelled as ``build_calibration_set``
-    labels one: a batch over the score table's own arrays, with one
-    membership test for all entries."""
+    """Every user with scored candidates, each entry labelled 1 if it is a
+    validation positive, else 0: a batch over the score table's own arrays,
+    with one membership test for all entries."""
     counts = np.diff(scores.indptr)
     owners = np.repeat(scores.ids, counts)
     return CalibrationBatch(scores.ids[counts > 0], np.append(0, np.cumsum(counts[counts > 0])),
@@ -274,42 +256,25 @@ def _sums(x, counts):
     return np.add.reduceat(x, np.cumsum(counts) - counts)
 
 
-def _fits(users, a, b, status, fallback: PlattParams | None) -> dict:
+def _fits(users, a, b, status, fallback: PlattParams) -> dict:
     """Each user's PlattParams from the engine's output. A fit that neither
-    converged nor is degenerate carries ``fallback`` (NaN if None) with
-    status ``fallback_global``."""
+    converged nor is degenerate carries ``fallback``'s (a, b) with status
+    ``fallback_global``."""
     fits = {}
     for user, ua, ub, code in zip(users.tolist(), a.tolist(), b.tolist(), status.tolist()):
         fit_status = _STATUSES[code]
         if fit_status not in (FIT_CONVERGED, FIT_DEGENERATE):
             fit_status = FIT_FALLBACK
-            ua, ub = (fallback.a, fallback.b) if fallback is not None else (np.nan, np.nan)
+            ua, ub = fallback.a, fallback.b
         fits[user] = PlattParams(a=ua, b=ub, scope=user, fit_status=fit_status)
     return fits
 
 
-def fit_user(calset: CalibrationSet, fallback: PlattParams | None = None) -> PlattParams:
-    """Fit one user's calibration map: the engine on a batch of one.
-
-    Separable or single-class calibration sets cannot support a stable fit;
-    those come back with status ``fallback_global`` carrying the supplied
-    global parameters (NaN if none were given).
-    """
-    if len(calset.scores) == 0:
-        raise ValueError("empty calibration set")
-    fit = _newton_segments(calset.scores, calset.labels, [0, len(calset.scores)])
-    return _fits(np.array([calset.user], dtype=object), *fit, fallback)[calset.user]
-
-
-def fit_global(calsets) -> PlattParams:
+def fit_global(batch: CalibrationBatch) -> PlattParams:
     """Fit one calibration map over every user's pooled entries: the engine
-    on one segment. ``calsets`` is a CalibrationBatch or a sequence of
-    CalibrationSets."""
-    batch = _as_batch(calsets)
-    if not len(batch.users):
-        raise ValueError("no calibration sets to pool")
+    on one segment."""
     if len(batch.scores) == 0:
-        raise ValueError("pooled calibration set is empty")
+        raise ValueError("no users' calibration entries to pool")
     a, b, status = _newton_segments(batch.scores, batch.labels, [0, len(batch.scores)])
     fit_status = _STATUSES[status[0]]
     if fit_status not in (FIT_CONVERGED, FIT_DEGENERATE):
@@ -317,14 +282,14 @@ def fit_global(calsets) -> PlattParams:
     return PlattParams(a=float(a[0]), b=float(b[0]), scope=GLOBAL_SCOPE, fit_status=fit_status)
 
 
-def fit_all_users(calsets):
+def fit_all_users(batch: CalibrationBatch):
     """Fit every user with the global fit as fallback: two engine calls, one
-    over the pooled entries and one over every user's segment.
-    ``calsets`` is a CalibrationBatch or a sequence of CalibrationSets.
+    over the pooled entries and one over every user's segment. Separable or
+    single-class entries cannot support a stable fit; such a user's fit
+    carries the global (a, b) with status ``fallback_global``.
 
     Returns (per-user dict, global params).
     """
-    batch = _as_batch(calsets)
     global_params = fit_global(batch)
     fit = _newton_segments(batch.scores, batch.labels, batch.indptr)
     return _fits(batch.users, *fit, global_params), global_params
@@ -349,13 +314,12 @@ def apply(params: PlattParams, s):
     return out
 
 
-def pooled_ece_reports(calsets, per_user: dict, global_params: PlattParams) -> tuple:
+def pooled_ece_reports(batch: CalibrationBatch, per_user: dict,
+                       global_params: PlattParams) -> tuple:
     """ECE reports of the per-user fits and of the global fit, each over
     every calibration entry pooled across users. Each is one pass over the
     entries with ``apply``'s arithmetic, a user's (a, b) repeated over its
-    entries. ``calsets`` is a CalibrationBatch or a sequence of
-    CalibrationSets."""
-    batch = _as_batch(calsets)
+    entries."""
     fits = [per_user[u] for u in batch.users.tolist()]
     for params in fits + [global_params]:
         _check_finite(params)

@@ -9,6 +9,7 @@ operations are pure: they return new sets and never mutate their inputs.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,7 +67,7 @@ class InteractionSet:
         """Items this user interacted with (ascending), empty if none: the
         user's run of the sorted pairs."""
         users = self.pairs[:, 0]
-        user = int(user)
+        user = operator.index(user)
         return self.pairs[np.searchsorted(users, user):np.searchsorted(users, user, "right"), 1]
 
 

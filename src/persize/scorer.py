@@ -119,12 +119,13 @@ class ScoreTable:
         """The user's (items, scores): read-only slices of the arrays."""
         if user not in self:
             raise KeyError(f"no scores for user {user}")
-        a, b = self.indptr[self.ids.searchsorted(int(user)):][:2].tolist()
+        a, b = self.indptr[self.ids.searchsorted(operator.index(user)):][:2].tolist()
         return self.items[a:b], self.scores[a:b]
 
     def __contains__(self, user) -> bool:
-        row = int(self.ids.searchsorted(int(user)))
-        return row < len(self.ids) and self.ids[row] == int(user)
+        user = operator.index(user)
+        row = int(self.ids.searchsorted(user))
+        return row < len(self.ids) and self.ids[row] == user
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -118,7 +118,8 @@ def test_criterion_05_calibration_recovery_and_ece_direction():
     rng = np.random.default_rng(505)
     s = rng.uniform(-4, 4, 100000)
     y = (rng.random(100000) < 1.0 / (1.0 + np.exp(-(1.5 * s - 1.0)))).astype(np.float64)
-    params = calibrate.fit_user(calibrate.CalibrationSet(0, s, y))
+    params = calibrate.fit_global(  # one segment
+        calibrate.CalibrationBatch(np.array([0]), np.array([0, len(s)]), s, y))
     assert params.fit_status == calibrate.FIT_CONVERGED
     assert abs(params.a - 1.5) < 0.05 and abs(params.b + 1.0) < 0.05
     p = calibrate.apply(params, s)
@@ -126,15 +127,17 @@ def test_criterion_05_calibration_recovery_and_ece_direction():
     assert np.abs(grad).max() < 1e-8
 
     # two-population score shift: per-user maps beat one global map on ECE
-    fit_sets, holdout = [], []
+    fit_s, fit_y, holdout = [], [], []
     for user in range(6):
         shift = 0.0 if user % 2 == 0 else 6.0
         su = rng.uniform(-4, 4, 4000)
         yu = (rng.random(4000) < 1.0 / (1.0 + np.exp(-(1.5 * su - 1.0)))).astype(np.float64)
         su = su + shift
-        fit_sets.append(calibrate.CalibrationSet(user, su[:2000], yu[:2000]))
+        fit_s.append(su[:2000])
+        fit_y.append(yu[:2000])
         holdout.append((user, su[2000:], yu[2000:]))
-    per_user, global_params = calibrate.fit_all_users(fit_sets)
+    per_user, global_params = calibrate.fit_all_users(calibrate.CalibrationBatch(
+        np.arange(6), np.arange(7) * 2000, np.concatenate(fit_s), np.concatenate(fit_y)))
     user_ece = float(np.mean([
         calibrate.ece_report(calibrate.apply(per_user[u], su), yu)["ece"]
         for u, su, yu in holdout
@@ -217,11 +220,11 @@ def test_criterion_07_directional_utility_benchmark():
     K = 50
     fixed_ks = (1, 5, 10, 20, 50)
 
-    calsets = [
-        calibrate.CalibrationSet(u, world.scores[u], world.val_labels[u])
-        for u in range(n_users)
-    ]
-    per_user, _ = calibrate.fit_all_users(calsets)
+    # the dense (users, items) score matrix is one CSR batch
+    n_items = world.scores.shape[1]
+    per_user, _ = calibrate.fit_all_users(calibrate.CalibrationBatch(
+        np.arange(n_users), np.arange(n_users + 1) * n_items,
+        world.scores.ravel(), world.val_labels.ravel()))
     order = np.argsort(-world.scores, axis=1, kind="stable")
     probs_sorted = np.empty_like(world.scores)
     for u in range(n_users):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from persize.calibrate import CalibrationSet, fit_all_users
+from persize.calibrate import CalibrationBatch, fit_all_users
 from persize.scorer import ScoreTable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -51,14 +51,17 @@ def test_table_rows_counts_every_entry():
 def test_fit_status_histogram_reads_a_real_fit():
     # the calibrate.fit_status.* metrics read fit_all_users' per-user dict
     rng = np.random.default_rng(0)
-    calsets = []
-    for user in range(3):
+    segments = []
+    for _ in range(3):
         s = rng.normal(size=400)
-        calsets.append(CalibrationSet(user, s, (rng.random(400) < 1 / (1 + np.exp(-s))) * 1.0))
-    calsets.append(CalibrationSet(3, np.full(10, 0.5), np.arange(10) % 2 * 1.0))  # constant
-    calsets.append(CalibrationSet(4, np.linspace(-1, 1, 10), np.zeros(10)))  # one class
+        segments.append((s, (rng.random(400) < 1 / (1 + np.exp(-s))) * 1.0))
+    segments.append((np.full(10, 0.5), np.arange(10) % 2 * 1.0))  # constant
+    segments.append((np.linspace(-1, 1, 10), np.zeros(10)))  # one class
     s = np.linspace(-1.0, 1.0, 200)
-    calsets.append(CalibrationSet(5, s, (s > 0.995) * 1.0))  # separable: diverges
-    assert dict(_tracing()._fit_status(fit_all_users(calsets))) == {
+    segments.append((s, (s > 0.995) * 1.0))  # separable: diverges
+    batch = CalibrationBatch(np.arange(6), np.cumsum([0] + [len(s) for s, _ in segments]),
+                             np.concatenate([s for s, _ in segments]),
+                             np.concatenate([y for _, y in segments]))
+    assert dict(_tracing()._fit_status(fit_all_users(batch))) == {
         "calibrate.fit_status.converged": 3, "calibrate.fit_status.degenerate": 1,
         "calibrate.fit_status.fallback_global": 2}

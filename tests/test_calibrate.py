@@ -8,16 +8,13 @@ from persize.calibrate import (
     FIT_DEGENERATE,
     FIT_FALLBACK,
     CalibrationBatch,
-    CalibrationSet,
     PlattParams,
     _newton_segments,
     apply,
     build_calibration_batch,
-    build_calibration_set,
     ece_report,
     fit_all_users,
     fit_global,
-    fit_user,
     pooled_ece_reports,
 )
 from persize.dataset import InteractionSet, SplitDataset
@@ -41,10 +38,28 @@ def _bce(a, b, s, y):
     return float(np.sum(np.logaddexp(0.0, z) - y * z))
 
 
+def _batch_arrays(segments):
+    return (np.concatenate([s for s, _ in segments]), np.concatenate([y for _, y in segments]),
+            np.cumsum([0] + [len(s) for s, _ in segments]))
+
+
+def _batch(segments):
+    """The calibration batch of (scores, labels) segments, users 0, 1, ..."""
+    s, y, indptr = _batch_arrays(segments)
+    return CalibrationBatch(np.arange(len(segments)), indptr, s, y)
+
+
+def _fit_one(s, y):
+    """One user's fit: ``fit_all_users`` on a batch of one."""
+    return fit_all_users(_batch([(s, y)]))[0][0]
+
+
 class TestFitUser:
+    """Each user's Platt fit, as ``fit_all_users`` returns it."""
+
     def test_intercept_only_when_scores_identical(self):
         labels = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=float)
-        params = fit_user(CalibrationSet(0, np.zeros(10), labels))
+        params = _fit_one(np.zeros(10), labels)
         assert params.fit_status == FIT_DEGENERATE
         assert params.a == 0.0
         assert params.b == pytest.approx(np.log(0.3 / 0.7), abs=1e-12)
@@ -52,7 +67,7 @@ class TestFitUser:
     def test_recovers_planted_parameters(self):
         rng = np.random.default_rng(0)
         s, y = _logistic_sample(100000, 1.5, -1.0, rng)
-        params = fit_user(CalibrationSet(0, s, y))
+        params = _fit_one(s, y)
         assert params.fit_status == FIT_CONVERGED
         assert params.a == pytest.approx(1.5, abs=0.05)
         assert params.b == pytest.approx(-1.0, abs=0.05)
@@ -61,19 +76,28 @@ class TestFitUser:
         assert params.a == pytest.approx(ga, abs=1e-3)
         assert params.b == pytest.approx(gb, abs=1e-3)
 
+    def _with_converging_users(self, *segments):
+        """Fit two converging users, then ``segments`` as users 2, 3, ..."""
+        rng = np.random.default_rng(3)
+        converging = [_logistic_sample(400, 1.0, -0.5, rng) for _ in range(2)]
+        return fit_all_users(_batch(converging + list(segments)))
+
     def test_all_negative_labels_fall_back(self):
-        params = fit_user(CalibrationSet(0, np.linspace(-1, 1, 10), np.zeros(10)))
-        assert params.fit_status == FIT_FALLBACK
-        assert np.isnan(params.a)
+        per_user, global_params = self._with_converging_users(
+            (np.linspace(-1, 1, 10), np.zeros(10)))
+        assert per_user[2].fit_status == FIT_FALLBACK
+        assert (per_user[2].a, per_user[2].b) == (global_params.a, global_params.b)
 
     def test_fallback_carries_global_parameters(self):
-        fallback = PlattParams(2.0, -0.5)
-        params = fit_user(
-            CalibrationSet(3, np.linspace(-1, 1, 10), np.zeros(10)), fallback=fallback
-        )
-        assert params.fit_status == FIT_FALLBACK
-        assert (params.a, params.b) == (2.0, -0.5)
-        assert params.scope == 3
+        # a single-class user and a separable user each carry the global fit
+        s = np.linspace(-1.0, 1.0, 200)
+        per_user, global_params = self._with_converging_users(
+            (np.linspace(-1, 1, 10), np.zeros(10)), (s, (s > 0.995).astype(np.float64)))
+        statuses = [p.fit_status for p in per_user.values()]
+        assert statuses == [FIT_CONVERGED] * 2 + [FIT_FALLBACK] * 2
+        for user in (2, 3):
+            assert (per_user[user].a, per_user[user].b) == (global_params.a, global_params.b)
+            assert per_user[user].scope == user
 
     def test_separable_data_trips_divergence_guard(self):
         # Perfect separation at a margin far below the score spread: the
@@ -81,14 +105,14 @@ class TestFitUser:
         # before the gradient underflows the tolerance.
         s = np.linspace(-1.0, 1.0, 200)
         y = (s > 0.995).astype(np.float64)
-        params = fit_user(CalibrationSet(0, s, y))
-        assert params.fit_status == FIT_FALLBACK
+        per_user, _ = self._with_converging_users((s, y))
+        assert per_user[2].fit_status == FIT_FALLBACK
 
     def test_gradient_norm_below_tolerance(self):
-        rng = np.random.default_rng(1)
-        for seed in range(5):
-            s, y = _logistic_sample(2000, 0.8, 0.3, np.random.default_rng(seed))
-            params = fit_user(CalibrationSet(0, s, y))
+        segments = [_logistic_sample(2000, 0.8, 0.3, np.random.default_rng(seed))
+                    for seed in range(5)]
+        per_user, _ = fit_all_users(_batch(segments))
+        for (s, y), params in zip(segments, per_user.values()):
             assert params.fit_status == FIT_CONVERGED
             p = _sigmoid(params.a * s + params.b)
             grad = np.array([(p - y) @ s, (p - y).sum()])
@@ -97,23 +121,22 @@ class TestFitUser:
     def test_beats_intercept_only_model(self):
         rng = np.random.default_rng(2)
         s, y = _logistic_sample(5000, 1.2, 0.1, rng)
-        params = fit_user(CalibrationSet(0, s, y))
+        params = _fit_one(s, y)
         rate = y.mean()
         b0 = float(np.log(rate / (1 - rate)))
         assert _bce(params.a, params.b, s, y) <= _bce(0.0, b0, s, y)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            fit_user(CalibrationSet(0, np.array([]), np.array([])))
+            _fit_one(np.array([]), np.array([]))
 
 
 class TestFitGlobal:
     def test_single_user_pool_equals_user_fit(self):
         rng = np.random.default_rng(4)
         s, y = _logistic_sample(4000, 1.1, -0.2, rng)
-        calset = CalibrationSet(0, s, y)
-        user = fit_user(calset)
-        pooled = fit_global([calset])
+        user = _fit_one(s, y)
+        pooled = fit_global(_batch([(s, y)]))
         assert pooled.a == pytest.approx(user.a, abs=1e-10)
         assert pooled.b == pytest.approx(user.b, abs=1e-10)
         assert pooled.scope == "GLOBAL"
@@ -122,13 +145,13 @@ class TestFitGlobal:
         # Two populations whose scores are offset by a constant: one global
         # map cannot place its threshold right for both, per-user maps can.
         rng = np.random.default_rng(5)
-        fit_sets, holdout = [], []
+        fit_segments, holdout = [], []
         for user, shift in enumerate((0.0, 6.0)):
             s, y = _logistic_sample(4000, 1.5, -1.0, rng)
             s = s + shift
-            fit_sets.append(CalibrationSet(user, s[:2000], y[:2000]))
+            fit_segments.append((s[:2000], y[:2000]))
             holdout.append((user, s[2000:], y[2000:]))
-        per_user, global_params = fit_all_users(fit_sets)
+        per_user, global_params = fit_all_users(_batch(fit_segments))
         user_eces = [
             ece_report(apply(per_user[user], s), y)["ece"] for user, s, y in holdout
         ]
@@ -138,8 +161,10 @@ class TestFitGlobal:
         assert np.mean(user_eces) < global_ece
 
     def test_empty_pool_raises(self):
-        with pytest.raises(ValueError):
-            fit_global([])
+        empty = CalibrationBatch(np.array([], dtype=np.int64), np.array([0]),
+                                 np.empty(0), np.empty(0))
+        with pytest.raises(ValueError, match="no users"):
+            fit_global(empty)
 
 
 class TestApply:
@@ -201,40 +226,6 @@ class TestEce:
             ece_report([0.5], [1.0], bins=0)
 
 
-class TestBuildCalibrationSet:
-    def _split(self):
-        users = np.arange(2)
-        items = np.arange(5)
-        train = InteractionSet.from_pairs(np.array([[0, 0], [1, 1]]), users, items)
-        val = InteractionSet.from_pairs(np.array([[0, 2], [1, 3]]), users, items)
-        test = InteractionSet.from_pairs(np.array([[0, 4]]), users, items)
-        return SplitDataset(train=train, val=val, test=test, seed=0)
-
-    def _table(self):
-        return ScoreTable.from_entries({
-            0: (np.array([1, 2, 3, 4]), np.array([0.4, 0.9, 0.1, 0.2])),
-            1: (np.array([0, 2, 3, 4]), np.array([0.5, 0.6, 0.7, 0.8])),
-        })
-
-    def test_labels_follow_val_membership(self):
-        calset = build_calibration_set(0, self._split(), self._table())
-        np.testing.assert_array_equal(calset.labels, [0, 1, 0, 0])
-        np.testing.assert_array_equal(calset.scores, [0.4, 0.9, 0.1, 0.2])
-
-    def test_user_without_val_positives_flags_all_zero(self):
-        split = self._split()
-        table = ScoreTable.from_entries({5: (np.array([0, 1]), np.array([0.1, 0.2]))})
-        # user 5 absent from split's val: all labels zero
-        calset = build_calibration_set(5, split, table)
-        assert calset.labels.sum() == 0
-        params = fit_user(calset)
-        assert params.fit_status == FIT_FALLBACK
-
-    def test_missing_user_raises(self):
-        with pytest.raises(KeyError):
-            build_calibration_set(9, self._split(), self._table())
-
-
 def _mixed_segments():
     """(scores, labels) of segments from 1 to 5000 entries, one for every
     way a fit ends: one label class, constant scores, separable data that
@@ -257,11 +248,6 @@ def _mixed_segments():
     for n, a, b in ((30, 1.0, 0.0), (300, 2.0, -1.0), (2000, 0.7, -2.5), (5000, 1.5, -1.0)):
         segments.append(_logistic_sample(n, a, b, rng))
     return segments
-
-
-def _batch_arrays(segments):
-    return (np.concatenate([s for s, _ in segments]), np.concatenate([y for _, y in segments]),
-            np.cumsum([0] + [len(s) for s, _ in segments]))
 
 
 class TestLockstepEngine:
@@ -292,29 +278,35 @@ class TestLockstepEngine:
 
     def test_public_fits_share_the_engine(self):
         segments = _mixed_segments()
-        calsets = [CalibrationSet(u, s, y) for u, (s, y) in enumerate(segments)]
-        per_user, global_params = fit_all_users(calsets)
-        assert global_params == fit_global(calsets)
-        pooled = fit_user(CalibrationSet("all", *_batch_arrays(segments)[:2]))
-        assert (global_params.a, global_params.b) == (pooled.a, pooled.b)
-        for calset in calsets:
-            assert per_user[calset.user] == fit_user(calset, fallback=global_params)
+        batch = _batch(segments)
+        per_user, global_params = fit_all_users(batch)
+        assert global_params == fit_global(batch)
+        a, b, status = _newton_segments(batch.scores, batch.labels, [0, len(batch.scores)])
+        assert (global_params.a, global_params.b, global_params.fit_status) == (
+            a[0], b[0], _STATUSES[status[0]])
+        for user, (s, y) in enumerate(segments):
+            # each user's fit is the engine's on that user alone, or the fallback
+            a, b, status = (x[0] for x in _newton_segments(s, y, [0, len(s)]))
+            fit_status = _STATUSES[status]
+            if fit_status not in (FIT_CONVERGED, FIT_DEGENERATE):
+                a, b, fit_status = global_params.a, global_params.b, FIT_FALLBACK
+            assert per_user[user] == PlattParams(a, b, user, fit_status)
 
     def test_empty_segment_raises(self):
         with pytest.raises(ValueError, match="empty calibration set"):
             _newton_segments(np.arange(3.0), np.array([0.0, 1.0, 0.0]), [0, 3, 3])
         with pytest.raises(ValueError, match="empty calibration set"):
-            fit_all_users([CalibrationSet(0, np.arange(3.0), np.array([0.0, 1.0, 0.0])),
-                           CalibrationSet(1, np.array([]), np.array([]))])
+            fit_all_users(CalibrationBatch(np.arange(2), np.array([0, 3, 3]), np.arange(3.0),
+                                           np.array([0.0, 1.0, 0.0])))
 
     def test_pooled_ece_reports_apply_each_users_fit(self):
-        calsets = [CalibrationSet(u, s, y) for u, (s, y) in enumerate(_mixed_segments())]
-        per_user, global_params = fit_all_users(calsets)
-        labels = np.concatenate([c.labels for c in calsets])
-        by_user = np.concatenate([apply(per_user[c.user], c.scores) for c in calsets])
-        by_global = np.concatenate([apply(global_params, c.scores) for c in calsets])
-        assert pooled_ece_reports(calsets, per_user, global_params) == (
-            ece_report(by_user, labels), ece_report(by_global, labels))
+        segments = _mixed_segments()
+        batch = _batch(segments)
+        per_user, global_params = fit_all_users(batch)
+        by_user = np.concatenate([apply(per_user[u], s) for u, (s, _) in enumerate(segments)])
+        by_global = apply(global_params, batch.scores)
+        assert pooled_ece_reports(batch, per_user, global_params) == (
+            ece_report(by_user, batch.labels), ece_report(by_global, batch.labels))
 
 
 class TestBuildCalibrationBatch:
@@ -322,6 +314,24 @@ class TestBuildCalibrationBatch:
         empty = InteractionSet.from_pairs(np.empty((0, 2)), users, items)
         return SplitDataset(train=empty, val=InteractionSet.from_pairs(val_pairs, users, items),
                             test=empty, seed=0)
+
+    def _table(self, more=()):
+        return ScoreTable.from_entries({
+            0: (np.array([1, 2, 3, 4]), np.array([0.4, 0.9, 0.1, 0.2])),
+            1: (np.array([0, 2, 3, 4]), np.array([0.5, 0.6, 0.7, 0.8])), **dict(more)})
+
+    def test_labels_follow_val_membership(self):
+        batch = build_calibration_batch(self._split(np.array([[0, 2], [1, 3]])), self._table())
+        np.testing.assert_array_equal(batch.labels[:4], [0, 1, 0, 0])
+        np.testing.assert_array_equal(batch.scores[:4], [0.4, 0.9, 0.1, 0.2])
+
+    def test_user_without_val_positives_flags_all_zero(self):
+        # user 5 has no validation positives: all labels zero
+        table = self._table({5: ([0, 1], [0.1, 0.2])})
+        batch = build_calibration_batch(self._split(np.array([[0, 2], [1, 3]])), table)
+        assert batch.users[-1] == 5 and batch.labels[8:].sum() == 0
+        per_user, _ = fit_all_users(batch)
+        assert per_user[5].fit_status == FIT_FALLBACK
 
     def test_packed_key_labels_equal_per_user_membership(self):
         rng = np.random.default_rng(3)
@@ -340,7 +350,6 @@ class TestBuildCalibrationBatch:
             want = np.isin(items, split.val.items_of(user)).astype(np.float64)
             np.testing.assert_array_equal(batch.labels[entries], want)
             np.testing.assert_array_equal(batch.scores[entries], scores)
-            np.testing.assert_array_equal(build_calibration_set(user, split, table).labels, want)
         assert batch.labels.sum() == 5
 
     def test_ids_outside_the_validation_box_are_negatives(self):
@@ -359,17 +368,48 @@ class TestBuildCalibrationBatch:
         with pytest.raises(ValueError, match="int64"):
             build_calibration_batch(split, table)
 
-    def test_batch_and_sets_fit_alike(self):
-        rng = np.random.default_rng(8)
-        split = self._split(np.array([[u, i] for u in range(6) for i in range(8)
-                                      if (u * 3 + i) % 5 == 0]))
-        table = ScoreTable.from_entries({u: (np.arange(8), rng.normal(size=8)) for u in range(6)})
-        batch = build_calibration_batch(split, table)
-        calsets = [build_calibration_set(u, split, table) for u in table.users()]
-        assert fit_all_users(batch) == fit_all_users(calsets)
-        assert pooled_ece_reports(batch, *fit_all_users(batch)) == pooled_ece_reports(
-            calsets, *fit_all_users(calsets))
-
     def test_malformed_batch_is_refused(self):
         with pytest.raises(ValueError, match="CSR batch"):
             CalibrationBatch(np.array([0]), np.array([0, 2]), np.zeros(3), np.zeros(3))
+
+
+class TestCalibrationBatchChecks:
+    """The batch is calibration's one input, so it refuses what the fits
+    would get wrong or fail on later."""
+
+    def _batch(self, users=(0, 1), indptr=(0, 2, 4), scores=(0.1, 0.5, -0.3, 0.2),
+               labels=(0.0, 1.0, 1.0, 0.0)):
+        return CalibrationBatch(np.asarray(users), np.asarray(indptr),
+                                np.asarray(scores, dtype=np.float64),
+                                np.asarray(labels, dtype=np.float64))
+
+    @pytest.mark.parametrize("users", [np.array([0.0, 1.0]), np.array([[0], [1]]),
+                                       np.array([True, False]),
+                                       np.array([0, 1], dtype=object)])
+    def test_users_must_be_a_1d_integer_array(self, users):
+        with pytest.raises(ValueError, match="1-D integer array"):
+            CalibrationBatch(users, np.array([0, 2, 4]), np.zeros(4), np.zeros(4))
+
+    def test_repeated_users_are_refused(self):
+        # the second segment's fit was applied to the first one's entries
+        with pytest.raises(ValueError, match="users repeat"):
+            self._batch(users=(0, 0))
+
+    def test_decreasing_indptr_is_refused(self):
+        with pytest.raises(ValueError, match="indptr decreases"):
+            self._batch(indptr=(0, 900, 800), scores=np.zeros(800), labels=np.zeros(800))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_are_refused(self, bad):
+        with pytest.raises(ValueError, match="a score is not finite"):
+            self._batch(scores=(0.1, bad, -0.3, 0.2))
+
+    @pytest.mark.parametrize("bad", [2.0, -0.5, np.nan])
+    def test_labels_outside_the_unit_interval_are_refused(self, bad):
+        with pytest.raises(ValueError, match=r"a label is outside \[0, 1\]"):
+            self._batch(labels=(0.0, bad, 1.0, 0.0))
+
+    def test_soft_labels_and_unsigned_users_are_kept(self):
+        batch = self._batch(users=np.array([3, 1], dtype=np.uint32),
+                            labels=(0.0, 0.25, 1.0, 0.5))
+        assert batch.labels.tolist() == [0.0, 0.25, 1.0, 0.5]

@@ -664,6 +664,21 @@ class TestScoreTableChecks:
         table = ScoreTable.from_entries(entries)
         assert table.users() == [3, 7] and table.get(3)[0].tolist() == [1]
 
+    @pytest.mark.parametrize("user, accepted", [
+        (1.5, False), (1.9, False), (np.float64(1.0), False), (1, True), (np.int64(1), True)])
+    def test_lookups_take_integer_users(self, user, accepted):
+        # a float id was truncated: 1.5 was in the table, get(1.9) gave user 1
+        table = ScoreTable.from_entries({0: ([2], [0.1]), 1: ([3, 4], [0.2, 0.3])})
+        pairs = InteractionSet.from_pairs(np.array([[0, 2], [1, 3]]), np.arange(2), np.arange(5))
+        lookups = (lambda: user in table, lambda: table.get(user), lambda: pairs.items_of(user))
+        if not accepted:
+            for lookup in lookups:
+                with pytest.raises(TypeError):
+                    lookup()
+            return
+        assert user in table
+        assert table.get(user)[0].tolist() == [3, 4] and pairs.items_of(user).tolist() == [3]
+
     def test_import_sorts_for_duplicates_once(self, tmp_path, monkeypatch):
         # the file's rows are checked with line numbers; the table built from
         # them checks its layout only

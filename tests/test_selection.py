@@ -427,11 +427,7 @@ def _pipeline_fixture(bundled_split):
     )
     table = build_score_table(model, {
         u: candidate_items(u, bundled_split) for u in sorted(bundled_split.users.tolist())})
-    calsets = [
-        calibrate.build_calibration_set(u, bundled_split, table)
-        for u in table.users()
-    ]
-    params, _ = calibrate.fit_all_users(calsets)
+    params, _ = calibrate.fit_all_users(calibrate.build_calibration_batch(bundled_split, table))
     return table, params
 
 
