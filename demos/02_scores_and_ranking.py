@@ -23,8 +23,8 @@ print(f"trained d={config.d} model; epoch loss {model.epoch_losses[0]:.4f} -> "
 
 u = 0
 table = scorer.build_score_table(model, {u: dataset.candidate_items(u, split)})
-# validation positives were calibration labels: the ranking drops them
-items, scores = selection.rank(u, table, exclude=split.val.items_of(u))
+# validation positives were calibration labels: the table drops them first
+items, scores = selection.rank(u, table.without(split.val.pairs))
 print(f"user {u} top-10 of {len(items)} candidates:")
 for rank, (item, s) in enumerate(zip(items[:10], scores[:10]), start=1):
     hit = "test-positive" if item in split.test.items_of(u) else ""

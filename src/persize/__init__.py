@@ -27,7 +27,6 @@ from .multidomain import Allocation, DomainCurves, allocate
 from .poibin import CountDistribution, distribution, distribution_batch
 from .scorer import (
     BPRConfig,
-    DegenerateUserError,
     ScoreModel,
     ScoreTable,
     import_scores,

@@ -22,9 +22,12 @@ solver's iteration limit, tolerance and divergence bound are constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .util import in_pairs
 
 GLOBAL_SCOPE = "GLOBAL"
 
@@ -48,12 +51,17 @@ _STATUSES = (FIT_CONVERGED, FIT_DEGENERATE, "all_same", "singular", "diverged",
 
 @dataclass(frozen=True)
 class PlattParams:
-    """Slope/intercept of one calibration map and how the fit ended."""
+    """Slope/intercept of one calibration map and how the fit ended. A
+    non-finite a or b is a ValueError naming the scope."""
 
     a: float
     b: float
     scope: int | str = GLOBAL_SCOPE
     fit_status: str = FIT_CONVERGED
+
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"non-finite calibration parameters for scope {self.scope!r}")
 
 
 @dataclass(frozen=True)
@@ -86,34 +94,15 @@ class CalibrationBatch:
             raise ValueError(why)
 
 
-def _val_labels(val, owners, items) -> np.ndarray:
-    """1.0 where (owner, item) is a pair of the interaction set ``val``,
-    else 0.0, by one membership test over packed keys. A key packs a pair's
-    offsets inside the box of ``val``'s pairs; seen unsigned, an offset
-    below the box lies past it too. A box of more pairs than int64 can
-    number is refused."""
-    if not len(val.pairs):
-        return np.zeros(len(items))
-    lo = val.pairs.min(axis=0).tolist()
-    span = (val.pairs.max(axis=0) - lo).tolist()
-    if (span[0] + 1) * (span[1] + 1) > np.iinfo(np.int64).max:
-        raise ValueError("validation ids span too many (user, item) pairs to pack into int64")
-    du, di = owners - lo[0], items - lo[1]
-    inside = (du.view(np.uint64) <= span[0]) & (di.view(np.uint64) <= span[1])
-    du *= span[1] + 1  # keys off the box may wrap; they are masked out
-    du += di
-    val_keys = (val.pairs[:, 0] - lo[0]) * (span[1] + 1) + (val.pairs[:, 1] - lo[1])
-    return (np.isin(du, val_keys) & inside).astype(np.float64)
-
-
 def build_calibration_batch(split, scores) -> CalibrationBatch:
     """Every user with scored candidates, each entry labelled 1 if it is a
     validation positive, else 0: a batch over the score table's own arrays,
-    with one membership test for all entries."""
+    with one ``in_pairs`` test for all entries."""
     counts = np.diff(scores.indptr)
     owners = np.repeat(scores.ids, counts)
     return CalibrationBatch(scores.ids[counts > 0], np.append(0, np.cumsum(counts[counts > 0])),
-                            scores.scores, _val_labels(split.val, owners, scores.items))
+                            scores.scores,
+                            in_pairs(owners, scores.items, split.val.pairs).astype(np.float64))
 
 
 def _newton_segments(s, y, indptr):
@@ -295,11 +284,6 @@ def fit_all_users(batch: CalibrationBatch):
     return _fits(batch.users, *fit, global_params), global_params
 
 
-def _check_finite(params: PlattParams) -> None:
-    if not (np.isfinite(params.a) and np.isfinite(params.b)):
-        raise ValueError(f"non-finite calibration parameters for scope {params.scope!r}")
-
-
 def _calibrated(a, b, s):
     """sigmoid(a*s + b) with the argument clamped to +-_Z_CLIP."""
     return 1.0 / (1.0 + np.exp(-np.clip(a * s + b, -_Z_CLIP, _Z_CLIP)))
@@ -307,7 +291,6 @@ def _calibrated(a, b, s):
 
 def apply(params: PlattParams, s):
     """Calibrated probability sigmoid(a*s + b), strictly inside (0, 1)."""
-    _check_finite(params)
     out = _calibrated(params.a, params.b, np.asarray(s, dtype=np.float64))
     if np.ndim(s) == 0:
         return float(out)
@@ -321,8 +304,6 @@ def pooled_ece_reports(batch: CalibrationBatch, per_user: dict,
     entries with ``apply``'s arithmetic, a user's (a, b) repeated over its
     entries."""
     fits = [per_user[u] for u in batch.users.tolist()]
-    for params in fits + [global_params]:
-        _check_finite(params)
     counts = np.diff(batch.indptr)
     by_user = _calibrated(np.repeat([p.a for p in fits], counts),
                           np.repeat([p.b for p in fits], counts), batch.scores)

@@ -16,10 +16,13 @@ export, so edits to it are not seen downstream; edited scores go back in
 through the ``scores`` key of ``train``.
 
 ``recommend`` gives every scored user one ``recs.tsv`` row per measure,
-or one ``# skipped`` row saying why it has no list. ``evaluate`` runs no
-PerK of its own: it reads PerK's sizes from ``recs.tsv``, whose header ends
-in ``inputs=<hex>``, the digest of what ``recommend`` read, and rejects the
-file if that digest is not its own.
+or one ``# skipped`` row saying why it has no list. With ``exclude_val``
+the validation positives leave the whole score table first
+(``ScoreTable.without``), and a user left without entries has no
+candidates. ``evaluate`` runs no PerK of its own: it reads PerK's sizes
+from ``recs.tsv``, whose header ends in ``inputs=<hex>``, the digest of
+what ``recommend`` read, and rejects the file if that digest is not its
+own.
 
 Every numeric text file a stage reads (splits, scores, ``platt.tsv``,
 ``recs.tsv``, curve dumps) goes through ``util._read_rows``: one line rule,
@@ -282,31 +285,28 @@ def cmd_recommend(cfg: dict) -> int:
     table = scorer.load_scores(workdir / "scores.bin")
     per_user, _ = _read_platt(workdir / "platt.tsv")
     measures = _measures(cfg)
-    exclude = {u: split_ds.val.items_of(u) for u in table.users()} if cfg["exclude_val"] else {}
+    if cfg["exclude_val"]:
+        table = table.without(split_ds.val.pairs)
     results = selection.recommend_users(table, per_user, measures, K=cfg["K"], M=cfg["M"],
-                                        exclude=exclude, threads=cfg["threads"])
+                                        threads=cfg["threads"])
 
     rec_lines = [f"{_echo(cfg, 'recommend')} inputs={inputs}"]
     curve_lines = [_echo(cfg, "recommend")]
     n_skip = 0
-    for u in table.users():
-        res = results.get(u)  # None: not served; rank it to tell why
-        if isinstance(res, scorer.DegenerateUserError) or (
-                res is None and not len(selection.rank(u, table, exclude.get(u, ()))[0])):
-            rec_lines.append(f"# skipped user={u}: no candidates")
+    for u, n in zip(table.users(), np.diff(table.indptr).tolist()):
+        if u not in results:  # no candidate left is told before a missing Platt row
+            rec_lines.append(f"# skipped user={u}: "
+                             + ("no Platt parameters" if n else "no candidates"))
             n_skip += 1
-        elif res is None:
-            rec_lines.append(f"# skipped user={u}: no Platt parameters")
-            n_skip += 1
-        else:
+            continue
+        for m in measures:
+            rec = results[u][m]
+            joined = ",".join(str(i) for i in rec.items)
+            rec_lines.append(f"{u}\t{m.value}\t{rec.k_max}\t{rec.expected_value!r}\t{joined}")
+        if cfg["dump_curves"]:
             for m in measures:
-                rec = res[m]
-                joined = ",".join(str(i) for i in rec.items)
-                rec_lines.append(f"{u}\t{m.value}\t{rec.k_max}\t{rec.expected_value!r}\t{joined}")
-            if cfg["dump_curves"]:
-                for m in measures:
-                    for kk, v in enumerate(res[m].values, start=1):
-                        curve_lines.append(f"{u}\t{m.value}\t{kk}\t{float(v)!r}")
+                for kk, v in enumerate(results[u][m].values, start=1):
+                    curve_lines.append(f"{u}\t{m.value}\t{kk}\t{float(v)!r}")
     atomic_write(workdir / "recs.tsv", "\n".join(rec_lines) + "\n")
     if cfg["dump_curves"]:
         atomic_write(workdir / "curves.tsv", "\n".join(curve_lines) + "\n")

@@ -201,9 +201,9 @@ def split(iset: InteractionSet, ratios=SPLIT_RATIOS, seed: int = 0) -> SplitData
 
 def candidate_items(user: int, split_ds: SplitDataset) -> np.ndarray:
     """All items outside the user's train set, ascending by id: the items a
-    user may still be recommended. An empty result is returned as-is;
-    rankers treat it as degenerate. The validation positives stay in; the
-    recommend stage drops them when it ranks (``selection.rank``).
+    user may still be recommended. An empty result is returned as-is. The
+    validation positives stay in; the recommend stage drops them from the
+    whole score table (``ScoreTable.without``).
     """
     if int(user) not in split_ds.users:
         raise KeyError(f"unknown user {user}")

@@ -20,14 +20,10 @@ import numpy as np
 
 from .dataset import InteractionSet
 from .util import (_check_number, _first_flagged, _outside, _read_rows, _repeats,
-                   atomic_write, atomic_write_bytes)
+                   atomic_write, atomic_write_bytes, in_pairs)
 
 _INT_DTYPE = np.dtype("<i8")
 _FLOAT_DTYPE = np.dtype("<f8")
-
-
-class DegenerateUserError(ValueError):
-    """User has no rankable candidates (or no scored entries)."""
 
 
 @dataclass(frozen=True)
@@ -111,6 +107,17 @@ class ScoreTable:
                    np.concatenate([np.empty(0)] + [row[1] for row in rows], dtype=np.int64,
                                   casting="unsafe"),
                    np.concatenate([np.empty(0)] + [row[2] for row in rows]))
+
+    def without(self, pairs) -> ScoreTable:
+        """The table minus the entries whose (user, item) is a row of the
+        (n, 2) ``pairs``: one ``in_pairs`` test over every entry. Every user
+        stays, with its other entries in order (possibly none)."""
+        owners = np.repeat(self.ids, np.diff(self.indptr))
+        keep = ~in_pairs(owners, self.items, pairs)
+        indptr = np.append(0, np.cumsum(keep))[self.indptr]
+        # every array a copy: a view of ``ids`` would keep a loaded store's bytes alive
+        return ScoreTable._of_checked_entries(self.ids.copy(), indptr, self.items[keep],
+                                              self.scores[keep])
 
     def users(self) -> list[int]:
         return self.ids.tolist()

@@ -2,26 +2,29 @@
 held-out evaluation harness.
 
 ``rank`` is the one ranking rule: a user's scored candidates by descending
-score, ties to the lower item id, optionally without given items (the
-validation positives). ``_row_argmax`` is the one size-selection rule: the
-first argmax of each row of a (users, width) curve block within that row's
-own length. ``recommend_block`` is the one PerK routine: it ranks and
-calibrates each user of a block, builds the block's expected-utility
-curves over sizes 1..K (one zero-padded ``expected_curves_batch`` call) and
-cuts every user's ranking at its ``_row_argmax`` within min(K, n).
+score, ties to the lower item id. Items a list must not hold (the
+validation positives) leave the table first (``ScoreTable.without``).
+``_row_argmax`` is the one size-selection rule: the first argmax of each
+row of a (users, width) curve block within that row's own length.
+``recommend_block`` is the one PerK routine: it ranks and calibrates each
+user of a block, builds the block's expected-utility curves over sizes
+1..K (one zero-padded ``expected_curves_batch`` call) and cuts every
+user's ranking at its ``_row_argmax`` within min(K, n).
 ``user_blocks`` groups users into blocks by their candidate counts only, so
 the padding, and with it every output byte, is the same for any thread
 count; one user is a block of one.
-``recommend_users`` runs the blocks of every ``served_users`` user on a
-thread pool; the CLI's ``recommend`` stage calls it once.
+``recommend_users`` runs the blocks of every ``served_users`` user (one
+with entries and parameters) on a thread pool; the CLI's ``recommend``
+stage calls it once.
 Baselines choose the size by a global constant, uniformly at random, by
 validation utility, or (as an upper bound) by test utility, each on an
 already-ranked list. ``evaluate`` ranks each user once and scores every
 method's prefix against held-out test positives over the identical user
-population, in one block of array operations. It runs no PerK of its own:
-it takes PerK's sizes and expected values as given (the CLI reads them
-from ``recs.tsv``), and the validation and oracle sizes are the
-``_row_argmax`` of realized curves (``_label_block``, ``realized_curve``).
+population, in one block of array operations (each membership test one
+``in_pairs`` call). It runs no PerK of its own: it takes PerK's sizes and
+expected values as given (the CLI reads them from ``recs.tsv``), and the
+validation and oracle sizes are the ``_row_argmax`` of realized curves
+(``_label_block``, ``realized_curve``).
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 
 from . import calibrate
 from .dataset import SplitDataset
-from .scorer import DegenerateUserError, ScoreTable
-from .util import parallel_map
+from .scorer import ScoreTable
+from .util import in_pairs, parallel_map
 from .utility import (
     DEFAULT_M,
     Measure,
@@ -100,13 +103,10 @@ class EvaluationReport:
     perk_expected: dict = field(default_factory=dict)  # measure name -> mean expected utility
 
 
-def rank(user: int, scores: ScoreTable, exclude=()) -> tuple[np.ndarray, np.ndarray]:
+def rank(user: int, scores: ScoreTable) -> tuple[np.ndarray, np.ndarray]:
     """The user's scored (items, scores) by descending score, ties to the
-    lower item id, with the items in ``exclude`` dropped."""
+    lower item id."""
     items, vals = scores.get(user)
-    if len(exclude):
-        keep = ~np.isin(items, exclude)
-        items, vals = items[keep], vals[keep]
     order = np.lexsort((items, -vals))
     return items[order], vals[order]
 
@@ -119,9 +119,10 @@ def _row_argmax(curves: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def served_users(scores: ScoreTable, params_by_user: dict) -> list[int]:
-    """Every scored user with calibration parameters, in user order: the
-    users ``recommend_users`` serves."""
-    return [u for u in scores.users() if params_by_user.get(u) is not None]
+    """Every user with at least one entry and with calibration parameters,
+    in user order: the users ``recommend_users`` serves."""
+    counts = np.diff(scores.indptr).tolist()
+    return [u for u, n in zip(scores.users(), counts) if n and params_by_user.get(u) is not None]
 
 
 def user_blocks(users, scores: ScoreTable) -> list[list[int]]:
@@ -150,48 +151,42 @@ def recommend_block(
     measures,
     K: int = DEFAULT_K,
     M: int = DEFAULT_M,
-    exclude: dict | None = None,
 ) -> dict:
     """The expected-utility-maximizing prefix per measure for a block of users.
 
-    Ranks each user's candidates (without ``exclude[user]``, if given) and
-    calibrates them with ``params_by_user[user]``; the block's probability
-    rows, zero-padded to its widest row, then give every curve of the block
-    in one ``expected_curves_batch`` call. The count distribution uses every
-    ranked candidate, not just the top-K prefix, and its sum is truncated
-    above ``M``. Each curve covers the user's own sizes 1..min(K, n), and
-    one ``_row_argmax`` call per measure cuts every user's ranking.
+    Ranks each user's candidates and calibrates them with
+    ``params_by_user[user]``; the block's probability rows, zero-padded to
+    its widest row, then give every curve of the block in one
+    ``expected_curves_batch`` call. The count distribution uses every ranked
+    candidate, not just the top-K prefix, and its sum is truncated above
+    ``M``. Each curve covers the user's own sizes 1..min(K, n), and one
+    ``_row_argmax`` call per measure cuts every user's ranking.
 
     Returns user -> (measure -> PersonalizedRec), in the order of
-    ``users``. A user that cannot be served maps to the error saying why:
-    DegenerateUserError when no candidate is left to rank, another
-    ValueError for non-finite calibration parameters.
+    ``users``. A user without entries in ``scores`` is a ValueError naming
+    the user.
     """
     check_curve_args(K, M)
     measures = list(measures)
     users = [int(u) for u in users]
-    out, ranked = {}, {}
+    if not users:
+        return {}
+    rankings, probs = [], []
     for user in users:
-        items, vals = rank(user, scores, exclude.get(user, ()) if exclude else ())
-        if len(items) == 0:
-            out[user] = DegenerateUserError(f"user {user} has no scored candidates")
-            continue
-        try:
-            ranked[user] = items[:K].copy(), calibrate.apply(params_by_user[user], vals)
-        except ValueError as exc:  # non-finite calibration parameters
-            out[user] = exc
-    if ranked:
-        probs = [p for _, p in ranked.values()]
-        lengths = np.array([min(K, len(p)) for p in probs])
-        block = np.zeros((len(probs), max(len(p) for p in probs)))
-        for row, p in zip(block, probs):
-            row[: len(p)] = p
-        curves = expected_curves_batch(block, measures, M=M, K=K)
-        sizes = {m: _row_argmax(curves[m], lengths).tolist() for m in measures}
-    for row, (user, (ranking, _)) in enumerate(ranked.items()):
-        out[user] = {m: PersonalizedRec(user, sizes[m][row], ranking,
-                                        curves[m][row, : lengths[row]]) for m in measures}
-    return {user: out[user] for user in users}
+        items, vals = rank(user, scores)
+        if not len(items):
+            raise ValueError(f"user {user} has no scored candidates")
+        rankings.append(items[:K].copy())
+        probs.append(calibrate.apply(params_by_user[user], vals))
+    lengths = np.array([min(K, len(p)) for p in probs])
+    block = np.zeros((len(probs), max(len(p) for p in probs)))
+    for row, p in zip(block, probs):
+        row[: len(p)] = p
+    curves = expected_curves_batch(block, measures, M=M, K=K)
+    sizes = {m: _row_argmax(curves[m], lengths).tolist() for m in measures}
+    return {user: {m: PersonalizedRec(user, sizes[m][row], rankings[row],
+                                      curves[m][row, : lengths[row]]) for m in measures}
+            for row, user in enumerate(users)}
 
 
 def recommend_users(
@@ -200,23 +195,21 @@ def recommend_users(
     measures,
     K: int = DEFAULT_K,
     M: int = DEFAULT_M,
-    exclude: dict | None = None,
     threads: int = 1,
 ) -> dict:
     """``recommend_block`` over the ``user_blocks`` of every served user,
     run on ``threads`` threads.
 
-    Returns user -> (measure -> PersonalizedRec), or the user's error, for
-    each user of ``served_users(scores, params_by_user)`` in user order.
-    The blocks depend on the data only, so the result does not depend on
-    ``threads``.
+    Returns user -> (measure -> PersonalizedRec) for each user of
+    ``served_users(scores, params_by_user)`` in user order. The blocks
+    depend on the data only, so the result does not depend on ``threads``.
     """
     check_curve_args(K, M)
     measures = list(measures)  # every block reads them
     users = served_users(scores, params_by_user)
 
     def serve(block):
-        return recommend_block(block, scores, params_by_user, measures, K, M, exclude)
+        return recommend_block(block, scores, params_by_user, measures, K, M)
 
     out = {}
     for result in parallel_map(serve, user_blocks(users, scores), threads):
@@ -237,25 +230,13 @@ def default_methods(K: int = DEFAULT_K) -> list[str]:
     return methods
 
 
-def _in_rows(rows: list, sets: list) -> np.ndarray:
-    """Whether each item of the concatenated ``rows`` is in its own row's
-    set (``sets[r]`` for ``rows[r]``): one membership test over (row, item)
-    keys, with item ids first mapped to dense codes so no key overflows."""
-    parts = [np.asarray(x, dtype=np.int64) for x in (*rows, *sets)]
-    owner = np.repeat(np.tile(np.arange(len(rows)), 2), [len(x) for x in parts])
-    universe, codes = np.unique(np.concatenate([np.empty(0, np.int64), *parts]),
-                                return_inverse=True)
-    keys = owner * len(universe) + codes
-    n = sum(len(x) for x in parts[: len(rows)])
-    return np.isin(keys[:n], keys[n:])
-
-
-def _label_block(ranked: list, positives: list) -> tuple[np.ndarray, np.ndarray]:
-    """(users, longest) 0/1 labels of each ranked prefix against its user's
-    positives, zero-padded, and each prefix's length."""
-    lengths = np.array([len(r) for r in ranked])
-    labels = np.zeros((len(ranked), lengths.max()))
-    labels[np.arange(labels.shape[1]) < lengths[:, None]] = _in_rows(ranked, positives)
+def _label_block(users: list, rankings: list, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(users, longest) 0/1 labels of each user's ranked prefix against the
+    (user, item) ``pairs``, zero-padded, and each prefix's length."""
+    lengths = np.array([len(r) for r in rankings])
+    labels = np.zeros((len(rankings), lengths.max()))
+    labels[np.arange(labels.shape[1]) < lengths[:, None]] = in_pairs(
+        np.repeat(users, lengths), np.concatenate(rankings), pairs)
     return labels, lengths
 
 
@@ -294,7 +275,7 @@ def evaluate(
     default) cut at K, so the averages compare and the test-label argmax
     dominates pointwise. ``val_k`` reads the order's first K items. The
     validation exclusion, the test labels and the ``val_k`` labels are one
-    ``_in_rows`` membership test each over all the users.
+    ``in_pairs`` test each over all the users.
 
     ``perk`` maps each user PerK served to ``{Measure: (k, expected_value)}``
     (the recommend stage's sizes); it is required when ``perk`` is a method.
@@ -311,12 +292,16 @@ def evaluate(
 
     users = sorted(int(u) for u in split.users)
     vals, tests = ([part.items_of(user) for user in users] for part in (split.val, split.test))
-    excluded = vals if exclude_val else [()] * len(users)
-    # at most len(excluded) items of a head drop, so it keeps the first K
-    # ranked items outside them
-    heads = [rank(user, scores)[0][: K + len(ex)] if len(test) and user in scores
-             else np.empty(0, np.int64) for user, ex, test in zip(users, excluded, tests)]
-    dropped = np.split(_in_rows(heads, excluded), np.cumsum([len(h) for h in heads])[:-1])
+    excluded = split.val.pairs if exclude_val else []
+    # at most len(val) items of a head drop, so it keeps the first K ranked
+    # items outside them
+    heads = [rank(user, scores)[0][: K + (len(val) if exclude_val else 0)]
+             if len(test) and user in scores else np.empty(0, np.int64)
+             for user, val, test in zip(users, vals, tests)]
+    lengths = [len(h) for h in heads]
+    dropped = np.split(in_pairs(np.repeat(users, lengths),
+                                np.concatenate([np.empty(0, np.int64), *heads]), excluded),
+                       np.cumsum(lengths)[:-1])
     skipped = dict.fromkeys(SKIP_REASONS, 0)
     rows, rankings = [], []  # each kept user's index in users, and its ranking
     for row, (user, test, head, drop) in enumerate(zip(users, tests, heads, dropped)):
@@ -336,14 +321,14 @@ def evaluate(
 
     kept = [users[row] for row in rows]
     tests = [tests[row] for row in rows]
-    labels, tops = _label_block(rankings, tests)
+    labels, tops = _label_block(kept, rankings, split.test.pairs)
     realized = {m: realized_curve(m, labels, [len(t) for t in tests]) for m in measures}
     if METHOD_RAND in methods:
         rand_k = np.minimum([baseline_rand(user, K, seed) for user in kept], tops)
     if METHOD_VAL_K in methods:
-        val_sets = [vals[row] for row in rows]
-        val_labels, val_lengths = _label_block([heads[row][:K] for row in rows], val_sets)
-        n_val = [len(v) for v in val_sets]
+        val_labels, val_lengths = _label_block(kept, [heads[row][:K] for row in rows],
+                                               split.val.pairs)
+        n_val = [len(vals[row]) for row in rows]
         val_k = {m: np.minimum(_row_argmax(realized_curve(m, val_labels, n_val), val_lengths),
                                tops) for m in measures}
 

@@ -1,5 +1,6 @@
 """Small shared helpers: atomic file writes, the one reader of numeric text
-files, checks of numeric config values, and per-user parallel maps."""
+files, the one (user, item) membership test, checks of numeric config
+values, and per-user parallel maps."""
 
 from __future__ import annotations
 
@@ -15,6 +16,9 @@ from pathlib import Path
 import numpy as np
 
 _KINDS = {"i": "<i8", "f": "<f8", "s": "O"}
+# Query entries per ``in_pairs`` chunk: store-sized temporaries freed on the
+# main thread would stay resident while a stage's thread pool allocates.
+_QUERY_CHUNK = 32_768
 _INT64 = np.iinfo(np.int64)
 # Bytes np.loadtxt parses as Python's int/float do: printable ASCII plus
 # tab, line feed, vertical tab and form feed. (loadtxt also strips \x1c-\x1f
@@ -59,6 +63,29 @@ def parallel_map(fn, keys, threads: int = 1) -> list:
         return [fn(k) for k in keys]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, keys))
+
+
+def in_pairs(owners, items, pairs) -> np.ndarray:
+    """Whether each ``(owners[j], items[j])`` is a row of the (n, 2)
+    ``pairs``: one membership test over packed keys. A key packs the dense
+    codes of the pairs' own user and item ids, so it stays below n² for any
+    int64 ids; a query id that the pairs lack is a non-member."""
+    owners = np.asarray(owners, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    found = np.zeros(len(items), dtype=bool)
+    if not len(pairs):
+        return found
+    users, pair_users = np.unique(pairs[:, 0], return_inverse=True)
+    catalog, pair_items = np.unique(pairs[:, 1], return_inverse=True)
+    pair_keys = pair_users * len(catalog) + pair_items
+    for a in range(0, len(items), _QUERY_CHUNK):
+        u, i = owners[a:a + _QUERY_CHUNK], items[a:a + _QUERY_CHUNK]
+        at_user = np.minimum(users.searchsorted(u), len(users) - 1)
+        at_item = np.minimum(catalog.searchsorted(i), len(catalog) - 1)
+        found[a:a + _QUERY_CHUNK] = ((users[at_user] == u) & (catalog[at_item] == i)
+                                     & np.isin(at_user * len(catalog) + at_item, pair_keys))
+    return found
 
 
 def _read_rows(path, kinds: str, layout: str, check, exact: bool = False) -> list:

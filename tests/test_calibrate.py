@@ -189,8 +189,11 @@ class TestApply:
         assert np.all(np.diff(down) < 0)
 
     def test_rejects_nan_params(self):
-        with pytest.raises(ValueError):
-            apply(PlattParams(float("nan"), 0.0), 1.0)
+        # refused where they enter, so apply never meets them
+        with pytest.raises(ValueError, match="non-finite calibration parameters for scope 7"):
+            PlattParams(float("nan"), 0.0, scope=7)
+        with pytest.raises(ValueError, match="'GLOBAL'"):
+            PlattParams(0.5, float("-inf"))
 
 
 class TestEce:
@@ -360,13 +363,14 @@ class TestBuildCalibrationBatch:
         batch = build_calibration_batch(split, table)
         assert batch.labels.tolist() == [0, 0, 1, 0, 0, 0, 1, 0, 0]
 
-    def test_keys_that_could_overflow_int64_are_refused(self):
+    def test_ids_spanning_2_40_label_without_overflow(self):
+        # a box of (user, item) offsets would hold 2**80 keys; dense codes of
+        # the pairs' own ids hold four
         big = 2**40
         ids = np.array([0, big])
         split = self._split(np.array([[0, 0], [big, big]]), users=ids, items=ids)
         table = ScoreTable.from_entries({0: ([0, 1], [0.1, 0.2])})
-        with pytest.raises(ValueError, match="int64"):
-            build_calibration_batch(split, table)
+        assert build_calibration_batch(split, table).labels.tolist() == [1, 0]
 
     def test_malformed_batch_is_refused(self):
         with pytest.raises(ValueError, match="CSR batch"):

@@ -265,9 +265,8 @@ class TestCrossStageParity:
         assert {u for u, _ in recs} == set(params)
         # the stage pads each block of users, so its values equal the library
         # routine's over the same blocks (a one-user call moves low bits)
-        exclude = {u: split_ds.val.items_of(u) for u in table.users()}
-        lib = selection.recommend_users(table, params, list(Measure), K=10, M=100,
-                                        exclude=exclude)
+        lib = selection.recommend_users(table.without(split_ds.val.pairs), params,
+                                        list(Measure), K=10, M=100)
         assert list(lib) == sorted(params)
         for user, by_measure in lib.items():
             for measure, rec in by_measure.items():
@@ -319,6 +318,44 @@ class TestRecommendBlocks:
         assert len(seen["1"]) > 1  # several blocks, so the pool has work to share
         assert seen["1"] == seen["2"] == seen["8"]
         assert outputs["1"] == outputs["2"] == outputs["8"]
+
+    @pytest.mark.parametrize("exclude_val", [True, False])
+    def test_exclude_val_drops_the_validation_positives(self, tmp_path, calibrated_workdir,
+                                                        bundled_path, exclude_val):
+        # one validation positive outscores its user's every other candidate
+        workdir = tmp_path / "run"
+        shutil.copytree(calibrated_workdir, workdir)
+        split_ds = dataset.load_split(workdir)
+        table = scorer.load_scores(workdir / "scores.bin")
+        entries = {u: table.get(u) for u in table.users()}
+        user = next(u for u in table.users() if len(split_ds.val.items_of(u)))
+        item = int(split_ds.val.items_of(user)[0])
+        items, scores = entries[user]
+        entries[user] = (items, np.where(items == item, scores.max() + 1.0, scores))
+        table = scorer.ScoreTable.from_entries(entries)
+        scorer.save_scores(table, workdir / "scores.bin")
+        cfg = _write_config(tmp_path, bundled_path, workdir, exclude_val=exclude_val)
+        assert _run("recommend", "--config", str(cfg)) == 0
+
+        recs = {}
+        for line in (workdir / "recs.tsv").read_text().splitlines()[1:]:
+            u, measure, k, value, listed = line.split("\t")
+            recs[(int(u), measure)] = (int(k), value, [int(i) for i in listed.split(",")])
+        params, _ = _read_platt(workdir / "platt.tsv")
+        shown = table.without(split_ds.val.pairs) if exclude_val else table
+        lib = selection.recommend_users(shown, params, list(Measure), K=10, M=100)
+        assert {u for u, _ in recs} == set(lib) == set(table.users())
+        for u, by_measure in lib.items():
+            for measure, rec in by_measure.items():
+                assert recs[(u, measure.value)] == (
+                    rec.k_max, repr(rec.expected_value), rec.items.tolist()), (u, measure)
+        heads = {listed[0] for (u, _), (_, _, listed) in recs.items() if u == user}
+        if exclude_val:
+            assert item not in heads
+            for (u, _), (_, _, listed) in recs.items():
+                assert not set(listed) & set(split_ds.val.items_of(u).tolist()), u
+        else:
+            assert heads == {item}
 
     def test_evaluate_reads_the_recommend_sizes(self, tmp_path, calibrated_workdir,
                                                 bundled_path, monkeypatch, capsys):
@@ -648,8 +685,8 @@ class TestCountBound:
         shutil.copytree(calibrated_workdir, workdir)
         split_ds = dataset.load_split(workdir)
         table = scorer.load_scores(workdir / "scores.bin")
-        counts = {u: len(selection.rank(u, table, split_ds.val.items_of(u))[0])
-                  for u in table.users()}
+        shown = table.without(split_ds.val.pairs)
+        counts = {u: len(selection.rank(u, shown)[0]) for u in table.users()}
         M = max(counts.values()) - 1
         cfg = _write_config(tmp_path, bundled_path, workdir, M=M)
         code = _run("recommend", "--config", str(cfg))

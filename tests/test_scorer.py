@@ -10,7 +10,6 @@ from persize.calibrate import PlattParams
 from persize.dataset import InteractionSet, candidate_items
 from persize.scorer import (
     BPRConfig,
-    DegenerateUserError,
     ScoreModel,
     ScoreTable,
     _dependency_levels,
@@ -325,15 +324,14 @@ class TestRankTopk:
         table = ScoreTable.from_entries({0: (np.arange(30), rng.normal(size=30))})
         full, _ = rank(0, table)
         for k in (1, 3, 12, 30):
-            part, _ = rank(0, table, exclude=full[k:])
+            part, _ = rank(0, table.without([(0, i) for i in full[k:]]))
             np.testing.assert_array_equal(part, full[:k])
 
     def test_empty_candidates_degenerate(self):
-        table = self._table()
-        assert len(rank(0, table, exclude=[0, 1, 2])[0]) == 0
-        user = recommend_block([0], table, {0: PlattParams(1.0, 0.0)}, [Measure.F1], K=5,
-                               exclude={0: [0, 1, 2]})[0]
-        assert isinstance(user, DegenerateUserError)
+        table = self._table().without([(0, 0), (0, 1), (0, 2)])
+        assert len(rank(0, table)[0]) == 0
+        with pytest.raises(ValueError, match="user 0 has no scored candidates"):
+            recommend_block([0], table, {0: PlattParams(1.0, 0.0)}, [Measure.F1], K=5)
 
     def test_scores_nonincreasing(self):
         rng = np.random.default_rng(2)
@@ -578,6 +576,19 @@ class TestScoreTableChecks:
                                          1: (np.array([1, 3]), np.array([0.3, 0.4])),
                                          2: (np.empty(0, dtype=np.int64), np.empty(0))})
         assert len(table) == 3
+
+    def test_without_drops_only_the_given_pairs(self):
+        # user 2 loses every entry and stays, empty; user 9 has no entries to
+        # drop, and pairs of users or items the table lacks change nothing
+        table = ScoreTable.from_entries({1: ([5, 3, 8], [0.1, 0.2, 0.3]), 2: ([3], [0.4]),
+                                         9: ([3, 5], [0.5, 0.6])})
+        shown = table.without([(1, 3), (2, 3), (1, 4), (7, 5), (1, 3)])
+        assert shown.users() == [1, 2, 9]
+        assert [shown.get(u)[0].tolist() for u in shown.users()] == [[5, 8], [], [3, 5]]
+        assert [shown.get(u)[1].tolist() for u in shown.users()] == [[0.1, 0.3], [], [0.5, 0.6]]
+        assert not any(x.flags.writeable for x in (shown.ids, shown.indptr, shown.items,
+                                                   shown.scores))
+        assert table.without([]).items.tolist() == table.items.tolist()
 
     def test_extreme_item_ids(self):
         big = np.iinfo(np.int64).max

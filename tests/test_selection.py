@@ -4,7 +4,7 @@ import pytest
 from persize import calibrate
 from persize.calibrate import PlattParams
 from persize.dataset import InteractionSet, SplitDataset
-from persize.scorer import DegenerateUserError, ScoreTable
+from persize.scorer import ScoreTable
 from persize.selection import (
     METHOD_ORACLE,
     METHOD_PERK,
@@ -27,17 +27,21 @@ from persize.utility import Measure, expected_curves_batch, realized_curve
 from oracles import CHI2_CRIT_DF19_A01
 
 
-def _alone(user, table, params, measures, exclude=(), **kwargs):
+def _alone(user, table, params, measures, **kwargs):
     """One user's ``recommend_block`` result, as a block of one."""
-    return recommend_block([user], table, {user: params}, measures,
-                           exclude={user: exclude}, **kwargs)[user]
+    return recommend_block([user], table, {user: params}, measures, **kwargs)[user]
+
+
+def _pairs(user, items) -> list:
+    """The (user, item) pairs of one user's ``items``, for ``ScoreTable.without``."""
+    return [(user, int(i)) for i in items]
 
 
 def _perk_sizes(recs) -> dict:
     """``evaluate``'s ``perk`` argument from a ``recommend_users`` result:
     user -> {Measure: (k, expected_value)} for every served user."""
     return {user: {m: (rec.k_max, rec.expected_value) for m, rec in by_measure.items()}
-            for user, by_measure in recs.items() if not isinstance(by_measure, ValueError)}
+            for user, by_measure in recs.items()}
 
 
 def _select(values) -> int:
@@ -90,10 +94,10 @@ class TestRank:
         table = ScoreTable.from_entries({0: (np.arange(30), scores)})
         full, _ = rank(0, table)
         dropped = [4, 11, 29, 100]  # 100 is not a candidate
-        kept, kept_vals = rank(0, table, exclude=dropped)
+        kept, kept_vals = rank(0, table.without(_pairs(0, dropped)))
         np.testing.assert_array_equal(kept, full[~np.isin(full, dropped)])
         np.testing.assert_array_equal(kept_vals, scores[kept])
-        assert len(rank(0, table, exclude=np.arange(30))[0]) == 0
+        assert len(rank(0, table.without(_pairs(0, np.arange(30))))[0]) == 0
 
 
 class TestRecommend:
@@ -131,8 +135,9 @@ class TestRecommend:
         table = self._table(scores)
         params = PlattParams(a=1.0, b=0.0)
         for exclude in ((), [0, 3, 8]):
-            recs = _alone(0, table, params, list(Measure), K=10, M=40, exclude=exclude)
-            ranked, _ = rank(0, table, exclude)
+            shown = table.without(_pairs(0, exclude))
+            recs = _alone(0, shown, params, list(Measure), K=10, M=40)
+            ranked, _ = rank(0, shown)
             for rec in recs.values():
                 np.testing.assert_array_equal(rec.items, ranked[: rec.k_max])
 
@@ -156,8 +161,9 @@ class TestRecommend:
         table = self._table(rng.normal(size=30))
         params = PlattParams(a=1.0, b=0.5)
         for K, exclude in ((10, ()), (40, [2, 7])):
-            recs = _alone(0, table, params, list(Measure), K=K, M=40, exclude=exclude)
-            ranked, _ = rank(0, table, exclude)
+            shown = table.without(_pairs(0, exclude))
+            recs = _alone(0, shown, params, list(Measure), K=K, M=40)
+            ranked, _ = rank(0, shown)
             for rec in recs.values():
                 np.testing.assert_array_equal(rec.ranking, ranked[:K])
                 assert rec.ranking.flags.owndata  # the full ranking is not kept alive
@@ -166,11 +172,11 @@ class TestRecommend:
 
     def test_degenerate_user(self):
         table = ScoreTable.from_entries({0: (np.empty(0, dtype=np.int64), np.empty(0))})
-        assert isinstance(_alone(0, table, PlattParams(1.0, 0.0), [Measure.F1]),
-                          DegenerateUserError)
+        with pytest.raises(ValueError, match="user 0 has no scored candidates"):
+            _alone(0, table, PlattParams(1.0, 0.0), [Measure.F1])
         full = self._table([0.3, 0.2])
-        assert isinstance(_alone(0, full, PlattParams(1.0, 0.0), [Measure.F1], exclude=[0, 1]),
-                          DegenerateUserError)
+        with pytest.raises(ValueError, match="user 0 has no scored candidates"):
+            _alone(0, full.without(_pairs(0, [0, 1])), PlattParams(1.0, 0.0), [Measure.F1])
 
 
 class TestRecommendBlock:
@@ -191,16 +197,14 @@ class TestRecommendBlock:
     @pytest.mark.parametrize("M", [20, 2000])
     def test_mixed_widths_match_blocks_of_one(self, M):
         table, params = self._table(), self._params()
+        table = table.without(_pairs(13, rank(13, table)[0][:2]))
         users = sorted(self.WIDTHS)
         assert user_blocks(users, table) == [users]  # one padded block
-        exclude = {13: rank(13, table)[0][:2]}
-        block = recommend_block(users, table, params, list(Measure), K=12, M=M,
-                                exclude=exclude)
+        block = recommend_block(users, table, params, list(Measure), K=12, M=M)
         assert list(block) == users
         for user in users:
-            alone = _alone(user, table, params[user], list(Measure), K=12, M=M,
-                           exclude=exclude.get(user, ()))
-            n = len(rank(user, table, exclude.get(user, ()))[0])
+            alone = _alone(user, table, params[user], list(Measure), K=12, M=M)
+            n = len(rank(user, table)[0])
             for measure in Measure:
                 got, want = block[user][measure], alone[measure]
                 assert len(got.values) == min(12, n)
@@ -208,14 +212,14 @@ class TestRecommendBlock:
                 assert got.k_max == want.k_max, (user, measure)
                 np.testing.assert_array_equal(got.items, want.items)
 
-    def test_unservable_users_map_to_their_errors(self):
+    def test_unservable_users_are_refused(self):
         table, params = self._table(), self._params()
-        params[12] = PlattParams(float("nan"), 0.0)
-        exclude = {11: rank(11, table)[0]}  # every candidate excluded
-        block = recommend_block([10, 11, 12, 17], table, params, [Measure.F1], K=5,
-                                exclude=exclude)
-        assert isinstance(block[11], DegenerateUserError)
-        assert "non-finite" in str(block[12])
+        with pytest.raises(ValueError, match="non-finite calibration parameters for scope 12"):
+            PlattParams(float("nan"), 0.0, scope=12)
+        table = table.without(_pairs(11, rank(11, table)[0]))  # every candidate excluded
+        with pytest.raises(ValueError, match="user 11 has no scored candidates"):
+            recommend_block([10, 11, 12, 17], table, params, [Measure.F1], K=5)
+        block = recommend_block([10, 12, 17], table, params, [Measure.F1], K=5)
         assert block[10][Measure.F1].k_max == 1
         assert len(block[17][Measure.F1].values) == 5
 
@@ -253,48 +257,42 @@ class TestRecommendUsers:
         params = {u: PlattParams(1.0 + 0.05 * (u % 5), -1.5 + 0.3 * (u % 4))
                   for u in widths if u % 11}
         params[22] = None  # a user without parameters is not served
-        params[34] = PlattParams(float("nan"), 0.0)
         exclude = {u: rank(u, table)[0][: u % 4] for u in widths}
         exclude[45] = rank(45, table)[0]  # nothing left to rank
-        return table, params, exclude
+        return table.without([(u, int(i)) for u, items in exclude.items() for i in items]), params
 
     def test_serves_the_blocks_of_served_users(self):
-        table, params, exclude = self._world()
-        got = recommend_users(table, params, iter([Measure.F1, Measure.NDCG]), K=20, M=100,
-                              exclude=exclude)
-        served = [u for u in table.users() if params.get(u) is not None]
+        table, params = self._world()
+        got = recommend_users(table, params, iter([Measure.F1, Measure.NDCG]), K=20, M=100)
+        # a user with no entry left is not served
+        served = [u for u in table.users() if len(table.get(u)[0]) and params.get(u) is not None]
         assert list(got) == served
         assert len(user_blocks(served, table)) > 2
-        assert isinstance(got[45], DegenerateUserError)
-        assert "non-finite" in str(got[34])
+        assert 45 in params and 45 in table and 45 not in got
+        with pytest.raises(ValueError, match="non-finite calibration parameters for scope 34"):
+            PlattParams(float("nan"), 0.0, scope=34)
         for block in user_blocks(served, table):
             want = recommend_block(block, table, params, [Measure.F1, Measure.NDCG], K=20,
-                                   M=100, exclude=exclude)
+                                   M=100)
             for user in block:
-                if isinstance(want[user], ValueError):
-                    assert type(got[user]) is type(want[user])
-                    continue
                 for measure, rec in want[user].items():
                     assert got[user][measure].k_max == rec.k_max
                     assert got[user][measure].values.tobytes() == \
                         rec.values.tobytes()
 
     def test_thread_count_never_changes_the_result(self):
-        table, params, exclude = self._world()
+        table, params = self._world()
 
         def flat(result):
             out = []
             for user, recs in result.items():
-                if isinstance(recs, ValueError):
-                    out.append((user, type(recs).__name__, str(recs)))
-                    continue
                 for measure, rec in recs.items():
                     out.append((user, measure, rec.k_max, rec.ranking.tobytes(),
                                 rec.values.tobytes()))
             return out
 
         runs = [flat(recommend_users(table, params, list(Measure), K=15, M=80,
-                                     exclude=exclude, threads=threads))
+                                     threads=threads))
                 for threads in (1, 2, 8)]
         assert runs[0] == runs[1] == runs[2]
 
@@ -307,7 +305,7 @@ class TestRecommendUsers:
 def _block_argmax(measure, ranked_items, positives) -> int:
     """The val_k / oracle size of one user: the one-row block argmax that
     ``evaluate`` runs over all its users."""
-    labels, lengths = _label_block([ranked_items], [positives])
+    labels, lengths = _label_block([0], [ranked_items], _pairs(0, positives))
     return int(_row_argmax(realized_curve(measure, labels, [len(positives)]), lengths)[0])
 
 
@@ -326,8 +324,9 @@ class TestBaselines:
         report = evaluate(tiny_split, table, measures=[Measure.TP],
                           methods=["top-1", "top-3", "top-100"], K=100)
         assert report.per_user
+        shown = table.without(tiny_split.val.pairs)
         for user, method, _, k, value in report.per_user:
-            ranked, _ = rank(user, table, tiny_split.val.items_of(user))
+            ranked, _ = rank(user, shown)
             assert k == min(int(method[4:]), len(ranked))
             test_items = tiny_split.test.items_of(user)
             labels = np.isin(ranked, test_items).astype(float)
@@ -434,8 +433,7 @@ def _pipeline_fixture(bundled_split):
 def _served(split, table, params, K, M):
     """The recommend stage's result on ``split``: ``recommend_users`` with
     the validation positives excluded."""
-    exclude = {u: split.val.items_of(u) for u in table.users()}
-    return recommend_users(table, params, list(Measure), K=K, M=M, exclude=exclude)
+    return recommend_users(table.without(split.val.pairs), params, list(Measure), K=K, M=M)
 
 
 @pytest.fixture(scope="module")
@@ -596,7 +594,7 @@ class TestEvaluate:
                                          for u in tiny_split.users})
         perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
         user = int(tiny_split.users[2])
-        n = len(rank(user, table, tiny_split.val.items_of(user))[0])
+        n = len(rank(user, table.without(tiny_split.val.pairs))[0])
         perk[user][Measure.TP] = (n + 1, 0.5)
         with pytest.raises(ValueError, match=f"user {user}: a PerK size exceeds its {n} "):
             evaluate(tiny_split, table, perk, K=8)
