@@ -4,11 +4,12 @@ Given calibrated probabilities in ranking order, the expected NDCG / PDCG /
 F1 / TP of the top-k list has a closed computational form for every
 k = 1..K at once. ``expected_curves_batch`` builds every measure's curve
 for a block of users in one call, one row per user; a single user is a
-block of one row. The estimator truncates the count sum at M and reuses
-one count distribution for all ranks. Acceptance criteria 2 and 3
-(``tests/test_acceptance.py``) check what that trades: a leave-one-out
-reference without either shortcut matches brute-force enumeration, and its
-gap to this estimator shrinks as candidate sets grow.
+block of one row. The estimator stops the count sum at a tail-certified
+bound under the cap M and reuses one count distribution for all ranks.
+Acceptance criteria 2 and 3 (``tests/test_acceptance.py``) check what that
+trades: a leave-one-out reference without either shortcut matches
+brute-force enumeration, and its gap to this estimator shrinks as candidate
+sets grow.
 """
 
 import numpy as np

@@ -301,7 +301,7 @@ def cmd_recommend(cfg: dict) -> int:
             continue
         for m in measures:
             rec = results[u][m]
-            joined = ",".join(str(i) for i in rec.items)
+            joined = ",".join(map(str, rec.items.tolist()))
             rec_lines.append(f"{u}\t{m.value}\t{rec.k_max}\t{rec.expected_value!r}\t{joined}")
         if cfg["dump_curves"]:
             for m in measures:
@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measure", action="append",
                        help="utility measure (repeatable): ndcg|pdcg|f1|tp")
         p.add_argument("--K", type=int, help="maximum recommendation size")
-        p.add_argument("--M", type=int, help="truncation bound of each user's relevant count")
+        p.add_argument("--M", type=int, help="cap on each user's relevant count")
     return parser
 
 

@@ -10,7 +10,10 @@ would land beyond index M is dropped (recorded, never renormalized).
 an FFT merge tree over a (users, n) matrix. ``distribution`` is the front
 door: it takes one user's vector or a (users, n) block, and calls the engine
 once either way, so the single-user and batched paths share their arithmetic
-and their input checks.
+and their input checks. The work of a call grows with its bound: the
+expected curves pass each block's Chernoff-certified bound
+(``utility._count_bound``), far below their cap M - 1 when the probabilities
+sum to little, and the engine truncates every intermediate there.
 """
 
 from __future__ import annotations

@@ -53,8 +53,10 @@ class ScoreTable:
     """Each user's candidate (item, score) entries as the score store's four
     read-only CSR arrays: ``ids`` (strictly increasing), ``indptr``, ``items``
     and ``scores``; user ``ids[j]`` owns entries ``indptr[j]:indptr[j + 1]``.
-    The constructor checks the layout, then one sort over every entry names
-    the first bad user: a duplicate item, else a non-finite score."""
+    The constructor checks the layout, then names the first bad user: a
+    duplicate item, else a non-finite score. Entries already in (user, item)
+    order, as every store the pipeline writes is, have no duplicate, which
+    one pass tells; only other tables are sorted (``util._repeats``)."""
 
     def __init__(self, ids, indptr, items, scores):
         self._wrap(ids, indptr, items, scores)

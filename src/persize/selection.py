@@ -103,11 +103,16 @@ class EvaluationReport:
     perk_expected: dict = field(default_factory=dict)  # measure name -> mean expected utility
 
 
-def rank(user: int, scores: ScoreTable) -> tuple[np.ndarray, np.ndarray]:
+def rank(user: int, scores: ScoreTable, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The user's scored (items, scores) by descending score, ties to the
-    lower item id."""
+    lower item id; with ``top``, the first ``top`` of them only, sorted
+    after one ``np.partition`` that keeps every entry tied with the cut."""
     items, vals = scores.get(user)
-    order = np.lexsort((items, -vals))
+    if top is not None and 0 < top < len(vals):
+        cut = np.partition(vals, len(vals) - top)[len(vals) - top]
+        head = np.flatnonzero(vals >= cut)
+        items, vals = items[head], vals[head]
+    order = np.lexsort((items, -vals))[:top]
     return items[order], vals[order]
 
 
@@ -158,9 +163,10 @@ def recommend_block(
     ``params_by_user[user]``; the block's probability rows, zero-padded to
     its widest row, then give every curve of the block in one
     ``expected_curves_batch`` call. The count distribution uses every ranked
-    candidate, not just the top-K prefix, and its sum is truncated above
-    ``M``. Each curve covers the user's own sizes 1..min(K, n), and one
-    ``_row_argmax`` call per measure cuts every user's ranking.
+    candidate, not just the top-K prefix, and its sum stops at the block's
+    certified bound, below the cap ``M``. Each curve covers the user's own
+    sizes 1..min(K, n), and one ``_row_argmax`` call per measure cuts every
+    user's ranking.
 
     Returns user -> (measure -> PersonalizedRec), in the order of
     ``users``. A user without entries in ``scores`` is a ValueError naming
@@ -270,12 +276,12 @@ def evaluate(
 ) -> EvaluationReport:
     """Score every method on every user holding at least one test positive.
 
-    One ``rank`` call orders each such user's candidates; every method
-    emits a prefix of that order without the validation positives (by
-    default) cut at K, so the averages compare and the test-label argmax
-    dominates pointwise. ``val_k`` reads the order's first K items. The
-    validation exclusion, the test labels and the ``val_k`` labels are one
-    ``in_pairs`` test each over all the users.
+    One ``rank`` call orders the head of each such user's candidates that
+    the methods can read; every method emits a prefix of that order without
+    the validation positives (by default) cut at K, so the averages compare
+    and the test-label argmax dominates pointwise. ``val_k`` reads the
+    order's first K items. The validation exclusion, the test labels and the
+    ``val_k`` labels are one ``in_pairs`` test each over all the users.
 
     ``perk`` maps each user PerK served to ``{Measure: (k, expected_value)}``
     (the recommend stage's sizes); it is required when ``perk`` is a method.
@@ -295,7 +301,7 @@ def evaluate(
     excluded = split.val.pairs if exclude_val else []
     # at most len(val) items of a head drop, so it keeps the first K ranked
     # items outside them
-    heads = [rank(user, scores)[0][: K + (len(val) if exclude_val else 0)]
+    heads = [rank(user, scores, K + (len(val) if exclude_val else 0))[0]
              if len(test) and user in scores else np.empty(0, np.int64)
              for user, val, test in zip(users, vals, tests)]
     lengths = [len(h) for h in heads]

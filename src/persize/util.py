@@ -203,8 +203,27 @@ def _check_number(name: str, value, low, integer: bool = False) -> None:
         raise ValueError(f"{name} must be {what} >= {low}, got {value!r}")
 
 
+def _rising(*keys) -> bool:
+    """Whether the rows strictly rise in ``np.lexsort(keys)`` order (the last
+    key primary): one pass per key over neighbouring rows, no sort."""
+    rising = tied = None
+    for key in reversed(keys):
+        key = np.asarray(key)
+        later, prev = key[1:], key[:-1]
+        if tied is None:
+            rising, tied = later > prev, later == prev
+        else:
+            rising |= tied & (later > prev)
+            tied &= later == prev
+    return bool(rising.all())
+
+
 def _repeats(*keys):
-    """The rows whose keys all equal those of an earlier row."""
+    """The rows whose keys all equal those of an earlier row. Rows that
+    already strictly rise in key order (``_rising``) are all distinct, so
+    only other rows are sorted."""
+    if _rising(*keys):
+        return np.empty(0, dtype=np.intp)
     order = np.lexsort(keys)  # stable: a repeat follows its first row
     later, prev = order[1:], order[:-1]
     return later[np.logical_and.reduce([key[later] == key[prev] for key in keys])]

@@ -10,19 +10,22 @@ relevances. These formulas are written once (``_gains``, ``_denominators``,
 - realized (``realized_curve``): known 0/1 labels, at the realized count,
   for one user or a (users, L) block of label rows;
 - expected (``expected_curves_batch``): each relevance an independent
-  Bernoulli variable with a calibrated probability; the count sum is
-  truncated at M, and one count distribution of the whole candidate set
-  stands in for every rank's leave-one-out one, so the sum is one matrix
-  product per measure for a whole block of users, whose masses come from
-  one ``poibin.distribution`` call on the block; one user is a block of
-  one row. Its probabilities are checked with the count engine's input
-  check, PDCG's too.
+  Bernoulli variable with a calibrated probability; one count distribution
+  of the whole candidate set stands in for every rank's leave-one-out one,
+  so the sum is one matrix product per measure for a whole block of users,
+  whose masses come from one ``poibin.distribution`` call on the block; one
+  user is a block of one row. M is a cap on the count: each block's count
+  stops at its certified bound (``_count_bound``), the least count whose
+  Chernoff tail is at most ``TAIL_EPS`` for every row of the block. Its
+  probabilities are checked with the count engine's input check, PDCG's
+  too.
 
 The utility of one size k is entry k - 1 of its curve.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -30,6 +33,8 @@ import numpy as np
 from .poibin import _check_probs, distribution
 
 DEFAULT_M = 2000
+# Largest count mass an expected curve may drop above its block's bound.
+TAIL_EPS = 2.0 ** -70
 
 
 class Measure(Enum):
@@ -121,6 +126,20 @@ def check_curve_args(K: int, M: int) -> None:
         raise ValueError(f"M must be >= 1, got {M}")
 
 
+def _count_bound(probs: np.ndarray, cap: int) -> int:
+    """The least B <= ``cap`` at which the Chernoff (1952) bound
+    P(C > B) <= exp(-mu) (e mu / (B + 1))^(B + 1) is at most ``TAIL_EPS``
+    for every row's count C, mu being the row's probability sum; ``cap``
+    if none is. The bound holds for B + 1 > mu and grows with mu there, so
+    the block's largest mu decides. An all-zero or empty block gives 0."""
+    mu = float(probs.sum(axis=1).max(initial=0.0))
+    if mu == 0.0:
+        return 0
+    m = np.arange(math.floor(mu) + 1, cap + 2, dtype=np.float64)  # m = B + 1 > mu
+    certified = np.flatnonzero(m * (1.0 + math.log(mu) - np.log(m)) - mu <= math.log(TAIL_EPS))
+    return int(m[certified[0]]) - 1 if len(certified) else cap
+
+
 def expected_curves_batch(
     probs_sorted: np.ndarray,
     measures,
@@ -134,9 +153,11 @@ def expected_curves_batch(
     zero adds nothing to the count, so the user's values over its own sizes
     1..min(K, n_user) are unchanged up to rounding. Returns measure ->
     (users, min(K, n)) value arrays. The count masses of the whole block
-    are one ``distribution`` call, and every inverse-normalizer matrix is
-    built once per block; large blocks also release the interpreter lock
-    inside the heavy array operations, which lets thread pools overlap.
+    are one ``distribution`` call, truncated at the block's ``_count_bound``
+    under the cap min(n, M - 1), so each row drops at most ``TAIL_EPS`` of
+    mass that M - 1 would keep; every inverse-normalizer matrix is built
+    once per block. Large blocks also release the interpreter lock inside
+    the heavy array operations, which lets thread pools overlap.
     """
     probs_sorted = np.asarray(probs_sorted, dtype=np.float64)
     if probs_sorted.ndim != 2 or probs_sorted.shape[1] == 0:
@@ -150,7 +171,8 @@ def expected_curves_batch(
             out[measure] = _pdcg_curve(p_topk)
             continue
         if mass is None:  # the whole set's mass stands in for each rank's leave-one-out one
-            mass = distribution(probs_sorted, M - 1).mass
+            bound = _count_bound(probs_sorted, min(probs_sorted.shape[1], M - 1))
+            mass = distribution(probs_sorted, bound).mass
         ks, ms = np.arange(1, p_topk.shape[1] + 1), np.arange(1, mass.shape[1] + 1)
         inverse = _denominators(measure, ks[None, :], ms[:, None])
         weights = mass @ np.divide(1.0, inverse, out=inverse)

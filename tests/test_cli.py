@@ -1043,6 +1043,15 @@ class TestRowReader:
         curves.write_text(CURVE_TEXT + "".join(f"5\t{name}\t{k}\t0.5\n" for k in (1, 2)))
         assert sorted(_read_curves(curves, Measure.F1)) == [0, 2]
 
+    def test_a_measure_outside_the_known_ones_repeats_only_itself(self, tmp_path):
+        curves = tmp_path / "curves.tsv"
+        rows = "".join(f"0\t{name}\t1\t0.5\n" for name in ("map", "mrr", "f1x", "tp"))
+        curves.write_text(CURVE_TEXT + rows)
+        assert sorted(_read_curves(curves, Measure.F1)) == [0, 2]
+        curves.write_text(CURVE_TEXT + rows + "0\tmrr\t1\t0.6\n")
+        with pytest.raises(ValueError, match=re.escape("line 14: repeated row for user 0, k=1")):
+            _read_curves(curves, Measure.F1)
+
     @pytest.mark.parametrize("scope, message", [
         ("GLOBALX", "scope 'GLOBALX' is neither GLOBAL nor an int64 user id"),
         ("GLOBA", "scope 'GLOBA' is neither GLOBAL"),

@@ -431,6 +431,27 @@ class TestScoreStore:
             load_scores(path)
 
 
+    @pytest.mark.parametrize("items", [
+        [1, 4, 8, 2, 3, 3, 9],  # every other entry rises
+        [1, 4, 8, 9, 3, 2, 3],  # the repeat in an unsorted segment
+        [8, 1, 4, 2, 3, 9, 3],  # every segment unsorted
+    ])
+    def test_hand_written_store_with_a_repeated_item(self, tmp_path, items):
+        # users 2, 5 and 11 own 3, 0 and 4 entries
+        path = tmp_path / "scores.bin"
+
+        def write(items):
+            ints = [[3, 7], [2, 5, 11], [0, 3, 3, 7], items]
+            path.write_bytes(b"".join(np.asarray(x, dtype="<i8").tobytes() for x in ints)
+                             + np.linspace(0.1, 0.7, 7).astype("<f8").tobytes())
+
+        write(items)
+        with pytest.raises(ValueError, match=r"^user 11: duplicate item ids$"):
+            load_scores(path)
+        write([1, 4, 8, 2, 3, 5, 9])
+        assert load_scores(path).items.tolist() == [1, 4, 8, 2, 3, 5, 9]
+
+
 def _same_table(a: ScoreTable, b: ScoreTable) -> None:
     """Same users, and per user the same item and score arrays, bit for bit."""
     assert a.users() == b.users()
@@ -492,6 +513,15 @@ class TestTextImport:
         with pytest.raises(ValueError) as want:
             scan_scores(path)
         assert str(got.value) == str(want.value)
+
+    def test_repeat_in_a_sorted_file_names_its_line(self, tmp_path):
+        rows = [f"{u}\t{i}\t{(u + i) / 9!r}\n" for u in range(3) for i in range(50)]
+        rows.insert(77, rows[76])  # (1, 26) again, on line 79
+        path = tmp_path / "s.tsv"
+        path.write_text("# header\n" + "".join(rows))
+        with pytest.raises(ValueError) as got:
+            import_scores(path)
+        assert str(got.value) == f"{path}: line 79: duplicate entry for (1, 26)"
 
     def test_earliest_bad_line_wins(self, tmp_path):
         path = tmp_path / "s.tsv"

@@ -88,6 +88,17 @@ class TestRank:
         order = np.lexsort((np.arange(25), -scores))
         np.testing.assert_array_equal(rank(0, table)[0], np.arange(25)[order])
 
+    @pytest.mark.parametrize("top", [0, 1, 3, 7, 12, 24, 25, 40])
+    def test_top_is_the_head_of_the_full_order(self, top):
+        rng = np.random.default_rng(4)
+        scores = np.round(rng.normal(size=25), 0)  # a few values, many ties at any cut
+        scores[:3] = [0.0, -0.0, 0.0]
+        table = ScoreTable.from_entries({0: (rng.permutation(25), scores)})
+        items, vals = rank(0, table)
+        head_items, head_vals = rank(0, table, top)
+        assert head_items.tolist() == items[:top].tolist()
+        assert head_vals.tobytes() == vals[:top].tobytes()
+
     def test_exclude_drops_items_and_keeps_order(self):
         rng = np.random.default_rng(3)
         scores = rng.normal(size=30)

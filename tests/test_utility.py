@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from persize import utility
 from persize.poibin import distribution, distribution_batch
+from persize.selection import _row_argmax
 from persize.utility import (
     DEFAULT_M,
+    TAIL_EPS,
     Measure,
+    _count_bound,
     expected_curves_batch,
     log_discount,
     realized_curve,
@@ -362,3 +366,90 @@ class TestCurveBlocks:
             realized_curve(Measure.F1, labels, [1, 1])
         with pytest.raises(ValueError, match="one total per label row"):
             realized_curve(Measure.F1, labels, 2)
+
+
+def _criterion_10_block(seed=0) -> np.ndarray:
+    """One block of acceptance criterion 10: 50 users x 5000 candidates from
+    U(0, 0.05), each row in descending order."""
+    probs = np.random.default_rng(seed).uniform(0.0, 0.05, (50, 5000))
+    return -np.sort(-probs, axis=1)
+
+
+def _hand_rows() -> dict:
+    """Blocks whose bound sits at its extremes: every probability sum near
+    0, every p = 1 (nothing may be cut), and one sure row among near-zero ones."""
+    tiny = np.full((4, 32), 1e-9)
+    tiny[1, 16:] = 0.0
+    mixed = np.full((3, 30), 1e-6)
+    mixed[2] = 1.0
+    return {"tiny": tiny, "sure": np.ones((3, 30)), "mixed": mixed}
+
+
+class TestCountBound:
+    """Each block's count stops at ``_count_bound``, under the cap min(n, M - 1)."""
+
+    def _fixed_cap(self, monkeypatch, probs, K) -> dict:
+        """The curves with the count truncated at the cap itself."""
+        with monkeypatch.context() as patch:
+            patch.setattr(utility, "_count_bound", lambda probs, cap: cap)
+            return expected_curves_batch(probs, ALL, M=DEFAULT_M, K=K)
+
+    def _same_sizes(self, got: dict, want: dict, K: int) -> None:
+        for measure in ALL:
+            g, w = got[measure], want[measure]
+            lengths = np.full(len(g), min(K, g.shape[1]))
+            np.testing.assert_array_equal(_row_argmax(g, lengths), _row_argmax(w, lengths))
+            assert np.all(np.abs(g - w) <= 1e-13 * np.abs(w)), measure
+
+    def test_matches_the_fixed_cap_on_the_criterion_10_block(self, monkeypatch):
+        probs = _criterion_10_block()
+        bound = _count_bound(probs, DEFAULT_M - 1)
+        assert 200 < bound < 300  # mean count 125, sd 11: far below the cap
+        got = expected_curves_batch(probs, ALL, M=DEFAULT_M, K=50)
+        self._same_sizes(got, self._fixed_cap(monkeypatch, probs, K=50), K=50)
+
+    @pytest.mark.parametrize("name", ["tiny", "sure", "mixed"])
+    def test_matches_the_fixed_cap_on_hand_made_rows(self, monkeypatch, name):
+        probs = _hand_rows()[name]
+        got = expected_curves_batch(probs, ALL, M=DEFAULT_M, K=10)
+        want = self._fixed_cap(monkeypatch, probs, K=10)
+        self._same_sizes(got, want, K=10)
+        bound = _count_bound(probs, probs.shape[1])  # the cap min(n, M - 1)
+        if name == "tiny":
+            assert bound == 2
+        else:  # a row of sure items counts n: nothing is cut
+            assert bound == probs.shape[1]
+            for measure in ALL:
+                assert got[measure].tobytes() == want[measure].tobytes()
+
+    def test_bound_keeps_to_the_cap_and_an_empty_count(self):
+        probs = _criterion_10_block()[:3]
+        assert _count_bound(probs, 100) == 100  # M - 1 below the certified bound
+        assert _count_bound(np.zeros((2, 7)), 7) == 0
+        assert _count_bound(np.zeros((0, 7)), 7) == 0  # a block of no users
+        assert _count_bound(np.full((1, 5), 0.5), 5) == 5  # n caps it
+
+    def test_dropped_tail_is_at_most_eps(self):
+        # the one-chunk engine (n <= 32) at the full cap
+        rng = np.random.default_rng(11)
+        narrow = [*_hand_rows().values(), rng.uniform(0, 0.2, (6, 32)), rng.random((6, 32))]
+        for probs in narrow:
+            bound = _count_bound(probs, probs.shape[1])
+            mass, _ = distribution_batch(probs, probs.shape[1])
+            assert np.all(mass[:, bound + 1:].sum(axis=1) <= TAIL_EPS)
+        # wide rows through the one-item-at-a-time oracle: the FFT merges of
+        # the engine leave round-off near 1e-17 per cell in the far tail
+        probs = _criterion_10_block()
+        bound = _count_bound(probs, DEFAULT_M - 1)
+        for row in (int(np.argmax(probs.sum(axis=1))), 0):
+            tail = dp_count_distribution(probs[row], DEFAULT_M - 1)[bound + 1:].sum()
+            assert tail <= TAIL_EPS
+
+    def test_permuting_rows_permutes_curves_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        probs = _criterion_10_block(3)[:12, :700] * rng.uniform(0.2, 3.0, (12, 1))
+        perm = rng.permutation(len(probs))
+        curves = expected_curves_batch(probs, ALL, M=DEFAULT_M, K=20)
+        permuted = expected_curves_batch(probs[perm], ALL, M=DEFAULT_M, K=20)
+        for measure in ALL:
+            assert permuted[measure].tobytes() == curves[measure][perm].tobytes()
