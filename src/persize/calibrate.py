@@ -290,11 +290,9 @@ def _calibrated(a, b, s):
 
 
 def apply(params: PlattParams, s):
-    """Calibrated probability sigmoid(a*s + b), strictly inside (0, 1)."""
-    out = _calibrated(params.a, params.b, np.asarray(s, dtype=np.float64))
-    if np.ndim(s) == 0:
-        return float(out)
-    return out
+    """Calibrated probability sigmoid(a*s + b), strictly inside (0, 1): an
+    array for an array ``s``, a ``numpy.float64`` (a ``float``) for a scalar."""
+    return _calibrated(params.a, params.b, np.asarray(s, dtype=np.float64))
 
 
 def pooled_ece_reports(batch: CalibrationBatch, per_user: dict,

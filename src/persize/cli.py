@@ -16,9 +16,9 @@ export, so edits to it are not seen downstream; edited scores go back in
 through the ``scores`` key of ``train``.
 
 ``recommend`` gives every scored user one ``recs.tsv`` row per measure,
-or one ``# skipped`` row saying why it has no list. With ``exclude_val``
-the validation positives leave the whole score table first
-(``ScoreTable.without``), and a user left without entries has no
+or one ``# skipped`` row saying why it has no list. The validation
+positives, which the Platt fits were trained on, leave the whole score table
+first (``ScoreTable.without``), and a user left without entries has no
 candidates. ``evaluate`` runs no PerK of its own: it reads PerK's sizes
 from ``recs.tsv``, whose header ends in ``inputs=<hex>``, the digest of
 what ``recommend`` read, and rejects the file if that digest is not its
@@ -46,7 +46,7 @@ from .util import (_check_number, _first_flagged, _parse_int64, _read_rows, _rep
 
 _TOP_KEYS = {
     "data", "workdir", "seed", "K", "M", "measures", "kcore", "ratios",
-    "threads", "exclude_val", "scores", "bpr", "baselines", "dump_curves", "allocate",
+    "threads", "scores", "bpr", "baselines", "dump_curves", "allocate",
 }
 _BPR_KEYS = {"d", "epochs", "learning_rate", "weight_decay", "negatives_per_positive"}
 _ALLOC_KEYS = {"budget", "domains", "allow_zero", "measure"}
@@ -60,7 +60,6 @@ _DEFAULTS = {
     "kcore": 20,
     "ratios": list(dataset.SPLIT_RATIOS),
     "threads": 1,
-    "exclude_val": True,
     "bpr": {},
     "dump_curves": False,
 }
@@ -68,7 +67,7 @@ _DEFAULTS = {
 # Keys that must not influence output bytes (runtime knobs only).
 _NO_ECHO = {"threads"}
 # Config keys that shape the recommend stage's sizes.
-_RECOMMEND_KEYS = ("K", "M", "exclude_val", "measures")
+_RECOMMEND_KEYS = ("K", "M", "measures")
 
 
 class ConfigError(ValueError):
@@ -130,7 +129,7 @@ def _load_config(args) -> dict:
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
         if cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {cfg[key]!r}")
-    for key, value in (("exclude_val", cfg["exclude_val"]), ("dump_curves", cfg["dump_curves"]),
+    for key, value in (("dump_curves", cfg["dump_curves"]),
                        ("allocate.allow_zero", alloc.get("allow_zero", True))):
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, got {value!r}")
@@ -282,11 +281,9 @@ def cmd_recommend(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     inputs = _inputs_digest(cfg, workdir)
     split_ds = dataset.load_split(workdir)
-    table = scorer.load_scores(workdir / "scores.bin")
+    table = scorer.load_scores(workdir / "scores.bin").without(split_ds.val.pairs)
     per_user, _ = _read_platt(workdir / "platt.tsv")
     measures = _measures(cfg)
-    if cfg["exclude_val"]:
-        table = table.without(split_ds.val.pairs)
     results = selection.recommend_users(table, per_user, measures, K=cfg["K"], M=cfg["M"],
                                         threads=cfg["threads"])
 
@@ -367,10 +364,8 @@ def cmd_evaluate(cfg: dict) -> int:
     methods = cfg["baselines"] if "baselines" in cfg else selection.default_methods(cfg["K"])
     selection._check_choices(cfg["measures"], methods)  # before any recs.tsv error
     perk = _read_recs(cfg, workdir) if selection.METHOD_PERK in methods else None
-    report = selection.evaluate(
-        split_ds, table, perk, measures=_measures(cfg), methods=methods,
-        K=cfg["K"], seed=cfg["seed"], exclude_val=cfg["exclude_val"],
-    )
+    report = selection.evaluate(split_ds, table, perk, measures=_measures(cfg), methods=methods,
+                                K=cfg["K"], seed=cfg["seed"])
     lines = [_echo(cfg, "evaluate")]
     lines.extend(
         f"{u}\t{method}\t{measure}\t{k}\t{value!r}"
@@ -380,7 +375,7 @@ def cmd_evaluate(cfg: dict) -> int:
     payload = {
         "averages": report.averages,
         "n_users": report.n_users,
-        "config": {k: cfg[k] for k in ("K", "M", "seed", "exclude_val")},
+        "config": {k: cfg[k] for k in ("K", "M", "seed")},
         "perk_expected": report.perk_expected,
     }
     atomic_write(workdir / "eval_report.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")

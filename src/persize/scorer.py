@@ -328,9 +328,9 @@ def save_scores(table: ScoreTable, path) -> None:
 def load_scores(path) -> ScoreTable:
     """Read a store written by ``save_scores``.
 
-    Rejects a file whose length, ``indptr`` or user order does not match its
-    header, naming the path; the table itself rejects duplicate items and
-    non-finite scores.
+    Rejects a file whose length does not match its header, and any store the
+    table refuses (a bad layout, a duplicate item or a non-finite score),
+    naming the path.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -343,8 +343,7 @@ def load_scores(path) -> ScoreTable:
     ints = np.frombuffer(raw, dtype=_INT_DTYPE, count=3 + 2 * n_users + nnz)
     users, indptr, items = np.split(ints[2:], [n_users, 2 * n_users + 1])
     scores = np.frombuffer(raw, dtype=_FLOAT_DTYPE, offset=ints.nbytes)
-    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
-        raise ValueError(f"{path}: indptr does not match the header (nnz={nnz})")
-    if np.any(np.diff(users) <= 0):
-        raise ValueError(f"{path}: user ids are not strictly increasing")
-    return ScoreTable(users, indptr, items, scores)
+    try:
+        return ScoreTable(users, indptr, items, scores)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

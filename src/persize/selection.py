@@ -272,16 +272,15 @@ def evaluate(
     methods=None,
     K: int = DEFAULT_K,
     seed: int = 0,
-    exclude_val: bool = True,
 ) -> EvaluationReport:
     """Score every method on every user holding at least one test positive.
 
     One ``rank`` call orders the head of each such user's candidates that
     the methods can read; every method emits a prefix of that order without
-    the validation positives (by default) cut at K, so the averages compare
-    and the test-label argmax dominates pointwise. ``val_k`` reads the
-    order's first K items. The validation exclusion, the test labels and the
-    ``val_k`` labels are one ``in_pairs`` test each over all the users.
+    the validation positives, cut at K, so the averages compare and the
+    test-label argmax dominates pointwise. ``val_k`` reads the order's first
+    K items. The validation exclusion, the test labels and the ``val_k``
+    labels are one ``in_pairs`` test each over all the users.
 
     ``perk`` maps each user PerK served to ``{Measure: (k, expected_value)}``
     (the recommend stage's sizes); it is required when ``perk`` is a method.
@@ -298,15 +297,14 @@ def evaluate(
 
     users = sorted(int(u) for u in split.users)
     vals, tests = ([part.items_of(user) for user in users] for part in (split.val, split.test))
-    excluded = split.val.pairs if exclude_val else []
     # at most len(val) items of a head drop, so it keeps the first K ranked
     # items outside them
-    heads = [rank(user, scores, K + (len(val) if exclude_val else 0))[0]
+    heads = [rank(user, scores, K + len(val))[0]
              if len(test) and user in scores else np.empty(0, np.int64)
              for user, val, test in zip(users, vals, tests)]
     lengths = [len(h) for h in heads]
     dropped = np.split(in_pairs(np.repeat(users, lengths),
-                                np.concatenate([np.empty(0, np.int64), *heads]), excluded),
+                                np.concatenate([np.empty(0, np.int64), *heads]), split.val.pairs),
                        np.cumsum(lengths)[:-1])
     skipped = dict.fromkeys(SKIP_REASONS, 0)
     rows, rankings = [], []  # each kept user's index in users, and its ranking

@@ -96,11 +96,14 @@ class TestStages:
         assert _run("prepare", "--config", str(path)) == 1
         assert "unknown config keys: mystery" in capsys.readouterr().err
 
-    def test_exact_cap_is_an_unknown_key(self, tmp_path, bundled_path, capsys):
-        # M is the one count bound
-        cfg = _write_config(tmp_path, bundled_path, tmp_path / "w", exact_cap=98)
+    @pytest.mark.parametrize("key, value", [
+        ("exact_cap", 98),  # M is the one count bound
+        ("exclude_val", True),  # the validation positives always leave the candidates
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, bundled_path, capsys, key, value):
+        cfg = _write_config(tmp_path, bundled_path, tmp_path / "w", **{key: value})
         assert _run("prepare", "--config", str(cfg)) == 1
-        assert capsys.readouterr().err == "persize prepare: unknown config keys: exact_cap\n"
+        assert capsys.readouterr().err == f"persize prepare: unknown config keys: {key}\n"
         assert not (tmp_path / "w").exists()
 
     def test_mode_is_an_unknown_key_and_flag(self, tmp_path, bundled_path, recommended_workdir,
@@ -319,9 +322,8 @@ class TestRecommendBlocks:
         assert seen["1"] == seen["2"] == seen["8"]
         assert outputs["1"] == outputs["2"] == outputs["8"]
 
-    @pytest.mark.parametrize("exclude_val", [True, False])
-    def test_exclude_val_drops_the_validation_positives(self, tmp_path, calibrated_workdir,
-                                                        bundled_path, exclude_val):
+    def test_validation_positives_leave_the_candidates(self, tmp_path, calibrated_workdir,
+                                                       bundled_path):
         # one validation positive outscores its user's every other candidate
         workdir = tmp_path / "run"
         shutil.copytree(calibrated_workdir, workdir)
@@ -334,7 +336,7 @@ class TestRecommendBlocks:
         entries[user] = (items, np.where(items == item, scores.max() + 1.0, scores))
         table = scorer.ScoreTable.from_entries(entries)
         scorer.save_scores(table, workdir / "scores.bin")
-        cfg = _write_config(tmp_path, bundled_path, workdir, exclude_val=exclude_val)
+        cfg = _write_config(tmp_path, bundled_path, workdir)
         assert _run("recommend", "--config", str(cfg)) == 0
 
         recs = {}
@@ -342,7 +344,7 @@ class TestRecommendBlocks:
             u, measure, k, value, listed = line.split("\t")
             recs[(int(u), measure)] = (int(k), value, [int(i) for i in listed.split(",")])
         params, _ = _read_platt(workdir / "platt.tsv")
-        shown = table.without(split_ds.val.pairs) if exclude_val else table
+        shown = table.without(split_ds.val.pairs)
         lib = selection.recommend_users(shown, params, list(Measure), K=10, M=100)
         assert {u for u, _ in recs} == set(lib) == set(table.users())
         for u, by_measure in lib.items():
@@ -350,12 +352,9 @@ class TestRecommendBlocks:
                 assert recs[(u, measure.value)] == (
                     rec.k_max, repr(rec.expected_value), rec.items.tolist()), (u, measure)
         heads = {listed[0] for (u, _), (_, _, listed) in recs.items() if u == user}
-        if exclude_val:
-            assert item not in heads
-            for (u, _), (_, _, listed) in recs.items():
-                assert not set(listed) & set(split_ds.val.items_of(u).tolist()), u
-        else:
-            assert heads == {item}
+        assert item not in heads
+        for (u, _), (_, _, listed) in recs.items():
+            assert not set(listed) & set(split_ds.val.items_of(u).tolist()), u
 
     def test_evaluate_reads_the_recommend_sizes(self, tmp_path, calibrated_workdir,
                                                 bundled_path, monkeypatch, capsys):
@@ -578,7 +577,8 @@ class TestRecsFile:
         assert re.fullmatch(r"# persize recommend config=\{.*\} inputs=[0-9a-f]{64}", header)
 
     @pytest.mark.parametrize("key, value", [
-        ("K", 9), ("M", 99), ("exclude_val", False),
+        ("K", 9), ("M", 99),
+        ("measures", ["f1"]),  # fewer measures: refused by the digest before any row check
         ("measures", ["ndcg", "pdcg", "f1"]),
     ])
     def test_config_changed_after_recommend_rejected(self, tmp_path, bundled_path,
@@ -746,10 +746,7 @@ class TestConfigValues:
         assert f"BPRConfig.{key} must be" in capsys.readouterr().err
         assert not (workdir / "scores.bin").exists()
 
-    @pytest.mark.parametrize("key, value", [
-        ("exclude_val", "no"), ("exclude_val", 0), ("dump_curves", 0), ("dump_curves", "true"),
-        ("exclude_val", None),
-    ])
+    @pytest.mark.parametrize("key, value", [("dump_curves", 0), ("dump_curves", "true")])
     def test_non_boolean_value_rejected(self, tmp_path, capsys, key, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"workdir": str(tmp_path / "w"), key: value}))

@@ -430,6 +430,16 @@ class TestScoreStore:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_scores(path)
 
+    def test_user_ids_out_of_order_rejected(self, tmp_path):
+        path = tmp_path / "scores.bin"
+        save_scores(self._table(), path)
+        data = bytearray(path.read_bytes())
+        # the user ids 2, 5, 11 follow the 2-word header; make them 2, 11, 11
+        data[8 * 3 : 8 * 4] = np.array([11], dtype="<i8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .* CSR table$"):
+            load_scores(path)
+
 
     @pytest.mark.parametrize("items", [
         [1, 4, 8, 2, 3, 3, 9],  # every other entry rises
@@ -446,7 +456,8 @@ class TestScoreStore:
                              + np.linspace(0.1, 0.7, 7).astype("<f8").tobytes())
 
         write(items)
-        with pytest.raises(ValueError, match=r"^user 11: duplicate item ids$"):
+        message = f"^{re.escape(str(path))}: user 11: duplicate item ids$"  # the file is named
+        with pytest.raises(ValueError, match=message):
             load_scores(path)
         write([1, 4, 8, 2, 3, 5, 9])
         assert load_scores(path).items.tolist() == [1, 4, 8, 2, 3, 5, 9]
