@@ -24,7 +24,7 @@ from .dataset import (
     split,
 )
 from .multidomain import Allocation, DomainCurves, allocate
-from .poibin import CountDistribution, distribution, distribution_batch
+from .poibin import distribution, distribution_batch
 from .scorer import (
     BPRConfig,
     ScoreModel,

@@ -77,10 +77,13 @@ class CalibrationBatch:
     labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "users", np.asarray(self.users))
+        for name in ("users", "indptr"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
         users, indptr, s, y = self.users, self.indptr, self.scores, self.labels
         why = ("users are not a 1-D integer array"
                if users.ndim != 1 or users.dtype.kind not in "iu"
+               else "indptr is not a 1-D integer array"
+               if indptr.ndim != 1 or indptr.dtype.kind not in "iu"
                else "users, indptr, scores and labels do not form a CSR batch" if not (
                    len(indptr) == len(users) + 1 and indptr[0] == 0
                    and indptr[-1] == len(s) == len(y))

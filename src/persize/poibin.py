@@ -7,40 +7,20 @@ vector exactly by convolution, optionally truncated at a bound M: mass that
 would land beyond index M is dropped (recorded, never renormalized).
 
 ``distribution_batch`` is the only implementation: a chunked recurrence plus
-an FFT merge tree over a (users, n) matrix. ``distribution`` is the front
-door: it takes one user's vector or a (users, n) block, and calls the engine
-once either way, so the single-user and batched paths share their arithmetic
-and their input checks. The work of a call grows with its bound: the
-expected curves pass each block's Chernoff-certified bound
-(``utility._count_bound``), far below their cap M - 1 when the probabilities
-sum to little, and the engine truncates every intermediate there.
+an FFT merge tree over a (users, n) matrix, returning (mass, tail).
+``distribution`` is the front door: it takes one user's vector or a
+(users, n) block and calls the engine once either way, so the single-user
+and batched paths share their arithmetic, their input checks and their
+result shape, (mass, tail); one user's is its mass row and a float tail.
+The work of a call grows with its bound: the expected curves pass each
+block's Chernoff-certified bound (``utility._count_bound``), far below
+their cap M - 1 when the probabilities sum to little, and the engine
+truncates every intermediate there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-@dataclass(frozen=True)
-class CountDistribution:
-    """Mass vector of a (possibly truncated) Poisson-Binomial count.
-
-    ``mass[m]`` is P(count = m) for m = 0..min(n, M); indices above
-    min(n, M) carry no mass by construction. ``truncated_tail`` is the
-    probability that the count exceeds M (zero whenever M >= n). For a
-    block of users, ``mass`` is (users, min(n, M) + 1), ``truncated_tail``
-    is (users,) and ``n`` is the row width.
-    """
-
-    mass: np.ndarray
-    M: int
-    n: int
-    truncated_tail: float | np.ndarray
-
-    def __post_init__(self):
-        self.mass.setflags(write=False)
-
 
 _CHUNK = 32
 
@@ -54,26 +34,27 @@ def _check_probs(probs: np.ndarray) -> None:
         raise ValueError("probabilities must be finite")
 
 
-def distribution(probs, M: int) -> CountDistribution:
-    """Poisson-Binomial mass of sum(Bernoulli(p_i)) truncated at M.
-
-    One call to ``distribution_batch``, which also validates the input.
+def distribution(probs, M: int) -> tuple[np.ndarray, np.ndarray | float]:
+    """Poisson-Binomial mass of sum(Bernoulli(p_i)) truncated at M, as
+    (mass, tail): one call to ``distribution_batch``, which also validates
+    the input. For a (users, n) block that call's result is returned as it
+    is; for one user's vector, mass is that user's row (min(n, M) + 1
+    values) and tail a float.
 
     Args:
         probs: success probabilities, each in [0, 1]: one user's vector, or
            a (users, n) block with one row per user (zero-padded rows are
            exact, see ``distribution_batch``).
         M: truncation bound, >= 0. Mass beyond index M is dropped into
-           ``truncated_tail`` (no renormalization).
+           the tail (no renormalization).
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim > 2:
         raise ValueError(f"expected a vector or a (users, n) block, got {probs.ndim} dimensions")
-    block = probs.ndim == 2
-    mass, tail = distribution_batch(probs if block else probs.reshape(1, -1), M)
-    if block:
-        return CountDistribution(mass=mass, M=M, n=probs.shape[1], truncated_tail=tail)
-    return CountDistribution(mass=mass[0], M=M, n=probs.size, truncated_tail=float(tail[0]))
+    if probs.ndim == 2:
+        return distribution_batch(probs, M)
+    mass, tail = distribution_batch(probs.reshape(1, -1), M)
+    return mass[0], float(tail[0])
 
 
 def distribution_batch(probs: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:

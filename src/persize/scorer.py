@@ -44,9 +44,12 @@ class ScoreModel:
     item_vectors: np.ndarray
     epoch_losses: tuple = ()
 
-    @property
-    def d(self) -> int:
-        return self.user_vectors.shape[1]
+
+def _not_int64(arr: np.ndarray) -> bool:
+    """Whether a non-empty array holds a non-integer or an integer that
+    int64 cannot hold."""
+    return bool(arr.size) and (arr.dtype.kind not in "iu" or (
+        not np.can_cast(arr.dtype, np.int64) and arr.max() > np.iinfo(np.int64).max))
 
 
 class ScoreTable:
@@ -68,10 +71,16 @@ class ScoreTable:
             raise ValueError(f"user {self.ids[flagged[0]]}: {flagged[1]}")
 
     def _wrap(self, ids, indptr, items, scores) -> None:
-        """Hold the arrays read-only after checking that they form a CSR table."""
+        """Hold the arrays read-only after checking that they form a CSR table
+        whose ``ids``, ``indptr`` and ``items`` are int64 integers (an empty
+        one may have any dtype)."""
+        given = [np.asarray(x) for x in (ids, indptr, items)]
+        if any(map(_not_int64, given)):
+            raise ValueError("ids, indptr or items that are not int64 integers "
+                             "do not form a CSR table")
         self.ids, self.indptr, self.items, self.scores = arrays = [
-            np.asarray(x, dtype=dtype).view() for x, dtype in
-            ((ids, np.int64), (indptr, np.int64), (items, np.int64), (scores, np.float64))]
+            x.astype(np.int64, copy=False).view() for x in given] + [
+            np.asarray(scores, dtype=np.float64).view()]
         for arr in arrays:
             arr.setflags(write=False)
         if (self.ids.ndim != 1 or self.items.ndim != 1 or self.scores.shape != self.items.shape
@@ -100,8 +109,7 @@ class ScoreTable:
         for user, items, scores in rows:
             why = ("items and scores are not 1-D" if items.ndim != 1 or scores.ndim != 1
                    else "items and scores differ in length" if len(items) != len(scores)
-                   else "item ids are not int64 integers" if len(items) and (
-                       items.dtype.kind not in "iu" or np.any(items.astype(np.int64) != items))
+                   else "item ids are not int64 integers" if _not_int64(items)
                    else None)
             if why:
                 raise ValueError(f"user {user}: {why}")

@@ -236,14 +236,12 @@ def default_methods(K: int = DEFAULT_K) -> list[str]:
     return methods
 
 
-def _label_block(users: list, rankings: list, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """(users, longest) 0/1 labels of each user's ranked prefix against the
-    (user, item) ``pairs``, zero-padded, and each prefix's length."""
-    lengths = np.array([len(r) for r in rankings])
-    labels = np.zeros((len(rankings), lengths.max()))
-    labels[np.arange(labels.shape[1]) < lengths[:, None]] = in_pairs(
-        np.repeat(users, lengths), np.concatenate(rankings), pairs)
-    return labels, lengths
+def _label_block(labels, lengths: np.ndarray) -> np.ndarray:
+    """The users' 0/1 prefix labels, concatenated in ``labels``, as one
+    zero-padded (users, max(lengths)) block."""
+    block = np.zeros((len(lengths), lengths.max()))
+    block[np.arange(block.shape[1]) < lengths[:, None]] = labels
+    return block
 
 
 def _check_choices(measures: list, methods: list) -> None:
@@ -279,8 +277,9 @@ def evaluate(
     the methods can read; every method emits a prefix of that order without
     the validation positives, cut at K, so the averages compare and the
     test-label argmax dominates pointwise. ``val_k`` reads the order's first
-    K items. The validation exclusion, the test labels and the ``val_k``
-    labels are one ``in_pairs`` test each over all the users.
+    K items. The validation exclusion and the test labels are one
+    ``in_pairs`` test each over all the users; the ``val_k`` labels are the
+    exclusion's mask over those K items.
 
     ``perk`` maps each user PerK served to ``{Measure: (k, expected_value)}``
     (the recommend stage's sizes); it is required when ``perk`` is a method.
@@ -325,13 +324,15 @@ def evaluate(
 
     kept = [users[row] for row in rows]
     tests = [tests[row] for row in rows]
-    labels, tops = _label_block(kept, rankings, split.test.pairs)
+    tops = np.array([len(r) for r in rankings])
+    labels = _label_block(in_pairs(np.repeat(kept, tops), np.concatenate(rankings),
+                                   split.test.pairs), tops)
     realized = {m: realized_curve(m, labels, [len(t) for t in tests]) for m in measures}
     if METHOD_RAND in methods:
         rand_k = np.minimum([baseline_rand(user, K, seed) for user in kept], tops)
     if METHOD_VAL_K in methods:
-        val_labels, val_lengths = _label_block(kept, [heads[row][:K] for row in rows],
-                                               split.val.pairs)
+        val_lengths = np.minimum([lengths[row] for row in rows], K)
+        val_labels = _label_block(np.concatenate([dropped[row][:K] for row in rows]), val_lengths)
         n_val = [len(vals[row]) for row in rows]
         val_k = {m: np.minimum(_row_argmax(realized_curve(m, val_labels, n_val), val_lengths),
                                tops) for m in measures}

@@ -172,7 +172,7 @@ def expected_curves_batch(
             continue
         if mass is None:  # the whole set's mass stands in for each rank's leave-one-out one
             bound = _count_bound(probs_sorted, min(probs_sorted.shape[1], M - 1))
-            mass = distribution(probs_sorted, bound).mass
+            mass, _ = distribution(probs_sorted, bound)
         ks, ms = np.arange(1, p_topk.shape[1] + 1), np.arange(1, mass.shape[1] + 1)
         inverse = _denominators(measure, ks[None, :], ms[:, None])
         weights = mass @ np.divide(1.0, inverse, out=inverse)

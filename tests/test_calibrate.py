@@ -395,6 +395,13 @@ class TestCalibrationBatchChecks:
         with pytest.raises(ValueError, match="1-D integer array"):
             CalibrationBatch(users, np.array([0, 2, 4]), np.zeros(4), np.zeros(4))
 
+    @pytest.mark.parametrize("indptr", [np.array([0, 4.5, 10]), np.array([[0], [2], [4]]),
+                                        np.array([0, 2, 4], dtype=object)])
+    def test_indptr_must_be_a_1d_integer_array(self, indptr):
+        # [0, 4.5, 10] was truncated to [0, 4, 10], so other segments were fitted
+        with pytest.raises(ValueError, match="indptr is not a 1-D integer array"):
+            self._batch(indptr=indptr, scores=np.zeros(10), labels=np.zeros(10))
+
     def test_repeated_users_are_refused(self):
         # the second segment's fit was applied to the first one's entries
         with pytest.raises(ValueError, match="users repeat"):

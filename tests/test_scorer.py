@@ -699,6 +699,13 @@ class TestScoreTableChecks:
         ([0, 1], [0, 1], [5, 6], [0.1, 0.2]),  # indptr too short
         ([0, 1], [0, 1, 2], [5, 6], [0.1]),  # scores and items differ
         ([[0, 1]], [0, 1, 2], [5, 6], [0.1, 0.2]),
+        # non-integers were truncated: user 0 and item 1
+        ([0.5], [0, 1], [1], [0.1]),
+        ([0], [0.0, 1.0], [1], [0.1]),
+        ([0], [0, 1], [1.7], [0.1]),
+        ([0], [0, 1], [True], [0.1]),
+        ([0], [0, 1], np.array([2**63], dtype=np.uint64), [0.1]),  # past int64
+        ([2**70], [0, 1], [1], [0.1]),
     ])
     def test_arrays_that_are_no_csr_table_are_rejected(self, ids, indptr, items, scores):
         with pytest.raises(ValueError, match="do not form a CSR table"):

@@ -316,7 +316,8 @@ class TestRecommendUsers:
 def _block_argmax(measure, ranked_items, positives) -> int:
     """The val_k / oracle size of one user: the one-row block argmax that
     ``evaluate`` runs over all its users."""
-    labels, lengths = _label_block([0], [ranked_items], _pairs(0, positives))
+    lengths = np.array([len(ranked_items)])
+    labels = _label_block(np.isin(ranked_items, list(positives)), lengths)
     return int(_row_argmax(realized_curve(measure, labels, [len(positives)]), lengths)[0])
 
 

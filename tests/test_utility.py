@@ -180,7 +180,7 @@ class TestApproxCurve:
         rng = np.random.default_rng(3)
         probs = np.sort(rng.random(30))[::-1]
         K, M = 9, 14
-        d = distribution(probs, M - 1).mass
+        d, _ = distribution(probs, M - 1)
         disc = log_discount(np.arange(1, 40))
         ideal = np.concatenate([[0.0], np.cumsum(disc)])
         curves = approx_row(probs, (Measure.NDCG, Measure.F1, Measure.TP), M=M, K=K)
@@ -295,9 +295,9 @@ class TestBatchedCurves:
         probs = rng.random((5, 40))
         mass, tail = distribution_batch(probs, 25)
         for b in range(5):
-            single = distribution(probs[b], 25)
-            np.testing.assert_allclose(mass[b], single.mass, atol=1e-12)
-            assert tail[b] == pytest.approx(single.truncated_tail, abs=1e-12)
+            single_mass, single_tail = distribution(probs[b], 25)
+            np.testing.assert_allclose(mass[b], single_mass, atol=1e-12)
+            assert tail[b] == pytest.approx(single_tail, abs=1e-12)
 
     def test_distribution_batch_zero_width(self):
         from persize.poibin import distribution_batch
