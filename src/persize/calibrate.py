@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .poibin import _check_probs
 from .util import in_pairs
 
 GLOBAL_SCOPE = "GLOBAL"
@@ -314,7 +315,9 @@ def pooled_ece_reports(batch: CalibrationBatch, per_user: dict,
 
 def ece_report(predictions, labels, bins: int = 15) -> dict:
     """Expected calibration error with equal-width probability bins (key
-    ``ece``), plus per-bin detail suitable for a JSON report."""
+    ``ece``), plus per-bin detail suitable for a JSON report. Predictions
+    go through the count engine's probability check; a label outside
+    [0, 1] is a ValueError naming the labels."""
     p = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if p.size == 0:
@@ -323,6 +326,11 @@ def ece_report(predictions, labels, bins: int = 15) -> dict:
         raise ValueError("predictions and labels must have equal length")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    _check_probs(p)
+    outside = y[~((y >= 0.0) & (y <= 1.0))]
+    if len(outside):
+        shown = ", ".join(map(repr, np.unique(outside).tolist()))
+        raise ValueError(f"labels must lie in [0, 1], got {shown}")
     idx = np.minimum((p * bins).astype(np.int64), bins - 1)
     count = np.bincount(idx, minlength=bins).astype(np.float64)
     sum_p = np.bincount(idx, weights=p, minlength=bins)

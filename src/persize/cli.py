@@ -3,7 +3,9 @@ evaluate, plus cross-domain allocate.
 
 Every stage reads its inputs from the working directory, validates its
 configuration (unknown keys are rejected), writes outputs atomically, and
-echoes the configuration in a header comment for provenance. ``calibrate``
+echoes the configuration in a header comment for provenance. The config
+file is the one source of every setting; only the ``--workdir`` path and
+the ``--threads`` runtime knob have flags that override it. ``calibrate``
 has no configuration of its own: its Platt fits have no settings. Reruns with
 identical inputs and configuration produce byte-identical files; thread
 count never changes output bytes because per-user results are ordered
@@ -19,10 +21,11 @@ through the ``scores`` key of ``train``.
 or one ``# skipped`` row saying why it has no list. The validation
 positives, which the Platt fits were trained on, leave the whole score table
 first (``ScoreTable.without``), and a user left without entries has no
-candidates. ``evaluate`` runs no PerK of its own: it reads PerK's sizes
-from ``recs.tsv``, whose header ends in ``inputs=<hex>``, the digest of
-what ``recommend`` read, and rejects the file if that digest is not its
-own.
+candidates. ``evaluate`` scores PerK and the baselines of
+``selection.default_methods(K)``, and runs no PerK of its own: it always
+reads PerK's sizes from ``recs.tsv``, whose header ends in
+``inputs=<hex>``, the digest of what ``recommend`` read, and rejects the
+file if that digest is not its own.
 
 Every numeric text file a stage reads (splits, scores, ``platt.tsv``,
 ``recs.tsv``, curve dumps) goes through ``util._read_rows``: one line rule,
@@ -46,7 +49,7 @@ from .util import (_check_number, _first_flagged, _parse_int64, _read_rows, _rep
 
 _TOP_KEYS = {
     "data", "workdir", "seed", "K", "M", "measures", "kcore", "ratios",
-    "threads", "scores", "bpr", "baselines", "dump_curves", "allocate",
+    "threads", "scores", "bpr", "dump_curves", "allocate",
 }
 _BPR_KEYS = {"d", "epochs", "learning_rate", "weight_decay", "negatives_per_positive"}
 _ALLOC_KEYS = {"budget", "domains", "allow_zero", "measure"}
@@ -54,7 +57,7 @@ _INT_KEYS = {"K": 1, "M": 1, "seed": 0, "threads": 1, "kcore": 1}  # lower bound
 
 _DEFAULTS = {
     "seed": 0,
-    "K": selection.DEFAULT_K,
+    "K": utility.DEFAULT_K,
     "M": utility.DEFAULT_M,
     "measures": [m.value for m in utility.Measure],
     "kcore": 20,
@@ -89,14 +92,12 @@ def _load_config(args) -> dict:
             raise ConfigError(f"{args.config}: expected a JSON object, got {json.dumps(loaded)}")
         _check_keys(loaded, _TOP_KEYS, "config")
         cfg.update(loaded)
-    for flag in ("workdir", "threads", "seed", "K", "M"):
+    for flag in ("workdir", "threads"):
         value = getattr(args, flag, None)
         if value is not None:
             cfg[flag] = value
-    if getattr(args, "measure", None):
-        cfg["measures"] = args.measure
     for key, kind, what in (("bpr", dict, "an object"), ("allocate", dict, "an object"),
-                            ("measures", list, "a list"), ("baselines", list, "a list")):
+                            ("measures", list, "a list")):
         if key in cfg and not isinstance(cfg[key], kind):
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
     ratios = cfg["ratios"]
@@ -144,9 +145,8 @@ def _load_config(args) -> dict:
     repeated = sorted({m for m in cfg["measures"] if cfg["measures"].count(m) > 1})
     if repeated:
         raise ConfigError(f"repeated measures: {', '.join(repeated)}")
-    for key, what in (("measures", "measure"), ("baselines", "method")):
-        if key in cfg and not cfg[key]:
-            raise ConfigError(f"{key} must name at least one {what}")
+    if not cfg["measures"]:
+        raise ConfigError("measures must name at least one measure")
     return cfg
 
 
@@ -361,11 +361,9 @@ def cmd_evaluate(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin")
-    methods = cfg["baselines"] if "baselines" in cfg else selection.default_methods(cfg["K"])
-    selection._check_choices(cfg["measures"], methods)  # before any recs.tsv error
-    perk = _read_recs(cfg, workdir) if selection.METHOD_PERK in methods else None
-    report = selection.evaluate(split_ds, table, perk, measures=_measures(cfg), methods=methods,
-                                K=cfg["K"], seed=cfg["seed"])
+    perk = _read_recs(cfg, workdir)
+    report = selection.evaluate(split_ds, table, perk, measures=_measures(cfg), K=cfg["K"],
+                                seed=cfg["seed"])
     lines = [_echo(cfg, "evaluate")]
     lines.extend(
         f"{u}\t{method}\t{measure}\t{k}\t{value!r}"
@@ -379,7 +377,7 @@ def cmd_evaluate(cfg: dict) -> int:
         "perk_expected": report.perk_expected,
     }
     atomic_write(workdir / "eval_report.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    print(f"evaluate: {report.n_users} users x {len(methods)} methods -> "
+    print(f"evaluate: {report.n_users} users x {len(report.averages)} methods -> "
           f"{workdir / 'eval_report.json'}")
     skipped = ", ".join(f"{n} {reason}" for reason, n in report.skipped.items())
     print(f"evaluate: skipped {sum(report.skipped.values())} users ({skipped})")
@@ -481,11 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--workdir", help="working directory for stage inputs/outputs")
         p.add_argument("--threads", type=int, help="per-user parallelism")
-        p.add_argument("--seed", type=int, help="base random seed")
-        p.add_argument("--measure", action="append",
-                       help="utility measure (repeatable): ndcg|pdcg|f1|tp")
-        p.add_argument("--K", type=int, help="maximum recommendation size")
-        p.add_argument("--M", type=int, help="cap on each user's relevant count")
     return parser
 
 

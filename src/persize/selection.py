@@ -19,12 +19,12 @@ stage calls it once.
 Baselines choose the size by a global constant, uniformly at random, by
 validation utility, or (as an upper bound) by test utility, each on an
 already-ranked list. ``evaluate`` ranks each user once and scores every
-method's prefix against held-out test positives over the identical user
-population, in one block of array operations (each membership test one
-``in_pairs`` call). It runs no PerK of its own: it takes PerK's sizes and
-expected values as given (the CLI reads them from ``recs.tsv``), and the
-validation and oracle sizes are the ``_row_argmax`` of realized curves
-(``_label_block``, ``realized_curve``).
+method of ``default_methods(K)`` (PerK and the baselines) against held-out
+test positives over the identical user population, in one block of array
+operations (each membership test one ``in_pairs`` call). It runs no PerK of
+its own: it takes PerK's sizes and expected values as given (the CLI reads
+them from ``recs.tsv``), and the validation and oracle sizes are the
+``_row_argmax`` of realized curves (``_label_block``, ``realized_curve``).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .dataset import SplitDataset
 from .scorer import ScoreTable
 from .util import in_pairs, parallel_map
 from .utility import (
+    DEFAULT_K,
     DEFAULT_M,
     Measure,
     check_curve_args,
@@ -45,7 +46,6 @@ from .utility import (
     realized_curve,
 )
 
-DEFAULT_K = 50
 FIXED_BASELINE_KS = (1, 5, 10, 20, 50)
 
 METHOD_PERK = "perk"
@@ -106,7 +106,10 @@ class EvaluationReport:
 def rank(user: int, scores: ScoreTable, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The user's scored (items, scores) by descending score, ties to the
     lower item id; with ``top``, the first ``top`` of them only, sorted
-    after one ``np.partition`` that keeps every entry tied with the cut."""
+    after one ``np.partition`` that keeps every entry tied with the cut. A
+    negative ``top`` is a ValueError."""
+    if top is not None and top < 0:
+        raise ValueError(f"top must be >= 0, got {top}")
     items, vals = scores.get(user)
     if top is not None and 0 < top < len(vals):
         cut = np.partition(vals, len(vals) - top)[len(vals) - top]
@@ -172,7 +175,7 @@ def recommend_block(
     ``users``. A user without entries in ``scores`` is a ValueError naming
     the user.
     """
-    check_curve_args(K, M)
+    check_curve_args(K=K, M=M)
     measures = list(measures)
     users = [int(u) for u in users]
     if not users:
@@ -210,7 +213,7 @@ def recommend_users(
     ``served_users(scores, params_by_user)`` in user order. The blocks
     depend on the data only, so the result does not depend on ``threads``.
     """
-    check_curve_args(K, M)
+    check_curve_args(K=K, M=M)
     measures = list(measures)  # every block reads them
     users = served_users(scores, params_by_user)
 
@@ -230,6 +233,9 @@ def baseline_rand(user: int, K: int, seed: int = 0) -> int:
 
 
 def default_methods(K: int = DEFAULT_K) -> list[str]:
+    """The one method set ``evaluate`` scores: PerK, each fixed size of
+    ``FIXED_BASELINE_KS`` up to K, a random size, the validation-tuned size
+    and the test-label oracle."""
     methods = [METHOD_PERK]
     methods += [fixed_method_name(k) for k in FIXED_BASELINE_KS if k <= K]
     methods += [METHOD_RAND, METHOD_VAL_K, METHOD_ORACLE]
@@ -244,34 +250,25 @@ def _label_block(labels, lengths: np.ndarray) -> np.ndarray:
     return block
 
 
-def _check_choices(measures: list, methods: list) -> None:
-    """Reject an empty or repeated measure or method list, an unknown
-    method, or a fixed size other than ``fixed_method_name(k)`` for k >= 1."""
-    for kind, given in (("measure", measures), ("method", methods)):
-        if not given:
-            raise ValueError(f"no {kind} to evaluate")
-        repeated = sorted({str(x) for x in given if given.count(x) > 1})
-        if repeated:
-            raise ValueError(f"repeated {kind}: {', '.join(repeated)}")
-    for method in methods:
-        size = method[4:] if str(method).startswith("top-") else ""
-        known = method in (METHOD_PERK, METHOD_RAND, METHOD_VAL_K, METHOD_ORACLE)
-        fixed = size.isdecimal() and int(size) >= 1 and method == fixed_method_name(int(size))
-        if not (known or fixed):
-            raise ValueError(f"method {method!r} is neither known nor top-<k> with k >= 1 "
-                             "(ASCII digits, no leading zero)")
+def _check_measures(measures: list) -> None:
+    """Reject an empty or repeated measure list."""
+    if not measures:
+        raise ValueError("no measure to evaluate")
+    repeated = sorted({str(x) for x in measures if measures.count(x) > 1})
+    if repeated:
+        raise ValueError(f"repeated measure: {', '.join(repeated)}")
 
 
 def evaluate(
     split: SplitDataset,
     scores: ScoreTable,
-    perk: dict | None = None,
+    perk: dict,
     measures=tuple(Measure),
-    methods=None,
     K: int = DEFAULT_K,
     seed: int = 0,
 ) -> EvaluationReport:
-    """Score every method on every user holding at least one test positive.
+    """Score every method of ``default_methods(K)`` on every user holding at
+    least one test positive.
 
     One ``rank`` call orders the head of each such user's candidates that
     the methods can read; every method emits a prefix of that order without
@@ -282,17 +279,15 @@ def evaluate(
     exclusion's mask over those K items.
 
     ``perk`` maps each user PerK served to ``{Measure: (k, expected_value)}``
-    (the recommend stage's sizes); it is required when ``perk`` is a method.
-    Skip reasons, in order: no test positives, nothing left to rank, and
-    (with PerK) no PerK size. A PerK size past the user's evaluated ranking
-    is a ValueError naming the user.
+    (the recommend stage's sizes). Skip reasons, in order: no test
+    positives, nothing left to rank, and no PerK size. K < 1, an empty or
+    repeated measure list and no user left to evaluate are ValueErrors, and
+    so is a PerK size past the user's evaluated ranking, naming the user.
     """
+    check_curve_args(K=K)
     measures = [Measure(m) for m in measures]
-    methods = list(methods) if methods is not None else default_methods(K)
-    _check_choices([m.value for m in measures], methods)
-    use_perk = METHOD_PERK in methods
-    if use_perk and perk is None:
-        raise ValueError("evaluating perk needs its sizes")
+    _check_measures([m.value for m in measures])
+    methods = default_methods(K)
 
     users = sorted(int(u) for u in split.users)
     vals, tests = ([part.items_of(user) for user in users] for part in (split.val, split.test))
@@ -310,17 +305,18 @@ def evaluate(
     for row, (user, test, head, drop) in enumerate(zip(users, tests, heads, dropped)):
         ranking = head[~drop][:K]
         reason = (SKIP_NO_TEST if not len(test) else SKIP_NO_CANDIDATES if not len(ranking)
-                  else SKIP_NO_SIZE if use_perk and user not in perk else None)
+                  else SKIP_NO_SIZE if user not in perk else None)
         if reason:
             skipped[reason] += 1
             continue
-        if use_perk and max(k for k, _ in perk[user].values()) > len(ranking):
+        if max(k for k, _ in perk[user].values()) > len(ranking):
             raise ValueError(f"user {user}: a PerK size exceeds its {len(ranking)} "
                              "evaluated items")
         rows.append(row)
         rankings.append(ranking)
     if not rows:
-        raise ValueError("no evaluable users (every user lacks test positives)")
+        raise ValueError("no evaluable users (skipped "
+                         + ", ".join(f"{n} {reason}" for reason, n in skipped.items()) + ")")
 
     kept = [users[row] for row in rows]
     tests = [tests[row] for row in rows]
@@ -328,14 +324,13 @@ def evaluate(
     labels = _label_block(in_pairs(np.repeat(kept, tops), np.concatenate(rankings),
                                    split.test.pairs), tops)
     realized = {m: realized_curve(m, labels, [len(t) for t in tests]) for m in measures}
-    if METHOD_RAND in methods:
-        rand_k = np.minimum([baseline_rand(user, K, seed) for user in kept], tops)
-    if METHOD_VAL_K in methods:
-        val_lengths = np.minimum([lengths[row] for row in rows], K)
-        val_labels = _label_block(np.concatenate([dropped[row][:K] for row in rows]), val_lengths)
-        n_val = [len(vals[row]) for row in rows]
-        val_k = {m: np.minimum(_row_argmax(realized_curve(m, val_labels, n_val), val_lengths),
-                               tops) for m in measures}
+    rand_k = np.minimum([baseline_rand(user, K, seed) for user in kept], tops)
+    val_lengths = np.minimum([lengths[row] for row in rows], K)
+    val_labels = _label_block(np.concatenate([dropped[row][:K] for row in rows]), val_lengths)
+    n_val = [len(vals[row]) for row in rows]
+    val_k = {m: np.minimum(_row_argmax(realized_curve(m, val_labels, n_val), val_lengths), tops)
+             for m in measures}
+    fixed = {fixed_method_name(k): np.minimum(k, tops) for k in FIXED_BASELINE_KS}
 
     def mean(values) -> float:
         total = 0.0
@@ -357,7 +352,7 @@ def evaluate(
             elif method == METHOD_ORACLE:
                 k = _row_argmax(realized[measure], tops)
             else:
-                k = np.minimum(int(method[4:]), tops)
+                k = fixed[method]
             values = realized[measure][np.arange(len(kept)), k - 1].tolist()
             columns[method, measure] = k.tolist(), values
             averages[method][measure.value] = mean(values)

@@ -32,6 +32,7 @@ import numpy as np
 
 from .poibin import _check_probs, distribution
 
+DEFAULT_K = 50
 DEFAULT_M = 2000
 # Largest count mass an expected curve may drop above its block's bound.
 TAIL_EPS = 2.0 ** -70
@@ -118,12 +119,11 @@ def realized_curve(measure: Measure, prefix_labels, total_relevant) -> np.ndarra
     return curve
 
 
-def check_curve_args(K: int, M: int) -> None:
-    """Reject K < 1 and M < 1."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+def check_curve_args(**sizes: int) -> None:
+    """Reject each given size (K, M) below 1, naming it."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _count_bound(probs: np.ndarray, cap: int) -> int:
@@ -144,7 +144,7 @@ def expected_curves_batch(
     probs_sorted: np.ndarray,
     measures,
     M: int = DEFAULT_M,
-    K: int = 50,
+    K: int = DEFAULT_K,
 ) -> dict:
     """Fast-estimator curves for a block of users in one set of matrix ops.
 
@@ -162,7 +162,7 @@ def expected_curves_batch(
     probs_sorted = np.asarray(probs_sorted, dtype=np.float64)
     if probs_sorted.ndim != 2 or probs_sorted.shape[1] == 0:
         raise ValueError("expected a non-empty (users, n) probability matrix")
-    check_curve_args(K, M)
+    check_curve_args(K=K, M=M)
     _check_probs(probs_sorted)
     p_topk = probs_sorted[:, : min(K, probs_sorted.shape[1])]
     out, mass = {}, None

@@ -229,6 +229,19 @@ class TestEce:
         with pytest.raises(ValueError):
             ece_report([0.5], [1.0], bins=0)
 
+    @pytest.mark.parametrize("predictions, labels, message", [
+        ([1.5, 0.5], [0, 1], r"probabilities must lie in \[0, 1\]"),
+        ([-0.2, 0.5], [0, 1], r"probabilities must lie in \[0, 1\]"),
+        ([np.nan, 0.5], [0, 1], "probabilities must be finite"),
+        ([0.2, 0.5], [3, -1], r"labels must lie in \[0, 1\], got -1.0, 3.0$"),
+        ([0.2, 0.5], [np.nan, 1], r"labels must lie in \[0, 1\], got nan$"),
+    ], ids=["prediction_above_one", "negative_prediction", "nan_prediction",
+            "labels_outside", "nan_label"])
+    def test_input_outside_the_unit_interval_is_refused(self, predictions, labels, message):
+        # such input used to give an ECE above 1, or numpy's bincount error
+        with pytest.raises(ValueError, match=message):
+            ece_report(predictions, labels)
+
 
 def _mixed_segments():
     """(scores, labels) of segments from 1 to 5000 entries, one for every

@@ -99,6 +99,7 @@ class TestStages:
     @pytest.mark.parametrize("key, value", [
         ("exact_cap", 98),  # M is the one count bound
         ("exclude_val", True),  # the validation positives always leave the candidates
+        ("baselines", ["perk", "oracle"]),  # evaluate scores default_methods(K)
     ])
     def test_removed_key_is_unknown(self, tmp_path, bundled_path, capsys, key, value):
         cfg = _write_config(tmp_path, bundled_path, tmp_path / "w", **{key: value})
@@ -121,6 +122,18 @@ class TestStages:
         assert usage.value.code == 2
         assert "unrecognized arguments: --mode exact" in capsys.readouterr().err
         assert not (workdir / "recs.tsv").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "1"), ("--measure", "f1"), ("--K", "5"), ("--M", "10"),
+    ])
+    def test_removed_flag_is_unrecognized(self, tmp_path, bundled_path, capsys, flag, value):
+        # the config file is the one source of these settings
+        cfg = _write_config(tmp_path, bundled_path, tmp_path / "w")
+        with pytest.raises(SystemExit) as usage:
+            _run("prepare", "--config", str(cfg), flag, value)
+        assert usage.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
 
     def test_calibration_is_an_unknown_key(self, tmp_path, bundled_path, calibrated_workdir,
                                            capsys):
@@ -634,17 +647,6 @@ class TestRecsFile:
         assert f"{path}: {why.format(u=u)}" in err, err
         assert _no_eval_files(workdir)
 
-    def test_evaluate_without_perk_reads_no_recs(self, tmp_path, bundled_path,
-                                                 recommended_workdir):
-        workdir, cfg = self._copy(tmp_path, bundled_path, recommended_workdir,
-                                  baselines=["top-1", "oracle"])
-        for name in ("recs.tsv", "platt.tsv"):
-            (workdir / name).unlink()
-        assert _run("evaluate", "--config", str(cfg)) == 0
-        report = json.loads((workdir / "eval_report.json").read_text())
-        assert set(report["averages"]) == {"top-1", "oracle"}
-        assert report["perk_expected"] == {}
-
     def test_perk_expected_is_the_mean_of_recs_column_4(self, tmp_path, bundled_path,
                                                          recommended_workdir):
         workdir, cfg = self._copy(tmp_path, bundled_path, recommended_workdir)
@@ -784,10 +786,6 @@ class TestConfigValues:
                                     "measures": ["f1", "tp", "f1"]}))
         assert _run("recommend", "--config", str(path)) == 1
         assert "repeated measures: f1" in capsys.readouterr().err
-        args = ("evaluate", "--workdir", str(tmp_path / "w"), "--measure", "ndcg",
-                "--measure", "ndcg")
-        assert _run(*args) == 1
-        assert "repeated measures: ndcg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, message", [
         ({"measures": []}, "measures must name at least one measure"),
@@ -798,9 +796,7 @@ class TestConfigValues:
         ({"ratios": [1, 0, False]}, "ratios must be a list of three numbers, got [1, 0, False]"),
         ({"ratios": [0.5, 0.5]}, "ratios must be a list of three numbers, got [0.5, 0.5]"),
         ({"bpr": 3}, "bpr must be an object, got 3"),
-        ({"baselines": []}, "baselines must name at least one method"),
         ({"measures": "f1"}, "measures must be a list, got 'f1'"),
-        ({"baselines": "perk"}, "baselines must be a list, got 'perk'"),
     ])
     def test_empty_measures_or_non_object_allocate_rejected(self, tmp_path, capsys, extra,
                                                              message):
@@ -863,16 +859,6 @@ class TestConfigValues:
         assert message in err and err.count("\n") == 1, err
         assert not (tmp_path / "w").exists()
 
-    @pytest.mark.parametrize("method", ["top-0", "top--2"])
-    def test_fixed_size_below_one_rejected(self, tmp_path, bundled_path, calibrated_workdir,
-                                           capsys, method):
-        workdir = tmp_path / "run"
-        shutil.copytree(calibrated_workdir, workdir)
-        cfg = _write_config(tmp_path, bundled_path, workdir, baselines=["perk", method])
-        assert _run("evaluate", "--config", str(cfg)) == 1
-        assert f"method {method!r} is neither known" in capsys.readouterr().err
-        assert not (workdir / "eval_per_user.tsv").exists()
-
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path, bundled_path):
@@ -898,12 +884,10 @@ class TestAllocate:
         for name, seed in (("east", 0), ("west", 1)):
             workdir = tmp_path / name
             cfg = _write_config(
-                tmp_path, bundled_path, workdir, dump_curves=True, measures=["f1"]
+                tmp_path, bundled_path, workdir, seed=seed, dump_curves=True, measures=["f1"]
             )
-            cfg = Path(cfg)
-            for stage in ("prepare", "train", "calibrate"):
-                assert _run(stage, "--config", str(cfg), "--seed", str(seed)) == 0
-            assert _run("recommend", "--config", str(cfg), "--seed", str(seed)) == 0
+            for stage in ("prepare", "train", "calibrate", "recommend"):
+                assert _run(stage, "--config", str(cfg)) == 0
             workdirs.append(workdir)
 
         out = tmp_path / "alloc"

@@ -99,6 +99,13 @@ class TestRank:
         assert head_items.tolist() == items[:top].tolist()
         assert head_vals.tobytes() == vals[:top].tobytes()
 
+    @pytest.mark.parametrize("top", [-1, -25])
+    def test_negative_top_is_refused(self, top):
+        # order[:-1] would silently drop the user's last item
+        table = ScoreTable.from_entries({0: (np.arange(5), np.arange(5.0))})
+        with pytest.raises(ValueError, match=f"top must be >= 0, got {top}"):
+            rank(0, table, top)
+
     def test_exclude_drops_items_and_keeps_order(self):
         rng = np.random.default_rng(3)
         scores = rng.normal(size=30)
@@ -333,45 +340,27 @@ class TestBaselines:
         rng = np.random.default_rng(3)
         table = ScoreTable.from_entries({int(u): (np.arange(8), rng.normal(size=8))
                                          for u in tiny_split.users})
-        report = evaluate(tiny_split, table, measures=[Measure.TP],
-                          methods=["top-1", "top-3", "top-100"], K=100)
-        assert report.per_user
+        perk = {int(u): {Measure.TP: (1, 0.5)} for u in tiny_split.users}
+        report = evaluate(tiny_split, table, perk, measures=[Measure.TP], K=100)
+        fixed = [row for row in report.per_user if row[1].startswith("top-")]
+        assert {row[1] for row in fixed} == {"top-1", "top-5", "top-10", "top-20", "top-50"}
         shown = table.without(tiny_split.val.pairs)
-        for user, method, _, k, value in report.per_user:
+        for user, method, _, k, value in fixed:
             ranked, _ = rank(user, shown)
             assert k == min(int(method[4:]), len(ranked))
             test_items = tiny_split.test.items_of(user)
             labels = np.isin(ranked, test_items).astype(float)
             assert value == realized_curve(Measure.TP, labels, len(test_items))[k - 1]
 
-    @pytest.mark.parametrize("method", ["top-0", "top--2", "top-x", "top-", "best", 5,
-                                        "top-05", "top-\u0665"])
-    def test_bad_method_rejected_before_any_user(self, tiny_split, monkeypatch, method):
-        from persize import selection
-
-        def no_user(*args, **kwargs):
-            raise AssertionError("a user was ranked")
-
-        monkeypatch.setattr(selection, "rank", no_user)
-        table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
-                                         for u in tiny_split.users})
-        perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
-        for methods in (["top-1", method], [METHOD_PERK, "top-1", method]):
-            with pytest.raises(ValueError, match=repr(method)):
-                evaluate(tiny_split, table, perk, methods=methods, K=10)
-
-    @pytest.mark.parametrize("measures, methods, message", [
-        ([Measure.F1, "f1"], None, "repeated measure: f1"),
-        ([Measure.TP, Measure.F1, Measure.TP], ["perk"], "repeated measure: tp"),
-        ([Measure.F1], ["perk", "top-1", "perk"], "repeated method: perk"),
-        ([Measure.F1], ["top-3", "oracle", "top-3"], "repeated method: top-3"),
-        ([], None, "no measure"),
-        ([Measure.F1], [], "no method"),
+    @pytest.mark.parametrize("measures, message", [
+        ([Measure.F1, "f1"], "repeated measure: f1"),
+        ([Measure.TP, Measure.F1, Measure.TP], "repeated measure: tp"),
+        ([], "no measure"),
     ])
-    def test_repeated_or_missing_choice_rejected(self, tiny_split, monkeypatch, measures,
-                                                  methods, message):
-        # a repeated measure or method would write each user's rows twice and
-        # double the averages, which divide by the users counted once
+    def test_repeated_or_missing_measure_rejected(self, tiny_split, monkeypatch, measures,
+                                                   message):
+        # a repeated measure would write each user's rows twice and double
+        # the averages, which divide by the users counted once
         from persize import selection
 
         def no_user(*args, **kwargs):
@@ -382,7 +371,7 @@ class TestBaselines:
                                          for u in tiny_split.users})
         perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
         with pytest.raises(ValueError, match=message):
-            evaluate(tiny_split, table, perk, measures=measures, methods=methods, K=5)
+            evaluate(tiny_split, table, perk, measures=measures, K=5)
 
     def test_rand_reproducible_and_bounded(self):
         draws = {baseline_rand(5, 10, seed=4) for _ in range(5)}
@@ -569,8 +558,30 @@ class TestEvaluate:
         table = ScoreTable.from_entries({int(u): (np.arange(3), np.arange(3, dtype=float))
                                          for u in tiny_split.users})
         perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
-        with pytest.raises(ValueError, match="no evaluable"):
+        with pytest.raises(ValueError, match=r"^no evaluable users \(skipped 6 "
+                           r"no_test_positives, 0 no_candidates, 0 no_perk_size\)$"):
             evaluate(gutted, table, perk, K=3)
+        # users with test positives but without PerK sizes are not blamed on
+        # missing test positives
+        with pytest.raises(ValueError, match=r"\(skipped 0 no_test_positives, 0 "
+                           r"no_candidates, 6 no_perk_size\)"):
+            evaluate(tiny_split, table, {}, K=3)
+
+    @pytest.mark.parametrize("K", [0, -2])
+    def test_K_below_one_rejected_before_any_user(self, tiny_split, monkeypatch, K):
+        # K = 0 read as every user lacking candidates, and a negative K cut
+        # the rankings from their end
+        from persize import selection
+
+        def no_user(*args, **kwargs):
+            raise AssertionError("a user was ranked")
+
+        monkeypatch.setattr(selection, "rank", no_user)
+        table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
+                                         for u in tiny_split.users})
+        perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
+        with pytest.raises(ValueError, match=f"^K must be >= 1, got {K}$"):
+            evaluate(tiny_split, table, perk, K=K)
 
     def test_skipped_users_counted_by_reason(self, tiny_split):
         test_pairs = tiny_split.test.pairs[tiny_split.test.pairs[:, 0] != 0]
@@ -588,18 +599,12 @@ class TestEvaluate:
         assert report.skipped == {"no_test_positives": 1, "no_candidates": 2,
                                   "no_perk_size": 2}
         assert {row[0] for row in report.per_user} == {5}
-        # without PerK no sizes are needed
-        report = evaluate(split, table, methods=["top-1", "oracle"], K=5)
+        # with a PerK size for every user, only the first two reasons skip
+        perk = {u: {m: (1, 0.5) for m in Measure} for u in range(6)}
+        report = evaluate(split, table, perk, K=5)
         assert report.skipped == {"no_test_positives": 1, "no_candidates": 2,
                                   "no_perk_size": 0}
         assert {row[0] for row in report.per_user} == {2, 4, 5}
-        assert report.perk_expected == {}
-
-    def test_perk_needs_its_sizes(self, tiny_split):
-        table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
-                                         for u in tiny_split.users})
-        with pytest.raises(ValueError, match="evaluating perk needs its sizes"):
-            evaluate(tiny_split, table, K=5)
 
     def test_perk_size_past_the_ranking_names_the_user(self, tiny_split):
         table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
@@ -618,7 +623,8 @@ class TestEvaluate:
                             lambda iset, user: calls.append(user) or items_of(iset, user))
         table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
                                          for u in tiny_split.users})
-        evaluate(tiny_split, table, methods=["top-1", "val_k", "oracle"], K=5)
+        perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
+        evaluate(tiny_split, table, perk, K=5)
         assert sorted(calls) == sorted(2 * tiny_split.users.tolist())
 
     def test_perk_expected_is_the_mean_promise_over_evaluated_users(self, bundled_eval):
@@ -679,11 +685,14 @@ def _sparse_id_split(seed: int):
     return split, ScoreTable.from_entries(entries)
 
 
-def _reference_report(split, table, methods, K, seed) -> EvaluationReport:
+def _reference_report(split, table, perk, K, seed) -> EvaluationReport:
     """``evaluate`` as a loop over users with one ``np.isin`` per membership
-    test and the exclusion applied to the whole ranking."""
+    test and the exclusion applied to the whole ranking; every user has a
+    PerK size."""
+    methods = default_methods(K)
     skipped = dict.fromkeys(SKIP_REASONS, 0)
     per_measure = {m: [] for m in Measure}
+    promised = {m: [] for m in Measure}
     for user in sorted(int(u) for u in split.users):
         test, val = split.test.items_of(user), split.val.items_of(user)
         if not len(test):
@@ -700,7 +709,8 @@ def _reference_report(split, table, methods, K, seed) -> EvaluationReport:
             realized = realized_curve(measure, labels, len(test))
             val_curve = realized_curve(measure, val_labels, len(val))
             sizes = {METHOD_ORACLE: _select(realized), "rand": baseline_rand(user, K, seed),
-                     "val_k": _select(val_curve)}
+                     "val_k": _select(val_curve), METHOD_PERK: perk[user][measure][0]}
+            promised[measure].append(perk[user][measure][1])
             for method in methods:
                 k = min(sizes[method] if method in sizes else int(method[4:]), len(ranking))
                 per_measure[measure].append((user, method, measure.value, k, realized[k - 1]))
@@ -713,10 +723,16 @@ def _reference_report(split, table, methods, K, seed) -> EvaluationReport:
                 if row[1] == method:
                     total += row[4]
             averages[method][measure.value] = total / len(users)
+    perk_expected = {}
+    for measure, values in promised.items():
+        total = 0.0
+        for value in values:
+            total += value
+        perk_expected[measure.value] = total / len(users)
     rows = [row for user in users for measure in Measure
             for row in per_measure[measure] if row[0] == user]
     return EvaluationReport(averages=averages, n_users=len(users), per_user=tuple(rows),
-                            skipped=skipped, perk_expected={})
+                            skipped=skipped, perk_expected=perk_expected)
 
 
 class TestEvaluateMembership:
@@ -726,9 +742,12 @@ class TestEvaluateMembership:
     def test_matches_per_user_isin_on_sparse_large_ids(self, seed):
         split, table = _sparse_id_split(seed)
         K = 10
-        methods = default_methods(K)[1:]  # every method but PerK
-        report = evaluate(split, table, methods=methods, K=K, seed=seed)
-        assert report == _reference_report(split, table, methods, K, seed)
+        # every evaluated ranking holds K items, so any size in 1..K fits
+        rng = np.random.default_rng(seed)
+        perk = {int(u): {m: (int(rng.integers(1, K + 1)), float(rng.random())) for m in Measure}
+                for u in split.users}
+        report = evaluate(split, table, perk, K=K, seed=seed)
+        assert report == _reference_report(split, table, perk, K, seed)
         assert report.skipped[SKIP_NO_TEST] == 1 and report.skipped[SKIP_NO_CANDIDATES] == 1
         # validation positives sit inside and beyond the evaluated top K
         places = [np.flatnonzero(np.isin(rank(u, table)[0], split.val.items_of(u)))

@@ -315,6 +315,15 @@ class TestBatchedCurves:
         with pytest.raises(ValueError):
             expected_curves_batch(np.zeros((2, 3)), ALL, M=0, K=3)
 
+    def test_default_K_is_the_pipeline_default(self):
+        # one default K for the curve engine, the selection routines and the CLI
+        from persize import cli, selection
+
+        curves = expected_curves_batch(np.full((2, 80), 0.5), [Measure.TP])[Measure.TP]
+        assert curves.shape == (2, utility.DEFAULT_K)
+        assert selection.DEFAULT_K is utility.DEFAULT_K
+        assert cli._DEFAULTS["K"] is utility.DEFAULT_K
+
     def test_batch_minimal_truncation_bound(self):
         # M=1 uses a count distribution with the single index 0
         from persize.utility import expected_curves_batch
