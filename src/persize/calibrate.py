@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poibin import _check_probs
-from .util import in_pairs
+from .util import _check_number, in_pairs
 
 GLOBAL_SCOPE = "GLOBAL"
 
@@ -324,8 +324,7 @@ def ece_report(predictions, labels, bins: int = 15) -> dict:
         raise ValueError("cannot compute calibration error on empty input")
     if p.size != y.size:
         raise ValueError("predictions and labels must have equal length")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    _check_number("bins", bins, 1, integer=True)
     _check_probs(p)
     outside = y[~((y >= 0.0) & (y <= 1.0))]
     if len(outside):

@@ -126,10 +126,7 @@ def _load_config(args) -> dict:
     if "workdir" not in cfg:
         raise ConfigError("a working directory is required (--workdir or config)")
     for key, low in _INT_KEYS.items():
-        if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
-            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
-        if cfg[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]!r}")
+        _check_number(key, cfg[key], low, integer=True)
     for key, value in (("dump_curves", cfg["dump_curves"]),
                        ("allocate.allow_zero", alloc.get("allow_zero", True))):
         if not isinstance(value, bool):
@@ -142,11 +139,7 @@ def _load_config(args) -> dict:
     if alloc.get("measure", known[0]) not in known:
         raise ConfigError(f"allocate.measure must be one of {', '.join(known)}, "
                           f"got {alloc['measure']!r}")
-    repeated = sorted({m for m in cfg["measures"] if cfg["measures"].count(m) > 1})
-    if repeated:
-        raise ConfigError(f"repeated measures: {', '.join(repeated)}")
-    if not cfg["measures"]:
-        raise ConfigError("measures must name at least one measure")
+    selection._check_measures(cfg["measures"])
     return cfg
 
 
@@ -168,12 +161,10 @@ def cmd_prepare(cfg: dict) -> int:
     if filtered.n_interactions == 0:
         raise ConfigError(f"{cfg['kcore']}-core filtering left no interactions")
     dense, kept_users, kept_items = dataset.compact(filtered)
-    kept_user_set = set(kept_users.tolist())
-    kept_item_set = set(kept_items.tolist())
-    user_map = {orig: int(np.searchsorted(kept_users, idx))
-                for orig, idx in id_map["users"].items() if idx in kept_user_set}
-    item_map = {orig: int(np.searchsorted(kept_items, idx))
-                for orig, idx in id_map["items"].items() if idx in kept_item_set}
+    # load_interactions numbers ids in first-seen order, the order of its maps' keys
+    user_ids, item_ids = list(id_map["users"]), list(id_map["items"])
+    user_map = {user_ids[idx]: new for new, idx in enumerate(kept_users.tolist())}
+    item_map = {item_ids[idx]: new for new, idx in enumerate(kept_items.tolist())}
     split_ds = dataset.split(dense, tuple(cfg["ratios"]), seed=cfg["seed"])
     dataset.save_split(
         split_ds, workdir, {"users": user_map, "items": item_map},

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import _first_flagged, _outside, _read_rows, atomic_write
+from .util import _check_number, _first_flagged, _outside, _read_rows, atomic_write
 
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
 SPLIT_FILES = ("train.tsv", "val.tsv", "test.tsv")
@@ -127,8 +127,7 @@ def kcore_filter(iset: InteractionSet, k: int) -> InteractionSet:
     Runs to fixpoint; an empty result is valid and reported as a warning.
     Surviving ids keep their original values (see ``compact`` to re-densify).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_number("k", k, 1, integer=True)
     pairs = iset.pairs
     while len(pairs):
         u_ids, u_deg = np.unique(pairs[:, 0], return_counts=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import _check_number
 from .utility import Measure
 
 
@@ -66,14 +67,15 @@ def allocate(curves: DomainCurves, N: int, K: int, allow_zero: bool = True) -> A
     With ``allow_zero`` off every domain needs at least one slot, so N must
     cover the domain count. Negative curve values (possible for PDCG) are
     handled natively; with zeros allowed, an all-negative domain gets none.
-    Non-finite curve values are rejected.
+    N must be an integer >= 0 and K an integer >= 1; non-finite curve
+    values are rejected.
     """
     doms = curves.domain_ids()
     x_count = len(doms)
     if x_count == 0:
         raise ValueError("no domains to allocate")
-    if N < 0:
-        raise ValueError(f"budget must be >= 0, got {N}")
+    _check_number("N", N, 0, integer=True)
+    _check_number("K", K, 1, integer=True)
     if not allow_zero and N < x_count:
         raise ValueError(f"budget {N} cannot give {x_count} domains one slot each")
     vals = _values(curves, K)

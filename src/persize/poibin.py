@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .util import _check_number
+
 _CHUNK = 32
 
 
@@ -45,8 +47,8 @@ def distribution(probs, M: int) -> tuple[np.ndarray, np.ndarray | float]:
         probs: success probabilities, each in [0, 1]: one user's vector, or
            a (users, n) block with one row per user (zero-padded rows are
            exact, see ``distribution_batch``).
-        M: truncation bound, >= 0. Mass beyond index M is dropped into
-           the tail (no renormalization).
+        M: truncation bound, an integer >= 0. Mass beyond index M is
+           dropped into the tail (no renormalization).
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim > 2:
@@ -78,8 +80,7 @@ def distribution_batch(probs: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
     if probs.ndim != 2:
         raise ValueError("expected a (users, n) probability matrix")
     _check_probs(probs)
-    if M < 0:
-        raise ValueError(f"truncation bound must be >= 0, got {M}")
+    _check_number("M", M, 0, integer=True)
     n_users, n = probs.shape
     cap = min(n, M)
 

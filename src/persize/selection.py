@@ -30,13 +30,14 @@ them from ``recs.tsv``), and the validation and oracle sizes are the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from . import calibrate
 from .dataset import SplitDataset
 from .scorer import ScoreTable
-from .util import in_pairs, parallel_map
+from .util import _check_number, in_pairs, parallel_map
 from .utility import (
     DEFAULT_K,
     DEFAULT_M,
@@ -107,9 +108,9 @@ def rank(user: int, scores: ScoreTable, top: int | None = None) -> tuple[np.ndar
     """The user's scored (items, scores) by descending score, ties to the
     lower item id; with ``top``, the first ``top`` of them only, sorted
     after one ``np.partition`` that keeps every entry tied with the cut. A
-    negative ``top`` is a ValueError."""
-    if top is not None and top < 0:
-        raise ValueError(f"top must be >= 0, got {top}")
+    ``top`` that is not an integer >= 0 is a ValueError."""
+    if top is not None:
+        _check_number("top", top, 0, integer=True)
     items, vals = scores.get(user)
     if top is not None and 0 < top < len(vals):
         cut = np.partition(vals, len(vals) - top)[len(vals) - top]
@@ -253,7 +254,7 @@ def _label_block(labels, lengths: np.ndarray) -> np.ndarray:
 def _check_measures(measures: list) -> None:
     """Reject an empty or repeated measure list."""
     if not measures:
-        raise ValueError("no measure to evaluate")
+        raise ValueError("measures is empty: no measure to evaluate")
     repeated = sorted({str(x) for x in measures if measures.count(x) > 1})
     if repeated:
         raise ValueError(f"repeated measure: {', '.join(repeated)}")
@@ -280,9 +281,10 @@ def evaluate(
 
     ``perk`` maps each user PerK served to ``{Measure: (k, expected_value)}``
     (the recommend stage's sizes). Skip reasons, in order: no test
-    positives, nothing left to rank, and no PerK size. K < 1, an empty or
-    repeated measure list and no user left to evaluate are ValueErrors, and
-    so is a PerK size past the user's evaluated ranking, naming the user.
+    positives, nothing left to rank, and no PerK size. ValueErrors: a K
+    that is not an integer >= 1, an empty or repeated measure list, no user
+    left to evaluate, and an evaluated user's entry without a measure or
+    with a size outside 1..len(its ranking), naming the user and measure.
     """
     check_curve_args(K=K)
     measures = [Measure(m) for m in measures]
@@ -309,9 +311,13 @@ def evaluate(
         if reason:
             skipped[reason] += 1
             continue
-        if max(k for k, _ in perk[user].values()) > len(ranking):
-            raise ValueError(f"user {user}: a PerK size exceeds its {len(ranking)} "
-                             "evaluated items")
+        for measure in measures:
+            if measure not in perk[user]:
+                raise ValueError(f"user {user}: no PerK size for {measure.value}")
+            k = perk[user][measure][0]
+            if isinstance(k, bool) or not isinstance(k, Integral) or not 1 <= k <= len(ranking):
+                raise ValueError(f"user {user}: the PerK size for {measure.value} must be an "
+                                 f"integer in 1..{len(ranking)}, got {k!r}")
         rows.append(row)
         rankings.append(ranking)
     if not rows:

@@ -194,9 +194,10 @@ def _parse_int64(fields):
 
 
 def _check_number(name: str, value, low, integer: bool = False) -> None:
-    """Reject a config value that is not an integer (with ``integer``) or a
-    finite number, or is below ``low``, with a ValueError naming the field.
-    A bool is not a number."""
+    """Reject a value that is not an integer (with ``integer``) or a finite
+    number, or is below ``low``, with a ValueError naming it: the one check
+    of every size and count, library argument or config value. A bool is
+    not a number."""
     if (isinstance(value, bool) or not isinstance(value, Integral if integer else Real)
             or not (isinstance(value, Integral) or math.isfinite(value)) or value < low):
         what = "an integer" if integer else "a finite number"

@@ -31,6 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .poibin import _check_probs, distribution
+from .util import _check_number
 
 DEFAULT_K = 50
 DEFAULT_M = 2000
@@ -120,10 +121,9 @@ def realized_curve(measure: Measure, prefix_labels, total_relevant) -> np.ndarra
 
 
 def check_curve_args(**sizes: int) -> None:
-    """Reject each given size (K, M) below 1, naming it."""
+    """Reject each given size (K, M) that is not an integer >= 1, naming it."""
     for name, value in sizes.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        _check_number(name, value, 1, integer=True)
 
 
 def _count_bound(probs: np.ndarray, cap: int) -> int:

@@ -716,7 +716,8 @@ class TestConfigValues:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"workdir": str(tmp_path / "w"), key: value}))
         assert _run("prepare", "--config", str(path)) == 1
-        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+        low = 0 if key == "seed" else 1
+        assert f"{key} must be an integer >= {low}, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, low", [
         ("K", 0, 1), ("M", 0, 1), ("threads", -4, 1), ("seed", -1, 0), ("kcore", 0, 1),
@@ -726,7 +727,7 @@ class TestConfigValues:
         path.write_text(json.dumps({"workdir": str(tmp_path / "w"), key: value}))
         assert _run("prepare", "--config", str(path)) == 1
         err = capsys.readouterr().err
-        assert f"{key} must be >= {low}, got {value}" in err and err.count("\n") == 1, err
+        assert f"{key} must be an integer >= {low}, got {value}" in err and err.count("\n") == 1, err
         assert not (tmp_path / "w").exists()
 
     def test_negative_ratio_rejected(self, tmp_path, bundled_path, capsys):
@@ -785,10 +786,10 @@ class TestConfigValues:
         path.write_text(json.dumps({"workdir": str(tmp_path / "w"),
                                     "measures": ["f1", "tp", "f1"]}))
         assert _run("recommend", "--config", str(path)) == 1
-        assert "repeated measures: f1" in capsys.readouterr().err
+        assert "repeated measure: f1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, message", [
-        ({"measures": []}, "measures must name at least one measure"),
+        ({"measures": []}, "measures is empty: no measure to evaluate"),
         ({"allocate": ["budget"]}, "allocate must be an object, got ['budget']"),
         ({"ratios": 5}, "ratios must be a list of three numbers, got 5"),
         ({"ratios": ["a", "b", "c"]},

@@ -190,7 +190,7 @@ class TestBlockDistribution:
         ([[0.5, 1.2], [0.1, 0.2]], 2, "must lie in"),
         ([[0.5, -0.1]], 2, "must lie in"),
         ([[0.5, float("nan")], [0.1, 0.2]], 2, "must be finite"),
-        ([[0.5, 0.1]], -1, "truncation bound"),
+        ([[0.5, 0.1]], -1, "^M must be an integer >= 0, got -1$"),
     ], ids=["above_one", "negative", "nan", "negative_M"])
     def test_block_errors_match_engine(self, probs, M, message):
         with pytest.raises(ValueError, match=message) as front:

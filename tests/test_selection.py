@@ -103,7 +103,7 @@ class TestRank:
     def test_negative_top_is_refused(self, top):
         # order[:-1] would silently drop the user's last item
         table = ScoreTable.from_entries({0: (np.arange(5), np.arange(5.0))})
-        with pytest.raises(ValueError, match=f"top must be >= 0, got {top}"):
+        with pytest.raises(ValueError, match=f"top must be an integer >= 0, got {top}"):
             rank(0, table, top)
 
     def test_exclude_drops_items_and_keeps_order(self):
@@ -580,7 +580,7 @@ class TestEvaluate:
         table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
                                          for u in tiny_split.users})
         perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
-        with pytest.raises(ValueError, match=f"^K must be >= 1, got {K}$"):
+        with pytest.raises(ValueError, match=f"^K must be an integer >= 1, got {K}$"):
             evaluate(tiny_split, table, perk, K=K)
 
     def test_skipped_users_counted_by_reason(self, tiny_split):
@@ -613,8 +613,31 @@ class TestEvaluate:
         user = int(tiny_split.users[2])
         n = len(rank(user, table.without(tiny_split.val.pairs))[0])
         perk[user][Measure.TP] = (n + 1, 0.5)
-        with pytest.raises(ValueError, match=f"user {user}: a PerK size exceeds its {n} "):
+        with pytest.raises(ValueError, match=f"^user {user}: the PerK size for tp must be an "
+                           f"integer in 1..{n}, got {n + 1}$"):
             evaluate(tiny_split, table, perk, K=8)
+
+    @pytest.mark.parametrize("entry, message", [
+        ((0, 0.5), "the PerK size for f1 must be an integer in 1..5, got 0"),
+        ((True, 0.5), "the PerK size for f1 must be an integer in 1..5, got True"),
+        ((2.0, 0.5), "the PerK size for f1 must be an integer in 1..5, got 2.0"),
+        (None, "no PerK size for f1"),
+    ], ids=["zero", "bool", "float", "missing"])
+    def test_bad_perk_entry_names_the_user_and_measure(self, tiny_split, entry, message):
+        # a size of 0 scored the block's last column, True scored as 1, a
+        # float ended in numpy's IndexError and a missing measure in a bare
+        # KeyError
+        table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
+                                         for u in tiny_split.users})
+        perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
+        user = int(tiny_split.users[2])
+        assert len(rank(user, table.without(tiny_split.val.pairs))[0]) >= 5  # ranking of K
+        if entry is None:
+            del perk[user][Measure.F1]
+        else:
+            perk[user][Measure.F1] = entry
+        with pytest.raises(ValueError, match=f"^user {user}: {message}$"):
+            evaluate(tiny_split, table, perk, K=5)
 
     def test_looks_up_each_users_test_and_validation_items_once(self, tiny_split, monkeypatch):
         calls = []

@@ -1,11 +1,21 @@
 """``util.in_pairs``, the one (user, item) membership test, against a
-Python set of pairs."""
+Python set of pairs; the row-order helpers; and ``util._check_number``, the
+one check of every integer size argument."""
+
+import re
 
 import numpy as np
 import pytest
 
 from persize import util
+from persize.calibrate import PlattParams, ece_report
+from persize.dataset import InteractionSet, kcore_filter
+from persize.multidomain import DomainCurves, allocate
+from persize.poibin import distribution, distribution_batch
+from persize.scorer import ScoreTable
+from persize.selection import evaluate, rank, recommend_block, recommend_users
 from persize.util import in_pairs
+from persize.utility import Measure, expected_curves_batch
 
 # the int64 extremes, negative ids and ids past 2**32 and 2**40
 EDGE_IDS = [-2**63, 2**63 - 1, -2**40, -1, 0, 1, 2**32, 2**40]
@@ -103,3 +113,45 @@ def test_rising_wants_strict_order_in_every_key():
     for rows in ([], [7]):
         got = util._repeats(np.array(rows, dtype=np.int64))
         assert got.tolist() == [] and got.dtype.kind == "i"
+
+
+_PROBS = np.full((2, 3), 0.5)
+_TABLE = ScoreTable.from_entries({0: (np.arange(4), np.arange(4.0))})
+_PARAMS = {0: PlattParams(1.0, 0.0)}
+_CURVES = DomainCurves(0, Measure.F1, {"a": np.ones(3), "b": np.ones(3)})
+
+# argument -> (its name, its lower bound, a call passing (value, split) as it)
+SIZE_ARGUMENTS = {
+    "expected_curves_batch-K":
+        ("K", 1, lambda v, _: expected_curves_batch(_PROBS, list(Measure), M=5, K=v)),
+    "expected_curves_batch-M":
+        ("M", 1, lambda v, _: expected_curves_batch(_PROBS, list(Measure), M=v, K=3)),
+    "recommend_block-K": ("K", 1, lambda v, _: recommend_block([0], _TABLE, _PARAMS,
+                                                               [Measure.F1], K=v, M=5)),
+    "recommend_block-M": ("M", 1, lambda v, _: recommend_block([0], _TABLE, _PARAMS,
+                                                               [Measure.F1], K=3, M=v)),
+    "recommend_users-K": ("K", 1, lambda v, _: recommend_users(_TABLE, _PARAMS, [Measure.F1],
+                                                               K=v, M=5)),
+    "recommend_users-M": ("M", 1, lambda v, _: recommend_users(_TABLE, _PARAMS, [Measure.F1],
+                                                               K=3, M=v)),
+    "evaluate-K": ("K", 1, lambda v, split: evaluate(split, _TABLE, {}, K=v)),
+    "rank-top": ("top", 0, lambda v, _: rank(0, _TABLE, v)),
+    "distribution-M": ("M", 0, lambda v, _: distribution(_PROBS[0], v)),
+    "distribution_batch-M": ("M", 0, lambda v, _: distribution_batch(_PROBS, v)),
+    "allocate-N": ("N", 0, lambda v, _: allocate(_CURVES, N=v, K=3)),
+    "allocate-K": ("K", 1, lambda v, _: allocate(_CURVES, N=3, K=v)),
+    "kcore_filter-k": ("k", 1, lambda v, _: kcore_filter(InteractionSet.from_pairs([[0, 0]]), v)),
+    "ece_report-bins": ("bins", 1, lambda v, _: ece_report([0.5], [1.0], bins=v)),
+}
+
+
+@pytest.mark.parametrize("bad", ["bool", "float", "below"])
+@pytest.mark.parametrize("argument", list(SIZE_ARGUMENTS))
+def test_size_argument_refused_with_one_wording(tiny_split, argument, bad):
+    # a bool ran as 0 or 1, a float as its ceiling or ended in a TypeError,
+    # and allocate took any K
+    name, low, call = SIZE_ARGUMENTS[argument]
+    value = {"bool": True, "float": low + 1.5, "below": low - 1}[bad]
+    message = f"{name} must be an integer >= {low}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value, tiny_split)
