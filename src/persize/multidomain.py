@@ -82,8 +82,6 @@ def allocate(curves: DomainCurves, N: int, K: int, allow_zero: bool = True) -> A
     kmin = 0 if allow_zero else 1
     budget = min(N, x_count * K)
     ks = np.arange(kmin, min(K, budget) + 1)
-    if len(ks) == 0:
-        raise ValueError("allocation infeasible under the given budget")
 
     # rest[b, j] reads f[x+1, b - ks[j]] from a copy padded with -inf in front
     pad = int(ks[-1])

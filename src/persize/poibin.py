@@ -7,15 +7,12 @@ vector exactly by convolution, optionally truncated at a bound M: mass that
 would land beyond index M is dropped (recorded, never renormalized).
 
 ``distribution_batch`` is the only implementation: a chunked recurrence plus
-an FFT merge tree over a (users, n) matrix, returning (mass, tail).
-``distribution`` is the front door: it takes one user's vector or a
-(users, n) block and calls the engine once either way, so the single-user
-and batched paths share their arithmetic, their input checks and their
-result shape, (mass, tail); one user's is its mass row and a float tail.
-The work of a call grows with its bound: the expected curves pass each
-block's Chernoff-certified bound (``utility._count_bound``), far below
-their cap M - 1 when the probabilities sum to little, and the engine
-truncates every intermediate there.
+an FFT merge tree over a (users, n) matrix, returning (mass, tail); a single
+user is a batch of one row. The work of a call grows with its bound: the
+expected curves pass each block's Chernoff-certified bound
+(``utility._count_bound``), far below their cap M - 1 when the
+probabilities sum to little, and the engine truncates every intermediate
+there.
 """
 
 from __future__ import annotations
@@ -36,27 +33,10 @@ def _check_probs(probs: np.ndarray) -> None:
         raise ValueError("probabilities must be finite")
 
 
-def distribution(probs, M: int) -> tuple[np.ndarray, np.ndarray | float]:
-    """Poisson-Binomial mass of sum(Bernoulli(p_i)) truncated at M, as
-    (mass, tail): one call to ``distribution_batch``, which also validates
-    the input. For a (users, n) block that call's result is returned as it
-    is; for one user's vector, mass is that user's row (min(n, M) + 1
-    values) and tail a float.
-
-    Args:
-        probs: success probabilities, each in [0, 1]: one user's vector, or
-           a (users, n) block with one row per user (zero-padded rows are
-           exact, see ``distribution_batch``).
-        M: truncation bound, an integer >= 0. Mass beyond index M is
-           dropped into the tail (no renormalization).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim > 2:
-        raise ValueError(f"expected a vector or a (users, n) block, got {probs.ndim} dimensions")
-    if probs.ndim == 2:
-        return distribution_batch(probs, M)
-    mass, tail = distribution_batch(probs.reshape(1, -1), M)
-    return mass[0], float(tail[0])
+def distribution(probs, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """``distribution_batch(probs, M)`` under the name the curve engine calls,
+    which ``perfbench`` times as its count layer."""
+    return distribution_batch(probs, M)
 
 
 def distribution_batch(probs: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +46,7 @@ def distribution_batch(probs: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
     zeros (zero-probability items are exact identities). Returns
     (mass, tail) where mass is (users, min(n, M) + 1) and tail is the
     dropped mass above M per user (zero when M >= n). A single user is a
-    batch of one (see ``distribution``).
+    batch of one row.
 
     Items are grouped into fixed-size chunks whose count distributions are
     computed by the windowed recurrence vectorized across chunks and users;

@@ -215,6 +215,7 @@ def recommend_users(
     depend on the data only, so the result does not depend on ``threads``.
     """
     check_curve_args(K=K, M=M)
+    _check_number("threads", threads, 1, integer=True)
     measures = list(measures)  # every block reads them
     users = served_users(scores, params_by_user)
 
@@ -229,6 +230,7 @@ def recommend_users(
 
 def baseline_rand(user: int, K: int, seed: int = 0) -> int:
     """Uniform size in [1, K], seeded per user (thread-count independent)."""
+    _check_number("K", K, 1, integer=True)
     rng = np.random.default_rng([seed, int(user), 0x72616E64])
     return int(rng.integers(1, K + 1))
 

@@ -15,7 +15,7 @@ import pytest
 from persize import calibrate
 from persize.cli import main as cli_main
 from persize.multidomain import DomainCurves, allocate
-from persize.poibin import distribution
+from persize.poibin import distribution_batch
 from persize.selection import METHOD_ORACLE, _row_argmax
 from persize.synthetic import generate_world
 from persize.utility import Measure, expected_curves_batch, realized_curve
@@ -40,14 +40,14 @@ def test_criterion_01_count_distribution_oracle():
     for _ in range(200):
         n = int(rng.integers(1, 16))
         probs = rng.random(n)
-        mass, _ = distribution(probs, n)
+        (mass,), _ = distribution_batch([probs], n)
         np.testing.assert_allclose(mass, enum_count_distribution(probs), atol=1e-12)
     from math import comb
 
     for _ in range(50):
         n = int(rng.integers(1, 31))
         p = float(rng.random())
-        mass, _ = distribution(np.full(n, p), n)
+        (mass,), _ = distribution_batch(np.full((1, n), p), n)
         ref = np.array([comb(n, m) * p**m * (1 - p) ** (n - m) for m in range(n + 1)])
         np.testing.assert_allclose(mass, ref, atol=1e-12)
     elapsed = time.perf_counter() - start

@@ -8,17 +8,17 @@ from oracles import dp_count_distribution, enum_count_distribution, leave_one_ou
 
 class TestDistribution:
     def test_empty_product(self):
-        mass, tail = distribution([], 5)
+        (mass,), (tail,) = distribution_batch([[]], 5)
         np.testing.assert_array_equal(mass, [1.0])
         assert tail == 0.0
 
     def test_fair_coins(self):
-        mass, _ = distribution([0.5, 0.5], 2)
+        (mass,), _ = distribution_batch([[0.5, 0.5]], 2)
         np.testing.assert_allclose(mass, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_hand_enumeration_three(self):
         # 0.1*0.8*0.7 + 0.9*0.2*0.7 + 0.9*0.8*0.3 = 0.398
-        mass, _ = distribution([0.1, 0.2, 0.3], 3)
+        (mass,), _ = distribution_batch([[0.1, 0.2, 0.3]], 3)
         assert mass[1] == pytest.approx(0.398, abs=1e-15)
 
     def test_matches_enumeration(self):
@@ -26,7 +26,7 @@ class TestDistribution:
         for _ in range(50):
             n = int(rng.integers(1, 16))
             probs = rng.random(n)
-            mass, tail = distribution(probs, n)
+            (mass,), (tail,) = distribution_batch([probs], n)
             ref = enum_count_distribution(probs)
             np.testing.assert_allclose(mass, ref, atol=1e-12)
             assert tail == 0.0
@@ -37,7 +37,7 @@ class TestDistribution:
         rng = np.random.default_rng(1)
         for n in (1, 5, 17, 30):
             p = float(rng.random())
-            mass, _ = distribution(np.full(n, p), n)
+            (mass,), _ = distribution_batch(np.full((1, n), p), n)
             ref = np.array([comb(n, m) * p**m * (1 - p) ** (n - m) for m in range(n + 1)])
             np.testing.assert_allclose(mass, ref, atol=1e-12)
 
@@ -45,46 +45,46 @@ class TestDistribution:
         rng = np.random.default_rng(2)
         for n in (3, 40, 300):
             probs = rng.random(n)
-            mass, _ = distribution(probs, n)
+            (mass,), _ = distribution_batch([probs], n)
             mean = float(np.arange(n + 1) @ mass)
             assert mean == pytest.approx(float(probs.sum()), abs=1e-9)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         probs = rng.random(24)
-        base, _ = distribution(probs, 24)
+        (base,), _ = distribution_batch([probs], 24)
         for _ in range(5):
             shuffled = rng.permutation(probs)
-            np.testing.assert_allclose(distribution(shuffled, 24)[0], base, atol=1e-13)
+            np.testing.assert_allclose(distribution_batch([shuffled], 24)[0][0], base, atol=1e-13)
 
     def test_truncation_prefix_consistency(self):
         rng = np.random.default_rng(4)
         probs = rng.random(30)
-        full, _ = distribution(probs, 30)
+        (full,), _ = distribution_batch([probs], 30)
         for M in range(0, 31, 5):
-            trunc, tail = distribution(probs, M)
+            (trunc,), (tail,) = distribution_batch([probs], M)
             np.testing.assert_array_equal(trunc, full[: M + 1])
             assert tail == pytest.approx(float(full[M + 1 :].sum()), abs=1e-12)
 
     def test_tail_not_renormalized(self):
-        mass, tail = distribution([0.9, 0.9, 0.9], 1)
+        (mass,), (tail,) = distribution_batch([[0.9, 0.9, 0.9]], 1)
         assert mass.sum() < 1.0
         assert tail == pytest.approx(1.0 - mass.sum(), abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            distribution([0.5, 1.2], 2)
+            distribution_batch([[0.5, 1.2]], 2)
         with pytest.raises(ValueError):
-            distribution([-0.1], 1)
+            distribution_batch([[-0.1]], 1)
         with pytest.raises(ValueError):
-            distribution([0.5], -1)
+            distribution_batch([[0.5]], -1)
         with pytest.raises(ValueError):
-            distribution([0.5, float("nan")], 2)
+            distribution_batch([[0.5, float("nan")]], 2)
 
     def test_batch_rejects_nan_like_single_user(self):
-        probs = [[0.2, float("nan"), 0.1]]
+        probs = [[0.2, float("nan"), 0.1], [0.1, 0.2, 0.3]]
         with pytest.raises(ValueError, match="probabilities must be finite"):
-            distribution(probs[0], 5)
+            distribution_batch(probs[:1], 5)
         with pytest.raises(ValueError, match="probabilities must be finite"):
             distribution_batch(probs, 5)
 
@@ -93,7 +93,7 @@ class TestDistribution:
         for _ in range(20):
             probs = rng.random(int(rng.integers(1, 60)))
             M = int(rng.integers(0, 70))
-            mass, _ = distribution(probs, M)
+            (mass,), _ = distribution_batch([probs], M)
             assert np.all(mass >= 0.0)
             assert mass.sum() <= 1.0 + 1e-12
 
@@ -108,7 +108,7 @@ class TestConvTreePath:
             probs = rng.random(n)
             for cap in sorted({0, 31, 32, 33, 100, 750, n}):
                 np.testing.assert_allclose(
-                    distribution(probs, cap)[0],
+                    distribution_batch([probs], cap)[0][0],
                     dp_count_distribution(probs, min(n, cap)),
                     atol=1e-12,
                 )
@@ -117,7 +117,7 @@ class TestConvTreePath:
         # Thousands of candidates merge over many tree levels; results stay a distribution.
         rng = np.random.default_rng(7)
         probs = rng.uniform(0, 0.2, 5000)
-        mass, _ = distribution(probs, 2000)
+        (mass,), _ = distribution_batch([probs], 2000)
         assert np.all(mass >= 0)
         assert mass.sum() == pytest.approx(1.0, abs=1e-9)
         mean = float(np.arange(len(mass)) @ mass)
@@ -153,7 +153,7 @@ class TestLeaveOneOut:
             for M in (5, 39, 40):
                 zeroed = probs.copy()
                 zeroed[r] = 0.0
-                got, _ = distribution(zeroed, M)
+                (got,), _ = distribution_batch([zeroed], M)
                 ref = leave_one_out(probs, r, M)
                 np.testing.assert_allclose(got[: len(ref)], ref, atol=1e-12)
                 np.testing.assert_allclose(got[len(ref):], 0.0, atol=1e-12)
@@ -182,10 +182,6 @@ class TestBlockDistribution:
                 one = distribution_batch(probs[row : row + 1], M)
                 np.testing.assert_array_equal(block_mass[row], one[0][0])
 
-    def test_vector_is_not_a_block(self):
-        mass, tail = distribution(np.array([0.2, 0.7, 0.4]), 5)
-        assert mass.ndim == 1 and isinstance(tail, float)
-
     @pytest.mark.parametrize("probs, M, message", [
         ([[0.5, 1.2], [0.1, 0.2]], 2, "must lie in"),
         ([[0.5, -0.1]], 2, "must lie in"),
@@ -199,6 +195,16 @@ class TestBlockDistribution:
             distribution_batch(probs, M)
         assert str(front.value) == str(engine.value)
 
+    @staticmethod
+    def _refused_like_engine(probs):
+        with pytest.raises(ValueError, match="users, n") as front:
+            distribution(probs, 3)
+        with pytest.raises(ValueError) as engine:
+            distribution_batch(probs, 3)
+        assert str(front.value) == str(engine.value)
+
+    def test_vector_is_not_a_block(self):
+        self._refused_like_engine(np.array([0.2, 0.7, 0.4]))
+
     def test_more_than_two_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="vector or a"):
-            distribution(np.zeros((2, 2, 2)), 3)
+        self._refused_like_engine(np.zeros((2, 2, 2)))

@@ -13,7 +13,7 @@ from persize.dataset import InteractionSet, kcore_filter
 from persize.multidomain import DomainCurves, allocate
 from persize.poibin import distribution, distribution_batch
 from persize.scorer import ScoreTable
-from persize.selection import evaluate, rank, recommend_block, recommend_users
+from persize.selection import baseline_rand, evaluate, rank, recommend_block, recommend_users
 from persize.util import in_pairs
 from persize.utility import Measure, expected_curves_batch
 
@@ -134,9 +134,12 @@ SIZE_ARGUMENTS = {
                                                                K=v, M=5)),
     "recommend_users-M": ("M", 1, lambda v, _: recommend_users(_TABLE, _PARAMS, [Measure.F1],
                                                                K=3, M=v)),
+    "recommend_users-threads": ("threads", 1, lambda v, _: recommend_users(
+        _TABLE, _PARAMS, [Measure.F1], K=3, M=5, threads=v)),
+    "baseline_rand-K": ("K", 1, lambda v, _: baseline_rand(0, v)),
     "evaluate-K": ("K", 1, lambda v, split: evaluate(split, _TABLE, {}, K=v)),
     "rank-top": ("top", 0, lambda v, _: rank(0, _TABLE, v)),
-    "distribution-M": ("M", 0, lambda v, _: distribution(_PROBS[0], v)),
+    "distribution-M": ("M", 0, lambda v, _: distribution(_PROBS[:1], v)),
     "distribution_batch-M": ("M", 0, lambda v, _: distribution_batch(_PROBS, v)),
     "allocate-N": ("N", 0, lambda v, _: allocate(_CURVES, N=v, K=3)),
     "allocate-K": ("K", 1, lambda v, _: allocate(_CURVES, N=3, K=v)),
@@ -149,7 +152,7 @@ SIZE_ARGUMENTS = {
 @pytest.mark.parametrize("argument", list(SIZE_ARGUMENTS))
 def test_size_argument_refused_with_one_wording(tiny_split, argument, bad):
     # a bool ran as 0 or 1, a float as its ceiling or ended in a TypeError,
-    # and allocate took any K
+    # allocate took any K, and recommend_users any thread count
     name, low, call = SIZE_ARGUMENTS[argument]
     value = {"bool": True, "float": low + 1.5, "below": low - 1}[bad]
     message = f"{name} must be an integer >= {low}, got {value!r}"

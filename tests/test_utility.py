@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from persize import utility
-from persize.poibin import distribution, distribution_batch
+from persize.poibin import distribution_batch
 from persize.selection import _row_argmax
 from persize.utility import (
     DEFAULT_M,
@@ -180,7 +180,7 @@ class TestApproxCurve:
         rng = np.random.default_rng(3)
         probs = np.sort(rng.random(30))[::-1]
         K, M = 9, 14
-        d, _ = distribution(probs, M - 1)
+        (d,), _ = distribution_batch([probs], M - 1)
         disc = log_discount(np.arange(1, 40))
         ideal = np.concatenate([[0.0], np.cumsum(disc)])
         curves = approx_row(probs, (Measure.NDCG, Measure.F1, Measure.TP), M=M, K=K)
@@ -289,13 +289,11 @@ class TestBatchedCurves:
                 np.testing.assert_allclose(batch[measure][b], single[measure], atol=1e-10)
 
     def test_distribution_batch_matches_single(self):
-        from persize.poibin import distribution_batch
-
         rng = np.random.default_rng(7)
         probs = rng.random((5, 40))
         mass, tail = distribution_batch(probs, 25)
         for b in range(5):
-            single_mass, single_tail = distribution(probs[b], 25)
+            (single_mass,), (single_tail,) = distribution_batch(probs[b : b + 1], 25)
             np.testing.assert_allclose(mass[b], single_mass, atol=1e-12)
             assert tail[b] == pytest.approx(single_tail, abs=1e-12)
 
