@@ -5,13 +5,15 @@ global sigmoid cannot be right for everyone. Here two synthetic users
 share the same label mechanism but one's scores are shifted: the per-user
 fits recover both, the pooled global fit splits the difference, and the
 expected calibration error shows it. Calibration takes every user's
-entries as one CSR batch: user ``users[j]`` owns entries
-``indptr[j]:indptr[j + 1]`` of the concatenated scores and labels.
+entries as one score table, whose CSR arrays give user ``ids[j]`` entries
+``indptr[j]:indptr[j + 1]`` of the concatenated items and scores, plus one
+label per entry.
 """
 
 import numpy as np
 
 from persize import calibrate
+from persize.scorer import ScoreTable
 
 rng = np.random.default_rng(0)
 fit_s, fit_y, holdout = [], [], []
@@ -23,9 +25,9 @@ for user, shift in ((0, 0.0), (1, 6.0)):
     fit_y.append(y[:3000])
     holdout.append((user, s[3000:], y[3000:]))
 
-batch = calibrate.CalibrationBatch(np.array([0, 1]), np.array([0, 3000, 6000]),
-                                   np.concatenate(fit_s), np.concatenate(fit_y))
-per_user, global_params = calibrate.fit_all_users(batch)
+table = ScoreTable([0, 1], [0, 3000, 6000], np.tile(np.arange(3000), 2),
+                   np.concatenate(fit_s))
+per_user, global_params = calibrate.fit_all_users(table, np.concatenate(fit_y))
 for user, params in per_user.items():
     print(f"user {user}: a={params.a:+.3f} b={params.b:+.3f} ({params.fit_status})")
 print(f"global: a={global_params.a:+.3f} b={global_params.b:+.3f}")

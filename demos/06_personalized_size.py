@@ -37,8 +37,8 @@ model = scorer.train_bpr(
 cands = {u: dataset.candidate_items(u, split) for u in sorted(split.users.tolist())}
 table = scorer.build_score_table(model, cands)
 
-batch = calibrate.build_calibration_batch(split, table)  # every scored user, as CSR arrays
-params, _ = calibrate.fit_all_users(batch)
+labels = calibrate.calibration_labels(split, table)  # 1.0 for each validation positive
+params, _ = calibrate.fit_all_users(table, labels)
 
 shown = table.without(split.val.pairs)  # validation positives are not shown again
 users = selection.served_users(shown, params)  # with candidates and Platt parameters

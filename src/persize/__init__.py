@@ -7,9 +7,8 @@ baselines, an evaluation harness, and a cross-domain budget allocator.
 """
 
 from .calibrate import (
-    CalibrationBatch,
     PlattParams,
-    build_calibration_batch,
+    calibration_labels,
     ece_report,
     fit_all_users,
     fit_global,

@@ -7,12 +7,13 @@ The two-parameter problem is convex and solved by damped Newton iteration.
 A single global fit over all users' pooled entries serves both as an
 ablation and as the fallback when a user's own fit does not converge.
 
-Calibration takes one input, a ``CalibrationBatch``: every user's entries
-as CSR arrays, one segment per user (one user is a batch of one). One
-engine fits every map: ``_newton_segments`` runs the Newton iteration of
-every segment in lockstep, with the per-segment sums taken by
-``np.add.reduceat``. ``fit_global`` is its one-segment call over the pooled
-entries; each segment's result depends on its own entries only, bit for bit.
+Calibration takes the score table, whose CSR arrays hold every user's
+entries (one segment per user with entries: one user is a batch of one),
+and one label per entry (``calibration_labels``). One engine fits every
+map: ``_newton_segments`` runs the Newton iteration of every segment in
+lockstep, with the per-segment sums taken by ``np.add.reduceat``.
+``fit_global`` is its one-segment call over the pooled entries; each
+segment's result depends on its own entries only, bit for bit.
 
 Calibration has no settings. Each fit sees all of a user's candidates,
 the ones ``recommend`` applies it to, so at a converged or degenerate fit
@@ -65,48 +66,23 @@ class PlattParams:
             raise ValueError(f"non-finite calibration parameters for scope {self.scope!r}")
 
 
-@dataclass(frozen=True)
-class CalibrationBatch:
-    """Every user's (score, label) entries as CSR arrays: user ``users[j]``
-    owns entries ``indptr[j]:indptr[j + 1]`` of ``scores`` and ``labels``.
-    Validation positives are labelled 1 and other candidates 0; soft labels
-    in [0, 1] are allowed. A ValueError says what breaks this layout."""
-
-    users: np.ndarray
-    indptr: np.ndarray
-    scores: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        for name in ("users", "indptr"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
-        users, indptr, s, y = self.users, self.indptr, self.scores, self.labels
-        why = ("users are not a 1-D integer array"
-               if users.ndim != 1 or users.dtype.kind not in "iu"
-               else "indptr is not a 1-D integer array"
-               if indptr.ndim != 1 or indptr.dtype.kind not in "iu"
-               else "users, indptr, scores and labels do not form a CSR batch" if not (
-                   len(indptr) == len(users) + 1 and indptr[0] == 0
-                   and indptr[-1] == len(s) == len(y))
-               else "indptr decreases" if np.any(np.diff(indptr) < 0)
-               else "users repeat" if len(np.unique(users)) < len(users)
-               # min and max carry a NaN, so no entry-wide mask is allocated
-               else "a score is not finite" if len(s) and not np.isfinite([np.min(s), np.max(s)]).all()
-               else "a label is outside [0, 1]" if len(y) and not 0 <= np.min(y) <= np.max(y) <= 1
-               else None)
-        if why:
-            raise ValueError(why)
+def calibration_labels(split, table) -> np.ndarray:
+    """One label per score table entry: 1.0 if it is a validation positive,
+    else 0.0, from one ``in_pairs`` test over every entry."""
+    owners = np.repeat(table.ids, np.diff(table.indptr))
+    return in_pairs(owners, table.items, split.val.pairs).astype(np.float64)
 
 
-def build_calibration_batch(split, scores) -> CalibrationBatch:
-    """Every user with scored candidates, each entry labelled 1 if it is a
-    validation positive, else 0: a batch over the score table's own arrays,
-    with one ``in_pairs`` test for all entries."""
-    counts = np.diff(scores.indptr)
-    owners = np.repeat(scores.ids, counts)
-    return CalibrationBatch(scores.ids[counts > 0], np.append(0, np.cumsum(counts[counts > 0])),
-                            scores.scores,
-                            in_pairs(owners, scores.items, split.val.pairs).astype(np.float64))
+def _check_labels(table, labels) -> np.ndarray:
+    """The labels as floats: one per table entry, each in [0, 1] (soft
+    labels are fine). A ValueError says which rule they break."""
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != table.scores.shape:
+        raise ValueError("labels are not one per score table entry")
+    # min and max carry a NaN, so no entry-wide mask is allocated
+    if len(y) and not 0 <= np.min(y) <= np.max(y) <= 1:
+        raise ValueError("a label is outside [0, 1]")
+    return y
 
 
 def _newton_segments(s, y, indptr):
@@ -263,29 +239,39 @@ def _fits(users, a, b, status, fallback: PlattParams) -> dict:
     return fits
 
 
-def fit_global(batch: CalibrationBatch) -> PlattParams:
-    """Fit one calibration map over every user's pooled entries: the engine
-    on one segment."""
-    if len(batch.scores) == 0:
+def fit_global(table, labels) -> PlattParams:
+    """Fit one calibration map over every user's pooled entries of the score
+    table, one label per entry: the engine on one segment."""
+    y = _check_labels(table, labels)
+    if len(y) == 0:
         raise ValueError("no users' calibration entries to pool")
-    a, b, status = _newton_segments(batch.scores, batch.labels, [0, len(batch.scores)])
+    a, b, status = _newton_segments(table.scores, y, [0, len(y)])
     fit_status = _STATUSES[status[0]]
     if fit_status not in (FIT_CONVERGED, FIT_DEGENERATE):
         raise ValueError(f"global calibration fit failed: {fit_status}")
     return PlattParams(a=float(a[0]), b=float(b[0]), scope=GLOBAL_SCOPE, fit_status=fit_status)
 
 
-def fit_all_users(batch: CalibrationBatch):
-    """Fit every user with the global fit as fallback: two engine calls, one
-    over the pooled entries and one over every user's segment. Separable or
-    single-class entries cannot support a stable fit; such a user's fit
-    carries the global (a, b) with status ``fallback_global``.
+def fit_all_users(table, labels):
+    """Fit every user of the score table that has entries, one label per
+    entry, with the global fit as fallback: two engine calls, one over the
+    pooled entries and one over every such user's segment. A user without
+    entries gets no fit. Separable or single-class entries cannot support a
+    stable fit; such a user's fit carries the global (a, b) with status
+    ``fallback_global``.
 
     Returns (per-user dict, global params).
     """
-    global_params = fit_global(batch)
-    fit = _newton_segments(batch.scores, batch.labels, batch.indptr)
-    return _fits(batch.users, *fit, global_params), global_params
+    global_params = fit_global(table, labels)
+    users, bounds = _segments(table)
+    fit = _newton_segments(table.scores, labels, bounds)
+    return _fits(users, *fit, global_params), global_params
+
+
+def _segments(table):
+    """The engine's segments: the score table's users that have entries, and
+    the bounds of their entries (``indptr`` never decreases)."""
+    return table.ids[np.diff(table.indptr) > 0], np.unique(table.indptr)
 
 
 def _calibrated(a, b, s):
@@ -299,18 +285,18 @@ def apply(params: PlattParams, s):
     return _calibrated(params.a, params.b, np.asarray(s, dtype=np.float64))
 
 
-def pooled_ece_reports(batch: CalibrationBatch, per_user: dict,
-                       global_params: PlattParams) -> tuple:
+def pooled_ece_reports(table, labels, per_user: dict, global_params: PlattParams) -> tuple:
     """ECE reports of the per-user fits and of the global fit, each over
-    every calibration entry pooled across users. Each is one pass over the
-    entries with ``apply``'s arithmetic, a user's (a, b) repeated over its
-    entries."""
-    fits = [per_user[u] for u in batch.users.tolist()]
-    counts = np.diff(batch.indptr)
+    every score table entry pooled across users, one label per entry. Each
+    is one pass over the entries with ``apply``'s arithmetic, a user's
+    (a, b) repeated over its entries."""
+    users, bounds = _segments(table)
+    fits = [per_user[u] for u in users.tolist()]
+    counts = np.diff(bounds)
     by_user = _calibrated(np.repeat([p.a for p in fits], counts),
-                          np.repeat([p.b for p in fits], counts), batch.scores)
-    by_global = _calibrated(global_params.a, global_params.b, batch.scores)
-    return ece_report(by_user, batch.labels), ece_report(by_global, batch.labels)
+                          np.repeat([p.b for p in fits], counts), table.scores)
+    by_global = _calibrated(global_params.a, global_params.b, table.scores)
+    return ece_report(by_user, labels), ece_report(by_global, labels)
 
 
 def ece_report(predictions, labels, bins: int = 15) -> dict:

@@ -235,8 +235,8 @@ def cmd_calibrate(cfg: dict) -> int:
     workdir = Path(cfg["workdir"])
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin")
-    batch = cal.build_calibration_batch(split_ds, table)
-    per_user, global_params = cal.fit_all_users(batch)
+    labels = cal.calibration_labels(split_ds, table)
+    per_user, global_params = cal.fit_all_users(table, labels)
 
     lines = [_echo(cfg, "calibrate")]
     lines.append(f"{cal.GLOBAL_SCOPE}\t{global_params.a!r}\t{global_params.b!r}\t{global_params.fit_status}")
@@ -245,14 +245,14 @@ def cmd_calibrate(cfg: dict) -> int:
         lines.append(f"{u}\t{p.a!r}\t{p.b!r}\t{p.fit_status}")
     atomic_write(workdir / "platt.tsv", "\n".join(lines) + "\n")
 
-    report_user, report_global = cal.pooled_ece_reports(batch, per_user, global_params)
+    report_user, report_global = cal.pooled_ece_reports(table, labels, per_user, global_params)
     atomic_write(workdir / "ece_user.json", json.dumps(report_user, sort_keys=True, indent=1) + "\n")
     atomic_write(workdir / "ece_global.json", json.dumps(report_global, sort_keys=True, indent=1) + "\n")
     statuses = [p.fit_status for p in per_user.values()]
     counts = ", ".join(f"{statuses.count(s)} {s}"
                        for s in (cal.FIT_CONVERGED, cal.FIT_DEGENERATE, cal.FIT_FALLBACK))
     print(f"calibrate: {len(per_user)} users ({counts}, "
-          f"{len(table) - len(batch.users)} skipped with no candidates), ECE (in-sample) "
+          f"{len(table) - len(per_user)} skipped with no candidates), ECE (in-sample) "
           f"user-wise={report_user['ece']:.6f} global={report_global['ece']:.6f}")
     return 0
 

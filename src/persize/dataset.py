@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import operator
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,7 +123,7 @@ def load_interactions(path):
 def kcore_filter(iset: InteractionSet, k: int) -> InteractionSet:
     """Iteratively drop users and items with fewer than k interactions.
 
-    Runs to fixpoint; an empty result is valid and reported as a warning.
+    Runs to fixpoint; an empty result is valid.
     Surviving ids keep their original values (see ``compact`` to re-densify).
     """
     _check_number("k", k, 1, integer=True)
@@ -139,7 +138,6 @@ def kcore_filter(iset: InteractionSet, k: int) -> InteractionSet:
         keep = ~np.isin(pairs[:, 0], bad_u) & ~np.isin(pairs[:, 1], bad_i)
         pairs = pairs[keep]
     if not len(pairs):
-        warnings.warn(f"{k}-core filtering removed every interaction", stacklevel=2)
         return InteractionSet.from_pairs(
             np.empty((0, 2), dtype=np.int64), users=_EMPTY_ITEMS, items=_EMPTY_ITEMS
         )
@@ -185,6 +183,7 @@ def split(iset: InteractionSet, ratios=SPLIT_RATIOS, seed: int = 0) -> SplitData
         raise ValueError("exactly three ratios (train, val, test) are required")
     if min(ratios) < 0:
         raise ValueError(f"ratios must be non-negative, got {ratios}")
+    _check_number("seed", seed, 0, integer=True)
     pairs = iset.pairs
     users, starts, counts = np.unique(pairs[:, 0], return_index=True, return_counts=True)
     # each user's pairs are one run of the sorted pairs: shuffle its row indices

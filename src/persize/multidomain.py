@@ -11,6 +11,7 @@ lexicographically smallest size vector in sorted domain order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ def _values(curves: DomainCurves, K: int) -> list[np.ndarray]:
                 f"user {curves.user}, domain {dom!r}: curve values must be finite"
             )
         vals.append(v)
+    # every objective is a sum of one value per domain: bounded, it cannot overflow
+    if not math.isfinite(sum(float(np.max(np.abs(v))) for v in vals)):
+        raise ValueError(f"user {curves.user}: curve values too large to sum")
     return vals
 
 
@@ -68,7 +72,8 @@ def allocate(curves: DomainCurves, N: int, K: int, allow_zero: bool = True) -> A
     cover the domain count. Negative curve values (possible for PDCG) are
     handled natively; with zeros allowed, an all-negative domain gets none.
     N must be an integer >= 0 and K an integer >= 1; non-finite curve
-    values are rejected.
+    values, and per-domain maxima of |v| whose sum is not finite, are
+    rejected.
     """
     doms = curves.domain_ids()
     x_count = len(doms)
@@ -95,8 +100,6 @@ def allocate(curves: DomainCurves, N: int, K: int, allow_zero: bool = True) -> A
         cand = gains[None, :] + padded[rest_idx]
         choice[x] = np.argmax(cand, axis=1)
         f = cand[rows, choice[x]]
-    if f[budget] == -np.inf:
-        raise ValueError("allocation infeasible under the given budget")
 
     sizes = {}
     b = budget

@@ -221,7 +221,7 @@ def train_bpr(train: InteractionSet, config: BPRConfig = BPRConfig()) -> ScoreMo
 
 def _check_config(config: BPRConfig) -> None:
     """Reject a config the trainer cannot run, naming the field."""
-    for name, low in (("d", 1), ("epochs", 0), ("negatives_per_positive", 1)):
+    for name, low in (("d", 1), ("epochs", 0), ("negatives_per_positive", 1), ("seed", 0)):
         _check_number(f"BPRConfig.{name}", getattr(config, name), low, integer=True)
     for name in ("learning_rate", "weight_decay"):
         _check_number(f"BPRConfig.{name}", getattr(config, name), 0)

@@ -231,6 +231,7 @@ def recommend_users(
 def baseline_rand(user: int, K: int, seed: int = 0) -> int:
     """Uniform size in [1, K], seeded per user (thread-count independent)."""
     _check_number("K", K, 1, integer=True)
+    _check_number("seed", seed, 0, integer=True)
     rng = np.random.default_rng([seed, int(user), 0x72616E64])
     return int(rng.integers(1, K + 1))
 
@@ -284,11 +285,13 @@ def evaluate(
     ``perk`` maps each user PerK served to ``{Measure: (k, expected_value)}``
     (the recommend stage's sizes). Skip reasons, in order: no test
     positives, nothing left to rank, and no PerK size. ValueErrors: a K
-    that is not an integer >= 1, an empty or repeated measure list, no user
-    left to evaluate, and an evaluated user's entry without a measure or
-    with a size outside 1..len(its ranking), naming the user and measure.
+    that is not an integer >= 1 or a seed that is not one >= 0, an empty or
+    repeated measure list, no user left to evaluate, and an evaluated
+    user's entry without a measure or with a size outside 1..len(its
+    ranking), naming the user and measure.
     """
     check_curve_args(K=K)
+    _check_number("seed", seed, 0, integer=True)
     measures = [Measure(m) for m in measures]
     _check_measures([m.value for m in measures])
     methods = default_methods(K)

@@ -16,6 +16,7 @@ from persize import calibrate
 from persize.cli import main as cli_main
 from persize.multidomain import DomainCurves, allocate
 from persize.poibin import distribution_batch
+from persize.scorer import ScoreTable
 from persize.selection import METHOD_ORACLE, _row_argmax
 from persize.synthetic import generate_world
 from persize.utility import Measure, expected_curves_batch, realized_curve
@@ -119,7 +120,7 @@ def test_criterion_05_calibration_recovery_and_ece_direction():
     s = rng.uniform(-4, 4, 100000)
     y = (rng.random(100000) < 1.0 / (1.0 + np.exp(-(1.5 * s - 1.0)))).astype(np.float64)
     params = calibrate.fit_global(  # one segment
-        calibrate.CalibrationBatch(np.array([0]), np.array([0, len(s)]), s, y))
+        ScoreTable([0], [0, len(s)], np.arange(len(s)), s), y)
     assert params.fit_status == calibrate.FIT_CONVERGED
     assert abs(params.a - 1.5) < 0.05 and abs(params.b + 1.0) < 0.05
     p = calibrate.apply(params, s)
@@ -136,8 +137,9 @@ def test_criterion_05_calibration_recovery_and_ece_direction():
         fit_s.append(su[:2000])
         fit_y.append(yu[:2000])
         holdout.append((user, su[2000:], yu[2000:]))
-    per_user, global_params = calibrate.fit_all_users(calibrate.CalibrationBatch(
-        np.arange(6), np.arange(7) * 2000, np.concatenate(fit_s), np.concatenate(fit_y)))
+    per_user, global_params = calibrate.fit_all_users(ScoreTable(
+        np.arange(6), np.arange(7) * 2000, np.tile(np.arange(2000), 6), np.concatenate(fit_s)),
+        np.concatenate(fit_y))
     user_ece = float(np.mean([
         calibrate.ece_report(calibrate.apply(per_user[u], su), yu)["ece"]
         for u, su, yu in holdout
@@ -220,11 +222,11 @@ def test_criterion_07_directional_utility_benchmark():
     K = 50
     fixed_ks = (1, 5, 10, 20, 50)
 
-    # the dense (users, items) score matrix is one CSR batch
+    # the dense (users, items) score matrix is one CSR table
     n_items = world.scores.shape[1]
-    per_user, _ = calibrate.fit_all_users(calibrate.CalibrationBatch(
+    per_user, _ = calibrate.fit_all_users(ScoreTable(
         np.arange(n_users), np.arange(n_users + 1) * n_items,
-        world.scores.ravel(), world.val_labels.ravel()))
+        np.tile(np.arange(n_items), n_users), world.scores.ravel()), world.val_labels.ravel())
     order = np.argsort(-world.scores, axis=1, kind="stable")
     probs_sorted = np.empty_like(world.scores)
     for u in range(n_users):

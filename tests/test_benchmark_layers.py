@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from persize import cli
-from persize.calibrate import CalibrationBatch, fit_all_users
+from persize.calibrate import fit_all_users
 from persize.scorer import ScoreTable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -81,9 +81,10 @@ def test_fit_status_histogram_reads_a_real_fit():
     segments.append((np.linspace(-1, 1, 10), np.zeros(10)))  # one class
     s = np.linspace(-1.0, 1.0, 200)
     segments.append((s, (s > 0.995) * 1.0))  # separable: diverges
-    batch = CalibrationBatch(np.arange(6), np.cumsum([0] + [len(s) for s, _ in segments]),
-                             np.concatenate([s for s, _ in segments]),
-                             np.concatenate([y for _, y in segments]))
-    assert dict(_perfbench("tracing")._fit_status(fit_all_users(batch))) == {
+    scores = np.concatenate([s for s, _ in segments])
+    table = ScoreTable(np.arange(6), np.cumsum([0] + [len(s) for s, _ in segments]),
+                       np.arange(len(scores)), scores)
+    labels = np.concatenate([y for _, y in segments])
+    assert dict(_perfbench("tracing")._fit_status(fit_all_users(table, labels))) == {
         "calibrate.fit_status.converged": 3, "calibrate.fit_status.degenerate": 1,
         "calibrate.fit_status.fallback_global": 2}

@@ -7,11 +7,10 @@ from persize.calibrate import (
     FIT_CONVERGED,
     FIT_DEGENERATE,
     FIT_FALLBACK,
-    CalibrationBatch,
     PlattParams,
     _newton_segments,
     apply,
-    build_calibration_batch,
+    calibration_labels,
     ece_report,
     fit_all_users,
     fit_global,
@@ -44,14 +43,15 @@ def _batch_arrays(segments):
 
 
 def _batch(segments):
-    """The calibration batch of (scores, labels) segments, users 0, 1, ..."""
+    """The score table of (scores, labels) segments, users 0, 1, ..., and
+    its labels."""
     s, y, indptr = _batch_arrays(segments)
-    return CalibrationBatch(np.arange(len(segments)), indptr, s, y)
+    return ScoreTable(np.arange(len(segments)), indptr, np.arange(len(s)), s), y
 
 
 def _fit_one(s, y):
     """One user's fit: ``fit_all_users`` on a batch of one."""
-    return fit_all_users(_batch([(s, y)]))[0][0]
+    return fit_all_users(*_batch([(s, y)]))[0][0]
 
 
 class TestFitUser:
@@ -80,7 +80,7 @@ class TestFitUser:
         """Fit two converging users, then ``segments`` as users 2, 3, ..."""
         rng = np.random.default_rng(3)
         converging = [_logistic_sample(400, 1.0, -0.5, rng) for _ in range(2)]
-        return fit_all_users(_batch(converging + list(segments)))
+        return fit_all_users(*_batch(converging + list(segments)))
 
     def test_all_negative_labels_fall_back(self):
         per_user, global_params = self._with_converging_users(
@@ -111,7 +111,7 @@ class TestFitUser:
     def test_gradient_norm_below_tolerance(self):
         segments = [_logistic_sample(2000, 0.8, 0.3, np.random.default_rng(seed))
                     for seed in range(5)]
-        per_user, _ = fit_all_users(_batch(segments))
+        per_user, _ = fit_all_users(*_batch(segments))
         for (s, y), params in zip(segments, per_user.values()):
             assert params.fit_status == FIT_CONVERGED
             p = _sigmoid(params.a * s + params.b)
@@ -136,7 +136,7 @@ class TestFitGlobal:
         rng = np.random.default_rng(4)
         s, y = _logistic_sample(4000, 1.1, -0.2, rng)
         user = _fit_one(s, y)
-        pooled = fit_global(_batch([(s, y)]))
+        pooled = fit_global(*_batch([(s, y)]))
         assert pooled.a == pytest.approx(user.a, abs=1e-10)
         assert pooled.b == pytest.approx(user.b, abs=1e-10)
         assert pooled.scope == "GLOBAL"
@@ -151,7 +151,7 @@ class TestFitGlobal:
             s = s + shift
             fit_segments.append((s[:2000], y[:2000]))
             holdout.append((user, s[2000:], y[2000:]))
-        per_user, global_params = fit_all_users(_batch(fit_segments))
+        per_user, global_params = fit_all_users(*_batch(fit_segments))
         user_eces = [
             ece_report(apply(per_user[user], s), y)["ece"] for user, s, y in holdout
         ]
@@ -161,10 +161,10 @@ class TestFitGlobal:
         assert np.mean(user_eces) < global_ece
 
     def test_empty_pool_raises(self):
-        empty = CalibrationBatch(np.array([], dtype=np.int64), np.array([0]),
-                                 np.empty(0), np.empty(0))
+        empty = ScoreTable(np.array([], dtype=np.int64), np.array([0]), np.empty(0, np.int64),
+                           np.empty(0))
         with pytest.raises(ValueError, match="no users"):
-            fit_global(empty)
+            fit_global(empty, np.empty(0))
 
 
 class TestApply:
@@ -295,10 +295,10 @@ class TestLockstepEngine:
 
     def test_public_fits_share_the_engine(self):
         segments = _mixed_segments()
-        batch = _batch(segments)
-        per_user, global_params = fit_all_users(batch)
-        assert global_params == fit_global(batch)
-        a, b, status = _newton_segments(batch.scores, batch.labels, [0, len(batch.scores)])
+        table, labels = _batch(segments)
+        per_user, global_params = fit_all_users(table, labels)
+        assert global_params == fit_global(table, labels)
+        a, b, status = _newton_segments(table.scores, labels, [0, len(table.scores)])
         assert (global_params.a, global_params.b, global_params.fit_status) == (
             a[0], b[0], _STATUSES[status[0]])
         for user, (s, y) in enumerate(segments):
@@ -312,21 +312,33 @@ class TestLockstepEngine:
     def test_empty_segment_raises(self):
         with pytest.raises(ValueError, match="empty calibration set"):
             _newton_segments(np.arange(3.0), np.array([0.0, 1.0, 0.0]), [0, 3, 3])
-        with pytest.raises(ValueError, match="empty calibration set"):
-            fit_all_users(CalibrationBatch(np.arange(2), np.array([0, 3, 3]), np.arange(3.0),
-                                           np.array([0.0, 1.0, 0.0])))
+        # a user without entries gets no fit, and the others fit as they would alone
+        segments = _mixed_segments()[-2:]
+        table, labels = _batch(segments)
+        gapped = ScoreTable([0, 1, 2], np.insert(table.indptr, 1, table.indptr[1]), table.items,
+                            table.scores)
+        per_user, global_params = fit_all_users(gapped, labels)
+        assert sorted(per_user) == [0, 2]
+        for user, (s, y) in zip((0, 2), segments):
+            a, b, status = (x[0] for x in _newton_segments(s, y, [0, len(s)]))
+            assert (per_user[user].a, per_user[user].b) == (a, b)
+            assert per_user[user].fit_status == _STATUSES[status] == FIT_CONVERGED
+        assert pooled_ece_reports(gapped, labels, per_user, global_params) == pooled_ece_reports(
+            table, labels, {0: per_user[0], 1: per_user[2]}, global_params)
 
     def test_pooled_ece_reports_apply_each_users_fit(self):
         segments = _mixed_segments()
-        batch = _batch(segments)
-        per_user, global_params = fit_all_users(batch)
+        table, labels = _batch(segments)
+        per_user, global_params = fit_all_users(table, labels)
         by_user = np.concatenate([apply(per_user[u], s) for u, (s, _) in enumerate(segments)])
-        by_global = apply(global_params, batch.scores)
-        assert pooled_ece_reports(batch, per_user, global_params) == (
-            ece_report(by_user, batch.labels), ece_report(by_global, batch.labels))
+        by_global = apply(global_params, table.scores)
+        assert pooled_ece_reports(table, labels, per_user, global_params) == (
+            ece_report(by_user, labels), ece_report(by_global, labels))
 
 
 class TestBuildCalibrationBatch:
+    """``calibration_labels``: one label per score table entry."""
+
     def _split(self, val_pairs, users=np.arange(6), items=np.arange(8)):
         empty = InteractionSet.from_pairs(np.empty((0, 2)), users, items)
         return SplitDataset(train=empty, val=InteractionSet.from_pairs(val_pairs, users, items),
@@ -338,16 +350,17 @@ class TestBuildCalibrationBatch:
             1: (np.array([0, 2, 3, 4]), np.array([0.5, 0.6, 0.7, 0.8])), **dict(more)})
 
     def test_labels_follow_val_membership(self):
-        batch = build_calibration_batch(self._split(np.array([[0, 2], [1, 3]])), self._table())
-        np.testing.assert_array_equal(batch.labels[:4], [0, 1, 0, 0])
-        np.testing.assert_array_equal(batch.scores[:4], [0.4, 0.9, 0.1, 0.2])
+        table = self._table()
+        labels = calibration_labels(self._split(np.array([[0, 2], [1, 3]])), table)
+        np.testing.assert_array_equal(labels[:4], [0, 1, 0, 0])
+        assert labels.dtype == np.float64 and labels.shape == table.scores.shape
 
     def test_user_without_val_positives_flags_all_zero(self):
         # user 5 has no validation positives: all labels zero
         table = self._table({5: ([0, 1], [0.1, 0.2])})
-        batch = build_calibration_batch(self._split(np.array([[0, 2], [1, 3]])), table)
-        assert batch.users[-1] == 5 and batch.labels[8:].sum() == 0
-        per_user, _ = fit_all_users(batch)
+        labels = calibration_labels(self._split(np.array([[0, 2], [1, 3]])), table)
+        assert table.ids[-1] == 5 and labels[8:].sum() == 0
+        per_user, _ = fit_all_users(table, labels)
         assert per_user[5].fit_status == FIT_FALLBACK
 
     def test_packed_key_labels_equal_per_user_membership(self):
@@ -358,24 +371,22 @@ class TestBuildCalibrationBatch:
             u: (items, rng.normal(size=len(items))) for u, items in (
                 (0, np.array([7, 1, 2, 3])), (1, np.array([0, 2, 4])), (2, np.arange(8)),
                 (3, np.array([], dtype=np.int64)), (4, np.array([6, 1])), (5, np.array([0])))})
-        batch = build_calibration_batch(split, table)
-        assert batch.users.tolist() == [0, 1, 2, 4, 5]
-        assert batch.scores is table.scores
-        for j, user in enumerate(batch.users.tolist()):
-            items, scores = table.get(user)
-            entries = slice(batch.indptr[j], batch.indptr[j + 1])
+        labels = calibration_labels(split, table)
+        assert sorted(fit_all_users(table, labels)[0]) == [0, 1, 2, 4, 5]
+        for j, user in enumerate(table.users()):
+            items, _ = table.get(user)
+            entries = slice(table.indptr[j], table.indptr[j + 1])
             want = np.isin(items, split.val.items_of(user)).astype(np.float64)
-            np.testing.assert_array_equal(batch.labels[entries], want)
-            np.testing.assert_array_equal(batch.scores[entries], scores)
-        assert batch.labels.sum() == 5
+            np.testing.assert_array_equal(labels[entries], want)
+        assert labels.sum() == 5
 
     def test_ids_outside_the_validation_box_are_negatives(self):
         split = self._split(np.array([[1, 3], [2, 4]]))
         table = ScoreTable.from_entries({
             0: ([3, 4], [0.1, 0.2]), 1: ([3, 4, 9, -2**40], [0.1, 0.2, 0.3, 0.4]),
             2: ([4, 3], [0.1, 0.2]), 2**62: ([3], [0.5])})
-        batch = build_calibration_batch(split, table)
-        assert batch.labels.tolist() == [0, 0, 1, 0, 0, 0, 1, 0, 0]
+        labels = calibration_labels(split, table)
+        assert labels.tolist() == [0, 0, 1, 0, 0, 0, 1, 0, 0]
 
     def test_ids_spanning_2_40_label_without_overflow(self):
         # a box of (user, item) offsets would hold 2**80 keys; dense codes of
@@ -384,57 +395,71 @@ class TestBuildCalibrationBatch:
         ids = np.array([0, big])
         split = self._split(np.array([[0, 0], [big, big]]), users=ids, items=ids)
         table = ScoreTable.from_entries({0: ([0, 1], [0.1, 0.2])})
-        assert build_calibration_batch(split, table).labels.tolist() == [1, 0]
+        assert calibration_labels(split, table).tolist() == [1, 0]
 
     def test_malformed_batch_is_refused(self):
-        with pytest.raises(ValueError, match="CSR batch"):
-            CalibrationBatch(np.array([0]), np.array([0, 2]), np.zeros(3), np.zeros(3))
+        # the layout is the score table's to check
+        with pytest.raises(ValueError, match="CSR table"):
+            ScoreTable(np.array([0]), np.array([0, 2]), np.arange(3), np.zeros(3))
 
 
 class TestCalibrationBatchChecks:
-    """The batch is calibration's one input, so it refuses what the fits
-    would get wrong or fail on later."""
+    """Calibration's input is the score table and one label per entry: the
+    table refuses a layout the fits would get wrong or fail on later, and
+    the fits refuse labels that are not one per entry in [0, 1]."""
 
-    def _batch(self, users=(0, 1), indptr=(0, 2, 4), scores=(0.1, 0.5, -0.3, 0.2),
-               labels=(0.0, 1.0, 1.0, 0.0)):
-        return CalibrationBatch(np.asarray(users), np.asarray(indptr),
-                                np.asarray(scores, dtype=np.float64),
-                                np.asarray(labels, dtype=np.float64))
+    def _fit(self, users=(0, 1), indptr=(0, 2, 4), scores=(0.1, 0.5, -0.3, 0.2),
+             labels=(0.0, 1.0, 1.0, 0.0)):
+        table = ScoreTable(np.asarray(users), np.asarray(indptr), np.arange(len(scores)),
+                           np.asarray(scores, dtype=np.float64))
+        return fit_all_users(table, np.asarray(labels, dtype=np.float64))
 
     @pytest.mark.parametrize("users", [np.array([0.0, 1.0]), np.array([[0], [1]]),
                                        np.array([True, False]),
                                        np.array([0, 1], dtype=object)])
     def test_users_must_be_a_1d_integer_array(self, users):
-        with pytest.raises(ValueError, match="1-D integer array"):
-            CalibrationBatch(users, np.array([0, 2, 4]), np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError, match="CSR table"):
+            ScoreTable(users, np.array([0, 2, 4]), np.arange(4), np.zeros(4))
 
     @pytest.mark.parametrize("indptr", [np.array([0, 4.5, 10]), np.array([[0], [2], [4]]),
                                         np.array([0, 2, 4], dtype=object)])
     def test_indptr_must_be_a_1d_integer_array(self, indptr):
         # [0, 4.5, 10] was truncated to [0, 4, 10], so other segments were fitted
-        with pytest.raises(ValueError, match="indptr is not a 1-D integer array"):
-            self._batch(indptr=indptr, scores=np.zeros(10), labels=np.zeros(10))
+        with pytest.raises(ValueError, match="CSR table"):
+            ScoreTable(np.arange(2), indptr, np.arange(10), np.zeros(10))
 
     def test_repeated_users_are_refused(self):
         # the second segment's fit was applied to the first one's entries
-        with pytest.raises(ValueError, match="users repeat"):
-            self._batch(users=(0, 0))
+        with pytest.raises(ValueError, match="CSR table"):
+            self._fit(users=(0, 0))
 
     def test_decreasing_indptr_is_refused(self):
-        with pytest.raises(ValueError, match="indptr decreases"):
-            self._batch(indptr=(0, 900, 800), scores=np.zeros(800), labels=np.zeros(800))
+        with pytest.raises(ValueError, match="CSR table"):
+            self._fit(indptr=(0, 900, 800), scores=np.zeros(800), labels=np.zeros(800))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_are_refused(self, bad):
-        with pytest.raises(ValueError, match="a score is not finite"):
-            self._batch(scores=(0.1, bad, -0.3, 0.2))
+        with pytest.raises(ValueError, match="^user 0: non-finite score$"):
+            self._fit(scores=(0.1, bad, -0.3, 0.2))
 
     @pytest.mark.parametrize("bad", [2.0, -0.5, np.nan])
     def test_labels_outside_the_unit_interval_are_refused(self, bad):
-        with pytest.raises(ValueError, match=r"a label is outside \[0, 1\]"):
-            self._batch(labels=(0.0, bad, 1.0, 0.0))
+        with pytest.raises(ValueError, match=r"^a label is outside \[0, 1\]$"):
+            self._fit(labels=(0.0, bad, 1.0, 0.0))
+
+    @pytest.mark.parametrize("labels", [(0.0, 1.0, 1.0), (0.0, 1.0, 1.0, 0.0, 1.0), ()])
+    def test_labels_must_be_one_per_entry(self, labels):
+        with pytest.raises(ValueError, match="^labels are not one per score table entry$"):
+            self._fit(labels=labels)
 
     def test_soft_labels_and_unsigned_users_are_kept(self):
-        batch = self._batch(users=np.array([3, 1], dtype=np.uint32),
-                            labels=(0.0, 0.25, 1.0, 0.5))
-        assert batch.labels.tolist() == [0.0, 0.25, 1.0, 0.5]
+        # the users must rise, as the table's ids do: [3, 1] is refused
+        labels = (0.0, 0.25, 1.0, 0.5)
+        per_user, global_params = self._fit(users=np.array([1, 3], dtype=np.uint32),
+                                            labels=labels)
+        assert sorted(per_user) == [1, 3]
+        s = np.array([0.1, 0.5, -0.3, 0.2])
+        a, b, _ = _newton_segments(s, np.array(labels), [0, 4])
+        assert (global_params.a, global_params.b) == (a[0], b[0])
+        with pytest.raises(ValueError, match="CSR table"):
+            self._fit(users=np.array([3, 1], dtype=np.uint32), labels=labels)

@@ -178,6 +178,18 @@ class TestStages:
         assert err.startswith("persize prepare: ") and err.count("\n") == 1, err
         assert "Is a directory" in err and str(bundled_path.parent) in err, err
 
+    def test_empty_kcore_fails_in_one_line(self, tmp_path):
+        log = tmp_path / "two.tsv"
+        log.write_text("u1\ti1\nu2\ti2\n", encoding="utf-8")
+        cfg = _write_config(tmp_path, log, tmp_path / "run", kcore=5)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(  # a child process, so a warning would reach its stderr
+            [sys.executable, "-m", "persize", "prepare", "--config", str(cfg)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "persize prepare: 5-core filtering left no interactions\n"
+
     def test_diverged_training_fails_in_one_line(self, tmp_path, bundled_path):
         workdir = tmp_path / "run"
         cfg = _write_config(tmp_path, bundled_path, workdir,

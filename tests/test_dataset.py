@@ -85,8 +85,7 @@ class TestKcore:
     def test_star_graph_collapses(self):
         # one user, five items each seen once: 2-core starves everything
         pairs = [[0, i] for i in range(5)]
-        with pytest.warns(UserWarning):
-            out = kcore_filter(InteractionSet.from_pairs(pairs), 2)
+        out = kcore_filter(InteractionSet.from_pairs(pairs), 2)
         assert out.n_interactions == 0
 
     def test_complete_bipartite_unchanged(self):

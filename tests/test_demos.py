@@ -1,5 +1,5 @@
 """Every demo script, and README's quickstart, runs to completion against
-the package in src/.
+the package in src/, with every warning an error.
 
 The demos locate the bundled data next to themselves, so each runs from a
 copy of ``demos/`` and ``data/`` in a temporary directory: a demo that
@@ -31,7 +31,8 @@ def _run_in_copy(args, tmp_path):
     shutil.copytree(REPO_ROOT / "demos", tmp_path / "demos")
     shutil.copytree(REPO_ROOT / "data", tmp_path / "data")
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+    # -W error: a demo that warns fails, as code under pytest does
+    return subprocess.run([sys.executable, "-W", "error", *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
 
 

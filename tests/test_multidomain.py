@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,18 @@ class TestAllocate:
     def test_non_finite_values_past_K_ignored(self):
         curves = _curves({"A": [0.5, 0.7, np.nan], "B": [0.3, 0.4]})
         assert allocate(curves, N=3, K=2).sizes == {"A": 2, "B": 1}
+
+    @pytest.mark.parametrize("value, allow_zero", [(-1e308, False), (1e308, True),
+                                                   (1e308, False)])
+    def test_values_too_large_to_sum_are_refused(self, value, allow_zero):
+        # -1e308 without zeros warned of an overflow, then called a feasible
+        # allocation infeasible; 1e308 returned an infinite objective
+        curves = _curves({"A": [value], "B": [value]}, user=7)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^user 7: curve values too large to sum$"):
+                allocate(curves, N=2, K=1, allow_zero=allow_zero)
+        assert not caught
 
     def test_budget_beyond_reach_matches_full_budget(self):
         rng = np.random.default_rng(3)

@@ -427,7 +427,7 @@ def _pipeline_fixture(bundled_split):
     )
     table = build_score_table(model, {
         u: candidate_items(u, bundled_split) for u in sorted(bundled_split.users.tolist())})
-    params, _ = calibrate.fit_all_users(calibrate.build_calibration_batch(bundled_split, table))
+    params, _ = calibrate.fit_all_users(table, calibrate.calibration_labels(bundled_split, table))
     return table, params
 
 

@@ -7,12 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from persize import util
+from persize import dataset, util
 from persize.calibrate import PlattParams, ece_report
 from persize.dataset import InteractionSet, kcore_filter
 from persize.multidomain import DomainCurves, allocate
 from persize.poibin import distribution, distribution_batch
-from persize.scorer import ScoreTable
+from persize.scorer import BPRConfig, ScoreTable, train_bpr
 from persize.selection import baseline_rand, evaluate, rank, recommend_block, recommend_users
 from persize.util import in_pairs
 from persize.utility import Measure, expected_curves_batch
@@ -137,7 +137,12 @@ SIZE_ARGUMENTS = {
     "recommend_users-threads": ("threads", 1, lambda v, _: recommend_users(
         _TABLE, _PARAMS, [Measure.F1], K=3, M=5, threads=v)),
     "baseline_rand-K": ("K", 1, lambda v, _: baseline_rand(0, v)),
+    "baseline_rand-seed": ("seed", 0, lambda v, _: baseline_rand(0, 3, v)),
     "evaluate-K": ("K", 1, lambda v, split: evaluate(split, _TABLE, {}, K=v)),
+    "evaluate-seed": ("seed", 0, lambda v, split: evaluate(split, _TABLE, {}, K=3, seed=v)),
+    "split-seed": ("seed", 0, lambda v, split: dataset.split(split.train, seed=v)),
+    "BPRConfig-seed": ("BPRConfig.seed", 0, lambda v, split: train_bpr(
+        split.train, BPRConfig(d=2, epochs=1, seed=v))),
     "rank-top": ("top", 0, lambda v, _: rank(0, _TABLE, v)),
     "distribution-M": ("M", 0, lambda v, _: distribution(_PROBS[:1], v)),
     "distribution_batch-M": ("M", 0, lambda v, _: distribution_batch(_PROBS, v)),
