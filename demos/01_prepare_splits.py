@@ -33,7 +33,7 @@ print(f"per-user part sizes (train/val/test): mean {sizes.mean(axis=0).round(1)}
 # a user's candidates are everything outside their train items; at
 # recommendation time the ranking also drops the validation positives
 u = int(dense.users[0])
-cand = dataset.candidate_items(u, split)
+cand = np.setdiff1d(split.items, split.train.items_of(u))
 n_eval = int((~np.isin(cand, split.val.items_of(u))).sum())
 print(f"user {u}: {len(cand)} candidates, {n_eval} after removing "
       f"validation positives (used at recommendation time)")

@@ -21,8 +21,8 @@ model = scorer.train_bpr(split.train, config)
 print(f"trained d={config.d} model; epoch loss {model.epoch_losses[0]:.4f} -> "
       f"{model.epoch_losses[-1]:.4f}")
 
+table = scorer.build_score_table(model, split.train)  # every user's candidates
 u = 0
-table = scorer.build_score_table(model, {u: dataset.candidate_items(u, split)})
 # validation positives were calibration labels: the table drops them first
 items, scores = selection.rank(u, table.without(split.val.pairs))
 print(f"user {u} top-10 of {len(items)} candidates:")

@@ -34,8 +34,7 @@ split = dataset.split(dense, seed=0)
 model = scorer.train_bpr(
     split.train, scorer.BPRConfig(d=16, epochs=10, learning_rate=0.05, seed=0)
 )
-cands = {u: dataset.candidate_items(u, split) for u in sorted(split.users.tolist())}
-table = scorer.build_score_table(model, cands)
+table = scorer.build_score_table(model, split.train)
 
 labels = calibrate.calibration_labels(split, table)  # 1.0 for each validation positive
 params, _ = calibrate.fit_all_users(table, labels)

@@ -16,7 +16,6 @@ from .calibrate import (
 from .dataset import (
     InteractionSet,
     SplitDataset,
-    candidate_items,
     compact,
     kcore_filter,
     load_interactions,

@@ -281,8 +281,12 @@ def _calibrated(a, b, s):
 
 def apply(params: PlattParams, s):
     """Calibrated probability sigmoid(a*s + b), strictly inside (0, 1): an
-    array for an array ``s``, a ``numpy.float64`` (a ``float``) for a scalar."""
-    return _calibrated(params.a, params.b, np.asarray(s, dtype=np.float64))
+    array for an array ``s``, a ``numpy.float64`` (a ``float``) for a scalar.
+    A non-finite score has no such probability and is a ValueError."""
+    s = np.asarray(s, dtype=np.float64)
+    if not np.isfinite(s).all():
+        raise ValueError("cannot calibrate a non-finite score")
+    return _calibrated(params.a, params.b, s)
 
 
 def pooled_ece_reports(table, labels, per_user: dict, global_params: PlattParams) -> tuple:

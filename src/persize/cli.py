@@ -188,8 +188,7 @@ def cmd_train(cfg: dict) -> int:
                 model = scorer.train_bpr(split_ds.train, bpr_cfg)
         except RuntimeError as exc:
             raise ConfigError(str(exc)) from None
-        table = scorer.build_score_table(model, {
-            u: dataset.candidate_items(u, split_ds) for u in sorted(split_ds.users.tolist())})
+        table = scorer.build_score_table(model, split_ds.train)
     scorer.save_scores(table, workdir / "scores.bin")
     scorer.export_scores(table, workdir / "scores.tsv", header=_echo(cfg, "train"))
     print(f"train: scored {len(table)} users -> {workdir / 'scores.bin'}")

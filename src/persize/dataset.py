@@ -1,4 +1,4 @@
-"""Implicit-feedback ingestion, k-core filtering, per-user splits, candidates.
+"""Implicit-feedback ingestion, k-core filtering and per-user splits.
 
 Interactions are (user, item) pairs with an implicit positive label. Raw
 ids are remapped to dense 0-based integers at load time; the mapping is
@@ -195,17 +195,6 @@ def split(iset: InteractionSet, ratios=SPLIT_RATIOS, seed: int = 0) -> SplitData
     sets = [InteractionSet.from_pairs(shuffled[part == p], users=iset.users, items=iset.items)
             for p in range(3)]
     return SplitDataset(train=sets[0], val=sets[1], test=sets[2], seed=seed)
-
-
-def candidate_items(user: int, split_ds: SplitDataset) -> np.ndarray:
-    """All items outside the user's train set, ascending by id: the items a
-    user may still be recommended. An empty result is returned as-is. The
-    validation positives stay in; the recommend stage drops them from the
-    whole score table (``ScoreTable.without``).
-    """
-    if int(user) not in split_ds.users:
-        raise KeyError(f"unknown user {user}")
-    return np.setdiff1d(split_ds.items, split_ds.train.items_of(user), assume_unique=True)
 
 
 def save_split(split_ds: SplitDataset, workdir, id_map=None, header: str = "") -> None:

@@ -7,8 +7,9 @@ the binary score store the pipeline stages share.
 ``ScoreTable`` is the store's layout held in memory: four read-only CSR
 arrays. ``load_scores`` wraps the store's bytes in them without a per-user
 copy, ``import_scores`` sorts a score file's rows into them, and
-``ScoreTable.from_entries`` (which ``build_score_table`` calls)
-concatenates a dict of per-user entries once.
+``build_score_table`` scores a trained model's candidates into them in one
+pass, and ``ScoreTable.from_entries`` concatenates a dict of another
+recommender's per-user entries once.
 """
 
 from __future__ import annotations
@@ -255,28 +256,28 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def score_candidates(model: ScoreModel, user: int, items) -> np.ndarray:
-    """Scores for a batch of items of one user.
-
-    One call of the row-wise dot kernel that ``train_bpr`` also uses, so
-    each score equals ``user_vector @ item_vector`` bit for bit (a BLAS
-    matrix-vector product would round differently). A user or item id
-    outside the model raises IndexError naming it.
-    """
-    if not 0 <= user < len(model.user_vectors):
-        raise IndexError(f"user id {user} out of range")
-    items = np.asarray(items, dtype=np.int64)
-    outside = items[(items < 0) | (items >= len(model.item_vectors))]
-    if len(outside):
-        raise IndexError(f"item id {outside[0]} out of range")
-    item_vecs = model.item_vectors[items]
-    return _dot(np.broadcast_to(model.user_vectors[user], item_vecs.shape), item_vecs)
-
-
-def build_score_table(model: ScoreModel, candidates: dict) -> ScoreTable:
-    """Score each user's candidate items (user -> item array) into one table."""
-    return ScoreTable.from_entries({user: (items, score_candidates(model, user, items))
-                                    for user, items in candidates.items()})
+def build_score_table(model: ScoreModel, train: InteractionSet) -> ScoreTable:
+    """Score each user's candidates, the items outside its ``train`` items,
+    into one table in (user, item) order (a user owning every item keeps an
+    empty row). Each score is ``user_vector @ item_vector`` bit for bit, by
+    ``train_bpr``'s row-wise kernel on chunks of 4096 entries that bound its
+    temporaries. Ids that are not dense and 0-based, or a model whose vector
+    counts differ from the universe, are a ValueError."""
+    n_users, n_items = len(train.users), len(train.items)
+    uv, iv = model.user_vectors, model.item_vectors
+    if not (np.array_equal(train.users, np.arange(n_users))
+            and np.array_equal(train.items, np.arange(n_items))):
+        raise ValueError("build_score_table expects dense 0-based ids (see dataset.compact)")
+    if (len(uv), len(iv)) != (n_users, n_items):
+        raise ValueError(f"the model's {len(uv)} user and {len(iv)} item vectors do not "
+                         f"match the universe's {n_users} users and {n_items} items")
+    owned = np.zeros((n_users, n_items), dtype=bool)
+    owned[train.pairs[:, 0], train.pairs[:, 1]] = True
+    users, items = np.nonzero(~owned)
+    scores = np.empty(len(items))
+    for a in range(0, len(items), 4096):
+        scores[a:a + 4096] = _dot(uv[users[a:a + 4096]], iv[items[a:a + 4096]])
+    return ScoreTable(train.users, np.searchsorted(users, np.arange(n_users + 1)), items, scores)
 
 
 def export_scores(table: ScoreTable, path, header: str = "") -> None:

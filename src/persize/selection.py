@@ -173,8 +173,8 @@ def recommend_block(
     user's ranking.
 
     Returns user -> (measure -> PersonalizedRec), in the order of
-    ``users``. A user without entries in ``scores`` is a ValueError naming
-    the user.
+    ``users``. A user without entries in ``scores``, or without parameters
+    in ``params_by_user``, is a ValueError naming the user.
     """
     check_curve_args(K=K, M=M)
     measures = list(measures)
@@ -183,9 +183,11 @@ def recommend_block(
         return {}
     rankings, probs = [], []
     for user in users:
-        items, vals = rank(user, scores)
+        items, vals = rank(user, scores) if user in scores else ((), ())
         if not len(items):
             raise ValueError(f"user {user} has no scored candidates")
+        if params_by_user.get(user) is None:
+            raise ValueError(f"user {user} has no calibration parameters")
         rankings.append(items[:K].copy())
         probs.append(calibrate.apply(params_by_user[user], vals))
     lengths = np.array([min(K, len(p)) for p in probs])

@@ -102,7 +102,10 @@ def realized_curve(measure: Measure, prefix_labels, total_relevant) -> np.ndarra
     row; each row equals its one-row call bit for bit.
     """
     labels = _as_labels(prefix_labels)
-    s = np.asarray(total_relevant).astype(np.int64)
+    s = np.asarray(total_relevant)
+    if s.dtype.kind not in "iu":
+        raise ValueError(f"total_relevant must be integers, got dtype {s.dtype}")
+    s = s.astype(np.int64)
     if s.shape != labels.shape[:-1]:
         raise ValueError(f"expected one total per label row, got shape {s.shape}")
     hits = labels.sum(axis=-1)

@@ -8,7 +8,9 @@ or renamed would silently read 0, so each key must name such a function,
 and the counters must still read the program's objects. A config key or
 stage the program no longer knows would fail only a benchmark run, so each
 workload's generated config must load and each stage must be a command.
-These tests only read ``perfbench/``.
+A ``per_layer`` metric of ``BENCHMARK.json`` whose function is gone reads 0
+too; the ones that do today are listed, and no other may join them. These
+tests only read ``perfbench/`` and ``BENCHMARK.json``.
 """
 
 import importlib
@@ -37,6 +39,30 @@ def _perfbench(name):
 
 _WORKLOADS = _perfbench("workloads")
 
+# per-layer metrics of functions the program no longer has: each reads 0
+DEAD_METRICS = {
+    "utility.expected_curves.self_s", "utility.expected_curves.calls",
+    "utility.expected_curve_approx.self_s", "utility.expected_curve_approx.calls",
+    "utility.expected_curve_exact.self_s", "utility.expected_curve_exact.calls",
+    "calibrate.build_calibration_set.self_s", "calibrate.fit_user.self_s",
+    "selection.perk_select.self_s", "dataset.candidate_items.self_s",
+    "scorer.score_candidates.self_s",
+}
+# fit_all_users' status histogram, not a function's layer
+HISTOGRAMS = ("calibrate.fit_status.",)
+
+
+def _traced_function(short, attr) -> bool:
+    """Whether ``persize.<short>.<attr>`` is a public function defined in
+    that module, the kind the tracer wraps."""
+    try:
+        module = importlib.import_module(f"persize.{short}")
+    except ModuleNotFoundError:
+        return False
+    fn = getattr(module, attr, None)
+    return (inspect.isfunction(fn) and not attr.startswith("_")
+            and fn.__module__ == module.__name__)
+
 
 @pytest.mark.parametrize("size", ["tiny", "full"])
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS.SIZES))
@@ -56,11 +82,15 @@ def test_every_counted_layer_is_a_traced_function():
     # the benchmark's smoke test requires this layer to be called
     assert "poibin.distribution" in counters
     for name in counters:
-        short, attr = name.split(".")
-        module = importlib.import_module(f"persize.{short}")
-        fn = getattr(module, attr, None)
-        assert inspect.isfunction(fn) and not attr.startswith("_"), name
-        assert fn.__module__ == module.__name__, name
+        assert _traced_function(*name.split(".")), name
+
+
+def test_no_per_layer_metric_goes_dead_silently():
+    metrics = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    dead = {m["name"] for m in metrics if m["name"].count(".") == 2
+            and not m["name"].startswith(HISTOGRAMS)
+            and not _traced_function(*m["name"].split(".")[:2])}
+    assert dead <= DEAD_METRICS
 
 
 def test_table_rows_counts_every_entry():

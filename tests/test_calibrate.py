@@ -189,6 +189,12 @@ class TestApply:
         down = apply(PlattParams(-0.8, 0.2), s)
         assert np.all(np.diff(down) < 0)
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), -np.inf, [0.5, np.nan]])
+    def test_non_finite_score_refused(self, s):
+        # no probability strictly inside (0, 1) belongs to it
+        with pytest.raises(ValueError, match="^cannot calibrate a non-finite score$"):
+            apply(PlattParams(1.0, 0.0), s)
+
     def test_rejects_nan_params(self):
         # refused where they enter, so apply never meets them
         with pytest.raises(ValueError, match="non-finite calibration parameters for scope 7"):

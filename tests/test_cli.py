@@ -515,7 +515,7 @@ class TestRecommendBlocks:
         train = workdir / dataset.SPLIT_FILES[0]
         train.write_text(train.read_text() + "".join(f"0\t{i}\n" for i in range(n_items)))
         split_ds = dataset.load_split(workdir)
-        assert len(dataset.candidate_items(0, split_ds)) == 0
+        np.testing.assert_array_equal(split_ds.train.items_of(0), split_ds.items)
         assert len(split_ds.test.items_of(0)) and len(split_ds.val.items_of(0))
         n_users = len(split_ds.users)
         capsys.readouterr()

@@ -6,10 +6,10 @@ import pytest
 from oracles import scan_split, sequential_split, write_adversarial
 
 from persize import util
+from persize.scorer import ScoreModel, build_score_table
 from persize.dataset import (
     SPLIT_RATIOS,
     InteractionSet,
-    candidate_items,
     compact,
     kcore_filter,
     load_interactions,
@@ -200,6 +200,9 @@ class TestSplit:
 
 
 class TestCandidates:
+    """A user's candidates are the items outside its train items: its
+    segment of the table ``build_score_table`` scores."""
+
     def _split(self):
         users, items = np.arange(1), np.arange(5)
         train = InteractionSet.from_pairs([[0, 0], [0, 1]], users, items)
@@ -209,19 +212,20 @@ class TestCandidates:
 
         return SplitDataset(train=train, val=val, test=test, seed=0)
 
+    @staticmethod
+    def _candidates(sp, user=0):
+        model = ScoreModel(np.zeros((len(sp.users), 2)), np.zeros((len(sp.items), 2)))
+        return build_score_table(model, sp.train).get(user)[0]
+
     def test_excludes_train(self):
-        cand = candidate_items(0, self._split())
+        cand = self._candidates(self._split())
         np.testing.assert_array_equal(cand, [2, 3, 4])
 
     def test_union_with_train_covers_everything(self):
         sp = self._split()
-        cand = candidate_items(0, sp)
+        cand = self._candidates(sp)
         both = np.concatenate([sp.train.items_of(0), cand])
         np.testing.assert_array_equal(np.sort(both), np.arange(5))
-
-    def test_unknown_user(self):
-        with pytest.raises(KeyError):
-            candidate_items(7, self._split())
 
     def test_user_owning_everything_gets_empty_set(self):
         users, items = np.arange(1), np.arange(2)
@@ -230,7 +234,7 @@ class TestCandidates:
         train = InteractionSet.from_pairs([[0, 0], [0, 1]], users, items)
         empty = InteractionSet.from_pairs(np.empty((0, 2), dtype=np.int64), users, items)
         sp = SplitDataset(train=train, val=empty, test=empty, seed=0)
-        assert len(candidate_items(0, sp)) == 0
+        assert len(self._candidates(sp)) == 0
 
 
 class TestCompactAndRoundTrip:

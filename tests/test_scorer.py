@@ -7,7 +7,7 @@ from oracles import SCORE_FORMS, scan_scores, sequential_bpr, write_adversarial
 from persize import scorer as scorer_module
 from persize import util
 from persize.calibrate import PlattParams
-from persize.dataset import InteractionSet, candidate_items
+from persize.dataset import InteractionSet
 from persize.scorer import (
     BPRConfig,
     ScoreModel,
@@ -18,7 +18,6 @@ from persize.scorer import (
     import_scores,
     load_scores,
     save_scores,
-    score_candidates,
     train_bpr,
 )
 from persize.selection import rank, recommend_block
@@ -26,8 +25,14 @@ from persize.utility import Measure
 
 
 def _score(model, user, item) -> float:
-    """One pair's score: the one-item batch of ``score_candidates``."""
-    return float(score_candidates(model, user, [item])[0])
+    """One pair's score: the plain vector-vector dot."""
+    return float(model.user_vectors[user] @ model.item_vectors[item])
+
+
+def _universe(n_users, n_items, pairs=()):
+    """A train set over the dense universe of n_users x n_items."""
+    return InteractionSet.from_pairs(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+                                     users=np.arange(n_users), items=np.arange(n_items))
 
 
 def _toy_train():
@@ -259,46 +264,55 @@ class TestBatchedTrainer:
 class TestScore:
     def test_zero_user_vector(self):
         model = ScoreModel(np.zeros((1, 3)), np.ones((4, 3)))
-        assert _score(model, 0, 2) == 0.0
+        assert build_score_table(model, _universe(1, 4)).get(0)[1][2] == 0.0
 
     def test_dot_product(self):
         model = ScoreModel(np.array([[1.0, 0.0]]), np.array([[2.0, 3.0]]))
-        assert _score(model, 0, 0) == 2.0
+        assert build_score_table(model, _universe(1, 1)).get(0)[1][0] == 2.0
 
     def test_out_of_range(self):
-        model = ScoreModel(np.zeros((1, 2)), np.zeros((1, 2)))
-        with pytest.raises(IndexError):
-            _score(model, 1, 0)
-        with pytest.raises(IndexError):
-            _score(model, 0, 5)
+        # the model's vector counts must be the universe's, in both directions
+        model = ScoreModel(np.zeros((2, 2)), np.zeros((3, 2)))
+        for n_users, n_items in ((3, 3), (2, 4), (1, 3), (2, 2)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the model's 2 user and 3 item vectors do not match the universe's "
+                    f"{n_users} users and {n_items} items")):
+                build_score_table(model, _universe(n_users, n_items))
 
     def test_trained_table_matches_single_lookups(self, tiny_split):
         model = train_bpr(tiny_split.train,
                           BPRConfig(d=16, epochs=5, learning_rate=0.2, seed=4))
-        cands = {u: candidate_items(u, tiny_split) for u in tiny_split.users.tolist()}
-        table = build_score_table(model, cands)
-        for user, cand in cands.items():
+        table = build_score_table(model, tiny_split.train)
+        assert table.users() == tiny_split.users.tolist()
+        for user in table.users():
             items, vals = table.get(user)
-            np.testing.assert_array_equal(items, cand)
-            single = [_score(model, user, i) for i in items.tolist()]
-            # bit for bit, and equal to the plain vector-vector dot
-            plain = [model.user_vectors[user] @ model.item_vectors[i] for i in items]
-            np.testing.assert_array_equal(vals.view(np.int64), np.array(single).view(np.int64))
+            np.testing.assert_array_equal(
+                items, np.setdiff1d(tiny_split.items, tiny_split.train.items_of(user)))
+            # bit for bit equal to the plain vector-vector dot
+            plain = [_score(model, user, i) for i in items.tolist()]
             np.testing.assert_array_equal(vals.view(np.int64), np.array(plain).view(np.int64))
 
-    @pytest.mark.parametrize("items, bad", [([0, -1], -1), ([2, 3, 4], 3)])
-    def test_item_outside_model_named(self, items, bad):
-        # a negative id would otherwise wrap to the last item's score
-        model = ScoreModel(np.ones((1, 2)), np.array([[1.0, 0.0], [2.0, 0.0], [5.0, 0.0]]))
-        with pytest.raises(IndexError, match=re.escape(f"item id {bad} out of range")):
-            score_candidates(model, 0, items)
-
-    def test_matches_batch_scoring(self):
+    def test_chunks_and_empty_rows_keep_every_score(self):
+        # 3 x 3000 entries span three 4096-entry chunks; user 1 owns every item
         rng = np.random.default_rng(0)
-        model = ScoreModel(rng.normal(size=(3, 5)), rng.normal(size=(8, 5)))
-        batch = score_candidates(model, 1, np.arange(8))
-        for i in range(8):
-            assert batch[i] == _score(model, 1, i)
+        model = ScoreModel(rng.normal(size=(4, 7)), rng.normal(size=(3000, 7)))
+        owned = [(0, 5), (0, 2000)] + [(1, i) for i in range(3000)] + [(3, 2999)]
+        table = build_score_table(model, _universe(4, 3000, owned))
+        np.testing.assert_array_equal(np.diff(table.indptr), [2998, 0, 3000, 2999])
+        for user in table.users():
+            items, vals = table.get(user)
+            plain = [_score(model, user, i) for i in items.tolist()]
+            np.testing.assert_array_equal(vals.view(np.int64), np.array(plain).view(np.int64))
+
+    @pytest.mark.parametrize("users, items", [
+        ([0], [0, -1]), ([0], [2, 3, 4]), ([1], [0, 1, 2]), ([0, 2], [0, 1, 2])])
+    def test_universe_that_is_not_dense_and_0_based_is_refused(self, users, items):
+        # a negative id would otherwise wrap to the last item's vector
+        model = ScoreModel(np.ones((len(users), 2)), np.ones((len(items), 2)))
+        train = InteractionSet.from_pairs(np.empty((0, 2)), users=users, items=items)
+        with pytest.raises(ValueError, match=re.escape(
+                "build_score_table expects dense 0-based ids (see dataset.compact)")):
+            build_score_table(model, train)
 
 
 class TestRankTopk:
@@ -378,9 +392,7 @@ class TestImportExport:
 
     def test_export_matches_model_scores(self, tmp_path):
         model = train_bpr(_toy_train(), BPRConfig(d=4, epochs=3, learning_rate=0.1, seed=1))
-        table = ScoreTable.from_entries({
-            0: (np.arange(2), score_candidates(model, 0, np.arange(2))),
-        })
+        table = build_score_table(model, _universe(2, 2))
         export_scores(table, tmp_path / "s.tsv")
         back = import_scores(tmp_path / "s.tsv")
         _, vals = back.get(0)

@@ -241,6 +241,15 @@ class TestRecommendBlock:
         assert block[10][Measure.F1].k_max == 1
         assert len(block[17][Measure.F1].values) == 5
 
+    def test_user_without_scores_or_parameters_is_named(self):
+        table, params = self._table(), self._params()
+        del params[12]
+        params[14] = None
+        for user, why in ((7, "no scored candidates"), (12, "no calibration parameters"),
+                          (14, "no calibration parameters")):
+            with pytest.raises(ValueError, match=f"^user {user} has {why}$"):
+                recommend_block([10, user], table, params, [Measure.F1], K=5)
+
     def test_bad_arguments_raise_before_any_user(self):
         table, params = self._table(), self._params()
         for kwargs, message in (({"K": 0}, "K must"), ({"M": 0}, "M must")):
@@ -419,14 +428,12 @@ class TestBaselines:
 
 def _pipeline_fixture(bundled_split):
     """Score + calibrate the bundled split once for evaluation tests."""
-    from persize.dataset import candidate_items
     from persize.scorer import BPRConfig, build_score_table, train_bpr
 
     model = train_bpr(
         bundled_split.train, BPRConfig(d=16, epochs=8, learning_rate=0.05, seed=0)
     )
-    table = build_score_table(model, {
-        u: candidate_items(u, bundled_split) for u in sorted(bundled_split.users.tolist())})
+    table = build_score_table(model, bundled_split.train)
     params, _ = calibrate.fit_all_users(table, calibrate.calibration_labels(bundled_split, table))
     return table, params
 

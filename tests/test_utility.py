@@ -62,6 +62,13 @@ class TestRealized:
         with pytest.raises(ValueError):
             realized_curve(Measure.F1, [1, 1], 1)
 
+    @pytest.mark.parametrize("total", [2.7, 2.0, True, float("nan"), [np.nan], [False]])
+    def test_total_that_is_not_an_integer_rejected(self, total):
+        # a float or bool total was truncated or read as 0/1 before
+        labels = [1, 0] if np.ndim(total) == 0 else [[1, 0]]
+        with pytest.raises(ValueError, match="^total_relevant must be integers, got dtype "):
+            realized_curve(Measure.F1, labels, total)
+
     def test_nonbinary_labels_rejected(self):
         with pytest.raises(ValueError):
             realized_curve(Measure.NDCG, [0.5, 1.0], 2)
