@@ -23,7 +23,7 @@ for name, hi in (("books", 0.8), ("music", 0.45), ("games", 0.15)):
 rows = expected_curves_batch(np.array(probs), [Measure.F1], M=100, K=8)[Measure.F1]
 domains = dict(zip(names, rows))
 
-curves = DomainCurves(user=0, measure=Measure.F1, curves=domains)
+curves = DomainCurves(user=0, curves=domains)
 for budget in (3, 6, 12, 24):
     out = allocate(curves, N=budget, K=8)
     sizes = ", ".join(f"{d}={k}" for d, k in sorted(out.sizes.items()))

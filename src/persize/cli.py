@@ -52,7 +52,7 @@ _TOP_KEYS = {
     "threads", "scores", "bpr", "dump_curves", "allocate",
 }
 _BPR_KEYS = {"d", "epochs", "learning_rate", "weight_decay", "negatives_per_positive"}
-_ALLOC_KEYS = {"budget", "domains", "allow_zero", "measure"}
+_ALLOC_KEYS = {"budget", "domains", "measure"}
 _INT_KEYS = {"K": 1, "M": 1, "seed": 0, "threads": 1, "kcore": 1}  # lower bounds
 
 _DEFAULTS = {
@@ -127,10 +127,8 @@ def _load_config(args) -> dict:
         raise ConfigError("a working directory is required (--workdir or config)")
     for key, low in _INT_KEYS.items():
         _check_number(key, cfg[key], low, integer=True)
-    for key, value in (("dump_curves", cfg["dump_curves"]),
-                       ("allocate.allow_zero", alloc.get("allow_zero", True))):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key} must be true or false, got {value!r}")
+    if not isinstance(cfg["dump_curves"], bool):
+        raise ConfigError(f"dump_curves must be true or false, got {cfg['dump_curves']!r}")
     _check_number("allocate.budget", alloc.get("budget", 0), 0, integer=True)
     known = [x.value for x in utility.Measure]  # a list: a measure may be unhashable
     bad = [m for m in cfg["measures"] if m not in known]
@@ -146,10 +144,6 @@ def _load_config(args) -> dict:
 def _echo(cfg: dict, stage: str) -> str:
     shown = {k: v for k, v in cfg.items() if k not in _NO_ECHO}
     return f"# persize {stage} config={json.dumps(shown, sort_keys=True)}"
-
-
-def _measures(cfg) -> list[utility.Measure]:
-    return [utility.Measure(m) for m in cfg["measures"]]
 
 
 def cmd_prepare(cfg: dict) -> int:
@@ -273,7 +267,7 @@ def cmd_recommend(cfg: dict) -> int:
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin").without(split_ds.val.pairs)
     per_user, _ = _read_platt(workdir / "platt.tsv")
-    measures = _measures(cfg)
+    measures = selection._check_measures(cfg["measures"])
     results = selection.recommend_users(table, per_user, measures, K=cfg["K"], M=cfg["M"],
                                         threads=cfg["threads"])
 
@@ -352,7 +346,7 @@ def cmd_evaluate(cfg: dict) -> int:
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin")
     perk = _read_recs(cfg, workdir)
-    report = selection.evaluate(split_ds, table, perk, measures=_measures(cfg), K=cfg["K"],
+    report = selection.evaluate(split_ds, table, perk, measures=cfg["measures"], K=cfg["K"],
                                 seed=cfg["seed"])
     lines = [_echo(cfg, "evaluate")]
     lines.extend(
@@ -415,7 +409,6 @@ def cmd_allocate(cfg: dict) -> int:
         if key not in acfg:
             raise ConfigError(f"allocate config needs '{key}'")
     measure = utility.Measure(acfg.get("measure", cfg["measures"][0]))
-    allow_zero = acfg.get("allow_zero", True)
     budget = acfg["budget"]
     domains = {d["id"]: _read_curves(d["curves"], measure) for d in acfg["domains"]}
 
@@ -425,18 +418,15 @@ def cmd_allocate(cfg: dict) -> int:
     lines = [_echo(cfg, "allocate")]
     objective_sum = 0.0
     for u in shared:
-        curves = multidomain.DomainCurves(
-            user=u, measure=measure, curves={d: domains[d][u] for d in domains}
-        )
+        curves = multidomain.DomainCurves(user=u, curves={d: domains[d][u] for d in domains})
         K = min(len(v) for v in curves.curves.values())
-        result = multidomain.allocate(curves, N=budget, K=K, allow_zero=allow_zero)
+        result = multidomain.allocate(curves, N=budget, K=K)
         objective_sum += result.objective
         for dom in sorted(result.sizes):
             lines.append(f"{u}\t{dom}\t{result.sizes[dom]}")
     atomic_write(workdir / "allocations.tsv", "\n".join(lines) + "\n")
     payload = {
         "budget": budget,
-        "allow_zero": allow_zero,
         "measure": measure.value,
         "n_users": len(shared),
         "objective_sum": objective_sum,

@@ -24,7 +24,8 @@ test positives over the identical user population, in one block of array
 operations (each membership test one ``in_pairs`` call). It runs no PerK of
 its own: it takes PerK's sizes and expected values as given (the CLI reads
 them from ``recs.tsv``), and the validation and oracle sizes are the
-``_row_argmax`` of realized curves (``_label_block``, ``realized_curve``).
+``_row_argmax`` of realized curves (``realized_curve`` of the label rows,
+zero-padded by ``_padded`` as ``recommend_block`` pads its probability rows).
 """
 
 from __future__ import annotations
@@ -140,11 +141,16 @@ def user_blocks(users, scores: ScoreTable) -> list[list[int]]:
     Users are sorted by (scored candidate count, user id) and cut into runs
     of at most _BLOCK_USERS users whose zero-padded block (its users times
     its largest count) holds at most _BLOCK_PROBS probabilities; a larger
-    user is a block alone. Membership depends on the data only.
+    user is a block alone. Membership depends on the data only. A user the
+    table lacks is a ValueError naming the user.
     """
     blocks: list[list[int]] = []
     count = dict(zip(scores.users(), np.diff(scores.indptr).tolist()))
-    for n, user in sorted((count[int(u)], int(u)) for u in users):
+    users = [int(u) for u in users]
+    lost = [u for u in users if u not in count]
+    if lost:
+        raise ValueError(f"user {lost[0]} has no scored candidates")
+    for n, user in sorted((count[u], u) for u in users):
         block = blocks[-1] if blocks else None
         if block is None or len(block) == _BLOCK_USERS or (len(block) + 1) * n > _BLOCK_PROBS:
             blocks.append([user])
@@ -172,12 +178,13 @@ def recommend_block(
     sizes 1..min(K, n), and one ``_row_argmax`` call per measure cuts every
     user's ranking.
 
-    Returns user -> (measure -> PersonalizedRec), in the order of
+    Returns user -> (Measure -> PersonalizedRec), in the order of
     ``users``. A user without entries in ``scores``, or without parameters
-    in ``params_by_user``, is a ValueError naming the user.
+    in ``params_by_user``, is a ValueError naming the user, and so is an
+    empty or repeated measure list, as ``evaluate`` checks it.
     """
     check_curve_args(K=K, M=M)
-    measures = list(measures)
+    measures = _check_measures(measures)
     users = [int(u) for u in users]
     if not users:
         return {}
@@ -191,9 +198,7 @@ def recommend_block(
         rankings.append(items[:K].copy())
         probs.append(calibrate.apply(params_by_user[user], vals))
     lengths = np.array([min(K, len(p)) for p in probs])
-    block = np.zeros((len(probs), max(len(p) for p in probs)))
-    for row, p in zip(block, probs):
-        row[: len(p)] = p
+    block = _padded(np.concatenate(probs), np.array([len(p) for p in probs]))
     curves = expected_curves_batch(block, measures, M=M, K=K)
     sizes = {m: _row_argmax(curves[m], lengths).tolist() for m in measures}
     return {user: {m: PersonalizedRec(user, sizes[m][row], rankings[row],
@@ -212,13 +217,15 @@ def recommend_users(
     """``recommend_block`` over the ``user_blocks`` of every served user,
     run on ``threads`` threads.
 
-    Returns user -> (measure -> PersonalizedRec) for each user of
+    Returns user -> (Measure -> PersonalizedRec) for each user of
     ``served_users(scores, params_by_user)`` in user order. The blocks
     depend on the data only, so the result does not depend on ``threads``.
+    The measures are checked as ``recommend_block`` checks them, also when
+    no user is served.
     """
     check_curve_args(K=K, M=M)
     _check_number("threads", threads, 1, integer=True)
-    measures = list(measures)  # every block reads them
+    measures = _check_measures(measures)  # every block reads them
     users = served_users(scores, params_by_user)
 
     def serve(block):
@@ -248,21 +255,24 @@ def default_methods(K: int = DEFAULT_K) -> list[str]:
     return methods
 
 
-def _label_block(labels, lengths: np.ndarray) -> np.ndarray:
-    """The users' 0/1 prefix labels, concatenated in ``labels``, as one
-    zero-padded (users, max(lengths)) block."""
+def _padded(values, lengths: np.ndarray) -> np.ndarray:
+    """The users' rows, concatenated in ``values`` (``lengths[i]`` values
+    for user i), as one zero-padded (users, max(lengths)) block."""
     block = np.zeros((len(lengths), lengths.max()))
-    block[np.arange(block.shape[1]) < lengths[:, None]] = labels
+    block[np.arange(block.shape[1]) < lengths[:, None]] = values
     return block
 
 
-def _check_measures(measures: list) -> None:
-    """Reject an empty or repeated measure list."""
+def _check_measures(measures) -> list[Measure]:
+    """The measures (members or names) as ``Measure`` members; an empty or
+    repeated list is a ValueError."""
+    measures = [Measure(m) for m in measures]
     if not measures:
         raise ValueError("measures is empty: no measure to evaluate")
-    repeated = sorted({str(x) for x in measures if measures.count(x) > 1})
+    repeated = sorted({m.value for m in measures if measures.count(m) > 1})
     if repeated:
         raise ValueError(f"repeated measure: {', '.join(repeated)}")
+    return measures
 
 
 def evaluate(
@@ -294,8 +304,7 @@ def evaluate(
     """
     check_curve_args(K=K)
     _check_number("seed", seed, 0, integer=True)
-    measures = [Measure(m) for m in measures]
-    _check_measures([m.value for m in measures])
+    measures = _check_measures(measures)
     methods = default_methods(K)
 
     users = sorted(int(u) for u in split.users)
@@ -334,12 +343,12 @@ def evaluate(
     kept = [users[row] for row in rows]
     tests = [tests[row] for row in rows]
     tops = np.array([len(r) for r in rankings])
-    labels = _label_block(in_pairs(np.repeat(kept, tops), np.concatenate(rankings),
-                                   split.test.pairs), tops)
+    labels = _padded(in_pairs(np.repeat(kept, tops), np.concatenate(rankings),
+                              split.test.pairs), tops)
     realized = {m: realized_curve(m, labels, [len(t) for t in tests]) for m in measures}
     rand_k = np.minimum([baseline_rand(user, K, seed) for user in kept], tops)
     val_lengths = np.minimum([lengths[row] for row in rows], K)
-    val_labels = _label_block(np.concatenate([dropped[row][:K] for row in rows]), val_lengths)
+    val_labels = _padded(np.concatenate([dropped[row][:K] for row in rows]), val_lengths)
     n_val = [len(vals[row]) for row in rows]
     val_k = {m: np.minimum(_row_argmax(realized_curve(m, val_labels, n_val), val_lengths), tops)
              for m in measures}

@@ -246,10 +246,10 @@ def scalar_newton_platt(s, y):
     return a / sigma, b - a * mu / sigma, "not_converged", halvings
 
 
-def brute_force_allocate(curves, N: int, K: int, allow_zero: bool = True,
-                         max_combos: int = 10**6) -> Allocation:
-    """Best per-domain sizes by trying every size vector in lexicographic
-    order (sorted domain ids) and keeping the first strict maximum.
+def brute_force_allocate(curves, N: int, K: int, max_combos: int = 10**6) -> Allocation:
+    """Best per-domain sizes, each in 0..K, by trying every size vector in
+    lexicographic order (sorted domain ids) and keeping the first strict
+    maximum.
 
     Each objective is summed right to left, ``v_0 + (v_1 + (... + 0.0))``,
     the same float addition order the allocator's dynamic program uses, so
@@ -259,17 +259,14 @@ def brute_force_allocate(curves, N: int, K: int, allow_zero: bool = True,
     x_count = len(doms)
     if x_count == 0:
         raise ValueError("no domains to allocate")
-    if not allow_zero and N < x_count:
-        raise ValueError(f"budget {N} cannot give {x_count} domains one slot each")
-    kmin = 0 if allow_zero else 1
-    if (K - kmin + 1) ** x_count > max_combos:
+    if (K + 1) ** x_count > max_combos:
         raise ValueError("combination count exceeds the brute-force bound")
     # gains[x][k]: utility of k slots in domain x, 0.0 for none
     gains = [[0.0] + [float(v) for v in curves.curves[d][:K]] for d in doms]
 
     best_obj = -np.inf
     best_vec = None
-    for vec in product(range(kmin, K + 1), repeat=x_count):
+    for vec in product(range(K + 1), repeat=x_count):
         if sum(vec) > N:
             continue
         obj = 0.0

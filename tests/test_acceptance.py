@@ -263,19 +263,17 @@ def test_criterion_08_knapsack_oracle_and_monotonicity():
     for trial in range(500):
         x = int(rng.integers(1, 5))
         K = int(rng.integers(1, 9))
-        allow_zero = bool(rng.integers(0, 2))
-        N = int(rng.integers(x if not allow_zero else 0, 21))
+        N = int(rng.integers(0, 21))
         quant = 1 if trial % 2 else 10  # coarse values force frequent ties
         curves = DomainCurves(
             user=0,
-            measure=Measure.F1,
             curves={
                 f"d{j}": np.round(rng.normal(size=K) * quant) / quant
                 for j in range(x)
             },
         )
-        a = allocate(curves, N=N, K=K, allow_zero=allow_zero)
-        b = brute_force_allocate(curves, N=N, K=K, allow_zero=allow_zero)
+        a = allocate(curves, N=N, K=K)
+        b = brute_force_allocate(curves, N=N, K=K)
         assert a.sizes == b.sizes and a.objective == b.objective, trial
         assert a.total <= N
 
@@ -283,13 +281,10 @@ def test_criterion_08_knapsack_oracle_and_monotonicity():
     for _ in range(20):
         x = int(rng.integers(1, 5))
         K = int(rng.integers(1, 9))
-        curves = DomainCurves(
-            user=0, measure=Measure.F1,
-            curves={f"d{j}": rng.normal(size=K) for j in range(x)},
-        )
+        curves = DomainCurves(user=0, curves={f"d{j}": rng.normal(size=K) for j in range(x)})
         prev = -np.inf
-        for N in range(x, 21):
-            obj = allocate(curves, N=N, K=K, allow_zero=False).objective
+        for N in range(21):
+            obj = allocate(curves, N=N, K=K).objective
             assert obj >= prev - 1e-15
             prev = obj
     _report("criterion 8 (allocation matches brute force on 500 instances)")

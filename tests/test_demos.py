@@ -58,10 +58,12 @@ def test_readme_quickstart_exits_zero(tmp_path):
 
 def test_readme_lists_the_recognized_config_keys():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    lists = re.findall(r"^Recognized keys: `([^`]*)`", readme, re.MULTILINE)
-    assert len(lists) == 1, "README should hold exactly one recognized-keys list"
-    keys = lists[0].split()  # the list wraps onto a second line
-    assert sorted(keys) == sorted(cli._TOP_KEYS) and len(keys) == len(set(keys))
+    for label, known in (("Recognized keys", cli._TOP_KEYS),
+                         ("Recognized allocate keys", cli._ALLOC_KEYS)):
+        lists = re.findall(rf"^{label}: `([^`]*)`", readme, re.MULTILINE)
+        assert len(lists) == 1, f"README should hold exactly one '{label}' list"
+        keys = lists[0].split()  # a list may wrap onto a second line
+        assert sorted(keys) == sorted(known) and len(keys) == len(set(keys)), label
 
 
 def test_readme_lists_the_parser_flags():

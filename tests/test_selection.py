@@ -12,7 +12,7 @@ from persize.selection import (
     SKIP_NO_TEST,
     SKIP_REASONS,
     EvaluationReport,
-    _label_block,
+    _padded,
     _row_argmax,
     baseline_rand,
     default_methods,
@@ -256,6 +256,34 @@ class TestRecommendBlock:
             with pytest.raises(ValueError, match=message):
                 recommend_block([10], table, params, [Measure.F1], **kwargs)
 
+    @pytest.mark.parametrize("users", [[10], []])
+    @pytest.mark.parametrize("measures, message", [
+        ([], "^measures is empty: no measure to evaluate$"),
+        ([Measure.F1, Measure.F1], "^repeated measure: f1$"),
+        (["tp", Measure.TP], "^repeated measure: tp$"),
+    ])
+    def test_empty_or_repeated_measures_refused(self, users, measures, message):
+        table, params = self._table(), self._params()
+        with pytest.raises(ValueError, match=message):
+            recommend_block(users, table, params, measures, K=5)
+
+    def test_measure_names_are_members(self):
+        table, params = self._table(), self._params()
+        by_name = recommend_block([10, 16], table, params, ["f1", "tp"], K=5)
+        by_member = recommend_block([10, 16], table, params, [Measure.F1, Measure.TP], K=5)
+        for user in (10, 16):
+            assert list(by_name[user]) == [Measure.F1, Measure.TP]
+            for m in (Measure.F1, Measure.TP):
+                assert by_name[user][m].k_max == by_member[user][m].k_max
+                np.testing.assert_array_equal(by_name[user][m].values, by_member[user][m].values)
+
+    def test_blocks_name_a_user_the_table_lacks(self):
+        table = self._table()
+        with pytest.raises(ValueError, match="^user 7 has no scored candidates$"):
+            user_blocks([10, 7], table)
+        with pytest.raises(ValueError, match="^user 7 has no scored candidates$"):
+            user_blocks(np.array([7]), table)
+
     def test_blocks_cut_at_user_and_probability_caps(self):
         from persize import selection
 
@@ -328,12 +356,25 @@ class TestRecommendUsers:
             with pytest.raises(ValueError, match=message):
                 recommend_users(ScoreTable.from_entries({}), {}, [Measure.F1], **kwargs)
 
+    @pytest.mark.parametrize("measures, message", [
+        ([], "^measures is empty: no measure to evaluate$"),
+        ([Measure.F1, Measure.F1], "^repeated measure: f1$"),
+    ])
+    def test_empty_or_repeated_measures_refused(self, measures, message):
+        # an empty list returned an empty dict per user, a repeated one one entry
+        table = ScoreTable.from_entries({0: (np.arange(3), np.zeros(3)),
+                                         2: (np.arange(3), np.ones(3))})
+        params = {0: PlattParams(1.0, 0.0), 2: PlattParams(1.0, 0.0)}
+        for served in (params, {}):  # also when no user is served
+            with pytest.raises(ValueError, match=message):
+                recommend_users(table, served, measures, K=3, M=5)
+
 
 def _block_argmax(measure, ranked_items, positives) -> int:
     """The val_k / oracle size of one user: the one-row block argmax that
     ``evaluate`` runs over all its users."""
     lengths = np.array([len(ranked_items)])
-    labels = _label_block(np.isin(ranked_items, list(positives)), lengths)
+    labels = _padded(np.isin(ranked_items, list(positives)), lengths)
     return int(_row_argmax(realized_curve(measure, labels, [len(positives)]), lengths)[0])
 
 

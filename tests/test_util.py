@@ -118,7 +118,7 @@ def test_rising_wants_strict_order_in_every_key():
 _PROBS = np.full((2, 3), 0.5)
 _TABLE = ScoreTable.from_entries({0: (np.arange(4), np.arange(4.0))})
 _PARAMS = {0: PlattParams(1.0, 0.0)}
-_CURVES = DomainCurves(0, Measure.F1, {"a": np.ones(3), "b": np.ones(3)})
+_CURVES = DomainCurves(0, {"a": np.ones(3), "b": np.ones(3)})
 
 # argument -> (its name, its lower bound, a call passing (value, split) as it)
 SIZE_ARGUMENTS = {
