@@ -769,8 +769,10 @@ class TestConfigValues:
         assert f"{key} must be true or false, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
-        ("allow_zero", False, "unknown allocate keys: allow_zero"),
-        ("allow_zero", True, "unknown allocate keys: allow_zero"),
+        pytest.param("allow_zero", False, "unknown allocate keys: allow_zero",
+                     id="allow_zero-False-unknown-key"),
+        pytest.param("allow_zero", True, "unknown allocate keys: allow_zero",
+                     id="allow_zero-True-unknown-key"),
         ("budget", 2.7, "allocate.budget must be an integer >= 0, got 2.7"),
         ("budget", True, "allocate.budget must be an integer >= 0, got True"),
         ("budget", -1, "allocate.budget must be an integer >= 0, got -1"),
