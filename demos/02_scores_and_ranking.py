@@ -4,12 +4,18 @@ The trainer is deliberately minimal: seeded SGD on
 -log sigmoid(score(u, i+) - score(u, i-)) with one uniform negative per
 positive. Any external recommender can replace it by exporting a
 `user<TAB>item<TAB>score` file and importing it back.
+
+A score table holds each user's items in rising order, so one stable sort
+on the negated scores ranks the candidates, ties to the lower item id: the
+ranking rule `recommend` and `evaluate` apply to whole blocks of users.
 """
 
 import tempfile
 from pathlib import Path
 
-from persize import dataset, scorer, selection
+import numpy as np
+
+from persize import dataset, scorer
 
 data = Path(__file__).resolve().parent.parent / "data" / "synth200" / "interactions.tsv"
 iset, _ = dataset.load_interactions(data)
@@ -24,7 +30,10 @@ print(f"trained d={config.d} model; epoch loss {model.epoch_losses[0]:.4f} -> "
 table = scorer.build_score_table(model, split.train)  # every user's candidates
 u = 0
 # validation positives were calibration labels: the table drops them first
-items, scores = selection.rank(u, table.without(split.val.pairs))
+items, scores = table.without(split.val.pairs).get(u)
+assert (np.diff(items) > 0).all()  # each user's items rise in the table
+order = np.argsort(-scores, kind="stable")
+items, scores = items[order], scores[order]
 print(f"user {u} top-10 of {len(items)} candidates:")
 for rank, (item, s) in enumerate(zip(items[:10], scores[:10]), start=1):
     hit = "test-positive" if item in split.test.items_of(u) else ""

@@ -35,10 +35,9 @@ from .scorer import (
 )
 from .selection import (
     EvaluationReport,
-    PersonalizedRec,
+    Recommendations,
     baseline_rand,
     evaluate,
-    rank,
     recommend_block,
     recommend_users,
     served_users,

@@ -306,10 +306,14 @@ def pooled_ece_reports(table, labels, per_user: dict, global_params: PlattParams
 def ece_report(predictions, labels, bins: int = 15) -> dict:
     """Expected calibration error with equal-width probability bins (key
     ``ece``), plus per-bin detail suitable for a JSON report. Predictions
-    go through the count engine's probability check; a label outside
-    [0, 1] is a ValueError naming the labels."""
+    go through the count engine's probability check; predictions or labels
+    that are not 1-D or differ in length, and a label outside [0, 1], are a
+    ValueError naming the rule."""
     p = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
+    if p.ndim != 1 or y.ndim != 1:
+        raise ValueError("predictions and labels must be 1-D, got shapes "
+                         f"{p.shape} and {y.shape}")
     if p.size == 0:
         raise ValueError("cannot compute calibration error on empty input")
     if p.size != y.size:

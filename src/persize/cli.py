@@ -137,7 +137,7 @@ def _load_config(args) -> dict:
     if alloc.get("measure", known[0]) not in known:
         raise ConfigError(f"allocate.measure must be one of {', '.join(known)}, "
                           f"got {alloc['measure']!r}")
-    selection._check_measures(cfg["measures"])
+    utility._check_measures(cfg["measures"])
     return cfg
 
 
@@ -267,30 +267,27 @@ def cmd_recommend(cfg: dict) -> int:
     split_ds = dataset.load_split(workdir)
     table = scorer.load_scores(workdir / "scores.bin").without(split_ds.val.pairs)
     per_user, _ = _read_platt(workdir / "platt.tsv")
-    measures = selection._check_measures(cfg["measures"])
-    results = selection.recommend_users(table, per_user, measures, K=cfg["K"], M=cfg["M"],
-                                        threads=cfg["threads"])
+    recs = selection.recommend_users(table, per_user, cfg["measures"], K=cfg["K"], M=cfg["M"],
+                                     threads=cfg["threads"])
+    perk, rankings = recs.perk(), dict(zip(recs.users.tolist(), recs.rankings.tolist()))
 
     rec_lines = [f"{_echo(cfg, 'recommend')} inputs={inputs}"]
-    curve_lines = [_echo(cfg, "recommend")]
     n_skip = 0
     for u, n in zip(table.users(), np.diff(table.indptr).tolist()):
-        if u not in results:  # no candidate left is told before a missing Platt row
+        if u not in perk:  # no candidate left is told before a missing Platt row
             rec_lines.append(f"# skipped user={u}: "
                              + ("no Platt parameters" if n else "no candidates"))
             n_skip += 1
             continue
-        for m in measures:
-            rec = results[u][m]
-            joined = ",".join(map(str, rec.items.tolist()))
-            rec_lines.append(f"{u}\t{m.value}\t{rec.k_max}\t{rec.expected_value!r}\t{joined}")
-        if cfg["dump_curves"]:
-            for m in measures:
-                for kk, v in enumerate(results[u][m].values, start=1):
-                    curve_lines.append(f"{u}\t{m.value}\t{kk}\t{float(v)!r}")
+        for m, (k, value) in perk[u].items():
+            joined = ",".join(map(str, rankings[u][:k]))
+            rec_lines.append(f"{u}\t{m.value}\t{k}\t{value!r}\t{joined}")
     atomic_write(workdir / "recs.tsv", "\n".join(rec_lines) + "\n")
-    if cfg["dump_curves"]:
-        atomic_write(workdir / "curves.tsv", "\n".join(curve_lines) + "\n")
+    if cfg["dump_curves"]:  # each served user's curves over its sizes 1..min(K, n)
+        atomic_write(workdir / "curves.tsv", "\n".join([_echo(cfg, "recommend")] + [
+            f"{u}\t{m.value}\t{k}\t{v!r}" for r, u in enumerate(recs.users.tolist())
+            for m, curves in recs.curves.items()
+            for k, v in enumerate(curves[r, :recs.lengths[r]].tolist(), start=1)]) + "\n")
     print(f"recommend: wrote sizes for {len(table) - n_skip} users, skipped {n_skip} "
           f"-> {workdir / 'recs.tsv'}")
     return 0

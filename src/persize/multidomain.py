@@ -28,7 +28,17 @@ class DomainCurves:
     curves: dict  # domain id -> np.ndarray of length K
 
     def domain_ids(self) -> list:
-        return sorted(self.curves)
+        """The domain ids in sorted order. Curves that are not a dict, or ids
+        that do not sort against each other, are a ValueError naming the
+        user."""
+        if not isinstance(self.curves, dict):
+            raise ValueError(f"user {self.user}: curves must be a dict of domain id -> "
+                             f"curve, got {type(self.curves).__name__}")
+        try:
+            return sorted(self.curves)
+        except TypeError:
+            raise ValueError(f"user {self.user}: domain ids must sort against each other, "
+                             f"got {list(self.curves)!r}") from None
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,8 @@ def allocate(curves: DomainCurves, N: int, K: int) -> Allocation:
 
     Size 0 is worth 0, so negative curve values (possible for PDCG) are
     handled natively and an all-negative domain gets no slots. N must be an
-    integer >= 0 and K an integer >= 1; a curve that is not 1-d or is
+    integer >= 0 and K an integer >= 1; curves that are not a dict, domain
+    ids that do not sort against each other, a curve that is not 1-d or is
     shorter than K, non-finite values among its first K, and per-domain
     maxima of |v| whose sum is not finite are rejected, naming the user.
     """

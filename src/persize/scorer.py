@@ -5,11 +5,11 @@ importer/exporter so scores from any external recommender can be used, and
 the binary score store the pipeline stages share.
 
 ``ScoreTable`` is the store's layout held in memory: four read-only CSR
-arrays. ``load_scores`` wraps the store's bytes in them without a per-user
-copy, ``import_scores`` sorts a score file's rows into them, and
-``build_score_table`` scores a trained model's candidates into them in one
-pass, and ``ScoreTable.from_entries`` concatenates a dict of another
-recommender's per-user entries once.
+arrays, users rising and each user's items rising. ``load_scores`` wraps
+the store's bytes in them without a per-user copy, ``import_scores`` sorts
+a score file's rows into them, ``build_score_table`` scores a trained
+model's candidates into them in one pass, and ``ScoreTable.from_entries``
+sorts a dict of another recommender's per-user entries into them once.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import InteractionSet
-from .util import (_check_number, _first_flagged, _outside, _read_rows, _repeats,
+from .util import (_check_number, _first_flagged, _outside, _read_rows, _repeats, _rising,
                    atomic_write, atomic_write_bytes, in_pairs)
 
 _INT_DTYPE = np.dtype("<i8")
+_OUT_OF_ORDER = "item ids out of order (each user's item ids must rise strictly)"
 _FLOAT_DTYPE = np.dtype("<f8")
 
 
@@ -56,25 +57,12 @@ def _not_int64(arr: np.ndarray) -> bool:
 class ScoreTable:
     """Each user's candidate (item, score) entries as the score store's four
     read-only CSR arrays: ``ids`` (strictly increasing), ``indptr``, ``items``
-    and ``scores``; user ``ids[j]`` owns entries ``indptr[j]:indptr[j + 1]``.
-    The constructor checks the layout, then names the first bad user: a
-    duplicate item, else a non-finite score. Entries already in (user, item)
-    order, as every store the pipeline writes is, have no duplicate, which
-    one pass tells; only other tables are sorted (``util._repeats``)."""
+    and ``scores``; user ``ids[j]`` owns entries ``indptr[j]:indptr[j + 1]``,
+    whose items rise strictly. The constructor checks the layout, then
+    names the first bad user: a duplicate item, else items out of order
+    (one pass over neighbouring entries), else a non-finite score."""
 
     def __init__(self, ids, indptr, items, scores):
-        self._wrap(ids, indptr, items, scores)
-        owner = np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
-        flagged = _first_flagged([
-            (owner[_repeats(self.items, owner)], lambda r: "duplicate item ids"),
-            (owner[~np.isfinite(self.scores)], lambda r: "non-finite score")])
-        if flagged:
-            raise ValueError(f"user {self.ids[flagged[0]]}: {flagged[1]}")
-
-    def _wrap(self, ids, indptr, items, scores) -> None:
-        """Hold the arrays read-only after checking that they form a CSR table
-        whose ``ids``, ``indptr`` and ``items`` are int64 integers (an empty
-        one may have any dtype)."""
         given = [np.asarray(x) for x in (ids, indptr, items)]
         if any(map(_not_int64, given)):
             raise ValueError("ids, indptr or items that are not int64 integers "
@@ -89,22 +77,26 @@ class ScoreTable:
                 or self.indptr[-1] != len(self.items) or np.any(np.diff(self.indptr) < 0)
                 or np.any(np.diff(self.ids) <= 0)):
             raise ValueError("ids, indptr, items and scores do not form a CSR table")
-
-    @classmethod
-    def _of_checked_entries(cls, ids, indptr, items, scores) -> ScoreTable:
-        """The table of entries whose items and scores were already checked
-        (``import_scores`` names the file line of a bad row): the layout
-        check only."""
-        table = cls.__new__(cls)
-        table._wrap(ids, indptr, items, scores)
-        return table
+        rises = self.items[1:] > self.items[:-1]
+        starts = self.indptr[1:-1]  # an entry that starts a user's segment rises by rule
+        rises[starts[(starts > 0) & (starts < len(self.items))] - 1] = True
+        after = np.flatnonzero(~rises)  # entries whose next entry does not rise over them
+        equal = self.items[after + 1] == self.items[after]
+        flagged = _first_flagged([  # each flagged entry's row in ids
+            (self.indptr.searchsorted(entries, side="right") - 1, lambda r, why=why: why)
+            for entries, why in ((after[equal], "duplicate item ids"),
+                                 (after[~equal], _OUT_OF_ORDER),
+                                 (np.flatnonzero(~np.isfinite(self.scores)), "non-finite score"))])
+        if flagged:
+            raise ValueError(f"user {self.ids[flagged[0]]}: {flagged[1]}")
 
     @classmethod
     def from_entries(cls, entries: dict) -> ScoreTable:
-        """The table of user -> (items, scores), concatenated in user order.
-        A user's items and scores must be 1-D and of equal length, and its
-        items integers that int64 holds exactly (an empty list of any dtype
-        is fine); a ValueError names the first user that breaks this."""
+        """The table of user -> (items, scores), in user order and each user's
+        entries by item. A user's items and scores must be 1-D and of equal
+        length, and its items integers that int64 holds exactly (an empty
+        list of any dtype is fine); a ValueError names the first user that
+        breaks this."""
         rows = sorted(((operator.index(u), np.asarray(i), np.asarray(s, dtype=np.float64))
                        for u, (i, s) in entries.items()), key=lambda row: row[0])
         for user, items, scores in rows:
@@ -114,6 +106,7 @@ class ScoreTable:
                    else None)
             if why:
                 raise ValueError(f"user {user}: {why}")
+        rows = [(u, i[order], s[order]) for u, i, s in rows for order in [np.argsort(i)]]
         return cls([row[0] for row in rows], np.cumsum([0] + [len(row[1]) for row in rows]),
                    np.concatenate([np.empty(0)] + [row[1] for row in rows], dtype=np.int64,
                                   casting="unsafe"),
@@ -127,8 +120,7 @@ class ScoreTable:
         keep = ~in_pairs(owners, self.items, pairs)
         indptr = np.append(0, np.cumsum(keep))[self.indptr]
         # every array a copy: a view of ``ids`` would keep a loaded store's bytes alive
-        return ScoreTable._of_checked_entries(self.ids.copy(), indptr, self.items[keep],
-                                              self.scores[keep])
+        return ScoreTable(self.ids.copy(), indptr, self.items[keep], self.scores[keep])
 
     def users(self) -> list[int]:
         return self.ids.tolist()
@@ -136,7 +128,7 @@ class ScoreTable:
     def get(self, user: int):
         """The user's (items, scores): read-only slices of the arrays."""
         if user not in self:
-            raise KeyError(f"no scores for user {user}")
+            raise ValueError(f"user {user} has no scored candidates")
         a, b = self.indptr[self.ids.searchsorted(operator.index(user)):][:2].tolist()
         return self.items[a:b], self.scores[a:b]
 
@@ -298,15 +290,17 @@ def import_scores(path, n_users: int | None = None, n_items: int | None = None) 
     row, a non-finite score, a repeated (user, item) row and, when
     ``n_users`` / ``n_items`` give the universe, a user outside
     ``[0, n_users)`` or an item outside ``[0, n_items)``; each error is a
-    ValueError naming the path and line. Each user's entries keep file order.
+    ValueError naming the path and line. Rows out of (user, item) order are
+    sorted, so the table does not depend on the file's row order.
     """
     users, items, scores = _read_rows(
         path, "iif", "user<TAB>item<TAB>score",
         lambda columns: _bad_score_row(columns, n_users, n_items))
-    order = np.argsort(users, kind="stable")
-    users, items, scores = users[order], items[order], scores[order]
+    if not _rising(items, users):
+        order = np.lexsort((items, users))
+        users, items, scores = users[order], items[order], scores[order]
     ids, starts = np.unique(users, return_index=True)
-    return ScoreTable._of_checked_entries(ids, np.append(starts, len(users)), items, scores)
+    return ScoreTable(ids, np.append(starts, len(users)), items, scores)
 
 
 def _bad_score_row(columns, n_users, n_items):
@@ -338,8 +332,8 @@ def load_scores(path) -> ScoreTable:
     """Read a store written by ``save_scores``.
 
     Rejects a file whose length does not match its header, and any store the
-    table refuses (a bad layout, a duplicate item or a non-finite score),
-    naming the path.
+    table refuses (a bad layout, a duplicate item, items out of order, which
+    asks to rerun ``train``, or a non-finite score), naming the path.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -355,4 +349,5 @@ def load_scores(path) -> ScoreTable:
     try:
         return ScoreTable(users, indptr, items, scores)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        rerun = "; rerun train to rewrite the store" if _OUT_OF_ORDER in str(exc) else ""
+        raise ValueError(f"{path}: {exc}{rerun}") from None

@@ -1,15 +1,16 @@
 """Choosing each user's recommendation-list size, plus baselines and the
 held-out evaluation harness.
 
-``rank`` is the one ranking rule: a user's scored candidates by descending
-score, ties to the lower item id. Items a list must not hold (the
-validation positives) leave the table first (``ScoreTable.without``).
+``_rank_block`` is the one ranking rule: one stable sort per row of a block
+of users' padded scores, by descending score, ties to the lower item id (a
+user's items rise in the table). Items a list must not hold (the validation
+positives) leave the table first (``ScoreTable.without``).
 ``_row_argmax`` is the one size-selection rule: the first argmax of each
 row of a (users, width) curve block within that row's own length.
-``recommend_block`` is the one PerK routine: it ranks and calibrates each
-user of a block, builds the block's expected-utility curves over sizes
-1..K (one zero-padded ``expected_curves_batch`` call) and cuts every
-user's ranking at its ``_row_argmax`` within min(K, n).
+``recommend_block`` is the one PerK routine: it ranks and calibrates a
+block of users, builds the block's expected-utility curves over sizes 1..K
+(one zero-padded ``expected_curves_batch`` call) and cuts every ranking at
+its ``_row_argmax`` within min(K, n), giving arrays (``Recommendations``).
 ``user_blocks`` groups users into blocks by their candidate counts only, so
 the padding, and with it every output byte, is the same for any thread
 count; one user is a block of one.
@@ -18,14 +19,13 @@ with entries and parameters) on a thread pool; the CLI's ``recommend``
 stage calls it once.
 Baselines choose the size by a global constant, uniformly at random, by
 validation utility, or (as an upper bound) by test utility, each on an
-already-ranked list. ``evaluate`` ranks each user once and scores every
-method of ``default_methods(K)`` (PerK and the baselines) against held-out
-test positives over the identical user population, in one block of array
-operations (each membership test one ``in_pairs`` call). It runs no PerK of
-its own: it takes PerK's sizes and expected values as given (the CLI reads
-them from ``recs.tsv``), and the validation and oracle sizes are the
-``_row_argmax`` of realized curves (``realized_curve`` of the label rows,
-zero-padded by ``_padded`` as ``recommend_block`` pads its probability rows).
+already-ranked list. ``evaluate`` ranks its users' heads in the same blocks
+and scores every method of ``default_methods(K)`` (PerK and the baselines)
+against held-out test positives over the identical user population, in one
+block of array operations (each membership test one ``in_pairs`` call). It
+runs no PerK of its own: it takes PerK's sizes and expected values as given
+(the CLI reads them from ``recs.tsv``), and the validation and oracle sizes
+are the ``_row_argmax`` of realized curves of the ``_padded`` label rows.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .utility import (
     DEFAULT_K,
     DEFAULT_M,
     Measure,
+    _check_measures,
     check_curve_args,
     expected_curves_batch,
     realized_curve,
@@ -71,27 +72,24 @@ def fixed_method_name(k: int) -> str:
 
 
 @dataclass(frozen=True)
-class PersonalizedRec:
-    """One user's emitted list for one measure: the first k_max ranked
-    candidates, with the user's ranking cut to min(K, n) and the
-    expected-utility curve the list was cut from, over sizes 1..min(K, n)
-    (read-only)."""
+class Recommendations:
+    """PerK's lists, one row per user: ``users``, ``lengths`` (min(K, n)),
+    ``rankings`` (users x K) and, per ``Measure``, ``sizes`` (the chosen k)
+    and ``curves`` (users x K, expected utility at sizes 1..K), 0 past each
+    length. User ``users[r]``'s list for m is ``rankings[r, :sizes[m][r]]``."""
 
-    user: int
-    k_max: int
-    ranking: np.ndarray
-    values: np.ndarray
+    users: np.ndarray
+    lengths: np.ndarray
+    rankings: np.ndarray
+    sizes: dict
+    curves: dict
 
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    @property
-    def items(self) -> np.ndarray:
-        return self.ranking[: self.k_max]
-
-    @property
-    def expected_value(self) -> float:
-        return float(self.values[self.k_max - 1])
+    def perk(self) -> dict:
+        """``evaluate``'s ``perk``: user -> {Measure: (k, expected value)}."""
+        at = {m: (k.tolist(), self.curves[m][np.arange(len(k)), k - 1].tolist())
+              for m, k in self.sizes.items()}
+        return {u: {m: (ks[r], vs[r]) for m, (ks, vs) in at.items()}
+                for r, u in enumerate(self.users.tolist())}
 
 
 @dataclass(frozen=True)
@@ -105,20 +103,30 @@ class EvaluationReport:
     perk_expected: dict = field(default_factory=dict)  # measure name -> mean expected utility
 
 
-def rank(user: int, scores: ScoreTable, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The user's scored (items, scores) by descending score, ties to the
-    lower item id; with ``top``, the first ``top`` of them only, sorted
-    after one ``np.partition`` that keeps every entry tied with the cut. A
-    ``top`` that is not an integer >= 0 is a ValueError."""
+def _rank_block(users, scores: ScoreTable, top: int | None = None):
+    """(items, scores, lengths): each user's candidates by descending score,
+    ties to the lower item id, as one row of padded (users, width) matrices
+    (padding scores 0), from one stable sort of the +inf-padded negated
+    scores. With ``top`` (an integer >= 0), a row keeps its first ``top``
+    entries, sorted after a row-wise ``np.partition`` that keeps every entry
+    tied at the cut."""
     if top is not None:
         _check_number("top", top, 0, integer=True)
-    items, vals = scores.get(user)
-    if top is not None and 0 < top < len(vals):
-        cut = np.partition(vals, len(vals) - top)[len(vals) - top]
-        head = np.flatnonzero(vals >= cut)
-        items, vals = items[head], vals[head]
-    order = np.lexsort((items, -vals))[:top]
-    return items[order], vals[order]
+    rows = scores.ids.searchsorted(users)
+    starts, lengths = scores.indptr[rows], scores.indptr[rows + 1] - scores.indptr[rows]
+    inside = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    at = np.where(inside, starts[:, None] + np.arange(inside.shape[1]), 0)
+    neg, items = np.where(inside, -scores.scores[at], np.inf), scores.items[at]
+    top = inside.shape[1] if top is None else top
+    if top < inside.shape[1]:
+        cut = np.partition(neg, top - 1, axis=1)[:, top - 1:top] if top else -np.inf
+        kept = inside & (neg <= cut)
+        counts = kept.sum(axis=1)
+        neg, items = _padded(neg[kept], counts, np.inf), _padded(items[kept], counts)
+    order = np.argsort(neg, axis=1, kind="stable")[:, :top]
+    neg = np.take_along_axis(neg, order, 1)
+    return (np.take_along_axis(items, order, 1), np.where(neg < np.inf, -neg, 0.0),
+            np.minimum(lengths, top))
 
 
 def _row_argmax(curves: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -166,44 +174,37 @@ def recommend_block(
     measures,
     K: int = DEFAULT_K,
     M: int = DEFAULT_M,
-) -> dict:
-    """The expected-utility-maximizing prefix per measure for a block of users.
-
-    Ranks each user's candidates and calibrates them with
-    ``params_by_user[user]``; the block's probability rows, zero-padded to
-    its widest row, then give every curve of the block in one
-    ``expected_curves_batch`` call. The count distribution uses every ranked
-    candidate, not just the top-K prefix, and its sum stops at the block's
-    certified bound, below the cap ``M``. Each curve covers the user's own
-    sizes 1..min(K, n), and one ``_row_argmax`` call per measure cuts every
-    user's ranking.
-
-    Returns user -> (Measure -> PersonalizedRec), in the order of
-    ``users``. A user without entries in ``scores``, or without parameters
-    in ``params_by_user``, is a ValueError naming the user, and so is an
-    empty or repeated measure list, as ``evaluate`` checks it.
-    """
+) -> Recommendations:
+    """The block's ``Recommendations``, rows in the order of ``users``: one
+    ``_rank_block`` call ranks the block, one call calibrates every row with
+    its user's (a, b) by ``calibrate.apply``'s arithmetic, and one
+    ``expected_curves_batch`` call on the zero-padded rows gives every curve
+    (the count over every ranked candidate, to the block's certified bound
+    below ``M``). A user without entries or parameters (named), and an empty
+    or repeated measure list, are a ValueError."""
     check_curve_args(K=K, M=M)
     measures = _check_measures(measures)
-    users = [int(u) for u in users]
-    if not users:
-        return {}
-    rankings, probs = [], []
-    for user in users:
-        items, vals = rank(user, scores) if user in scores else ((), ())
-        if not len(items):
+    users = np.array([int(u) for u in users], dtype=np.int64)
+    for user in users.tolist():
+        if user not in scores or not len(scores.get(user)[0]):
             raise ValueError(f"user {user} has no scored candidates")
         if params_by_user.get(user) is None:
             raise ValueError(f"user {user} has no calibration parameters")
-        rankings.append(items[:K].copy())
-        probs.append(calibrate.apply(params_by_user[user], vals))
-    lengths = np.array([min(K, len(p)) for p in probs])
-    block = _padded(np.concatenate(probs), np.array([len(p) for p in probs]))
-    curves = expected_curves_batch(block, measures, M=M, K=K)
-    sizes = {m: _row_argmax(curves[m], lengths).tolist() for m in measures}
-    return {user: {m: PersonalizedRec(user, sizes[m][row], rankings[row],
-                                      curves[m][row, : lengths[row]]) for m in measures}
-            for row, user in enumerate(users)}
+    items, vals, counts = _rank_block(users, scores)
+    a, b = (np.array([getattr(params_by_user[u], x) for u in users.tolist()]) for x in "ab")
+    probs = _widened(calibrate._calibrated(a[:, None], b[:, None], vals), counts, vals.shape[1])
+    curves = (expected_curves_batch(probs, measures, M=M, K=K) if len(users)
+              else dict.fromkeys(measures, probs))
+    lengths = np.minimum(counts, K)
+    curves = {m: _widened(curves[m], lengths, K) for m in measures}
+    return Recommendations(users, lengths, _widened(items, lengths, K),
+                           {m: _row_argmax(curves[m], lengths) for m in measures}, curves)
+
+
+def _widened(block: np.ndarray, lengths: np.ndarray, K: int) -> np.ndarray:
+    """The block's rows cut or padded to K columns, 0 past each length."""
+    block = np.pad(block[:, :K], ((0, 0), (0, K - min(K, block.shape[1]))))
+    return np.where(np.arange(K) < lengths[:, None], block, 0)
 
 
 def recommend_users(
@@ -213,16 +214,11 @@ def recommend_users(
     K: int = DEFAULT_K,
     M: int = DEFAULT_M,
     threads: int = 1,
-) -> dict:
-    """``recommend_block`` over the ``user_blocks`` of every served user,
-    run on ``threads`` threads.
-
-    Returns user -> (Measure -> PersonalizedRec) for each user of
-    ``served_users(scores, params_by_user)`` in user order. The blocks
-    depend on the data only, so the result does not depend on ``threads``.
-    The measures are checked as ``recommend_block`` checks them, also when
-    no user is served.
-    """
+) -> Recommendations:
+    """``recommend_block`` over the ``user_blocks`` of every ``served_users``
+    user on ``threads`` threads, rows in user order. The blocks depend on
+    the data only, so the result does not depend on ``threads``. The
+    measures are checked also when no user is served."""
     check_curve_args(K=K, M=M)
     _check_number("threads", threads, 1, integer=True)
     measures = _check_measures(measures)  # every block reads them
@@ -231,10 +227,17 @@ def recommend_users(
     def serve(block):
         return recommend_block(block, scores, params_by_user, measures, K, M)
 
-    out = {}
-    for result in parallel_map(serve, user_blocks(users, scores), threads):
-        out.update(result)
-    return {user: out[user] for user in users}
+    # the empty block gives every field its shape when no user is served
+    parts = [serve([])] + parallel_map(serve, user_blocks(users, scores), threads)
+    order = np.argsort(np.concatenate([part.users for part in parts]))
+
+    def stacked(field):
+        return np.concatenate([field(part) for part in parts])[order]
+
+    return Recommendations(stacked(lambda r: r.users), stacked(lambda r: r.lengths),
+                           stacked(lambda r: r.rankings),
+                           {m: stacked(lambda r: r.sizes[m]) for m in measures},
+                           {m: stacked(lambda r: r.curves[m]) for m in measures})
 
 
 def baseline_rand(user: int, K: int, seed: int = 0) -> int:
@@ -255,24 +258,14 @@ def default_methods(K: int = DEFAULT_K) -> list[str]:
     return methods
 
 
-def _padded(values, lengths: np.ndarray) -> np.ndarray:
+def _padded(values, lengths: np.ndarray, fill=0) -> np.ndarray:
     """The users' rows, concatenated in ``values`` (``lengths[i]`` values
-    for user i), as one zero-padded (users, max(lengths)) block."""
-    block = np.zeros((len(lengths), lengths.max()))
+    for user i), as one (users, max(lengths)) block of their dtype, padded
+    with ``fill``."""
+    values = np.asarray(values)
+    block = np.full((len(lengths), lengths.max(initial=0)), fill, dtype=values.dtype)
     block[np.arange(block.shape[1]) < lengths[:, None]] = values
     return block
-
-
-def _check_measures(measures) -> list[Measure]:
-    """The measures (members or names) as ``Measure`` members; an empty or
-    repeated list is a ValueError."""
-    measures = [Measure(m) for m in measures]
-    if not measures:
-        raise ValueError("measures is empty: no measure to evaluate")
-    repeated = sorted({m.value for m in measures if measures.count(m) > 1})
-    if repeated:
-        raise ValueError(f"repeated measure: {', '.join(repeated)}")
-    return measures
 
 
 def evaluate(
@@ -286,8 +279,9 @@ def evaluate(
     """Score every method of ``default_methods(K)`` on every user holding at
     least one test positive.
 
-    One ``rank`` call orders the head of each such user's candidates that
-    the methods can read; every method emits a prefix of that order without
+    ``_rank_block``, once per ``user_blocks`` block of those users, orders
+    the head of each one's candidates that the methods can read; every
+    method emits a prefix of that order without
     the validation positives, cut at K, so the averages compare and the
     test-label argmax dominates pointwise. ``val_k`` reads the order's first
     K items. The validation exclusion and the test labels are one
@@ -309,11 +303,13 @@ def evaluate(
 
     users = sorted(int(u) for u in split.users)
     vals, tests = ([part.items_of(user) for user in users] for part in (split.val, split.test))
-    # at most len(val) items of a head drop, so it keeps the first K ranked
-    # items outside them
-    heads = [rank(user, scores, K + len(val))[0]
-             if len(test) and user in scores else np.empty(0, np.int64)
-             for user, val, test in zip(users, vals, tests)]
+    # at most len(val) items of a head drop, so K + the block's largest
+    # len(val) keep each user's first K ranked items outside them
+    n_val, heads = dict(zip(users, map(len, vals))), dict.fromkeys(users, np.empty(0, np.int64))
+    for block in user_blocks([u for u, t in zip(users, tests) if len(t) and u in scores], scores):
+        items, _, counts = _rank_block(block, scores, K + max(n_val[u] for u in block))
+        heads.update((u, row[:n]) for u, row, n in zip(block, items, counts))
+    heads = list(heads.values())
     lengths = [len(h) for h in heads]
     dropped = np.split(in_pairs(np.repeat(users, lengths),
                                 np.concatenate([np.empty(0, np.int64), *heads]), split.val.pairs),

@@ -48,6 +48,19 @@ class Measure(Enum):
     TP = "tp"
 
 
+def _check_measures(measures) -> list[Measure]:
+    """The measures (members or names) as ``Measure`` members: the one
+    measure rule of every curve and selection routine. An unknown name, or
+    an empty or repeated list, is a ValueError."""
+    measures = [Measure(m) for m in measures]
+    if not measures:
+        raise ValueError("measures is empty: no measure to evaluate")
+    repeated = sorted({m.value for m in measures if measures.count(m) > 1})
+    if repeated:
+        raise ValueError(f"repeated measure: {', '.join(repeated)}")
+    return measures
+
+
 def log_discount(ranks) -> np.ndarray:
     """Exposure weight 1 / log2(1 + r) for 1-based ranks."""
     return 1.0 / np.log2(1.0 + np.asarray(ranks, dtype=np.float64))
@@ -82,8 +95,6 @@ def _denominators(measure: Measure, ks, ms) -> np.ndarray:
         top = max(np.max(ks), np.max(ms))
         ideal = np.concatenate([[0.0], np.cumsum(log_discount(np.arange(1, top + 1)))])
         ks, ms = ideal[ks], ideal[ms]
-    elif measure is not Measure.TP:
-        raise ValueError(f"unknown measure {measure!r}")
     return np.minimum(ks, ms, dtype=np.float64)
 
 
@@ -92,8 +103,9 @@ def _pdcg_curve(p: np.ndarray) -> np.ndarray:
     return np.cumsum((2.0 * p - 1.0) * log_discount(np.arange(1, p.shape[-1] + 1)), axis=-1)
 
 
-def realized_curve(measure: Measure, prefix_labels, total_relevant) -> np.ndarray:
-    """Realized utility at every size k = 1..L of a length-L label prefix.
+def realized_curve(measure, prefix_labels, total_relevant) -> np.ndarray:
+    """Realized utility at every size k = 1..L of a length-L label prefix,
+    for a ``Measure`` member or name.
 
     ``total_relevant`` is the number of relevant items in the whole
     candidate set, not just the prefix; it feeds the normalizers.
@@ -101,6 +113,7 @@ def realized_curve(measure: Measure, prefix_labels, total_relevant) -> np.ndarra
     block of label rows takes one total per row and gives one curve per
     row; each row equals its one-row call bit for bit.
     """
+    measure = Measure(measure)
     labels = _as_labels(prefix_labels)
     s = np.asarray(total_relevant)
     if s.dtype.kind not in "iu":
@@ -154,18 +167,20 @@ def expected_curves_batch(
     ``probs_sorted`` is (users, n), each row in ranking order (descending).
     A row may be padded with zero probabilities up to the block width: a
     zero adds nothing to the count, so the user's values over its own sizes
-    1..min(K, n_user) are unchanged up to rounding. Returns measure ->
-    (users, min(K, n)) value arrays. The count masses of the whole block
-    are one ``distribution`` call, truncated at the block's ``_count_bound``
-    under the cap min(n, M - 1), so each row drops at most ``TAIL_EPS`` of
-    mass that M - 1 would keep; every inverse-normalizer matrix is built
-    once per block. Large blocks also release the interpreter lock inside
-    the heavy array operations, which lets thread pools overlap.
+    1..min(K, n_user) are unchanged up to rounding. The measures follow
+    ``_check_measures``. Returns Measure -> (users, min(K, n)) value arrays.
+    The count masses of the whole block are one ``distribution`` call,
+    truncated at the block's ``_count_bound`` under the cap min(n, M - 1),
+    so each row drops at most ``TAIL_EPS`` of mass that M - 1 would keep;
+    every inverse-normalizer matrix is built once per block. Large blocks
+    also release the interpreter lock inside the heavy array operations,
+    which lets thread pools overlap.
     """
     probs_sorted = np.asarray(probs_sorted, dtype=np.float64)
     if probs_sorted.ndim != 2 or probs_sorted.shape[1] == 0:
         raise ValueError("expected a non-empty (users, n) probability matrix")
     check_curve_args(K=K, M=M)
+    measures = _check_measures(measures)
     _check_probs(probs_sorted)
     p_topk = probs_sorted[:, : min(K, probs_sorted.shape[1])]
     out, mass = {}, None

@@ -10,8 +10,9 @@ descent for the calibration fit and the one-user Newton loop that the
 lockstep calibration engine replaced, exhaustive search over size vectors
 for the budget allocator, line-by-line scanners for the score and split
 text files (with a writer of adversarial files to feed them), the
-step-by-step SGD loop for the pairwise ranking trainer, and the per-user
-loop for the train/val/test split.
+step-by-step SGD loop for the pairwise ranking trainer, the per-user
+loop for the train/val/test split, and a one-user two-key sort for the
+ranking rule.
 """
 
 import json
@@ -351,6 +352,20 @@ def sequential_split(iset: InteractionSet, ratios, seed: int) -> SplitDataset:
     sets = [InteractionSet.from_pairs(np.asarray(p, dtype=np.int64).reshape(-1, 2),
                                       users=iset.users, items=iset.items) for p in parts]
     return SplitDataset(train=sets[0], val=sets[1], test=sets[2], seed=seed)
+
+
+def rank(user: int, scores: ScoreTable, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The user's scored (items, scores) by descending score, ties to the
+    lower item id, from one two-key lexsort that does not rely on the
+    table's item order; with ``top``, the first ``top`` of them only, sorted
+    after one ``np.partition`` that keeps every entry tied with the cut."""
+    items, vals = scores.get(user)
+    if top is not None and 0 < top < len(vals):
+        cut = np.partition(vals, len(vals) - top)[len(vals) - top]
+        head = np.flatnonzero(vals >= cut)
+        items, vals = items[head], vals[head]
+    order = np.lexsort((items, -vals))[:top]
+    return items[order], vals[order]
 
 
 def scan_scores(path) -> ScoreTable:

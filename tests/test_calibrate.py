@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,17 @@ class TestEce:
         with pytest.raises(ValueError):
             ece_report([0.5], [1.0], bins=0)
 
+    @pytest.mark.parametrize("predictions, labels, shapes", [
+        (np.full((2, 3), 0.5), np.zeros((2, 3)), "(2, 3) and (2, 3)"),
+        ([0.5, 0.5], [[1.0, 0.0]], "(2,) and (1, 2)"),
+        (0.5, 1.0, "() and ()"),
+    ], ids=["both_2d", "labels_2d", "scalars"])
+    def test_input_that_is_not_1d_is_refused(self, predictions, labels, shapes):
+        # 2-D input ended in numpy's "object too deep for desired array"
+        message = f"predictions and labels must be 1-D, got shapes {shapes}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ece_report(predictions, labels)
+
     @pytest.mark.parametrize("predictions, labels, message", [
         ([1.5, 0.5], [0, 1], r"probabilities must lie in \[0, 1\]"),
         ([-0.2, 0.5], [0, 1], r"probabilities must lie in \[0, 1\]"),
@@ -392,7 +405,8 @@ class TestBuildCalibrationBatch:
             0: ([3, 4], [0.1, 0.2]), 1: ([3, 4, 9, -2**40], [0.1, 0.2, 0.3, 0.4]),
             2: ([4, 3], [0.1, 0.2]), 2**62: ([3], [0.5])})
         labels = calibration_labels(split, table)
-        assert labels.tolist() == [0, 0, 1, 0, 0, 0, 1, 0, 0]
+        # each user's entries by item: user 1 holds [-2**40, 3, 4, 9], user 2 [3, 4]
+        assert labels.tolist() == [0, 0, 0, 1, 0, 0, 0, 1, 0]
 
     def test_ids_spanning_2_40_label_without_overflow(self):
         # a box of (user, item) offsets would hold 2**80 keys; dense codes of

@@ -295,11 +295,12 @@ class TestCrossStageParity:
         # routine's over the same blocks (a one-user call moves low bits)
         lib = selection.recommend_users(table.without(split_ds.val.pairs), params,
                                         list(Measure), K=10, M=100)
-        assert list(lib) == sorted(params)
-        for user, by_measure in lib.items():
-            for measure, rec in by_measure.items():
-                want = (rec.k_max, repr(rec.expected_value),
-                        ",".join(str(i) for i in rec.items))
+        assert lib.users.tolist() == sorted(params)
+        for row, user in enumerate(lib.users.tolist()):
+            for measure, sizes in lib.sizes.items():
+                k = int(sizes[row])
+                want = (k, repr(float(lib.curves[measure][row, k - 1])),
+                        ",".join(str(i) for i in lib.rankings[row, :k].tolist()))
                 assert recs[(user, measure.value)] == want, (user, measure)
 
         perk_rows = 0
@@ -371,11 +372,13 @@ class TestRecommendBlocks:
         params, _ = _read_platt(workdir / "platt.tsv")
         shown = table.without(split_ds.val.pairs)
         lib = selection.recommend_users(shown, params, list(Measure), K=10, M=100)
-        assert {u for u, _ in recs} == set(lib) == set(table.users())
-        for u, by_measure in lib.items():
-            for measure, rec in by_measure.items():
+        assert {u for u, _ in recs} == set(lib.users.tolist()) == set(table.users())
+        for row, u in enumerate(lib.users.tolist()):
+            for measure, sizes in lib.sizes.items():
+                k = int(sizes[row])
                 assert recs[(u, measure.value)] == (
-                    rec.k_max, repr(rec.expected_value), rec.items.tolist()), (u, measure)
+                    k, repr(float(lib.curves[measure][row, k - 1])),
+                    lib.rankings[row, :k].tolist()), (u, measure)
         heads = {listed[0] for (u, _), (_, _, listed) in recs.items() if u == user}
         assert item not in heads
         for (u, _), (_, _, listed) in recs.items():
@@ -700,7 +703,7 @@ class TestCountBound:
         split_ds = dataset.load_split(workdir)
         table = scorer.load_scores(workdir / "scores.bin")
         shown = table.without(split_ds.val.pairs)
-        counts = {u: len(selection.rank(u, shown)[0]) for u in table.users()}
+        counts = dict(zip(table.users(), np.diff(shown.indptr).tolist()))
         M = max(counts.values()) - 1
         cfg = _write_config(tmp_path, bundled_path, workdir, M=M)
         code = _run("recommend", "--config", str(cfg))

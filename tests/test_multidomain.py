@@ -79,6 +79,18 @@ class TestAllocate:
             allocate(curves, N=3, K=2)
         assert str(err.value) == f"user 7, domain 'a': {message}"
 
+    @pytest.mark.parametrize("curves, message", [
+        ([np.ones(2), np.ones(2)], "curves must be a dict of domain id -> curve, got list"),
+        ({1: np.ones(2), "a": np.ones(2)},
+         "domain ids must sort against each other, got [1, 'a']"),
+    ], ids=["not-a-dict", "unsortable-ids"])
+    def test_bad_domain_curves_name_the_user(self, curves, message):
+        # a list ended in numpy's "only integer scalar arrays" error, and
+        # mixed ids in a bare TypeError
+        with pytest.raises(ValueError) as err:
+            allocate(DomainCurves(user=7, curves=curves), N=2, K=2)
+        assert str(err.value) == f"user 7: {message}"
+
     def test_budget_beyond_reach_matches_full_budget(self):
         rng = np.random.default_rng(3)
         for _ in range(2):

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import SCORE_FORMS, scan_scores, sequential_bpr, write_adversarial
+from oracles import SCORE_FORMS, rank, scan_scores, sequential_bpr, write_adversarial
 
 from persize import scorer as scorer_module
 from persize import util
@@ -20,7 +20,7 @@ from persize.scorer import (
     save_scores,
     train_bpr,
 )
-from persize.selection import rank, recommend_block
+from persize.selection import _rank_block, recommend_block
 from persize.utility import Measure
 
 
@@ -316,21 +316,24 @@ class TestScore:
 
 
 class TestRankTopk:
-    """A top-K list is the first K items of ``selection.rank``'s order."""
+    """A top-K list is the first K items of the ranking rule's order
+    (``selection._rank_block``)."""
 
     def _table(self):
         return ScoreTable.from_entries({0: (np.array([0, 1, 2]), np.array([0.1, 0.9, 0.5]))})
 
     def test_orders_by_score(self):
-        items, _ = rank(0, self._table())
+        items = _rank_block([0], self._table())[0][0]
         np.testing.assert_array_equal(items[:2], [1, 2])
 
     def test_tie_break_by_item_id(self):
         table = ScoreTable.from_entries({0: (np.array([5, 2, 9]), np.array([1.0, 1.0, 1.0]))})
-        np.testing.assert_array_equal(rank(0, table)[0][:2], [2, 5])
+        np.testing.assert_array_equal(_rank_block([0], table)[0][0][:2], [2, 5])
 
     def test_k_larger_than_candidates(self):
-        np.testing.assert_array_equal(rank(0, self._table())[0][:10], [1, 2, 0])
+        items, _, lengths = _rank_block([0], self._table(), 10)
+        np.testing.assert_array_equal(items[0], [1, 2, 0])
+        assert lengths.tolist() == [3]
 
     def test_prefix_closed_family(self):
         # dropping every item ranked below k leaves exactly the top k, in order
@@ -338,12 +341,12 @@ class TestRankTopk:
         table = ScoreTable.from_entries({0: (np.arange(30), rng.normal(size=30))})
         full, _ = rank(0, table)
         for k in (1, 3, 12, 30):
-            part, _ = rank(0, table.without([(0, i) for i in full[k:]]))
+            part = _rank_block([0], table.without([(0, i) for i in full[k:]]))[0][0]
             np.testing.assert_array_equal(part, full[:k])
 
     def test_empty_candidates_degenerate(self):
         table = self._table().without([(0, 0), (0, 1), (0, 2)])
-        assert len(rank(0, table)[0]) == 0
+        assert _rank_block([0], table)[2].tolist() == [0]
         with pytest.raises(ValueError, match="user 0 has no scored candidates"):
             recommend_block([0], table, {0: PlattParams(1.0, 0.0)}, [Measure.F1], K=5)
 
@@ -351,7 +354,7 @@ class TestRankTopk:
         rng = np.random.default_rng(2)
         items = np.arange(50)
         table = ScoreTable.from_entries({0: (items, rng.integers(0, 5, 50).astype(float))})
-        _, vals = rank(0, table)
+        vals = _rank_block([0], table)[1][0]
         assert np.all(np.diff(vals) <= 0)
 
 
@@ -453,11 +456,15 @@ class TestScoreStore:
             load_scores(path)
 
 
-    @pytest.mark.parametrize("items", [
-        [1, 4, 8, 2, 3, 3, 9],  # every other entry rises
-        [1, 4, 8, 9, 3, 2, 3],  # the repeat in an unsorted segment
-        [8, 1, 4, 2, 3, 9, 3],  # every segment unsorted
-    ])
+    # each hand-written store's items, and the first bad user it names and why
+    _FALL = re.escape(scorer_module._OUT_OF_ORDER + "; rerun train to rewrite the store")
+    STORES = {
+        (1, 4, 8, 2, 3, 3, 9): "user 11: duplicate item ids",  # every other entry rises
+        (1, 4, 8, 9, 3, 2, 3): "user 11: " + _FALL,  # a repeat in a segment out of order
+        (8, 1, 4, 2, 3, 9, 3): "user 2: " + _FALL,  # every segment out of order
+    }
+
+    @pytest.mark.parametrize("items", [list(items) for items in STORES])
     def test_hand_written_store_with_a_repeated_item(self, tmp_path, items):
         # users 2, 5 and 11 own 3, 0 and 4 entries
         path = tmp_path / "scores.bin"
@@ -468,9 +475,9 @@ class TestScoreStore:
                              + np.linspace(0.1, 0.7, 7).astype("<f8").tobytes())
 
         write(items)
-        message = f"^{re.escape(str(path))}: user 11: duplicate item ids$"  # the file is named
-        with pytest.raises(ValueError, match=message):
-            load_scores(path)
+        message = self.STORES[tuple(items)]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_scores(path)  # the file is named
         write([1, 4, 8, 2, 3, 5, 9])
         assert load_scores(path).items.tolist() == [1, 4, 8, 2, 3, 5, 9]
 
@@ -681,8 +688,8 @@ class TestScoreTableChecks:
             3: ([], []),
         })
         assert table.users() == [1, 2, 3] and table.indptr.tolist() == [0, 2, 3, 3]
-        assert table.items.dtype == np.int64 and table.items.tolist() == [3, 1, 2**62]
-        assert table.scores.tolist() == [0.1, 0.2, 0.3]
+        assert table.items.dtype == np.int64 and table.items.tolist() == [1, 3, 2**62]
+        assert table.scores.tolist() == [0.2, 0.1, 0.3]  # each user's entries by item
 
     def test_the_table_is_read_only(self, tmp_path):
         table = ScoreTable.from_entries({0: ([1, 2], [0.1, 0.2]), 3: ([4], [0.5])})
@@ -764,12 +771,81 @@ class TestScoreTableChecks:
         monkeypatch.setattr(scorer_module, "_repeats", counted)
         table = import_scores(path)
         assert calls == [3]
-        assert table.users() == [0, 1] and table.items.tolist() == [1, 2, 0]
+        assert table.users() == [0, 1] and table.items.tolist() == [1, 0, 2]
+        assert table.scores.tolist() == [0.25, -1.0, 0.5]
 
     def test_lookup_of_a_user_without_scores(self):
         table = ScoreTable.from_entries({2: ([1], [0.1]), 5: ([], [])})
         assert 5 in table and np.int64(2) in table
         assert all(u not in table for u in (0, 3, 6, 2**70, -2**70))
-        with pytest.raises(KeyError, match="no scores for user 3"):
+        with pytest.raises(ValueError, match="^user 3 has no scored candidates$"):
             table.get(3)
         assert len(table.get(5)[0]) == 0
+
+
+class TestCanonicalOrder:
+    """Each user's items rise in every table, whatever order they came in."""
+
+    def _entries(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return {u: (rng.permutation(40)[:n], np.round(rng.normal(size=n), 1))
+                for u, n in ((1, 12), (4, 0), (6, 30), (9, 1))}
+
+    def test_shuffled_entries_give_the_sorted_table(self):
+        entries = self._entries()
+        table = ScoreTable.from_entries(entries)
+        for u, (items, scores) in entries.items():
+            order = np.argsort(items)
+            got_items, got_scores = table.get(u)
+            assert got_items.tolist() == items[order].tolist()
+            assert got_scores.tobytes() == scores[order].tobytes()
+        again = ScoreTable.from_entries({u: (i[::-1], s[::-1]) for u, (i, s) in entries.items()})
+        _same_table(again, table)
+
+    def test_shuffled_import_gives_the_sorted_table(self, tmp_path):
+        # a file holds no row of a user without entries
+        table = ScoreTable.from_entries({u: e for u, e in self._entries(1).items() if len(e[0])})
+        export_scores(table, tmp_path / "sorted.tsv")
+        lines = (tmp_path / "sorted.tsv").read_text().splitlines()
+        shuffled = [lines[j] for j in np.random.default_rng(2).permutation(len(lines))]
+        (tmp_path / "shuffled.tsv").write_text("\n".join(shuffled) + "\n")
+        assert shuffled != lines
+        for name in ("sorted.tsv", "shuffled.tsv"):
+            save_scores(import_scores(tmp_path / name), tmp_path / f"{name}.bin")
+        assert (tmp_path / "sorted.tsv.bin").read_bytes() == \
+            (tmp_path / "shuffled.tsv.bin").read_bytes()
+        _same_table(import_scores(tmp_path / "shuffled.tsv"), table)
+
+    def test_without_keeps_the_order(self):
+        table = ScoreTable.from_entries(self._entries(3))
+        shown = table.without([(6, int(i)) for i in table.get(6)[0][::3]] + [(1, 5)])
+        for u in shown.users():
+            items = shown.get(u)[0]
+            assert np.all(np.diff(items) > 0)
+            assert set(items.tolist()) <= set(table.get(u)[0].tolist())
+
+    @pytest.mark.parametrize("items, message", [
+        ([3, 1, 2, 7, 8], "user 5: " + re.escape(scorer_module._OUT_OF_ORDER)),
+        ([1, 2, 2, 7, 8], "user 5: duplicate item ids"),
+        ([1, 2, 3, 8, 7], "user 9: " + re.escape(scorer_module._OUT_OF_ORDER)),
+        ([1, 2, 3, 0, 0], "user 9: duplicate item ids"),
+        ([2, 2, 1, 0, 0], "user 5: duplicate item ids"),  # a repeat is named before a fall
+    ])
+    def test_the_constructor_names_a_fall_or_a_repeat(self, items, message):
+        # users 5 and 9 own 3 and 2 entries
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScoreTable([5, 9], [0, 3, 5], items, [0.1] * 5)
+
+    def test_a_user_may_start_below_the_last_users_items(self):
+        table = ScoreTable([5, 7, 9], [0, 3, 3, 5], [1, 2, 3, 0, 4], [0.1] * 5)
+        assert table.get(9)[0].tolist() == [0, 4]
+
+    def test_a_store_out_of_item_order_is_refused(self, tmp_path):
+        path = tmp_path / "scores.bin"
+        ints = [[2, 4], [0, 3], [0, 2, 4], [1, 4, 6, 5]]
+        path.write_bytes(b"".join(np.asarray(x, dtype="<i8").tobytes() for x in ints)
+                         + np.zeros(4).astype("<f8").tobytes())
+        message = (f"{path}: user 3: item ids out of order (each user's item ids must rise "
+                   "strictly); rerun train to rewrite the store")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_scores(path)

@@ -1,7 +1,9 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
-from persize import calibrate
+from persize import calibrate, selection
 from persize.calibrate import PlattParams
 from persize.dataset import InteractionSet, SplitDataset
 from persize.scorer import ScoreTable
@@ -13,35 +15,40 @@ from persize.selection import (
     SKIP_REASONS,
     EvaluationReport,
     _padded,
+    _rank_block,
     _row_argmax,
     baseline_rand,
     default_methods,
     evaluate,
-    rank,
     recommend_block,
     recommend_users,
     user_blocks,
 )
 from persize.utility import Measure, expected_curves_batch, realized_curve
 
-from oracles import CHI2_CRIT_DF19_A01
+from oracles import CHI2_CRIT_DF19_A01, rank
+
+_List = namedtuple("_List", "k value items curve")
+
+
+def _lists(recs) -> dict:
+    """user -> {Measure: _List}, read from the arrays of a
+    ``Recommendations``: the list is ``rankings[r, :k]``, its expected value
+    ``curves[m][r, k - 1]``, and the curve covers sizes 1..lengths[r]."""
+    return {user: {m: _List(int(k[r]), float(recs.curves[m][r, k[r] - 1]),
+                            recs.rankings[r, :k[r]], recs.curves[m][r, :recs.lengths[r]])
+                   for m, k in recs.sizes.items()}
+            for r, user in enumerate(recs.users.tolist())}
 
 
 def _alone(user, table, params, measures, **kwargs):
-    """One user's ``recommend_block`` result, as a block of one."""
-    return recommend_block([user], table, {user: params}, measures, **kwargs)[user]
+    """One user's lists from ``recommend_block``, as a block of one."""
+    return _lists(recommend_block([user], table, {user: params}, measures, **kwargs))[user]
 
 
 def _pairs(user, items) -> list:
     """The (user, item) pairs of one user's ``items``, for ``ScoreTable.without``."""
     return [(user, int(i)) for i in items]
-
-
-def _perk_sizes(recs) -> dict:
-    """``evaluate``'s ``perk`` argument from a ``recommend_users`` result:
-    user -> {Measure: (k, expected_value)} for every served user."""
-    return {user: {m: (rec.k_max, rec.expected_value) for m, rec in by_measure.items()}
-            for user, by_measure in recs.items()}
 
 
 def _select(values) -> int:
@@ -74,19 +81,22 @@ class TestPerkSelect:
 
 
 class TestRank:
+    """``_rank_block``, the one ranking rule, on one user."""
+
     def test_descending_score_ties_to_lower_item(self):
         items = np.array([7, 3, 5, 1, 9])
         table = ScoreTable.from_entries({0: (items, np.array([0.5, 2.0, 0.5, 0.5, -1.0]))})
-        ranked, vals = rank(0, table)
-        np.testing.assert_array_equal(ranked, [3, 1, 5, 7, 9])
-        np.testing.assert_array_equal(vals, [2.0, 0.5, 0.5, 0.5, -1.0])
+        ranked, vals, lengths = _rank_block([0], table)
+        np.testing.assert_array_equal(ranked, [[3, 1, 5, 7, 9]])
+        np.testing.assert_array_equal(vals, [[2.0, 0.5, 0.5, 0.5, -1.0]])
+        assert lengths.tolist() == [5]
 
     def test_matches_lexsort_order(self):
         rng = np.random.default_rng(2)
         scores = np.round(rng.normal(size=25), 1)  # rounding plants ties
         table = ScoreTable.from_entries({0: (np.arange(25), scores)})
         order = np.lexsort((np.arange(25), -scores))
-        np.testing.assert_array_equal(rank(0, table)[0], np.arange(25)[order])
+        np.testing.assert_array_equal(_rank_block([0], table)[0][0], np.arange(25)[order])
 
     @pytest.mark.parametrize("top", [0, 1, 3, 7, 12, 24, 25, 40])
     def test_top_is_the_head_of_the_full_order(self, top):
@@ -95,16 +105,17 @@ class TestRank:
         scores[:3] = [0.0, -0.0, 0.0]
         table = ScoreTable.from_entries({0: (rng.permutation(25), scores)})
         items, vals = rank(0, table)
-        head_items, head_vals = rank(0, table, top)
-        assert head_items.tolist() == items[:top].tolist()
-        assert head_vals.tobytes() == vals[:top].tobytes()
+        head_items, head_vals, lengths = _rank_block([0], table, top)
+        assert lengths.tolist() == [min(top, 25)] and head_items.shape == (1, min(top, 25))
+        assert head_items[0].tolist() == items[:top].tolist()
+        assert head_vals[0].tobytes() == vals[:top].tobytes()
 
     @pytest.mark.parametrize("top", [-1, -25])
     def test_negative_top_is_refused(self, top):
-        # order[:-1] would silently drop the user's last item
+        # order[:, :-1] would silently drop each user's last item
         table = ScoreTable.from_entries({0: (np.arange(5), np.arange(5.0))})
         with pytest.raises(ValueError, match=f"top must be an integer >= 0, got {top}"):
-            rank(0, table, top)
+            _rank_block([0], table, top)
 
     def test_exclude_drops_items_and_keeps_order(self):
         rng = np.random.default_rng(3)
@@ -112,10 +123,50 @@ class TestRank:
         table = ScoreTable.from_entries({0: (np.arange(30), scores)})
         full, _ = rank(0, table)
         dropped = [4, 11, 29, 100]  # 100 is not a candidate
-        kept, kept_vals = rank(0, table.without(_pairs(0, dropped)))
-        np.testing.assert_array_equal(kept, full[~np.isin(full, dropped)])
-        np.testing.assert_array_equal(kept_vals, scores[kept])
-        assert len(rank(0, table.without(_pairs(0, np.arange(30))))[0]) == 0
+        kept, kept_vals, lengths = _rank_block([0], table.without(_pairs(0, dropped)))
+        np.testing.assert_array_equal(kept[0], full[~np.isin(full, dropped)])
+        np.testing.assert_array_equal(kept_vals[0], scores[kept[0]])
+        assert _rank_block([0], table.without(_pairs(0, np.arange(30))))[2].tolist() == [0]
+
+
+class TestRankBlock:
+    """Every row of ``_rank_block`` is the oracle's two-key ranking of its
+    user, for any ``top``; the padding scores 0."""
+
+    # user -> candidate count, and how many distinct score values they take
+    CASES = {
+        "heavy-ties": ({u: 40 + u for u in range(6)}, 3),
+        "empty-rows": ({0: 0, 1: 7, 2: 0, 3: 12}, 4),
+        "one-user": ({9: 30}, 5),
+        "block-users": ({u: 10 + u % 3 for u in range(selection._BLOCK_USERS)}, 4),
+        "block-probs": ({u: selection._BLOCK_PROBS // 4 for u in range(4)}, 50),
+    }
+
+    @pytest.mark.parametrize("top", [None, 0, 1, 5, 33])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rows_match_the_oracle(self, case, top):
+        widths, levels = self.CASES[case]
+        rng = np.random.default_rng(len(widths))
+        table = ScoreTable.from_entries({u: (rng.permutation(3 * n + 5)[:n],
+                                             rng.integers(0, levels, n) / 4.0)
+                                         for u, n in widths.items()})
+        users = sorted(widths)
+        assert len(user_blocks(users, table)) == 1  # the case is one block
+        items, vals, lengths = _rank_block(users, table, top)
+        for row, user in enumerate(users):
+            want_items, want_vals = rank(user, table, top)
+            n = lengths[row]
+            assert n == len(want_items), user
+            assert items[row, :n].tolist() == want_items.tolist(), user
+            assert vals[row, :n].tobytes() == want_vals.tobytes(), user
+            assert not vals[row, n:].any()  # the padding scores 0
+
+    def test_a_tie_straddling_top_goes_to_the_lower_items(self):
+        table = ScoreTable.from_entries({0: ([9, 4, 7, 1, 3], [1.0, 2.0, 1.0, 1.0, 0.5]),
+                                         1: ([2, 5], [0.0, -0.0])})
+        items, vals, lengths = _rank_block([0, 1], table, 2)
+        assert items.tolist() == [[4, 1], [2, 5]] and lengths.tolist() == [2, 2]
+        assert vals.tolist() == [[2.0, 1.0], [0.0, -0.0]]
 
 
 class TestRecommend:
@@ -129,14 +180,14 @@ class TestRecommend:
         table = self._table([4.0])
         params = PlattParams(a=10.0, b=0.0)  # sigmoid(40) ~ 1
         rec = _alone(0, table, params, [Measure.NDCG], K=1)[Measure.NDCG]
-        assert rec.k_max == 1
-        assert rec.expected_value == pytest.approx(1.0, abs=1e-10)
+        assert rec.k == 1
+        assert rec.value == pytest.approx(1.0, abs=1e-10)
 
     def test_all_probs_below_half_pdcg_picks_one(self):
         table = self._table([0.5, 0.4, 0.3, 0.2])
         params = PlattParams(a=1.0, b=-3.0)  # all probabilities < 0.5
         rec = _alone(0, table, params, [Measure.PDCG], K=4)[Measure.PDCG]
-        assert rec.k_max == 1
+        assert rec.k == 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -144,7 +195,7 @@ class TestRecommend:
         params = PlattParams(a=1.2, b=-1.0)
         a = _alone(0, table, params, [Measure.F1], K=10, M=50)[Measure.F1]
         b = _alone(0, table, params, [Measure.F1], K=10, M=50)[Measure.F1]
-        assert a.k_max == b.k_max
+        assert a.k == b.k
         np.testing.assert_array_equal(a.items, b.items)
 
     def test_emits_prefix_of_ranking(self):
@@ -157,7 +208,7 @@ class TestRecommend:
             recs = _alone(0, shown, params, list(Measure), K=10, M=40)
             ranked, _ = rank(0, shown)
             for rec in recs.values():
-                np.testing.assert_array_equal(rec.items, ranked[: rec.k_max])
+                np.testing.assert_array_equal(rec.items, ranked[: rec.k])
 
     def test_carries_its_curve(self):
         rng = np.random.default_rng(4)
@@ -169,10 +220,9 @@ class TestRecommend:
         want = {m: row[0] for m, row in
                 expected_curves_batch(probs[None, :], list(Measure), M=30, K=12).items()}
         for measure, rec in recs.items():
-            np.testing.assert_array_equal(rec.values, want[measure])
-            assert rec.k_max == _select(want[measure])
-            assert rec.expected_value == float(want[measure][rec.k_max - 1])
-            assert not rec.values.flags.writeable
+            np.testing.assert_array_equal(rec.curve, want[measure])
+            assert rec.k == _select(want[measure])
+            assert rec.value == float(want[measure][rec.k - 1])
 
     def test_carries_its_ranking_cut_to_k(self):
         rng = np.random.default_rng(6)
@@ -180,13 +230,15 @@ class TestRecommend:
         params = PlattParams(a=1.0, b=0.5)
         for K, exclude in ((10, ()), (40, [2, 7])):
             shown = table.without(_pairs(0, exclude))
-            recs = _alone(0, shown, params, list(Measure), K=K, M=40)
+            recs = recommend_block([0], shown, {0: params}, list(Measure), K=K, M=40)
             ranked, _ = rank(0, shown)
-            for rec in recs.values():
-                np.testing.assert_array_equal(rec.ranking, ranked[:K])
-                assert rec.ranking.flags.owndata  # the full ranking is not kept alive
-                assert rec.ranking is recs[Measure.F1].ranking  # one copy per user
-                np.testing.assert_array_equal(rec.items, rec.ranking[: rec.k_max])
+            n = min(K, len(ranked))
+            assert recs.rankings.shape == (1, K) and recs.lengths.tolist() == [n]
+            np.testing.assert_array_equal(recs.rankings[0, :n], ranked[:K])
+            assert not recs.rankings[0, n:].any()  # past the user's length: 0
+            for measure in Measure:
+                assert recs.curves[measure].shape == (1, K)
+                assert not recs.curves[measure][0, n:].any()
 
     def test_degenerate_user(self):
         table = ScoreTable.from_entries({0: (np.empty(0, dtype=np.int64), np.empty(0))})
@@ -219,15 +271,15 @@ class TestRecommendBlock:
         users = sorted(self.WIDTHS)
         assert user_blocks(users, table) == [users]  # one padded block
         block = recommend_block(users, table, params, list(Measure), K=12, M=M)
-        assert list(block) == users
+        assert block.users.tolist() == users
         for user in users:
             alone = _alone(user, table, params[user], list(Measure), K=12, M=M)
             n = len(rank(user, table)[0])
             for measure in Measure:
-                got, want = block[user][measure], alone[measure]
-                assert len(got.values) == min(12, n)
-                np.testing.assert_allclose(got.values, want.values, rtol=1e-13, atol=0)
-                assert got.k_max == want.k_max, (user, measure)
+                got, want = _lists(block)[user][measure], alone[measure]
+                assert len(got.curve) == min(12, n)
+                np.testing.assert_allclose(got.curve, want.curve, rtol=1e-13, atol=0)
+                assert got.k == want.k, (user, measure)
                 np.testing.assert_array_equal(got.items, want.items)
 
     def test_unservable_users_are_refused(self):
@@ -237,9 +289,9 @@ class TestRecommendBlock:
         table = table.without(_pairs(11, rank(11, table)[0]))  # every candidate excluded
         with pytest.raises(ValueError, match="user 11 has no scored candidates"):
             recommend_block([10, 11, 12, 17], table, params, [Measure.F1], K=5)
-        block = recommend_block([10, 12, 17], table, params, [Measure.F1], K=5)
-        assert block[10][Measure.F1].k_max == 1
-        assert len(block[17][Measure.F1].values) == 5
+        block = _lists(recommend_block([10, 12, 17], table, params, [Measure.F1], K=5))
+        assert block[10][Measure.F1].k == 1
+        assert len(block[17][Measure.F1].curve) == 5
 
     def test_user_without_scores_or_parameters_is_named(self):
         table, params = self._table(), self._params()
@@ -271,11 +323,10 @@ class TestRecommendBlock:
         table, params = self._table(), self._params()
         by_name = recommend_block([10, 16], table, params, ["f1", "tp"], K=5)
         by_member = recommend_block([10, 16], table, params, [Measure.F1, Measure.TP], K=5)
-        for user in (10, 16):
-            assert list(by_name[user]) == [Measure.F1, Measure.TP]
-            for m in (Measure.F1, Measure.TP):
-                assert by_name[user][m].k_max == by_member[user][m].k_max
-                np.testing.assert_array_equal(by_name[user][m].values, by_member[user][m].values)
+        assert list(by_name.sizes) == list(by_name.curves) == [Measure.F1, Measure.TP]
+        for m in (Measure.F1, Measure.TP):
+            np.testing.assert_array_equal(by_name.sizes[m], by_member.sizes[m])
+            np.testing.assert_array_equal(by_name.curves[m], by_member.curves[m])
 
     def test_blocks_name_a_user_the_table_lacks(self):
         table = self._table()
@@ -285,8 +336,6 @@ class TestRecommendBlock:
             user_blocks(np.array([7]), table)
 
     def test_blocks_cut_at_user_and_probability_caps(self):
-        from persize import selection
-
         def table(widths):
             return ScoreTable.from_entries({u: (np.arange(n), np.zeros(n))
                                             for u, n in widths.items()})
@@ -321,30 +370,28 @@ class TestRecommendUsers:
         got = recommend_users(table, params, iter([Measure.F1, Measure.NDCG]), K=20, M=100)
         # a user with no entry left is not served
         served = [u for u in table.users() if len(table.get(u)[0]) and params.get(u) is not None]
-        assert list(got) == served
+        assert got.users.tolist() == served
         assert len(user_blocks(served, table)) > 2
-        assert 45 in params and 45 in table and 45 not in got
+        assert 45 in params and 45 in table and 45 not in got.users
         with pytest.raises(ValueError, match="non-finite calibration parameters for scope 34"):
             PlattParams(float("nan"), 0.0, scope=34)
         for block in user_blocks(served, table):
             want = recommend_block(block, table, params, [Measure.F1, Measure.NDCG], K=20,
                                    M=100)
-            for user in block:
-                for measure, rec in want[user].items():
-                    assert got[user][measure].k_max == rec.k_max
-                    assert got[user][measure].values.tobytes() == \
-                        rec.values.tobytes()
+            rows = got.users.searchsorted(block)
+            assert got.rankings[rows].tobytes() == want.rankings.tobytes()
+            assert got.lengths[rows].tolist() == want.lengths.tolist()
+            for measure in (Measure.F1, Measure.NDCG):
+                assert got.sizes[measure][rows].tolist() == want.sizes[measure].tolist()
+                assert got.curves[measure][rows].tobytes() == want.curves[measure].tobytes()
 
     def test_thread_count_never_changes_the_result(self):
         table, params = self._world()
 
         def flat(result):
-            out = []
-            for user, recs in result.items():
-                for measure, rec in recs.items():
-                    out.append((user, measure, rec.k_max, rec.ranking.tobytes(),
-                                rec.values.tobytes()))
-            return out
+            return [result.users.tobytes(), result.lengths.tobytes(), result.rankings.tobytes(),
+                    *(field[m].tobytes() for field in (result.sizes, result.curves)
+                      for m in Measure)]
 
         runs = [flat(recommend_users(table, params, list(Measure), K=15, M=80,
                                      threads=threads))
@@ -411,12 +458,10 @@ class TestBaselines:
                                                    message):
         # a repeated measure would write each user's rows twice and double
         # the averages, which divide by the users counted once
-        from persize import selection
-
         def no_user(*args, **kwargs):
             raise AssertionError("a user was ranked")
 
-        monkeypatch.setattr(selection, "rank", no_user)
+        monkeypatch.setattr(selection, "_rank_block", no_user)
         table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
                                          for u in tiny_split.users})
         perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
@@ -489,7 +534,7 @@ def _served(split, table, params, K, M):
 def bundled_eval(request):
     bundled_split = request.getfixturevalue("bundled_split")
     table, params = _pipeline_fixture(bundled_split)
-    perk = _perk_sizes(_served(bundled_split, table, params, K=20, M=200))
+    perk = _served(bundled_split, table, params, K=20, M=200).perk()
     report = evaluate(bundled_split, table, perk, K=20, seed=0)
     return bundled_split, table, params, report
 
@@ -552,7 +597,7 @@ class TestEvaluate:
 
     def test_deterministic(self, bundled_eval):
         split, table, params, _ = bundled_eval
-        perk = _perk_sizes(_served(split, table, params, K=10, M=100))
+        perk = _served(split, table, params, K=10, M=100).perk()
         a = evaluate(split, table, perk, K=10, seed=1)
         b = evaluate(split, table, perk, K=10, seed=1)
         assert a.per_user == b.per_user
@@ -560,8 +605,6 @@ class TestEvaluate:
         assert a.perk_expected == b.perk_expected
 
     def test_perk_size_is_the_recommend_users_size(self, bundled_eval, monkeypatch):
-        from persize import selection
-
         split, table, params, _ = bundled_eval
         # a served user without test positives is still served, not evaluated
         gone = next(u for u in table.users() if params.get(u) is not None
@@ -577,16 +620,17 @@ class TestEvaluate:
 
         for name in ("recommend_users", "recommend_block", "expected_curves_batch"):
             monkeypatch.setattr(selection, name, no_perk)
-        report = evaluate(split, table, _perk_sizes(recs), K=10, seed=2)
-        assert gone in recs and gone not in {row[0] for row in report.per_user}
+        report = evaluate(split, table, recs.perk(), K=10, seed=2)
+        assert gone in recs.users and gone not in {row[0] for row in report.per_user}
         perk_rows = [row for row in report.per_user if row[1] == METHOD_PERK]
         assert len(perk_rows) == report.n_users * len(Measure)
+        lists = _lists(recs)
         for user, _, measure, k, _ in perk_rows:
-            assert k == recs[user][Measure(measure)].k_max, (user, measure)
+            assert k == lists[user][Measure(measure)].k, (user, measure)
 
     def test_perk_rows_score_the_lists_perk_emits(self, bundled_eval):
         split, table, params, report = bundled_eval
-        recs = _served(split, table, params, K=20, M=200)
+        recs = _lists(_served(split, table, params, K=20, M=200))
         perk_rows = [row for row in report.per_user if row[1] == METHOD_PERK]
         assert len(perk_rows) == report.n_users * len(Measure)
         for user, _, measure, k, value in perk_rows:
@@ -619,12 +663,10 @@ class TestEvaluate:
     def test_K_below_one_rejected_before_any_user(self, tiny_split, monkeypatch, K):
         # K = 0 read as every user lacking candidates, and a negative K cut
         # the rankings from their end
-        from persize import selection
-
         def no_user(*args, **kwargs):
             raise AssertionError("a user was ranked")
 
-        monkeypatch.setattr(selection, "rank", no_user)
+        monkeypatch.setattr(selection, "_rank_block", no_user)
         table = ScoreTable.from_entries({int(u): (np.arange(8), np.zeros(8))
                                          for u in tiny_split.users})
         perk = {int(u): {m: (1, 0.5) for m in Measure} for u in tiny_split.users}
@@ -700,7 +742,7 @@ class TestEvaluate:
 
     def test_perk_expected_is_the_mean_promise_over_evaluated_users(self, bundled_eval):
         split, table, params, report = bundled_eval
-        perk = _perk_sizes(_served(split, table, params, K=20, M=200))
+        perk = _served(split, table, params, K=20, M=200).perk()
         users = sorted({row[0] for row in report.per_user})
         assert len(users) == report.n_users
         for measure in Measure:

@@ -13,7 +13,8 @@ from persize.dataset import InteractionSet, kcore_filter
 from persize.multidomain import DomainCurves, allocate
 from persize.poibin import distribution, distribution_batch
 from persize.scorer import BPRConfig, ScoreTable, train_bpr
-from persize.selection import baseline_rand, evaluate, rank, recommend_block, recommend_users
+from persize.selection import (_rank_block, baseline_rand, evaluate, recommend_block,
+                               recommend_users)
 from persize.util import in_pairs
 from persize.utility import Measure, expected_curves_batch
 
@@ -143,7 +144,7 @@ SIZE_ARGUMENTS = {
     "split-seed": ("seed", 0, lambda v, split: dataset.split(split.train, seed=v)),
     "BPRConfig-seed": ("BPRConfig.seed", 0, lambda v, split: train_bpr(
         split.train, BPRConfig(d=2, epochs=1, seed=v))),
-    "rank-top": ("top", 0, lambda v, _: rank(0, _TABLE, v)),
+    "rank-top": ("top", 0, lambda v, _: _rank_block([0], _TABLE, v)),
     "distribution-M": ("M", 0, lambda v, _: distribution(_PROBS[:1], v)),
     "distribution_batch-M": ("M", 0, lambda v, _: distribution_batch(_PROBS, v)),
     "allocate-N": ("N", 0, lambda v, _: allocate(_CURVES, N=v, K=3)),

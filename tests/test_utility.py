@@ -352,6 +352,42 @@ class TestExpectedCurves:
             np.testing.assert_array_equal(curves[measure], single)
 
 
+class TestMeasureRule:
+    """The curve engine checks its measures as every selection routine does
+    (``utility._check_measures``)."""
+
+    @pytest.mark.parametrize("measures, message", [
+        ([], "^measures is empty: no measure to evaluate$"),
+        ([Measure.F1, Measure.F1], "^repeated measure: f1$"),
+        (["tp", Measure.TP], "^repeated measure: tp$"),
+        (["f2"], "'f2' is not a valid Measure"),
+    ], ids=["empty", "repeated", "repeated-by-name", "unknown-name"])
+    def test_batch_refuses_empty_repeated_or_unknown_measures(self, measures, message):
+        # an empty list returned {}, a repeated one a single key
+        with pytest.raises(ValueError, match=message):
+            expected_curves_batch(np.full((2, 4), 0.5), measures, M=10, K=3)
+
+    def test_batch_takes_measure_names(self):
+        # a name was refused with "unknown measure 'f1'"
+        probs = np.sort(np.random.default_rng(2).random((3, 9)))[:, ::-1]
+        by_name = expected_curves_batch(probs, ["f1", "pdcg"], M=20, K=4)
+        by_member = expected_curves_batch(probs, [Measure.F1, Measure.PDCG], M=20, K=4)
+        assert list(by_name) == [Measure.F1, Measure.PDCG]
+        for m in by_member:
+            assert by_name[m].tobytes() == by_member[m].tobytes()
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_realized_curve_takes_measure_names(self, measure):
+        # a name was refused with "unknown measure 'f1'"
+        labels = np.array([[1, 0, 1, 0], [0, 0, 1, 1]])
+        want = realized_curve(measure, labels, [3, 2])
+        assert realized_curve(measure.value, labels, [3, 2]).tobytes() == want.tobytes()
+
+    def test_realized_curve_refuses_an_unknown_name(self):
+        with pytest.raises(ValueError, match="'f2' is not a valid Measure"):
+            realized_curve("f2", [1, 0], 1)
+
+
 class TestCurveBlocks:
     def test_batch_rejects_K_below_one(self):
         from persize.utility import expected_curves_batch
