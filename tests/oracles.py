@@ -368,6 +368,17 @@ def rank(user: int, scores: ScoreTable, top: int | None = None) -> tuple[np.ndar
     return items[order], vals[order]
 
 
+def export_text(table: ScoreTable, header: str = "") -> str:
+    """The score export's text, one f-string per row: the header line (if
+    any), then `user<TAB>item<TAB>repr(score)` for every entry in table
+    order, each line ending in a newline."""
+    lines = [header] if header else []
+    for user in table.users():
+        items, scores = table.get(user)
+        lines += [f"{user}\t{i}\t{v!r}" for i, v in zip(items.tolist(), scores.tolist())]
+    return "".join(f"{line}\n" for line in lines)
+
+
 def scan_scores(path) -> ScoreTable:
     """Read a `user<TAB>item<TAB>score` file one line at a time: stripped
     lines, '#' comment and blank lines skipped, fields after the third

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from persize import calibrate
 from persize.calibrate import (
     _STATUSES,
     _TOLERANCE,
@@ -327,6 +328,33 @@ class TestLockstepEngine:
             if fit_status not in (FIT_CONVERGED, FIT_DEGENERATE):
                 a, b, fit_status = global_params.a, global_params.b, FIT_FALLBACK
             assert per_user[user] == PlattParams(a, b, user, fit_status)
+
+    @pytest.mark.parametrize("group", [1, 40, 64, 1000, 32_768])
+    def test_grouped_user_fits_equal_one_engine_call(self, group, monkeypatch):
+        # segments of 1, 7, 3 (all_same), 50 (degenerate), 200, 20, 40, 400,
+        # 30, 300, 2000 and 5000 entries; a user without entries between them
+        segments = _mixed_segments()
+        table, labels = _batch(segments)
+        gapped = ScoreTable(np.arange(len(segments) + 1),
+                            np.insert(table.indptr, 4, table.indptr[4]), table.items, table.scores)
+        users, bounds = calibrate._segments(gapped)
+        a, b, status = _newton_segments(gapped.scores, labels, bounds)
+        monkeypatch.setattr(calibrate, "_GROUP_ENTRIES", group)
+        groups = [g.tolist() for g in calibrate._groups(bounds)]
+        assert [x for g in groups for x in g[:-1]] + [len(labels)] == bounds.tolist()
+        assert all(g[-1] - g[0] <= group or len(g) == 2 for g in groups)
+        if group == 40:  # whole segments up to the bound, longer ones alone, and
+            # the all_same users in another group than the degenerate one
+            assert groups[:3] == [[0, 1, 8, 11], [11, 61], [61, 261]]
+            assert _STATUSES[status[2]] == "all_same" and _STATUSES[status[3]] == FIT_DEGENERATE
+        per_user, global_params = fit_all_users(gapped, labels)
+        expected = calibrate._fits(users, a, b, status, global_params)
+        assert per_user == expected and sorted(per_user) == users.tolist()
+        for user, params in per_user.items():
+            assert (np.float64(params.a).tobytes(), np.float64(params.b).tobytes()) == (
+                np.float64(expected[user].a).tobytes(), np.float64(expected[user].b).tobytes())
+        assert {p.fit_status for p in per_user.values()} == {
+            FIT_CONVERGED, FIT_DEGENERATE, FIT_FALLBACK}
 
     def test_empty_segment_raises(self):
         with pytest.raises(ValueError, match="empty calibration set"):

@@ -2,7 +2,8 @@ import re
 
 import numpy as np
 import pytest
-from oracles import SCORE_FORMS, rank, scan_scores, sequential_bpr, write_adversarial
+from oracles import (SCORE_FORMS, export_text, rank, scan_scores, sequential_bpr,
+                     write_adversarial)
 
 from persize import scorer as scorer_module
 from persize import util
@@ -392,6 +393,27 @@ class TestImportExport:
         path.write_text("0\t1\t0.5\n0\t1\t0.6\n")
         with pytest.raises(ValueError, match="duplicate"):
             import_scores(path)
+
+    @pytest.mark.parametrize("header", ["", '# train {"K": 50, "data": "d\u00e9j\u00e0.tsv"}'])
+    def test_export_bytes_match_the_oracle(self, tmp_path, header):
+        # a user longer than one 4096-row slice, a user without entries, and
+        # scores whose repr has an exponent, a signed zero or a subnormal
+        rng = np.random.default_rng(5)
+        forms = [1e-05, 1e+16, -0.0, 5e-324, -1e308, 0.1, 2.5e-300, 123456789.0]
+        wide = rng.normal(size=9000) * 10.0 ** rng.integers(-20, 20, 9000)
+        table = ScoreTable.from_entries({
+            3: (np.arange(9000) * 3 - 2**40, wide),
+            5: ([], []),
+            8: (np.arange(len(forms)), forms),
+            2**62: (np.array([-(2**63), 2**63 - 1]), [1.0, -2.0]),
+        })
+        path = tmp_path / "s.tsv"
+        export_scores(table, path, header=header)
+        assert path.read_bytes() == export_text(table, header).encode("utf-8")
+        _same_table(import_scores(path), scan_scores(path))
+        empty = ScoreTable.from_entries({})
+        export_scores(empty, path, header=header)
+        assert path.read_bytes() == export_text(empty, header).encode("utf-8")
 
     def test_export_matches_model_scores(self, tmp_path):
         model = train_bpr(_toy_train(), BPRConfig(d=4, epochs=3, learning_rate=0.1, seed=1))

@@ -1,6 +1,7 @@
 """``util.in_pairs``, the one (user, item) membership test, against a
-Python set of pairs; the row-order helpers; and ``util._check_number``, the
-one check of every integer size argument."""
+Python set of pairs; the row-order helpers; ``util.atomic_write_bytes``,
+the one file writer; and ``util._check_number``, the one check of every
+integer size argument."""
 
 import re
 
@@ -114,6 +115,30 @@ def test_rising_wants_strict_order_in_every_key():
     for rows in ([], [7]):
         got = util._repeats(np.array(rows, dtype=np.int64))
         assert got.tolist() == [] and got.dtype.kind == "i"
+
+
+def test_streamed_write_joins_its_chunks_in_order(tmp_path):
+    target = tmp_path / "out.bin"
+    ints = np.arange(3, dtype="<i8")
+    util.atomic_write_bytes(target, iter([b"ab", memoryview(ints), bytearray(b"c"), b""]))
+    assert target.read_bytes() == b"ab" + ints.tobytes() + b"c"
+    util.atomic_write(target, "d\u00e9j\u00e0\n")
+    assert target.read_bytes() == "d\u00e9j\u00e0\n".encode("utf-8")
+
+
+def test_failed_streamed_write_keeps_the_target(tmp_path):
+    target = tmp_path / "scores.tsv"
+    target.write_bytes(b"0\t1\t0.5\n")
+
+    def chunks():
+        yield b"0\t1\t0.25\n"
+        raise RuntimeError("the second chunk failed")
+
+    with pytest.raises(RuntimeError, match="the second chunk failed"):
+        util.atomic_write_bytes(target, chunks())
+    assert target.read_bytes() == b"0\t1\t0.5\n"
+    assert list(tmp_path.glob(".scores.tsv.*.tmp")) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.tsv"]
 
 
 _PROBS = np.full((2, 3), 0.5)
