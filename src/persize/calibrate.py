@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -61,8 +62,8 @@ _STATUSES = (FIT_CONVERGED, FIT_DEGENERATE, "all_same", "singular", "diverged",
 
 @dataclass(frozen=True)
 class PlattParams:
-    """Slope/intercept of one calibration map and how the fit ended. A
-    non-finite a or b is a ValueError naming the scope."""
+    """Slope/intercept of one calibration map and how the fit ended. An a or
+    b that is not a finite number is a ValueError naming the scope."""
 
     a: float
     b: float
@@ -70,8 +71,10 @@ class PlattParams:
     fit_status: str = FIT_CONVERGED
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"non-finite calibration parameters for scope {self.scope!r}")
+        if not all(isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+                   for x in (self.a, self.b)):
+            raise ValueError(f"non-finite calibration parameters for scope {self.scope!r}: "
+                             f"a={self.a!r}, b={self.b!r}")
 
 
 def calibration_labels(split, table) -> np.ndarray:

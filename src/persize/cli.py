@@ -41,14 +41,14 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 
 from . import calibrate as cal
 from . import dataset, multidomain, scorer, selection, utility
-from .util import (_check_number, _first_flagged, _parse_int64, _read_rows, _repeats,
-                   atomic_write)
+from .util import _check_number, _first_flagged, _int64, _read_rows, _repeats, atomic_write
 
 _TOP_KEYS = {
     "data", "workdir", "seed", "K", "M", "measures", "kcore", "ratios",
@@ -133,14 +133,11 @@ def _load_config(args) -> dict:
     if not isinstance(cfg["dump_curves"], bool):
         raise ConfigError(f"dump_curves must be true or false, got {cfg['dump_curves']!r}")
     _check_number("allocate.budget", alloc.get("budget", 0), 0, integer=True)
+    utility._check_measures(cfg["measures"])
     known = [x.value for x in utility.Measure]  # a list: a measure may be unhashable
-    bad = [m for m in cfg["measures"] if m not in known]
-    if bad:
-        raise ConfigError(f"unknown measures: {', '.join(map(str, bad))}")
     if alloc.get("measure", known[0]) not in known:
         raise ConfigError(f"allocate.measure must be one of {', '.join(known)}, "
                           f"got {alloc['measure']!r}")
-    utility._check_measures(cfg["measures"])
     return cfg
 
 
@@ -204,7 +201,7 @@ def _read_platt(path) -> tuple[dict, cal.PlattParams]:
     is_user = scopes != cal.GLOBAL_SCOPE
     if is_user.all():
         raise ConfigError(f"{path}: missing {cal.GLOBAL_SCOPE} row")
-    rows = zip(scopes[is_user].astype(np.int64).tolist(), a[is_user].tolist(),
+    rows = zip(map(_int64, scopes[is_user].tolist()), a[is_user].tolist(),
                b[is_user].tolist(), status[is_user].tolist())
     g = np.flatnonzero(~is_user)[0]
     return ({u: cal.PlattParams(ua, ub, u, st) for u, ua, ub, st in rows},
@@ -215,7 +212,10 @@ def _bad_platt_row(columns):
     """The earliest rejected Platt row and why, or None."""
     scopes, a, b, _ = columns
     is_global = scopes == cal.GLOBAL_SCOPE
-    users, not_int = _parse_int64(np.where(is_global, "0", scopes))
+    users, not_int = np.zeros(len(scopes), dtype=np.int64), ~is_global
+    for r in np.flatnonzero(~is_global).tolist():
+        with suppress(ValueError):  # a scope _int64 refuses stays flagged
+            users[r], not_int[r] = _int64(scopes[r]), False
     return _first_flagged([
         (np.flatnonzero(not_int), lambda r: (f"scope {str(scopes[r])!r} is neither "
                                              f"{cal.GLOBAL_SCOPE} nor an int64 user id")),

@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .util import _check_number, _first_flagged, _outside, _read_rows, atomic_write
+from .util import _check_number, _first_flagged, _ids, _outside, _pairs, _read_rows, atomic_write
 
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
 SPLIT_FILES = ("train.tsv", "val.tsv", "test.tsv")
@@ -38,7 +39,7 @@ class InteractionSet:
 
     @classmethod
     def from_pairs(cls, pairs, users=None, items=None) -> "InteractionSet":
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = _pairs(pairs)
         if len(pairs):
             pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
             pairs = pairs[np.append(True, np.any(pairs[1:] != pairs[:-1], axis=1))]
@@ -46,8 +47,7 @@ class InteractionSet:
             users = np.unique(pairs[:, 0]) if len(pairs) else _EMPTY_ITEMS
         if items is None:
             items = np.unique(pairs[:, 1]) if len(pairs) else _EMPTY_ITEMS
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
+        users, items = (_ids(x, "users and items are not int64 integers") for x in (users, items))
         if len(pairs):
             if not np.isin(pairs[:, 0], users).all():
                 raise ValueError("pair references a user outside the universe")
@@ -101,7 +101,7 @@ def load_interactions(path):
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
+            line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
@@ -177,6 +177,8 @@ def split(iset: InteractionSet, ratios=SPLIT_RATIOS, seed: int = 0) -> SplitData
     earlier part), so small users may leave val or test empty. The shuffle
     is seeded per user, making the split independent of iteration order.
     """
+    if not all(isinstance(r, Real) and not isinstance(r, bool) for r in ratios):
+        raise ValueError(f"ratios must be numbers, got {ratios!r}")
     if not abs(sum(ratios) - 1.0) <= 1e-9:  # a NaN ratio fails too
         raise ValueError(f"ratios must sum to 1, got {ratios}")
     if len(ratios) != 3:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import InteractionSet
-from .util import (_check_number, _first_flagged, _outside, _read_rows, _repeats, _rising,
-                   atomic_write_bytes, in_pairs)
+from .util import (_check_number, _first_flagged, _ids, _outside, _read_rows, _repeats,
+                   _rising, atomic_write_bytes, in_pairs)
 
 _INT_DTYPE = np.dtype("<i8")
 _OUT_OF_ORDER = "item ids out of order (each user's item ids must rise strictly)"
@@ -49,13 +49,6 @@ class ScoreModel:
     epoch_losses: tuple = ()
 
 
-def _not_int64(arr: np.ndarray) -> bool:
-    """Whether a non-empty array holds a non-integer or an integer that
-    int64 cannot hold."""
-    return bool(arr.size) and (arr.dtype.kind not in "iu" or (
-        not np.can_cast(arr.dtype, np.int64) and arr.max() > np.iinfo(np.int64).max))
-
-
 class ScoreTable:
     """Each user's candidate (item, score) entries as the score store's four
     read-only CSR arrays: ``ids`` (strictly increasing), ``indptr``, ``items``
@@ -65,12 +58,9 @@ class ScoreTable:
     (one pass over neighbouring entries), else a non-finite score."""
 
     def __init__(self, ids, indptr, items, scores):
-        given = [np.asarray(x) for x in (ids, indptr, items)]
-        if any(map(_not_int64, given)):
-            raise ValueError("ids, indptr or items that are not int64 integers "
-                             "do not form a CSR table")
+        error = "ids, indptr or items that are not int64 integers do not form a CSR table"
         self.ids, self.indptr, self.items, self.scores = arrays = [
-            x.astype(np.int64, copy=False).view() for x in given] + [
+            _ids(x, error).view() for x in (ids, indptr, items)] + [
             np.asarray(scores, dtype=np.float64).view()]
         for arr in arrays:
             arr.setflags(write=False)
@@ -101,17 +91,17 @@ class ScoreTable:
         breaks this."""
         rows = sorted(((operator.index(u), np.asarray(i), np.asarray(s, dtype=np.float64))
                        for u, (i, s) in entries.items()), key=lambda row: row[0])
-        for user, items, scores in rows:
+        for r, (user, items, scores) in enumerate(rows):
             why = ("items and scores are not 1-D" if items.ndim != 1 or scores.ndim != 1
                    else "items and scores differ in length" if len(items) != len(scores)
-                   else "item ids are not int64 integers" if _not_int64(items)
                    else None)
             if why:
                 raise ValueError(f"user {user}: {why}")
-        rows = [(u, i[order], s[order]) for u, i, s in rows for order in [np.argsort(i)]]
+            items = _ids(items, f"user {user}: item ids are not int64 integers")
+            order = np.argsort(items)
+            rows[r] = user, items[order], scores[order]
         return cls([row[0] for row in rows], np.cumsum([0] + [len(row[1]) for row in rows]),
-                   np.concatenate([np.empty(0)] + [row[1] for row in rows], dtype=np.int64,
-                                  casting="unsafe"),
+                   np.concatenate([np.empty(0, np.int64)] + [row[1] for row in rows]),
                    np.concatenate([np.empty(0)] + [row[2] for row in rows]))
 
     def without(self, pairs) -> ScoreTable:

@@ -30,6 +30,8 @@ are the ``_row_argmax`` of realized curves of the ``_padded`` label rows.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -38,7 +40,7 @@ import numpy as np
 from . import calibrate
 from .dataset import SplitDataset
 from .scorer import ScoreTable
-from .util import _check_number, in_pairs, parallel_map
+from .util import _check_number, _ids, in_pairs, parallel_map
 from .utility import (
     DEFAULT_K,
     DEFAULT_M,
@@ -136,9 +138,17 @@ def _row_argmax(curves: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.argmax(np.where(inside, curves, -np.inf), axis=1) + 1
 
 
+def _check_params(params_by_user) -> None:
+    """Refuse Platt parameters that are not a dict of user -> PlattParams."""
+    if not isinstance(params_by_user, Mapping):
+        raise ValueError("params_by_user must be a dict of user -> PlattParams, "
+                         f"got {type(params_by_user).__name__}")
+
+
 def served_users(scores: ScoreTable, params_by_user: dict) -> list[int]:
     """Every user with at least one entry and with calibration parameters,
     in user order: the users ``recommend_users`` serves."""
+    _check_params(params_by_user)
     counts = np.diff(scores.indptr).tolist()
     return [u for u, n in zip(scores.users(), counts) if n and params_by_user.get(u) is not None]
 
@@ -149,12 +159,12 @@ def user_blocks(users, scores: ScoreTable) -> list[list[int]]:
     Users are sorted by (scored candidate count, user id) and cut into runs
     of at most _BLOCK_USERS users whose zero-padded block (its users times
     its largest count) holds at most _BLOCK_PROBS probabilities; a larger
-    user is a block alone. Membership depends on the data only. A user the
-    table lacks is a ValueError naming the user.
+    user is a block alone. Membership depends on the data only. Users that
+    are not int64 ids, and a user the table lacks (named), are a ValueError.
     """
     blocks: list[list[int]] = []
     count = dict(zip(scores.users(), np.diff(scores.indptr).tolist()))
-    users = [int(u) for u in users]
+    users = _ids(list(users), "users are not int64 integers").tolist()
     lost = [u for u in users if u not in count]
     if lost:
         raise ValueError(f"user {lost[0]} has no scored candidates")
@@ -180,13 +190,14 @@ def recommend_block(
     its user's (a, b) by ``calibrate.apply``'s arithmetic, and one
     ``expected_curves_batch`` call on the zero-padded rows gives every curve
     (the count over every ranked candidate, to the block's certified bound
-    below ``M``). A user without entries or parameters (named), and an empty
-    or repeated measure list, are a ValueError."""
+    below ``M``). Users that are not int64 ids, a user without entries or
+    parameters (named) and a refused measure list are a ValueError."""
     check_curve_args(K=K, M=M)
     measures = _check_measures(measures)
-    users = np.array([int(u) for u in users], dtype=np.int64)
+    _check_params(params_by_user)
+    users = _ids(list(users), "users are not int64 integers")
     for user in users.tolist():
-        if user not in scores or not len(scores.get(user)[0]):
+        if not len(scores.get(user)[0]):
             raise ValueError(f"user {user} has no scored candidates")
         if params_by_user.get(user) is None:
             raise ValueError(f"user {user} has no calibration parameters")
@@ -244,7 +255,7 @@ def baseline_rand(user: int, K: int, seed: int = 0) -> int:
     """Uniform size in [1, K], seeded per user (thread-count independent)."""
     _check_number("K", K, 1, integer=True)
     _check_number("seed", seed, 0, integer=True)
-    rng = np.random.default_rng([seed, int(user), 0x72616E64])
+    rng = np.random.default_rng([seed, operator.index(user), 0x72616E64])
     return int(rng.integers(1, K + 1))
 
 
@@ -291,8 +302,8 @@ def evaluate(
     ``perk`` maps each user PerK served to ``{Measure: (k, expected_value)}``
     (the recommend stage's sizes). Skip reasons, in order: no test
     positives, nothing left to rank, and no PerK size. ValueErrors: a K
-    that is not an integer >= 1 or a seed that is not one >= 0, an empty or
-    repeated measure list, no user left to evaluate, and an evaluated
+    that is not an integer >= 1 or a seed that is not one >= 0, a refused
+    measure list, no user left to evaluate, and an evaluated
     user's entry without a measure or with a size outside 1..len(its
     ranking), naming the user and measure.
     """
@@ -301,7 +312,7 @@ def evaluate(
     measures = _check_measures(measures)
     methods = default_methods(K)
 
-    users = sorted(int(u) for u in split.users)
+    users = sorted(split.users.tolist())
     vals, tests = ([part.items_of(user) for user in users] for part in (split.val, split.test))
     # at most len(val) items of a head drop, so K + the block's largest
     # len(val) keep each user's first K ranked items outside them

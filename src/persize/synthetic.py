@@ -40,10 +40,10 @@ def generate_interactions(
     for u in range(n_users):
         n_draws = int(rng.integers(min_per_user, max_per_user + 1))
         items = rng.choice(n_items, size=min(n_draws, n_items), replace=False, p=popularity)
-        for i in items:
-            if (u, int(i)) not in seen:
-                seen.add((u, int(i)))
-                rows.append((f"u{u:04d}", f"i{int(i):04d}"))
+        for i in items.tolist():
+            if (u, i) not in seen:
+                seen.add((u, i))
+                rows.append((f"u{u:04d}", f"i{i:04d}"))
     return rows
 
 

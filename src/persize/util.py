@@ -1,6 +1,6 @@
-"""Small shared helpers: atomic file writes, the one reader of numeric text
-files, the one (user, item) membership test, checks of numeric config
-values, and per-user parallel maps."""
+"""Small shared helpers: atomic writes, the one reader of numeric text files,
+the rules of id arrays (``_ids``) and of (user, item) pairs (``_pairs``), the
+one pair membership test (``in_pairs``), number checks and parallel maps."""
 
 from __future__ import annotations
 
@@ -79,9 +79,8 @@ def in_pairs(owners, items, pairs) -> np.ndarray:
     ``pairs``: one membership test over packed keys. A key packs the dense
     codes of the pairs' own user and item ids, so it stays below n² for any
     int64 ids; a query id that the pairs lack is a non-member."""
-    owners = np.asarray(owners, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    owners, items = (_ids(x, "owners and items are not int64 integers") for x in (owners, items))
+    pairs = _pairs(pairs)
     found = np.zeros(len(items), dtype=bool)
     if not len(pairs):
         return found
@@ -95,6 +94,27 @@ def in_pairs(owners, items, pairs) -> np.ndarray:
         found[a:a + _QUERY_CHUNK] = ((users[at_user] == u) & (catalog[at_item] == i)
                                      & np.isin(at_user * len(catalog) + at_item, pair_keys))
     return found
+
+
+def _ids(values, error: str) -> np.ndarray:
+    """``values`` as int64, the one rule of every array of ids; an int64 array
+    is not copied. A bool, float, string or other non-integer, or an integer
+    past int64, is a ValueError(error); an empty array of any dtype is no ids."""
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind not in "iu" or (
+            not np.can_cast(arr.dtype, np.int64) and arr.max() > _INT64.max)):
+        raise ValueError(error)
+    return arr.astype(np.int64, copy=False)
+
+
+def _pairs(values) -> np.ndarray:
+    """``values`` as an (n, 2) int64 array of (user, item) pairs by ``_ids``'
+    rule, with one wording; an empty array of any shape is no pairs."""
+    error = "pairs are not an (n, 2) array of int64 integers"
+    pairs = _ids(values, error)
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise ValueError(error)
+    return pairs.reshape(-1, 2)
 
 
 def _read_rows(path, kinds: str, layout: str, check, exact: bool = False) -> list:
@@ -202,22 +222,6 @@ def _int64(field: str) -> int:
     if not _INT64.min <= value <= _INT64.max:
         raise ValueError(f"{value} does not fit in int64")
     return value
-
-
-def _parse_int64(fields):
-    """int64 values of an array of strings (0 where bad) and the mask of the
-    fields that Python's ``int`` rejects or int64 cannot hold. One cast
-    reads a good array; only a failed cast tries the fields one by one."""
-    bad = np.zeros(len(fields), dtype=bool)
-    try:
-        return fields.astype(np.int64), bad
-    except (ValueError, OverflowError):
-        for r, field in enumerate(fields.tolist()):
-            try:
-                _int64(field)
-            except ValueError:
-                bad[r] = True
-    return np.where(bad, "0", fields).astype(np.int64), bad
 
 
 def _check_number(name: str, value, low, integer: bool = False) -> None:

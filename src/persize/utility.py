@@ -50,8 +50,16 @@ class Measure(Enum):
 
 def _check_measures(measures) -> list[Measure]:
     """The measures (members or names) as ``Measure`` members: the one
-    measure rule of every curve and selection routine. An unknown name, or
-    an empty or repeated list, is a ValueError."""
+    measure rule of every curve and selection routine and of the CLI's
+    config. A bare string or member, an unknown name (``unknown measures:
+    map, x``), or an empty or repeated list is a ValueError."""
+    if isinstance(measures, (str, Measure)):
+        raise ValueError(f"measures must be a list, got {measures!r}")
+    measures = list(measures)
+    known = [*Measure, *(m.value for m in Measure)]  # a list: a measure may be unhashable
+    unknown = [m for m in measures if m not in known]
+    if unknown:
+        raise ValueError(f"unknown measures: {', '.join(map(str, unknown))}")
     measures = [Measure(m) for m in measures]
     if not measures:
         raise ValueError("measures is empty: no measure to evaluate")
@@ -113,7 +121,7 @@ def realized_curve(measure, prefix_labels, total_relevant) -> np.ndarray:
     block of label rows takes one total per row and gives one curve per
     row; each row equals its one-row call bit for bit.
     """
-    measure = Measure(measure)
+    measure = _check_measures([measure])[0]
     labels = _as_labels(prefix_labels)
     s = np.asarray(total_relevant)
     if s.dtype.kind not in "iu":

@@ -1,7 +1,7 @@
 """Memory guards: the score export, the binary store and the user fits hold
-temporaries bounded by a chunk, not by the table. Peaks are tracemalloc's,
-above what was held before the call, on a 200 k-entry table (400 users x
-500 entries)."""
+temporaries bounded by a chunk, not by the table, and a table holds its
+int64 inputs without a copy. Peaks are tracemalloc's, above what was held
+before the call, on a 200 k-entry table (400 users x 500 entries)."""
 
 import tracemalloc
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from persize.calibrate import fit_all_users, fit_global
-from persize.scorer import ScoreTable, export_scores, save_scores
+from persize.scorer import ScoreTable, export_scores, load_scores, save_scores
 
 MB = 2**20
 
@@ -59,3 +59,29 @@ def test_user_fits_hold_one_group_above_the_global_fit(table_and_labels):
     table, labels = table_and_labels
     global_peak = _peak(lambda: fit_global(table, labels))
     assert _peak(lambda: fit_all_users(table, labels)) <= global_peak + 2 * MB
+
+
+def _owner(arr):
+    """The object at the end of an array's ``.base`` chain."""
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def test_a_loaded_store_is_views_of_the_file_bytes(table_and_labels, tmp_path):
+    # a copy by the id rule would add the items column, 8 B per entry, to
+    # every stage that loads the store
+    table, _ = table_and_labels
+    save_scores(table, tmp_path / "s.bin")
+    loaded = load_scores(tmp_path / "s.bin")
+    owners = [_owner(a) for a in (loaded.ids, loaded.indptr, loaded.items, loaded.scores)]
+    assert all(owner is owners[0] for owner in owners)
+    assert isinstance(owners[0], bytes) and len(owners[0]) == (tmp_path / "s.bin").stat().st_size
+
+
+def test_a_table_holds_views_of_int64_arrays(table_and_labels):
+    table, _ = table_and_labels
+    ids, indptr, items = (np.array(a) for a in (table.ids, table.indptr, table.items))
+    again = ScoreTable(ids, indptr, items, table.scores)
+    for held, given in zip((again.ids, again.indptr, again.items), (ids, indptr, items)):
+        assert np.shares_memory(held, given)

@@ -1,13 +1,16 @@
 """``util.in_pairs``, the one (user, item) membership test, against a
 Python set of pairs; the row-order helpers; ``util.atomic_write_bytes``,
-the one file writer; and ``util._check_number``, the one check of every
-integer size argument."""
+the one file writer; ``util._check_number``, the one check of every
+integer size argument; and the contract table of every export that takes
+ids, pairs or measures: one rule, and one wording, per input class."""
 
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+import persize
 from persize import dataset, util
 from persize.calibrate import PlattParams, ece_report
 from persize.dataset import InteractionSet, kcore_filter
@@ -15,9 +18,9 @@ from persize.multidomain import DomainCurves, allocate
 from persize.poibin import distribution, distribution_batch
 from persize.scorer import BPRConfig, ScoreTable, train_bpr
 from persize.selection import (_rank_block, baseline_rand, evaluate, recommend_block,
-                               recommend_users)
+                               recommend_users, served_users, user_blocks)
 from persize.util import in_pairs
-from persize.utility import Measure, expected_curves_batch
+from persize.utility import Measure, expected_curves_batch, realized_curve
 
 # the int64 extremes, negative ids and ids past 2**32 and 2**40
 EDGE_IDS = [-2**63, 2**63 - 1, -2**40, -1, 0, 1, 2**32, 2**40]
@@ -189,3 +192,172 @@ def test_size_argument_refused_with_one_wording(tiny_split, argument, bad):
     message = f"{name} must be an integer >= {low}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value, tiny_split)
+
+
+_INTERACTIONS = InteractionSet.from_pairs([[0, 1], [0, 2]])
+_CSR_ERROR = "ids, indptr or items that are not int64 integers do not form a CSR table"
+
+# each bad id, given alone in a list (a list mixing a bool with ints is an
+# int64 array to numpy, so its bool is not seen)
+BAD_IDS = {"half": 0.5, "fraction": 1.9, "bool": True, "string": "0",
+           "uint64-past-int64": np.uint64(2**63), "int-past-int64": 2**70}
+
+# export and argument -> (the rule's message, a call passing a list of ids as it)
+ID_ARGUMENTS = {
+    "ScoreTable-ids": (_CSR_ERROR, lambda v: ScoreTable(v, [0, 1], [1], [0.1])),
+    "ScoreTable-items": (_CSR_ERROR, lambda v: ScoreTable([0], [0, 1], v, [0.1])),
+    "ScoreTable.from_entries-items": ("user 0: item ids are not int64 integers",
+                                      lambda v: ScoreTable.from_entries({0: (v, [0.1])})),
+    "InteractionSet.from_pairs-users": ("users and items are not int64 integers",
+                                        lambda v: InteractionSet.from_pairs([[0, 0]], users=v)),
+    "InteractionSet.from_pairs-items": ("users and items are not int64 integers",
+                                        lambda v: InteractionSet.from_pairs([[0, 0]], items=v)),
+    "in_pairs-owners": ("owners and items are not int64 integers",
+                        lambda v: in_pairs(v, [1], [[0, 1]])),
+    "recommend_block-users": ("users are not int64 integers", lambda v: recommend_block(
+        v, _TABLE, _PARAMS, [Measure.F1], K=3, M=5)),
+    "user_blocks-users": ("users are not int64 integers", lambda v: user_blocks(v, _TABLE)),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_IDS))
+@pytest.mark.parametrize("argument", list(ID_ARGUMENTS))
+def test_ids_refused_with_one_wording(argument, bad):
+    # a float, bool or string was truncated or parsed by int(): [0.5] served
+    # user 0, and ["1"] or [True] user 1
+    message, call = ID_ARGUMENTS[argument]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call([BAD_IDS[bad]])
+    assert "are not int64 integers" in message
+
+
+PAIR_ARGUMENTS = {
+    "InteractionSet.from_pairs-pairs": InteractionSet.from_pairs,
+    "ScoreTable.without-pairs": _TABLE.without,
+    "in_pairs-pairs": lambda v: in_pairs([0], [1], v),
+}
+BAD_PAIRS = {**{k: [[v, v]] for k, v in BAD_IDS.items()},
+             "shape-1x4": np.array([[0, 1, 1, 2]]), "shape-3": np.array([0, 1, 1])}
+
+
+@pytest.mark.parametrize("bad", list(BAD_PAIRS))
+@pytest.mark.parametrize("argument", list(PAIR_ARGUMENTS))
+def test_pairs_refused_with_one_wording(argument, bad):
+    # pairs were reshaped to (n, 2): a (1, 4) row dropped (0, 1) and (1, 2),
+    # and [[1.9, 0]] kept the pair (1, 0)
+    with pytest.raises(ValueError, match=r"^pairs are not an \(n, 2\) array of int64 integers$"):
+        PAIR_ARGUMENTS[argument](BAD_PAIRS[bad])
+
+
+def test_empty_pairs_of_any_shape_are_no_pairs():
+    for empty in ([], np.empty((0, 2)), np.empty(0, dtype=np.int64), [[]]):
+        assert InteractionSet.from_pairs(empty).pairs.shape == (0, 2)
+        assert _TABLE.without(empty).items.tolist() == _TABLE.items.tolist()
+
+
+# export and argument -> a call passing (value, split) as its measure list
+MEASURE_ARGUMENTS = {
+    "expected_curves_batch-measures":
+        lambda v, _: expected_curves_batch(_PROBS, v, M=5, K=3),
+    "recommend_block-measures": lambda v, _: recommend_block([0], _TABLE, _PARAMS, v, K=3, M=5),
+    "recommend_users-measures": lambda v, _: recommend_users(_TABLE, _PARAMS, v, K=3, M=5),
+    "evaluate-measures": lambda v, split: evaluate(split, _TABLE, {}, measures=v, K=3),
+}
+BAD_MEASURES = {
+    "bare-string": ("f1", "measures must be a list, got 'f1'"),
+    "unknown-name": (["f1", "map", "x"], "unknown measures: map, x"),
+    "empty": ([], "measures is empty: no measure to evaluate"),
+    "repeated": (["f1", Measure.F1], "repeated measure: f1"),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_MEASURES))
+@pytest.mark.parametrize("argument", list(MEASURE_ARGUMENTS))
+def test_measures_refused_with_one_wording(tiny_split, argument, bad):
+    # a bare string was read letter by letter ("'f' is not a valid
+    # Measure"), and the library worded an unknown name otherwise than the CLI
+    value, message = BAD_MEASURES[bad]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MEASURE_ARGUMENTS[argument](value, tiny_split)
+
+
+# a single measure, for which only an unknown one is wrong
+ONE_MEASURE_ARGUMENTS = {"realized_curve-measure": lambda v: realized_curve(v, [1, 0], 1)}
+
+
+@pytest.mark.parametrize("bad, message", [("map", "unknown measures: map"),
+                                          (["f1"], "unknown measures: ['f1']")],
+                         ids=["unknown-name", "a-list"])
+@pytest.mark.parametrize("argument", list(ONE_MEASURE_ARGUMENTS))
+def test_one_measure_refused_with_the_same_wording(argument, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ONE_MEASURE_ARGUMENTS[argument](bad)
+
+
+# scalar lookups keep operator.index's rule: a float or a string is a TypeError
+SCALAR_ARGUMENTS = {
+    "ScoreTable.get-user": _TABLE.get,
+    "ScoreTable.__contains__-user": lambda v: v in _TABLE,
+    "ScoreTable.from_entries-user": lambda v: ScoreTable.from_entries({v: ([1], [0.1])}),
+    "InteractionSet.items_of-user": _INTERACTIONS.items_of,
+    "baseline_rand-user": lambda v: baseline_rand(v, 3),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.9, "0"])
+@pytest.mark.parametrize("argument", list(SCALAR_ARGUMENTS))
+def test_scalar_users_refused(argument, bad):
+    # baseline_rand's int(user) drew user 1's size for 1.9
+    with pytest.raises(TypeError):
+        SCALAR_ARGUMENTS[argument](bad)
+
+
+# front doors that ended in a bare TypeError or AttributeError
+FRONT_DOORS = {
+    "split-ratios-string": (lambda split: dataset.split(split.train, ratios="abc"),
+                            "ratios must be numbers, got 'abc'"),
+    "split-ratios-mixed": (lambda split: dataset.split(split.train, ratios=(0.5, "a", 0.5)),
+                           "ratios must be numbers, got (0.5, 'a', 0.5)"),
+    "PlattParams-string": (lambda _: PlattParams("a", 0.0), "non-finite calibration "
+                           "parameters for scope 'GLOBAL': a='a', b=0.0"),
+    "PlattParams-none": (lambda _: PlattParams(None, 0.0), "non-finite calibration "
+                         "parameters for scope 'GLOBAL': a=None, b=0.0"),
+    "served_users-none": (lambda _: served_users(_TABLE, None),
+                          "params_by_user must be a dict of user -> PlattParams, got NoneType"),
+    "recommend_users-list": (lambda _: recommend_users(_TABLE, [1], ["f1"]),
+                             "params_by_user must be a dict of user -> PlattParams, got list"),
+    "recommend_block-list": (lambda _: recommend_block([0], _TABLE, [1], ["f1"]),
+                             "params_by_user must be a dict of user -> PlattParams, got list"),
+}
+
+
+@pytest.mark.parametrize("door", list(FRONT_DOORS))
+def test_front_door_refuses_with_a_value_error(tiny_split, door):
+    call, message = FRONT_DOORS[door]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tiny_split)
+
+
+def _exported_callables():
+    """(name, callable) of every function and public method that
+    ``persize/__init__.py`` exports."""
+    for name in dir(persize):
+        obj = getattr(persize, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for method, raw in vars(obj).items():
+                if not method.startswith("_") and (
+                        inspect.isfunction(raw) or isinstance(raw, (classmethod, staticmethod))):
+                    yield f"{name}.{method}", getattr(obj, method)
+
+
+def test_every_export_taking_ids_pairs_or_measures_has_a_contract_row():
+    # a new export cannot skip the rules: each parameter named for users,
+    # pairs or measures needs its row in one of the tables above
+    rows = {*ID_ARGUMENTS, *PAIR_ARGUMENTS, *MEASURE_ARGUMENTS, *ONE_MEASURE_ARGUMENTS,
+            *SCALAR_ARGUMENTS}
+    taking = {f"{name}-{param}" for name, fn in _exported_callables()
+              for param in inspect.signature(fn).parameters
+              if param in ("user", "users", "pairs", "measure", "measures")}
+    assert len(taking) >= 13 and not taking - rows, sorted(taking - rows)
